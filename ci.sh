@@ -172,6 +172,14 @@ for sel in fig1 shard fig-tail; do
     fi
 done
 
+echo "==> benchmark/check.sh: perfbench stable surface + digest-exact goldens"
+# The benchmark is its own package (benchmark/, outside this workspace) and
+# calls the crates only through the surface benchmark/README.md lists. Its
+# self-check builds it, smoke-runs every workload against the committed
+# goldens and checks BENCHMARK.json, so a refactor that breaks that surface
+# or moves a golden fails here instead of in the bench pipeline.
+benchmark/check.sh
+
 echo "==> smoke: cargo bench -p bench --bench shard_scaling"
 # Wall-clock scaling of the sharded engine at 1/2/4 workers; the
 # committed single-core baseline lives in results/shard_scaling.json.

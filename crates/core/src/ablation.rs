@@ -17,6 +17,7 @@
 
 use crate::multiconn::{normalized_latency_spec, FabricSpec};
 use crate::report::{Figure, Series};
+use crate::userlevel::MxPair;
 
 /// Normalized-latency curves for the real (pipelined) and ablated
 /// (serialized) NetEffect engine.
@@ -141,49 +142,35 @@ fn mx_queue_latency(calib: mx10g::MyriCalib, depth: usize, size: u64, which: Que
         async move {
             let cpu_a = Cpu::new(&sim, CpuCosts::default());
             let cpu_b = Cpu::new(&sim, CpuCosts::default());
-            let ea = std::rc::Rc::new(mx10g::MxEndpoint::open(&fab, 0, &cpu_a));
-            let eb = std::rc::Rc::new(mx10g::MxEndpoint::open(&fab, 1, &cpu_b));
-            let ab = ea.connect(&fab, &eb);
-            let ba = eb.connect(&fab, &ea);
-            let buf_a = ea.nic().mem.alloc_buffer(size.max(64));
-            let buf_b = eb.nic().mem.alloc_buffer(size.max(64));
-            let exact = MatchInfo::EXACT;
+            let pair = MxPair::open(&fab, &cpu_a, &cpu_b, size.max(64));
+            let MxPair {
+                ea,
+                eb,
+                ab,
+                ba,
+                buf_a,
+                buf_b,
+                ..
+            } = &pair;
             let decoy = |i: u32| MatchInfo::mpi(9, 0, i);
-            let tag = MatchInfo::mpi(0, 0, 1);
             match which {
                 QueueTest::Unexpected => {
                     // Park `depth` unexpected messages at each side.
                     for i in 0..depth as u32 {
-                        ea.isend(&ab, decoy(i), buf_a, 8, None).await.wait().await;
-                        eb.isend(&ba, decoy(i), buf_b, 8, None).await.wait().await;
+                        ea.isend(ab, decoy(i), *buf_a, 8, None).await.wait().await;
+                        eb.isend(ba, decoy(i), *buf_b, 8, None).await.wait().await;
                     }
                 }
                 QueueTest::Posted => {
                     for i in 0..depth as u32 {
-                        ea.irecv(decoy(i), exact, buf_a, 64).await;
-                        eb.irecv(decoy(i), exact, buf_b, 64).await;
+                        ea.irecv(decoy(i), MatchInfo::EXACT, *buf_a, 64).await;
+                        eb.irecv(decoy(i), MatchInfo::EXACT, *buf_b, 64).await;
                     }
                 }
             }
             let iters = 10u64;
             let t0 = sim.now();
-            let ping = async {
-                for _ in 0..iters {
-                    let s = ea.isend(&ab, tag, buf_a, size, None).await;
-                    let r = ea.irecv(tag, exact, buf_a, size.max(64)).await;
-                    s.wait().await;
-                    r.wait().await;
-                }
-            };
-            let pong = async {
-                for _ in 0..iters {
-                    let r = eb.irecv(tag, exact, buf_b, size.max(64)).await;
-                    r.wait().await;
-                    let s = eb.isend(&ba, tag, buf_b, size, None).await;
-                    s.wait().await;
-                }
-            };
-            simnet::sync::join2(ping, pong).await;
+            pair.pingpong(size, iters).await;
             (sim.now() - t0).as_micros_f64() / (2.0 * iters as f64)
         }
     })

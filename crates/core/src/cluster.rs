@@ -8,8 +8,8 @@
 //! wire serialization), then hands the message to the ring successor
 //! through the engine's deterministic cross-shard channel; the receiving
 //! host pumps each arrival through its *ingress* half (switch egress port,
-//! RX engines, host DMA). The split data path comes from each fabric's
-//! `shard_host_path` constructor, cut at the switch hop so the switch
+//! RX engines, host DMA). The split data path comes from
+//! [`crate::fabric::host_at`], cut at the switch hop so the switch
 //! forwarding latency (plus any declared propagation span) becomes the
 //! cross-shard link latency — and therefore the lookahead window.
 //!
@@ -19,12 +19,11 @@
 //! determinism tests compare across thread counts, and its merged trace
 //! feeds `simcheck`'s shard oracles when the `simcheck` feature is on.
 
-use etherstack::switch::SwitchConfig;
 use mpisim::FabricKind;
-use simnet::shard::HostPath;
 use simnet::sync::join_all;
-use simnet::{ShardedSim, Sim, SimDuration, SimStats};
+use simnet::{ShardedSim, SimDuration, SimStats};
 
+use crate::fabric::{host_at, wire_latency};
 use crate::report::{Figure, Series};
 
 /// Shape of one cluster-exchange run.
@@ -111,33 +110,6 @@ impl ClusterOutcome {
     }
 }
 
-/// The switch forwarding latency each fabric's host path is cut at — the
-/// cross-shard link latency, and thus the run's lookahead window.
-pub fn wire_latency(kind: FabricKind) -> SimDuration {
-    match kind {
-        FabricKind::Iwarp | FabricKind::MxoE => SwitchConfig::xg700().forwarding_latency,
-        FabricKind::InfiniBand => SwitchConfig::mellanox_ib().forwarding_latency,
-        FabricKind::MxoM => SwitchConfig::myri_10g().forwarding_latency,
-    }
-}
-
-/// Build the host-local data-path halves for `kind` on this shard's sim,
-/// with default calibration (the paper's testbed).
-fn host_path(kind: FabricKind, sim: &Sim) -> HostPath {
-    match kind {
-        FabricKind::Iwarp => iwarp::shard_host_path(sim, iwarp::NetEffectCalib::default()),
-        FabricKind::InfiniBand => {
-            infiniband::shard_host_path(sim, infiniband::MellanoxCalib::default())
-        }
-        FabricKind::MxoM => {
-            mx10g::shard_host_path(sim, mx10g::LinkMode::MxoM, mx10g::MyriCalib::default())
-        }
-        FabricKind::MxoE => {
-            mx10g::shard_host_path(sim, mx10g::LinkMode::MxoE, mx10g::MyriCalib::default())
-        }
-    }
-}
-
 /// Run one sharded cluster exchange. Deterministic for any thread count;
 /// panics if `spec.hosts < 2`.
 pub fn cluster_exchange(kind: FabricKind, spec: ClusterSpec) -> ClusterOutcome {
@@ -146,7 +118,7 @@ pub fn cluster_exchange(kind: FabricKind, spec: ClusterSpec) -> ClusterOutcome {
     let mut ss: ShardedSim<u64, u64> = ShardedSim::new();
     for _ in 0..spec.hosts {
         ss.add_shard(move |ctx| async move {
-            let path = host_path(kind, ctx.sim());
+            let path = host_at(kind, ctx.sim(), 0).path;
             let next = (ctx.id() + 1) % spec.hosts;
             let prev = (ctx.id() + spec.hosts - 1) % spec.hosts;
             let rx = ctx.receiver(prev);

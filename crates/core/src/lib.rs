@@ -31,6 +31,7 @@
 pub mod ablation;
 pub mod bandwidth;
 pub mod cluster;
+pub mod fabric;
 pub mod hotspot;
 pub mod logp;
 pub mod loss;

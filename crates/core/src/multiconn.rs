@@ -9,12 +9,13 @@
 //! aggregate byte rate is reported.
 
 use hostmodel::cpu::{Cpu, CpuCosts};
-use hostmodel::mem::{MemKey, VirtAddr};
 use mpisim::FabricKind;
 use simnet::sync::{join2, join_all};
 use simnet::Sim;
+use udapl::{DatFabric, Provider};
 
 use crate::report::{Figure, Series};
+use crate::userlevel::{connect_rdma_pair, RdmaPair, A, B};
 
 /// Connection counts swept (the paper goes to 256).
 pub fn connection_counts() -> Vec<usize> {
@@ -31,157 +32,34 @@ pub fn throughput_sizes() -> Vec<u64> {
     vec![512, 1024, 2048, 4096, 8192, 16384]
 }
 
-enum ConnPair {
-    Iwarp(
-        iwarp::IwarpQp,
-        iwarp::IwarpQp,
-        MemKey,
-        VirtAddr,
-        MemKey,
-        VirtAddr,
-    ),
-    Ib(
-        infiniband::IbQp,
-        infiniband::IbQp,
-        MemKey,
-        VirtAddr,
-        MemKey,
-        VirtAddr,
-    ),
-}
+pub use udapl::ProviderCalib as FabricSpec;
 
-impl ConnPair {
-    async fn ping(&self, size: u64) {
-        match self {
-            ConnPair::Iwarp(qa, _, _, _, stag_b, buf_b) => {
-                qa.post_send_wr(iwarp::WorkRequest::RdmaWrite {
-                    wr_id: 0,
-                    len: size,
-                    payload: None,
-                    remote_stag: *stag_b,
-                    remote_addr: *buf_b,
-                })
-                .await;
-            }
-            ConnPair::Ib(qa, _, _, _, rk_b, buf_b) => {
-                qa.post_send_wr(infiniband::IbWorkRequest::RdmaWrite {
-                    wr_id: 0,
-                    len: size,
-                    payload: None,
-                    rkey: *rk_b,
-                    remote_addr: *buf_b,
-                })
-                .await;
-            }
-        }
-    }
+/// Registered buffer per side of every connection (the largest swept size).
+const CONN_BUF: u64 = 16384;
 
-    async fn pong(&self, size: u64) {
-        match self {
-            ConnPair::Iwarp(_, qb, stag_a, buf_a, _, _) => {
-                qb.wait_placement().await;
-                qb.post_send_wr(iwarp::WorkRequest::RdmaWrite {
-                    wr_id: 0,
-                    len: size,
-                    payload: None,
-                    remote_stag: *stag_a,
-                    remote_addr: *buf_a,
-                })
-                .await;
-            }
-            ConnPair::Ib(_, qb, rk_a, buf_a, _, _) => {
-                qb.wait_placement().await;
-                qb.post_send_wr(infiniband::IbWorkRequest::RdmaWrite {
-                    wr_id: 0,
-                    len: size,
-                    payload: None,
-                    rkey: *rk_a,
-                    remote_addr: *buf_a,
-                })
-                .await;
-            }
-        }
-    }
-
-    async fn await_pong(&self) {
-        match self {
-            ConnPair::Iwarp(qa, ..) => qa.wait_placement().await,
-            ConnPair::Ib(qa, ..) => qa.wait_placement().await,
-        }
+/// Default calibration for a fabric kind (iWARP/IB only).
+fn spec_for(kind: FabricKind) -> FabricSpec {
+    match kind {
+        FabricKind::Iwarp => Provider::Iwarp.into(),
+        FabricKind::InfiniBand => Provider::InfiniBand.into(),
+        _ => panic!("multi-connection study covers iWARP and IB only"),
     }
 }
 
-/// Fabric selection with explicit calibration — the ablation studies
-/// override single fields to show which mechanism produces which curve.
-#[derive(Clone, Copy)]
-pub enum FabricSpec {
-    /// NetEffect RNIC with the given calibration.
-    Iwarp(iwarp::NetEffectCalib),
-    /// Mellanox HCA with the given calibration.
-    Ib(infiniband::MellanoxCalib),
-}
-
-impl FabricSpec {
-    /// Default calibration for a fabric kind (iWARP/IB only).
-    pub fn from_kind(kind: FabricKind) -> FabricSpec {
-        match kind {
-            FabricKind::Iwarp => FabricSpec::Iwarp(iwarp::NetEffectCalib::default()),
-            FabricKind::InfiniBand => FabricSpec::Ib(infiniband::MellanoxCalib::default()),
-            _ => panic!("multi-connection study covers iWARP and IB only"),
-        }
-    }
-}
-
-async fn build_pairs_spec(sim: &Sim, spec: FabricSpec, n: usize) -> Vec<ConnPair> {
+async fn build_pairs_spec(sim: &Sim, spec: FabricSpec, n: usize) -> Vec<RdmaPair> {
     let cpu_a = Cpu::new(sim, CpuCosts::default());
     let cpu_b = Cpu::new(sim, CpuCosts::default());
+    let fab = DatFabric::with_calib(sim, spec, 2);
     let mut pairs = Vec::with_capacity(n);
-    match spec {
-        FabricSpec::Iwarp(calib) => {
-            let fab = iwarp::IwarpFabric::with_calib(sim, 2, calib);
-            for _ in 0..n {
-                let (qa, qb) = iwarp::verbs::connect(&fab, 0, 1, &cpu_a, &cpu_b).await;
-                let buf_a = qa.device().mem.alloc_buffer(16384);
-                let buf_b = qb.device().mem.alloc_buffer(16384);
-                let stag_a = qa
-                    .device()
-                    .registry
-                    .register_pinned(&cpu_a, buf_a, 16384)
-                    .await;
-                let stag_b = qb
-                    .device()
-                    .registry
-                    .register_pinned(&cpu_b, buf_b, 16384)
-                    .await;
-                pairs.push(ConnPair::Iwarp(qa, qb, stag_a, buf_a, stag_b, buf_b));
-            }
-        }
-        FabricSpec::Ib(calib) => {
-            let fab = infiniband::IbFabric::with_calib(sim, 2, calib);
-            for _ in 0..n {
-                let (qa, qb) = infiniband::verbs::connect(&fab, 0, 1, &cpu_a, &cpu_b).await;
-                let buf_a = qa.device().mem.alloc_buffer(16384);
-                let buf_b = qb.device().mem.alloc_buffer(16384);
-                let rk_a = qa
-                    .device()
-                    .registry
-                    .register_pinned(&cpu_a, buf_a, 16384)
-                    .await;
-                let rk_b = qb
-                    .device()
-                    .registry
-                    .register_pinned(&cpu_b, buf_b, 16384)
-                    .await;
-                pairs.push(ConnPair::Ib(qa, qb, rk_a, buf_a, rk_b, buf_b));
-            }
-        }
+    for _ in 0..n {
+        pairs.push(connect_rdma_pair(&fab, spec.provider(), &cpu_a, &cpu_b, CONN_BUF).await);
     }
     pairs
 }
 
 /// Normalized multi-connection latency (µs) for `n` connections at `size`.
 pub fn normalized_latency(kind: FabricKind, n: usize, size: u64, rounds: u64) -> f64 {
-    normalized_latency_spec(FabricSpec::from_kind(kind), n, size, rounds)
+    normalized_latency_spec(spec_for(kind), n, size, rounds)
 }
 
 /// As [`normalized_latency`], with explicit calibration (ablations).
@@ -190,7 +68,7 @@ pub fn normalized_latency_spec(spec: FabricSpec, n: usize, size: u64, rounds: u6
     sim.block_on({
         let sim = sim.clone();
         async move {
-            let pairs = std::rc::Rc::new(build_pairs_spec(&sim, spec, n).await);
+            let pairs = build_pairs_spec(&sim, spec, n).await;
             // Warm one round (fills context caches the way a running system
             // would be warm).
             run_batched_rounds(&pairs, size, 1).await;
@@ -201,21 +79,22 @@ pub fn normalized_latency_spec(spec: FabricSpec, n: usize, size: u64, rounds: u6
     })
 }
 
-async fn run_batched_rounds(pairs: &std::rc::Rc<Vec<ConnPair>>, size: u64, rounds: u64) {
+async fn run_batched_rounds(pairs: &[RdmaPair], size: u64, rounds: u64) {
     for _ in 0..rounds {
         // Side A posts a ping on every connection; side B answers each;
         // the round completes when every pong has landed.
         let a = async {
-            for p in pairs.iter() {
-                p.ping(size).await;
+            for p in pairs {
+                p[A].write(0, size).await;
             }
-            for p in pairs.iter() {
-                p.await_pong().await;
+            for p in pairs {
+                p[A].ep.wait_placement().await;
             }
         };
         let b = async {
-            for p in pairs.iter() {
-                p.pong(size).await;
+            for p in pairs {
+                p[B].ep.wait_placement().await;
+                p[B].write(0, size).await;
             }
         };
         join2(a, b).await;
@@ -224,7 +103,7 @@ async fn run_batched_rounds(pairs: &std::rc::Rc<Vec<ConnPair>>, size: u64, round
 
 /// Aggregate both-way streaming throughput (MB/s) for `n` connections.
 pub fn throughput(kind: FabricKind, n: usize, size: u64, msgs_per_conn: u64) -> f64 {
-    throughput_spec(FabricSpec::from_kind(kind), n, size, msgs_per_conn)
+    throughput_spec(spec_for(kind), n, size, msgs_per_conn)
 }
 
 /// As [`throughput`], with explicit calibration (ablations).
@@ -237,62 +116,21 @@ pub fn throughput_spec(spec: FabricSpec, n: usize, size: u64, msgs_per_conn: u64
             let t0 = sim.now();
             let mut tasks = Vec::new();
             for (i, _) in pairs.iter().enumerate() {
-                // A→B stream on connection i: post everything, then reap
-                // every completion (completion = remote placement).
-                let ps = std::rc::Rc::clone(&pairs);
-                tasks.push(sim.spawn(async move {
-                    for _ in 0..msgs_per_conn {
-                        ps[i].ping(size).await;
-                    }
-                    for _ in 0..msgs_per_conn {
-                        match &ps[i] {
-                            ConnPair::Iwarp(qa, ..) => {
-                                qa.next_cqe().await;
-                            }
-                            ConnPair::Ib(qa, ..) => {
-                                qa.next_cqe().await;
-                            }
+                // One stream per direction on connection i, A→B first: post
+                // everything, then reap every completion (completion =
+                // remote placement).
+                for from in [A, B] {
+                    let ps = std::rc::Rc::clone(&pairs);
+                    tasks.push(sim.spawn(async move {
+                        let side = &ps[i][from];
+                        for _ in 0..msgs_per_conn {
+                            side.write(0, size).await;
                         }
-                    }
-                }));
-                // B→A stream on connection i.
-                let ps = std::rc::Rc::clone(&pairs);
-                tasks.push(sim.spawn(async move {
-                    for _ in 0..msgs_per_conn {
-                        match &ps[i] {
-                            ConnPair::Iwarp(_, qb, stag_a, buf_a, _, _) => {
-                                qb.post_send_wr(iwarp::WorkRequest::RdmaWrite {
-                                    wr_id: 0,
-                                    len: size,
-                                    payload: None,
-                                    remote_stag: *stag_a,
-                                    remote_addr: *buf_a,
-                                })
-                                .await;
-                            }
-                            ConnPair::Ib(_, qb, rk_a, buf_a, _, _) => {
-                                qb.post_send_wr(infiniband::IbWorkRequest::RdmaWrite {
-                                    wr_id: 0,
-                                    len: size,
-                                    payload: None,
-                                    rkey: *rk_a,
-                                    remote_addr: *buf_a,
-                                })
-                                .await;
-                            }
+                        for _ in 0..msgs_per_conn {
+                            side.ep.evd_wait().await;
                         }
-                    }
-                    for _ in 0..msgs_per_conn {
-                        match &ps[i] {
-                            ConnPair::Iwarp(_, qb, ..) => {
-                                qb.next_cqe().await;
-                            }
-                            ConnPair::Ib(_, qb, ..) => {
-                                qb.next_cqe().await;
-                            }
-                        }
-                    }
-                }));
+                    }));
+                }
             }
             join_all(tasks).await;
             let bytes = 2 * n as u64 * msgs_per_conn * size;

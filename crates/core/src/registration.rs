@@ -11,6 +11,7 @@ use hostmodel::cpu::{Cpu, CpuCosts};
 use mpisim::FabricKind;
 use simnet::Sim;
 
+use crate::fabric::{host_at, Host};
 use crate::report::{Figure, Series};
 use crate::sweep::pow2_sizes;
 
@@ -21,23 +22,7 @@ pub fn registration_cost_us(kind: FabricKind, size: u64) -> f64 {
         let sim = sim.clone();
         async move {
             let cpu = Cpu::new(&sim, CpuCosts::default());
-            let (registry, mem) = match kind {
-                FabricKind::Iwarp => {
-                    let fab = iwarp::IwarpFabric::new(&sim, 2);
-                    let d = fab.device(0);
-                    (d.registry.clone(), d.mem.clone())
-                }
-                FabricKind::InfiniBand => {
-                    let fab = infiniband::IbFabric::new(&sim, 2);
-                    let d = fab.device(0);
-                    (d.registry.clone(), d.mem.clone())
-                }
-                FabricKind::MxoE | FabricKind::MxoM => {
-                    let fab = mx10g::MxFabric::new(&sim, 2, mx10g::LinkMode::MxoM);
-                    let d = fab.device(0);
-                    (d.registry.clone(), d.mem.clone())
-                }
-            };
+            let Host { registry, mem, .. } = host_at(kind, &sim, 0);
             let buf = mem.alloc_buffer(size);
             let t0 = sim.now();
             let reg = registry.register_cached(&cpu, buf, size).await;
@@ -54,17 +39,7 @@ pub fn cached_registration_cost_us(kind: FabricKind, size: u64) -> f64 {
         let sim = sim.clone();
         async move {
             let cpu = Cpu::new(&sim, CpuCosts::default());
-            let registry = match kind {
-                FabricKind::Iwarp => iwarp::IwarpFabric::new(&sim, 2).device(0).registry.clone(),
-                FabricKind::InfiniBand => infiniband::IbFabric::new(&sim, 2)
-                    .device(0)
-                    .registry
-                    .clone(),
-                _ => mx10g::MxFabric::new(&sim, 2, mx10g::LinkMode::MxoM)
-                    .device(0)
-                    .registry
-                    .clone(),
-            };
+            let registry = host_at(kind, &sim, 0).registry;
             let buf = hostmodel::mem::HostMem::new().alloc_buffer(size);
             registry.register_cached(&cpu, buf, size).await;
             let t0 = sim.now();

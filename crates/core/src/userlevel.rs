@@ -5,13 +5,12 @@
 //! Ethernet and over Myrinet. Bandwidth is *computed from the latency
 //! results*, exactly as the paper does.
 
-use std::rc::Rc;
-
 use hostmodel::cpu::{Cpu, CpuCosts};
-use hostmodel::mem::{MemKey, VirtAddr};
+use hostmodel::mem::VirtAddr;
 use mpisim::FabricKind;
 use simnet::sync::join2;
 use simnet::Sim;
+use udapl::{DatFabric, Endpoint, Ia, Lmr, Provider, Rmr};
 
 use crate::report::{Figure, Series};
 use crate::sweep::{iters_for, paper_sizes};
@@ -19,31 +18,132 @@ use crate::sweep::{iters_for, paper_sizes};
 /// Maximum message size exercised by the user-level pair.
 pub const MAX_MSG: u64 = 4 << 20;
 
+/// Byte offset every message is read from and written to: the start of the
+/// registered buffer on either side.
+const BASE: u64 = 0;
+
+/// One side of a verbs connection on an iWARP or InfiniBand fabric: its
+/// endpoint, its registered buffer, and the handle to the peer's buffer
+/// that its RDMA Writes land in.
+pub(crate) struct RdmaSide {
+    pub(crate) ep: Endpoint,
+    lmr: Lmr,
+    peer: Rmr,
+}
+
+/// Both sides of one connection between nodes 0 ([`A`]) and 1 ([`B`]).
+pub(crate) type RdmaPair = [RdmaSide; 2];
+pub(crate) const A: usize = 0;
+pub(crate) const B: usize = 1;
+
+/// Connect, then allocate and pin `len` bytes on side A, then on side B.
+pub(crate) async fn connect_rdma_pair(
+    fab: &DatFabric,
+    provider: Provider,
+    cpu_a: &Cpu,
+    cpu_b: &Cpu,
+    len: u64,
+) -> RdmaPair {
+    let (ep_a, ep_b) = fab.connect(A, B, cpu_a, cpu_b).await;
+    let lmr_a = fab.lmr_create(&Ia::open(provider, cpu_a), A, len).await;
+    let lmr_b = fab.lmr_create(&Ia::open(provider, cpu_b), B, len).await;
+    let side = |ep, lmr, peer: Lmr| RdmaSide {
+        ep,
+        lmr,
+        peer: peer.as_rmr(),
+    };
+    [side(ep_a, lmr_a, lmr_b), side(ep_b, lmr_b, lmr_a)]
+}
+
+impl RdmaSide {
+    /// Write `size` bytes into the peer's buffer.
+    pub(crate) async fn write(&self, cookie: u64, size: u64) {
+        self.ep
+            .post_rdma_write(cookie, &self.lmr, BASE, size, &self.peer, BASE, None)
+            .await
+            .expect("message fits the registered buffers");
+    }
+}
+
+/// `iters` RDMA-Write round trips of `size`-byte messages, each side
+/// polling its target buffer for the other's write.
+async fn rdma_pingpong([a, b]: &RdmaPair, size: u64, iters: u64) {
+    let ping = async {
+        for i in 0..iters {
+            a.write(i, size).await;
+            a.ep.wait_placement().await;
+            a.ep.evd_dequeue();
+        }
+    };
+    let pong = async {
+        for i in 0..iters {
+            b.ep.wait_placement().await;
+            b.write(i, size).await;
+            b.ep.evd_dequeue();
+        }
+    };
+    join2(ping, pong).await;
+}
+
+/// One MX connection between nodes 0 (side A) and 1 (side B): both
+/// endpoints, each side's address of the other, and a buffer per side.
+pub(crate) struct MxPair {
+    pub(crate) ea: mx10g::MxEndpoint,
+    pub(crate) eb: mx10g::MxEndpoint,
+    pub(crate) ab: mx10g::MxAddr,
+    pub(crate) ba: mx10g::MxAddr,
+    pub(crate) buf_a: VirtAddr,
+    pub(crate) buf_b: VirtAddr,
+    buf_len: u64,
+}
+
+impl MxPair {
+    /// Open and resolve both endpoints; allocate `buf_len` bytes per side.
+    pub(crate) fn open(fab: &mx10g::MxFabric, cpu_a: &Cpu, cpu_b: &Cpu, buf_len: u64) -> MxPair {
+        let ea = mx10g::MxEndpoint::open(fab, 0, cpu_a);
+        let eb = mx10g::MxEndpoint::open(fab, 1, cpu_b);
+        MxPair {
+            ab: ea.connect(fab, &eb),
+            ba: eb.connect(fab, &ea),
+            buf_a: ea.nic().mem.alloc_buffer(buf_len),
+            buf_b: eb.nic().mem.alloc_buffer(buf_len),
+            ea,
+            eb,
+            buf_len,
+        }
+    }
+
+    /// `iters` send/receive round trips of `size`-byte messages.
+    pub(crate) async fn pingpong(&self, size: u64, iters: u64) {
+        let MxPair { ea, eb, ab, ba, .. } = self;
+        let (buf_a, buf_b, buf_len) = (self.buf_a, self.buf_b, self.buf_len);
+        let tag = mx10g::matching::MatchInfo::mpi(0, 0, 1);
+        let exact = mx10g::matching::MatchInfo::EXACT;
+        let ping = async {
+            for _ in 0..iters {
+                let s = ea.isend(ab, tag, buf_a, size, None).await;
+                let r = ea.irecv(tag, exact, buf_a, buf_len).await;
+                s.wait().await;
+                r.wait().await;
+            }
+        };
+        let pong = async {
+            for _ in 0..iters {
+                let r = eb.irecv(tag, exact, buf_b, buf_len).await;
+                r.wait().await;
+                let s = eb.isend(ba, tag, buf_b, size, None).await;
+                s.wait().await;
+            }
+        };
+        join2(ping, pong).await;
+    }
+}
+
 enum PairInner {
-    Iwarp {
-        qa: iwarp::IwarpQp,
-        qb: iwarp::IwarpQp,
-        stag_a: MemKey,
-        buf_a: VirtAddr,
-        stag_b: MemKey,
-        buf_b: VirtAddr,
-    },
-    Ib {
-        qa: infiniband::IbQp,
-        qb: infiniband::IbQp,
-        rk_a: MemKey,
-        buf_a: VirtAddr,
-        rk_b: MemKey,
-        buf_b: VirtAddr,
-    },
-    Mx {
-        ea: Rc<mx10g::MxEndpoint>,
-        eb: Rc<mx10g::MxEndpoint>,
-        ab: mx10g::MxAddr,
-        ba: mx10g::MxAddr,
-        buf_a: VirtAddr,
-        buf_b: VirtAddr,
-    },
+    /// iWARP or InfiniBand verbs, through the provider-neutral endpoint.
+    Rdma(RdmaPair),
+    /// MX-10G send/receive.
+    Mx(MxPair),
 }
 
 /// A connected user-level endpoint pair on a fresh two-node fabric.
@@ -70,55 +170,15 @@ impl UserPair {
         let cpu_a = Cpu::new(sim, CpuCosts::default());
         let cpu_b = Cpu::new(sim, CpuCosts::default());
         let inner = match kind {
-            FabricKind::Iwarp => {
-                let fab = iwarp::IwarpFabric::new(sim, 2);
+            FabricKind::Iwarp | FabricKind::InfiniBand => {
+                let provider = if kind == FabricKind::Iwarp {
+                    Provider::Iwarp
+                } else {
+                    Provider::InfiniBand
+                };
+                let fab = DatFabric::new(sim, provider, 2);
                 fab.set_fault_plane(plane);
-                let (qa, qb) = iwarp::verbs::connect(&fab, 0, 1, &cpu_a, &cpu_b).await;
-                let buf_a = qa.device().mem.alloc_buffer(MAX_MSG);
-                let buf_b = qb.device().mem.alloc_buffer(MAX_MSG);
-                let stag_a = qa
-                    .device()
-                    .registry
-                    .register_pinned(&cpu_a, buf_a, MAX_MSG)
-                    .await;
-                let stag_b = qb
-                    .device()
-                    .registry
-                    .register_pinned(&cpu_b, buf_b, MAX_MSG)
-                    .await;
-                PairInner::Iwarp {
-                    qa,
-                    qb,
-                    stag_a,
-                    buf_a,
-                    stag_b,
-                    buf_b,
-                }
-            }
-            FabricKind::InfiniBand => {
-                let fab = infiniband::IbFabric::new(sim, 2);
-                fab.set_fault_plane(plane);
-                let (qa, qb) = infiniband::verbs::connect(&fab, 0, 1, &cpu_a, &cpu_b).await;
-                let buf_a = qa.device().mem.alloc_buffer(MAX_MSG);
-                let buf_b = qb.device().mem.alloc_buffer(MAX_MSG);
-                let rk_a = qa
-                    .device()
-                    .registry
-                    .register_pinned(&cpu_a, buf_a, MAX_MSG)
-                    .await;
-                let rk_b = qb
-                    .device()
-                    .registry
-                    .register_pinned(&cpu_b, buf_b, MAX_MSG)
-                    .await;
-                PairInner::Ib {
-                    qa,
-                    qb,
-                    rk_a,
-                    buf_a,
-                    rk_b,
-                    buf_b,
-                }
+                PairInner::Rdma(connect_rdma_pair(&fab, provider, &cpu_a, &cpu_b, MAX_MSG).await)
             }
             FabricKind::MxoE | FabricKind::MxoM => {
                 let mode = if kind == FabricKind::MxoE {
@@ -128,20 +188,7 @@ impl UserPair {
                 };
                 let fab = mx10g::MxFabric::new(sim, 2, mode);
                 fab.set_fault_plane(plane);
-                let ea = Rc::new(mx10g::MxEndpoint::open(&fab, 0, &cpu_a));
-                let eb = Rc::new(mx10g::MxEndpoint::open(&fab, 1, &cpu_b));
-                let ab = ea.connect(&fab, &eb);
-                let ba = eb.connect(&fab, &ea);
-                let buf_a = ea.nic().mem.alloc_buffer(MAX_MSG);
-                let buf_b = eb.nic().mem.alloc_buffer(MAX_MSG);
-                PairInner::Mx {
-                    ea,
-                    eb,
-                    ab,
-                    ba,
-                    buf_a,
-                    buf_b,
-                }
+                PairInner::Mx(MxPair::open(&fab, &cpu_a, &cpu_b, MAX_MSG))
             }
         };
         UserPair {
@@ -155,110 +202,8 @@ impl UserPair {
     pub async fn half_rtt_us(&self, size: u64, iters: u64) -> f64 {
         let t0 = self.sim.now();
         match &self.inner {
-            PairInner::Iwarp {
-                qa,
-                qb,
-                stag_a,
-                buf_a,
-                stag_b,
-                buf_b,
-            } => {
-                let ping = async {
-                    for i in 0..iters {
-                        qa.post_send_wr(iwarp::WorkRequest::RdmaWrite {
-                            wr_id: i,
-                            len: size,
-                            payload: None,
-                            remote_stag: *stag_b,
-                            remote_addr: *buf_b,
-                        })
-                        .await;
-                        qa.wait_placement().await;
-                        qa.poll_cq();
-                    }
-                };
-                let pong = async {
-                    for i in 0..iters {
-                        qb.wait_placement().await;
-                        qb.post_send_wr(iwarp::WorkRequest::RdmaWrite {
-                            wr_id: i,
-                            len: size,
-                            payload: None,
-                            remote_stag: *stag_a,
-                            remote_addr: *buf_a,
-                        })
-                        .await;
-                        qb.poll_cq();
-                    }
-                };
-                join2(ping, pong).await;
-            }
-            PairInner::Ib {
-                qa,
-                qb,
-                rk_a,
-                buf_a,
-                rk_b,
-                buf_b,
-            } => {
-                let ping = async {
-                    for i in 0..iters {
-                        qa.post_send_wr(infiniband::IbWorkRequest::RdmaWrite {
-                            wr_id: i,
-                            len: size,
-                            payload: None,
-                            rkey: *rk_b,
-                            remote_addr: *buf_b,
-                        })
-                        .await;
-                        qa.wait_placement().await;
-                        qa.poll_cq();
-                    }
-                };
-                let pong = async {
-                    for i in 0..iters {
-                        qb.wait_placement().await;
-                        qb.post_send_wr(infiniband::IbWorkRequest::RdmaWrite {
-                            wr_id: i,
-                            len: size,
-                            payload: None,
-                            rkey: *rk_a,
-                            remote_addr: *buf_a,
-                        })
-                        .await;
-                        qb.poll_cq();
-                    }
-                };
-                join2(ping, pong).await;
-            }
-            PairInner::Mx {
-                ea,
-                eb,
-                ab,
-                ba,
-                buf_a,
-                buf_b,
-            } => {
-                let tag = mx10g::matching::MatchInfo::mpi(0, 0, 1);
-                let exact = mx10g::matching::MatchInfo::EXACT;
-                let ping = async {
-                    for _ in 0..iters {
-                        let s = ea.isend(ab, tag, *buf_a, size, None).await;
-                        let r = ea.irecv(tag, exact, *buf_a, MAX_MSG).await;
-                        s.wait().await;
-                        r.wait().await;
-                    }
-                };
-                let pong = async {
-                    for _ in 0..iters {
-                        let r = eb.irecv(tag, exact, *buf_b, MAX_MSG).await;
-                        r.wait().await;
-                        let s = eb.isend(ba, tag, *buf_b, size, None).await;
-                        s.wait().await;
-                    }
-                };
-                join2(ping, pong).await;
-            }
+            PairInner::Rdma(pair) => rdma_pingpong(pair, size, iters).await,
+            PairInner::Mx(pair) => pair.pingpong(size, iters).await,
         }
         (self.sim.now() - t0).as_micros_f64() / (2.0 * iters as f64)
     }

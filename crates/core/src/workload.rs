@@ -264,29 +264,6 @@ fn fabric_tag(kind: FabricKind) -> &'static str {
     }
 }
 
-/// The client/server host paths for `kind`, placed at distinct node
-/// indices on one calendar (node 0 = client, node 1 = server).
-fn host_path_at(kind: FabricKind, sim: &Sim, node: usize) -> simnet::shard::HostPath {
-    match kind {
-        FabricKind::Iwarp => iwarp::shard_host_path_at(sim, node, iwarp::NetEffectCalib::default()),
-        FabricKind::InfiniBand => {
-            infiniband::shard_host_path_at(sim, node, infiniband::MellanoxCalib::default())
-        }
-        FabricKind::MxoM => mx10g::shard_host_path_at(
-            sim,
-            node,
-            mx10g::LinkMode::MxoM,
-            mx10g::MyriCalib::default(),
-        ),
-        FabricKind::MxoE => mx10g::shard_host_path_at(
-            sim,
-            node,
-            mx10g::LinkMode::MxoE,
-            mx10g::MyriCalib::default(),
-        ),
-    }
-}
-
 /// Per-tenant pipeline handles cloned into the service task (clones share
 /// stage calendars, so tenants contend on the same pipes).
 struct PathHandles {
@@ -303,9 +280,10 @@ struct PathHandles {
 /// ends when the last response lands. Deterministic for a given spec.
 pub fn run_workload(spec: &WorkloadSpec, sink: &FlowSink) -> WorkloadOutcome {
     let sim = Sim::new();
-    let client = host_path_at(spec.kind, &sim, 0);
-    let server = host_path_at(spec.kind, &sim, 1);
-    let wire = crate::cluster::wire_latency(spec.kind);
+    // Client and server at distinct node indices on one calendar.
+    let client = crate::fabric::host_at(spec.kind, &sim, 0).path;
+    let server = crate::fabric::host_at(spec.kind, &sim, 1).path;
+    let wire = client.wire_latency;
 
     let n = spec.tenants.len();
     let issued: Vec<Counter> = (0..n).map(|_| Counter::new()).collect();

@@ -10,10 +10,11 @@
 
 use hostmodel::cpu::Cpu;
 use hostmodel::pcie::{PcieConfig, PciePort};
-use simnet::{ByteRate, Bytes, FaultPlane, Pipe, Pipeline, Sim, SimDuration, Stage};
+use simnet::{ByteRate, Bytes, Pipe, Sim, SimDuration, Stage};
 
+use crate::fabric::{Fabric, NicModel};
 use crate::recovery::{transfer_with_recovery, TcpTuning};
-use crate::switch::{CutThroughSwitch, SwitchConfig};
+use crate::switch::SwitchConfig;
 
 /// Host-stack TCP cost calibration (dual-Xeon 2.8 GHz era).
 #[derive(Clone, Copy, Debug)]
@@ -72,105 +73,73 @@ pub struct HostTcpNic {
     pub rx_stack: Pipe,
 }
 
-/// A fabric of plain-Ethernet hosts over the same XG700-class switch the
-/// iWARP tests use.
-pub struct HostTcpFabric {
-    sim: Sim,
-    switch: CutThroughSwitch,
-    nics: Vec<HostTcpNic>,
-    /// Memoized `src → dst` pipelines; clones share the cached stage slice
-    /// so a socket stream's back-to-back sends keep the simnet cut-through
-    /// fast path warm instead of rebuilding six stages per message.
-    paths: std::cell::RefCell<std::collections::BTreeMap<(usize, usize), Pipeline>>,
-    /// Fault plane (disabled by default); when enabled, sends recover via
-    /// the host stack's TCP retransmission timers.
-    fault: std::cell::RefCell<FaultPlane>,
-}
+impl NicModel for HostTcpNic {
+    type Calib = HostTcpCalib;
 
-impl HostTcpFabric {
-    /// Build a fabric of `nodes` hosts.
-    pub fn new(sim: &Sim, nodes: usize) -> Self {
-        Self::with_calib(sim, nodes, HostTcpCalib::default())
-    }
-
-    /// Build with explicit calibration.
-    pub fn with_calib(sim: &Sim, nodes: usize, calib: HostTcpCalib) -> Self {
-        assert!(nodes >= 2);
+    fn new(sim: &Sim, node: usize, calib: HostTcpCalib) -> Self {
+        // A stack that takes `per_seg` per MSS-sized segment is a
+        // "bandwidth" resource of mss/per_seg bytes per second.
         let stack_pipe = |per_seg: SimDuration| {
-            // A stack that takes `per_seg` per MSS-sized segment is a
-            // "bandwidth" resource of mss/per_seg bytes per second.
             let bps = (calib.mss.get() as u128 * 1_000_000_000 / per_seg.as_nanos().max(1) as u128)
                 as u64;
-            move |sim: &Sim| {
-                Pipe::new(
-                    sim,
-                    ByteRate::from_bytes_per_sec(bps.max(1)),
-                    SimDuration::ZERO,
-                )
-            }
+            Pipe::new(
+                sim,
+                ByteRate::from_bytes_per_sec(bps.max(1)),
+                SimDuration::ZERO,
+            )
         };
-        HostTcpFabric {
-            sim: sim.clone(),
-            switch: CutThroughSwitch::new(sim, SwitchConfig::xg700(), nodes),
-            nics: (0..nodes)
-                .map(|node| HostTcpNic {
-                    node,
-                    calib,
-                    pcie: PciePort::new(sim, calib.pcie),
-                    link_tx: Pipe::new(
-                        sim,
-                        SwitchConfig::xg700().port_bytes_per_sec,
-                        SimDuration::ZERO,
-                    ),
-                    tx_stack: stack_pipe(calib.tx_per_segment)(sim),
-                    rx_stack: stack_pipe(calib.rx_per_segment)(sim),
-                })
-                .collect(),
-            paths: std::cell::RefCell::new(std::collections::BTreeMap::new()),
-            fault: std::cell::RefCell::new(FaultPlane::disabled()),
-        }
-    }
-
-    /// Install a fault plane (see [`simnet::fault`]). Sends judged by an
-    /// enabled plane pay TCP recovery costs for every injected loss.
-    pub fn set_fault_plane(&self, plane: FaultPlane) {
-        // Key the transfer memo on the plane's configuration: outcomes
-        // cached fault-free never replay under faults (see `simnet::memo`).
-        self.sim.set_fault_fingerprint(plane.fingerprint());
-        *self.fault.borrow_mut() = plane;
-    }
-
-    /// The full path `src → dst`: transmit stack, NIC DMA, wire, switch,
-    /// receive DMA, then the interrupt-driven receive stack. Protocol
-    /// processing stages run on the host CPUs — the defining difference
-    /// from the offloaded fabrics. Built once per `(src, dst)` and cached.
-    fn data_path(&self, src: usize, dst: usize) -> Pipeline {
-        if let Some(p) = self.paths.borrow().get(&(src, dst)) {
-            return p.clone();
-        }
-        let path = self.build_data_path(src, dst);
-        self.paths.borrow_mut().insert((src, dst), path.clone());
-        path
-    }
-
-    fn build_data_path(&self, src: usize, dst: usize) -> Pipeline {
-        let s = &self.nics[src];
-        let d = &self.nics[dst];
-        let stages = vec![
-            Stage::new(s.tx_stack.clone(), SimDuration::from_nanos(300)),
-            Stage::new(s.pcie.to_device_pipe().clone(), s.calib.pcie.dma_latency),
-            Stage::new(s.link_tx.clone(), SimDuration::from_nanos(100)),
-            self.switch.stage_to(dst),
-            Stage::new(
-                d.pcie.to_host_pipe().clone(),
-                SimDuration::from_nanos(d.calib.pcie.dma_latency.as_nanos() / 2),
+        HostTcpNic {
+            node,
+            calib,
+            pcie: PciePort::new(sim, calib.pcie),
+            link_tx: Pipe::new(
+                sim,
+                SwitchConfig::xg700().port_bytes_per_sec,
+                SimDuration::ZERO,
             ),
-            // Interrupt dispatch latency, then per-segment receive work.
-            Stage::new(d.rx_stack.clone(), d.calib.interrupt_latency),
-        ];
-        Pipeline::new(&self.sim, stages, s.calib.mss)
+            tx_stack: stack_pipe(calib.tx_per_segment),
+            rx_stack: stack_pipe(calib.rx_per_segment),
+        }
     }
 
+    /// The same XG700-class switch the iWARP tests use.
+    fn switch_config(&self) -> SwitchConfig {
+        SwitchConfig::xg700()
+    }
+
+    /// Transmit stack, NIC DMA, wire. The protocol processing stages run
+    /// on the host CPUs — the defining difference from the offloaded
+    /// fabrics.
+    fn tx_stages(&self) -> Vec<Stage> {
+        vec![
+            Stage::new(self.tx_stack.clone(), SimDuration::from_nanos(300)),
+            self.pcie.to_device_stage(),
+            Stage::new(self.link_tx.clone(), SimDuration::from_nanos(100)),
+        ]
+    }
+
+    fn rx_stages(&self) -> Vec<Stage> {
+        vec![
+            self.pcie.to_host_stage(),
+            // Interrupt dispatch latency, then per-segment receive work.
+            Stage::new(self.rx_stack.clone(), self.calib.interrupt_latency),
+        ]
+    }
+
+    fn segment_payload(&self) -> Bytes {
+        self.calib.mss
+    }
+
+    fn per_segment_overhead(&self) -> Bytes {
+        self.calib.per_segment_overhead
+    }
+}
+
+/// A fabric of plain-Ethernet hosts. Under an enabled fault plane, sends
+/// recover via the host stack's TCP retransmission timers.
+pub type HostTcpFabric = Fabric<HostTcpNic>;
+
+impl HostTcpFabric {
     /// Send `bytes` from `src` to `dst` with socket semantics: resolves
     /// when the receiving process holds the data in user space. The
     /// protocol and copy work is charged to the two processes' CPUs —
@@ -183,7 +152,7 @@ impl HostTcpFabric {
         dst_cpu: &Cpu,
         bytes: Bytes,
     ) {
-        let calib = &self.nics[src].calib;
+        let calib = self.device(src).calib;
         let nsegs = bytes.div_ceil(calib.mss).max(1);
         // Syscall + user→kernel copy on the sender.
         src_cpu.work(SimDuration::from_nanos(900)).await;
@@ -193,11 +162,10 @@ impl HostTcpFabric {
         // fault plane, injected losses engage the software stack's
         // retransmission machinery; disabled, this is exactly
         // `Pipeline::transfer`.
-        let plane = self.fault.borrow().clone();
         let stream = ((src as u64) << 32) | dst as u64;
         transfer_with_recovery(
-            &self.sim,
-            &plane,
+            self.sim(),
+            &self.fault_plane(),
             &self.data_path(src, dst),
             "ether",
             stream,
@@ -216,76 +184,6 @@ impl HostTcpFabric {
         // Kernel→user copy + syscall return on the receiver.
         dst_cpu.work(SimDuration::from_nanos(900)).await;
         dst_cpu.work(bytes / calib.copy_bytes_per_sec).await;
-    }
-}
-
-/// Host-local halves of the host-TCP data path, for endpoint-to-shard
-/// placement in sharded cluster runs ([`simnet::shard`]). Split from
-/// [`HostTcpFabric::data_path`] at the switch hop: software TX stack, DMA
-/// and wire serialization as `egress`; this host's switch egress port, DMA
-/// and interrupt-driven RX stack as `ingress`; the XG700's cut-through
-/// forwarding delay as the cross-shard `wire_latency`.
-pub fn shard_host_path(sim: &Sim, calib: HostTcpCalib) -> simnet::shard::HostPath {
-    shard_host_path_at(sim, 0, calib)
-}
-
-/// [`shard_host_path`] for an explicit host placement, matching the other
-/// fabrics' node-indexed constructors. The software stack carries no
-/// per-node device state — every call already builds private pipes — so
-/// `node` here only documents the placement; it exists so the open-loop
-/// workload engine can materialize a client/server pair with one uniform
-/// signature across all four fabrics.
-pub fn shard_host_path_at(sim: &Sim, _node: usize, calib: HostTcpCalib) -> simnet::shard::HostPath {
-    // A stack that takes `per_seg` per MSS-sized segment is a "bandwidth"
-    // resource of mss/per_seg bytes per second (same formula as
-    // `HostTcpFabric::with_calib`).
-    let stack_pipe = |per_seg: SimDuration| {
-        let bps =
-            (calib.mss.get() as u128 * 1_000_000_000 / per_seg.as_nanos().max(1) as u128) as u64;
-        Pipe::new(
-            sim,
-            ByteRate::from_bytes_per_sec(bps.max(1)),
-            SimDuration::ZERO,
-        )
-    };
-    let pcie = PciePort::new(sim, calib.pcie);
-    let cfg = SwitchConfig::xg700();
-    let egress = Pipeline::new(
-        sim,
-        vec![
-            Stage::new(
-                stack_pipe(calib.tx_per_segment),
-                SimDuration::from_nanos(300),
-            ),
-            Stage::new(pcie.to_device_pipe().clone(), calib.pcie.dma_latency),
-            Stage::new(
-                Pipe::new(sim, cfg.port_bytes_per_sec, SimDuration::ZERO),
-                SimDuration::from_nanos(100),
-            ),
-        ],
-        calib.mss,
-    );
-    let ingress = Pipeline::new(
-        sim,
-        vec![
-            Stage::new(
-                Pipe::new(sim, cfg.port_bytes_per_sec, SimDuration::ZERO),
-                SimDuration::ZERO,
-            ),
-            Stage::new(
-                pcie.to_host_pipe().clone(),
-                SimDuration::from_nanos(calib.pcie.dma_latency.as_nanos() / 2),
-            ),
-            // Interrupt dispatch latency, then per-segment receive work.
-            Stage::new(stack_pipe(calib.rx_per_segment), calib.interrupt_latency),
-        ],
-        calib.mss,
-    );
-    simnet::shard::HostPath {
-        egress,
-        ingress,
-        wire_latency: cfg.forwarding_latency,
-        overhead_bytes: calib.per_segment_overhead,
     }
 }
 

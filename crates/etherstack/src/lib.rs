@@ -13,6 +13,8 @@
 //!   reassembler (the part of TCP that matters on a lossless fabric).
 //! * [`crc`] — CRC-32 (Ethernet FCS) and CRC-32C (iWARP MPA) from scratch.
 //! * [`switch`] — a cut-through Ethernet switch timing model.
+//! * [`fabric`] — the NIC-per-node container every interconnect model in
+//!   the workspace instantiates with its own [`NicModel`].
 //! * [`recovery`] — TCP loss recovery (RTO + fast retransmit) over a
 //!   `simnet` pipeline, shared by the host-stack baseline and the iWARP
 //!   TOE under fault injection.
@@ -24,6 +26,7 @@
 #![forbid(unsafe_code)]
 
 pub mod crc;
+pub mod fabric;
 pub mod frame;
 pub mod hostnic;
 pub mod ipv4;
@@ -31,8 +34,9 @@ pub mod recovery;
 pub mod switch;
 pub mod tcp;
 
+pub use fabric::{Fabric, MsgDir, NicModel, RdmaNic};
 pub use frame::{EthernetHeader, ETHERTYPE_IPV4, ETH_HEADER_LEN, ETH_MTU, ETH_WIRE_OVERHEAD};
-pub use hostnic::{shard_host_path, shard_host_path_at, HostTcpCalib, HostTcpFabric};
+pub use hostnic::{HostTcpCalib, HostTcpFabric, HostTcpNic};
 pub use ipv4::Ipv4Header;
 pub use recovery::{transfer_with_recovery, RecoveryStats, TcpTuning};
 pub use switch::{CutThroughSwitch, SwitchConfig};

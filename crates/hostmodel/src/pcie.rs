@@ -7,7 +7,7 @@
 //! x4 restriction is what caps Myrinet's achievable bandwidth at ~75% of the
 //! 10G line rate in the paper, so lane count is a first-class parameter.
 
-use simnet::{ByteRate, Bytes, Pipe, Sim, SimDuration};
+use simnet::{ByteRate, Bytes, Pipe, Sim, SimDuration, Stage};
 
 /// PCIe configuration for one slot.
 #[derive(Clone, Copy, Debug)]
@@ -71,15 +71,20 @@ impl PciePort {
         self.config
     }
 
-    /// The host→device bandwidth pipe (exposed so NIC pipelines can embed it
-    /// as a stage).
-    pub fn to_device_pipe(&self) -> &Pipe {
-        &self.to_device
+    /// The host→device DMA direction as a pipeline stage: the bandwidth
+    /// pipe, then the round-trip `dma_latency` a device-initiated read pays.
+    pub fn to_device_stage(&self) -> Stage {
+        Stage::new(self.to_device.clone(), self.config.dma_latency)
     }
 
-    /// The device→host bandwidth pipe.
-    pub fn to_host_pipe(&self) -> &Pipe {
-        &self.to_host
+    /// The device→host DMA direction as a pipeline stage; posted writes pay
+    /// half the round-trip latency.
+    pub fn to_host_stage(&self) -> Stage {
+        Stage::new(self.to_host.clone(), self.posted_write_latency())
+    }
+
+    fn posted_write_latency(&self) -> SimDuration {
+        SimDuration::from_nanos(self.config.dma_latency.as_nanos() / 2)
     }
 
     /// DMA `bytes` from host memory into the device. Completes when the
@@ -94,7 +99,7 @@ impl PciePort {
     pub async fn dma_write(&self, bytes: Bytes) {
         let (_s, end) = self.to_host.reserve(self.sim.now(), bytes);
         self.sim
-            .sleep_until(end + SimDuration::from_nanos(self.config.dma_latency.as_nanos() / 2))
+            .sleep_until(end + self.posted_write_latency())
             .await;
     }
 

@@ -11,15 +11,17 @@
 //!    connections than the cache holds faults a context fetch on *every*
 //!    message — the paper's Fig. 2 knee at 8 connections.
 
-use std::cell::RefCell;
-use std::rc::Rc;
+use std::cell::{Cell, RefCell};
+use std::future::Future;
+use std::ops::Deref;
 
-use etherstack::switch::{CutThroughSwitch, SwitchConfig};
+use etherstack::switch::SwitchConfig;
+use etherstack::{Fabric, MsgDir, NicModel, RdmaNic};
 use hostmodel::lru::LruCache;
 use hostmodel::mem::HostMem;
 use hostmodel::pcie::PciePort;
 use hostmodel::MemoryRegistry;
-use simnet::{FaultPlane, Pipe, Pipeline, Sim, SimDuration, Stage};
+use simnet::{Bytes, Pipe, Sim, SimDuration, Stage};
 
 use crate::calib::MellanoxCalib;
 
@@ -44,7 +46,9 @@ pub struct HcaDevice {
     context_cache: RefCell<LruCache<u32, ()>>,
 }
 
-impl HcaDevice {
+impl NicModel for HcaDevice {
+    type Calib = MellanoxCalib;
+
     fn new(sim: &Sim, node: usize, calib: MellanoxCalib) -> Self {
         HcaDevice {
             sim: sim.clone(),
@@ -63,11 +67,68 @@ impl HcaDevice {
         }
     }
 
-    /// The simulation handle.
-    pub fn sim(&self) -> &Sim {
-        &self.sim
+    fn switch_config(&self) -> SwitchConfig {
+        SwitchConfig::mellanox_ib()
     }
 
+    fn tx_stages(&self) -> Vec<Stage> {
+        vec![
+            self.pcie.to_device_stage(),
+            // The serial processor is a *stage* for data movement too: its
+            // bandwidth bounds both-way aggregate.
+            Stage::new(self.engine.clone(), self.calib.engine_latency),
+            Stage::new(self.link_tx.clone(), self.calib.link_latency),
+        ]
+    }
+
+    /// Both directions stage through the *same* `engine` pipe, so a host's
+    /// send and receive traffic contend for the processor.
+    fn rx_stages(&self) -> Vec<Stage> {
+        vec![
+            Stage::new(self.engine.clone(), self.calib.engine_latency),
+            self.pcie.to_host_stage(),
+        ]
+    }
+
+    fn segment_payload(&self) -> Bytes {
+        self.calib.mtu_payload
+    }
+
+    /// A 4-packet pacing chunk: the shared protocol processor interleaves
+    /// the two directions tightly only at fine grain (its service time is
+    /// half the wire's).
+    fn pacing_chunk(&self) -> u64 {
+        4
+    }
+
+    fn per_segment_overhead(&self) -> Bytes {
+        self.calib.per_packet_overhead_bytes
+    }
+}
+
+impl RdmaNic for HcaDevice {
+    fn mem(&self) -> &HostMem {
+        &self.mem
+    }
+
+    fn registry(&self) -> &MemoryRegistry {
+        &self.registry
+    }
+
+    fn post_cost(&self) -> SimDuration {
+        self.calib.post_wqe + self.pcie.doorbell_cost()
+    }
+
+    fn per_message_engine(&self, qpn: u32, dir: MsgDir) -> Option<impl Future<Output = ()> + '_> {
+        let cost = match dir {
+            MsgDir::Tx => self.calib.msg_cost_tx,
+            MsgDir::Rx => self.calib.msg_cost_rx,
+        };
+        Some(self.engine_message(qpn, cost))
+    }
+}
+
+impl HcaDevice {
     /// Occupy the protocol processor for one message's worth of work on
     /// `qpn`, including a context fetch if the QP's context is not cached.
     /// Returns when the processor has finished this message's bookkeeping.
@@ -104,18 +165,11 @@ impl HcaDevice {
     }
 }
 
-/// A multi-node InfiniBand fabric: one HCA per node, one 4X switch.
+/// A multi-node InfiniBand fabric: one HCA per node, one 4X switch, plus
+/// the fabric-wide QP-number allocator.
 pub struct IbFabric {
-    sim: Sim,
-    switch: CutThroughSwitch,
-    devices: Vec<Rc<HcaDevice>>,
-    next_qpn: std::cell::Cell<u32>,
-    /// Memoized `src → dst` pipelines; clones share the cached stage slice
-    /// (and calendars), so repeat transfers on an idle path keep hitting the
-    /// simnet cut-through fast path instead of rebuilding six stages.
-    paths: std::cell::RefCell<std::collections::BTreeMap<(usize, usize), Pipeline>>,
-    /// Fault plane QPs capture at connect time (disabled by default).
-    fault: RefCell<FaultPlane>,
+    fabric: Fabric<HcaDevice>,
+    next_qpn: Cell<u32>,
 }
 
 impl IbFabric {
@@ -126,47 +180,10 @@ impl IbFabric {
 
     /// Build with explicit calibration (ablations override fields).
     pub fn with_calib(sim: &Sim, nodes: usize, calib: MellanoxCalib) -> Self {
-        assert!(nodes >= 2, "a fabric needs at least two nodes");
         IbFabric {
-            sim: sim.clone(),
-            switch: CutThroughSwitch::new(sim, SwitchConfig::mellanox_ib(), nodes),
-            devices: (0..nodes)
-                .map(|n| Rc::new(HcaDevice::new(sim, n, calib)))
-                .collect(),
-            next_qpn: std::cell::Cell::new(1),
-            paths: std::cell::RefCell::new(std::collections::BTreeMap::new()),
-            fault: RefCell::new(FaultPlane::disabled()),
+            fabric: Fabric::with_calib(sim, nodes, calib),
+            next_qpn: Cell::new(1),
         }
-    }
-
-    /// Install a fault plane. QPs connected *after* this call judge every
-    /// data packet against it; with the plane disabled (the default) the
-    /// fabric is bit-identical to the fault-free build.
-    pub fn set_fault_plane(&self, plane: FaultPlane) {
-        // Key the transfer memo on the plane's configuration: outcomes
-        // cached fault-free never replay under faults (see `simnet::memo`).
-        self.sim.set_fault_fingerprint(plane.fingerprint());
-        *self.fault.borrow_mut() = plane;
-    }
-
-    /// The currently installed fault plane (cloned; clones share state).
-    pub fn fault_plane(&self) -> FaultPlane {
-        self.fault.borrow().clone()
-    }
-
-    /// The simulation handle.
-    pub fn sim(&self) -> &Sim {
-        &self.sim
-    }
-
-    /// Device installed in node `n`.
-    pub fn device(&self, n: usize) -> Rc<HcaDevice> {
-        Rc::clone(&self.devices[n])
-    }
-
-    /// Number of nodes.
-    pub fn nodes(&self) -> usize {
-        self.devices.len()
     }
 
     /// Allocate a fabric-unique QP number.
@@ -175,100 +192,13 @@ impl IbFabric {
         self.next_qpn.set(q + 1);
         q
     }
-
-    /// The one-directional data path `src → dst`, built once per pair and
-    /// cached.
-    pub fn data_path(&self, src: usize, dst: usize) -> Pipeline {
-        assert_ne!(src, dst, "loopback is not modelled");
-        if let Some(p) = self.paths.borrow().get(&(src, dst)) {
-            return p.clone();
-        }
-        let path = self.build_data_path(src, dst);
-        self.paths.borrow_mut().insert((src, dst), path.clone());
-        path
-    }
-
-    fn build_data_path(&self, src: usize, dst: usize) -> Pipeline {
-        let s = &self.devices[src];
-        let d = &self.devices[dst];
-        let c = &s.calib;
-        let stages = vec![
-            Stage::new(s.pcie.to_device_pipe().clone(), c.pcie.dma_latency),
-            // The serial processor is a *stage* for data movement too: its
-            // bandwidth bounds both-way aggregate.
-            Stage::new(s.engine.clone(), c.engine_latency),
-            Stage::new(s.link_tx.clone(), c.link_latency),
-            self.switch.stage_to(dst),
-            Stage::new(d.engine.clone(), d.calib.engine_latency),
-            Stage::new(
-                d.pcie.to_host_pipe().clone(),
-                SimDuration::from_nanos(d.calib.pcie.dma_latency.as_nanos() / 2),
-            ),
-        ];
-        // A 4-packet pacing chunk: the shared protocol processor
-        // interleaves the two directions tightly only at fine grain (its
-        // service time is half the wire's).
-        Pipeline::with_chunk(&self.sim, stages, c.mtu_payload, 4)
-    }
-
-    /// Per-packet wire/header overhead.
-    pub fn per_packet_overhead(&self) -> simnet::Bytes {
-        self.devices[0].calib.per_packet_overhead_bytes
-    }
 }
 
-/// Host-local halves of the InfiniBand data path, for endpoint-to-shard
-/// placement in sharded cluster runs ([`simnet::shard`]). Split from the
-/// monolithic path at the switch hop: `egress` carries the TX stages up to
-/// the wire, `ingress` carries this host's switch egress port plus the RX
-/// stages, and the Mellanox switch's forwarding delay becomes the
-/// cross-shard `wire_latency`. The shared serial protocol processor stays
-/// shared: both halves stage through the *same* `engine` pipe, so a host's
-/// send and receive directions contend within its shard exactly as in
-/// [`IbFabric::data_path`].
-pub fn shard_host_path(sim: &Sim, calib: MellanoxCalib) -> simnet::shard::HostPath {
-    shard_host_path_at(sim, 0, calib)
-}
+impl Deref for IbFabric {
+    type Target = Fabric<HcaDevice>;
 
-/// [`shard_host_path`] for an explicit host placement: the HCA is built
-/// as node `node`, so multiple hosts materialized on *one* calendar (the
-/// open-loop workload engine's client/server pair) get distinct devices
-/// with private pipes instead of two aliases of node 0.
-pub fn shard_host_path_at(sim: &Sim, node: usize, calib: MellanoxCalib) -> simnet::shard::HostPath {
-    let dev = HcaDevice::new(sim, node, calib);
-    let c = dev.calib;
-    let egress = Pipeline::with_chunk(
-        sim,
-        vec![
-            Stage::new(dev.pcie.to_device_pipe().clone(), c.pcie.dma_latency),
-            Stage::new(dev.engine.clone(), c.engine_latency),
-            Stage::new(dev.link_tx.clone(), c.link_latency),
-        ],
-        c.mtu_payload,
-        4,
-    );
-    let cfg = SwitchConfig::mellanox_ib();
-    let ingress = Pipeline::with_chunk(
-        sim,
-        vec![
-            Stage::new(
-                Pipe::new(sim, cfg.port_bytes_per_sec, SimDuration::ZERO),
-                SimDuration::ZERO,
-            ),
-            Stage::new(dev.engine.clone(), c.engine_latency),
-            Stage::new(
-                dev.pcie.to_host_pipe().clone(),
-                SimDuration::from_nanos(c.pcie.dma_latency.as_nanos() / 2),
-            ),
-        ],
-        c.mtu_payload,
-        4,
-    );
-    simnet::shard::HostPath {
-        egress,
-        ingress,
-        wire_latency: cfg.forwarding_latency,
-        overhead_bytes: c.per_packet_overhead_bytes,
+    fn deref(&self) -> &Fabric<HcaDevice> {
+        &self.fabric
     }
 }
 
@@ -276,13 +206,14 @@ pub fn shard_host_path_at(sim: &Sim, node: usize, calib: MellanoxCalib) -> simne
 mod tests {
     use super::*;
     use simnet::sync::join2;
+    use std::rc::Rc;
 
     #[test]
     fn unidirectional_bandwidth_is_link_limited_near_970() {
         let sim = Sim::new();
         let fab = IbFabric::new(&sim, 2);
         let path = fab.data_path(0, 1);
-        let ovh = fab.per_packet_overhead();
+        let ovh = fab.per_segment_overhead();
         let bytes: u64 = 8 << 20;
         sim.block_on(async move { path.transfer(simnet::Bytes::new(bytes), ovh).await });
         let mbps = bytes as f64 / sim.now().as_secs_f64() / 1e6;
@@ -298,7 +229,7 @@ mod tests {
         let fab = IbFabric::new(&sim, 2);
         let p01 = fab.data_path(0, 1);
         let p10 = fab.data_path(1, 0);
-        let ovh = fab.per_packet_overhead();
+        let ovh = fab.per_segment_overhead();
         let bytes: u64 = 8 << 20;
         let h1 = sim.spawn(async move { p01.transfer(simnet::Bytes::new(bytes), ovh).await });
         let h2 = sim.spawn(async move { p10.transfer(simnet::Bytes::new(bytes), ovh).await });

@@ -26,6 +26,6 @@ pub mod recovery;
 pub mod verbs;
 
 pub use calib::MellanoxCalib;
-pub use hca::{shard_host_path, shard_host_path_at, HcaDevice, IbFabric};
+pub use hca::{HcaDevice, IbFabric};
 pub use recovery::{transfer_go_back_n, IbRecoveryStats, IbTuning};
 pub use verbs::{connect, IbQp, IbWorkRequest};

@@ -5,13 +5,13 @@
 //! queues, and lkey/rkey memory registration.
 
 use std::cell::RefCell;
-use std::collections::VecDeque;
 use std::rc::Rc;
 
+use etherstack::RdmaNic;
 use hostmodel::cpu::Cpu;
 use hostmodel::mem::{MemKey, VirtAddr};
-use hostmodel::nic::{Cqe, CqeOpcode, CqeStatus};
-use simnet::sync::{mpsc, FifoGate, Notify, Receiver, Sender};
+use hostmodel::nic::{Cqe, CqeOpcode, CqeStatus, QpQueues};
+use simnet::sync::{mpsc, FifoGate, Notify, Receiver};
 use simnet::{Bytes, FaultPlane, Pipeline, Sim};
 
 use crate::hca::{HcaDevice, IbFabric};
@@ -125,22 +125,12 @@ pub enum IbWorkRequest {
     },
 }
 
-#[derive(Clone, Copy)]
-struct PostedRecv {
-    wr_id: u64,
-    addr: VirtAddr,
-    len: u64,
-}
-
 struct QpEndpoint {
     /// In-order delivery gate (the RC-QP ordering guarantee).
     order: FifoGate,
-    rq: RefCell<VecDeque<PostedRecv>>,
-    /// RC requires a posted receive for every send; a send that arrives
-    /// early waits here (in real hardware an RNR NAK retries — the timing
-    /// effect at microbenchmark scale is the same wait).
-    unmatched: RefCell<VecDeque<(u64, Option<Vec<u8>>)>>,
-    cq_tx: Sender<Cqe>,
+    /// Posted receives, early sends (RC requires a posted receive for every
+    /// send; in real hardware an RNR NAK retries) and the CQ producer.
+    queues: QpQueues,
     placement: Notify,
 }
 
@@ -180,7 +170,7 @@ pub async fn connect(fab: &IbFabric, a: usize, b: usize, cpu_a: &Cpu, cpu_b: &Cp
     let dev_b = fab.device(b);
     let path_ab = fab.data_path(a, b);
     let path_ba = fab.data_path(b, a);
-    let ovh = fab.per_packet_overhead();
+    let ovh = fab.per_segment_overhead();
     let qpn_a = fab.alloc_qpn();
     let qpn_b = fab.alloc_qpn();
 
@@ -194,9 +184,7 @@ pub async fn connect(fab: &IbFabric, a: usize, b: usize, cpu_a: &Cpu, cpu_b: &Cp
     let mk_ep = |cq_tx| {
         Rc::new(QpEndpoint {
             order: FifoGate::new(),
-            rq: RefCell::new(VecDeque::new()),
-            unmatched: RefCell::new(VecDeque::new()),
-            cq_tx,
+            queues: QpQueues::new(cq_tx),
             placement: Notify::new(),
         })
     };
@@ -275,9 +263,7 @@ impl IbQp {
     }
 
     async fn charge_post(&self) {
-        self.cpu
-            .work(self.dev.calib.post_wqe + self.dev.pcie.doorbell_cost())
-            .await;
+        self.cpu.work(self.dev.post_cost()).await;
     }
 
     /// Post a work request. Returns once the WQE is handed to the HCA;
@@ -346,7 +332,7 @@ impl IbQp {
                         let _ = cq_check
                             .borrow_mut()
                             .observe_completion(cqe_seq, Some(sim.now().as_nanos()));
-                        let _ = local_ep.cq_tx.send(Cqe {
+                        local_ep.queues.complete(Cqe {
                             wr_id,
                             opcode: CqeOpcode::RdmaWrite,
                             status: CqeStatus::RemoteAccessError,
@@ -362,7 +348,7 @@ impl IbQp {
                     let _ = cq_check
                         .borrow_mut()
                         .observe_completion(cqe_seq, Some(sim.now().as_nanos()));
-                    let _ = local_ep.cq_tx.send(Cqe {
+                    local_ep.queues.complete(Cqe {
                         wr_id,
                         opcode: CqeOpcode::RdmaWrite,
                         status: CqeStatus::Success,
@@ -388,12 +374,12 @@ impl IbQp {
                     peer_dev
                         .engine_message(peer_qpn, peer_dev.calib.msg_cost_rx)
                         .await;
-                    deliver_send(&remote_ep, &peer_dev.mem, len, payload);
+                    remote_ep.queues.deliver_send(&peer_dev.mem, len, payload);
                     #[cfg(feature = "simcheck")]
                     let _ = cq_check
                         .borrow_mut()
                         .observe_completion(cqe_seq, Some(sim.now().as_nanos()));
-                    let _ = local_ep.cq_tx.send(Cqe {
+                    local_ep.queues.complete(Cqe {
                         wr_id,
                         opcode: CqeOpcode::Send,
                         status: CqeStatus::Success,
@@ -413,21 +399,7 @@ impl IbQp {
             .state_check
             .borrow_mut()
             .observe_post_recv(Some(self.sim.now().as_nanos()));
-        let pending = self.local.unmatched.borrow_mut().pop_front();
-        match pending {
-            Some((slen, payload)) => complete_recv(
-                &self.local,
-                &self.dev.mem,
-                PostedRecv { wr_id, addr, len },
-                slen,
-                payload,
-            ),
-            None => self
-                .local
-                .rq
-                .borrow_mut()
-                .push_back(PostedRecv { wr_id, addr, len }),
-        }
+        self.local.queues.post_recv(&self.dev.mem, wr_id, addr, len);
     }
 
     /// Await the next completion.
@@ -454,46 +426,6 @@ impl IbQp {
     pub async fn wait_placement(&self) {
         self.local.placement.notified().await;
     }
-}
-
-fn deliver_send(
-    ep: &Rc<QpEndpoint>,
-    mem: &hostmodel::mem::HostMem,
-    len: u64,
-    payload: Option<Vec<u8>>,
-) {
-    let posted = ep.rq.borrow_mut().pop_front();
-    match posted {
-        Some(pr) => complete_recv(ep, mem, pr, len, payload),
-        None => ep.unmatched.borrow_mut().push_back((len, payload)),
-    }
-}
-
-fn complete_recv(
-    ep: &Rc<QpEndpoint>,
-    mem: &hostmodel::mem::HostMem,
-    pr: PostedRecv,
-    len: u64,
-    payload: Option<Vec<u8>>,
-) {
-    if len > pr.len {
-        let _ = ep.cq_tx.send(Cqe {
-            wr_id: pr.wr_id,
-            opcode: CqeOpcode::Recv,
-            status: CqeStatus::LocalLengthError,
-            len: 0,
-        });
-        return;
-    }
-    if let Some(p) = payload {
-        mem.write(pr.addr, &p);
-    }
-    let _ = ep.cq_tx.send(Cqe {
-        wr_id: pr.wr_id,
-        opcode: CqeOpcode::Recv,
-        status: CqeStatus::Success,
-        len,
-    });
 }
 
 #[cfg(test)]

@@ -31,5 +31,5 @@ pub mod sdp;
 pub mod verbs;
 
 pub use calib::NetEffectCalib;
-pub use rnic::{shard_host_path, shard_host_path_at, IwarpFabric, RnicDevice};
+pub use rnic::{IwarpFabric, RnicDevice};
 pub use verbs::{Cqe, CqeStatus, IwarpQp, WorkRequest};

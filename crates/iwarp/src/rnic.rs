@@ -20,22 +20,17 @@
 //! on-board memory, so no stage's service time depends on the number of
 //! live connections.
 
-use std::cell::RefCell;
-use std::collections::BTreeMap;
-use std::rc::Rc;
-
-use etherstack::switch::{CutThroughSwitch, SwitchConfig};
-use hostmodel::cpu::CpuCosts;
+use etherstack::switch::SwitchConfig;
+use etherstack::{Fabric, NicModel, RdmaNic};
 use hostmodel::mem::HostMem;
 use hostmodel::pcie::PciePort;
 use hostmodel::MemoryRegistry;
-use simnet::{FaultPlane, Pipe, Pipeline, Sim, Stage};
+use simnet::{Bytes, Pipe, Sim, SimDuration, Stage};
 
 use crate::calib::NetEffectCalib;
 
 /// One NetEffect RNIC installed in one host.
 pub struct RnicDevice {
-    sim: Sim,
     /// Node index within the fabric.
     pub node: usize,
     /// Calibration in effect.
@@ -57,7 +52,9 @@ pub struct RnicDevice {
     pub link_tx: Pipe,
 }
 
-impl RnicDevice {
+impl NicModel for RnicDevice {
+    type Calib = NetEffectCalib;
+
     fn new(sim: &Sim, node: usize, calib: NetEffectCalib) -> Self {
         // Ablation: a non-pipelined engine shares one pipe between the TX
         // and RX directions, and its deep processing *latency* — which a
@@ -70,14 +67,13 @@ impl RnicDevice {
             )
         } else {
             let serial_ovh = calib.engine_tx_overhead
-                + simnet::SimDuration::from_nanos(
+                + SimDuration::from_nanos(
                     (calib.engine_tx_latency.as_nanos() + calib.engine_rx_latency.as_nanos()) / 2,
                 );
             let serial = Pipe::new(sim, calib.engine_tx_bytes_per_sec, serial_ovh);
             (serial.clone(), serial)
         };
         RnicDevice {
-            sim: sim.clone(),
             node,
             calib,
             pcie: PciePort::new(sim, calib.pcie),
@@ -90,225 +86,86 @@ impl RnicDevice {
             ),
             engine_tx,
             engine_rx,
-            link_tx: Pipe::new(sim, calib.link_bytes_per_sec, simnet::SimDuration::ZERO),
+            link_tx: Pipe::new(sim, calib.link_bytes_per_sec, SimDuration::ZERO),
         }
     }
 
-    /// The simulation handle.
-    pub fn sim(&self) -> &Sim {
-        &self.sim
+    fn switch_config(&self) -> SwitchConfig {
+        SwitchConfig::xg700()
     }
 
-    /// Default CPU cost model for processes on this host.
-    pub fn cpu_costs(&self) -> CpuCosts {
-        CpuCosts::default()
+    fn tx_stages(&self) -> Vec<Stage> {
+        let c = &self.calib;
+        vec![
+            // NIC pulls WQE + payload from host memory.
+            self.pcie.to_device_stage(),
+            // Across the internal bridge to the protocol engine.
+            Stage::new(self.internal_bus.clone(), c.internal_bus_latency),
+            // TCP/IP/MPA/DDP transmit processing.
+            Stage::new(
+                self.engine_tx.clone(),
+                self.engine_latency(c.engine_tx_latency),
+            ),
+            // Serialize onto the wire towards the switch.
+            Stage::new(self.link_tx.clone(), c.link_latency),
+        ]
+    }
+
+    fn rx_stages(&self) -> Vec<Stage> {
+        let c = &self.calib;
+        vec![
+            // Receive-side protocol processing (deep but pipelined).
+            Stage::new(
+                self.engine_rx.clone(),
+                self.engine_latency(c.engine_rx_latency),
+            ),
+            // Across the internal bridge.
+            Stage::new(self.internal_bus.clone(), c.internal_bus_latency),
+            // DMA into host memory.
+            self.pcie.to_host_stage(),
+        ]
+    }
+
+    fn segment_payload(&self) -> Bytes {
+        self.calib.segment_payload
+    }
+
+    fn per_segment_overhead(&self) -> Bytes {
+        self.calib.per_segment_overhead_bytes
+    }
+}
+
+impl RdmaNic for RnicDevice {
+    fn mem(&self) -> &HostMem {
+        &self.mem
+    }
+
+    fn registry(&self) -> &MemoryRegistry {
+        &self.registry
+    }
+
+    fn post_cost(&self) -> SimDuration {
+        self.calib.post_wqe + self.pcie.doorbell_cost()
+    }
+}
+
+impl RnicDevice {
+    /// Stage latency of a protocol-engine direction: the pipeline hides its
+    /// depth as latency; the serialized (ablated) engine already charged it
+    /// as per-message occupancy.
+    fn engine_latency(&self, pipelined: SimDuration) -> SimDuration {
+        if self.calib.pipelined_engine {
+            pipelined
+        } else {
+            SimDuration::ZERO
+        }
     }
 }
 
 /// A two-or-more-node iWARP fabric: one RNIC per node, one 10GbE switch.
-pub struct IwarpFabric {
-    sim: Sim,
-    switch: CutThroughSwitch,
-    devices: Vec<Rc<RnicDevice>>,
-    /// Memoized `src → dst` pipelines. A [`Pipeline`] clone shares its stage
-    /// slice (and thus its pipes' calendars), so handing out the same cached
-    /// path keeps every transfer on one calendar set — which is what lets
-    /// back-to-back messages on an idle path repeatedly take the simnet
-    /// cut-through fast path instead of rebuilding eight stages per call.
-    paths: RefCell<BTreeMap<(usize, usize), Pipeline>>,
-    /// Fault plane (disabled by default); QPs capture a clone at connect
-    /// time and recover through the TOE's TCP retransmission machinery.
-    fault: RefCell<FaultPlane>,
-}
-
-impl IwarpFabric {
-    /// Build a fabric of `nodes` hosts with default calibration.
-    pub fn new(sim: &Sim, nodes: usize) -> Self {
-        Self::with_calib(sim, nodes, NetEffectCalib::default())
-    }
-
-    /// Build a fabric with explicit calibration (ablation studies override
-    /// single fields).
-    pub fn with_calib(sim: &Sim, nodes: usize, calib: NetEffectCalib) -> Self {
-        assert!(nodes >= 2, "a fabric needs at least two nodes");
-        IwarpFabric {
-            sim: sim.clone(),
-            switch: CutThroughSwitch::new(sim, SwitchConfig::xg700(), nodes),
-            devices: (0..nodes)
-                .map(|n| Rc::new(RnicDevice::new(sim, n, calib)))
-                .collect(),
-            paths: RefCell::new(BTreeMap::new()),
-            fault: RefCell::new(FaultPlane::disabled()),
-        }
-    }
-
-    /// Install a fault plane (see [`simnet::fault`]). Affects QPs connected
-    /// *after* this call; the plane is captured at connect time.
-    pub fn set_fault_plane(&self, plane: FaultPlane) {
-        // Fold the plane's configuration into the transfer-memo fingerprint
-        // so outcomes cached fault-free are never replayed under faults
-        // (and vice versa) — see `simnet::memo`.
-        self.sim.set_fault_fingerprint(plane.fingerprint());
-        *self.fault.borrow_mut() = plane;
-    }
-
-    /// The currently installed fault plane (disabled unless
-    /// [`IwarpFabric::set_fault_plane`] was called).
-    pub fn fault_plane(&self) -> FaultPlane {
-        self.fault.borrow().clone()
-    }
-
-    /// The simulation handle.
-    pub fn sim(&self) -> &Sim {
-        &self.sim
-    }
-
-    /// Device installed in node `n`.
-    pub fn device(&self, n: usize) -> Rc<RnicDevice> {
-        Rc::clone(&self.devices[n])
-    }
-
-    /// Number of nodes.
-    pub fn nodes(&self) -> usize {
-        self.devices.len()
-    }
-
-    /// The one-directional data path `src → dst` as a segment-granular
-    /// pipeline across both NICs and the switch. Paths are built once per
-    /// `(src, dst)` pair and cached; the returned clone shares the cached
-    /// stage slice.
-    pub fn data_path(&self, src: usize, dst: usize) -> Pipeline {
-        assert_ne!(src, dst, "loopback is not modelled");
-        if let Some(p) = self.paths.borrow().get(&(src, dst)) {
-            return p.clone();
-        }
-        let path = self.build_data_path(src, dst);
-        self.paths.borrow_mut().insert((src, dst), path.clone());
-        path
-    }
-
-    fn build_data_path(&self, src: usize, dst: usize) -> Pipeline {
-        let s = &self.devices[src];
-        let d = &self.devices[dst];
-        let c = &s.calib;
-        let stages = vec![
-            // NIC pulls WQE + payload from host memory.
-            Stage::new(s.pcie.to_device_pipe().clone(), c.pcie.dma_latency),
-            // Across the internal bridge to the protocol engine.
-            Stage::new(s.internal_bus.clone(), c.internal_bus_latency),
-            // TCP/IP/MPA/DDP transmit processing.
-            Stage::new(
-                s.engine_tx.clone(),
-                if c.pipelined_engine {
-                    c.engine_tx_latency
-                } else {
-                    simnet::SimDuration::ZERO
-                },
-            ),
-            // Serialize onto the wire towards the switch.
-            Stage::new(s.link_tx.clone(), c.link_latency),
-            // Switch egress port towards the destination.
-            self.switch.stage_to(dst),
-            // Receive-side protocol processing (deep but pipelined).
-            Stage::new(
-                d.engine_rx.clone(),
-                if d.calib.pipelined_engine {
-                    d.calib.engine_rx_latency
-                } else {
-                    simnet::SimDuration::ZERO
-                },
-            ),
-            // Across the destination's internal bridge.
-            Stage::new(d.internal_bus.clone(), d.calib.internal_bus_latency),
-            // DMA into destination host memory.
-            Stage::new(
-                d.pcie.to_host_pipe().clone(),
-                simnet::SimDuration::from_nanos(d.calib.pcie.dma_latency.as_nanos() / 2),
-            ),
-        ];
-        Pipeline::new(&self.sim, stages, c.segment_payload)
-    }
-
-    /// Per-segment wire/header overhead for this fabric's stack.
-    pub fn per_segment_overhead(&self) -> simnet::Bytes {
-        self.devices[0].calib.per_segment_overhead_bytes
-    }
-}
-
-/// Host-local halves of the iWARP data path, for endpoint-to-shard
-/// placement in sharded cluster runs ([`simnet::shard`]): one RNIC's TX
-/// stages up to the wire as `egress`, its switch egress port plus RX
-/// stages as `ingress`, and the XG700's cut-through forwarding delay as
-/// the cross-shard `wire_latency`. Mirrors [`IwarpFabric::data_path`]
-/// stage for stage, split at the switch hop; like the fabric's cached
-/// handles, the returned pipelines share their stage calendars across
-/// clones, so every endpoint on the shard contends on the same pipes.
-pub fn shard_host_path(sim: &Sim, calib: NetEffectCalib) -> simnet::shard::HostPath {
-    shard_host_path_at(sim, 0, calib)
-}
-
-/// [`shard_host_path`] for an explicit host placement: the RNIC is built
-/// as node `node`, so multiple hosts materialized on *one* calendar (the
-/// open-loop workload engine's client/server pair) get distinct devices
-/// with private pipes instead of two aliases of node 0.
-pub fn shard_host_path_at(
-    sim: &Sim,
-    node: usize,
-    calib: NetEffectCalib,
-) -> simnet::shard::HostPath {
-    let dev = RnicDevice::new(sim, node, calib);
-    let c = dev.calib;
-    let egress = Pipeline::new(
-        sim,
-        vec![
-            Stage::new(dev.pcie.to_device_pipe().clone(), c.pcie.dma_latency),
-            Stage::new(dev.internal_bus.clone(), c.internal_bus_latency),
-            Stage::new(
-                dev.engine_tx.clone(),
-                if c.pipelined_engine {
-                    c.engine_tx_latency
-                } else {
-                    simnet::SimDuration::ZERO
-                },
-            ),
-            Stage::new(dev.link_tx.clone(), c.link_latency),
-        ],
-        c.segment_payload,
-    );
-    let cfg = SwitchConfig::xg700();
-    let ingress = Pipeline::new(
-        sim,
-        vec![
-            // This host's switch egress port: flows converging on this
-            // destination serialize here, exactly as in the monolithic
-            // path (the forwarding latency itself rides on the wire).
-            Stage::new(
-                Pipe::new(sim, cfg.port_bytes_per_sec, simnet::SimDuration::ZERO),
-                simnet::SimDuration::ZERO,
-            ),
-            Stage::new(
-                dev.engine_rx.clone(),
-                if c.pipelined_engine {
-                    c.engine_rx_latency
-                } else {
-                    simnet::SimDuration::ZERO
-                },
-            ),
-            Stage::new(dev.internal_bus.clone(), c.internal_bus_latency),
-            Stage::new(
-                dev.pcie.to_host_pipe().clone(),
-                simnet::SimDuration::from_nanos(c.pcie.dma_latency.as_nanos() / 2),
-            ),
-        ],
-        c.segment_payload,
-    );
-    simnet::shard::HostPath {
-        egress,
-        ingress,
-        wire_latency: cfg.forwarding_latency,
-        overhead_bytes: c.per_segment_overhead_bytes,
-    }
-}
+/// QPs capture the fault plane at connect time and recover through the
+/// TOE's TCP retransmission machinery.
+pub type IwarpFabric = Fabric<RnicDevice>;
 
 #[cfg(test)]
 mod tests {

@@ -11,13 +11,14 @@
 //! OS-bypass property the paper measures.
 
 use std::cell::RefCell;
-use std::collections::VecDeque;
 use std::rc::Rc;
 
 use etherstack::recovery::{transfer_with_recovery, TcpTuning};
+use etherstack::RdmaNic;
 use hostmodel::cpu::Cpu;
 use hostmodel::mem::{MemKey, VirtAddr};
-use simnet::sync::{mpsc, FifoGate, Notify, Receiver, Sender};
+use hostmodel::nic::QpQueues;
+use simnet::sync::{mpsc, FifoGate, Notify, Receiver};
 use simnet::{Bytes, FaultPlane, Pipeline, Sim};
 
 use crate::rdmap::READ_REQUEST_LEN;
@@ -145,24 +146,14 @@ pub enum WorkRequest {
     },
 }
 
-#[derive(Clone, Copy)]
-struct PostedRecv {
-    wr_id: u64,
-    addr: VirtAddr,
-    len: u64,
-}
-
 /// Receive-side state of one QP endpoint.
 struct QpEndpoint {
     /// In-order delivery gate for traffic *arriving at* this endpoint
     /// (the TCP stream guarantee of the underlying connection).
     order: FifoGate,
-    rq: RefCell<VecDeque<PostedRecv>>,
-    /// Sends that arrived before a receive was posted. The NE010e buffers
-    /// these in its 256 MB on-board memory; they complete a receive as soon
-    /// as one is posted.
-    unmatched: RefCell<VecDeque<(u64, Option<Vec<u8>>)>>,
-    cq_tx: Sender<Cqe>,
+    /// Posted receives, early sends (the NE010e buffers these in its 256 MB
+    /// on-board memory) and the CQ producer.
+    queues: QpQueues,
     placement: Notify,
     /// Conformance oracle: deliveries admitted by `order` must consume
     /// consecutive tickets (rule `iwarp.ddp-msn` at the verbs layer).
@@ -231,18 +222,14 @@ pub async fn connect(
     let fault = fab.fault_plane();
     let ep_a = Rc::new(QpEndpoint {
         order: FifoGate::new(),
-        rq: RefCell::new(VecDeque::new()),
-        unmatched: RefCell::new(VecDeque::new()),
-        cq_tx: cq_tx_a,
+        queues: QpQueues::new(cq_tx_a),
         placement: Notify::new(),
         #[cfg(feature = "simcheck")]
         delivery: RefCell::new(simcheck::iwarp::DeliveryOrderOracle::new(conn_ba)),
     });
     let ep_b = Rc::new(QpEndpoint {
         order: FifoGate::new(),
-        rq: RefCell::new(VecDeque::new()),
-        unmatched: RefCell::new(VecDeque::new()),
-        cq_tx: cq_tx_b,
+        queues: QpQueues::new(cq_tx_b),
         placement: Notify::new(),
         #[cfg(feature = "simcheck")]
         delivery: RefCell::new(simcheck::iwarp::DeliveryOrderOracle::new(conn_ab)),
@@ -303,9 +290,7 @@ impl IwarpQp {
 
     /// Charge the host-side cost of posting: WQE build plus doorbell MMIO.
     async fn charge_post(&self) {
-        self.cpu
-            .work(self.dev.calib.post_wqe + self.dev.pcie.doorbell_cost())
-            .await;
+        self.cpu.work(self.dev.post_cost()).await;
     }
 
     /// Post a work request to the send queue. Returns once the WQE is
@@ -393,7 +378,7 @@ impl IwarpQp {
                         let _ = rdmap_check
                             .borrow_mut()
                             .observe_terminate_received(Some(check_sim.now().as_nanos()));
-                        let _ = local_ep.cq_tx.send(Cqe {
+                        local_ep.queues.complete(Cqe {
                             wr_id,
                             opcode: CqeOpcode::RdmaWrite,
                             status: CqeStatus::RemoteAccessError,
@@ -405,7 +390,7 @@ impl IwarpQp {
                         peer_mem.write(remote_addr, &p);
                     }
                     remote_ep.placement.notify_one();
-                    let _ = local_ep.cq_tx.send(Cqe {
+                    local_ep.queues.complete(Cqe {
                         wr_id,
                         opcode: CqeOpcode::RdmaWrite,
                         status: CqeStatus::Success,
@@ -446,7 +431,7 @@ impl IwarpQp {
                         let _ = rdmap_check
                             .borrow_mut()
                             .observe_terminate_received(Some(check_sim.now().as_nanos()));
-                        let _ = local_ep.cq_tx.send(Cqe {
+                        local_ep.queues.complete(Cqe {
                             wr_id,
                             opcode: CqeOpcode::RdmaRead,
                             status: CqeStatus::RemoteAccessError,
@@ -476,7 +461,7 @@ impl IwarpQp {
                         .observe_read_response(Some(check_sim.now().as_nanos()));
                     local_mem.write(local_addr, &data);
                     local_ep.placement.notify_one();
-                    let _ = local_ep.cq_tx.send(Cqe {
+                    local_ep.queues.complete(Cqe {
                         wr_id,
                         opcode: CqeOpcode::RdmaRead,
                         status: CqeStatus::Success,
@@ -508,8 +493,8 @@ impl IwarpQp {
                         .borrow_mut()
                         .observe_delivery(ticket, Some(check_sim.now().as_nanos()));
                     remote_ep.order.leave();
-                    deliver_send(&remote_ep, &peer_mem, len, payload);
-                    let _ = local_ep.cq_tx.send(Cqe {
+                    remote_ep.queues.deliver_send(&peer_mem, len, payload);
+                    local_ep.queues.complete(Cqe {
                         wr_id,
                         opcode: CqeOpcode::Send,
                         status: CqeStatus::Success,
@@ -523,25 +508,7 @@ impl IwarpQp {
     /// Post a receive buffer for incoming Sends.
     pub async fn post_recv(&self, wr_id: u64, addr: VirtAddr, len: u64) {
         self.charge_post().await;
-        // An already-buffered unmatched send completes this receive now.
-        let pending = self.local.unmatched.borrow_mut().pop_front();
-        match pending {
-            Some((slen, payload)) => {
-                complete_recv(
-                    &self.local,
-                    &self.dev.mem,
-                    PostedRecv { wr_id, addr, len },
-                    slen,
-                    payload,
-                );
-            }
-            None => {
-                self.local
-                    .rq
-                    .borrow_mut()
-                    .push_back(PostedRecv { wr_id, addr, len });
-            }
-        }
+        self.local.queues.post_recv(&self.dev.mem, wr_id, addr, len);
     }
 
     /// Await the next completion on this QP's CQ.
@@ -574,46 +541,6 @@ impl IwarpQp {
     pub fn stream_phase(&self) -> StreamPhase {
         self.phase.get()
     }
-}
-
-fn deliver_send(
-    ep: &Rc<QpEndpoint>,
-    mem: &hostmodel::mem::HostMem,
-    len: u64,
-    payload: Option<Vec<u8>>,
-) {
-    let posted = ep.rq.borrow_mut().pop_front();
-    match posted {
-        Some(pr) => complete_recv(ep, mem, pr, len, payload),
-        None => ep.unmatched.borrow_mut().push_back((len, payload)),
-    }
-}
-
-fn complete_recv(
-    ep: &Rc<QpEndpoint>,
-    mem: &hostmodel::mem::HostMem,
-    pr: PostedRecv,
-    len: u64,
-    payload: Option<Vec<u8>>,
-) {
-    if len > pr.len {
-        let _ = ep.cq_tx.send(Cqe {
-            wr_id: pr.wr_id,
-            opcode: CqeOpcode::Recv,
-            status: CqeStatus::LocalLengthError,
-            len: 0,
-        });
-        return;
-    }
-    if let Some(p) = payload {
-        mem.write(pr.addr, &p);
-    }
-    let _ = ep.cq_tx.send(Cqe {
-        wr_id: pr.wr_id,
-        opcode: CqeOpcode::Recv,
-        status: CqeStatus::Success,
-        len,
-    });
 }
 
 #[cfg(test)]

@@ -19,6 +19,7 @@ use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, VecDeque};
 use std::rc::{Rc, Weak};
 
+use etherstack::{Fabric, RdmaNic};
 use hostmodel::cpu::Cpu;
 use hostmodel::lru::LruCache;
 use hostmodel::mem::{HostMem, MemKey, VirtAddr};
@@ -26,7 +27,7 @@ use simnet::{Sim, SimDuration};
 
 use crate::rank::{LocalFuture, MpiRank, Source};
 use crate::request::{MpiRequest, MpiStatus};
-use crate::transport::Transport;
+use crate::transport::FabricTransport;
 
 /// Per-fabric MPI library configuration.
 #[derive(Clone, Copy, Debug)]
@@ -131,42 +132,35 @@ struct FinWait {
 }
 
 /// One host-matched MPI process.
-pub struct HostEngine<T: Transport> {
+pub struct HostEngine<N: RdmaNic + 'static> {
     sim: Sim,
     rank: usize,
     size: usize,
     cpu: Cpu,
     mem: HostMem,
     cfg: MpiConfig,
-    transport: T,
+    transport: FabricTransport<N>,
     posted: RefCell<VecDeque<Posted>>,
     unexpected: RefCell<VecDeque<Unex>>,
     rts_send: RefCell<BTreeMap<u64, RtsSend>>,
     fin_wait: RefCell<BTreeMap<u64, FinWait>>,
     next_rts: Cell<u64>,
     hot_bufs: RefCell<LruCache<u64, ()>>,
-    peers: RefCell<Vec<Weak<HostEngine<T>>>>,
+    peers: RefCell<Vec<Weak<HostEngine<N>>>>,
 }
 
-impl<T: Transport> HostEngine<T> {
-    /// Build an engine for `rank` of `size` over `transport`.
-    pub fn new(
-        sim: &Sim,
-        rank: usize,
-        size: usize,
-        cpu: Cpu,
-        mem: HostMem,
-        cfg: MpiConfig,
-        transport: T,
-    ) -> Rc<Self> {
+impl<N: RdmaNic + 'static> HostEngine<N> {
+    /// Build the engine for `rank` (one rank per node of `fab`), bound to
+    /// process `cpu`.
+    pub fn new(fab: &Fabric<N>, rank: usize, cpu: Cpu, cfg: MpiConfig) -> Rc<Self> {
         Rc::new(HostEngine {
-            sim: sim.clone(),
+            sim: fab.sim().clone(),
             rank,
-            size,
+            size: fab.nodes(),
+            mem: fab.device(rank).mem().clone(),
+            transport: FabricTransport::new(fab, rank, &cpu),
             cpu,
-            mem,
             cfg,
-            transport,
             posted: RefCell::new(VecDeque::new()),
             unexpected: RefCell::new(VecDeque::new()),
             rts_send: RefCell::new(BTreeMap::new()),
@@ -178,11 +172,11 @@ impl<T: Transport> HostEngine<T> {
     }
 
     /// Wire the peer table (called once by the world builder).
-    pub fn set_peers(&self, peers: Vec<Weak<HostEngine<T>>>) {
+    pub fn set_peers(&self, peers: Vec<Weak<HostEngine<N>>>) {
         *self.peers.borrow_mut() = peers;
     }
 
-    fn peer(&self, rank: usize) -> Rc<HostEngine<T>> {
+    fn peer(&self, rank: usize) -> Rc<HostEngine<N>> {
         self.peers.borrow()[rank]
             .upgrade()
             .expect("peer engine dropped while world in use")
@@ -511,23 +505,23 @@ impl<T: Transport> HostEngine<T> {
 }
 
 /// [`MpiRank`] wrapper around a host engine.
-pub struct HostMpiRank<T: Transport> {
-    engine: Rc<HostEngine<T>>,
+pub struct HostMpiRank<N: RdmaNic + 'static> {
+    engine: Rc<HostEngine<N>>,
 }
 
-impl<T: Transport> HostMpiRank<T> {
+impl<N: RdmaNic + 'static> HostMpiRank<N> {
     /// Wrap an engine.
-    pub fn new(engine: Rc<HostEngine<T>>) -> Self {
+    pub fn new(engine: Rc<HostEngine<N>>) -> Self {
         HostMpiRank { engine }
     }
 
     /// The engine underneath (tests poke at queue depths).
-    pub fn engine(&self) -> &Rc<HostEngine<T>> {
+    pub fn engine(&self) -> &Rc<HostEngine<N>> {
         &self.engine
     }
 }
 
-impl<T: Transport> MpiRank for HostMpiRank<T> {
+impl<N: RdmaNic + 'static> MpiRank for HostMpiRank<N> {
     fn rank(&self) -> usize {
         self.engine.rank
     }
@@ -572,24 +566,18 @@ impl<T: Transport> MpiRank for HostMpiRank<T> {
 mod tests {
     use super::*;
     use crate::rank::ANY_TAG;
-    use crate::transport::IwarpTransport;
     use crate::world::iwarp_mpi_config;
     use hostmodel::cpu::CpuCosts;
 
     fn two_engines() -> (
         Sim,
-        Rc<HostEngine<IwarpTransport>>,
-        Rc<HostEngine<IwarpTransport>>,
+        Rc<HostEngine<iwarp::RnicDevice>>,
+        Rc<HostEngine<iwarp::RnicDevice>>,
     ) {
         let sim = Sim::new();
         let fab = iwarp::IwarpFabric::new(&sim, 2);
         let cfg = iwarp_mpi_config();
-        let mk = |r: usize| {
-            let cpu = Cpu::new(&sim, CpuCosts::default());
-            let mem = fab.device(r).mem.clone();
-            let tr = IwarpTransport::new(&fab, r, &cpu);
-            HostEngine::new(&sim, r, 2, cpu, mem, cfg, tr)
-        };
+        let mk = |r: usize| HostEngine::new(&fab, r, Cpu::new(&sim, CpuCosts::default()), cfg);
         let e0 = mk(0);
         let e1 = mk(1);
         e0.set_peers(vec![Rc::downgrade(&e0), Rc::downgrade(&e1)]);

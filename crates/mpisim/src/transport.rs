@@ -1,157 +1,39 @@
-//! Fabric adapters used by the host-matched MPI engine.
+//! The fabric adapter used by the host-matched MPI engine.
 //!
-//! The engine needs three timed primitives from a fabric: an ordered
-//! two-sided message delivery (eager data and rendezvous control), a
-//! one-sided RDMA write (rendezvous data), and cached memory registration.
-//! The iWARP and InfiniBand adapters provide them over the respective
-//! device models; the per-fabric differences that matter (IB's serial
-//! per-message processor work, registration cost gaps) live here.
+//! The engine needs three timed primitives from a fabric — the put/progress
+//! core of an RDMA channel: an ordered two-sided message delivery (eager
+//! data and rendezvous control), a one-sided RDMA write (rendezvous data),
+//! and cached memory registration. One adapter provides them over any
+//! [`RdmaNic`]; the per-fabric differences that matter (InfiniBand's serial
+//! per-message processor work, registration cost gaps) come from the device
+//! model through that trait.
 
 use std::collections::BTreeMap;
+use std::future::Future;
 use std::rc::Rc;
 
+use etherstack::{Fabric, MsgDir, RdmaNic};
 use hostmodel::cpu::Cpu;
-use hostmodel::mem::{HostMem, MemKey, MemoryRegistry, VirtAddr};
+use hostmodel::mem::{MemKey, VirtAddr};
 use simnet::sync::FifoGate;
 use simnet::{Bytes, Pipeline, SimDuration};
 
 /// Timed fabric primitives for one rank.
-pub trait Transport: 'static {
-    /// Deliver a `wire_bytes`-long two-sided message to `dest`; the future
-    /// completes at *arrival* time. Messages to the same destination are
-    /// FIFO (connection-ordered).
-    fn send_to(&self, dest: usize, wire_bytes: u64) -> crate::rank::LocalFuture<'_, ()>;
-
-    /// One-sided write of `len` bytes into `(rkey, raddr)` at `dest`;
-    /// completes at placement. Returns false on a remote protection fault.
-    fn rdma_write_to(
-        &self,
-        dest: usize,
-        len: u64,
-        payload: Option<Vec<u8>>,
-        rkey: MemKey,
-        raddr: VirtAddr,
-    ) -> crate::rank::LocalFuture<'_, bool>;
-
-    /// Register `buf` through this NIC's pin-down cache, charging `cpu`.
-    fn register_cached(
-        &self,
-        cpu: &Cpu,
-        buf: VirtAddr,
-        len: u64,
-    ) -> crate::rank::LocalFuture<'_, MemKey>;
-}
-
-/// Adapter over the NetEffect iWARP fabric.
-pub struct IwarpTransport {
+pub struct FabricTransport<N: RdmaNic> {
     cpu: Cpu,
     post_cost: SimDuration,
+    dev: Rc<N>,
     /// One cached pipeline per destination. Rendezvous RDMA writes reuse
     /// these paths for every chunk, so an uncontended rendezvous transfer
     /// completes on a single coalesced event via the simnet cut-through
     /// fast path rather than thousands of per-segment timer firings.
     paths: BTreeMap<usize, Pipeline>,
     seg_overhead: Bytes,
-    registry: MemoryRegistry,
-    peers: BTreeMap<usize, (MemoryRegistry, HostMem)>,
-    /// Per-destination in-order delivery (the TCP stream guarantee).
+    peers: BTreeMap<usize, Rc<N>>,
+    /// Per-destination in-order delivery (the TCP stream / RC-QP guarantee).
     order: BTreeMap<usize, FifoGate>,
-}
-
-impl IwarpTransport {
-    /// Build the adapter for `node` over `fab`, bound to process `cpu`.
-    pub fn new(fab: &iwarp::IwarpFabric, node: usize, cpu: &Cpu) -> Self {
-        let dev = fab.device(node);
-        let mut paths = BTreeMap::new();
-        let mut peers = BTreeMap::new();
-        let mut order = BTreeMap::new();
-        for n in 0..fab.nodes() {
-            if n == node {
-                continue;
-            }
-            paths.insert(n, fab.data_path(node, n));
-            let pd = fab.device(n);
-            peers.insert(n, (pd.registry.clone(), pd.mem.clone()));
-            order.insert(n, FifoGate::new());
-        }
-        IwarpTransport {
-            cpu: cpu.clone(),
-            post_cost: dev.calib.post_wqe + dev.pcie.doorbell_cost(),
-            paths,
-            seg_overhead: fab.per_segment_overhead(),
-            registry: dev.registry.clone(),
-            peers,
-            order,
-        }
-    }
-}
-
-impl Transport for IwarpTransport {
-    fn send_to(&self, dest: usize, wire_bytes: u64) -> crate::rank::LocalFuture<'_, ()> {
-        // Ticket at post time: TCP delivers the stream in post order even
-        // when a small late message finishes its wire crossing first.
-        let ticket = self.order[&dest].ticket();
-        Box::pin(async move {
-            self.cpu.work(self.post_cost).await;
-            self.paths[&dest]
-                .transfer(Bytes::new(wire_bytes), self.seg_overhead)
-                .await;
-            let gate = &self.order[&dest];
-            gate.enter(ticket).await;
-            gate.leave();
-        })
-    }
-
-    fn rdma_write_to(
-        &self,
-        dest: usize,
-        len: u64,
-        payload: Option<Vec<u8>>,
-        rkey: MemKey,
-        raddr: VirtAddr,
-    ) -> crate::rank::LocalFuture<'_, bool> {
-        Box::pin(async move {
-            self.cpu.work(self.post_cost).await;
-            self.paths[&dest]
-                .transfer(Bytes::new(len), self.seg_overhead)
-                .await;
-            let (reg, mem) = &self.peers[&dest];
-            if !reg.check(rkey, raddr, len) {
-                return false;
-            }
-            if let Some(p) = payload {
-                mem.write(raddr, &p);
-            }
-            true
-        })
-    }
-
-    fn register_cached(
-        &self,
-        cpu: &Cpu,
-        buf: VirtAddr,
-        len: u64,
-    ) -> crate::rank::LocalFuture<'_, MemKey> {
-        let cpu = cpu.clone();
-        Box::pin(async move { self.registry.register_cached(&cpu, buf, len).await.key })
-    }
-}
-
-/// Adapter over the Mellanox InfiniBand fabric.
-pub struct IbTransport {
-    cpu: Cpu,
-    post_cost: SimDuration,
-    msg_cost_tx: SimDuration,
-    msg_cost_rx: SimDuration,
-    dev: Rc<infiniband::HcaDevice>,
-    paths: BTreeMap<usize, Pipeline>,
-    pkt_overhead: Bytes,
-    registry: MemoryRegistry,
-    peers: BTreeMap<usize, (Rc<infiniband::HcaDevice>, MemoryRegistry, HostMem)>,
-    /// Per-destination in-order delivery (the RC-QP guarantee).
-    order: BTreeMap<usize, FifoGate>,
-    /// This rank's node index; QP numbers for the pair (a, b) are derived
-    /// deterministically so both sides agree without a handshake.
+    /// This rank's node index; connection numbers for the pair (a, b) are
+    /// derived deterministically so both sides agree without a handshake.
     node: usize,
 }
 
@@ -160,95 +42,87 @@ fn mpi_qpn(src: usize, dst: usize) -> u32 {
     0x4000_0000 | ((src as u32) << 12) | dst as u32
 }
 
-impl IbTransport {
+impl<N: RdmaNic> FabricTransport<N> {
     /// Build the adapter for `node` over `fab`, bound to process `cpu`.
-    pub fn new(fab: &infiniband::IbFabric, node: usize, cpu: &Cpu) -> Self {
+    pub fn new(fab: &Fabric<N>, node: usize, cpu: &Cpu) -> Self {
         let dev = fab.device(node);
         let mut paths = BTreeMap::new();
         let mut peers = BTreeMap::new();
         let mut order = BTreeMap::new();
-        for n in 0..fab.nodes() {
-            if n == node {
-                continue;
-            }
+        for n in (0..fab.nodes()).filter(|&n| n != node) {
             paths.insert(n, fab.data_path(node, n));
-            let pd = fab.device(n);
-            peers.insert(n, (Rc::clone(&pd), pd.registry.clone(), pd.mem.clone()));
+            peers.insert(n, fab.device(n));
             order.insert(n, FifoGate::new());
         }
-        IbTransport {
+        FabricTransport {
             cpu: cpu.clone(),
-            post_cost: dev.calib.post_wqe + dev.pcie.doorbell_cost(),
-            msg_cost_tx: dev.calib.msg_cost_tx,
-            msg_cost_rx: dev.calib.msg_cost_rx,
-            registry: dev.registry.clone(),
+            post_cost: dev.post_cost(),
+            dev,
             paths,
-            pkt_overhead: fab.per_packet_overhead(),
+            seg_overhead: fab.per_segment_overhead(),
             peers,
             order,
             node,
-            dev,
         }
     }
-}
 
-impl Transport for IbTransport {
-    fn send_to(&self, dest: usize, wire_bytes: u64) -> crate::rank::LocalFuture<'_, ()> {
-        // Ticket at post time: the RC QP delivers in post order.
+    /// Post, cross the wire to `dest`, and clear both NICs' per-message
+    /// processors where the fabric has them.
+    async fn cross(&self, dest: usize, bytes: u64) {
+        self.cpu.work(self.post_cost).await;
+        let tx = self
+            .dev
+            .per_message_engine(mpi_qpn(self.node, dest), MsgDir::Tx);
+        if let Some(work) = tx {
+            work.await;
+        }
+        self.paths[&dest]
+            .transfer(Bytes::new(bytes), self.seg_overhead)
+            .await;
+        let rx = self.peers[&dest].per_message_engine(mpi_qpn(dest, self.node), MsgDir::Rx);
+        if let Some(work) = rx {
+            work.await;
+        }
+    }
+
+    /// Deliver a `wire_bytes`-long two-sided message to `dest`; the future
+    /// completes at *arrival* time. Messages to the same destination are
+    /// FIFO (connection-ordered).
+    pub fn send_to(&self, dest: usize, wire_bytes: u64) -> impl Future<Output = ()> + '_ {
+        // Ticket at post time: the connection delivers in post order even
+        // when a small late message finishes its wire crossing first.
         let ticket = self.order[&dest].ticket();
-        Box::pin(async move {
-            self.cpu.work(self.post_cost).await;
-            self.dev
-                .engine_message(mpi_qpn(self.node, dest), self.msg_cost_tx)
-                .await;
-            self.paths[&dest]
-                .transfer(Bytes::new(wire_bytes), self.pkt_overhead)
-                .await;
-            let (pd, _, _) = &self.peers[&dest];
-            pd.engine_message(mpi_qpn(dest, self.node), self.msg_cost_rx)
-                .await;
+        async move {
+            self.cross(dest, wire_bytes).await;
             let gate = &self.order[&dest];
             gate.enter(ticket).await;
             gate.leave();
-        })
+        }
     }
 
-    fn rdma_write_to(
+    /// One-sided write of `len` bytes into `(rkey, raddr)` at `dest`;
+    /// completes at placement. Returns false on a remote protection fault.
+    pub async fn rdma_write_to(
         &self,
         dest: usize,
         len: u64,
         payload: Option<Vec<u8>>,
         rkey: MemKey,
         raddr: VirtAddr,
-    ) -> crate::rank::LocalFuture<'_, bool> {
-        Box::pin(async move {
-            self.cpu.work(self.post_cost).await;
-            self.dev
-                .engine_message(mpi_qpn(self.node, dest), self.msg_cost_tx)
-                .await;
-            self.paths[&dest]
-                .transfer(Bytes::new(len), self.pkt_overhead)
-                .await;
-            let (pd, reg, mem) = &self.peers[&dest];
-            pd.engine_message(mpi_qpn(dest, self.node), self.msg_cost_rx)
-                .await;
-            if !reg.check(rkey, raddr, len) {
-                return false;
-            }
-            if let Some(p) = payload {
-                mem.write(raddr, &p);
-            }
-            true
-        })
+    ) -> bool {
+        self.cross(dest, len).await;
+        let peer = &self.peers[&dest];
+        if !peer.registry().check(rkey, raddr, len) {
+            return false;
+        }
+        if let Some(p) = payload {
+            peer.mem().write(raddr, &p);
+        }
+        true
     }
 
-    fn register_cached(
-        &self,
-        cpu: &Cpu,
-        buf: VirtAddr,
-        len: u64,
-    ) -> crate::rank::LocalFuture<'_, MemKey> {
-        let cpu = cpu.clone();
-        Box::pin(async move { self.registry.register_cached(&cpu, buf, len).await.key })
+    /// Register `buf` through this NIC's pin-down cache, charging `cpu`.
+    pub async fn register_cached(&self, cpu: &Cpu, buf: VirtAddr, len: u64) -> MemKey {
+        self.dev.registry().register_cached(cpu, buf, len).await.key
     }
 }

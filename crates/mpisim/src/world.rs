@@ -2,13 +2,13 @@
 
 use std::rc::Rc;
 
+use etherstack::{Fabric, RdmaNic};
 use hostmodel::cpu::{Cpu, CpuCosts};
 use simnet::{Sim, SimDuration};
 
 use crate::engine::{HostEngine, HostMpiRank, MpiConfig};
 use crate::mxrank::MxMpiRank;
 use crate::rank::MpiRank;
-use crate::transport::{IbTransport, IwarpTransport};
 
 /// Which interconnect an MPI world runs over.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -86,37 +86,9 @@ impl MpiWorld {
     pub fn build(sim: &Sim, kind: FabricKind, n: usize) -> MpiWorld {
         assert!(n >= 2);
         let ranks: Vec<Rc<dyn MpiRank>> = match kind {
-            FabricKind::Iwarp => {
-                let fab = iwarp::IwarpFabric::new(sim, n);
-                let cfg = iwarp_mpi_config();
-                let mut engines = Vec::new();
-                for r in 0..n {
-                    let cpu = Cpu::new(sim, CpuCosts::default());
-                    let mem = fab.device(r).mem.clone();
-                    let tr = IwarpTransport::new(&fab, r, &cpu);
-                    engines.push(HostEngine::new(sim, r, n, cpu, mem, cfg, tr));
-                }
-                wire_peers(&engines);
-                engines
-                    .into_iter()
-                    .map(|e| Rc::new(HostMpiRank::new(e)) as Rc<dyn MpiRank>)
-                    .collect()
-            }
+            FabricKind::Iwarp => host_ranks(&iwarp::IwarpFabric::new(sim, n), iwarp_mpi_config()),
             FabricKind::InfiniBand => {
-                let fab = infiniband::IbFabric::new(sim, n);
-                let cfg = ib_mpi_config();
-                let mut engines = Vec::new();
-                for r in 0..n {
-                    let cpu = Cpu::new(sim, CpuCosts::default());
-                    let mem = fab.device(r).mem.clone();
-                    let tr = IbTransport::new(&fab, r, &cpu);
-                    engines.push(HostEngine::new(sim, r, n, cpu, mem, cfg, tr));
-                }
-                wire_peers(&engines);
-                engines
-                    .into_iter()
-                    .map(|e| Rc::new(HostMpiRank::new(e)) as Rc<dyn MpiRank>)
-                    .collect()
+                host_ranks(&infiniband::IbFabric::new(sim, n), ib_mpi_config())
             }
             FabricKind::MxoE | FabricKind::MxoM => {
                 let mode = if kind == FabricKind::MxoE {
@@ -166,10 +138,18 @@ impl MpiWorld {
     }
 }
 
-fn wire_peers<T: crate::transport::Transport>(engines: &[Rc<HostEngine<T>>]) {
-    for e in engines {
+/// Host-matched ranks, one per node of `fab`, wired to each other.
+fn host_ranks<N: RdmaNic + 'static>(fab: &Fabric<N>, cfg: MpiConfig) -> Vec<Rc<dyn MpiRank>> {
+    let engines: Vec<_> = (0..fab.nodes())
+        .map(|r| HostEngine::new(fab, r, Cpu::new(fab.sim(), CpuCosts::default()), cfg))
+        .collect();
+    for e in &engines {
         e.set_peers(engines.iter().map(Rc::downgrade).collect());
     }
+    engines
+        .into_iter()
+        .map(|e| Rc::new(HostMpiRank::new(e)) as Rc<dyn MpiRank>)
+        .collect()
 }
 
 #[cfg(test)]

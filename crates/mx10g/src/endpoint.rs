@@ -295,8 +295,8 @@ impl MxEndpoint {
             peer_progression: peer.progression.clone(),
             path_out: fab.data_path(self.nic.node, peer.nic.node),
             path_back: fab.data_path(peer.nic.node, self.nic.node),
-            pkt_overhead: fab.per_packet_overhead(),
-            pkt: fab.packet_payload(),
+            pkt_overhead: fab.per_segment_overhead(),
+            pkt: fab.segment_payload(),
             order: FifoGate::new(),
             conn_id,
             fault: fab.fault_plane(),

@@ -28,5 +28,5 @@ pub mod recovery;
 pub use calib::MyriCalib;
 pub use endpoint::{MxAddr, MxAddrTable, MxEndpoint, MxRequest, MxStatus};
 pub use matching::{matches, MatchInfo, ReplayFilter};
-pub use nic::{shard_host_path, shard_host_path_at, LinkMode, MxFabric, MxNic};
+pub use nic::{LinkMode, MxFabric, MxNic};
 pub use recovery::{transfer_with_resend, MxResendStats, MxTuning};

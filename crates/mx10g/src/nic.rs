@@ -1,12 +1,13 @@
 //! The Myri-10G NIC hardware model and fabric wiring (MXoM / MXoE).
 
-use std::rc::Rc;
+use std::ops::Deref;
 
-use etherstack::switch::{CutThroughSwitch, SwitchConfig};
+use etherstack::switch::SwitchConfig;
+use etherstack::{Fabric, NicModel, RdmaNic};
 use hostmodel::mem::HostMem;
 use hostmodel::pcie::PciePort;
 use hostmodel::MemoryRegistry;
-use simnet::{FaultPlane, Pipe, Pipeline, Sim, SimDuration, Stage};
+use simnet::{Bytes, Pipe, Sim, SimDuration, Stage};
 
 use crate::calib::MyriCalib;
 
@@ -25,6 +26,8 @@ pub struct MxNic {
     sim: Sim,
     /// Node index.
     pub node: usize,
+    /// Link mode in effect.
+    pub mode: LinkMode,
     /// Calibration in effect.
     pub calib: MyriCalib,
     /// PCIe slot (x4 on this testbed — the bandwidth cap).
@@ -41,11 +44,14 @@ pub struct MxNic {
     pub link_tx: Pipe,
 }
 
-impl MxNic {
-    fn new(sim: &Sim, node: usize, calib: MyriCalib) -> Self {
+impl NicModel for MxNic {
+    type Calib = (LinkMode, MyriCalib);
+
+    fn new(sim: &Sim, node: usize, (mode, calib): Self::Calib) -> Self {
         MxNic {
             sim: sim.clone(),
             node,
+            mode,
             calib,
             pcie: PciePort::new(sim, calib.pcie),
             mem: HostMem::new(),
@@ -56,11 +62,59 @@ impl MxNic {
         }
     }
 
-    /// The simulation handle.
-    pub fn sim(&self) -> &Sim {
-        &self.sim
+    /// Myricom crossbar for MXoM, the XG700 for MXoE.
+    fn switch_config(&self) -> SwitchConfig {
+        match self.mode {
+            LinkMode::MxoM => SwitchConfig::myri_10g(),
+            LinkMode::MxoE => SwitchConfig::xg700(),
+        }
     }
 
+    fn tx_stages(&self) -> Vec<Stage> {
+        vec![
+            self.pcie.to_device_stage(),
+            Stage::new(self.lanai_tx.clone(), self.calib.lanai_tx_latency),
+            Stage::new(self.link_tx.clone(), self.calib.link_latency),
+        ]
+    }
+
+    fn rx_stages(&self) -> Vec<Stage> {
+        vec![
+            Stage::new(self.lanai_rx.clone(), self.calib.lanai_rx_latency),
+            self.pcie.to_host_stage(),
+        ]
+    }
+
+    fn segment_payload(&self) -> Bytes {
+        match self.mode {
+            LinkMode::MxoM => self.calib.mxom_packet_payload,
+            LinkMode::MxoE => self.calib.mxoe_packet_payload,
+        }
+    }
+
+    fn per_segment_overhead(&self) -> Bytes {
+        match self.mode {
+            LinkMode::MxoM => self.calib.mxom_packet_overhead,
+            LinkMode::MxoE => self.calib.mxoe_packet_overhead,
+        }
+    }
+}
+
+impl RdmaNic for MxNic {
+    fn mem(&self) -> &HostMem {
+        &self.mem
+    }
+
+    fn registry(&self) -> &MemoryRegistry {
+        &self.registry
+    }
+
+    fn post_cost(&self) -> SimDuration {
+        self.calib.post_cost
+    }
+}
+
+impl MxNic {
     /// Occupy the RX Lanai for a match-list walk of `entries` entries at
     /// `per_entry` cost, returning when the walk retires.
     pub async fn match_walk(&self, entries: usize, per_entry: SimDuration) {
@@ -72,20 +126,9 @@ impl MxNic {
     }
 }
 
-/// A Myri-10G fabric in one of the two link modes.
-pub struct MxFabric {
-    sim: Sim,
-    /// Link mode in effect.
-    pub mode: LinkMode,
-    switch: CutThroughSwitch,
-    devices: Vec<Rc<MxNic>>,
-    /// Memoized `src → dst` pipelines; clones share the cached stage slice
-    /// so repeat transfers stay eligible for the simnet cut-through fast
-    /// path without rebuilding the six stages per call.
-    paths: std::cell::RefCell<std::collections::BTreeMap<(usize, usize), Pipeline>>,
-    /// Fault plane addresses capture at connect time (disabled by default).
-    fault: std::cell::RefCell<FaultPlane>,
-}
+/// A Myri-10G fabric in one of the two link modes. Same NICs either way;
+/// the mode rides in each [`MxNic`] and picks the switch and framing.
+pub struct MxFabric(Fabric<MxNic>);
 
 impl MxFabric {
     /// Build a fabric of `nodes` hosts with default calibration.
@@ -95,172 +138,22 @@ impl MxFabric {
 
     /// Build with explicit calibration.
     pub fn with_calib(sim: &Sim, nodes: usize, mode: LinkMode, calib: MyriCalib) -> Self {
-        assert!(nodes >= 2, "a fabric needs at least two nodes");
-        let sw_cfg = match mode {
-            LinkMode::MxoM => SwitchConfig::myri_10g(),
-            LinkMode::MxoE => SwitchConfig::xg700(),
-        };
-        MxFabric {
-            sim: sim.clone(),
-            mode,
-            switch: CutThroughSwitch::new(sim, sw_cfg, nodes),
-            devices: (0..nodes)
-                .map(|n| Rc::new(MxNic::new(sim, n, calib)))
-                .collect(),
-            paths: std::cell::RefCell::new(std::collections::BTreeMap::new()),
-            fault: std::cell::RefCell::new(FaultPlane::disabled()),
-        }
-    }
-
-    /// Install a fault plane. Addresses resolved *after* this call judge
-    /// every packet against it; with the plane disabled (the default) the
-    /// fabric is bit-identical to the fault-free build.
-    pub fn set_fault_plane(&self, plane: FaultPlane) {
-        // Key the transfer memo on the plane's configuration: outcomes
-        // cached fault-free never replay under faults (see `simnet::memo`).
-        self.sim.set_fault_fingerprint(plane.fingerprint());
-        *self.fault.borrow_mut() = plane;
-    }
-
-    /// The currently installed fault plane (cloned; clones share state).
-    pub fn fault_plane(&self) -> FaultPlane {
-        self.fault.borrow().clone()
-    }
-
-    /// The simulation handle.
-    pub fn sim(&self) -> &Sim {
-        &self.sim
-    }
-
-    /// NIC in node `n`.
-    pub fn device(&self, n: usize) -> Rc<MxNic> {
-        Rc::clone(&self.devices[n])
-    }
-
-    /// Number of nodes.
-    pub fn nodes(&self) -> usize {
-        self.devices.len()
-    }
-
-    /// Packet payload size for the active link mode.
-    pub fn packet_payload(&self) -> simnet::Bytes {
-        let c = &self.devices[0].calib;
-        match self.mode {
-            LinkMode::MxoM => c.mxom_packet_payload,
-            LinkMode::MxoE => c.mxoe_packet_payload,
-        }
-    }
-
-    /// Per-packet overhead bytes for the active link mode.
-    pub fn per_packet_overhead(&self) -> simnet::Bytes {
-        let c = &self.devices[0].calib;
-        match self.mode {
-            LinkMode::MxoM => c.mxom_packet_overhead,
-            LinkMode::MxoE => c.mxoe_packet_overhead,
-        }
-    }
-
-    /// The one-directional data path `src → dst`, built once per pair and
-    /// cached.
-    pub fn data_path(&self, src: usize, dst: usize) -> Pipeline {
-        assert_ne!(src, dst, "loopback is not modelled");
-        if let Some(p) = self.paths.borrow().get(&(src, dst)) {
-            return p.clone();
-        }
-        let path = self.build_data_path(src, dst);
-        self.paths.borrow_mut().insert((src, dst), path.clone());
-        path
-    }
-
-    fn build_data_path(&self, src: usize, dst: usize) -> Pipeline {
-        let s = &self.devices[src];
-        let d = &self.devices[dst];
-        let c = &s.calib;
-        let stages = vec![
-            Stage::new(s.pcie.to_device_pipe().clone(), c.pcie.dma_latency),
-            Stage::new(s.lanai_tx.clone(), c.lanai_tx_latency),
-            Stage::new(s.link_tx.clone(), c.link_latency),
-            self.switch.stage_to(dst),
-            Stage::new(d.lanai_rx.clone(), d.calib.lanai_rx_latency),
-            Stage::new(
-                d.pcie.to_host_pipe().clone(),
-                SimDuration::from_nanos(d.calib.pcie.dma_latency.as_nanos() / 2),
-            ),
-        ];
-        Pipeline::new(&self.sim, stages, self.packet_payload())
+        MxFabric(Fabric::with_calib(sim, nodes, (mode, calib)))
     }
 }
 
-/// Host-local halves of the Myri-10G data path for the given link mode,
-/// for endpoint-to-shard placement in sharded cluster runs
-/// ([`simnet::shard`]). Split from [`MxFabric::data_path`] at the switch
-/// hop: TX Lanai and wire serialization as `egress`, this host's switch
-/// egress port plus the RX Lanai and DMA as `ingress`, with the mode's
-/// switch (Myricom crossbar for MXoM, XG700 for MXoE) contributing its
-/// forwarding delay as the cross-shard `wire_latency`.
-pub fn shard_host_path(sim: &Sim, mode: LinkMode, calib: MyriCalib) -> simnet::shard::HostPath {
-    shard_host_path_at(sim, 0, mode, calib)
-}
+impl Deref for MxFabric {
+    type Target = Fabric<MxNic>;
 
-/// [`shard_host_path`] for an explicit host placement: the NIC is built
-/// as node `node`, so multiple hosts materialized on *one* calendar (the
-/// open-loop workload engine's client/server pair) get distinct devices
-/// with private pipes instead of two aliases of node 0.
-pub fn shard_host_path_at(
-    sim: &Sim,
-    node: usize,
-    mode: LinkMode,
-    calib: MyriCalib,
-) -> simnet::shard::HostPath {
-    let dev = MxNic::new(sim, node, calib);
-    let c = dev.calib;
-    let (cfg, payload, overhead) = match mode {
-        LinkMode::MxoM => (
-            SwitchConfig::myri_10g(),
-            c.mxom_packet_payload,
-            c.mxom_packet_overhead,
-        ),
-        LinkMode::MxoE => (
-            SwitchConfig::xg700(),
-            c.mxoe_packet_payload,
-            c.mxoe_packet_overhead,
-        ),
-    };
-    let egress = Pipeline::new(
-        sim,
-        vec![
-            Stage::new(dev.pcie.to_device_pipe().clone(), c.pcie.dma_latency),
-            Stage::new(dev.lanai_tx.clone(), c.lanai_tx_latency),
-            Stage::new(dev.link_tx.clone(), c.link_latency),
-        ],
-        payload,
-    );
-    let ingress = Pipeline::new(
-        sim,
-        vec![
-            Stage::new(
-                Pipe::new(sim, cfg.port_bytes_per_sec, SimDuration::ZERO),
-                SimDuration::ZERO,
-            ),
-            Stage::new(dev.lanai_rx.clone(), c.lanai_rx_latency),
-            Stage::new(
-                dev.pcie.to_host_pipe().clone(),
-                SimDuration::from_nanos(c.pcie.dma_latency.as_nanos() / 2),
-            ),
-        ],
-        payload,
-    );
-    simnet::shard::HostPath {
-        egress,
-        ingress,
-        wire_latency: cfg.forwarding_latency,
-        overhead_bytes: overhead,
+    fn deref(&self) -> &Fabric<MxNic> {
+        &self.0
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::rc::Rc;
 
     #[test]
     fn bandwidth_is_pcie_x4_limited_near_940() {
@@ -268,7 +161,7 @@ mod tests {
             let sim = Sim::new();
             let fab = MxFabric::new(&sim, 2, mode);
             let path = fab.data_path(0, 1);
-            let ovh = fab.per_packet_overhead();
+            let ovh = fab.per_segment_overhead();
             let bytes: u64 = 8 << 20;
             sim.block_on(async move { path.transfer(simnet::Bytes::new(bytes), ovh).await });
             let mbps = bytes as f64 / sim.now().as_secs_f64() / 1e6;
@@ -284,8 +177,8 @@ mod tests {
         let sim = Sim::new();
         let m = MxFabric::new(&sim, 2, LinkMode::MxoM);
         let e = MxFabric::new(&sim, 2, LinkMode::MxoE);
-        assert!(m.packet_payload() > e.packet_payload());
-        assert!(m.per_packet_overhead() < e.per_packet_overhead());
+        assert!(m.segment_payload() > e.segment_payload());
+        assert!(m.per_segment_overhead() < e.per_segment_overhead());
     }
 
     #[test]

@@ -126,8 +126,8 @@ pub fn default_threads() -> usize {
 /// `ingress` (its switch egress port, then the RX stages down to host
 /// memory), and `wire_latency` — the switch's cut-through forwarding delay
 /// — is the cross-shard link latency, i.e. the conservative lookahead
-/// window. Each fabric crate provides a `shard_host_path` constructor
-/// mirroring its monolithic cached `data_path` stage for stage.
+/// window. `etherstack::Fabric::host_path` builds it from the same TX/RX
+/// stage lists as the fabric's monolithic cached `data_path`.
 ///
 /// Both pipelines live in the *shard's own* [`Sim`]; clones share stage
 /// calendars exactly like the fabrics' cached path handles, so every

@@ -2,17 +2,23 @@
 //!
 //! The paper's future work names uDAPL (the DAT Collaborative's user
 //! Direct Access Transport API) as a layer to extend the study to: one
-//! API, many RDMA providers. This crate provides that layer over the two
-//! verbs-based fabrics in the study, with the DAT vocabulary:
+//! API, many RDMA providers. This crate is that layer over the two
+//! verbs-based fabrics in the study, and it is the verbs handle the
+//! workspace's own harness uses: `netbench`'s user-level ping-pong
+//! (Fig. 1) and multi-connection sweep (Fig. 2) post every RDMA Write
+//! through an [`Endpoint`], so "which provider" is decided once, here.
+//! The DAT vocabulary:
 //!
 //! * [`Ia`] — interface adapter (`dat_ia_open`): one per process per NIC.
 //! * [`Lmr`] / [`Rmr`] — local/remote memory regions
 //!   (`dat_lmr_create`), wrapping STag/rkey registration.
 //! * [`Endpoint`] — connected endpoint (`dat_ep_connect`), wrapping a QP.
-//! * EVD-style event dispatch ([`Endpoint::evd_wait`]), wrapping the CQ.
+//! * EVD-style event dispatch ([`Endpoint::evd_wait`] blocking,
+//!   [`Endpoint::evd_dequeue`] polling), wrapping the CQ.
 //!
 //! Because the simulated fabrics share completion types, the provider
-//! switch is a plain enum — exactly the portability argument uDAPL made.
+//! switch is a plain enum — statically dispatched, so the layer adds no
+//! simulated event and no allocation to a post.
 //!
 //! ## Conformance checking (`--features simcheck`)
 //!
@@ -28,6 +34,7 @@
 use hostmodel::cpu::Cpu;
 use hostmodel::mem::{HostMem, MemKey, VirtAddr};
 use hostmodel::nic::{Cqe, CqeStatus};
+use simnet::FaultPlane;
 
 /// Which RDMA provider backs an interface adapter.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -36,6 +43,36 @@ pub enum Provider {
     Iwarp,
     /// Mellanox InfiniBand HCA.
     InfiniBand,
+}
+
+/// A provider together with its NIC calibration (ablation studies override
+/// single fields to show which mechanism produces which curve).
+#[derive(Clone, Copy)]
+pub enum ProviderCalib {
+    /// NetEffect RNIC with the given calibration.
+    Iwarp(iwarp::NetEffectCalib),
+    /// Mellanox HCA with the given calibration.
+    Ib(infiniband::MellanoxCalib),
+}
+
+impl ProviderCalib {
+    /// The provider this calibration belongs to.
+    pub fn provider(self) -> Provider {
+        match self {
+            ProviderCalib::Iwarp(_) => Provider::Iwarp,
+            ProviderCalib::Ib(_) => Provider::InfiniBand,
+        }
+    }
+}
+
+impl From<Provider> for ProviderCalib {
+    /// The paper's testbed calibration for `provider`.
+    fn from(provider: Provider) -> Self {
+        match provider {
+            Provider::Iwarp => ProviderCalib::Iwarp(iwarp::NetEffectCalib::default()),
+            Provider::InfiniBand => ProviderCalib::Ib(infiniband::MellanoxCalib::default()),
+        }
+    }
 }
 
 /// An interface adapter: the per-process handle to one NIC.
@@ -103,9 +140,29 @@ pub struct DtoEvent {
     pub ok: bool,
 }
 
+impl From<Cqe> for DtoEvent {
+    fn from(cqe: Cqe) -> Self {
+        DtoEvent {
+            cookie: cqe.wr_id,
+            len: cqe.len,
+            ok: cqe.status == CqeStatus::Success,
+        }
+    }
+}
+
 enum EpInner {
     Iwarp(iwarp::IwarpQp),
     Ib(infiniband::IbQp),
+}
+
+/// Run the same expression on whichever provider's QP backs the endpoint.
+macro_rules! on_qp {
+    ($ep:expr, $qp:ident => $body:expr) => {
+        match &$ep.inner {
+            EpInner::Iwarp($qp) => $body,
+            EpInner::Ib($qp) => $body,
+        }
+    };
 }
 
 /// A connected endpoint plus its event dispatcher.
@@ -113,11 +170,15 @@ pub struct Endpoint {
     inner: EpInner,
 }
 
+// The methods the harness calls per message are `#[inline]`: without it each
+// poll of a post or wait crosses one more non-inlinable frame than a direct
+// verbs call (measured: fig2 +17% wall), which a pass-through must not cost.
 impl Endpoint {
     /// `dat_ep_post_rdma_write`: one-sided write of `len` bytes from the
     /// local region into the remote one (bounds-checked locally the way
     /// DAT providers do before posting).
     #[allow(clippy::too_many_arguments)] // mirrors the DAT call signature
+    #[inline]
     pub async fn post_rdma_write(
         &self,
         cookie: u64,
@@ -181,44 +242,36 @@ impl Endpoint {
     /// `dat_ep_post_recv` into a region slice.
     pub async fn post_recv(&self, cookie: u64, local: &Lmr, offset: u64, len: u64) {
         let addr = local.addr.offset(offset);
-        match &self.inner {
-            EpInner::Iwarp(qp) => qp.post_recv(cookie, addr, len).await,
-            EpInner::Ib(qp) => qp.post_recv(cookie, addr, len).await,
-        }
+        on_qp!(self, qp => qp.post_recv(cookie, addr, len).await);
     }
 
     /// `dat_evd_wait`: block for the next DTO completion.
+    #[inline]
     pub async fn evd_wait(&self) -> DtoEvent {
-        let cqe: Cqe = match &self.inner {
-            EpInner::Iwarp(qp) => qp.next_cqe().await,
-            EpInner::Ib(qp) => qp.next_cqe().await,
-        };
-        DtoEvent {
-            cookie: cqe.wr_id,
-            len: cqe.len,
-            ok: cqe.status == CqeStatus::Success,
-        }
+        on_qp!(self, qp => qp.next_cqe().await).into()
+    }
+
+    /// `dat_evd_dequeue`: the next DTO completion if one is already
+    /// queued, without blocking (`DAT_QUEUE_EMPTY` is `None`).
+    #[inline]
+    pub fn evd_dequeue(&self) -> Option<DtoEvent> {
+        on_qp!(self, qp => qp.poll_cq()).map(DtoEvent::from)
     }
 
     /// Wait for a one-sided placement to land locally (polling the target
     /// buffer, as the paper's user-level tests do).
+    #[inline]
     pub async fn wait_placement(&self) {
-        match &self.inner {
-            EpInner::Iwarp(qp) => qp.wait_placement().await,
-            EpInner::Ib(qp) => qp.wait_placement().await,
-        }
+        on_qp!(self, qp => qp.wait_placement().await);
     }
 
     /// The host memory this endpoint's process sees.
     pub fn mem(&self) -> HostMem {
-        match &self.inner {
-            EpInner::Iwarp(qp) => qp.device().mem.clone(),
-            EpInner::Ib(qp) => qp.device().mem.clone(),
-        }
+        on_qp!(self, qp => qp.device().mem.clone())
     }
 }
 
-/// Provider-neutral two-node environment: the fabric plus two opened IAs.
+/// Provider-neutral environment: the live fabric of whichever provider.
 pub enum DatFabric {
     /// iWARP-backed.
     Iwarp(iwarp::IwarpFabric),
@@ -226,29 +279,45 @@ pub enum DatFabric {
     Ib(infiniband::IbFabric),
 }
 
-impl DatFabric {
-    /// Bring up a two-node fabric for the given provider.
-    pub fn new(sim: &simnet::Sim, provider: Provider, nodes: usize) -> DatFabric {
-        match provider {
-            Provider::Iwarp => DatFabric::Iwarp(iwarp::IwarpFabric::new(sim, nodes)),
-            Provider::InfiniBand => DatFabric::Ib(infiniband::IbFabric::new(sim, nodes)),
+/// Run the same expression on whichever provider's fabric is live.
+macro_rules! on_fabric {
+    ($dat:expr, $f:ident => $body:expr) => {
+        match $dat {
+            DatFabric::Iwarp($f) => $body,
+            DatFabric::Ib($f) => $body,
         }
+    };
+}
+
+impl DatFabric {
+    /// Bring up a fabric of `nodes` hosts for the given provider.
+    pub fn new(sim: &simnet::Sim, provider: Provider, nodes: usize) -> DatFabric {
+        Self::with_calib(sim, provider.into(), nodes)
+    }
+
+    /// As [`DatFabric::new`], with explicit NIC calibration.
+    pub fn with_calib(sim: &simnet::Sim, calib: ProviderCalib, nodes: usize) -> DatFabric {
+        match calib {
+            ProviderCalib::Iwarp(c) => {
+                DatFabric::Iwarp(iwarp::IwarpFabric::with_calib(sim, nodes, c))
+            }
+            ProviderCalib::Ib(c) => DatFabric::Ib(infiniband::IbFabric::with_calib(sim, nodes, c)),
+        }
+    }
+
+    /// Install a fault plane; endpoints connected *after* this call judge
+    /// every transfer against it.
+    pub fn set_fault_plane(&self, plane: FaultPlane) {
+        on_fabric!(self, f => f.set_fault_plane(plane));
     }
 
     /// `dat_lmr_create`: allocate and register `len` bytes on `node`,
     /// charging `ia`'s process for the pinning.
     pub async fn lmr_create(&self, ia: &Ia, node: usize, len: u64) -> Lmr {
-        let (mem, registry) = match self {
-            DatFabric::Iwarp(f) => {
-                let d = f.device(node);
-                (d.mem.clone(), d.registry.clone())
-            }
-            DatFabric::Ib(f) => {
-                let d = f.device(node);
-                (d.mem.clone(), d.registry.clone())
-            }
-        };
-        let addr = mem.alloc_buffer(len);
+        let (addr, registry) = on_fabric!(self, f => {
+            let dev = f.device(node);
+            (dev.mem.alloc_buffer(len), dev.registry.clone())
+        });
         let key = registry.register_pinned(&ia.cpu, addr, len).await;
         Lmr { addr, len, key }
     }
@@ -262,30 +331,17 @@ impl DatFabric {
         cpu_a: &Cpu,
         cpu_b: &Cpu,
     ) -> (Endpoint, Endpoint) {
-        match self {
+        let (ia, ib) = match self {
             DatFabric::Iwarp(f) => {
                 let (qa, qb) = iwarp::verbs::connect(f, a, b, cpu_a, cpu_b).await;
-                (
-                    Endpoint {
-                        inner: EpInner::Iwarp(qa),
-                    },
-                    Endpoint {
-                        inner: EpInner::Iwarp(qb),
-                    },
-                )
+                (EpInner::Iwarp(qa), EpInner::Iwarp(qb))
             }
             DatFabric::Ib(f) => {
                 let (qa, qb) = infiniband::verbs::connect(f, a, b, cpu_a, cpu_b).await;
-                (
-                    Endpoint {
-                        inner: EpInner::Ib(qa),
-                    },
-                    Endpoint {
-                        inner: EpInner::Ib(qb),
-                    },
-                )
+                (EpInner::Ib(qa), EpInner::Ib(qb))
             }
-        }
+        };
+        (Endpoint { inner: ia }, Endpoint { inner: ib })
     }
 }
 
@@ -295,12 +351,20 @@ mod tests {
     use hostmodel::cpu::CpuCosts;
     use simnet::Sim;
 
-    fn run_rdma_roundtrip(provider: Provider) -> (f64, Vec<u8>) {
+    /// Loss plane under which the single-packet test message loses its
+    /// first attempt on both providers (the draws are deterministic).
+    const LOSSY_PPM: u32 = 500_000;
+    const LOSSY_SEED: u64 = 3;
+
+    /// One 12-byte RDMA Write over `provider` with `plane` installed before
+    /// the endpoints connect: `(latency µs, bytes that landed)`.
+    fn run_rdma_roundtrip(provider: Provider, plane: FaultPlane) -> (f64, Vec<u8>) {
         let sim = Sim::new();
         sim.block_on({
             let sim = sim.clone();
             async move {
-                let fab = DatFabric::new(&sim, provider, 2);
+                let fab = DatFabric::with_calib(&sim, provider.into(), 2);
+                fab.set_fault_plane(plane);
                 let cpu_a = Cpu::new(&sim, CpuCosts::default());
                 let cpu_b = Cpu::new(&sim, CpuCosts::default());
                 let ia_a = Ia::open(provider, &cpu_a);
@@ -333,8 +397,49 @@ mod tests {
     #[test]
     fn rdma_write_roundtrips_on_both_providers() {
         for provider in [Provider::Iwarp, Provider::InfiniBand] {
-            let (_lat, data) = run_rdma_roundtrip(provider);
+            let (clean, data) = run_rdma_roundtrip(provider, FaultPlane::disabled());
             assert_eq!(data, b"dat over sim", "{provider:?}");
+            // The fault plane passes through to the provider: every packet
+            // of the first attempt is dropped, the provider's own recovery
+            // still lands the bytes, and the retransmission costs time.
+            let lossy = FaultPlane::new(simnet::FaultConfig::loss(LOSSY_PPM, LOSSY_SEED));
+            let (slow, data) = run_rdma_roundtrip(provider, lossy);
+            assert_eq!(data, b"dat over sim", "{provider:?} under loss");
+            assert!(slow > clean, "{provider:?}: {slow:.2} µs !> {clean:.2} µs");
+        }
+    }
+
+    #[test]
+    fn evd_dequeue_is_the_nonblocking_evd_wait() {
+        for provider in [Provider::Iwarp, Provider::InfiniBand] {
+            let sim = Sim::new();
+            sim.block_on({
+                let sim = sim.clone();
+                async move {
+                    let fab = DatFabric::new(&sim, provider, 2);
+                    let cpu_a = Cpu::new(&sim, CpuCosts::default());
+                    let cpu_b = Cpu::new(&sim, CpuCosts::default());
+                    let lmr_a = fab.lmr_create(&Ia::open(provider, &cpu_a), 0, 256).await;
+                    let lmr_b = fab.lmr_create(&Ia::open(provider, &cpu_b), 1, 256).await;
+                    let (ep_a, ep_b) = fab.connect(0, 1, &cpu_a, &cpu_b).await;
+                    assert!(ep_a.evd_dequeue().is_none(), "{provider:?}: empty EVD");
+                    ep_a.post_rdma_write(11, &lmr_a, 0, 64, &lmr_b.as_rmr(), 0, None)
+                        .await
+                        .expect("in bounds");
+                    assert!(
+                        ep_a.evd_dequeue().is_none(),
+                        "{provider:?}: still in flight"
+                    );
+                    // Placement at the target and the initiator's completion
+                    // are raised together, so the CQE `evd_wait` would have
+                    // blocked for is now queued.
+                    ep_b.wait_placement().await;
+                    let ev = ep_a.evd_dequeue().expect("completion is queued");
+                    assert!(ev.ok, "{provider:?}");
+                    assert_eq!((ev.cookie, ev.len), (11, 64), "{provider:?}");
+                    assert!(ep_a.evd_dequeue().is_none(), "{provider:?}: drained");
+                }
+            });
         }
     }
 
@@ -342,8 +447,8 @@ mod tests {
     fn provider_latency_ordering_shows_through_the_neutral_api() {
         // The uDAPL layer adds nothing to the data path, so the fabric
         // ordering survives: IB beats iWARP on latency.
-        let (iw, _) = run_rdma_roundtrip(Provider::Iwarp);
-        let (ib, _) = run_rdma_roundtrip(Provider::InfiniBand);
+        let (iw, _) = run_rdma_roundtrip(Provider::Iwarp, FaultPlane::disabled());
+        let (ib, _) = run_rdma_roundtrip(Provider::InfiniBand, FaultPlane::disabled());
         assert!(ib < iw, "IB {ib:.2} µs must beat iWARP {iw:.2} µs");
     }
 
@@ -459,8 +564,8 @@ mod tests {
     #[test]
     fn dat_traffic_is_observed_by_provider_oracles() {
         let before = simcheck::summary();
-        run_rdma_roundtrip(Provider::Iwarp);
-        run_rdma_roundtrip(Provider::InfiniBand);
+        run_rdma_roundtrip(Provider::Iwarp, FaultPlane::disabled());
+        run_rdma_roundtrip(Provider::InfiniBand, FaultPlane::disabled());
         let after = simcheck::summary();
         assert!(
             after.total_checks() > before.total_checks(),

@@ -1,14 +1,15 @@
-//! Quickstart: bring up a two-node iWARP fabric, run an RDMA-Write
-//! ping-pong, and print latency + computed bandwidth for a size sweep.
+//! Quickstart: bring up a two-node iWARP fabric through the provider-neutral
+//! `udapl` handle, run an RDMA-Write ping-pong, and print latency + computed
+//! bandwidth for a size sweep.
 //!
 //! ```text
 //! cargo run --release --example quickstart
 //! ```
 
 use hostmodel::cpu::{Cpu, CpuCosts};
-use iwarp::{IwarpFabric, WorkRequest};
 use simnet::sync::join2;
 use simnet::Sim;
+use udapl::{DatFabric, Ia, Provider};
 
 fn main() {
     println!("== iWARP (NetEffect NE010e model) RDMA Write ping-pong ==");
@@ -18,50 +19,34 @@ fn main() {
         let t = sim.block_on({
             let sim = sim.clone();
             async move {
-                let fab = IwarpFabric::new(&sim, 2);
+                // The provider-neutral verbs handle: swap the provider for
+                // `Provider::InfiniBand` and nothing below changes.
+                let provider = Provider::Iwarp;
+                let fab = DatFabric::new(&sim, provider, 2);
                 let cpu_a = Cpu::new(&sim, CpuCosts::default());
                 let cpu_b = Cpu::new(&sim, CpuCosts::default());
-                let (qa, qb) = iwarp::verbs::connect(&fab, 0, 1, &cpu_a, &cpu_b).await;
-                let buf_a = qa.device().mem.alloc_buffer(size);
-                let buf_b = qb.device().mem.alloc_buffer(size);
-                let stag_a = qa
-                    .device()
-                    .registry
-                    .register_pinned(&cpu_a, buf_a, size)
-                    .await;
-                let stag_b = qb
-                    .device()
-                    .registry
-                    .register_pinned(&cpu_b, buf_b, size)
-                    .await;
+                let (ep_a, ep_b) = fab.connect(0, 1, &cpu_a, &cpu_b).await;
+                let lmr_a = fab.lmr_create(&Ia::open(provider, &cpu_a), 0, size).await;
+                let lmr_b = fab.lmr_create(&Ia::open(provider, &cpu_b), 1, size).await;
+                let (rmr_a, rmr_b) = (lmr_a.as_rmr(), lmr_b.as_rmr());
                 let iters = 20u64;
                 let t0 = sim.now();
                 let ping = async {
                     for i in 0..iters {
-                        qa.post_send_wr(WorkRequest::RdmaWrite {
-                            wr_id: i,
-                            len: size,
-                            payload: None,
-                            remote_stag: stag_b,
-                            remote_addr: buf_b,
-                        })
-                        .await;
-                        qa.wait_placement().await;
-                        qa.poll_cq();
+                        ep_a.post_rdma_write(i, &lmr_a, 0, size, &rmr_b, 0, None)
+                            .await
+                            .expect("in bounds");
+                        ep_a.wait_placement().await;
+                        ep_a.evd_dequeue();
                     }
                 };
                 let pong = async {
                     for i in 0..iters {
-                        qb.wait_placement().await;
-                        qb.post_send_wr(WorkRequest::RdmaWrite {
-                            wr_id: i,
-                            len: size,
-                            payload: None,
-                            remote_stag: stag_a,
-                            remote_addr: buf_a,
-                        })
-                        .await;
-                        qb.poll_cq();
+                        ep_b.wait_placement().await;
+                        ep_b.post_rdma_write(i, &lmr_b, 0, size, &rmr_a, 0, None)
+                            .await
+                            .expect("in bounds");
+                        ep_b.evd_dequeue();
                     }
                 };
                 join2(ping, pong).await;

@@ -14,12 +14,14 @@
 //!
 //! * [`simnet`] — deterministic simulated-time async runtime.
 //! * [`hostmodel`] — CPU, memory registration, PCIe models.
-//! * [`etherstack`] — Ethernet / IPv4 / TCP substrate.
+//! * [`etherstack`] — Ethernet / IPv4 / TCP substrate, and the generic
+//!   `Fabric<NicModel>` container every interconnect instantiates.
 //! * [`iwarp`] — MPA, DDP, RDMAP, verbs, NetEffect RNIC model.
 //! * [`infiniband`] — IB verbs, packets, Mellanox HCA model.
 //! * [`mx10g`] — MX-10G endpoints with NIC-side matching.
 //! * [`mpisim`] — MPI-like layer over all fabrics.
-//! * [`udapl`] — uDAPL-style provider-neutral RDMA API (future work item).
+//! * [`udapl`] — uDAPL-style provider-neutral verbs handle (what the
+//!   benchmark suite posts iWARP and InfiniBand RDMA Writes through).
 //! * [`netbench`] — the paper's benchmark suite (Figs. 1–8 + extensions).
 //!
 //! ## Quickstart
