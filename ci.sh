@@ -16,7 +16,9 @@ echo "==> cargo build --release"
 cargo build --release
 
 echo "==> cargo test -q --workspace"
-cargo test -q --workspace
+# Bounded: a test that hangs (as simnet::shard's worker-panic test did
+# until PR 17) fails this step instead of stalling the gate.
+timeout 1800 cargo test -q --workspace
 
 echo "==> cargo clippy -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
@@ -224,7 +226,7 @@ echo "==> conformance: cargo test --features simcheck (oracles on)"
 # Re-run the workspace tests with the runtime conformance oracles compiled
 # in (DESIGN.md "Runtime conformance checking"). Covers the per-oracle
 # mutation tests in crates/simcheck and the simcheck_e2e figure run.
-cargo test -q --workspace --features simcheck
+timeout 1800 cargo test -q --workspace --features simcheck
 
 echo "==> conformance: checked fig1 run is byte-identical to unchecked"
 # The oracles are pure observers: a figure run with them compiled in must

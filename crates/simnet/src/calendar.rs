@@ -1,0 +1,723 @@
+//! The busy calendar behind a [`Pipe`](crate::pipe::Pipe): which stretches
+//! of virtual time are already reserved, and where the next reservation
+//! fits.
+//!
+//! The calendar is a time-ordered list of disjoint, non-touching busy
+//! *runs* (touching reservations merge on insert). The one question asked
+//! of it on the hot path is first-fit: the earliest `t ≥ earliest` with
+//! `[t, t + dur)` free. A pipe that both directions of a NIC stage through
+//! collects thousands of runs separated by sub-segment slivers that fit
+//! nothing, and a plain ordered map has to step over every one of them.
+//!
+//! So the runs live in blocks of at most [`BLOCK_CAP`], and each block
+//! caches the largest free gap that *starts* inside it — after one of its
+//! runs, up to the next run, which for the block's last run is the first
+//! run of the following block (the last block's final gap is unbounded).
+//! A block whose cached gap is shorter than `dur` is skipped with one
+//! comparison. A reservation costs a search for `earliest` (galloping
+//! back from the tail, where most reservations are asked for, then
+//! bisecting), one scan of at most a block, one summary per skipped block
+//! and the recomputation of the summaries it may have changed:
+//! `O(B + n/B)` for `n` runs in blocks of `B`, against `O(n)`.
+//!
+//! A full block splits in two when a run lands inside it; a run later than
+//! every other starts a new block instead, so FIFO growth leaves full
+//! blocks behind it. Blocks disappear when pruned or bridged empty and are
+//! never re-merged: the `n/B` term counts blocks, which bridging can leave
+//! under-full until pruning reaches them.
+
+#[cfg(test)]
+use std::cell::Cell;
+
+/// Most runs one block holds. Every block's `Vec` is allocated at this
+/// capacity, so it never regrows. Measured on fig2's 256-connection
+/// points: 64 beats 32 and 128 (scan and shift lengths against the number
+/// of summaries to step over).
+const BLOCK_CAP: usize = 64;
+
+/// One busy stretch `[start, end)`, in nanoseconds.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Run {
+    start: u64,
+    end: u64,
+}
+
+#[derive(Debug)]
+struct Block {
+    /// Time-ordered, disjoint, non-touching; never empty.
+    runs: Vec<Run>,
+    /// Largest free gap following one of `runs` (see the module docs);
+    /// `u64::MAX` in the last block. Maintained by [`Calendar::refresh`].
+    max_gap: u64,
+}
+
+impl Block {
+    fn holding(runs: &[Run]) -> Self {
+        let mut v = Vec::with_capacity(BLOCK_CAP);
+        v.extend_from_slice(runs);
+        Block {
+            runs: v,
+            max_gap: u64::MAX,
+        }
+    }
+
+    fn last(&self) -> Run {
+        self.runs[self.runs.len() - 1]
+    }
+
+    /// Index of the first run at or after `from` that is followed by at
+    /// least `dur` of free time. `tail_gap` is the gap after the last run.
+    fn first_gap_from(&self, from: usize, dur: u64, tail_gap: u64) -> Option<usize> {
+        self.runs[from..]
+            .windows(2)
+            .position(|w| w[1].start - w[0].end >= dur)
+            .map(|k| from + k)
+            .or_else(|| (tail_gap >= dur).then(|| self.runs.len() - 1))
+    }
+}
+
+/// A pipe's reserved busy time. See the module docs.
+#[derive(Debug, Default)]
+pub(crate) struct Calendar {
+    blocks: Vec<Block>,
+    /// Total runs across all blocks.
+    len: usize,
+    /// Runs and block summaries examined so far (scaling tests only).
+    #[cfg(test)]
+    probes: Cell<u64>,
+}
+
+impl Calendar {
+    /// Number of (merged) busy runs currently held.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// End of the latest reservation, `None` when the calendar is empty.
+    pub(crate) fn last_end(&self) -> Option<u64> {
+        self.blocks.last().map(|blk| blk.last().end)
+    }
+
+    /// Reserve the first `dur` nanoseconds free at or after `earliest`
+    /// and return their start. Runs that ended at or before `now` are
+    /// dropped first: nothing can be placed there any more.
+    ///
+    /// (Not called `reserve`: simlint's units pass resolves calls by name
+    /// and would read the arguments as [`Pipe::reserve`]'s time and bytes.)
+    ///
+    /// [`Pipe::reserve`]: crate::pipe::Pipe::reserve
+    pub(crate) fn book(&mut self, now: u64, earliest: u64, dur: u64) -> u64 {
+        debug_assert!(dur > 0, "zero-length reservation");
+        self.prune(now);
+        let (mut b, mut i) = self.seek(earliest);
+        let mut start = earliest;
+        let blocked = self
+            .blocks
+            .get(b)
+            .is_some_and(|blk| start + dur > blk.runs[i].start);
+        if blocked {
+            // `earliest` falls in or too close before run `(b, i)`, so the
+            // reservation starts where some run ends: the first one, from
+            // here on, followed by a gap of `dur`. The unbounded gap after
+            // the very last run ends the search.
+            loop {
+                self.probe(1);
+                let blk = &self.blocks[b];
+                if blk.max_gap >= dur {
+                    let found = blk.first_gap_from(i, dur, self.tail_gap(b));
+                    self.probe(found.map_or(blk.runs.len(), |j| j + 1) - i);
+                    if let Some(j) = found {
+                        start = blk.runs[j].end;
+                        (b, i) = if j + 1 < blk.runs.len() {
+                            (b, j + 1)
+                        } else {
+                            (b + 1, 0)
+                        };
+                        break;
+                    }
+                }
+                b += 1;
+                i = 0;
+            }
+        }
+        self.place(b, i, start, start + dur);
+        start
+    }
+
+    /// Mark `[start, end)` busy. The interval must be free; it may touch
+    /// its neighbours, which then merge with it.
+    pub(crate) fn insert(&mut self, start: u64, end: u64) {
+        debug_assert!(start < end, "empty calendar interval");
+        let (b, i) = self.seek(start);
+        self.place(b, i, start, end);
+    }
+
+    /// Drop every run that ended at or before `now`. Ends are sorted, so
+    /// those form a prefix: whole blocks first, then the head of one.
+    fn prune(&mut self, now: u64) {
+        if self.blocks.first().is_none_or(|blk| blk.runs[0].end > now) {
+            return;
+        }
+        let whole = self.blocks.partition_point(|blk| blk.last().end <= now);
+        self.len -= self.blocks[..whole]
+            .iter()
+            .map(|blk| blk.runs.len())
+            .sum::<usize>();
+        self.blocks.drain(..whole);
+        if let Some(head) = self.blocks.first_mut() {
+            let past = head.runs.partition_point(|r| r.end <= now);
+            if past > 0 {
+                head.runs.drain(..past);
+                self.len -= past;
+                // The largest gap may have been among those dropped.
+                self.refresh(0);
+            }
+        }
+    }
+
+    /// Position `(block, index)` of the first run ending after `t`;
+    /// `(self.blocks.len(), 0)` when there is none.
+    fn seek(&self, t: u64) -> (usize, usize) {
+        let ended = |blk: &Block| {
+            self.probe(1);
+            blk.last().end <= t
+        };
+        // Most reservations are asked for at or near the tail of the
+        // queue, so start there: every block from `hi` on ends after `t`;
+        // gallop `hi` back until the block stepped to has ended by `t`,
+        // then bisect the stretch stepped over.
+        let mut hi = self.blocks.len();
+        let mut step = 1;
+        let lo = loop {
+            if hi == 0 {
+                break 0;
+            }
+            let k = hi.saturating_sub(step);
+            if ended(&self.blocks[k]) {
+                break k + 1;
+            }
+            hi = k;
+            step *= 2;
+        };
+        let b = lo + self.blocks[lo..hi].partition_point(ended);
+        let i = self.blocks.get(b).map_or(0, |blk| {
+            blk.runs.partition_point(|r| {
+                self.probe(1);
+                r.end <= t
+            })
+        });
+        (b, i)
+    }
+
+    /// Free time between the last run of block `b` and the next block.
+    fn tail_gap(&self, b: usize) -> u64 {
+        self.blocks.get(b + 1).map_or(u64::MAX, |next| {
+            next.runs[0].start - self.blocks[b].last().end
+        })
+    }
+
+    /// Recompute block `b`'s cached gap. Due whenever a gap owned by the
+    /// block may have changed: one of its runs moved an end, it gained or
+    /// lost a run, or the following block got a new first run.
+    fn refresh(&mut self, b: usize) {
+        let tail = self.tail_gap(b);
+        let blk = &mut self.blocks[b];
+        let inner = blk.runs.windows(2).map(|w| w[1].start - w[0].end).max();
+        blk.max_gap = inner.map_or(tail, |g| g.max(tail));
+    }
+
+    /// Make the free interval `[start, end)` busy, given the position
+    /// `(b, i)` of the first run ending after `start` (which therefore
+    /// starts at or after `end`). Touching neighbours are merged.
+    fn place(&mut self, b: usize, i: usize, start: u64, end: u64) {
+        let next = self.blocks.get(b).map(|blk| blk.runs[i]);
+        debug_assert!(
+            next.is_none_or(|n| end <= n.start),
+            "calendar interval [{start}, {end}) overlaps busy run {next:?}"
+        );
+        let prev = if i > 0 {
+            Some((b, i - 1))
+        } else {
+            b.checked_sub(1).map(|p| (p, self.blocks[p].runs.len() - 1))
+        };
+        let joins_prev = prev.filter(|&(pb, pi)| self.blocks[pb].runs[pi].end == start);
+        let joins_next = next.filter(|n| n.start == end);
+        match (joins_prev, joins_next) {
+            (Some((pb, pi)), Some(n)) => {
+                // Bridges the two: the earlier run swallows the later.
+                self.blocks[pb].runs[pi].end = n.end;
+                self.blocks[b].runs.remove(i);
+                self.len -= 1;
+                if pb != b {
+                    if self.blocks[b].runs.is_empty() {
+                        self.blocks.remove(b);
+                    } else {
+                        self.refresh(b);
+                    }
+                }
+                self.refresh(pb);
+            }
+            (Some((pb, pi)), None) => {
+                let run = &mut self.blocks[pb].runs[pi];
+                let old_gap = next.map_or(u64::MAX, |n| n.start - run.end);
+                run.end = end;
+                // Only a shrinking *largest* gap can lower the summary.
+                if old_gap != u64::MAX && old_gap == self.blocks[pb].max_gap {
+                    self.refresh(pb);
+                }
+            }
+            (None, Some(_)) => {
+                self.blocks[b].runs[i].start = start;
+                // The gap that shrank is owned by the run before it.
+                if let Some((pb, _)) = prev {
+                    self.refresh(pb);
+                }
+            }
+            (None, None) => self.insert_run(b, i, Run { start, end }),
+        }
+    }
+
+    /// Insert a run that touches neither neighbour at position `(b, i)`.
+    fn insert_run(&mut self, b: usize, i: usize, run: Run) {
+        self.len += 1;
+        if b == self.blocks.len() {
+            // Later than every run. A full last block is left as it is and
+            // a new one started: FIFO growth leaves full blocks, not halves.
+            match self.blocks.last_mut() {
+                Some(last) if last.runs.len() < BLOCK_CAP => last.runs.push(run),
+                _ => self.blocks.push(Block::holding(&[run])),
+            }
+            // The run that was last now has a bounded gap behind it.
+            if let Some(p) = b.checked_sub(1) {
+                self.refresh(p);
+            }
+            return;
+        }
+        let half = BLOCK_CAP / 2;
+        let split = self.blocks[b].runs.len() == BLOCK_CAP;
+        if split {
+            let upper = Block::holding(&self.blocks[b].runs[half..]);
+            self.blocks[b].runs.truncate(half);
+            self.blocks.insert(b + 1, upper);
+        }
+        if split && i > half {
+            self.blocks[b + 1].runs.insert(i - half, run);
+        } else {
+            self.blocks[b].runs.insert(i, run);
+        }
+        // A new first run changes the previous block's tail gap.
+        let lo = if i == 0 { b.saturating_sub(1) } else { b };
+        for k in lo..=b + usize::from(split) {
+            self.refresh(k);
+        }
+    }
+
+    #[inline]
+    fn probe(&self, _entries: usize) {
+        #[cfg(test)]
+        self.probes.set(self.probes.get() + _entries as u64);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::pipe::vreserve;
+    use std::collections::BTreeMap;
+
+    /// The ordered-map calendar this module replaced, kept as the
+    /// reference model: the three functions as they stood in `pipe.rs`
+    /// (one map entry per run, a linear walk over them), `first_fit`
+    /// also counting the entries it walks.
+    mod reference {
+        use std::collections::BTreeMap;
+
+        pub fn prune_past(iv: &mut BTreeMap<u64, u64>, now_ns: u64) {
+            match iv.iter().find(|&(_, &en)| en > now_ns).map(|(&st, _)| st) {
+                Some(first_live) => {
+                    if iv.first_key_value().is_some_and(|(&st, _)| st < first_live) {
+                        *iv = iv.split_off(&first_live);
+                    }
+                }
+                None => iv.clear(),
+            }
+        }
+
+        /// Returns the start and the number of entries walked to find it.
+        pub fn first_fit(iv: &BTreeMap<u64, u64>, earliest_ns: u64, dur: u64) -> (u64, u64) {
+            let mut t = earliest_ns;
+            let mut walked = 0;
+            let scan_from = iv
+                .range(..=t)
+                .next_back()
+                .map_or(0, |(&st, &en)| if en > t { st } else { st + 1 });
+            for (&st, &en) in iv.range(scan_from..) {
+                walked += 1;
+                if en <= t {
+                    continue;
+                }
+                if t + dur <= st {
+                    break;
+                }
+                t = t.max(en);
+            }
+            (t, walked)
+        }
+
+        pub fn insert_merged(iv: &mut BTreeMap<u64, u64>, st: u64, en: u64) {
+            let mut merged_st = st;
+            let mut merged_en = en;
+            if let Some((&pst, &pen)) = iv.range(..=merged_st).next_back() {
+                if pen == merged_st {
+                    iv.remove(&pst);
+                    merged_st = pst;
+                }
+            }
+            if let Some((&sst, &sen)) = iv.range(merged_en..).next() {
+                if sst == merged_en {
+                    iv.remove(&sst);
+                    merged_en = sen;
+                }
+            }
+            iv.insert(merged_st, merged_en);
+        }
+    }
+
+    /// splitmix64: seeded, dependency-free.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        /// Uniform in `0..n`.
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+    }
+
+    impl Calendar {
+        fn flat(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+            self.blocks
+                .iter()
+                .flat_map(|blk| blk.runs.iter().map(|r| (r.start, r.end)))
+        }
+
+        /// Every structural invariant, each cached gap recomputed from
+        /// scratch, and run-for-run equality with `model`.
+        fn assert_matches(&self, model: &BTreeMap<u64, u64>) {
+            assert_eq!(self.len(), model.len());
+            assert_eq!(self.last_end(), model.last_key_value().map(|(_, &en)| en));
+            let mut expected = model.iter();
+            let mut prev_end = None;
+            for (b, blk) in self.blocks.iter().enumerate() {
+                assert!(!blk.runs.is_empty(), "block {b} is empty");
+                assert!(blk.runs.len() <= BLOCK_CAP, "block {b} is overfull");
+                assert_eq!(blk.runs.capacity(), BLOCK_CAP, "block {b} regrew");
+                let next_first = self.blocks.get(b + 1).map(|n| n.runs[0]);
+                let mut max_gap = 0;
+                for (j, &r) in blk.runs.iter().enumerate() {
+                    assert_eq!(expected.next(), Some((&r.start, &r.end)));
+                    assert!(r.start < r.end, "empty run {r:?}");
+                    assert!(
+                        prev_end.is_none_or(|e| e < r.start),
+                        "{r:?} overlaps or touches the run ending at {prev_end:?}"
+                    );
+                    prev_end = Some(r.end);
+                    let next = blk.runs.get(j + 1).copied().or(next_first);
+                    max_gap = max_gap.max(next.map_or(u64::MAX, |n| n.start - r.end));
+                }
+                assert_eq!(blk.max_gap, max_gap, "stale gap summary on block {b}");
+            }
+            assert_eq!(expected.next(), None);
+        }
+
+        /// [`Self::assert_matches`] without a model: structure only.
+        fn check(&self) {
+            self.assert_matches(&self.flat().collect());
+        }
+    }
+
+    enum Op {
+        Reserve { now: u64, earliest: u64, dur: u64 },
+        Insert { start: u64, end: u64 },
+    }
+
+    /// One segment's service time in the generated streams, ns.
+    const SEG: u64 = 1_200;
+
+    /// Seeded operation stream shaped like a shared NIC stage: reservations
+    /// of 1 ns to many segments, asked for anywhere from `now` to far past
+    /// the tail, plus `insert`s of intervals that are free in `model` —
+    /// loose, touching the run before, or filling a gap exactly. `now`
+    /// creeps forward while the calendar is shorter than `target` runs and
+    /// jumps up to half-way to the tail once it is longer, so the length
+    /// hovers around `target` and prunes take whole blocks plus part of
+    /// one. `target == None` pins `now` at zero and emits no `insert`: the
+    /// prune-free stream `vreserve` can follow.
+    fn next_op(
+        rng: &mut Rng,
+        now: &mut u64,
+        target: Option<usize>,
+        model: &BTreeMap<u64, u64>,
+    ) -> Op {
+        let tail = model.last_key_value().map_or(*now, |(_, &en)| en.max(*now));
+        if let Some(target) = target {
+            if rng.below(4) == 0 {
+                *now += if model.len() > target {
+                    rng.below((tail - *now) / 2 + 1)
+                } else {
+                    rng.below(SEG)
+                };
+            }
+        }
+        let earliest = match rng.below(8) {
+            0 | 1 => *now,
+            2 => *now + rng.below(SEG),
+            3..=5 => *now + rng.below(tail - *now + 1),
+            6 => tail + rng.below(4),
+            _ => tail + rng.below(4 * SEG),
+        };
+        let dur = match rng.below(8) {
+            0 => 1,
+            1 | 2 => 1 + rng.below(SEG),
+            3..=5 => SEG,
+            6 => 8 * SEG,
+            _ => 1 + rng.below(24 * SEG),
+        };
+        if target.is_none() || rng.below(8) != 0 {
+            return Op::Reserve {
+                now: *now,
+                earliest,
+                dur,
+            };
+        }
+        // A free slot, as first-fit finds it: it starts at `earliest` or
+        // touching the run before it. Sometimes stretch it to the next run.
+        let (start, _) = reference::first_fit(model, earliest, dur);
+        let end = match model.range(start..).next() {
+            Some((&next_start, _)) if rng.below(3) == 0 => next_start,
+            _ => start + dur,
+        };
+        Op::Insert { start, end }
+    }
+
+    #[test]
+    fn matches_the_ordered_map_reference_on_random_streams() {
+        let mut ops = 0u64;
+        let mut peak = 0;
+        let mut blocks_pruned = 0;
+        for (seed, target) in [
+            (1, 40),
+            (2, 300),
+            (3, 300),
+            (4, 1_000),
+            (5, 1_000),
+            (6, 2_000),
+        ] {
+            let mut rng = Rng(seed);
+            let mut cal = Calendar::default();
+            let mut model = BTreeMap::new();
+            let mut now = 0;
+            for _ in 0..34_000 {
+                match next_op(&mut rng, &mut now, Some(target), &model) {
+                    Op::Reserve { now, earliest, dur } => {
+                        let blocks_before = cal.blocks.len();
+                        let got = cal.book(now, earliest, dur);
+                        blocks_pruned += blocks_before.saturating_sub(cal.blocks.len());
+                        reference::prune_past(&mut model, now);
+                        let (want, _) = reference::first_fit(&model, earliest, dur);
+                        reference::insert_merged(&mut model, want, want + dur);
+                        assert_eq!(got, want, "seed {seed}: book({now}, {earliest}, {dur})");
+                    }
+                    Op::Insert { start, end } => {
+                        cal.insert(start, end);
+                        reference::insert_merged(&mut model, start, end);
+                    }
+                }
+                cal.assert_matches(&model);
+                peak = peak.max(cal.len());
+                ops += 1;
+            }
+        }
+        assert!(ops >= 200_000);
+        // The streams must reach the multi-block machinery, not just pass
+        // on calendars of a handful of runs.
+        assert!(peak > 12 * BLOCK_CAP, "peak calendar length only {peak}");
+        assert!(blocks_pruned > 300, "only {blocks_pruned} blocks pruned");
+    }
+
+    #[test]
+    fn vreserve_matches_the_reference_without_pruning() {
+        for seed in [11, 12, 13] {
+            let mut rng = Rng(seed);
+            let mut cal = Calendar::default();
+            let mut vcal: Vec<(u64, u64)> = Vec::new();
+            let mut model = BTreeMap::new();
+            let mut now = 0;
+            for step in 0..20_000 {
+                let Op::Reserve { now, earliest, dur } = next_op(&mut rng, &mut now, None, &model)
+                else {
+                    unreachable!("the prune-free stream has no inserts");
+                };
+                let (want, _) = reference::first_fit(&model, earliest, dur);
+                reference::insert_merged(&mut model, want, want + dur);
+                assert_eq!(vreserve(&mut vcal, earliest, dur), (want, want + dur));
+                assert_eq!(cal.book(now, earliest, dur), want);
+                assert_eq!(vcal.len(), model.len());
+                if step % 500 == 0 {
+                    assert!(vcal.iter().copied().eq(cal.flat()));
+                    cal.assert_matches(&model);
+                }
+            }
+            cal.check();
+            cal.assert_matches(&model);
+            assert!(vcal.iter().copied().eq(cal.flat()));
+        }
+    }
+
+    /// `n` runs of 9 ns separated by 1 ns slivers, the first starting at
+    /// 100 — the shape two interleaved segment streams leave behind.
+    fn slivered(n: u64) -> (Calendar, BTreeMap<u64, u64>) {
+        let mut cal = Calendar::default();
+        let mut model = BTreeMap::new();
+        for k in 0..n {
+            cal.insert(100 + 10 * k, 109 + 10 * k);
+            model.insert(100 + 10 * k, 109 + 10 * k);
+        }
+        (cal, model)
+    }
+
+    #[test]
+    fn a_reservation_that_fits_only_at_the_tail_skips_saturated_blocks() {
+        for (n, budget) in [(16_384, 1_024), (65_536, 2_560)] {
+            let (mut cal, model) = slivered(n);
+            cal.check();
+            let (want, walked) = reference::first_fit(&model, 99, 2);
+            assert_eq!(want, 99 + 10 * n);
+            assert_eq!(walked, n, "the reference steps over every run");
+            cal.probes.set(0);
+            assert_eq!(cal.book(0, 99, 2), want);
+            let probes = cal.probes.get();
+            assert!(probes <= budget, "{probes} entries examined for {n} runs");
+            assert_eq!(cal.len() as u64, n, "merged into the last run");
+            cal.check();
+        }
+    }
+
+    #[test]
+    fn empty_calendar_takes_the_reservation_where_asked() {
+        let mut cal = Calendar::default();
+        assert_eq!((cal.len(), cal.last_end()), (0, None));
+        assert_eq!(cal.book(50, 70, 5), 70);
+        assert_eq!((cal.len(), cal.last_end()), (1, Some(75)));
+        cal.check();
+    }
+
+    #[test]
+    fn earliest_inside_at_the_end_of_and_beyond_a_run() {
+        let mut cal = Calendar::default();
+        cal.insert(100, 200);
+        cal.insert(300, 400);
+        // Inside a run: waits for it, and the 100 ns gap behind it fits.
+        assert_eq!(cal.book(0, 150, 40), 200);
+        assert_eq!(cal.flat().collect::<Vec<_>>(), [(100, 240), (300, 400)]);
+        // Inside a run whose gap is now too short: on to the next gap.
+        assert_eq!(cal.book(0, 150, 61), 400);
+        assert_eq!(cal.flat().collect::<Vec<_>>(), [(100, 240), (300, 461)]);
+        // Exactly at a run's end: starts there and merges.
+        assert_eq!(cal.book(0, 240, 10), 240);
+        assert_eq!(cal.flat().collect::<Vec<_>>(), [(100, 250), (300, 461)]);
+        // Fills the gap exactly: bridges both neighbours.
+        assert_eq!(cal.book(0, 0, 50), 0);
+        assert_eq!(cal.book(0, 250, 50), 250);
+        assert_eq!(cal.flat().collect::<Vec<_>>(), [(0, 50), (100, 461)]);
+        // Beyond the last end: a new run where asked.
+        assert_eq!(cal.book(0, 500, 7), 500);
+        assert_eq!((cal.len(), cal.last_end()), (3, Some(507)));
+        cal.check();
+    }
+
+    #[test]
+    fn a_full_block_splits_for_a_run_inside_it_and_is_left_whole_by_one_behind_it() {
+        // 10 ns runs 30 ns apart: room for a loose 1 ns run in every gap.
+        let mut cal = Calendar::default();
+        for k in 0..BLOCK_CAP as u64 {
+            cal.insert(100 + 40 * k, 110 + 40 * k);
+        }
+        assert_eq!((cal.blocks.len(), cal.len()), (1, BLOCK_CAP));
+        // Behind the last run: the full block stays, a new one starts.
+        cal.insert(100 + 40 * BLOCK_CAP as u64, 110 + 40 * BLOCK_CAP as u64);
+        assert_eq!(cal.blocks[0].runs.len(), BLOCK_CAP);
+        assert_eq!(cal.blocks[1].runs.len(), 1);
+        assert_eq!(cal.blocks[0].max_gap, 30);
+        cal.check();
+        // Inside the full block, once in each half.
+        cal.insert(120, 121);
+        assert_eq!(cal.blocks.len(), 3);
+        cal.insert(
+            120 + 40 * (BLOCK_CAP as u64 - 2),
+            121 + 40 * (BLOCK_CAP as u64 - 2),
+        );
+        let sizes: Vec<usize> = cal.blocks.iter().map(|blk| blk.runs.len()).collect();
+        assert_eq!(sizes, [BLOCK_CAP / 2 + 1, BLOCK_CAP / 2 + 1, 1]);
+        assert_eq!(cal.len(), BLOCK_CAP + 3);
+        cal.check();
+        // In front of a block's first run: the block before owns that gap.
+        let first = cal.blocks[1].runs[0].start;
+        cal.insert(first - 3, first - 2);
+        assert_eq!(cal.blocks[1].runs[0].start, first - 3);
+        cal.check();
+    }
+
+    #[test]
+    fn bridging_across_a_block_boundary_merges_and_can_empty_a_block() {
+        let (mut cal, mut model) = slivered(BLOCK_CAP as u64 + 3);
+        assert_eq!(cal.blocks.len(), 2);
+        // Fill the sliver between the last run of block 0 and the first of
+        // block 1, over and over: block 0's last run swallows block 1 one
+        // run at a time until the block is gone.
+        while cal.blocks.len() == 2 {
+            let sliver = cal.blocks[0].last().end;
+            assert_eq!(cal.blocks[1].runs[0].start, sliver + 1);
+            cal.insert(sliver, sliver + 1);
+            reference::insert_merged(&mut model, sliver, sliver + 1);
+            cal.check();
+            cal.assert_matches(&model);
+        }
+        assert_eq!(cal.len(), BLOCK_CAP);
+        assert_eq!(cal.blocks[0].max_gap, u64::MAX, "block 0 is the last again");
+    }
+
+    #[test]
+    fn pruning_whole_blocks_and_part_of_one_keeps_the_summaries_exact() {
+        // Full blocks of 1 ns slivers, except for one wide gap early in the
+        // third block.
+        let mut cal = Calendar::default();
+        let mut model = BTreeMap::new();
+        let mut t = 100;
+        for k in 0..(5 * BLOCK_CAP + 10) {
+            cal.insert(t, t + 9);
+            model.insert(t, t + 9);
+            t += if k == 2 * BLOCK_CAP + 2 { 509 } else { 10 };
+        }
+        assert_eq!(cal.blocks.len(), 6);
+        assert_eq!(cal.blocks[2].max_gap, 500);
+        // `now` lands past the wide gap: two blocks and the head of the
+        // third go, and the third's summary must fall back to a sliver.
+        let now = cal.blocks[2].runs[10].start;
+        reference::prune_past(&mut model, now);
+        let (want, _) = reference::first_fit(&model, now, 300);
+        reference::insert_merged(&mut model, want, want + 300);
+        assert_eq!(cal.book(now, now, 300), want);
+        assert_eq!(cal.blocks.len(), 4);
+        assert_eq!(cal.blocks[0].max_gap, 1);
+        cal.check();
+        cal.assert_matches(&model);
+    }
+}

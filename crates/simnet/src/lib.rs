@@ -38,6 +38,7 @@
 
 #![forbid(unsafe_code)]
 
+mod calendar;
 pub mod executor;
 pub mod fault;
 pub mod memo;

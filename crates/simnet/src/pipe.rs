@@ -19,6 +19,7 @@ use std::pin::Pin;
 use std::rc::{Rc, Weak};
 use std::task::{Context, Poll, Waker};
 
+use crate::calendar::Calendar;
 use crate::executor::Sim;
 use crate::memo::{MemoKey, MEMO_CAPACITY};
 use crate::time::{SimDuration, SimTime};
@@ -28,10 +29,9 @@ use crate::units::{ByteRate, Bytes};
 struct PipeState {
     rate: ByteRate,
     per_transfer_overhead: SimDuration,
-    /// Reserved busy intervals, keyed by start time (ns → end ns). Kept
-    /// sparse: intervals entirely in the past are pruned on every reserve,
-    /// and exactly-abutting intervals are merged on insert.
-    intervals: RefCell<BTreeMap<u64, u64>>,
+    /// Reserved busy time. Kept sparse: runs entirely in the past are
+    /// pruned on every reserve, and exactly-abutting reservations merge.
+    calendar: RefCell<Calendar>,
     busy: Cell<SimDuration>,
     transfers: Cell<u64>,
     bytes: Cell<u64>,
@@ -49,66 +49,6 @@ pub struct Pipe {
     state: Rc<PipeState>,
 }
 
-/// Drop calendar entries that end at or before `now_ns`. Intervals are
-/// disjoint, so starts and ends are both sorted: the past entries form a
-/// prefix, removable in one `split_off` instead of per-entry deletes.
-fn prune_past(iv: &mut BTreeMap<u64, u64>, now_ns: u64) {
-    match iv.iter().find(|&(_, &en)| en > now_ns).map(|(&st, _)| st) {
-        Some(first_live) => {
-            if iv.first_key_value().is_some_and(|(&st, _)| st < first_live) {
-                *iv = iv.split_off(&first_live);
-            }
-        }
-        None => iv.clear(),
-    }
-}
-
-/// First-fit scan: earliest `t >= earliest_ns` such that `[t, t+dur)` does
-/// not overlap any calendar interval. `dur` must be nonzero.
-fn first_fit(iv: &BTreeMap<u64, u64>, earliest_ns: u64, dur: u64) -> u64 {
-    let mut t = earliest_ns;
-    // Every interval ending at or before `t` is a no-op for first-fit.
-    // Seek past that prefix in O(log n); the only candidate straddling `t`
-    // is the last interval starting at or before it.
-    let scan_from = iv
-        .range(..=t)
-        .next_back()
-        .map_or(0, |(&st, &en)| if en > t { st } else { st + 1 });
-    for (&st, &en) in iv.range(scan_from..) {
-        if en <= t {
-            continue;
-        }
-        if t + dur <= st {
-            break;
-        }
-        t = t.max(en);
-    }
-    t
-}
-
-/// Insert `[st, en)` into the calendar, merging with exactly-touching
-/// neighbours. The union of busy time is unchanged (so placement stays
-/// identical), but FIFO queue-behind chains collapse to a single entry
-/// instead of growing the calendar — and the first-fit scan skips a whole
-/// chain in one step.
-fn insert_merged(iv: &mut BTreeMap<u64, u64>, st: u64, en: u64) {
-    let mut merged_st = st;
-    let mut merged_en = en;
-    if let Some((&pst, &pen)) = iv.range(..=merged_st).next_back() {
-        if pen == merged_st {
-            iv.remove(&pst);
-            merged_st = pst;
-        }
-    }
-    if let Some((&sst, &sen)) = iv.range(merged_en..).next() {
-        if sst == merged_en {
-            iv.remove(&sst);
-            merged_en = sen;
-        }
-    }
-    iv.insert(merged_st, merged_en);
-}
-
 impl Pipe {
     /// Create a pipe with the given bandwidth and a fixed per-transfer
     /// overhead charged before the serialization time.
@@ -119,7 +59,7 @@ impl Pipe {
             state: Rc::new(PipeState {
                 rate,
                 per_transfer_overhead,
-                intervals: RefCell::new(BTreeMap::new()),
+                calendar: RefCell::new(Calendar::default()),
                 busy: Cell::new(SimDuration::ZERO),
                 transfers: Cell::new(0),
                 bytes: Cell::new(0),
@@ -233,12 +173,10 @@ impl Pipe {
         // but only after the registration below has been cleared.)
         self.demote_speculation();
         let now_ns = self.sim.now().as_nanos();
-        let mut iv = self.state.intervals.borrow_mut();
-        prune_past(&mut iv, now_ns);
+        let mut cal = self.state.calendar.borrow_mut();
         let dur = service.as_nanos().max(1);
-        let t = first_fit(&iv, earliest.as_nanos(), dur);
-        insert_merged(&mut iv, t, t + dur);
-        self.sim.note_calendar_len(iv.len() as u64);
+        let t = cal.book(now_ns, earliest.as_nanos(), dur);
+        self.sim.note_calendar_len(cal.len() as u64);
         self.state.busy.set(self.state.busy.get() + service);
         (SimTime::from_nanos(t), SimTime::from_nanos(t + dur))
     }
@@ -258,10 +196,10 @@ impl Pipe {
     pub fn busy_until(&self) -> SimTime {
         self.sync_speculation_reads();
         self.state
-            .intervals
+            .calendar
             .borrow()
-            .last_key_value()
-            .map_or(SimTime::ZERO, |(_, &en)| SimTime::from_nanos(en))
+            .last_end()
+            .map_or(SimTime::ZERO, SimTime::from_nanos)
             .max(self.sim.now())
     }
 
@@ -564,10 +502,10 @@ impl Pipeline {
         let now = self.sim.now();
         let nsegs = bytes.div_ceil(self.segment).max(1);
         let mut exit = now;
-        // `ready[s]` = when segment j is available to enter stage s.
-        // We walk segment by segment, carrying each segment through every
-        // stage; pipes' `next_free` bookkeeping provides both self-pipelining
-        // and cross-connection contention.
+        // Walk segment by segment, carrying each segment through every
+        // stage. Each pipe's calendar places a segment behind whatever
+        // already holds the stage — this message's earlier segments
+        // (self-pipelining) or another connection's (contention).
         for j in 0..nsegs {
             let seg_payload = if j == nsegs - 1 {
                 bytes - self.segment * (nsegs - 1)
@@ -708,8 +646,8 @@ impl Pipeline {
             }
             // Idle over the whole horizon: any live reservation could
             // overlap ours, so require the calendar to be entirely past.
-            let iv = st.pipe.state.intervals.borrow();
-            if iv.last_key_value().is_some_and(|(_, &en)| en > now_ns) {
+            let last_end = st.pipe.state.calendar.borrow().last_end();
+            if last_end.is_some_and(|en| en > now_ns) {
                 return None;
             }
         }
@@ -955,10 +893,11 @@ fn compute_plan(stages: &[Stage], metas: &[ChunkMeta], now: SimTime) -> Option<P
 }
 
 /// First-fit reserve on a sorted, disjoint virtual calendar, with the same
-/// touching-neighbour merge as the real one. Semantics mirror
-/// [`first_fit`] + [`insert_merged`] exactly, so virtual placement equals
-/// real placement.
-fn vreserve(cal: &mut Vec<(u64, u64)>, earliest: u64, dur: u64) -> (u64, u64) {
+/// touching-neighbour merge as the real one. Placement mirrors
+/// [`Calendar::book`] exactly, minus the pruning (a plan starts on idle
+/// calendars, so there is nothing to prune); the calendar's differential
+/// test holds the two together.
+pub(crate) fn vreserve(cal: &mut Vec<(u64, u64)>, earliest: u64, dur: u64) -> (u64, u64) {
     let mut t = earliest;
     let mut i = cal.partition_point(|&(_, en)| en <= t);
     while i < cal.len() {
@@ -1104,10 +1043,10 @@ impl Speculation {
         }
         let pipe = &self.stages[s].pipe;
         {
-            let mut iv = pipe.state.intervals.borrow_mut();
+            let mut cal = pipe.state.calendar.borrow_mut();
             for k in done..c {
                 let op = self.op(k, s);
-                insert_merged(&mut iv, op.start, op.end);
+                cal.insert(op.start, op.end);
             }
         }
         for meta in &self.metas[done..c] {

@@ -73,9 +73,11 @@
 //! type system cannot see: shared mutable state smuggled around the merge
 //! through `Arc<Mutex<_>>` and friends.
 
+use std::any::Any;
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
 use std::future::Future;
+use std::panic::AssertUnwindSafe;
 use std::pin::Pin;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -561,7 +563,18 @@ impl<M: Send + 'static, R: Send + 'static> ShardedSim<M, R> {
                 let handle = std::thread::Builder::new()
                     .name(format!("simnet-shard-w{w}"))
                     .spawn_scoped(scope, move || {
-                        worker_main(owned, &links, salt, &cmd_rx, &up);
+                        // Every worker holds a sender of the one upward
+                        // channel, so a dying worker never disconnects it:
+                        // it has to say so itself, or the coordinator
+                        // waits for its report for ever. Nothing of the
+                        // worker's state is looked at after a panic.
+                        let body = AssertUnwindSafe(|| {
+                            worker_main(owned, &links, salt, &cmd_rx, &up);
+                        });
+                        if let Err(payload) = std::panic::catch_unwind(body) {
+                            // The coordinator may itself be gone by now.
+                            let _ = up.send(Up::Panicked(payload));
+                        }
                     })
                     .expect("spawn shard worker");
                 handles.push(handle);
@@ -580,24 +593,29 @@ impl<M: Send + 'static, R: Send + 'static> ShardedSim<M, R> {
             };
             let result = coordinator.run();
             // Disconnect the command channels so every worker exits its
-            // loop, then join explicitly: a worker panic is re-raised here
-            // with its original payload (the scope's auto-join would
-            // replace it with a generic message). On coordinator *panic*
-            // (deadlock diagnostic) the unwind drops `cmd_txs` too, the
-            // workers exit cleanly, and the original panic propagates.
+            // loop, and join them all before a worker's panic — which it
+            // caught and sent up as `Up::Panicked` — is re-raised here
+            // with its original payload. On coordinator *panic* (deadlock
+            // diagnostic) the unwind drops `cmd_txs` too, the workers exit
+            // cleanly, and the original panic propagates.
             drop(cmd_txs);
-            let mut worker_panic = None;
             for h in handles {
-                if let Err(payload) = h.join() {
-                    worker_panic.get_or_insert(payload);
-                }
+                h.join().expect("shard workers catch their own panics");
             }
-            if let Some(payload) = worker_panic {
-                std::panic::resume_unwind(payload);
-            }
-            match result {
-                Ok(out) => out,
-                Err(Aborted) => {
+            let payload = match result {
+                Ok(out) => return out,
+                // A command to a dead worker can fail before the
+                // coordinator has read what the worker died of.
+                Err(Aborted(payload)) => payload.or_else(|| {
+                    up_rx.try_iter().find_map(|up| match up {
+                        Up::Panicked(payload) => Some(payload),
+                        _ => None,
+                    })
+                }),
+            };
+            match payload {
+                Some(payload) => std::panic::resume_unwind(payload),
+                None => {
                     panic!("sharded run aborted: a worker thread disconnected without panicking")
                 }
             }
@@ -626,6 +644,8 @@ enum Command<M> {
 enum Up<M, R> {
     Round(RoundReport<M>),
     Final(Vec<ShardFinal<R>>),
+    /// The sending worker panicked; this is what it panicked with.
+    Panicked(Box<dyn Any + Send>),
 }
 
 struct RoundReport<M> {
@@ -735,9 +755,9 @@ fn worker_main<M: Send + 'static, R: Send + 'static>(
     }
 }
 
-/// A worker hung up mid-protocol: it panicked (the payload is re-raised
-/// after joining) or otherwise died.
-struct Aborted;
+/// A worker left mid-protocol: it panicked (with this payload, re-raised
+/// once every worker is joined) or otherwise hung up.
+struct Aborted(Option<Box<dyn Any + Send>>);
 
 struct Coordinator<'a, M, R> {
     shard_count: usize,
@@ -757,6 +777,15 @@ fn horizon_after(t: SimTime, l: SimDuration) -> SimTime {
 }
 
 impl<M: Send + 'static, R: Send + 'static> Coordinator<'_, M, R> {
+    /// Next upward message from any worker.
+    fn recv(&self) -> Result<Up<M, R>, Aborted> {
+        match self.up_rx.recv() {
+            Ok(Up::Panicked(payload)) => Err(Aborted(Some(payload))),
+            Err(mpsc::RecvError) => Err(Aborted(None)),
+            Ok(up) => Ok(up),
+        }
+    }
+
     fn run(self) -> Result<ShardOutcome<R>, Aborted> {
         let mut next: Vec<Option<SimTime>> = vec![Some(SimTime::ZERO); self.shard_count];
         let mut pending: Vec<CrossEvent<M>> = Vec::new();
@@ -878,40 +907,34 @@ impl<M: Send + 'static, R: Send + 'static> Coordinator<'_, M, R> {
                 }
                 awaiting += 1;
                 if tx.send(Command::Round { bounds, deliveries }).is_err() {
-                    return Err(Aborted);
+                    return Err(Aborted(None));
                 }
             }
             for _ in 0..awaiting {
-                match self.up_rx.recv() {
-                    Ok(Up::Round(report)) => {
-                        for (shard, at) in report.next {
-                            next[shard] = at;
-                        }
-                        pending.extend(report.outgoing);
-                    }
-                    Ok(Up::Final(_)) => unreachable!("worker sent Final before Finish"),
-                    Err(mpsc::RecvError) => return Err(Aborted),
+                let Up::Round(report) = self.recv()? else {
+                    unreachable!("worker sent Final before Finish");
+                };
+                for (shard, at) in report.next {
+                    next[shard] = at;
                 }
+                pending.extend(report.outgoing);
             }
         }
 
         // Every calendar quiescent, nothing in flight: harvest.
         for tx in self.cmd_txs {
             if tx.send(Command::Finish).is_err() {
-                return Err(Aborted);
+                return Err(Aborted(None));
             }
         }
         let mut finals: Vec<Option<ShardFinal<R>>> = (0..self.shard_count).map(|_| None).collect();
         for _ in 0..self.workers {
-            match self.up_rx.recv() {
-                Ok(Up::Final(batch)) => {
-                    for f in batch {
-                        let id = f.id;
-                        finals[id] = Some(f);
-                    }
-                }
-                Ok(Up::Round(_)) => unreachable!("worker sent Round after Finish"),
-                Err(mpsc::RecvError) => return Err(Aborted),
+            let Up::Final(batch) = self.recv()? else {
+                unreachable!("worker sent Round after Finish");
+            };
+            for f in batch {
+                let id = f.id;
+                finals[id] = Some(f);
             }
         }
 
@@ -1143,6 +1166,31 @@ mod tests {
         let mut ss: ShardedSim<(), ()> = ShardedSim::new();
         ss.add_shard(|ctx| async move { ctx.send(1, ()) });
         ss.add_shard(|_| async {});
+        ss.run();
+    }
+
+    /// The same with the panicking shard on a worker of its own: the other
+    /// worker stays alive and keeps the upward channel connected, so the
+    /// run must hear of the death some other way — whatever `nproc` is.
+    #[test]
+    #[should_panic(expected = "without a declared link")]
+    fn worker_panic_reaches_the_caller_past_a_live_second_worker() {
+        let mut ss: ShardedSim<(), ()> = ShardedSim::new();
+        ss.add_shard(|ctx| async move { ctx.send(1, ()) });
+        ss.add_shard(|_| async {});
+        ss.threads(2);
+        ss.run();
+    }
+
+    /// A shard whose *setup* panics dies before its worker serves a single
+    /// command, so the coordinator's first send to it may fail outright.
+    #[test]
+    #[should_panic(expected = "setup exploded")]
+    fn setup_panic_reaches_the_caller() {
+        let mut ss: ShardedSim<(), ()> = ShardedSim::new();
+        ss.add_shard(|_| -> std::future::Ready<()> { panic!("setup exploded") });
+        ss.add_shard(|_| async {});
+        ss.threads(2);
         ss.run();
     }
 
