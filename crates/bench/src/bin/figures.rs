@@ -23,11 +23,20 @@
 //!   counters) instead of generating figures.
 //! * `--no-memo`     — force-disable the whole-transfer memo
 //!   (`simnet::memo`) in every simulation this process creates. Output
-//!   must be byte-identical to a memoized run; ci.sh diffs the two.
+//!   must be byte-identical to a memoized run; ci.sh pins both against
+//!   the committed `results/`.
+//!
+//! Wall-clock per figure group goes to stderr; stdout carries only the
+//! deterministic tables.
 
 #![forbid(unsafe_code)]
 
-use std::io::Write;
+/// Exit 2 with one line on stderr. Every usage error (flag, selector,
+/// `--json` target) is raised before any figure runs.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(2);
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -40,31 +49,28 @@ fn main() {
     let mut it = args.into_iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--json" => json_dir = it.next(),
+            "--json" => match it.next() {
+                Some(dir) => json_dir = Some(dir),
+                None => usage_error("--json requires a directory"),
+            },
             "--charts" => charts = true,
             "--serial" => serial = true,
-            // Accepted for compatibility: parallel is the default now.
-            "--parallel" => serial = false,
             "--selftest" => selftest = true,
             // The memo is an optimization, never a semantic switch: forcing
-            // it off must reproduce the exact bytes (the ci.sh identity
-            // gate runs figures both ways and compares sha256).
+            // it off must reproduce the exact bytes (ci.sh pins a --no-memo
+            // run against the committed results/).
             "--no-memo" => simnet::memo::set_default_enabled(false),
             "--threads" => {
                 let n = it
                     .next()
                     .and_then(|v| v.parse::<usize>().ok())
                     .filter(|&n| n > 0)
-                    .unwrap_or_else(|| {
-                        eprintln!("--threads requires a positive integer");
-                        std::process::exit(2);
-                    });
+                    .unwrap_or_else(|| usage_error("--threads requires a positive integer"));
                 threads = Some(n);
             }
             other => {
                 if other.starts_with('-') {
-                    eprintln!("unknown flag {other:?}");
-                    std::process::exit(2);
+                    usage_error(&format!("unknown flag {other:?}"));
                 }
                 which.push(other.to_string());
             }
@@ -77,43 +83,44 @@ fn main() {
     if which.is_empty() {
         which.push("all".to_string());
     }
-    // Reject typo'd selectors up front, before any figure runs.
+    // Reject typo'd selectors and an unusable --json target up front.
     for sel in &which {
         if !bench::selector_matches(sel) {
-            eprintln!("no figures match selector {sel:?}");
-            std::process::exit(2);
+            usage_error(&format!("no figures match selector {sel:?}"));
         }
     }
+    if let Some(dir) = &json_dir {
+        if let Err(e) = std::fs::create_dir_all(dir) {
+            usage_error(&format!("cannot create --json directory {dir:?}: {e}"));
+        }
+    }
+    // --serial wins over --threads: everything on the calling thread.
+    let threads = (!serial).then(|| threads.unwrap_or_else(bench::default_threads));
     for sel in &which {
         let t0 = std::time::Instant::now();
-        let figs = if serial {
-            bench::generate(sel)
-        } else {
-            bench::generate_parallel_with(sel, threads.unwrap_or_else(bench::default_threads))
-        };
-        if figs.is_empty() {
-            eprintln!("no figures match selector {sel:?}");
-            std::process::exit(2);
-        }
-        for fig in &figs {
-            println!("{}", fig.to_table());
-            if charts {
-                println!(
-                    "{}",
-                    fig.to_ascii_chart(netbench::report::ChartOptions::default())
-                );
-            }
-            if let Some(dir) = &json_dir {
-                std::fs::create_dir_all(dir).expect("create json dir");
-                let path = format!("{dir}/{}.json", fig.id);
-                let mut f = std::fs::File::create(&path).expect("create json file");
-                f.write_all(fig.to_json().as_bytes()).expect("write json");
+        let groups = bench::generate_groups(sel, threads);
+        let mut count = 0;
+        for group in &groups {
+            eprintln!("[{sel}] {} {:.3}s wall", group.id, group.wall.as_secs_f64());
+            for fig in &group.figures {
+                count += 1;
+                println!("{}", fig.to_table());
+                if charts {
+                    println!(
+                        "{}",
+                        fig.to_ascii_chart(netbench::report::ChartOptions::default())
+                    );
+                }
+                if let Some(dir) = &json_dir {
+                    let path = format!("{dir}/{}.json", fig.id);
+                    if let Err(e) = std::fs::write(&path, fig.to_json()) {
+                        usage_error(&format!("cannot write {path:?}: {e}"));
+                    }
+                }
             }
         }
         eprintln!(
-            "[{}] {} figure(s) in {:.1}s wall",
-            sel,
-            figs.len(),
+            "[{sel}] {count} figure(s) in {:.1}s wall",
             t0.elapsed().as_secs_f64()
         );
     }
@@ -131,8 +138,8 @@ fn main() {
 }
 
 /// Fixed executor micro-workload reporting raw simulation throughput:
-/// a mix of sequential timers, task churn and a contended pipe — the same
-/// shapes `benches/sim_throughput.rs` measures, merged into one number.
+/// a mix of sequential timers, task churn and a contended pipe, merged
+/// into one number (perfbench's `simnet.executor.*` rows are the record).
 fn run_selftest() {
     use simnet::{Sim, SimDuration};
 
@@ -285,24 +292,4 @@ fn run_selftest() {
     println!("  flow_p50_ns       {}", sk.p50());
     println!("  flow_p99_ns       {}", sk.p99());
     println!("  flow_p999_ns      {}", sk.p999());
-    if let Ok(path) = std::env::var("BENCH_JSON") {
-        let out = format!(
-            "[\n  {{\"id\": \"figures/selftest\", \"events\": {events}, \"wall_ns\": {}, \"events_per_sec\": {eps:.0}, \"memo_hits\": {}, \"memo_misses\": {}, \"memo_evictions\": {}, \"memo_hit_rate\": {memo_hit_rate:.3}, \"flows_issued\": {}, \"flows_completed\": {}, \"gen_backlog_peak\": {}, \"flow_p50_ns\": {}, \"flow_p99_ns\": {}, \"flow_p999_ns\": {}}}\n]\n",
-            wall.as_nanos(),
-            st.memo_hits,
-            st.memo_misses,
-            st.memo_evictions,
-            wl.stats.flows_issued,
-            wl.stats.flows_completed,
-            wl.stats.gen_backlog_peak,
-            sk.p50(),
-            sk.p99(),
-            sk.p999(),
-        );
-        if let Some(dir) = std::path::Path::new(&path).parent() {
-            let _ = std::fs::create_dir_all(dir);
-        }
-        std::fs::write(&path, out).expect("write BENCH_JSON");
-        eprintln!("wrote {path}");
-    }
 }

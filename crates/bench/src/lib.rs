@@ -1,15 +1,16 @@
-//! # bench — benchmark harness regenerating every table and figure
+//! # bench — the figure catalog and its generator
 //!
-//! Two entry points:
+//! [`catalog`] names every experiment group (the paper's eight figures
+//! plus the extensions); [`generate`] / [`generate_groups`] run a
+//! selection and return [`netbench::Figure`]s that report *simulated*
+//! time. The `figures` binary
+//! (`cargo run --release -p bench --bin figures -- [fig1 … fig8 | all]`)
+//! prints them as paper-shaped text tables and, with `--json`, writes the
+//! per-figure JSON files whose committed copies under `results/` pin the
+//! simulator's output byte for byte.
 //!
-//! * `cargo bench -p bench` — Criterion benchmarks, one target per paper
-//!   figure (`fig1_userlevel` … `fig8_receive_queue`, plus the `e9`
-//!   extension and ablations). Criterion measures the wall-clock cost of
-//!   regenerating each figure's key points; the figures themselves report
-//!   *simulated* time.
-//! * `cargo run -p bench --bin figures [--release] [fig1 … fig8 | all]` —
-//!   prints every series as paper-shaped text tables and (with `--json`)
-//!   machine-readable JSON used to regenerate EXPERIMENTS.md.
+//! Host performance is not measured here: `benchmark/` (perfbench) is the
+//! repository's only performance record.
 
 #![forbid(unsafe_code)]
 
@@ -108,116 +109,84 @@ pub fn default_threads() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZero::get)
 }
 
-/// Run the selected experiment groups across OS threads (simulations are
-/// per-thread and deterministic, so parallelism changes wall time, not
-/// results). Returns figures in catalog order. Uses [`default_threads`].
-pub fn generate_parallel(which: &str) -> Vec<Figure> {
-    generate_parallel_with(which, default_threads())
+/// One generated catalog group and the host wall-clock it took. The wall
+/// is for the caller to report (the `figures` binary prints it to stderr);
+/// this library writes nothing anywhere.
+pub struct Group {
+    pub id: &'static str,
+    pub figures: Vec<Figure>,
+    pub wall: std::time::Duration,
 }
 
-/// [`generate_parallel`] with an explicit worker-thread cap. Groups are
-/// claimed from a shared counter, so long groups don't serialize behind a
-/// static partition; results are reassembled in catalog order.
+/// Generate the groups selected by `which` ("all", a figure id prefix, or
+/// the aliases "overlap"/"hotspot"/"registration"), in catalog order.
 ///
-/// The cap also becomes the process default for the sharded engine
-/// (`simnet::shard::set_default_threads`), so `--threads N` shards *within*
-/// a figure as well as across groups. Each group's wall-clock time and the
-/// thread cap are appended to `results/figures.log` (best-effort — skipped
-/// when no `results/` directory is reachable).
-pub fn generate_parallel_with(which: &str, threads: usize) -> Vec<Figure> {
-    simnet::shard::set_default_threads(threads.max(1));
+/// `threads: None` runs everything on the calling thread, including any
+/// sharded runs inside the figures. `Some(n)` spreads the groups over up
+/// to `n` OS threads — simulations are per-thread and deterministic, so
+/// parallelism changes wall time, not results — claimed from a shared
+/// counter so long groups don't serialize behind a static partition. In
+/// both cases the cap also becomes the process default for the sharded
+/// engine (`simnet::shard::set_default_threads`), so `--threads N` shards
+/// *within* a figure as well as across groups.
+pub fn generate_groups(which: &str, threads: Option<usize>) -> Vec<Group> {
+    let cap = threads.map_or(1, |n| n.max(1));
+    simnet::shard::set_default_threads(cap);
     let which = resolve_alias(which);
     let selected: Vec<(&'static str, Generator)> = catalog()
         .into_iter()
         .filter(|(id, _)| which == "all" || id.starts_with(which))
         .collect();
-    let workers = threads.max(1).min(selected.len().max(1));
+    let run = |&(id, gen): &(&'static str, Generator)| {
+        let t0 = std::time::Instant::now();
+        let figures = gen();
+        Group {
+            id,
+            figures,
+            wall: t0.elapsed(),
+        }
+    };
+    if threads.is_none() {
+        return selected.iter().map(run).collect();
+    }
     let next = std::sync::atomic::AtomicUsize::new(0);
-    let (tx, rx) = std::sync::mpsc::channel::<(usize, Vec<Figure>, std::time::Duration)>();
+    let (tx, rx) = std::sync::mpsc::channel::<(usize, Group)>();
     std::thread::scope(|scope| {
-        for _ in 0..workers {
+        for _ in 0..cap.min(selected.len()) {
             let tx = tx.clone();
-            let next = &next;
-            let selected = &selected;
+            let (next, selected) = (&next, &selected);
             scope.spawn(move || loop {
                 let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                let Some((_, gen)) = selected.get(i) else {
+                let Some(entry) = selected.get(i) else {
                     break;
                 };
-                let t0 = std::time::Instant::now();
-                let figs = gen();
-                tx.send((i, figs, t0.elapsed())).expect("collector alive");
+                tx.send((i, run(entry))).expect("collector alive");
             });
         }
     });
     drop(tx);
-    let mut slots: Vec<Option<Vec<Figure>>> = selected.iter().map(|_| None).collect();
-    let mut walls: Vec<std::time::Duration> = vec![std::time::Duration::ZERO; selected.len()];
-    for (i, figs, wall) in rx {
-        slots[i] = Some(figs);
-        walls[i] = wall;
-    }
-    log_group_timings(&selected, &walls, threads.max(1));
-    slots.into_iter().flatten().flatten().collect()
+    let mut groups: Vec<(usize, Group)> = rx.into_iter().collect();
+    groups.sort_by_key(|&(i, _)| i);
+    groups.into_iter().map(|(_, g)| g).collect()
 }
 
-/// Whether this process has already written to `results/figures.log`.
-/// The first write of a process truncates the log (each run starts a
-/// fresh log instead of accreting onto every previous run's); subsequent
-/// writes in the same process append, so multi-call runs (e.g. a binary
-/// generating several selections) still see all their own lines.
-static FIGURES_LOG_STARTED: std::sync::atomic::AtomicBool =
-    std::sync::atomic::AtomicBool::new(false);
-
-/// Log per-group wall-clock timings to `results/figures.log`, one line
-/// per group: `group=<id> threads=<n> wall_ms=<ms>`. The log holds one
-/// run: the process's first write truncates it, later writes append. Best
-/// effort: resolved against the workspace first, then the current
-/// directory; silently skipped when neither has a `results/` directory.
-fn log_group_timings(
-    selected: &[(&'static str, Generator)],
-    walls: &[std::time::Duration],
-    threads: usize,
-) {
-    let Some(path) = figures_log_path() else {
-        return;
-    };
-    let mut lines = String::new();
-    for ((id, _), wall) in selected.iter().zip(walls) {
-        lines.push_str(&format!(
-            "group={id} threads={threads} wall_ms={}\n",
-            wall.as_millis()
-        ));
-    }
-    let first = !FIGURES_LOG_STARTED.swap(true, std::sync::atomic::Ordering::SeqCst);
-    let mut opts = std::fs::OpenOptions::new();
-    if first {
-        opts.write(true).truncate(true);
-    } else {
-        opts.append(true);
-    }
-    if let Ok(mut f) = opts.create(true).open(&path) {
-        use std::io::Write;
-        let _ = f.write_all(lines.as_bytes());
-    }
+fn figures_of(groups: Vec<Group>) -> Vec<Figure> {
+    groups.into_iter().flat_map(|g| g.figures).collect()
 }
 
-/// Locate `results/figures.log`: the workspace `results/` dir (relative to
-/// this crate's manifest) wins; a `results/` dir under the current working
-/// directory is the fallback.
-fn figures_log_path() -> Option<std::path::PathBuf> {
-    let ws = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("..")
-        .join("..")
-        .join("results");
-    if ws.is_dir() {
-        return Some(ws.join("figures.log"));
-    }
-    let local = std::path::Path::new("results");
-    if local.is_dir() {
-        return Some(local.join("figures.log"));
-    }
-    None
+/// The selected figures, generated sequentially on the calling thread.
+pub fn generate(which: &str) -> Vec<Figure> {
+    figures_of(generate_groups(which, None))
+}
+
+/// The selected figures, generated across [`default_threads`] OS threads.
+pub fn generate_parallel(which: &str) -> Vec<Figure> {
+    generate_parallel_with(which, default_threads())
+}
+
+/// [`generate_parallel`] with an explicit worker-thread cap.
+pub fn generate_parallel_with(which: &str, threads: usize) -> Vec<Figure> {
+    figures_of(generate_groups(which, Some(threads)))
 }
 
 /// Whether `which` selects at least one catalog entry — lets callers
@@ -235,20 +204,6 @@ fn resolve_alias(which: &str) -> &str {
         "registration" => "e11",
         w => w,
     }
-}
-
-/// Generate the figures selected by `which` ("all", a figure id prefix,
-/// or the aliases "overlap"/"hotspot"/"registration"), sequentially —
-/// including any sharded runs inside the figures (the sharded engine's
-/// default thread count is pinned to 1 for the duration).
-pub fn generate(which: &str) -> Vec<Figure> {
-    simnet::shard::set_default_threads(1);
-    let which = resolve_alias(which);
-    catalog()
-        .into_iter()
-        .filter(|(id, _)| which == "all" || id.starts_with(which))
-        .flat_map(|(_, gen)| gen())
-        .collect()
 }
 
 #[cfg(test)]

@@ -4,8 +4,8 @@
 //! # The percentile definition
 //!
 //! Every percentile this workspace reports — the sketch's p50/p99/p999,
-//! the fig-tail knee extraction, the vendored criterion median — uses the
-//! **nearest-rank** definition: the q-quantile of N samples is the value
+//! the fig-tail knee extraction, perfbench's `stats::nearest_rank` — uses
+//! the **nearest-rank** definition: the q-quantile of N samples is the value
 //! at rank `ceil(q·N)` (1-based) in sorted order, clamped to `[1, N]`.
 //! No interpolation: the result is always an observed value (or, in the
 //! sketch, the lower bound of the bin holding that rank). On small
@@ -167,19 +167,6 @@ impl std::fmt::Debug for LatencySketch {
     }
 }
 
-/// The nearest-rank q-quantile of a **sorted** slice — the exact-sample
-/// form of the definition in the module docs, for the places that hold
-/// full sample sets (criterion's per-iteration medians, small audits).
-/// Returns 0 on an empty slice.
-pub fn nearest_rank(sorted: &[u64], q: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let n = sorted.len() as f64;
-    let rank = ((q * n).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -220,9 +207,7 @@ mod tests {
         assert_eq!(s.max_ns(), 100);
         // Nearest-rank p50 of 1..=100 names sample 50; the sketch reports
         // its bin floor (48 in the log-linear layout).
-        let sorted: Vec<u64> = (1..=100).collect();
-        let exact = nearest_rank(&sorted, 0.50);
-        assert_eq!(exact, 50);
+        let exact = 50;
         let approx = s.p50();
         assert!(approx <= exact && exact - approx <= exact / 8, "{approx}");
         // p999 of 100 samples degrades to the max — by definition, not by
@@ -230,17 +215,6 @@ mod tests {
         assert_eq!(s.p999(), 100);
         assert_eq!(s.quantile(1.0), 100);
         assert_eq!(s.quantile(0.0), 1, "rank clamps to 1");
-    }
-
-    #[test]
-    fn nearest_rank_matches_the_documented_definition() {
-        // Odd n: median is the middle sample.
-        assert_eq!(nearest_rank(&[10, 20, 30], 0.5), 20);
-        // Even n: rank ceil(0.5*4) = 2 — the *lower* middle sample.
-        assert_eq!(nearest_rank(&[10, 20, 30, 40], 0.5), 20);
-        // p99 of a small sample is the last sample.
-        assert_eq!(nearest_rank(&[1, 2, 3], 0.99), 3);
-        assert_eq!(nearest_rank(&[], 0.5), 0);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //!
 //! Knee extraction uses the same nearest-rank percentile definition as
 //! the sketch (see `crate::sketch` module docs) — fig-tail and
-//! bench_summary.json can never disagree on small samples.
+//! perfbench can never disagree on small samples.
 
 use std::cell::RefCell;
 use std::rc::Rc;

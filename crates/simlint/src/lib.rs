@@ -3,8 +3,8 @@
 //! The figures this repository reproduces are only comparable across runs
 //! because every simulation is bit-for-bit deterministic: the DES core
 //! promises that two runs of the same program produce identical event
-//! orderings, and `results/fig1.sha256` pins the output of the cheapest
-//! end-to-end figure. That digest is an *after-the-fact* net. `simlint` is
+//! orderings, and the committed `results/` directory pins every figure
+//! byte for byte. That pin is an *after-the-fact* net. `simlint` is
 //! the static half: a `syn`-based AST walker over the simulation crates that
 //! rejects the classic determinism killers before they compile —
 //! hash-ordered iteration, wall-clock reads, thread spawns, unseeded RNGs,

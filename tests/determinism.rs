@@ -1,5 +1,7 @@
 //! Integration tests: the simulation is bit-deterministic — identical
-//! configurations produce identical virtual timings, run after run.
+//! configurations produce identical virtual timings, run after run — and
+//! the figures this suite generates anyway reproduce the committed
+//! `results/<id>.json` byte for byte (the pin ci.sh checks for all 35).
 
 use mpisim::FabricKind;
 
@@ -41,9 +43,30 @@ fn figure_digest(figs: &[netbench::Figure]) -> u64 {
     h
 }
 
+/// Generate `sel` serially and hold it to the committed pin: every figure
+/// must equal `results/<id>.json` byte for byte, and a figure with no
+/// committed file is a failure, not a skip.
+fn generate_pinned(sel: &str) -> Vec<netbench::Figure> {
+    let figs = bench::generate(sel);
+    let results = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("results");
+    for fig in &figs {
+        let path = results.join(format!("{}.json", fig.id));
+        let pinned = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("{}: no committed pin ({e})", path.display()));
+        assert!(
+            fig.to_json() == pinned,
+            "{} drifted from the committed {}; if the model change is deliberate, \
+             regenerate with `figures all --json results/ > results/figures.txt`",
+            fig.id,
+            path.display()
+        );
+    }
+    figs
+}
+
 #[test]
 fn fig1_event_order_digest_is_stable_serial_and_parallel() {
-    let serial_a = figure_digest(&bench::generate("fig1"));
+    let serial_a = figure_digest(&generate_pinned("fig1"));
     let serial_b = figure_digest(&bench::generate("fig1"));
     assert_eq!(
         serial_a, serial_b,
@@ -59,7 +82,7 @@ fn fig1_event_order_digest_is_stable_serial_and_parallel() {
 #[test]
 fn fig2_and_fig5_order_digests_are_stable_across_double_runs() {
     for sel in ["fig2", "fig5"] {
-        let a = figure_digest(&bench::generate(sel));
+        let a = figure_digest(&generate_pinned(sel));
         let b = figure_digest(&bench::generate(sel));
         assert_eq!(a, b, "two serial {sel} runs must produce identical digests");
     }
@@ -70,7 +93,7 @@ fn fig_loss_digest_is_stable_across_double_runs() {
     // The lossy sweep draws from the fault plane's counter-based PRNG; two
     // runs must still be byte-identical, or the injected faults depend on
     // something other than the seed and the per-connection counters.
-    let a = figure_digest(&bench::generate("fig-loss"));
+    let a = figure_digest(&generate_pinned("fig-loss"));
     let b = figure_digest(&bench::generate("fig-loss"));
     assert_eq!(
         a, b,
@@ -122,7 +145,7 @@ fn fig2_and_fig_loss_digests_are_thread_count_invariant() {
 /// workers the shards are spread across.
 #[test]
 fn shard_figure_digest_is_thread_count_invariant() {
-    let serial = figure_digest(&bench::generate("shard"));
+    let serial = figure_digest(&generate_pinned("shard"));
     for threads in [2usize, 4, 8] {
         let par = figure_digest(&bench::generate_parallel_with("shard", threads));
         assert_eq!(
@@ -141,7 +164,7 @@ fn shard_figure_digest_is_thread_count_invariant() {
 #[test]
 fn fig1_and_fig4_digests_are_memo_invariant() {
     for sel in ["fig1", "fig4"] {
-        let memo_on = figure_digest(&bench::generate(sel));
+        let memo_on = figure_digest(&generate_pinned(sel));
         simnet::memo::set_default_enabled(false);
         let memo_off = figure_digest(&bench::generate(sel));
         simnet::memo::set_default_enabled(true);
@@ -173,7 +196,7 @@ fn fig1_digest_is_thread_count_invariant_with_memo() {
 /// workload engine answers to. Two serial runs must match exactly.
 #[test]
 fn fig_tail_digest_is_stable_across_double_runs() {
-    let a = figure_digest(&bench::generate("fig-tail"));
+    let a = figure_digest(&generate_pinned("fig-tail"));
     let b = figure_digest(&bench::generate("fig-tail"));
     assert_eq!(
         a, b,
