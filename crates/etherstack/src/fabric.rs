@@ -10,9 +10,8 @@
 //! fabric is one `NicModel` impl (plus its calibration and its loss-recovery
 //! policy); nothing in any consumer changes.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
-use std::future::Future;
 use std::rc::Rc;
 
 use hostmodel::mem::{HostMem, MemoryRegistry};
@@ -50,15 +49,6 @@ pub trait NicModel: Sized {
     fn per_segment_overhead(&self) -> Bytes;
 }
 
-/// Direction of a message through a NIC's per-message processor.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum MsgDir {
-    /// Leaving the NIC.
-    Tx,
-    /// Arriving at the NIC.
-    Rx,
-}
-
 /// An OS-bypass NIC: what the layers above the verbs (MPI rendezvous,
 /// registration benchmarks, uDAPL) read from a device without knowing
 /// which fabric it belongs to.
@@ -68,16 +58,6 @@ pub trait RdmaNic: NicModel {
 
     /// Registration table (STag / lkey-rkey / MX cache) of this NIC.
     fn registry(&self) -> &MemoryRegistry;
-
-    /// Host CPU cost of posting one work request (WQE build + doorbell).
-    fn post_cost(&self) -> SimDuration;
-
-    /// Serial per-message protocol-processor work for connection `qpn`.
-    /// `None` — the default — means the NIC has no such stage, and callers
-    /// skip the await rather than polling a future that does nothing.
-    fn per_message_engine(&self, _qpn: u32, _dir: MsgDir) -> Option<impl Future<Output = ()> + '_> {
-        None::<std::future::Ready<()>>
-    }
 }
 
 /// A fabric of `N` NICs, one per node, on one cut-through switch.
@@ -94,6 +74,8 @@ pub struct Fabric<N: NicModel> {
     /// Fault plane (disabled by default); endpoints capture a clone when
     /// they connect and recover through their fabric's own protocol.
     fault: RefCell<FaultPlane>,
+    /// Next fabric-unique QP number (the HCA's context-cache key).
+    next_qpn: Cell<u32>,
 }
 
 impl<N: NicModel> Fabric<N> {
@@ -116,7 +98,13 @@ impl<N: NicModel> Fabric<N> {
             devices,
             paths: RefCell::new(BTreeMap::new()),
             fault: RefCell::new(FaultPlane::disabled()),
+            next_qpn: Cell::new(1),
         }
+    }
+
+    /// Allocate a fabric-unique QP number.
+    pub(crate) fn alloc_qpn(&self) -> u32 {
+        self.next_qpn.replace(self.next_qpn.get() + 1)
     }
 
     /// Install a fault plane (see [`simnet::fault`]). Affects endpoints

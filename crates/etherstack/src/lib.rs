@@ -15,6 +15,8 @@
 //! * [`switch`] — a cut-through Ethernet switch timing model.
 //! * [`fabric`] — the NIC-per-node container every interconnect model in
 //!   the workspace instantiates with its own [`NicModel`].
+//! * [`qp`] — the one verbs queue pair, [`Qp`], over any [`VerbsNic`]: what
+//!   the iWARP RNIC and the InfiniBand HCA share above their transports.
 //! * [`recovery`] — TCP loss recovery (RTO + fast retransmit) over a
 //!   `simnet` pipeline, shared by the host-stack baseline and the iWARP
 //!   TOE under fault injection.
@@ -30,14 +32,16 @@ pub mod fabric;
 pub mod frame;
 pub mod hostnic;
 pub mod ipv4;
+pub mod qp;
 pub mod recovery;
 pub mod switch;
 pub mod tcp;
 
-pub use fabric::{Fabric, MsgDir, NicModel, RdmaNic};
+pub use fabric::{Fabric, NicModel, RdmaNic};
 pub use frame::{EthernetHeader, ETHERTYPE_IPV4, ETH_HEADER_LEN, ETH_MTU, ETH_WIRE_OVERHEAD};
 pub use hostnic::{HostTcpCalib, HostTcpFabric, HostTcpNic};
 pub use ipv4::Ipv4Header;
+pub use qp::{Lane, MsgDir, Qp, QpStep, QpWatch, VerbsNic, WorkRequest};
 pub use recovery::{transfer_with_recovery, RecoveryStats, TcpTuning};
 pub use switch::{CutThroughSwitch, SwitchConfig};
 pub use tcp::{TcpHeader, TcpReassembler, TcpSegmenter, TCP_MSS};

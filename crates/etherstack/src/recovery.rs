@@ -152,7 +152,7 @@ impl TcpTuning {
     }
 
     /// TCP-offload-engine timers (hardware retransmit state machine).
-    pub fn offload() -> Self {
+    pub const fn offload() -> Self {
         TcpTuning {
             rto: SimDuration::from_micros(60),
             max_backoff_exp: 6,
@@ -175,9 +175,10 @@ impl Default for TcpTuning {
 pub struct RecoveryStats {
     /// Faults this transfer absorbed (drops + corruptions + delays).
     pub faults: u64,
-    /// Segments retransmitted.
+    /// Segments (IB: packets — go-back-N resends the whole tail)
+    /// retransmitted.
     pub retransmits: u64,
-    /// Retransmission-timer expiries.
+    /// Retransmission-timer (IB: Local ACK Timeout) expiries.
     pub rto_fires: u64,
 }
 

@@ -11,12 +11,10 @@
 //!    connections than the cache holds faults a context fetch on *every*
 //!    message — the paper's Fig. 2 knee at 8 connections.
 
-use std::cell::{Cell, RefCell};
-use std::future::Future;
-use std::ops::Deref;
+use std::cell::RefCell;
 
 use etherstack::switch::SwitchConfig;
-use etherstack::{Fabric, MsgDir, NicModel, RdmaNic};
+use etherstack::{Fabric, NicModel, RdmaNic};
 use hostmodel::lru::LruCache;
 use hostmodel::mem::HostMem;
 use hostmodel::pcie::PciePort;
@@ -114,18 +112,6 @@ impl RdmaNic for HcaDevice {
     fn registry(&self) -> &MemoryRegistry {
         &self.registry
     }
-
-    fn post_cost(&self) -> SimDuration {
-        self.calib.post_wqe + self.pcie.doorbell_cost()
-    }
-
-    fn per_message_engine(&self, qpn: u32, dir: MsgDir) -> Option<impl Future<Output = ()> + '_> {
-        let cost = match dir {
-            MsgDir::Tx => self.calib.msg_cost_tx,
-            MsgDir::Rx => self.calib.msg_cost_rx,
-        };
-        Some(self.engine_message(qpn, cost))
-    }
 }
 
 impl HcaDevice {
@@ -165,42 +151,8 @@ impl HcaDevice {
     }
 }
 
-/// A multi-node InfiniBand fabric: one HCA per node, one 4X switch, plus
-/// the fabric-wide QP-number allocator.
-pub struct IbFabric {
-    fabric: Fabric<HcaDevice>,
-    next_qpn: Cell<u32>,
-}
-
-impl IbFabric {
-    /// Build a fabric of `nodes` hosts with default calibration.
-    pub fn new(sim: &Sim, nodes: usize) -> Self {
-        Self::with_calib(sim, nodes, MellanoxCalib::default())
-    }
-
-    /// Build with explicit calibration (ablations override fields).
-    pub fn with_calib(sim: &Sim, nodes: usize, calib: MellanoxCalib) -> Self {
-        IbFabric {
-            fabric: Fabric::with_calib(sim, nodes, calib),
-            next_qpn: Cell::new(1),
-        }
-    }
-
-    /// Allocate a fabric-unique QP number.
-    pub fn alloc_qpn(&self) -> u32 {
-        let q = self.next_qpn.get();
-        self.next_qpn.set(q + 1);
-        q
-    }
-}
-
-impl Deref for IbFabric {
-    type Target = Fabric<HcaDevice>;
-
-    fn deref(&self) -> &Fabric<HcaDevice> {
-        &self.fabric
-    }
-}
+/// A multi-node InfiniBand fabric: one HCA per node, one 4X switch.
+pub type IbFabric = Fabric<HcaDevice>;
 
 #[cfg(test)]
 mod tests {

@@ -20,6 +20,7 @@
 //! With the plane disabled the function is one branch and a tail call to
 //! [`Pipeline::transfer`] — bit-identical to the pre-fault code path.
 
+use etherstack::RecoveryStats;
 use simnet::{Bytes, FaultDecision, FaultPlane, Pipeline, Sim, SimDuration};
 
 /// RC retransmission-timer calibration.
@@ -42,7 +43,7 @@ pub struct IbTuning {
 
 impl IbTuning {
     /// Timers scaled to the MHEA28-XT fabric's ~9 µs RTT.
-    pub fn mellanox() -> Self {
+    pub const fn mellanox() -> Self {
         IbTuning {
             ack_timeout: SimDuration::from_micros(40),
             nak_delay: SimDuration::from_micros(10),
@@ -56,18 +57,6 @@ impl Default for IbTuning {
     fn default() -> Self {
         IbTuning::mellanox()
     }
-}
-
-/// What one recovering transfer cost (the same quantities accumulate
-/// globally in [`simnet::SimStats`]).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct IbRecoveryStats {
-    /// Faults this transfer absorbed (drops + corruptions + delays).
-    pub faults: u64,
-    /// Packets retransmitted (every recovery event resends the whole tail).
-    pub retransmits: u64,
-    /// Local ACK Timeout expiries.
-    pub rto_fires: u64,
 }
 
 /// Stream `bytes` through `path` in `mtu`-sized packets with RC go-back-N
@@ -85,10 +74,10 @@ pub async fn transfer_go_back_n(
     mtu: Bytes,
     per_packet_overhead: Bytes,
     tuning: &IbTuning,
-) -> IbRecoveryStats {
+) -> RecoveryStats {
     if !plane.enabled() {
         path.transfer(bytes, per_packet_overhead).await;
-        return IbRecoveryStats::default();
+        return RecoveryStats::default();
     }
     let mtu = mtu.max(Bytes::new(1));
     let npkts = bytes.div_ceil(mtu).max(1);
@@ -100,7 +89,7 @@ pub async fn transfer_go_back_n(
             mtu * (hi - lo)
         }
     };
-    let mut stats = IbRecoveryStats::default();
+    let mut stats = RecoveryStats::default();
     #[cfg(feature = "simcheck")]
     let mut oracle = simcheck::fault::DeliveryOracle::new("ib", stream, npkts);
     #[cfg(feature = "simcheck")]
@@ -219,7 +208,7 @@ mod tests {
         Pipeline::new(sim, stages, Bytes::new(2048))
     }
 
-    fn run(plane: FaultPlane, bytes: u64) -> (f64, IbRecoveryStats, simnet::SimStats) {
+    fn run(plane: FaultPlane, bytes: u64) -> (f64, RecoveryStats, simnet::SimStats) {
         let sim = Sim::new();
         let path = test_path(&sim);
         let stats = sim.block_on({
@@ -251,7 +240,7 @@ mod tests {
         let baseline = sim.now().as_nanos();
         let (t, stats, sstats) = run(FaultPlane::disabled(), 1 << 20);
         assert_eq!((t * 1000.0).round() as u64, baseline);
-        assert_eq!(stats, IbRecoveryStats::default());
+        assert_eq!(stats, RecoveryStats::default());
         assert_eq!(sstats.faults_injected, 0);
         assert_eq!(sstats.retransmits, 0);
     }

@@ -32,4 +32,4 @@ pub mod verbs;
 
 pub use calib::NetEffectCalib;
 pub use rnic::{IwarpFabric, RnicDevice};
-pub use verbs::{Cqe, CqeStatus, IwarpQp, WorkRequest};
+pub use verbs::{Cqe, CqeStatus, Qp, WorkRequest};

@@ -143,10 +143,6 @@ impl RdmaNic for RnicDevice {
     fn registry(&self) -> &MemoryRegistry {
         &self.registry
     }
-
-    fn post_cost(&self) -> SimDuration {
-        self.calib.post_wqe + self.pcie.doorbell_cost()
-    }
 }
 
 impl RnicDevice {

@@ -16,8 +16,8 @@ use std::rc::Rc;
 use hostmodel::cpu::Cpu;
 use simnet::sync::Notify;
 
-use crate::rnic::IwarpFabric;
-use crate::verbs::{connect, IwarpQp, WorkRequest};
+use crate::rnic::{IwarpFabric, RnicDevice};
+use crate::verbs::{Qp, WorkRequest};
 
 /// BCopy segment size: bytes moved per underlying verbs Send.
 pub const SDP_SEGMENT: u64 = 8 * 1024;
@@ -35,7 +35,7 @@ struct StreamState {
 
 /// One end of an SDP byte-stream connection.
 pub struct SdpSocket {
-    qp: Rc<IwarpQp>,
+    qp: Rc<Qp<RnicDevice>>,
     cpu: Cpu,
     local: Rc<RefCell<StreamState>>,
     credits: simnet::sync::Semaphore,
@@ -49,7 +49,7 @@ pub async fn socket_pair(
     cpu_a: &Cpu,
     cpu_b: &Cpu,
 ) -> (SdpSocket, SdpSocket) {
-    let (qa, qb) = connect(fab, a, b, cpu_a, cpu_b).await;
+    let (qa, qb) = fab.connect(a, b, cpu_a, cpu_b).await;
     let qa = Rc::new(qa);
     let qb = Rc::new(qb);
     let sa = SdpSocket::new(Rc::clone(&qa), cpu_a.clone());
@@ -62,7 +62,7 @@ pub async fn socket_pair(
 }
 
 impl SdpSocket {
-    fn new(qp: Rc<IwarpQp>, cpu: Cpu) -> SdpSocket {
+    fn new(qp: Rc<Qp<RnicDevice>>, cpu: Cpu) -> SdpSocket {
         SdpSocket {
             qp,
             cpu,

@@ -19,7 +19,7 @@ use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, VecDeque};
 use std::rc::{Rc, Weak};
 
-use etherstack::{Fabric, RdmaNic};
+use etherstack::{Fabric, VerbsNic};
 use hostmodel::cpu::Cpu;
 use hostmodel::lru::LruCache;
 use hostmodel::mem::{HostMem, MemKey, VirtAddr};
@@ -132,7 +132,7 @@ struct FinWait {
 }
 
 /// One host-matched MPI process.
-pub struct HostEngine<N: RdmaNic + 'static> {
+pub struct HostEngine<N: VerbsNic> {
     sim: Sim,
     rank: usize,
     size: usize,
@@ -149,7 +149,7 @@ pub struct HostEngine<N: RdmaNic + 'static> {
     peers: RefCell<Vec<Weak<HostEngine<N>>>>,
 }
 
-impl<N: RdmaNic + 'static> HostEngine<N> {
+impl<N: VerbsNic> HostEngine<N> {
     /// Build the engine for `rank` (one rank per node of `fab`), bound to
     /// process `cpu`.
     pub fn new(fab: &Fabric<N>, rank: usize, cpu: Cpu, cfg: MpiConfig) -> Rc<Self> {
@@ -505,11 +505,11 @@ impl<N: RdmaNic + 'static> HostEngine<N> {
 }
 
 /// [`MpiRank`] wrapper around a host engine.
-pub struct HostMpiRank<N: RdmaNic + 'static> {
+pub struct HostMpiRank<N: VerbsNic> {
     engine: Rc<HostEngine<N>>,
 }
 
-impl<N: RdmaNic + 'static> HostMpiRank<N> {
+impl<N: VerbsNic> HostMpiRank<N> {
     /// Wrap an engine.
     pub fn new(engine: Rc<HostEngine<N>>) -> Self {
         HostMpiRank { engine }
@@ -521,7 +521,7 @@ impl<N: RdmaNic + 'static> HostMpiRank<N> {
     }
 }
 
-impl<N: RdmaNic + 'static> MpiRank for HostMpiRank<N> {
+impl<N: VerbsNic> MpiRank for HostMpiRank<N> {
     fn rank(&self) -> usize {
         self.engine.rank
     }

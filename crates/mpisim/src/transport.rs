@@ -4,7 +4,8 @@
 //! core of an RDMA channel: an ordered two-sided message delivery (eager
 //! data and rendezvous control), a one-sided RDMA write (rendezvous data),
 //! and cached memory registration. One adapter provides them over any
-//! [`RdmaNic`]; the per-fabric differences that matter (InfiniBand's serial
+//! [`VerbsNic`], crossing the wire on the same [`Lane`] a verbs queue pair
+//! uses; the per-fabric differences that matter (InfiniBand's serial
 //! per-message processor work, registration cost gaps) come from the device
 //! model through that trait.
 
@@ -12,29 +13,23 @@ use std::collections::BTreeMap;
 use std::future::Future;
 use std::rc::Rc;
 
-use etherstack::{Fabric, MsgDir, RdmaNic};
+use etherstack::{Fabric, Lane, VerbsNic};
 use hostmodel::cpu::Cpu;
 use hostmodel::mem::{MemKey, VirtAddr};
-use simnet::sync::FifoGate;
-use simnet::{Bytes, Pipeline, SimDuration};
+use simnet::{Bytes, SimDuration};
 
 /// Timed fabric primitives for one rank.
-pub struct FabricTransport<N: RdmaNic> {
+pub struct FabricTransport<N: VerbsNic> {
     cpu: Cpu,
     post_cost: SimDuration,
     dev: Rc<N>,
-    /// One cached pipeline per destination. Rendezvous RDMA writes reuse
-    /// these paths for every chunk, so an uncontended rendezvous transfer
-    /// completes on a single coalesced event via the simnet cut-through
-    /// fast path rather than thousands of per-segment timer firings.
-    paths: BTreeMap<usize, Pipeline>,
-    seg_overhead: Bytes,
-    peers: BTreeMap<usize, Rc<N>>,
-    /// Per-destination in-order delivery (the TCP stream / RC-QP guarantee).
-    order: BTreeMap<usize, FifoGate>,
-    /// This rank's node index; connection numbers for the pair (a, b) are
-    /// derived deterministically so both sides agree without a handshake.
-    node: usize,
+    /// One lane per destination, carrying that peer pair's deterministic
+    /// QP numbers (so both sides agree without a handshake). Rendezvous
+    /// RDMA writes reuse a lane's cached path for every chunk, so an
+    /// uncontended rendezvous transfer completes on a single coalesced
+    /// event via the simnet cut-through fast path rather than thousands of
+    /// per-segment timer firings.
+    lanes: BTreeMap<usize, Lane<N>>,
 }
 
 /// Deterministic QP number for the (src → dst) half of an MPI peer pair.
@@ -42,47 +37,29 @@ fn mpi_qpn(src: usize, dst: usize) -> u32 {
     0x4000_0000 | ((src as u32) << 12) | dst as u32
 }
 
-impl<N: RdmaNic> FabricTransport<N> {
+impl<N: VerbsNic> FabricTransport<N> {
     /// Build the adapter for `node` over `fab`, bound to process `cpu`.
     pub fn new(fab: &Fabric<N>, node: usize, cpu: &Cpu) -> Self {
         let dev = fab.device(node);
-        let mut paths = BTreeMap::new();
-        let mut peers = BTreeMap::new();
-        let mut order = BTreeMap::new();
-        for n in (0..fab.nodes()).filter(|&n| n != node) {
-            paths.insert(n, fab.data_path(node, n));
-            peers.insert(n, fab.device(n));
-            order.insert(n, FifoGate::new());
-        }
+        let lanes = (0..fab.nodes())
+            .filter(|&n| n != node)
+            .map(|n| {
+                let lane = Lane::new(fab, node, mpi_qpn(node, n), n, mpi_qpn(n, node));
+                (n, lane)
+            })
+            .collect();
         FabricTransport {
             cpu: cpu.clone(),
             post_cost: dev.post_cost(),
             dev,
-            paths,
-            seg_overhead: fab.per_segment_overhead(),
-            peers,
-            order,
-            node,
+            lanes,
         }
     }
 
-    /// Post, cross the wire to `dest`, and clear both NICs' per-message
-    /// processors where the fabric has them.
+    /// Post, then carry `bytes` to `dest` NIC to NIC.
     async fn cross(&self, dest: usize, bytes: u64) {
         self.cpu.work(self.post_cost).await;
-        let tx = self
-            .dev
-            .per_message_engine(mpi_qpn(self.node, dest), MsgDir::Tx);
-        if let Some(work) = tx {
-            work.await;
-        }
-        self.paths[&dest]
-            .transfer(Bytes::new(bytes), self.seg_overhead)
-            .await;
-        let rx = self.peers[&dest].per_message_engine(mpi_qpn(dest, self.node), MsgDir::Rx);
-        if let Some(work) = rx {
-            work.await;
-        }
+        self.lanes[&dest].carry(Bytes::new(bytes)).await;
     }
 
     /// Deliver a `wire_bytes`-long two-sided message to `dest`; the future
@@ -91,10 +68,10 @@ impl<N: RdmaNic> FabricTransport<N> {
     pub fn send_to(&self, dest: usize, wire_bytes: u64) -> impl Future<Output = ()> + '_ {
         // Ticket at post time: the connection delivers in post order even
         // when a small late message finishes its wire crossing first.
-        let ticket = self.order[&dest].ticket();
+        let gate = &self.lanes[&dest].order;
+        let ticket = gate.ticket();
         async move {
             self.cross(dest, wire_bytes).await;
-            let gate = &self.order[&dest];
             gate.enter(ticket).await;
             gate.leave();
         }
@@ -111,14 +88,7 @@ impl<N: RdmaNic> FabricTransport<N> {
         raddr: VirtAddr,
     ) -> bool {
         self.cross(dest, len).await;
-        let peer = &self.peers[&dest];
-        if !peer.registry().check(rkey, raddr, len) {
-            return false;
-        }
-        if let Some(p) = payload {
-            peer.mem().write(raddr, &p);
-        }
-        true
+        self.lanes[&dest].place(rkey, raddr, len, payload)
     }
 
     /// Register `buf` through this NIC's pin-down cache, charging `cpu`.

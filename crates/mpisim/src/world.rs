@@ -2,7 +2,7 @@
 
 use std::rc::Rc;
 
-use etherstack::{Fabric, RdmaNic};
+use etherstack::{Fabric, VerbsNic};
 use hostmodel::cpu::{Cpu, CpuCosts};
 use simnet::{Sim, SimDuration};
 
@@ -139,7 +139,7 @@ impl MpiWorld {
 }
 
 /// Host-matched ranks, one per node of `fab`, wired to each other.
-fn host_ranks<N: RdmaNic + 'static>(fab: &Fabric<N>, cfg: MpiConfig) -> Vec<Rc<dyn MpiRank>> {
+fn host_ranks<N: VerbsNic>(fab: &Fabric<N>, cfg: MpiConfig) -> Vec<Rc<dyn MpiRank>> {
     let engines: Vec<_> = (0..fab.nodes())
         .map(|r| HostEngine::new(fab, r, Cpu::new(fab.sim(), CpuCosts::default()), cfg))
         .collect();

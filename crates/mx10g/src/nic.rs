@@ -108,10 +108,6 @@ impl RdmaNic for MxNic {
     fn registry(&self) -> &MemoryRegistry {
         &self.registry
     }
-
-    fn post_cost(&self) -> SimDuration {
-        self.calib.post_cost
-    }
 }
 
 impl MxNic {

@@ -16,21 +16,27 @@
 //! * EVD-style event dispatch ([`Endpoint::evd_wait`] blocking,
 //!   [`Endpoint::evd_dequeue`] polling), wrapping the CQ.
 //!
-//! Because the simulated fabrics share completion types, the provider
-//! switch is a plain enum — statically dispatched, so the layer adds no
+//! Both providers run the one verbs queue pair, [`etherstack::Qp`],
+//! instantiated over their NIC; a DAT call builds its
+//! [`etherstack::WorkRequest`] once and posts it. The provider is picked
+//! at run time ([`DatFabric::new`] takes a [`Provider`]) while the verbs
+//! are generic at compile time, so [`DatFabric`] and [`Endpoint`] are each
+//! a two-variant sum over the instantiations, told apart by one
+//! `on_provider!` match — statically dispatched, so the layer adds no
 //! simulated event and no allocation to a post.
 //!
 //! ## Conformance checking (`--features simcheck`)
 //!
 //! This crate registers **no oracles of its own**: every DAT call lowers
-//! directly onto a provider verbs call, so the invariants worth checking
-//! (QP state, completion order, MR bounds, RDMAP opcode legality) live in
-//! the provider layers beneath and are already observed there. Enabling
+//! directly onto a verbs call, so the invariants worth checking (QP state,
+//! completion order, MR bounds, RDMAP opcode legality) live in each
+//! provider's `QpWatch` beneath and are already observed there. Enabling
 //! the feature here forwards it to both providers; the tests assert that
 //! DAT traffic is in fact seen by those provider-level oracles.
 
 #![forbid(unsafe_code)]
 
+use etherstack::{Qp, WorkRequest};
 use hostmodel::cpu::Cpu;
 use hostmodel::mem::{HostMem, MemKey, VirtAddr};
 use hostmodel::nic::{Cqe, CqeStatus};
@@ -150,30 +156,36 @@ impl From<Cqe> for DtoEvent {
     }
 }
 
-enum EpInner {
-    Iwarp(iwarp::IwarpQp),
-    Ib(infiniband::IbQp),
-}
-
-/// Run the same expression on whichever provider's QP backs the endpoint.
-macro_rules! on_qp {
-    ($ep:expr, $qp:ident => $body:expr) => {
-        match &$ep.inner {
-            EpInner::Iwarp($qp) => $body,
-            EpInner::Ib($qp) => $body,
+/// Run the same expression on whichever provider's fabric or queue pair is
+/// live. The provider is chosen at run time and dispatch stays static, so
+/// this is the one place the two instantiations of the generic verbs are
+/// told apart.
+macro_rules! on_provider {
+    ($ty:ident, $this:expr, $x:ident => $body:expr) => {
+        match $this {
+            $ty::Iwarp($x) => $body,
+            $ty::Ib($x) => $body,
         }
     };
 }
 
-/// A connected endpoint plus its event dispatcher.
-pub struct Endpoint {
-    inner: EpInner,
+/// A connected endpoint plus its event dispatcher: the provider's [`Qp`].
+pub enum Endpoint {
+    /// iWARP-backed.
+    Iwarp(Qp<iwarp::RnicDevice>),
+    /// InfiniBand-backed.
+    Ib(Qp<infiniband::HcaDevice>),
 }
 
 // The methods the harness calls per message are `#[inline]`: without it each
 // poll of a post or wait crosses one more non-inlinable frame than a direct
 // verbs call (measured: fig2 +17% wall), which a pass-through must not cost.
 impl Endpoint {
+    #[inline]
+    async fn post(&self, wr: WorkRequest) {
+        on_provider!(Endpoint, self, qp => qp.post_send_wr(wr).await);
+    }
+
     /// `dat_ep_post_rdma_write`: one-sided write of `len` bytes from the
     /// local region into the remote one (bounds-checked locally the way
     /// DAT providers do before posting).
@@ -192,82 +204,56 @@ impl Endpoint {
         if offset + len > local.len || remote_offset + len > remote.len {
             return Err("DAT_LENGTH_ERROR");
         }
-        match &self.inner {
-            EpInner::Iwarp(qp) => {
-                qp.post_send_wr(iwarp::WorkRequest::RdmaWrite {
-                    wr_id: cookie,
-                    len,
-                    payload,
-                    remote_stag: remote.key,
-                    remote_addr: remote.addr.offset(remote_offset),
-                })
-                .await;
-            }
-            EpInner::Ib(qp) => {
-                qp.post_send_wr(infiniband::IbWorkRequest::RdmaWrite {
-                    wr_id: cookie,
-                    len,
-                    payload,
-                    rkey: remote.key,
-                    remote_addr: remote.addr.offset(remote_offset),
-                })
-                .await;
-            }
-        }
+        self.post(WorkRequest::RdmaWrite {
+            wr_id: cookie,
+            len,
+            payload,
+            rkey: remote.key,
+            remote_addr: remote.addr.offset(remote_offset),
+        })
+        .await;
         Ok(())
     }
 
     /// `dat_ep_post_send`: two-sided send consuming a posted receive.
     pub async fn post_send(&self, cookie: u64, len: u64, payload: Option<Vec<u8>>) {
-        match &self.inner {
-            EpInner::Iwarp(qp) => {
-                qp.post_send_wr(iwarp::WorkRequest::Send {
-                    wr_id: cookie,
-                    len,
-                    payload,
-                })
-                .await;
-            }
-            EpInner::Ib(qp) => {
-                qp.post_send_wr(infiniband::IbWorkRequest::Send {
-                    wr_id: cookie,
-                    len,
-                    payload,
-                })
-                .await;
-            }
-        }
+        self.post(WorkRequest::Send {
+            wr_id: cookie,
+            len,
+            payload,
+        })
+        .await;
     }
 
     /// `dat_ep_post_recv` into a region slice.
     pub async fn post_recv(&self, cookie: u64, local: &Lmr, offset: u64, len: u64) {
         let addr = local.addr.offset(offset);
-        on_qp!(self, qp => qp.post_recv(cookie, addr, len).await);
+        on_provider!(Endpoint, self, qp => qp.post_recv(cookie, addr, len).await);
     }
 
     /// `dat_evd_wait`: block for the next DTO completion.
     #[inline]
     pub async fn evd_wait(&self) -> DtoEvent {
-        on_qp!(self, qp => qp.next_cqe().await).into()
+        on_provider!(Endpoint, self, qp => qp.next_cqe().await).into()
     }
 
     /// `dat_evd_dequeue`: the next DTO completion if one is already
     /// queued, without blocking (`DAT_QUEUE_EMPTY` is `None`).
     #[inline]
     pub fn evd_dequeue(&self) -> Option<DtoEvent> {
-        on_qp!(self, qp => qp.poll_cq()).map(DtoEvent::from)
+        on_provider!(Endpoint, self, qp => qp.poll_cq()).map(DtoEvent::from)
     }
 
     /// Wait for a one-sided placement to land locally (polling the target
     /// buffer, as the paper's user-level tests do).
     #[inline]
     pub async fn wait_placement(&self) {
-        on_qp!(self, qp => qp.wait_placement().await);
+        on_provider!(Endpoint, self, qp => qp.wait_placement().await);
     }
 
     /// The host memory this endpoint's process sees.
     pub fn mem(&self) -> HostMem {
-        on_qp!(self, qp => qp.device().mem.clone())
+        on_provider!(Endpoint, self, qp => qp.device().mem.clone())
     }
 }
 
@@ -277,16 +263,6 @@ pub enum DatFabric {
     Iwarp(iwarp::IwarpFabric),
     /// InfiniBand-backed.
     Ib(infiniband::IbFabric),
-}
-
-/// Run the same expression on whichever provider's fabric is live.
-macro_rules! on_fabric {
-    ($dat:expr, $f:ident => $body:expr) => {
-        match $dat {
-            DatFabric::Iwarp($f) => $body,
-            DatFabric::Ib($f) => $body,
-        }
-    };
 }
 
 impl DatFabric {
@@ -308,13 +284,13 @@ impl DatFabric {
     /// Install a fault plane; endpoints connected *after* this call judge
     /// every transfer against it.
     pub fn set_fault_plane(&self, plane: FaultPlane) {
-        on_fabric!(self, f => f.set_fault_plane(plane));
+        on_provider!(DatFabric, self, f => f.set_fault_plane(plane));
     }
 
     /// `dat_lmr_create`: allocate and register `len` bytes on `node`,
     /// charging `ia`'s process for the pinning.
     pub async fn lmr_create(&self, ia: &Ia, node: usize, len: u64) -> Lmr {
-        let (addr, registry) = on_fabric!(self, f => {
+        let (addr, registry) = on_provider!(DatFabric, self, f => {
             let dev = f.device(node);
             (dev.mem.alloc_buffer(len), dev.registry.clone())
         });
@@ -331,19 +307,21 @@ impl DatFabric {
         cpu_a: &Cpu,
         cpu_b: &Cpu,
     ) -> (Endpoint, Endpoint) {
-        let (ia, ib) = match self {
+        match self {
             DatFabric::Iwarp(f) => {
-                let (qa, qb) = iwarp::verbs::connect(f, a, b, cpu_a, cpu_b).await;
-                (EpInner::Iwarp(qa), EpInner::Iwarp(qb))
+                let (qa, qb) = f.connect(a, b, cpu_a, cpu_b).await;
+                (Endpoint::Iwarp(qa), Endpoint::Iwarp(qb))
             }
             DatFabric::Ib(f) => {
-                let (qa, qb) = infiniband::verbs::connect(f, a, b, cpu_a, cpu_b).await;
-                (EpInner::Ib(qa), EpInner::Ib(qb))
+                let (qa, qb) = f.connect(a, b, cpu_a, cpu_b).await;
+                (Endpoint::Ib(qa), Endpoint::Ib(qb))
             }
-        };
-        (Endpoint { inner: ia }, Endpoint { inner: ib })
+        }
     }
 }
+
+#[cfg(test)]
+mod verbs_suite;
 
 #[cfg(test)]
 mod tests {
@@ -356,6 +334,23 @@ mod tests {
     const LOSSY_PPM: u32 = 500_000;
     const LOSSY_SEED: u64 = 3;
 
+    /// A fresh two-node `provider` fabric with `plane` installed: a 1 KiB
+    /// region on each node and a connected endpoint pair, side A first.
+    async fn dat_pair(
+        sim: &Sim,
+        provider: Provider,
+        plane: FaultPlane,
+    ) -> ([Endpoint; 2], [Lmr; 2]) {
+        let fab = DatFabric::new(sim, provider, 2);
+        fab.set_fault_plane(plane);
+        let cpu_a = Cpu::new(sim, CpuCosts::default());
+        let cpu_b = Cpu::new(sim, CpuCosts::default());
+        let lmr_a = fab.lmr_create(&Ia::open(provider, &cpu_a), 0, 1024).await;
+        let lmr_b = fab.lmr_create(&Ia::open(provider, &cpu_b), 1, 1024).await;
+        let (ep_a, ep_b) = fab.connect(0, 1, &cpu_a, &cpu_b).await;
+        ([ep_a, ep_b], [lmr_a, lmr_b])
+    }
+
     /// One 12-byte RDMA Write over `provider` with `plane` installed before
     /// the endpoints connect: `(latency µs, bytes that landed)`.
     fn run_rdma_roundtrip(provider: Provider, plane: FaultPlane) -> (f64, Vec<u8>) {
@@ -363,15 +358,7 @@ mod tests {
         sim.block_on({
             let sim = sim.clone();
             async move {
-                let fab = DatFabric::with_calib(&sim, provider.into(), 2);
-                fab.set_fault_plane(plane);
-                let cpu_a = Cpu::new(&sim, CpuCosts::default());
-                let cpu_b = Cpu::new(&sim, CpuCosts::default());
-                let ia_a = Ia::open(provider, &cpu_a);
-                let ia_b = Ia::open(provider, &cpu_b);
-                let lmr_a = fab.lmr_create(&ia_a, 0, 4096).await;
-                let lmr_b = fab.lmr_create(&ia_b, 1, 4096).await;
-                let (ep_a, ep_b) = fab.connect(0, 1, &cpu_a, &cpu_b).await;
+                let ([ep_a, ep_b], [lmr_a, lmr_b]) = dat_pair(&sim, provider, plane).await;
                 let t0 = sim.now();
                 ep_a.post_rdma_write(
                     7,
@@ -416,12 +403,8 @@ mod tests {
             sim.block_on({
                 let sim = sim.clone();
                 async move {
-                    let fab = DatFabric::new(&sim, provider, 2);
-                    let cpu_a = Cpu::new(&sim, CpuCosts::default());
-                    let cpu_b = Cpu::new(&sim, CpuCosts::default());
-                    let lmr_a = fab.lmr_create(&Ia::open(provider, &cpu_a), 0, 256).await;
-                    let lmr_b = fab.lmr_create(&Ia::open(provider, &cpu_b), 1, 256).await;
-                    let (ep_a, ep_b) = fab.connect(0, 1, &cpu_a, &cpu_b).await;
+                    let ([ep_a, ep_b], [lmr_a, lmr_b]) =
+                        dat_pair(&sim, provider, FaultPlane::disabled()).await;
                     assert!(ep_a.evd_dequeue().is_none(), "{provider:?}: empty EVD");
                     ep_a.post_rdma_write(11, &lmr_a, 0, 64, &lmr_b.as_rmr(), 0, None)
                         .await
@@ -458,14 +441,8 @@ mod tests {
         sim.block_on({
             let sim = sim.clone();
             async move {
-                let fab = DatFabric::new(&sim, Provider::Iwarp, 2);
-                let cpu_a = Cpu::new(&sim, CpuCosts::default());
-                let cpu_b = Cpu::new(&sim, CpuCosts::default());
-                let ia_a = Ia::open(Provider::Iwarp, &cpu_a);
-                let ia_b = Ia::open(Provider::Iwarp, &cpu_b);
-                let lmr_a = fab.lmr_create(&ia_a, 0, 1024).await;
-                let lmr_b = fab.lmr_create(&ia_b, 1, 1024).await;
-                let (ep_a, _ep_b) = fab.connect(0, 1, &cpu_a, &cpu_b).await;
+                let ([ep_a, _ep_b], [lmr_a, lmr_b]) =
+                    dat_pair(&sim, Provider::Iwarp, FaultPlane::disabled()).await;
                 let err = ep_a
                     .post_rdma_write(1, &lmr_a, 0, 2048, &lmr_b.as_rmr(), 0, None)
                     .await;
@@ -507,14 +484,8 @@ mod tests {
         sim.block_on({
             let sim = sim.clone();
             async move {
-                let fab = DatFabric::new(&sim, Provider::InfiniBand, 2);
-                let cpu_a = Cpu::new(&sim, CpuCosts::default());
-                let cpu_b = Cpu::new(&sim, CpuCosts::default());
-                let ia_a = Ia::open(Provider::InfiniBand, &cpu_a);
-                let ia_b = Ia::open(Provider::InfiniBand, &cpu_b);
-                let lmr_a = fab.lmr_create(&ia_a, 0, 1024).await;
-                let lmr_b = fab.lmr_create(&ia_b, 1, 1024).await;
-                let (ep_a, _ep_b) = fab.connect(0, 1, &cpu_a, &cpu_b).await;
+                let ([ep_a, _ep_b], [lmr_a, lmr_b]) =
+                    dat_pair(&sim, Provider::InfiniBand, FaultPlane::disabled()).await;
                 ep_a.post_rdma_write(1, &lmr_a, 512, 512, &lmr_b.as_rmr(), 0, None)
                     .await
                     .expect("exact fit is in bounds");
@@ -536,12 +507,8 @@ mod tests {
             sim.block_on({
                 let sim = sim.clone();
                 async move {
-                    let fab = DatFabric::new(&sim, provider, 2);
-                    let cpu_a = Cpu::new(&sim, CpuCosts::default());
-                    let cpu_b = Cpu::new(&sim, CpuCosts::default());
-                    let ia_a = Ia::open(provider, &cpu_a);
-                    let lmr_a = fab.lmr_create(&ia_a, 0, 1024).await;
-                    let (ep_a, _ep_b) = fab.connect(0, 1, &cpu_a, &cpu_b).await;
+                    let ([ep_a, _ep_b], [lmr_a, _]) =
+                        dat_pair(&sim, provider, FaultPlane::disabled()).await;
                     let forged = Rmr {
                         addr: VirtAddr(64),
                         key: MemKey(999_999),
@@ -579,25 +546,33 @@ mod tests {
     }
 
     #[test]
-    fn send_recv_flows_through_the_evd() {
-        let sim = Sim::new();
-        sim.block_on({
-            let sim = sim.clone();
-            async move {
-                let fab = DatFabric::new(&sim, Provider::InfiniBand, 2);
-                let cpu_a = Cpu::new(&sim, CpuCosts::default());
-                let cpu_b = Cpu::new(&sim, CpuCosts::default());
-                let ia_b = Ia::open(Provider::InfiniBand, &cpu_b);
-                let lmr_b = fab.lmr_create(&ia_b, 1, 256).await;
-                let (ep_a, ep_b) = fab.connect(0, 1, &cpu_a, &cpu_b).await;
-                ep_b.post_recv(42, &lmr_b, 0, 256).await;
-                ep_a.post_send(9, 5, Some(b"hello".to_vec())).await;
-                let ev = ep_b.evd_wait().await;
-                assert!(ev.ok);
-                assert_eq!(ev.cookie, 42);
-                assert_eq!(ev.len, 5);
-                assert_eq!(ep_b.mem().read(lmr_b.addr, 5), b"hello");
-            }
-        });
+    fn send_then_rdma_write_flow_through_the_evd_in_post_order() {
+        // Every opcode redeems its in-order delivery ticket: a Send that
+        // took one without entering the gate would park every later Write
+        // on the connection forever.
+        for provider in [Provider::Iwarp, Provider::InfiniBand] {
+            let sim = Sim::new();
+            sim.block_on({
+                let sim = sim.clone();
+                async move {
+                    let ([ep_a, ep_b], [lmr_a, lmr_b]) =
+                        dat_pair(&sim, provider, FaultPlane::disabled()).await;
+                    ep_b.post_recv(42, &lmr_b, 0, 256).await;
+                    ep_a.post_send(2, 5, Some(b"hello".to_vec())).await;
+                    ep_a.post_rdma_write(3, &lmr_a, 0, 64, &lmr_b.as_rmr(), 64, None)
+                        .await
+                        .expect("in bounds");
+                    for cookie in [2, 3] {
+                        let ev = ep_a.evd_wait().await;
+                        assert!(ev.ok, "{provider:?}: DTO {cookie}");
+                        assert_eq!(ev.cookie, cookie, "{provider:?}: post order");
+                    }
+                    let ev = ep_b.evd_wait().await;
+                    assert!(ev.ok, "{provider:?}");
+                    assert_eq!((ev.cookie, ev.len), (42, 5), "{provider:?}");
+                    assert_eq!(ep_b.mem().read(lmr_b.addr, 5), b"hello");
+                }
+            });
+        }
     }
 }

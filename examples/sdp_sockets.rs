@@ -25,7 +25,7 @@ fn main() {
                 let fab = IwarpFabric::new(&sim, 2);
                 let ca = Cpu::new(&sim, CpuCosts::default());
                 let cb = Cpu::new(&sim, CpuCosts::default());
-                let (qa, qb) = iwarp::verbs::connect(&fab, 0, 1, &ca, &cb).await;
+                let (qa, qb) = fab.connect(0, 1, &ca, &cb).await;
                 let buf_a = qa.device().mem.alloc_buffer(64);
                 let buf_b = qb.device().mem.alloc_buffer(64);
                 let sa = qa.device().registry.register_pinned(&ca, buf_a, 64).await;
@@ -38,7 +38,7 @@ fn main() {
                             wr_id: i,
                             len: 64,
                             payload: None,
-                            remote_stag: sb,
+                            rkey: sb,
                             remote_addr: buf_b,
                         })
                         .await;
@@ -52,7 +52,7 @@ fn main() {
                             wr_id: i,
                             len: 64,
                             payload: None,
-                            remote_stag: sa,
+                            rkey: sa,
                             remote_addr: buf_a,
                         })
                         .await;

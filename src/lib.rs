@@ -37,13 +37,13 @@
 //! let latency_us = sim.block_on({
 //!     let sim = sim.clone();
 //!     async move {
-//!         let (qa, qb) = iwarp::verbs::connect(&fabric, 0, 1, &cpu0, &cpu1).await;
+//!         let (qa, qb) = fabric.connect(0, 1, &cpu0, &cpu1).await;
 //!         let buf = qb.device().mem.alloc_buffer(64);
 //!         let stag = qb.device().registry.register_pinned(&cpu1, buf, 64).await;
 //!         let t0 = sim.now();
 //!         qa.post_send_wr(iwarp::WorkRequest::RdmaWrite {
 //!             wr_id: 1, len: 8, payload: None,
-//!             remote_stag: stag, remote_addr: buf,
+//!             rkey: stag, remote_addr: buf,
 //!         }).await;
 //!         qb.wait_placement().await;
 //!         (sim.now() - t0).as_micros_f64()

@@ -108,7 +108,7 @@ fn verbs_rdma_read_and_write_roundtrip() {
             let fab = iwarp::IwarpFabric::new(&sim, 2);
             let cpu_a = Cpu::new(&sim, CpuCosts::default());
             let cpu_b = Cpu::new(&sim, CpuCosts::default());
-            let (qa, qb) = iwarp::verbs::connect(&fab, 0, 1, &cpu_a, &cpu_b).await;
+            let (qa, qb) = fab.connect(0, 1, &cpu_a, &cpu_b).await;
             let remote = qb.device().mem.alloc_buffer(8192);
             let stag = qb
                 .device()
@@ -121,7 +121,7 @@ fn verbs_rdma_read_and_write_roundtrip() {
                 wr_id: 1,
                 len: 8192,
                 payload: Some(data.clone()),
-                remote_stag: stag,
+                rkey: stag,
                 remote_addr: remote,
             })
             .await;
@@ -131,7 +131,7 @@ fn verbs_rdma_read_and_write_roundtrip() {
                 wr_id: 2,
                 len: 8192,
                 local_addr: local,
-                remote_stag: stag,
+                rkey: stag,
                 remote_addr: remote,
             })
             .await;
@@ -153,7 +153,7 @@ fn outstanding_rdma_writes_complete_in_post_order() {
             let fab = iwarp::IwarpFabric::new(&sim, 2);
             let ca = Cpu::new(&sim, CpuCosts::default());
             let cb = Cpu::new(&sim, CpuCosts::default());
-            let (qa, qb) = iwarp::verbs::connect(&fab, 0, 1, &ca, &cb).await;
+            let (qa, qb) = fab.connect(0, 1, &ca, &cb).await;
             let dst = qb.device().mem.alloc_buffer(1 << 20);
             let stag = qb
                 .device()
@@ -166,7 +166,7 @@ fn outstanding_rdma_writes_complete_in_post_order() {
                     wr_id: i as u64,
                     len: n,
                     payload: None,
-                    remote_stag: stag,
+                    rkey: stag,
                     remote_addr: dst,
                 })
                 .await;

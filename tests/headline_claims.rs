@@ -189,7 +189,7 @@ fn rdma_eliminates_host_cpu_involvement_host_tcp_does_not() {
                 let fab = iwarp::IwarpFabric::new(&sim, 2);
                 let ca = Cpu::new(&sim, CpuCosts::default());
                 let cb = Cpu::new(&sim, CpuCosts::default());
-                let (qa, qb) = iwarp::verbs::connect(&fab, 0, 1, &ca, &cb).await;
+                let (qa, qb) = fab.connect(0, 1, &ca, &cb).await;
                 let dst = qb.device().mem.alloc_buffer(1 << 20);
                 let stag = qb
                     .device()
@@ -201,7 +201,7 @@ fn rdma_eliminates_host_cpu_involvement_host_tcp_does_not() {
                     wr_id: 1,
                     len: 1 << 20,
                     payload: None,
-                    remote_stag: stag,
+                    rkey: stag,
                     remote_addr: dst,
                 })
                 .await;
