@@ -18,6 +18,7 @@ use hostmodel::mem::{HostMem, MemoryRegistry};
 use simnet::shard::HostPath;
 use simnet::{Bytes, FaultPlane, Pipe, Pipeline, Sim, SimDuration, Stage};
 
+use crate::recovery::LossRecovery;
 use crate::switch::{CutThroughSwitch, SwitchConfig};
 
 /// The per-fabric hardware model of one NIC installed in one host.
@@ -47,6 +48,11 @@ pub trait NicModel: Sized {
 
     /// Header and framing bytes added to every wire segment.
     fn per_segment_overhead(&self) -> Bytes;
+
+    /// How this NIC's transport recovers a lost segment — the policy its
+    /// one [`transfer_reliable`](crate::recovery::transfer_reliable) call
+    /// site runs under an enabled fault plane.
+    const LOSS_RECOVERY: LossRecovery;
 }
 
 /// An OS-bypass NIC: what the layers above the verbs (MPI rendezvous,

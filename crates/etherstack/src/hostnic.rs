@@ -13,7 +13,7 @@ use hostmodel::pcie::{PcieConfig, PciePort};
 use simnet::{ByteRate, Bytes, Pipe, Sim, SimDuration, Stage};
 
 use crate::fabric::{Fabric, NicModel};
-use crate::recovery::{transfer_with_recovery, TcpTuning};
+use crate::recovery::{transfer_reliable, LossRecovery, HOST_TCP};
 use crate::switch::SwitchConfig;
 
 /// Host-stack TCP cost calibration (dual-Xeon 2.8 GHz era).
@@ -133,6 +133,8 @@ impl NicModel for HostTcpNic {
     fn per_segment_overhead(&self) -> Bytes {
         self.calib.per_segment_overhead
     }
+
+    const LOSS_RECOVERY: LossRecovery = HOST_TCP;
 }
 
 /// A fabric of plain-Ethernet hosts. Under an enabled fault plane, sends
@@ -163,16 +165,15 @@ impl HostTcpFabric {
         // retransmission machinery; disabled, this is exactly
         // `Pipeline::transfer`.
         let stream = ((src as u64) << 32) | dst as u64;
-        transfer_with_recovery(
+        transfer_reliable(
             self.sim(),
             &self.fault_plane(),
             &self.data_path(src, dst),
-            "ether",
             stream,
             bytes,
             calib.mss,
             calib.per_segment_overhead,
-            &TcpTuning::host_stack(),
+            &HostTcpNic::LOSS_RECOVERY,
         )
         .await;
         // The stack stages above consumed real CPU time on both hosts;

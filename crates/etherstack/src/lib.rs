@@ -17,9 +17,10 @@
 //!   the workspace instantiates with its own [`NicModel`].
 //! * [`qp`] — the one verbs queue pair, [`Qp`], over any [`VerbsNic`]: what
 //!   the iWARP RNIC and the InfiniBand HCA share above their transports.
-//! * [`recovery`] — TCP loss recovery (RTO + fast retransmit) over a
-//!   `simnet` pipeline, shared by the host-stack baseline and the iWARP
-//!   TOE under fault injection.
+//! * [`recovery`] — the one reliable transfer over a `simnet` pipeline,
+//!   [`transfer_reliable`], which every fabric sends through under fault
+//!   injection, each with its own [`LossRecovery`] description (host TCP
+//!   and the iWARP TOE here; RC go-back-N and MX resend in their crates).
 //!
 //! Timing (who waits how long) is handled by `simnet` pipes in the NIC
 //! models; this crate's codecs are pure logic, which makes them directly
@@ -42,6 +43,6 @@ pub use frame::{EthernetHeader, ETHERTYPE_IPV4, ETH_HEADER_LEN, ETH_MTU, ETH_WIR
 pub use hostnic::{HostTcpCalib, HostTcpFabric, HostTcpNic};
 pub use ipv4::Ipv4Header;
 pub use qp::{Lane, MsgDir, Qp, QpStep, QpWatch, VerbsNic, WorkRequest};
-pub use recovery::{transfer_with_recovery, RecoveryStats, TcpTuning};
+pub use recovery::{transfer_reliable, LossRecovery, RecoveryStats};
 pub use switch::{CutThroughSwitch, SwitchConfig};
 pub use tcp::{TcpHeader, TcpReassembler, TcpSegmenter, TCP_MSS};

@@ -24,7 +24,7 @@ use simnet::sync::{mpsc, FifoGate, Notify, Receiver};
 use simnet::{Bytes, FaultPlane, Pipeline, Sim, SimDuration};
 
 use crate::fabric::{Fabric, RdmaNic};
-use crate::recovery::RecoveryStats;
+use crate::recovery::transfer_reliable;
 
 /// Wire size of an RDMA Read request (the 28-byte RDMAP Read Request
 /// ULPDU; an RC RETH-only request packet is the same order).
@@ -94,13 +94,6 @@ pub trait VerbsNic: RdmaNic + 'static {
     /// fabric's numbering is part of its pinned lossy results.
     fn stream_key(&self, qpn: u32, peer: &Self, peer_qpn: u32) -> u64;
 
-    /// Move `bytes` down `lane` under this fabric's loss recovery. With the
-    /// lane's fault plane disabled this is [`Pipeline::transfer`].
-    fn transfer_reliable(
-        lane: &Lane<Self>,
-        bytes: Bytes,
-    ) -> impl Future<Output = RecoveryStats> + '_;
-
     /// The watch of a freshly connected QP `qpn` whose outgoing direction
     /// is `stream`.
     fn watch(&self, sim: &Sim, qpn: u32, stream: u64) -> Self::Watch;
@@ -148,13 +141,24 @@ impl<N: VerbsNic> Lane<N> {
     }
 
     /// Carry one `bytes`-long message NIC to NIC: the sender's per-message
-    /// processor, the reliable transfer, the receiver's processor.
+    /// processor, the transfer under the NIC's loss recovery (with the fault
+    /// plane disabled, [`Pipeline::transfer`]), the receiver's processor.
     #[inline]
     pub async fn carry(&self, bytes: Bytes) {
         if let Some(work) = self.src.per_message_engine(self.src_qpn, MsgDir::Tx) {
             work.await;
         }
-        N::transfer_reliable(self, bytes).await;
+        transfer_reliable(
+            &self.sim,
+            &self.fault,
+            &self.path,
+            self.stream,
+            bytes,
+            self.src.segment_payload(),
+            self.src.per_segment_overhead(),
+            &N::LOSS_RECOVERY,
+        )
+        .await;
         if let Some(work) = self.dst.per_message_engine(self.dst_qpn, MsgDir::Rx) {
             work.await;
         }

@@ -1,31 +1,39 @@
-//! TCP loss recovery over a [`Pipeline`]: RTO with exponential backoff plus
-//! fast retransmit on triple duplicate ACKs.
+//! Loss recovery over a [`Pipeline`]: the one reliable transfer every
+//! fabric sends through.
 //!
-//! Both TCP-based fabrics share this engine — the host-stack baseline
-//! ([`crate::hostnic`]) and the iWARP RNIC (whose TOE runs the same
-//! algorithms in hardware, just with tighter timers). The transfer is judged
-//! segment-by-segment against a [`FaultPlane`]; contiguous delivered runs
-//! are streamed through the pipeline in one reservation (preserving the
-//! cut-through overlap a healthy stream enjoys), and each lost or corrupted
-//! segment pays the protocol's real recovery cost:
+//! The transfer is judged unit-by-unit (TCP segment, IB or MX packet)
+//! against a [`FaultPlane`]; contiguous delivered runs are streamed through
+//! the pipeline in one reservation (preserving the cut-through overlap a
+//! healthy stream enjoys), and each lost or corrupted unit pays its
+//! protocol's real recovery cost. The stacks differ in three facts, which a
+//! [`LossRecovery`] states and [`transfer_reliable`] plays out:
 //!
-//! * **Fast retransmit** — a first loss with at least [`DUP_ACK_THRESHOLD`]
-//!   segments still to follow is detected by duplicate ACKs from the
-//!   out-of-order arrivals behind it, after roughly one round trip
-//!   ([`TcpTuning::fast_retx_delay`]).
-//! * **RTO** — a tail loss (nothing behind it to clock dup-ACKs out) or a
-//!   lost retransmission waits out the retransmission timer, doubling it on
-//!   each consecutive attempt up to `rto << max_backoff_exp`.
+//! * **Early signal** — does the receiver report a hole before the sender's
+//!   timer fires? TCP's third duplicate ACK and IB's out-of-sequence NAK
+//!   arrive about one round trip after a loss that has enough units behind
+//!   it to provoke them; MX has no such signal. Without one — a tail loss,
+//!   a lost retransmission — the sender waits out its retransmission timer,
+//!   doubling it on each consecutive attempt up to
+//!   `timeout << max_backoff_exp`.
+//! * **Resend the tail** — TCP and MX retransmit the one missing unit; an IB
+//!   responder discards everything behind the hole, so go-back-N resends
+//!   the whole remaining tail on every attempt.
+//! * **ACK replay** — MX judges the message ACK too; losing it replays a
+//!   message the receiver already has.
+//!
+//! The constants live with their protocols: [`HOST_TCP`] and
+//! [`TCP_OFFLOAD`] here, `infiniband::recovery::RC_GO_BACK_N` and
+//! `mx10g::recovery::MX_RESEND` beside the explanation of why they have the
+//! values they have.
 //!
 //! With the plane disabled the engine is one branch and a tail call to
 //! [`Pipeline::transfer`] — bit-identical to the pre-fault code path.
 
 use simnet::{Bytes, FaultDecision, FaultPlane, Pipeline, Sim, SimDuration};
 
-/// Duplicate-ACK count that triggers fast retransmit (RFC 5681's three).
-pub const DUP_ACK_THRESHOLD: u64 = 3;
-
-/// Send-side phases of one recovering transfer. This is the canonical
+/// Send-side phases of one recovering transfer, named after the TCP sender
+/// they were first written for; every protocol's transfer walks them (an
+/// early NAK is `FastRetx`, any timer wait `RtoWait`). This is the canonical
 /// machine: [`fsm_next`] is the single in-crate statement of which
 /// transitions exist, and `simlint --dataflow` statically diffs it against
 /// `simcheck::ether::TCP_FSM_TABLE` (rule `fsm-drift`) so the model and
@@ -120,209 +128,263 @@ fn fsm_step(phase: &mut TcpSendPhase, ev: TcpSendEvent) {
     }
 }
 
-/// Recovery-timer calibration.
+/// How one stack answers a lost unit — the protocol facts in which the
+/// paper's four stacks differ under loss. Plain data: the engine never asks
+/// which fabric it serves. The instances are `const`s hung on each NIC as
+/// [`NicModel::LOSS_RECOVERY`](crate::NicModel::LOSS_RECOVERY).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TcpTuning {
-    /// Initial retransmission timeout. Real stacks clamp this to hundreds
-    /// of milliseconds; the simulated fabrics scale it to their
-    /// microsecond RTTs so recovery dynamics (not absolute wall time)
-    /// match the protocol.
-    pub rto: SimDuration,
+pub struct LossRecovery {
+    /// Fabric tag on this stack's simcheck conformance reports.
+    pub tag: &'static str,
+    /// Initial retransmission timeout (TCP RTO, IB Local ACK Timeout, MX
+    /// firmware resend timer). Real stacks clamp this to hundreds of
+    /// milliseconds; the simulated fabrics scale it to their microsecond
+    /// RTTs so recovery dynamics (not absolute wall time) match the
+    /// protocol.
+    pub timeout: SimDuration,
     /// Consecutive-backoff ceiling: the timeout doubles per attempt up to
-    /// `rto << max_backoff_exp`.
+    /// `timeout << max_backoff_exp`.
     pub max_backoff_exp: u32,
-    /// Time from a loss to the third duplicate ACK arriving back — about
-    /// one round trip at the fabric's latency.
-    pub fast_retx_delay: SimDuration,
-    /// Retransmission attempts per segment before the model stops
-    /// re-judging and forces the segment through (keeps pathological
-    /// configured rates terminating; real stacks reset the connection).
+    /// Retransmission attempts per unit (and per message ACK) before the
+    /// model stops re-judging and forces progress, so pathological
+    /// configured rates terminate; real stacks reset the connection.
     pub max_retries: u32,
+    /// Does the receiver report a hole before the timer fires?
+    /// `Some((min_trailing_units, delay))`: a first loss with at least that
+    /// many units behind it is signalled `delay` (about one round trip)
+    /// later — TCP's third duplicate ACK, IB's out-of-sequence NAK. `None`:
+    /// every loss waits out the timer.
+    pub early_signal: Option<(u64, SimDuration)>,
+    /// Go-back-N: the receiver discards everything behind a hole, so each
+    /// attempt resends the whole remaining tail, not one unit.
+    pub resend_tail: bool,
+    /// The message ACK is itself at risk: it is judged after the data, and
+    /// losing it replays the whole message (the receiver must drop
+    /// [`RecoveryStats::duplicates`] replays).
+    pub ack_replay: bool,
 }
 
-impl TcpTuning {
-    /// Host-software-stack timers (interrupt-driven, kernel granularity).
-    pub fn host_stack() -> Self {
-        TcpTuning {
-            rto: SimDuration::from_micros(200),
-            max_backoff_exp: 6,
-            fast_retx_delay: SimDuration::from_micros(40),
-            max_retries: 16,
-        }
-    }
+/// Host software TCP: fast retransmit on the third duplicate ACK, timers
+/// at interrupt-driven kernel granularity.
+pub const HOST_TCP: LossRecovery = LossRecovery {
+    tag: "ether",
+    timeout: SimDuration::from_micros(200),
+    max_backoff_exp: 6,
+    max_retries: 16,
+    early_signal: Some((3, SimDuration::from_micros(40))),
+    resend_tail: false,
+    ack_replay: false,
+};
 
-    /// TCP-offload-engine timers (hardware retransmit state machine).
-    pub const fn offload() -> Self {
-        TcpTuning {
-            rto: SimDuration::from_micros(60),
-            max_backoff_exp: 6,
-            fast_retx_delay: SimDuration::from_micros(12),
-            max_retries: 16,
-        }
-    }
-}
-
-impl Default for TcpTuning {
-    fn default() -> Self {
-        TcpTuning::host_stack()
-    }
-}
+/// The iWARP RNIC's TCP offload engine: the same algorithms as
+/// [`HOST_TCP`] in a hardware retransmit state machine, so tighter timers.
+pub const TCP_OFFLOAD: LossRecovery = LossRecovery {
+    tag: "iwarp",
+    timeout: SimDuration::from_micros(60),
+    early_signal: Some((3, SimDuration::from_micros(12))),
+    ..HOST_TCP
+};
 
 /// What one recovering transfer cost, for callers that report per-transfer
 /// accounting (the same quantities are accumulated globally in
 /// [`simnet::SimStats`]).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct RecoveryStats {
-    /// Faults this transfer absorbed (drops + corruptions + delays).
+    /// Faults this transfer absorbed (data and ACK; drops + corruptions +
+    /// delays).
     pub faults: u64,
-    /// Segments (IB: packets — go-back-N resends the whole tail)
-    /// retransmitted.
+    /// Units retransmitted (go-back-N counts the whole tail per attempt,
+    /// an ACK replay the whole message).
     pub retransmits: u64,
-    /// Retransmission-timer (IB: Local ACK Timeout) expiries.
+    /// Retransmission-timer expiries.
     pub rto_fires: u64,
+    /// Whole-message replays caused by lost ACKs — already charged wire
+    /// time here; the caller's matching layer must drop them by sequence.
+    pub duplicates: u64,
 }
 
-/// Stream `bytes` through `path` in `mss`-sized segments with TCP loss
-/// recovery against `plane`. Resolves when the last byte clears the
-/// pipeline (exactly like [`Pipeline::transfer`], which it becomes when the
-/// plane is disabled). `stream` keys the plane's per-connection decision
-/// counter and tags conformance reports; `fabric` is the simcheck fabric
-/// tag of the caller.
+/// A unit judged `verdict` never reaches the receiver intact.
+fn is_loss(verdict: FaultDecision) -> bool {
+    matches!(verdict, FaultDecision::Drop | FaultDecision::Corrupt)
+}
+
+/// Wait out the retransmission timer's `attempt`-th consecutive expiry.
+async fn timer_expiry(sim: &Sim, policy: &LossRecovery, attempt: u32, stats: &mut RecoveryStats) {
+    let exp = attempt.min(policy.max_backoff_exp);
+    sim.sleep(policy.timeout * (1u64 << exp)).await;
+    sim.note_rto_fire();
+    stats.rto_fires += 1;
+}
+
+/// Stream `bytes` through `path` in `unit`-sized segments (TCP segments,
+/// IB/MX packets), recovering from the losses `plane` injects the way
+/// `policy` describes. Resolves when the last byte (of the final replay, if
+/// ACKs were lost) clears the pipeline — exactly like
+/// [`Pipeline::transfer`], which it becomes when the plane is disabled.
+/// `stream` keys the plane's per-connection decision counter and tags
+/// conformance reports.
 #[allow(clippy::too_many_arguments)]
-pub async fn transfer_with_recovery(
+pub async fn transfer_reliable(
     sim: &Sim,
     plane: &FaultPlane,
     path: &Pipeline,
-    fabric: &'static str,
     stream: u64,
     bytes: Bytes,
-    mss: Bytes,
-    per_segment_overhead: Bytes,
-    tuning: &TcpTuning,
+    unit: Bytes,
+    per_unit_overhead: Bytes,
+    policy: &LossRecovery,
 ) -> RecoveryStats {
-    let _ = fabric;
     if !plane.enabled() {
-        path.transfer(bytes, per_segment_overhead).await;
+        path.transfer(bytes, per_unit_overhead).await;
         return RecoveryStats::default();
     }
-    let mss = mss.max(Bytes::new(1));
-    let nsegs = bytes.div_ceil(mss).max(1);
-    // Byte length of the segment run [lo, hi): all full MSS except a
-    // possibly short tail.
-    let run_bytes = |lo: u64, hi: u64| -> Bytes {
-        if hi == nsegs {
-            bytes - mss * lo
-        } else {
-            mss * (hi - lo)
-        }
-    };
+    let unit = unit.max(Bytes::new(1));
+    let n = bytes.div_ceil(unit).max(1);
     let mut stats = RecoveryStats::default();
     #[cfg(feature = "simcheck")]
-    let mut oracle = simcheck::fault::DeliveryOracle::new(fabric, stream, nsegs);
+    let mut oracle = simcheck::fault::DeliveryOracle::new(policy.tag, stream, n);
     #[cfg(feature = "simcheck")]
     let mut observe_run = |lo: u64, hi: u64, now_ns: u64| {
         for idx in lo..hi {
             let _ = oracle.on_deliver(idx, Some(now_ns));
         }
     };
+    // Byte length of the unit run [lo, hi): all full units except a
+    // possibly short tail. `move`: by-reference captures would be three
+    // more words in the future every in-flight message holds.
+    let run_bytes = move |lo: u64, hi: u64| -> Bytes {
+        if hi == n {
+            bytes - unit * lo
+        } else {
+            unit * (hi - lo)
+        }
+    };
 
     let mut phase = TcpSendPhase::Streaming;
     let mut run_start = 0u64;
     let mut i = 0u64;
-    while i < nsegs {
-        match plane.judge(sim, stream) {
-            FaultDecision::Deliver => {
-                fsm_step(&mut phase, TcpSendEvent::SegmentDelivered);
-                i += 1;
-            }
-            FaultDecision::Delay => {
-                fsm_step(&mut phase, TcpSendEvent::SegmentDelayed);
-                stats.faults += 1;
-                // Everything up to and including the delayed segment is on
-                // the wire; the delay adds queueing latency behind it.
-                path.transfer(run_bytes(run_start, i + 1), per_segment_overhead)
+    while i < n {
+        let mut verdict = plane.judge(sim, stream);
+        let lost = is_loss(verdict);
+        if lost {
+            stats.faults += 1;
+            // The loss is discovered only after the preceding run (and,
+            // for an early signal, the units behind it) reached the
+            // receiver: stream out what was sent so far first.
+            if run_start < i {
+                path.transfer(run_bytes(run_start, i), per_unit_overhead)
                     .await;
-                sim.sleep(plane.delay()).await;
                 #[cfg(feature = "simcheck")]
-                observe_run(run_start, i + 1, sim.now().as_nanos());
-                i += 1;
+                observe_run(run_start, i, sim.now().as_nanos());
                 run_start = i;
             }
-            FaultDecision::Drop | FaultDecision::Corrupt => {
-                stats.faults += 1;
-                // The loss is discovered only after the preceding run (and,
-                // for fast retransmit, the segments behind it) reached the
-                // receiver: stream out what was sent so far first.
-                if run_start < i {
-                    path.transfer(run_bytes(run_start, i), per_segment_overhead)
-                        .await;
-                    #[cfg(feature = "simcheck")]
-                    observe_run(run_start, i, sim.now().as_nanos());
-                }
-                let mut attempt = 0u32;
-                loop {
-                    let trailing = nsegs - 1 - i;
-                    if attempt == 0 && trailing >= DUP_ACK_THRESHOLD {
-                        // Out-of-order arrivals behind the hole clock out
-                        // duplicate ACKs; the third triggers retransmission
-                        // about one RTT after the loss.
+            let resent = if policy.resend_tail { n - i } else { 1 };
+            let mut attempt = 0u32;
+            verdict = loop {
+                match policy.early_signal {
+                    Some((min_trailing, delay)) if attempt == 0 && n - 1 - i >= min_trailing => {
+                        // Out-of-order arrivals behind the hole make the
+                        // receiver report it about one RTT after the loss.
                         fsm_step(&mut phase, TcpSendEvent::LossFastRetx);
-                        sim.sleep(tuning.fast_retx_delay).await;
-                    } else {
-                        // Tail loss or lost retransmission: wait out the
-                        // timer, doubling per consecutive attempt.
+                        sim.sleep(delay).await;
+                    }
+                    _ => {
+                        // Tail loss, lost retransmission or a receiver that
+                        // never signals: wait out the timer, doubling per
+                        // consecutive attempt.
                         if attempt == 0 {
                             fsm_step(&mut phase, TcpSendEvent::LossTail);
                         }
-                        let exp = attempt.min(tuning.max_backoff_exp);
-                        sim.sleep(tuning.rto * (1u64 << exp)).await;
-                        sim.note_rto_fire();
-                        stats.rto_fires += 1;
+                        timer_expiry(sim, policy, attempt, &mut stats).await;
                     }
-                    sim.note_retransmits(1);
-                    stats.retransmits += 1;
-                    attempt += 1;
-                    let delivered = attempt > tuning.max_retries
-                        || matches!(
-                            plane.judge(sim, stream),
-                            FaultDecision::Deliver | FaultDecision::Delay
-                        );
-                    if delivered {
-                        fsm_step(&mut phase, TcpSendEvent::RetxDelivered);
-                        path.transfer(run_bytes(i, i + 1), per_segment_overhead)
-                            .await;
-                        #[cfg(feature = "simcheck")]
-                        observe_run(i, i + 1, sim.now().as_nanos());
-                        break;
-                    }
-                    fsm_step(&mut phase, TcpSendEvent::RetxLost);
-                    stats.faults += 1;
                 }
-                i += 1;
-                run_start = i;
-            }
+                sim.note_retransmits(resent);
+                stats.retransmits += resent;
+                attempt += 1;
+                let retx = if attempt > policy.max_retries {
+                    FaultDecision::Deliver
+                } else {
+                    plane.judge(sim, stream)
+                };
+                if !is_loss(retx) {
+                    fsm_step(&mut phase, TcpSendEvent::RetxDelivered);
+                    break retx;
+                }
+                fsm_step(&mut phase, TcpSendEvent::RetxLost);
+                stats.faults += 1;
+            };
+        } else if verdict == FaultDecision::Delay {
+            fsm_step(&mut phase, TcpSendEvent::SegmentDelayed);
+        } else {
+            fsm_step(&mut phase, TcpSendEvent::SegmentDelivered);
         }
-    }
-    if run_start < nsegs {
-        path.transfer(run_bytes(run_start, nsegs), per_segment_overhead)
-            .await;
-        #[cfg(feature = "simcheck")]
-        observe_run(run_start, nsegs, sim.now().as_nanos());
+        // A retransmitted or delayed unit ends its run like the last one
+        // does: everything up to and including it goes on the wire in one
+        // reservation (a healthy stream keeps its cut-through overlap), and
+        // a delay adds queueing latency behind it.
+        let delayed = verdict == FaultDecision::Delay;
+        if lost || delayed || i + 1 == n {
+            path.transfer(run_bytes(run_start, i + 1), per_unit_overhead)
+                .await;
+            if delayed {
+                stats.faults += 1;
+                sim.sleep(plane.delay()).await;
+            }
+            #[cfg(feature = "simcheck")]
+            observe_run(run_start, i + 1, sim.now().as_nanos());
+            run_start = i + 1;
+        }
+        i += 1;
     }
     fsm_step(&mut phase, TcpSendEvent::Finish);
     debug_assert_eq!(phase, TcpSendPhase::Done, "transfer must end in Done");
+
+    // The message ACK rides back to the sender. Losing it replays the whole
+    // message: the sender cannot tell a lost message from a lost ACK, and
+    // the receiver's replay filter absorbs the duplicate.
+    if policy.ack_replay {
+        let mut attempt = 0u32;
+        loop {
+            let verdict = plane.judge(sim, stream);
+            if verdict == FaultDecision::Deliver {
+                break;
+            }
+            stats.faults += 1;
+            if verdict == FaultDecision::Delay {
+                sim.sleep(plane.delay()).await;
+                break;
+            }
+            if attempt >= policy.max_retries {
+                break;
+            }
+            timer_expiry(sim, policy, attempt, &mut stats).await;
+            // Duplicate flight of the whole message: real wire time,
+            // dropped at the receiver's matching layer.
+            path.transfer(bytes, per_unit_overhead).await;
+            sim.note_retransmits(n);
+            stats.retransmits += n;
+            stats.duplicates += 1;
+            attempt += 1;
+        }
+    }
     #[cfg(feature = "simcheck")]
     {
         let now = Some(sim.now().as_nanos());
         let _ = oracle.finish(now);
-        // Selective repeat: every drop/corrupt costs at most one
-        // retransmission (a lost retransmission is itself a new fault).
+        // Selective repeat spends at most one retransmission per fault (a
+        // lost retransmission is itself a new fault); a go-back-N attempt
+        // or an ACK replay at most the whole message.
+        let budget = if policy.resend_tail || policy.ack_replay {
+            n
+        } else {
+            1
+        };
         let _ = simcheck::fault::check_retransmit_bound(
-            fabric,
+            policy.tag,
             stream,
             stats.faults,
             stats.retransmits,
-            1,
+            budget,
             now,
         );
     }
@@ -332,7 +394,27 @@ pub async fn transfer_with_recovery(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simnet::{ByteRate, FaultConfig, Pipe, Stage};
+    use simnet::{ByteRate, FaultConfig, Pipe, SimStats, Stage};
+
+    const UNIT: u64 = 1448;
+
+    /// Go-back-N behind an early NAK: covers `resend_tail`.
+    const GO_BACK_N: LossRecovery = LossRecovery {
+        early_signal: Some((1, SimDuration::from_micros(10))),
+        resend_tail: true,
+        ..HOST_TCP
+    };
+
+    /// Timer-only sender whose ACKs are at risk: covers `early_signal: None`
+    /// and `ack_replay`.
+    const TIMER_ONLY: LossRecovery = LossRecovery {
+        early_signal: None,
+        ack_replay: true,
+        ..HOST_TCP
+    };
+
+    /// Between them every field takes every kind of value.
+    const POLICIES: [LossRecovery; 4] = [HOST_TCP, TCP_OFFLOAD, GO_BACK_N, TIMER_ONLY];
 
     fn test_path(sim: &Sim) -> Pipeline {
         let stages = vec![
@@ -345,30 +427,38 @@ mod tests {
                 SimDuration::from_nanos(500),
             ),
         ];
-        Pipeline::new(sim, stages, Bytes::new(1448))
+        Pipeline::new(sim, stages, Bytes::new(UNIT))
     }
 
-    fn run(plane: FaultPlane, bytes: u64) -> (f64, RecoveryStats, simnet::SimStats) {
+    /// Elapsed nanoseconds and both sets of counters of one transfer.
+    fn run(policy: &LossRecovery, plane: FaultPlane, bytes: u64) -> (u64, RecoveryStats, SimStats) {
         let sim = Sim::new();
         let path = test_path(&sim);
         let stats = sim.block_on({
-            let sim2 = sim.clone();
+            let sim = sim.clone();
+            let policy = *policy;
             async move {
-                transfer_with_recovery(
-                    &sim2,
+                transfer_reliable(
+                    &sim,
                     &plane,
                     &path,
-                    "ether",
                     7,
                     Bytes::new(bytes),
-                    Bytes::new(1448),
+                    Bytes::new(UNIT),
                     Bytes::new(98),
-                    &TcpTuning::host_stack(),
+                    &policy,
                 )
                 .await
             }
         });
-        (sim.now().as_micros_f64(), stats, sim.stats())
+        (sim.now().as_nanos(), stats, sim.stats())
+    }
+
+    /// The transfer's own accounting is the executor's, counter by counter.
+    fn assert_counters_agree(stats: &RecoveryStats, sstats: &SimStats) {
+        assert_eq!(sstats.faults_injected, stats.faults);
+        assert_eq!(sstats.retransmits, stats.retransmits);
+        assert_eq!(sstats.rto_fires, stats.rto_fires);
     }
 
     /// The crate machine and the conformance table must agree on every
@@ -411,107 +501,142 @@ mod tests {
             path.transfer(Bytes::new(1 << 20), Bytes::new(98)).await;
         });
         let baseline = sim.now().as_nanos();
-        let (t, stats, sstats) = run(FaultPlane::disabled(), 1 << 20);
-        assert_eq!((t * 1000.0).round() as u64, baseline);
-        assert_eq!(stats, RecoveryStats::default());
-        assert_eq!(sstats.faults_injected, 0);
-        assert_eq!(sstats.retransmits, 0);
-        assert_eq!(sstats.rto_fires, 0);
+        for policy in &POLICIES {
+            let (t, stats, sstats) = run(policy, FaultPlane::disabled(), 1 << 20);
+            assert_eq!(t, baseline);
+            assert_eq!(stats, RecoveryStats::default());
+            assert_counters_agree(&stats, &sstats);
+        }
     }
 
     #[test]
     fn loss_slows_the_transfer_and_counts_recovery_work() {
-        let (t_clean, _, _) = run(FaultPlane::disabled(), 1 << 20);
-        // 1% loss over ~725 segments: expect several faults.
-        let plane = FaultPlane::new(FaultConfig::loss(10_000, 99));
-        let (t_lossy, stats, sstats) = run(plane, 1 << 20);
-        assert!(stats.faults > 0, "1% loss over 725 segments injected none");
-        assert_eq!(stats.retransmits, stats.faults - count_delays(&stats));
-        assert!(
-            t_lossy > t_clean,
-            "recovery must cost time: {t_lossy:.1} vs {t_clean:.1} µs"
-        );
-        assert_eq!(sstats.faults_injected, stats.faults);
-        assert_eq!(sstats.retransmits, stats.retransmits);
-        assert_eq!(sstats.rto_fires, stats.rto_fires);
-    }
-
-    // Pure-loss configs inject no delays, so every fault is a retransmit.
-    fn count_delays(_stats: &RecoveryStats) -> u64 {
-        0
+        let n = (1u64 << 20).div_ceil(UNIT);
+        for policy in &POLICIES {
+            let (t_clean, _, _) = run(policy, FaultPlane::disabled(), 1 << 20);
+            // 1% loss over ~725 units: expect several faults.
+            let plane = FaultPlane::new(FaultConfig::loss(10_000, 99));
+            let (t_lossy, stats, sstats) = run(policy, plane, 1 << 20);
+            assert!(stats.faults > 0, "1% loss over {n} units injected none");
+            assert!(
+                t_lossy > t_clean,
+                "recovery must cost time: {t_lossy} vs {t_clean} ns"
+            );
+            assert_counters_agree(&stats, &sstats);
+            if policy.resend_tail {
+                assert!(stats.retransmits > stats.faults, "whole tails are resent");
+            } else {
+                // Pure loss injects no delays, so every fault is one resent
+                // unit, or one replay of all n when it hit the ACK.
+                assert_eq!(stats.retransmits - (n - 1) * stats.duplicates, stats.faults);
+            }
+            if policy.early_signal.is_none() {
+                assert_eq!(stats.rto_fires, stats.faults, "only the timer notices");
+            }
+            if !policy.ack_replay {
+                assert_eq!(stats.duplicates, 0, "no ACK is judged, so none replays");
+            }
+        }
     }
 
     #[test]
     fn tail_loss_pays_an_rto_and_fast_retx_does_not() {
-        // Deterministically find a seed whose first fault lands in the
-        // fast-retransmit region (plenty of trailing segments): with 20%
-        // loss over 100 segments any seed works; verify both paths appear
-        // across a few seeds.
-        let mut saw_rto = false;
-        let mut saw_fast = false;
-        for seed in 0..8u64 {
-            let plane = FaultPlane::new(FaultConfig::loss(200_000, seed));
-            let (_, stats, _) = run(plane, 100 * 1448);
-            if stats.retransmits > stats.rto_fires {
-                saw_fast = true;
+        // With 20% loss over 100 units some seeds put a first fault where
+        // plenty of units trail it (early signal) and some lose a tail unit
+        // or a retransmission (timer): both paths must appear.
+        for policy in POLICIES.iter().filter(|p| p.early_signal.is_some()) {
+            let mut saw_rto = false;
+            let mut saw_fast = false;
+            for seed in 0..8u64 {
+                let plane = FaultPlane::new(FaultConfig::loss(200_000, seed));
+                let (_, stats, _) = run(policy, plane, 100 * UNIT);
+                // Every fault is one recovery attempt; those that fired no
+                // timer were signalled early.
+                saw_fast |= stats.faults > stats.rto_fires;
+                saw_rto |= stats.rto_fires > 0;
             }
-            if stats.rto_fires > 0 {
-                saw_rto = true;
-            }
+            assert!(
+                saw_fast,
+                "{}: no seed exercised the early signal",
+                policy.tag
+            );
+            assert!(saw_rto, "{}: no seed exercised the timer", policy.tag);
         }
-        assert!(saw_fast, "no seed exercised fast retransmit");
-        assert!(saw_rto, "no seed exercised the RTO path");
     }
 
     #[test]
     fn recovery_is_deterministic() {
-        let mk = || FaultPlane::new(FaultConfig::loss(10_000, 4242));
-        let (t1, s1, _) = run(mk(), 1 << 20);
-        let (t2, s2, _) = run(mk(), 1 << 20);
-        assert!((t1 - t2).abs() < f64::EPSILON);
-        assert_eq!(s1, s2);
+        for policy in &POLICIES {
+            let mk = || FaultPlane::new(FaultConfig::loss(10_000, 4242));
+            assert_eq!(run(policy, mk(), 1 << 20), run(policy, mk(), 1 << 20));
+        }
     }
 
     #[test]
     fn pathological_rates_still_terminate() {
-        // 100% drop: every segment is forced through after max_retries.
-        let plane = FaultPlane::new(FaultConfig::loss(1_000_000, 1));
-        let (_, stats, _) = run(plane, 4 * 1448);
-        assert_eq!(stats.retransmits, 4 * 17); // max_retries + 1 per segment
-        assert!(stats.rto_fires > 0);
+        // 100% drop over 4 units: each is forced through after its initial
+        // fault and max_retries failed re-judges, every attempt resending
+        // it (or, go-back-N, the 4, 3, 2, 1 units from it on). An ACK at
+        // risk then fails as often, replaying the message max_retries times.
+        for policy in &POLICIES {
+            let plane = FaultPlane::new(FaultConfig::loss(1_000_000, 1));
+            let (_, stats, sstats) = run(policy, plane, 4 * UNIT);
+            let retries = u64::from(policy.max_retries);
+            let resent = if policy.resend_tail { 4 + 3 + 2 + 1 } else { 4 };
+            let replays = if policy.ack_replay { retries } else { 0 };
+            assert_eq!(
+                stats.faults,
+                (retries + 1) * (4 + u64::from(policy.ack_replay))
+            );
+            assert_eq!(stats.retransmits, (retries + 1) * resent + replays * 4);
+            assert_eq!(stats.duplicates, replays);
+            assert!(stats.rto_fires > 0);
+            assert_counters_agree(&stats, &sstats);
+        }
+    }
+
+    fn delay_plane(drop_ppm: u32, delay_ppm: u32, delay_us: u64, seed: u64) -> FaultPlane {
+        FaultPlane::new(FaultConfig {
+            drop_ppm,
+            corrupt_ppm: 0,
+            delay_ppm,
+            delay: SimDuration::from_micros(delay_us),
+            seed,
+        })
     }
 
     #[test]
     fn delay_faults_delay_without_retransmitting() {
-        let sim = Sim::new();
-        let path = test_path(&sim);
-        let plane = FaultPlane::new(FaultConfig {
-            drop_ppm: 0,
-            corrupt_ppm: 0,
-            delay_ppm: 1_000_000,
-            delay: SimDuration::from_micros(50),
-            seed: 3,
-        });
-        let stats = sim.block_on({
-            let sim2 = sim.clone();
-            async move {
-                transfer_with_recovery(
-                    &sim2,
-                    &plane,
-                    &path,
-                    "ether",
-                    1,
-                    Bytes::new(2 * 1448),
-                    Bytes::new(1448),
-                    Bytes::new(98),
-                    &TcpTuning::host_stack(),
-                )
-                .await
+        for policy in &POLICIES {
+            let (t, stats, _) = run(policy, delay_plane(0, 1_000_000, 50, 3), 2 * UNIT);
+            assert_eq!(stats.retransmits, 0);
+            assert_eq!(stats.rto_fires, 0);
+            assert_eq!(stats.duplicates, 0);
+            // Both data units, and the ACK where it is judged.
+            assert_eq!(stats.faults, 2 + u64::from(policy.ack_replay));
+            assert!(t >= stats.faults * 50_000, "one 50 µs delay per fault");
+        }
+    }
+
+    /// A retransmission judged `Delay` is a fault like any other: counted
+    /// in the transfer's own stats and slept, not folded into "delivered".
+    #[test]
+    fn delayed_retransmissions_are_counted_and_slept() {
+        for policy in &POLICIES {
+            for seed in 0..32u64 {
+                let lossy = |delay_us| delay_plane(200_000, 300_000, delay_us, seed);
+                let (t, stats, sstats) = run(policy, lossy(50), 100 * UNIT);
+                assert_counters_agree(&stats, &sstats);
+                // The verdict stream does not depend on the configured
+                // delay, so against a zero-delay twin the elapsed time
+                // differs by exactly one delay per `Delay` verdict. Under
+                // selective repeat the drops are the retransmits.
+                if !policy.resend_tail && !policy.ack_replay {
+                    let (t0, stats0, _) = run(policy, lossy(0), 100 * UNIT);
+                    assert_eq!(stats0, stats);
+                    assert_eq!(t - t0, (stats.faults - stats.retransmits) * 50_000);
+                }
             }
-        });
-        assert_eq!(stats.retransmits, 0);
-        assert_eq!(stats.rto_fires, 0);
-        assert_eq!(stats.faults, 2);
-        assert!(sim.now().as_micros_f64() >= 100.0, "two 50 µs delays");
+        }
     }
 }

@@ -14,7 +14,7 @@
 use std::cell::RefCell;
 
 use etherstack::switch::SwitchConfig;
-use etherstack::{Fabric, NicModel, RdmaNic};
+use etherstack::{Fabric, LossRecovery, NicModel, RdmaNic};
 use hostmodel::lru::LruCache;
 use hostmodel::mem::HostMem;
 use hostmodel::pcie::PciePort;
@@ -22,6 +22,7 @@ use hostmodel::MemoryRegistry;
 use simnet::{Bytes, Pipe, Sim, SimDuration, Stage};
 
 use crate::calib::MellanoxCalib;
+use crate::recovery::RC_GO_BACK_N;
 
 /// One Mellanox HCA installed in one host.
 pub struct HcaDevice {
@@ -102,6 +103,8 @@ impl NicModel for HcaDevice {
     fn per_segment_overhead(&self) -> Bytes {
         self.calib.per_packet_overhead_bytes
     }
+
+    const LOSS_RECOVERY: LossRecovery = RC_GO_BACK_N;
 }
 
 impl RdmaNic for HcaDevice {

@@ -27,5 +27,4 @@ pub mod verbs;
 
 pub use calib::MellanoxCalib;
 pub use hca::{HcaDevice, IbFabric};
-pub use recovery::{transfer_go_back_n, IbTuning};
 pub use verbs::{Qp, WorkRequest};

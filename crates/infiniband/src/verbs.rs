@@ -4,18 +4,17 @@
 //! benchmarks through: reliable-connected QPs, RDMA Write / Send work
 //! requests, completion queues, lkey/rkey registration) is the shared
 //! [`Qp`]. This module supplies the InfiniBand half: the QP bring-up
-//! machine, RC loss recovery, the per-message processor hook and the
-//! connection numbering.
+//! machine, the per-message processor hook and the connection numbering
+//! (RC loss recovery is [`crate::recovery::RC_GO_BACK_N`], on the HCA).
 
 #[cfg(feature = "simcheck")]
 use std::cell::RefCell;
 use std::future::Future;
 
-use etherstack::{Lane, MsgDir, QpStep, QpWatch, RecoveryStats, VerbsNic};
-use simnet::{Bytes, Sim, SimDuration};
+use etherstack::{MsgDir, QpStep, QpWatch, VerbsNic};
+use simnet::{Sim, SimDuration};
 
 use crate::hca::HcaDevice;
-use crate::recovery::{transfer_go_back_n, IbTuning};
 
 pub use etherstack::{Qp, WorkRequest};
 
@@ -138,8 +137,8 @@ impl QpWatch for RcWatch {
 }
 
 /// What the shared [`Qp`] leaves to the HCA: the serial per-message
-/// processor with its QP-context cache, RC go-back-N recovery, and
-/// connections keyed by QP-number pair.
+/// processor with its QP-context cache, and connections keyed by
+/// QP-number pair.
 impl VerbsNic for HcaDevice {
     type Watch = RcWatch;
 
@@ -166,24 +165,6 @@ impl VerbsNic for HcaDevice {
 
     fn stream_key(&self, qpn: u32, _peer: &Self, peer_qpn: u32) -> u64 {
         (u64::from(qpn) << 32) | u64::from(peer_qpn)
-    }
-
-    #[inline]
-    fn transfer_reliable(
-        lane: &Lane<Self>,
-        bytes: Bytes,
-    ) -> impl Future<Output = RecoveryStats> + '_ {
-        const RC_TIMERS: IbTuning = IbTuning::mellanox();
-        transfer_go_back_n(
-            &lane.sim,
-            &lane.fault,
-            &lane.path,
-            lane.stream,
-            bytes,
-            lane.src.calib.mtu_payload,
-            lane.src.calib.per_packet_overhead_bytes,
-            &RC_TIMERS,
-        )
     }
 
     /// Walks the fresh QP through the canonical RC bring-up (RESET → INIT →

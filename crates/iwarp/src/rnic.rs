@@ -20,8 +20,9 @@
 //! on-board memory, so no stage's service time depends on the number of
 //! live connections.
 
+use etherstack::recovery::TCP_OFFLOAD;
 use etherstack::switch::SwitchConfig;
-use etherstack::{Fabric, NicModel, RdmaNic};
+use etherstack::{Fabric, LossRecovery, NicModel, RdmaNic};
 use hostmodel::mem::HostMem;
 use hostmodel::pcie::PciePort;
 use hostmodel::MemoryRegistry;
@@ -133,6 +134,8 @@ impl NicModel for RnicDevice {
     fn per_segment_overhead(&self) -> Bytes {
         self.calib.per_segment_overhead_bytes
     }
+
+    const LOSS_RECOVERY: LossRecovery = TCP_OFFLOAD;
 }
 
 impl RdmaNic for RnicDevice {

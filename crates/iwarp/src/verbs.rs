@@ -4,18 +4,17 @@
 //! shared [`Qp`]: queue pairs over a (simulated) TCP connection, work
 //! requests posted to a send queue, completions reaped from a completion
 //! queue, and memory registered into STags before the NIC may touch it.
-//! This module supplies the iWARP half: the RDMAP stream machine, the TOE's
-//! loss recovery and the connection numbering.
+//! This module supplies the iWARP half: the RDMAP stream machine and the
+//! connection numbering (the TOE's loss recovery is
+//! [`RnicDevice`]'s [`LOSS_RECOVERY`](etherstack::NicModel::LOSS_RECOVERY)).
 
 use std::cell::Cell;
 #[cfg(feature = "simcheck")]
 use std::cell::RefCell;
-use std::future::Future;
 
-use etherstack::recovery::{transfer_with_recovery, RecoveryStats, TcpTuning};
-use etherstack::{Lane, QpStep, QpWatch, VerbsNic};
+use etherstack::{QpStep, QpWatch, VerbsNic};
 use hostmodel::nic::CqeOpcode;
-use simnet::{Bytes, Sim, SimDuration};
+use simnet::{Sim, SimDuration};
 
 use crate::rdmap::opcode;
 use crate::rnic::RnicDevice;
@@ -162,8 +161,7 @@ impl QpWatch for StreamWatch {
 }
 
 /// What the shared [`Qp`] leaves to the RNIC: TCP streams keyed by node
-/// pair, recovered by the TOE's retransmission machinery (hardware-tight
-/// timers), watched as RDMAP streams. The pipelined engine has no serial
+/// pair, watched as RDMAP streams. The pipelined engine has no serial
 /// per-message stage.
 impl VerbsNic for RnicDevice {
     type Watch = StreamWatch;
@@ -179,25 +177,6 @@ impl VerbsNic for RnicDevice {
 
     fn stream_key(&self, _qpn: u32, peer: &Self, _peer_qpn: u32) -> u64 {
         ((self.node as u64) << 32) | peer.node as u64
-    }
-
-    #[inline]
-    fn transfer_reliable(
-        lane: &Lane<Self>,
-        bytes: Bytes,
-    ) -> impl Future<Output = RecoveryStats> + '_ {
-        const TOE_TIMERS: TcpTuning = TcpTuning::offload();
-        transfer_with_recovery(
-            &lane.sim,
-            &lane.fault,
-            &lane.path,
-            "iwarp",
-            lane.stream,
-            bytes,
-            lane.src.calib.segment_payload,
-            lane.src.calib.per_segment_overhead_bytes,
-            &TOE_TIMERS,
-        )
     }
 
     fn watch(&self, _sim: &Sim, _qpn: u32, _stream: u64) -> StreamWatch {

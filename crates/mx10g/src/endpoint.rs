@@ -7,8 +7,10 @@
 
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
+use std::future::Future;
 use std::rc::Rc;
 
+use etherstack::{transfer_reliable, NicModel, RecoveryStats};
 use hostmodel::cpu::Cpu;
 use hostmodel::mem::VirtAddr;
 use simnet::sync::{FifoGate, Notify};
@@ -16,7 +18,6 @@ use simnet::{Bytes, FaultPlane, Pipeline, Sim};
 
 use crate::matching::{matches, MatchInfo, ReplayFilter};
 use crate::nic::{MxFabric, MxNic};
-use crate::recovery::{transfer_with_resend, MxTuning};
 
 /// Completion status of a request.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -214,15 +215,14 @@ pub struct MxEndpoint {
 }
 
 /// Address of a connected peer endpoint: its match lists plus the data
-/// paths between the two NICs.
+/// path to its NIC. A clone is another handle on the same connection.
+#[derive(Clone)]
 pub struct MxAddr {
     peer_inner: Rc<EndpointInner>,
     peer_nic: Rc<MxNic>,
     peer_progression: Cpu,
     /// local → peer.
     path_out: Pipeline,
-    /// peer → local (rendezvous pulls).
-    path_back: Pipeline,
     pkt_overhead: Bytes,
     /// Packet payload of the active link mode (resend granularity).
     pkt: Bytes,
@@ -247,6 +247,40 @@ impl MxAddr {
     /// this connection.
     pub fn replay_drops(&self) -> u64 {
         self.replay.borrow().drops()
+    }
+
+    /// Move `bytes` to the peer NIC under MX's firmware resend. With the
+    /// fault plane disabled this is [`Pipeline::transfer`]. Hands back the
+    /// engine's own future: an `async fn` here would be one more frame in
+    /// every poll of every message.
+    #[inline]
+    fn transfer_reliable<'a>(
+        &'a self,
+        sim: &'a Sim,
+        bytes: Bytes,
+    ) -> impl Future<Output = RecoveryStats> + 'a {
+        transfer_reliable(
+            sim,
+            &self.fault,
+            &self.path_out,
+            self.conn_id,
+            bytes,
+            self.pkt,
+            self.pkt_overhead,
+            &MxNic::LOSS_RECOVERY,
+        )
+    }
+
+    /// Sequence-number dedup at the receiving NIC's matching layer: the
+    /// first arrival of message `ticket` claims it; its `rs.duplicates`
+    /// ACK-loss replays (already charged wire time by the resend engine)
+    /// arrive behind it and are dropped. False if `ticket` itself was one.
+    fn accept(&self, ticket: u64, rs: &RecoveryStats) -> bool {
+        let fresh = !self.fault.enabled() || self.replay.borrow_mut().accept(ticket);
+        for _ in 0..rs.duplicates {
+            let _ = self.replay.borrow_mut().accept(ticket);
+        }
+        fresh
     }
 }
 
@@ -294,7 +328,6 @@ impl MxEndpoint {
             peer_nic: Rc::clone(&peer.nic),
             peer_progression: peer.progression.clone(),
             path_out: fab.data_path(self.nic.node, peer.nic.node),
-            path_back: fab.data_path(peer.nic.node, self.nic.node),
             pkt_overhead: fab.per_segment_overhead(),
             pkt: fab.segment_payload(),
             order: FifoGate::new(),
@@ -377,47 +410,21 @@ impl MxEndpoint {
             dest.conn_id,
             Some(self.sim.now().as_nanos()),
         );
-        let path = dest.path_out.clone();
-        let ovh = dest.pkt_overhead;
-        let pkt = dest.pkt;
-        let conn = dest.conn_id;
-        let fault = dest.fault.clone();
-        let replay = Rc::clone(&dest.replay);
-        let peer_inner = Rc::clone(&dest.peer_inner);
-        let peer_nic = Rc::clone(&dest.peer_nic);
-        let peer_mem = peer_nic.mem.clone();
-        let gate = dest.order.clone();
-        let ticket = gate.ticket();
-        #[cfg(feature = "simcheck")]
-        let match_check = Rc::clone(&dest.match_check);
+        let dest = dest.clone();
+        let ticket = dest.order.ticket();
         let sim = self.sim.clone();
         self.sim.spawn(async move {
             let mut payload = payload;
-            let rs = transfer_with_resend(
-                &sim,
-                &fault,
-                &path,
-                conn,
-                Bytes::new(len),
-                pkt,
-                ovh,
-                &MxTuning::myri(),
-            )
-            .await;
+            let (peer_inner, peer_nic) = (&dest.peer_inner, &dest.peer_nic);
+            let rs = dest.transfer_reliable(&sim, Bytes::new(len)).await;
             // MX matches messages from one source in send order.
-            gate.enter(ticket).await;
+            dest.order.enter(ticket).await;
             #[cfg(feature = "simcheck")]
-            let _ = match_check
+            let _ = dest
+                .match_check
                 .borrow_mut()
                 .observe_match(ticket, Some(sim.now().as_nanos()));
-            // The first arrival claims this sequence number; ACK-loss
-            // replays (already charged wire time by the resend engine)
-            // arrive behind it and the matching layer drops them.
-            let fresh = !fault.enabled() || replay.borrow_mut().accept(ticket);
-            for _ in 0..rs.duplicates {
-                let _ = replay.borrow_mut().accept(ticket);
-            }
-            if fresh {
+            if dest.accept(ticket, &rs) {
                 // NIC-side matching at the receiver. List mutations happen
                 // atomically with the scan — the walk time is charged after —
                 // so a receive posted while the walk retires cannot lose the
@@ -452,14 +459,16 @@ impl MxEndpoint {
                     .await;
                 if let Some(p) = matched {
                     if let Some(data) = payload {
-                        peer_mem.write(p.addr, &data[..(p.len.min(len)) as usize]);
+                        peer_nic
+                            .mem
+                            .write(p.addr, &data[..(p.len.min(len)) as usize]);
                     }
                     p.req.complete(len.min(p.len), bits);
                 }
                 req.advance_phase(MxSendEvent::DataDelivered);
                 req.complete(len, bits);
             }
-            gate.leave();
+            dest.order.leave();
         });
     }
 
@@ -485,92 +494,56 @@ impl MxEndpoint {
         // MX pins the send buffer through its registration cache before
         // announcing the message (charged to the sending process).
         self.nic.registry.register_cached(&self.cpu, buf, len).await;
-        let path_out = dest.path_out.clone();
-        let path_back_unused = dest.path_back.clone();
-        let ovh = dest.pkt_overhead;
-        let pkt = dest.pkt;
-        let conn = dest.conn_id;
-        let fault = dest.fault.clone();
-        let replay = Rc::clone(&dest.replay);
-        let peer_inner = Rc::clone(&dest.peer_inner);
-        let peer_nic = Rc::clone(&dest.peer_nic);
-        let peer_progression = dest.peer_progression.clone();
+        let dest = dest.clone();
+        let ticket = dest.order.ticket();
         let sim = self.sim.clone();
         let sreq = req.clone();
-        let gate = dest.order.clone();
-        let ticket = gate.ticket();
-        #[cfg(feature = "simcheck")]
-        let match_check = Rc::clone(&dest.match_check);
         self.sim.spawn(async move {
+            let (peer_inner, peer_nic) = (&dest.peer_inner, &dest.peer_nic);
             // RTS travels as a small control message.
-            let rs = transfer_with_resend(
-                &sim,
-                &fault,
-                &path_out,
-                conn,
-                Bytes::new(32),
-                pkt,
-                ovh,
-                &MxTuning::myri(),
-            )
-            .await;
+            let rs = dest.transfer_reliable(&sim, Bytes::new(32)).await;
             // The RTS envelope matches in send order, like any message.
-            gate.enter(ticket).await;
+            dest.order.enter(ticket).await;
             #[cfg(feature = "simcheck")]
-            let _ = match_check
+            let _ = dest
+                .match_check
                 .borrow_mut()
                 .observe_match(ticket, Some(sim.now().as_nanos()));
             // A replayed RTS (its ACK was lost) must not announce the
-            // message twice: the matching layer drops it by sequence.
-            let fresh = !fault.enabled() || replay.borrow_mut().accept(ticket);
-            for _ in 0..rs.duplicates {
-                let _ = replay.borrow_mut().accept(ticket);
-            }
-            if !fresh {
-                gate.leave();
+            // message twice.
+            if !dest.accept(ticket, &rs) {
+                dest.order.leave();
                 return;
             }
-            let _ = &path_back_unused;
             // Build the pull closure: runs when a matching receive exists.
-            let peer_mem = peer_nic.mem.clone();
-            let peer_nic2 = Rc::clone(&peer_nic);
-            let path_data = path_out.clone();
+            let puller = dest.clone();
             let sim2 = sim.clone();
-            let fault2 = fault.clone();
             let pull: Box<dyn FnOnce(VirtAddr, u64, MxRequest)> =
                 Box::new(move |raddr, rlen, rreq| {
                     let n = len.min(rlen);
                     let bits = bits;
                     let sim3 = sim2.clone();
                     sim2.spawn(async move {
+                        let (peer_nic, peer_progression) =
+                            (&puller.peer_nic, &puller.peer_progression);
                         // Progression thread wakes, pins the receive buffer
                         // through the cache, sends CTS (reverse small
                         // message folded into its wakeup cost), and the
                         // sender NIC streams the data.
                         peer_progression
-                            .work(peer_nic2.calib.progression_wakeup)
+                            .work(peer_nic.calib.progression_wakeup)
                             .await;
-                        peer_nic2
+                        peer_nic
                             .registry
-                            .register_cached(&peer_progression, raddr, n)
+                            .register_cached(peer_progression, raddr, n)
                             .await;
                         sreq.advance_phase(MxSendEvent::CtsArrived);
                         // The pull data resends like any MX traffic; a
                         // duplicate here rewrites the same bytes, so no
                         // dedup is needed beyond the engine's accounting.
-                        transfer_with_resend(
-                            &sim3,
-                            &fault2,
-                            &path_data,
-                            conn,
-                            Bytes::new(n),
-                            pkt,
-                            ovh,
-                            &MxTuning::myri(),
-                        )
-                        .await;
+                        puller.transfer_reliable(&sim3, Bytes::new(n)).await;
                         if let Some(data) = payload {
-                            peer_mem.write(raddr, &data[..n as usize]);
+                            peer_nic.mem.write(raddr, &data[..n as usize]);
                         }
                         rreq.complete(n, bits);
                         sreq.advance_phase(MxSendEvent::DataDelivered);
@@ -594,14 +567,14 @@ impl MxEndpoint {
             };
             match hit {
                 Ok((walked, p)) => {
-                    gate.leave();
+                    dest.order.leave();
                     peer_nic
                         .match_walk(walked, peer_nic.calib.nic_match_posted_per_entry)
                         .await;
                     pull(p.addr, p.len, p.req);
                 }
                 Err(walked) => {
-                    gate.leave();
+                    dest.order.leave();
                     peer_inner.unexpected.borrow_mut().push_back(Unexpected {
                         bits,
                         len,

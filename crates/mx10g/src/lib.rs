@@ -29,4 +29,3 @@ pub use calib::MyriCalib;
 pub use endpoint::{MxAddr, MxAddrTable, MxEndpoint, MxRequest, MxStatus};
 pub use matching::{matches, MatchInfo, ReplayFilter};
 pub use nic::{LinkMode, MxFabric, MxNic};
-pub use recovery::{transfer_with_resend, MxResendStats, MxTuning};

@@ -3,13 +3,14 @@
 use std::ops::Deref;
 
 use etherstack::switch::SwitchConfig;
-use etherstack::{Fabric, NicModel, RdmaNic};
+use etherstack::{Fabric, LossRecovery, NicModel, RdmaNic};
 use hostmodel::mem::HostMem;
 use hostmodel::pcie::PciePort;
 use hostmodel::MemoryRegistry;
 use simnet::{Bytes, Pipe, Sim, SimDuration, Stage};
 
 use crate::calib::MyriCalib;
+use crate::recovery::MX_RESEND;
 
 /// Which link layer the fabric runs over. Same NICs, same MX library —
 /// different switch and framing, exactly as Myricom shipped it.
@@ -98,6 +99,8 @@ impl NicModel for MxNic {
             LinkMode::MxoE => self.calib.mxoe_packet_overhead,
         }
     }
+
+    const LOSS_RECOVERY: LossRecovery = MX_RESEND;
 }
 
 impl RdmaNic for MxNic {

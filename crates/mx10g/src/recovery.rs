@@ -1,309 +1,81 @@
-//! MX sender-side resend over a [`Pipeline`]: timeout-driven retransmission
-//! with whole-message replays on ACK loss.
+//! MX sender-side resend: timeout-driven retransmission with whole-message
+//! replays on ACK loss, as the [`LossRecovery`] that
+//! [`etherstack::transfer_reliable`] plays out for the Myri-10G NIC.
 //!
 //! Myrinet's link layer is reliable in practice but MX does not assume it:
 //! the Lanai firmware keeps every sent message until the receiver's ACK
-//! returns and **resends on a timer** — there is no receiver NAK and no
-//! duplicate-ACK machinery, so every loss (data *or* ACK) costs a resend
-//! timeout, backed off exponentially on consecutive expiries. A lost ACK
-//! makes the sender replay a message the receiver already has; the
-//! receiving NIC's matching layer filters those replays by sequence number
-//! ([`crate::matching::ReplayFilter`]) so the application sees each message
-//! exactly once.
+//! returns and **resends on a timer** (`timeout`) — there is no receiver
+//! NAK and no duplicate-ACK machinery (`early_signal: None`), so every loss
+//! (data *or* ACK) costs a resend timeout, backed off exponentially on
+//! consecutive expiries. Past the retry budget real firmware declares the
+//! peer dead. A lost ACK makes the sender replay a message the receiver
+//! already has (`ack_replay`); the receiving NIC's matching layer filters
+//! those replays by sequence number ([`crate::matching::ReplayFilter`]) so
+//! the application sees each message exactly once.
 //!
-//! The transfer is judged packet-by-packet against a [`FaultPlane`];
-//! contiguous delivered runs are streamed in one reservation so a healthy
-//! stream keeps the cut-through fast path. After the data lands, the ACK is
-//! judged too: each lost ACK charges a timeout and one full-message replay
-//! on the wire (reported in [`MxResendStats::duplicates`] for the caller's
-//! dedup filter).
+//! The transfer is judged packet-by-packet; after the data lands the ACK is
+//! judged too, and each lost ACK charges a timeout and one full-message
+//! replay on the wire (reported in [`RecoveryStats::duplicates`] for the
+//! caller's dedup filter).
 //!
-//! With the plane disabled the function is one branch and a tail call to
-//! [`Pipeline::transfer`] — bit-identical to the pre-fault code path.
+//! [`RecoveryStats::duplicates`]: etherstack::RecoveryStats::duplicates
 
-use simnet::{Bytes, FaultDecision, FaultPlane, Pipeline, Sim, SimDuration};
+use etherstack::LossRecovery;
+use simnet::SimDuration;
 
-/// Resend-timer calibration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MxTuning {
-    /// Firmware resend timeout: fires when a packet's (or the message's)
-    /// ACK has not returned.
-    pub resend_timeout: SimDuration,
-    /// Consecutive-timeout ceiling: the timer doubles per attempt up to
-    /// `resend_timeout << max_backoff_exp`.
-    pub max_backoff_exp: u32,
-    /// Resend attempts per packet (and per ACK) before the model forces
-    /// progress so pathological configured rates still terminate; real
-    /// firmware declares the peer dead.
-    pub max_retries: u32,
-}
-
-impl MxTuning {
-    /// Timers scaled to the Myri-10G fabric's ~3 µs RTT.
-    pub fn myri() -> Self {
-        MxTuning {
-            resend_timeout: SimDuration::from_micros(25),
-            max_backoff_exp: 6,
-            max_retries: 16,
-        }
-    }
-}
-
-impl Default for MxTuning {
-    fn default() -> Self {
-        MxTuning::myri()
-    }
-}
-
-/// What one resending transfer cost (the same quantities accumulate
-/// globally in [`simnet::SimStats`]).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct MxResendStats {
-    /// Faults this transfer absorbed (data and ACK; drops + corruptions +
-    /// delays).
-    pub faults: u64,
-    /// Packets retransmitted (ACK replays count the whole message).
-    pub retransmits: u64,
-    /// Resend-timer expiries.
-    pub rto_fires: u64,
-    /// Whole-message replays caused by lost ACKs — already charged wire
-    /// time here; the caller's matching layer must drop them by sequence.
-    pub duplicates: u64,
-}
-
-/// Stream `bytes` through `path` in `pkt`-sized packets with MX sender-side
-/// resend against `plane`, then see the message's ACK home. Resolves when
-/// the last byte (of the final replay, if ACKs were lost) clears the
-/// pipeline; with the plane disabled this is exactly [`Pipeline::transfer`].
-/// `stream` keys the plane's per-connection decision counter and tags
-/// conformance reports.
-#[allow(clippy::too_many_arguments)]
-pub async fn transfer_with_resend(
-    sim: &Sim,
-    plane: &FaultPlane,
-    path: &Pipeline,
-    stream: u64,
-    bytes: Bytes,
-    pkt: Bytes,
-    per_packet_overhead: Bytes,
-    tuning: &MxTuning,
-) -> MxResendStats {
-    if !plane.enabled() {
-        path.transfer(bytes, per_packet_overhead).await;
-        return MxResendStats::default();
-    }
-    let pkt = pkt.max(Bytes::new(1));
-    let npkts = bytes.div_ceil(pkt).max(1);
-    // Byte length of the packet run [lo, hi): full packets plus a short tail.
-    let run_bytes = |lo: u64, hi: u64| -> Bytes {
-        if hi == npkts {
-            bytes - pkt * lo
-        } else {
-            pkt * (hi - lo)
-        }
-    };
-    let mut stats = MxResendStats::default();
-    #[cfg(feature = "simcheck")]
-    let mut oracle = simcheck::fault::DeliveryOracle::new("mx", stream, npkts);
-    #[cfg(feature = "simcheck")]
-    let mut observe_run = |lo: u64, hi: u64, now_ns: u64| {
-        for idx in lo..hi {
-            let _ = oracle.on_deliver(idx, Some(now_ns));
-        }
-    };
-
-    let mut run_start = 0u64;
-    let mut i = 0u64;
-    while i < npkts {
-        match plane.judge(sim, stream) {
-            FaultDecision::Deliver => {
-                i += 1;
-            }
-            FaultDecision::Delay => {
-                stats.faults += 1;
-                path.transfer(run_bytes(run_start, i + 1), per_packet_overhead)
-                    .await;
-                sim.sleep(plane.delay()).await;
-                #[cfg(feature = "simcheck")]
-                observe_run(run_start, i + 1, sim.now().as_nanos());
-                i += 1;
-                run_start = i;
-            }
-            FaultDecision::Drop | FaultDecision::Corrupt => {
-                stats.faults += 1;
-                if run_start < i {
-                    path.transfer(run_bytes(run_start, i), per_packet_overhead)
-                        .await;
-                    #[cfg(feature = "simcheck")]
-                    observe_run(run_start, i, sim.now().as_nanos());
-                }
-                // No NAKs and no dup-ACKs: every recovery waits out the
-                // firmware resend timer.
-                let mut attempt = 0u32;
-                loop {
-                    let exp = attempt.min(tuning.max_backoff_exp);
-                    sim.sleep(tuning.resend_timeout * (1u64 << exp)).await;
-                    sim.note_rto_fire();
-                    stats.rto_fires += 1;
-                    sim.note_retransmits(1);
-                    stats.retransmits += 1;
-                    attempt += 1;
-                    let delivered = attempt > tuning.max_retries
-                        || matches!(
-                            plane.judge(sim, stream),
-                            FaultDecision::Deliver | FaultDecision::Delay
-                        );
-                    if delivered {
-                        path.transfer(run_bytes(i, i + 1), per_packet_overhead)
-                            .await;
-                        #[cfg(feature = "simcheck")]
-                        observe_run(i, i + 1, sim.now().as_nanos());
-                        break;
-                    }
-                    stats.faults += 1;
-                }
-                i += 1;
-                run_start = i;
-            }
-        }
-    }
-    if run_start < npkts {
-        path.transfer(run_bytes(run_start, npkts), per_packet_overhead)
-            .await;
-        #[cfg(feature = "simcheck")]
-        observe_run(run_start, npkts, sim.now().as_nanos());
-    }
-
-    // The message ACK rides back to the sender. Losing it replays the
-    // whole message: the firmware cannot tell a lost message from a lost
-    // ACK, and the receiver's replay filter absorbs the duplicate.
-    let mut ack_attempt = 0u32;
-    loop {
-        match plane.judge(sim, stream) {
-            FaultDecision::Deliver => break,
-            FaultDecision::Delay => {
-                stats.faults += 1;
-                sim.sleep(plane.delay()).await;
-                break;
-            }
-            FaultDecision::Drop | FaultDecision::Corrupt => {
-                stats.faults += 1;
-                if ack_attempt >= tuning.max_retries {
-                    break;
-                }
-                let exp = ack_attempt.min(tuning.max_backoff_exp);
-                sim.sleep(tuning.resend_timeout * (1u64 << exp)).await;
-                sim.note_rto_fire();
-                stats.rto_fires += 1;
-                // Duplicate flight of the whole message: real wire time,
-                // dropped at the receiver's matching layer.
-                path.transfer(bytes, per_packet_overhead).await;
-                sim.note_retransmits(npkts);
-                stats.retransmits += npkts;
-                stats.duplicates += 1;
-                ack_attempt += 1;
-            }
-        }
-    }
-
-    #[cfg(feature = "simcheck")]
-    {
-        let now = Some(sim.now().as_nanos());
-        let _ = oracle.finish(now);
-        // An ACK loss replays the whole message, so the per-fault budget is
-        // the message's packet count.
-        let _ = simcheck::fault::check_retransmit_bound(
-            "mx",
-            stream,
-            stats.faults,
-            stats.retransmits,
-            npkts,
-            now,
-        );
-    }
-    stats
-}
+/// Firmware resend with timers scaled to the Myri-10G fabric's ~3 µs RTT.
+pub const MX_RESEND: LossRecovery = LossRecovery {
+    tag: "mx",
+    timeout: SimDuration::from_micros(25),
+    max_backoff_exp: 6,
+    max_retries: 16,
+    early_signal: None,
+    resend_tail: false,
+    ack_replay: true,
+};
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simnet::{ByteRate, FaultConfig, Pipe, Stage};
+    use etherstack::{transfer_reliable, RecoveryStats};
+    use simnet::{ByteRate, Bytes, FaultConfig, FaultPlane, Pipe, Pipeline, Sim, Stage};
 
-    fn test_path(sim: &Sim) -> Pipeline {
+    fn run(plane: FaultPlane, bytes: u64) -> RecoveryStats {
+        let sim = Sim::new();
         let stages = vec![
             Stage::new(
-                Pipe::new(sim, ByteRate::from_gbps(10), SimDuration::ZERO),
+                Pipe::new(&sim, ByteRate::from_gbps(10), SimDuration::ZERO),
                 SimDuration::from_nanos(400),
             ),
             Stage::new(
-                Pipe::new(sim, ByteRate::from_gbps(10), SimDuration::ZERO),
+                Pipe::new(&sim, ByteRate::from_gbps(10), SimDuration::ZERO),
                 SimDuration::from_nanos(200),
             ),
         ];
-        Pipeline::new(sim, stages, Bytes::new(4096))
-    }
-
-    fn run(plane: FaultPlane, bytes: u64) -> (f64, MxResendStats, simnet::SimStats) {
-        let sim = Sim::new();
-        let path = test_path(&sim);
-        let stats = sim.block_on({
-            let sim2 = sim.clone();
+        let path = Pipeline::new(&sim, stages, Bytes::new(4096));
+        sim.block_on({
+            let sim = sim.clone();
             async move {
-                transfer_with_resend(
-                    &sim2,
+                transfer_reliable(
+                    &sim,
                     &plane,
                     &path,
                     5,
                     Bytes::new(bytes),
                     Bytes::new(4096),
                     Bytes::new(16),
-                    &MxTuning::myri(),
+                    &MX_RESEND,
                 )
                 .await
             }
-        });
-        (sim.now().as_micros_f64(), stats, sim.stats())
-    }
-
-    #[test]
-    fn disabled_plane_is_bit_identical_to_plain_transfer() {
-        let sim = Sim::new();
-        let path = test_path(&sim);
-        sim.block_on(async move {
-            path.transfer(Bytes::new(1 << 20), Bytes::new(16)).await;
-        });
-        let baseline = sim.now().as_nanos();
-        let (t, stats, sstats) = run(FaultPlane::disabled(), 1 << 20);
-        assert_eq!((t * 1000.0).round() as u64, baseline);
-        assert_eq!(stats, MxResendStats::default());
-        assert_eq!(sstats.faults_injected, 0);
-        assert_eq!(sstats.retransmits, 0);
-    }
-
-    #[test]
-    fn loss_slows_the_transfer_and_counts_recovery_work() {
-        let (t_clean, _, _) = run(FaultPlane::disabled(), 1 << 20);
-        // 1% loss over 256 packets (+1 ACK judge): expect several faults.
-        let plane = FaultPlane::new(FaultConfig::loss(10_000, 99));
-        let (t_lossy, stats, sstats) = run(plane, 1 << 20);
-        assert!(stats.faults > 0, "1% loss over 256 packets injected none");
-        assert!(stats.retransmits > 0);
-        assert_eq!(stats.rto_fires, stats.retransmits - 255 * stats.duplicates);
-        assert!(
-            t_lossy > t_clean,
-            "recovery must cost time: {t_lossy:.1} vs {t_clean:.1} µs"
-        );
-        assert_eq!(sstats.faults_injected, stats.faults);
-        assert_eq!(sstats.retransmits, stats.retransmits);
-        assert_eq!(sstats.rto_fires, stats.rto_fires);
+        })
     }
 
     #[test]
     fn ack_loss_replays_the_whole_message_across_seeds() {
         let mut saw_duplicate = false;
         for seed in 0..64u64 {
-            let plane = FaultPlane::new(FaultConfig::loss(200_000, seed));
-            let (_, stats, _) = run(plane, 4 * 4096);
+            let stats = run(FaultPlane::new(FaultConfig::loss(200_000, seed)), 4 * 4096);
             if stats.duplicates > 0 {
                 saw_duplicate = true;
                 assert!(
@@ -316,59 +88,15 @@ mod tests {
     }
 
     #[test]
-    fn recovery_is_deterministic() {
-        let mk = || FaultPlane::new(FaultConfig::loss(10_000, 4242));
-        let (t1, s1, _) = run(mk(), 1 << 20);
-        let (t2, s2, _) = run(mk(), 1 << 20);
-        assert!((t1 - t2).abs() < f64::EPSILON);
-        assert_eq!(s1, s2);
-    }
-
-    #[test]
-    fn pathological_rates_still_terminate_with_exact_accounting() {
+    fn total_loss_terminates_with_exact_accounting() {
         // 100% drop, 2 packets. Each packet: 1 initial fault + 16 failed
         // re-judges = 17 faults, 17 timer-driven resends. The ACK then
         // fails 17 times (16 replays of the 2-packet message before the
         // retry budget forces completion).
-        let plane = FaultPlane::new(FaultConfig::loss(1_000_000, 1));
-        let (_, stats, _) = run(plane, 2 * 4096);
+        let stats = run(FaultPlane::new(FaultConfig::loss(1_000_000, 1)), 2 * 4096);
         assert_eq!(stats.faults, 17 + 17 + 17);
         assert_eq!(stats.retransmits, 17 + 17 + 16 * 2);
         assert_eq!(stats.duplicates, 16);
         assert_eq!(stats.rto_fires, 17 + 17 + 16);
-    }
-
-    #[test]
-    fn delay_faults_delay_without_retransmitting() {
-        let sim = Sim::new();
-        let path = test_path(&sim);
-        let plane = FaultPlane::new(FaultConfig {
-            drop_ppm: 0,
-            corrupt_ppm: 0,
-            delay_ppm: 1_000_000,
-            delay: SimDuration::from_micros(50),
-            seed: 3,
-        });
-        let stats = sim.block_on({
-            let sim2 = sim.clone();
-            async move {
-                transfer_with_resend(
-                    &sim2,
-                    &plane,
-                    &path,
-                    1,
-                    Bytes::new(2 * 4096),
-                    Bytes::new(4096),
-                    Bytes::new(16),
-                    &MxTuning::myri(),
-                )
-                .await
-            }
-        });
-        assert_eq!(stats.retransmits, 0);
-        assert_eq!(stats.duplicates, 0);
-        // Two data packets + the ACK, all delayed 50 µs.
-        assert_eq!(stats.faults, 3);
-        assert!(sim.now().as_micros_f64() >= 150.0, "three 50 µs delays");
     }
 }

@@ -144,14 +144,12 @@ const SINK_METHODS: &[(&str, &str)] = &[
 /// `ShardCtx`.
 const SHARD_CTX_IDENT: &str = "ShardCtx";
 
-/// Fabric hot-path entry points for the panic-path audit: the four
-/// fabrics' transfer engines plus the user-facing posting calls that lead
-/// into them.
+/// Fabric hot-path entry points for the panic-path audit: the pipeline
+/// transfer, the one loss-recovery engine over it, and the user-facing
+/// posting calls that lead into them.
 pub const HOT_PATH_ENTRIES: &[&str] = &[
     "transfer",
-    "transfer_with_recovery",
-    "transfer_go_back_n",
-    "transfer_with_resend",
+    "transfer_reliable",
     "post_send_wr",
     "isend",
     "irecv",

@@ -6,26 +6,90 @@
 //! counters are populated, lossy runs are bit-deterministic, and a
 //! disabled plane leaves both timing and counters untouched.
 
+use etherstack::{LossRecovery, NicModel};
 use mpisim::FabricKind;
 use netbench::loss::plane_for;
 use netbench::userlevel::UserPair;
-use simnet::{Sim, SimStats};
+use simnet::{Bytes, FaultConfig, FaultPlane, Sim, SimStats};
 
 const MSG: u64 = 64 << 10;
 const ITERS: u64 = 10;
 
-/// One lossy ping-pong run: returns the half-RTT and the executor's
-/// counter snapshot (faults, retransmits, RTO fires included).
-fn lossy_run(kind: FabricKind, ki: usize, ppm: u32) -> (f64, SimStats) {
+/// One ping-pong run of `iters` round trips under `plane`: returns the
+/// half-RTT and the executor's counter snapshot (faults, retransmits, RTO
+/// fires included).
+fn run_under(kind: FabricKind, plane: FaultPlane, iters: u64) -> (f64, SimStats) {
     let sim = Sim::new();
     let t = sim.block_on({
         let sim = sim.clone();
         async move {
-            let pair = UserPair::build_with_fault(&sim, kind, plane_for(ki, ppm)).await;
-            pair.half_rtt_us(MSG, ITERS).await
+            let pair = UserPair::build_with_fault(&sim, kind, plane).await;
+            pair.half_rtt_us(MSG, iters).await
         }
     });
     (t, sim.stats())
+}
+
+/// One lossy run at `ppm` on the fig-loss plane of fabric `ki`.
+fn lossy_run(kind: FabricKind, ki: usize, ppm: u32) -> (f64, SimStats) {
+    run_under(kind, plane_for(ki, ppm), ITERS)
+}
+
+/// Wire-unit payload and loss-recovery description of an `N` NIC.
+fn wire_unit<N: NicModel>(calib: N::Calib) -> (Bytes, LossRecovery) {
+    (
+        N::new(&Sim::new(), 0, calib).segment_payload(),
+        N::LOSS_RECOVERY,
+    )
+}
+
+/// Hostile input: at loss = 1.0 nothing is ever delivered on its merits,
+/// so every recovery must terminate by exhausting its retry budget — one
+/// initial fault plus `max_retries` failed re-judges per judged unit,
+/// exactly.
+#[test]
+fn total_loss_terminates_with_every_unit_forced_through() {
+    const ROUND_TRIPS: u64 = 2;
+    for (seed, kind) in FabricKind::ALL.into_iter().enumerate() {
+        let (unit, policy) = match kind {
+            FabricKind::Iwarp => wire_unit::<iwarp::RnicDevice>(Default::default()),
+            FabricKind::InfiniBand => wire_unit::<infiniband::HcaDevice>(Default::default()),
+            FabricKind::MxoM => {
+                wire_unit::<mx10g::MxNic>((mx10g::LinkMode::MxoM, Default::default()))
+            }
+            FabricKind::MxoE => {
+                wire_unit::<mx10g::MxNic>((mx10g::LinkMode::MxoE, Default::default()))
+            }
+        };
+        let data_units = Bytes::new(MSG).div_ceil(unit);
+        // MX puts its ACKs at risk too, and at this size sends a one-packet
+        // rendezvous RTS ahead of the data: one more packet and two ACKs.
+        let judged_per_msg = if policy.ack_replay {
+            data_units + 3
+        } else {
+            data_units
+        };
+        let plane = FaultPlane::new(FaultConfig::loss(1_000_000, seed as u64));
+        let (_, stats) = run_under(kind, plane, ROUND_TRIPS);
+        assert_eq!(
+            stats.faults_injected,
+            judged_per_msg * (u64::from(policy.max_retries) + 1) * 2 * ROUND_TRIPS,
+            "{kind:?}: {data_units} data units per message"
+        );
+        assert!(stats.rto_fires > 0);
+    }
+    // Forced progress is still exactly-once delivery within the
+    // retransmit budget.
+    #[cfg(feature = "simcheck")]
+    for r in simcheck::summary().rules {
+        if matches!(
+            r.rule,
+            simcheck::Rule::FaultDelivery | simcheck::Rule::FaultRetxBound
+        ) {
+            assert!(r.checks > 0, "{:?} saw no traffic", r.rule);
+            assert_eq!(r.violations, 0, "{:?} fired", r.rule);
+        }
+    }
 }
 
 #[test]
