@@ -48,44 +48,25 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo doc --no-deps (broken intra-doc links are errors)"
 RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc -q --no-deps --workspace
 
-echo "==> simlint --deny-all --dataflow --units (determinism, panic-path, FSM & units gates)"
-# Workspace-wide AST lint pass: rejects hash-order iteration, wall-clock
-# reads, OS threads, unseeded RNGs, unordered float accumulation, and
-# Relaxed atomics inside simulation-state code. --dataflow layers the
-# interprocedural passes on top — nondeterminism taint through calls,
-# unwraps reachable from the fabric transfer hot paths, and static FSM
-# conformance between the fabric machines and the simcheck tables — gated
-# on the committed crates/simlint/dataflow.baseline: only NEW findings
-# (or stale baseline entries) fail. See DESIGN.md §11. --units adds the
-# dimensional abstract interpretation (unit-mismatch, unit-arith,
-# raw-quantity, lossy-time-cast) gated on crates/simlint/units.baseline,
-# which is committed EMPTY: the Bytes/ByteRate migration is complete and
-# any new finding is a real dimension bug. See DESIGN.md §12.
-cargo run -q -p simlint -- --deny-all --dataflow --units
+echo "==> simlint (determinism, panic-path, FSM & units gates)"
+# One pipeline over the workspace; any finding fails. Per-file rules reject
+# hash-order iteration, wall-clock reads, OS threads, unseeded RNGs,
+# unordered float accumulation, Relaxed atomics, cross-shard state and
+# incomplete memo keys in simulation-state code (DESIGN.md §6); the
+# interprocedural passes add nondeterminism taint through calls, unwraps
+# reachable from the fabric transfer hot paths and static FSM conformance
+# between the fabric machines and the simcheck tables (§11); the
+# dimensional pass adds unit-mismatch, unit-arith, raw-quantity and
+# lossy-time-cast (§12).
+cargo run -q -p simlint
 
 mkdir -p results/ci
-echo "==> simlint artifacts: results/ci/simlint.json + simlint.sarif"
-# Machine-readable per-rule violation/allow tally for trend tracking,
-# plus a SARIF 2.1.0 log for code-scanning UI ingestion.
-cargo run -q -p simlint -- --deny-all --dataflow --units \
-    --sarif results/ci/simlint.sarif --json > results/ci/simlint.json
-test -s results/ci/simlint.sarif
-
-echo "==> units baseline stays empty (typed-quantity migration is complete)"
-# The committed units baseline has zero fingerprints by design. This guard
-# fails if someone regenerates it to paper over a new dimension bug instead
-# of fixing the code (the --deny-all gate above would otherwise accept it).
-if grep -v '^#' crates/simlint/units.baseline | grep -q .; then
-    echo "crates/simlint/units.baseline must stay empty; fix the finding instead" >&2
-    exit 1
-fi
-
 echo "==> simlint --audit-allows: waiver budget no-regression"
 # Every inline allow is a standing exception to a determinism rule. The
 # audit fails on stale waivers, and the committed results/allow_budget.json
 # caps the total: adding an allow means consciously raising the budget in
 # the same diff that justifies it. Shrinking is always welcome.
-cargo run -q -p simlint -- --deny-all --audit-allows --json \
+cargo run -q -p simlint -- --audit-allows --json \
     > results/ci/allow_audit.json
 python3 - <<'EOF'
 import json

@@ -35,7 +35,7 @@ use simnet::{Bytes, FaultDecision, FaultPlane, Pipeline, Sim, SimDuration};
 /// they were first written for; every protocol's transfer walks them (an
 /// early NAK is `FastRetx`, any timer wait `RtoWait`). This is the canonical
 /// machine: [`fsm_next`] is the single in-crate statement of which
-/// transitions exist, and `simlint --dataflow` statically diffs it against
+/// transitions exist, and `simlint` statically diffs it against
 /// `simcheck::ether::TCP_FSM_TABLE` (rule `fsm-drift`) so the model and
 /// the conformance-side restatement cannot disagree silently.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -463,7 +463,7 @@ mod tests {
 
     /// The crate machine and the conformance table must agree on every
     /// (phase, event) pair — the runtime complement of the static
-    /// `fsm-drift` diff in `simlint --dataflow`.
+    /// `fsm-drift` diff in `simlint`.
     #[cfg(feature = "simcheck")]
     #[test]
     fn recovery_machine_matches_simcheck_table_exhaustively() {

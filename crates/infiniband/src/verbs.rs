@@ -20,7 +20,7 @@ pub use etherstack::{Qp, WorkRequest};
 
 /// Lifecycle phases of a reliable-connected QP, as the connect handshake
 /// walks them. This is the canonical machine: [`fsm_next`] is the single
-/// in-crate statement of which transitions exist, and `simlint --dataflow`
+/// in-crate statement of which transitions exist, and `simlint`
 /// statically diffs it against `simcheck::ib::QP_FSM_TABLE` (rule
 /// `fsm-drift`) so the model and the conformance oracle cannot disagree
 /// silently.
@@ -201,7 +201,7 @@ mod tests {
 
     /// The crate machine and the conformance table must agree on every
     /// (phase, event) pair — the runtime complement of the static
-    /// `fsm-drift` diff in `simlint --dataflow`.
+    /// `fsm-drift` diff in `simlint`.
     #[cfg(feature = "simcheck")]
     #[test]
     fn qp_machine_matches_simcheck_table_exhaustively() {

@@ -24,7 +24,7 @@ pub use hostmodel::nic::{Cqe, CqeStatus};
 
 /// Lifecycle phases of one RDMAP stream (one direction of a QP). This is
 /// the canonical machine: [`fsm_next`] is the single in-crate statement of
-/// which transitions exist, and `simlint --dataflow` statically diffs it
+/// which transitions exist, and `simlint` statically diffs it
 /// against `simcheck::iwarp::RDMAP_FSM_TABLE` (rule `fsm-drift`) so the
 /// model and the conformance oracle cannot disagree silently.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -284,7 +284,7 @@ mod tests {
 
     /// The crate machine and the conformance table must agree on every
     /// (phase, event) pair — the runtime complement of the static
-    /// `fsm-drift` diff in `simlint --dataflow`.
+    /// `fsm-drift` diff in `simlint`.
     #[cfg(feature = "simcheck")]
     #[test]
     fn stream_machine_matches_simcheck_table_exhaustively() {

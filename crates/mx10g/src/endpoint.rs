@@ -31,8 +31,8 @@ pub struct MxStatus {
 
 /// Lifecycle phases of one MX send, from matching through protocol
 /// selection to completion. This is the canonical machine: [`fsm_next`] is
-/// the single in-crate statement of which transitions exist, and `simlint
-/// --dataflow` statically diffs it against `simcheck::mx::MX_FSM_TABLE`
+/// the single in-crate statement of which transitions exist, and simlint
+/// statically diffs it against `simcheck::mx::MX_FSM_TABLE`
 /// (rule `fsm-drift`) so the model and the conformance-side restatement
 /// cannot disagree silently.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -687,7 +687,7 @@ mod tests {
 
     /// The crate machine and the conformance table must agree on every
     /// (phase, event) pair — the runtime complement of the static
-    /// `fsm-drift` diff in `simlint --dataflow`.
+    /// `fsm-drift` diff in `simlint`.
     #[cfg(feature = "simcheck")]
     #[test]
     fn send_machine_matches_simcheck_table_exhaustively() {

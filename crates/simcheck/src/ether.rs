@@ -21,7 +21,7 @@ const ETH_IFG_LEN: u64 = 12;
 /// backoff, and the final segment finishes the transfer. The
 /// `etherstack::recovery` loop tracks these phases (`TcpSendPhase` /
 /// `fsm_next`), this export is the conformance-side restatement, and
-/// `simlint --dataflow` diffs the two (rule `fsm-drift`); feature-gated
+/// `simlint` diffs the two (rule `fsm-drift`); feature-gated
 /// tests in `etherstack` additionally cross-check the machine against this
 /// table exhaustively.
 pub const TCP_FSM_TABLE: crate::FsmTable = &[

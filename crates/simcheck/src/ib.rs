@@ -43,8 +43,8 @@ impl QpState {
 /// the bring-up ladder RESET → INIT → RTR → RTS, a fall to ERROR from
 /// anywhere, and a tear-down back to RESET from anywhere. This table is the
 /// oracle's single source of legality ([`QpStateOracle::observe_transition`]
-/// consults it via [`crate::fsm_legal_transition`]), and `simlint
-/// --dataflow` statically diffs it against `infiniband::verbs::fsm_next`
+/// consults it via [`crate::fsm_legal_transition`]), and simlint
+/// statically diffs it against `infiniband::verbs::fsm_next`
 /// (rule `fsm-drift`).
 pub const QP_FSM_TABLE: crate::FsmTable = &[
     ("Reset", "BringUp", "Init"),

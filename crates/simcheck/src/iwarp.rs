@@ -240,7 +240,7 @@ impl StreamState {
 /// *arriving* is legal from any state (the remote error path is
 /// idempotent). This table is the oracle's single source of state legality
 /// ([`RdmapStateOracle`] consults it via [`crate::fsm_lookup`]), and
-/// `simlint --dataflow` statically diffs it against
+/// `simlint` statically diffs it against
 /// `iwarp::verbs::fsm_next` (rule `fsm-drift`).
 pub const RDMAP_FSM_TABLE: crate::FsmTable = &[
     ("Operational", "PostWrite", "Operational"),

@@ -205,7 +205,7 @@ impl fmt::Display for Violation {
 /// from-state. Each fabric oracle module exports its table as a `pub const`
 /// (`ib::QP_FSM_TABLE`, `iwarp::RDMAP_FSM_TABLE`, `ether::TCP_FSM_TABLE`,
 /// `mx::MX_FSM_TABLE`) so that (a) the runtime oracles and the fabric state
-/// machines share one source of truth, and (b) `simlint --dataflow` can
+/// machines share one source of truth, and (b) `simlint` can
 /// statically diff each table against the fabric's `fsm_next` match arms
 /// (rule `fsm-drift`, DESIGN.md §11).
 pub type FsmTable = &'static [(&'static str, &'static str, &'static str)];

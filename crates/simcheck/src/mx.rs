@@ -11,7 +11,7 @@ const FABRIC: &str = "mx10g";
 /// payload directly, and a rendezvous send handshakes (RTS → CTS) before
 /// the bulk pull. The `mx10g::endpoint` send paths track these phases
 /// (`MxSendPhase` / `fsm_next`), this export is the conformance-side
-/// restatement, and `simlint --dataflow` diffs the two (rule `fsm-drift`);
+/// restatement, and `simlint` diffs the two (rule `fsm-drift`);
 /// feature-gated tests in `mx10g` additionally cross-check the machine
 /// against this table exhaustively.
 pub const MX_FSM_TABLE: crate::FsmTable = &[

@@ -1,29 +1,15 @@
-//! Driver for the interprocedural passes: file collection, pass execution,
-//! allow-annotation suppression, and the committed-baseline gate.
+//! The interprocedural passes as one step of the [`crate::check`] pipeline.
 //!
-//! The classic rules in [`crate::rules`] are per-file and run everywhere;
-//! the passes driven here ([`crate::taint`], [`crate::fsm`]) are
-//! workspace-wide — they need every file at once to resolve calls and to
-//! pair fabric machines with oracle tables. `simlint --dataflow` runs both
-//! layers and merges the reports.
-//!
-//! ## Baseline policy
-//!
-//! Dataflow findings gate CI on *new* findings only: the committed
-//! `crates/simlint/dataflow.baseline` holds a fingerprint per accepted
-//! pre-existing finding, and [`apply_baseline`] subtracts it (multiset
-//! semantics) from a run's findings. Fingerprints are
-//! `rule|workspace-relative-path|message` — deliberately no line numbers,
-//! and the pass messages are written line-free, so edits above a finding do
-//! not churn the baseline. A baseline entry nothing matches is *stale* and
-//! fails `--deny-all`: the file shrinks monotonically toward empty, it
-//! never rots. Regenerate with `--write-baseline` only when accepting a
-//! finding is a deliberate reviewed decision.
+//! The classic rules in [`crate::rules`] are per-file; the passes here
+//! ([`crate::taint`], [`crate::fsm`]) are workspace-wide — they need every
+//! file at once to resolve calls and to pair fabric machines with oracle
+//! tables. Their findings join the per-file and [`crate::units`] findings
+//! before the allows are applied, so one annotation may waive rules of
+//! any pass.
 
 use crate::graph::build_index;
-use crate::{fsm, parse_allows, taint, Diagnostic};
+use crate::{fsm, taint, Diagnostic};
 
-use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 /// The interprocedural rules layered on top of [`crate::rules::all_rules`]:
@@ -44,238 +30,23 @@ pub const DATAFLOW_RULES: &[(&str, &str)] = &[
     ),
 ];
 
-/// True when `name` is one of the dataflow-layer rules.
-pub fn is_dataflow_rule(name: &str) -> bool {
-    DATAFLOW_RULES.iter().any(|(n, _)| *n == name)
-}
-
-/// Default baseline location, workspace-relative.
-pub const BASELINE_PATH: &str = "crates/simlint/dataflow.baseline";
-
-/// Extra directories the dataflow passes read beyond [`crate::SIM_SCOPE`]:
-/// `simcheck` for the exported FSM tables, `bench` so a wall-clock helper
-/// there still taints sim-scope callers (sinks are only *reported* in sim
-/// scope — bench times figure generation by design).
-const EXTRA_SCOPE: &[&str] = &["crates/simcheck/src", "crates/bench/src"];
-
-/// Collect `(path, source)` for every file the dataflow passes analyze.
-pub fn dataflow_files(root: &Path) -> std::io::Result<Vec<(PathBuf, String)>> {
-    let mut paths = crate::workspace_files(root)?;
-    for dir in EXTRA_SCOPE {
-        let base = root.join(dir);
-        if base.is_dir() {
-            let mut extra = Vec::new();
-            collect(&base, &mut extra)?;
-            paths.append(&mut extra);
-        }
-    }
-    paths.sort();
-    paths.dedup();
-    paths
-        .into_iter()
-        .map(|p| std::fs::read_to_string(&p).map(|src| (p, src)))
-        .collect()
-}
-
-fn collect(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
-    let mut entries: Vec<PathBuf> = std::fs::read_dir(dir)?
-        .map(|e| e.map(|e| e.path()))
-        .collect::<std::io::Result<_>>()?;
-    entries.sort();
-    for path in entries {
-        if path.is_dir() {
-            collect(&path, out)?;
-        } else if path.extension().is_some_and(|e| e == "rs") {
-            out.push(path);
-        }
-    }
-    Ok(())
-}
-
-/// Result of one dataflow run: surviving findings plus what allows ate.
-pub struct DataflowOutcome {
-    pub diags: Vec<Diagnostic>,
-    pub suppressed: Vec<Diagnostic>,
-}
-
-/// Run taint + panic + FSM passes over `files` and apply in-place
-/// `simlint: allow` suppressions.
-///
-/// Engine diagnostics from allow parsing (`malformed-allow`,
-/// `unknown-rule`) are *dropped* here — the classic per-file pass already
-/// reports each bad directive once, and re-reporting per layer is exactly
-/// the duplication the combined mode must avoid. `unused-allow` is emitted
-/// here only for annotations that name *exclusively* dataflow rules, which
-/// the classic pass correspondingly skips.
-pub fn run_dataflow(root: &Path, files: &[(PathBuf, String)]) -> DataflowOutcome {
-    let mut found = Vec::new();
-    let index = build_index(files, &mut Vec::new());
-    taint::taint_pass(root, &index, &mut found);
-    taint::panic_pass(root, &index, &mut found);
-    fsm::fsm_pass(root, files, &mut found);
-    found.sort();
-    found.dedup();
-
-    // Known-rule list for allow parsing: classic + dataflow + units names,
-    // so a mixed annotation parses identically in every layer.
-    let mut known: Vec<&'static str> = crate::rules::all_rules().iter().map(|r| r.name()).collect();
-    known.extend(DATAFLOW_RULES.iter().map(|(n, _)| *n));
-    known.extend(crate::units::UNITS_RULES.iter().map(|(n, _)| *n));
-
+/// Run taint + panic + FSM passes over `files`; append their findings,
+/// sorted and deduplicated, to `found`.
+pub(crate) fn dataflow_pass(root: &Path, files: &[(PathBuf, String)], found: &mut Vec<Diagnostic>) {
     let mut diags = Vec::new();
-    let mut suppressed = Vec::new();
-    let mut by_file: BTreeMap<PathBuf, Vec<Diagnostic>> = BTreeMap::new();
-    for d in found {
-        by_file.entry(d.file.clone()).or_default().push(d);
-    }
-    for (path, src) in files {
-        let mut allows = parse_allows(path, src, &known, &mut Vec::new());
-        for d in by_file.remove(path).unwrap_or_default() {
-            let hit = allows.iter_mut().any(|a| {
-                let hit = a.target_line == d.line && a.rules.iter().any(|r| r == d.rule);
-                if hit {
-                    a.used = true;
-                }
-                hit
-            });
-            if hit {
-                suppressed.push(d);
-            } else {
-                diags.push(d);
-            }
-        }
-        for a in &allows {
-            if !a.used && a.rules.iter().all(|r| is_dataflow_rule(r)) {
-                diags.push(Diagnostic {
-                    file: path.clone(),
-                    line: a.decl_line,
-                    column: 0,
-                    rule: "unused-allow",
-                    message: format!(
-                        "allow({}) suppresses nothing on line {}; remove the stale annotation",
-                        a.rules.join(", "),
-                        a.target_line
-                    ),
-                });
-            }
-        }
-    }
-    // Findings in files outside the analyzed list (can only happen for
-    // synthetic anchors like a missing-table drift) pass through unfiltered.
-    for (_, rest) in by_file {
-        diags.extend(rest);
-    }
+    let index = build_index(files, &mut Vec::new());
+    taint::taint_pass(root, &index, &mut diags);
+    taint::panic_pass(root, &index, &mut diags);
+    fsm::fsm_pass(root, files, &mut diags);
     diags.sort();
-    suppressed.sort();
-    DataflowOutcome { diags, suppressed }
-}
-
-// ---------------------------------------------------------------------------
-// Baseline
-// ---------------------------------------------------------------------------
-
-/// Stable fingerprint of one finding: `rule|workspace-relative-path|message`.
-pub fn fingerprint(root: &Path, d: &Diagnostic) -> String {
-    let rel = d.file.strip_prefix(root).unwrap_or(&d.file);
-    format!("{}|{}|{}", d.rule, rel.display(), d.message)
-}
-
-/// Render a baseline file for the given findings: header plus one sorted
-/// fingerprint per line. Byte-deterministic for identical findings.
-pub fn render_baseline(root: &Path, diags: &[Diagnostic]) -> String {
-    let mut lines: Vec<String> = diags.iter().map(|d| fingerprint(root, d)).collect();
-    lines.sort();
-    let mut out = String::from(
-        "# simlint dataflow baseline — accepted pre-existing findings.\n\
-         # One `rule|path|message` fingerprint per line (no line numbers: see\n\
-         # DESIGN.md §11). Regenerate with `simlint --dataflow --write-baseline`\n\
-         # only as a deliberate, reviewed acceptance.\n",
-    );
-    for l in lines {
-        out.push_str(&l);
-        out.push('\n');
-    }
-    out
-}
-
-/// Parse a baseline file into its fingerprint list (comments/blanks skipped).
-pub fn parse_baseline(text: &str) -> Vec<String> {
-    text.lines()
-        .map(str::trim)
-        .filter(|l| !l.is_empty() && !l.starts_with('#'))
-        .map(str::to_owned)
-        .collect()
-}
-
-/// Subtract the baseline from `diags` with multiset semantics. Returns
-/// `(new_findings, matched_count, stale_entries)`: findings not covered by
-/// the baseline, how many were covered, and baseline entries that matched
-/// nothing (stale — the finding was fixed, shrink the file).
-pub fn apply_baseline(
-    root: &Path,
-    diags: Vec<Diagnostic>,
-    baseline: &[String],
-) -> (Vec<Diagnostic>, usize, Vec<String>) {
-    let mut budget: BTreeMap<&str, usize> = BTreeMap::new();
-    for fp in baseline {
-        *budget.entry(fp.as_str()).or_default() += 1;
-    }
-    let mut fresh = Vec::new();
-    let mut matched = 0usize;
-    for d in diags {
-        let fp = fingerprint(root, &d);
-        match budget.get_mut(fp.as_str()) {
-            Some(n) if *n > 0 => {
-                *n -= 1;
-                matched += 1;
-            }
-            _ => fresh.push(d),
-        }
-    }
-    let mut stale: Vec<String> = budget
-        .into_iter()
-        .filter(|(_, n)| *n > 0)
-        .flat_map(|(fp, n)| std::iter::repeat_n(fp.to_owned(), n))
-        .collect();
-    stale.sort();
-    (fresh, matched, stale)
+    diags.dedup();
+    found.append(&mut diags);
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-
-    fn diag(rule: &'static str, file: &str, msg: &str) -> Diagnostic {
-        Diagnostic {
-            file: PathBuf::from(file),
-            line: 3,
-            column: 0,
-            rule,
-            message: msg.to_owned(),
-        }
-    }
-
-    #[test]
-    fn baseline_roundtrip_and_multiset_matching() {
-        let root = Path::new("/ws");
-        let d1 = diag("panic-path", "/ws/crates/iwarp/src/a.rs", "m1");
-        let d2 = diag("panic-path", "/ws/crates/iwarp/src/a.rs", "m1");
-        let d3 = diag("fsm-drift", "/ws/crates/simcheck/src/ib.rs", "m2");
-        let text = render_baseline(root, &[d1.clone(), d2.clone()]);
-        let base = parse_baseline(&text);
-        assert_eq!(base.len(), 2, "duplicate fingerprints kept as multiset");
-
-        let (fresh, matched, stale) = apply_baseline(root, vec![d1, d2, d3], &base);
-        assert_eq!(matched, 2);
-        assert_eq!(fresh.len(), 1);
-        assert_eq!(fresh[0].rule, "fsm-drift");
-        assert!(stale.is_empty());
-
-        let (fresh2, matched2, stale2) = apply_baseline(root, Vec::new(), &base);
-        assert!(fresh2.is_empty());
-        assert_eq!(matched2, 0);
-        assert_eq!(stale2.len(), 2, "unmatched entries are stale");
-    }
+    use crate::check;
+    use std::path::{Path, PathBuf};
 
     #[test]
     fn allow_suppresses_dataflow_finding_and_stale_allow_reports() {
@@ -295,10 +66,10 @@ mod tests {
                 "fn stamp() -> u64 { Instant::now().elapsed().as_nanos() as u64 }\n".to_owned(),
             ),
         ];
-        let out = run_dataflow(Path::new(""), &files);
-        assert_eq!(out.suppressed.len(), 1, "{:?}", out.suppressed);
-        assert_eq!(out.suppressed[0].rule, "taint-through-call");
-        let rules: Vec<&str> = out.diags.iter().map(|d| d.rule).collect();
-        assert_eq!(rules, ["unused-allow"], "{:?}", out.diags);
+        let report = check(Path::new(""), &files, |_| false);
+        let used: Vec<bool> = report.allows.iter().map(|(_, a)| a.used).collect();
+        assert_eq!(used, [true, false], "{:?}", report.allows);
+        let rules: Vec<&str> = report.diags.iter().map(|d| d.rule).collect();
+        assert_eq!(rules, ["unused-allow"], "{:?}", report.diags);
     }
 }

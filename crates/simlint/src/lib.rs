@@ -22,6 +22,14 @@
 //! the path of least resistance and the unsafe thing loud, not to sandbox
 //! adversaries.
 //!
+//! ## One pipeline
+//!
+//! [`check`] is the whole tool: it runs the per-file rules of
+//! [`rules`] on sim-scope files, the workspace-wide passes of [`dataflow`]
+//! (taint, panic paths, FSM conformance) and [`units`] over the widened
+//! scope, then parses each file's allows once and applies them to the
+//! union of findings. Whatever survives fails the run.
+//!
 //! ## Allow-list annotations
 //!
 //! A violation that is genuinely justified is suppressed in place:
@@ -48,7 +56,6 @@ pub mod dataflow;
 pub mod fsm;
 pub mod graph;
 pub mod rules;
-pub mod sarif;
 pub mod taint;
 pub mod units;
 
@@ -78,35 +85,6 @@ impl fmt::Display for Diagnostic {
             self.message
         )
     }
-}
-
-impl Diagnostic {
-    /// One-object-per-line JSON, for machine consumption (`--json`).
-    pub fn to_json(&self) -> String {
-        format!(
-            r#"{{"file":"{}","line":{},"column":{},"rule":"{}","message":"{}"}}"#,
-            json_escape(&self.file.display().to_string()),
-            self.line,
-            self.column,
-            json_escape(self.rule),
-            json_escape(&self.message)
-        )
-    }
-}
-
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 // ---------------------------------------------------------------------------
@@ -332,36 +310,93 @@ pub struct FileContext {
     pub flat: Vec<FlatTok>,
 }
 
-/// Outcome of linting one file: surviving diagnostics plus the findings an
-/// in-place `simlint: allow` annotation suppressed (kept so reports can
-/// tally per-rule allow counts — a suppression is policy, not silence).
-pub struct LintOutcome {
+/// Outcome of one pipeline run.
+pub struct Report {
+    /// Files read.
+    pub files: usize,
+    /// Surviving findings of every pass plus the engine diagnostics
+    /// (`parse-error`, `malformed-allow`, `unknown-rule`, `unused-allow`),
+    /// sorted. Non-empty means the run fails.
     pub diags: Vec<Diagnostic>,
-    pub suppressed: Vec<Diagnostic>,
-    /// Every well-formed allow annotation in the file, with its `used`
-    /// flag resolved — the raw material for `simlint --audit-allows`.
-    pub allows: Vec<Allow>,
+    /// Every well-formed allow annotation, its `used` flag resolved against
+    /// the findings of *all* passes — what `simlint --audit-allows` prints.
+    pub allows: Vec<(PathBuf, Allow)>,
 }
 
-/// Lint one in-memory source file with the given rules. Returned
-/// diagnostics are sorted and deduplicated (one report per rule per line).
-pub fn lint_source(path: &Path, src: &str, rules: &[Box<dyn rules::Rule>]) -> Vec<Diagnostic> {
-    lint_source_stats(path, src, rules).diags
-}
-
-/// Like [`lint_source`], but also reports which findings were suppressed by
-/// allow annotations.
-pub fn lint_source_stats(path: &Path, src: &str, rules: &[Box<dyn rules::Rule>]) -> LintOutcome {
-    // The dataflow- and units-layer rule names are always legal in allow
-    // annotations, even in a classic-only run: the annotation's *validity*
-    // must not depend on which layer happens to be executing.
-    let mut known: Vec<&'static str> = rules.iter().map(|r| r.name()).collect();
-    known.extend(dataflow::DATAFLOW_RULES.iter().map(|(n, _)| *n));
-    known.extend(units::UNITS_RULES.iter().map(|(n, _)| *n));
+/// Run every pass over `files` and apply the allows once. The per-file
+/// rules see the files `classic` selects; the workspace-wide passes see
+/// them all (and report only in [`SIM_SCOPE`]).
+pub fn check(root: &Path, files: &[(PathBuf, String)], classic: impl Fn(&Path) -> bool) -> Report {
+    let rules = rules::all_rules();
+    let known: Vec<&'static str> = rules
+        .iter()
+        .map(|r| r.name())
+        .chain(
+            dataflow::DATAFLOW_RULES
+                .iter()
+                .chain(units::UNITS_RULES)
+                .map(|(n, _)| *n),
+        )
+        .collect();
     let mut diags = Vec::new();
-    let mut suppressed = Vec::new();
-    let mut allows = parse_allows(path, src, &known, &mut diags);
+    let mut allows = Vec::new();
+    let mut found = Vec::new();
+    for (path, src) in files {
+        let parsed = parse_allows(path, src, &known, &mut diags);
+        allows.extend(parsed.into_iter().map(|a| (path.clone(), a)));
+        if classic(path) {
+            classic_pass(path, src, &rules, &mut found, &mut diags);
+        }
+    }
+    dataflow::dataflow_pass(root, files, &mut found);
+    units::units_pass(root, files, &mut found);
 
+    for d in found {
+        let hit = allows.iter_mut().find(|(file, a)| {
+            *file == d.file && a.target_line == d.line && a.rules.iter().any(|r| r == d.rule)
+        });
+        match hit {
+            Some((_, a)) => a.used = true,
+            None => diags.push(d),
+        }
+    }
+    for (file, a) in allows.iter().filter(|(_, a)| !a.used) {
+        diags.push(Diagnostic {
+            file: file.clone(),
+            line: a.decl_line,
+            column: 0,
+            rule: "unused-allow",
+            message: format!(
+                "allow({}) suppresses nothing on line {}; remove the stale annotation",
+                a.rules.join(", "),
+                a.target_line
+            ),
+        });
+    }
+    diags.sort();
+    Report {
+        files: files.len(),
+        diags,
+        allows,
+    }
+}
+
+/// [`check`] over the workspace: the per-file rules on [`SIM_SCOPE`], the
+/// workspace-wide passes over it plus `crates/simcheck/src` and
+/// `crates/bench/src`.
+pub fn check_workspace(root: &Path) -> std::io::Result<Report> {
+    let files = workspace_sources(root)?;
+    Ok(check(root, &files, |file| in_sim_scope(root, file)))
+}
+
+/// The per-file rules over one file, one report per rule per line.
+fn classic_pass(
+    path: &Path,
+    src: &str,
+    rules: &[Box<dyn rules::Rule>],
+    found: &mut Vec<Diagnostic>,
+    diags: &mut Vec<Diagnostic>,
+) {
     let ast = match syn::parse_file(src) {
         Ok(ast) => ast,
         Err(err) => {
@@ -372,11 +407,7 @@ pub fn lint_source_stats(path: &Path, src: &str, rules: &[Box<dyn rules::Rule>])
                 rule: "parse-error",
                 message: err.to_string(),
             });
-            return LintOutcome {
-                diags,
-                suppressed,
-                allows,
-            };
+            return;
         }
     };
     // `all_tokens` includes inner attributes, so a `#![…]` naming a banned
@@ -389,59 +420,13 @@ pub fn lint_source_stats(path: &Path, src: &str, rules: &[Box<dyn rules::Rule>])
         flat,
     };
 
-    let mut found = Vec::new();
+    let mut file_found = Vec::new();
     for rule in rules {
-        rule.check(&ctx, &mut found);
+        rule.check(&ctx, &mut file_found);
     }
-    found.sort();
-    found.dedup_by(|a, b| a.rule == b.rule && a.line == b.line && a.file == b.file);
-
-    // Apply suppressions.
-    for d in found {
-        let hit = allows.iter_mut().any(|a| {
-            let hit = a.target_line == d.line && a.rules.iter().any(|r| r == d.rule);
-            if hit {
-                a.used = true;
-            }
-            hit
-        });
-        if hit {
-            suppressed.push(d);
-        } else {
-            diags.push(d);
-        }
-    }
-    for a in &allows {
-        // Annotations naming any dataflow or units rule are audited by
-        // those layers instead (`run_dataflow`/`run_units` re-check their
-        // usage); flagging them unused here would force-fail every
-        // justified suppression.
-        if !a.used
-            && !a
-                .rules
-                .iter()
-                .any(|r| dataflow::is_dataflow_rule(r) || units::is_units_rule(r))
-        {
-            diags.push(Diagnostic {
-                file: path.to_owned(),
-                line: a.decl_line,
-                column: 0,
-                rule: "unused-allow",
-                message: format!(
-                    "allow({}) suppresses nothing on line {}; remove the stale annotation",
-                    a.rules.join(", "),
-                    a.target_line
-                ),
-            });
-        }
-    }
-    diags.sort();
-    suppressed.sort();
-    LintOutcome {
-        diags,
-        suppressed,
-        allows,
-    }
+    file_found.sort();
+    file_found.dedup_by(|a, b| a.rule == b.rule && a.line == b.line);
+    found.append(&mut file_found);
 }
 
 /// Directories (workspace-relative) holding simulation-scope code: the DES
@@ -465,18 +450,36 @@ pub const SIM_SCOPE: &[&str] = &[
     "examples",
 ];
 
-/// Collect every `.rs` file under the simulation scope of `root`, sorted
-/// for deterministic traversal (simlint holds itself to its own rules).
-pub fn workspace_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
-    let mut out = Vec::new();
-    for dir in SIM_SCOPE {
+/// Extra directories only the workspace-wide passes read: `simcheck` for
+/// the exported FSM tables, `bench` so a wall-clock helper there still
+/// taints sim-scope callers (findings are only *reported* in sim scope —
+/// bench times figure generation by design).
+const EXTRA_SCOPE: &[&str] = &["crates/simcheck/src", "crates/bench/src"];
+
+/// True when `file` lives under one of the sim-scope directories of `root`.
+/// Files outside the workspace root (virtual fixture paths in tests) are
+/// matched on their relative shape instead.
+pub(crate) fn in_sim_scope(root: &Path, file: &Path) -> bool {
+    let rel = file.strip_prefix(root).unwrap_or(file);
+    SIM_SCOPE.iter().any(|dir| rel.starts_with(dir))
+}
+
+/// Read every `.rs` file under [`SIM_SCOPE`] and the extra scope of
+/// `root`, sorted by path for deterministic traversal (simlint holds
+/// itself to its own rules).
+fn workspace_sources(root: &Path) -> std::io::Result<Vec<(PathBuf, String)>> {
+    let mut paths = Vec::new();
+    for dir in SIM_SCOPE.iter().chain(EXTRA_SCOPE) {
         let base = root.join(dir);
         if base.is_dir() {
-            collect_rs(&base, &mut out)?;
+            collect_rs(&base, &mut paths)?;
         }
     }
-    out.sort();
-    Ok(out)
+    paths.sort();
+    paths
+        .into_iter()
+        .map(|p| std::fs::read_to_string(&p).map(|src| (p, src)))
+        .collect()
 }
 
 fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {

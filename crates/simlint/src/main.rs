@@ -1,128 +1,66 @@
-//! `simlint` CLI — lint the workspace's simulation-scope code for
-//! determinism and simulation-safety violations.
+//! `simlint` CLI — lint the workspace for determinism, simulation-safety
+//! and dimensional violations. Every run is the whole pipeline
+//! ([`simlint::check`]): per-file rules, the interprocedural passes and the
+//! units pass, allows applied once; any surviving finding exits 1.
 //!
 //! ```text
-//! cargo run -p simlint --                    # lint the workspace, warn only
-//! cargo run -p simlint -- --deny-all        # CI mode: nonzero exit on any finding
-//! cargo run -p simlint -- --dataflow        # also run the interprocedural
-//!                                           #   passes: nondeterminism taint,
-//!                                           #   hot-path panic audit, static
-//!                                           #   FSM conformance — gated on the
-//!                                           #   committed dataflow baseline
-//! cargo run -p simlint -- --units           # also run the dimensional
-//!                                           #   abstract interpretation pass
-//!                                           #   (unit-mismatch, unit-arith,
-//!                                           #   raw-quantity, lossy-time-cast)
-//!                                           #   — gated on the committed
-//!                                           #   units baseline
-//! cargo run -p simlint -- --json            # one aggregate JSON document:
-//!                                           #   files checked, per-rule
-//!                                           #   violation/allow counts, and
-//!                                           #   the diagnostics themselves
-//! cargo run -p simlint -- --sarif FILE      # also write the findings as a
-//!                                           #   SARIF 2.1.0 log (code-scanning
-//!                                           #   UI ingestion)
-//! cargo run -p simlint -- --dataflow --write-baseline
-//!                                           # accept the current dataflow
-//!                                           #   findings as the new baseline
-//! cargo run -p simlint -- --baseline FILE   # override the baseline location
-//! cargo run -p simlint -- --list-rules      # rule registry with summaries
-//! cargo run -p simlint -- --audit-allows    # every inline allow: location,
-//!                                           #   rules, justification, and
-//!                                           #   whether it still suppresses
-//!                                           #   anything (stale allows fail
-//!                                           #   under --deny-all); with --json,
-//!                                           #   a machine-readable tally for
-//!                                           #   the CI no-regression check
-//! cargo run -p simlint -- path/to/file.rs   # lint explicit files (fixtures, spot checks)
-//! cargo run -p simlint -- --dump file.rs    # debug: show the parsed item structure
+//! cargo run -p simlint                       # lint the workspace
+//! cargo run -p simlint -- path/to/file.rs    # lint explicit files (fixtures, spot checks)
+//! cargo run -p simlint -- --list-rules       # rule registry with summaries
+//! cargo run -p simlint -- --audit-allows     # every inline allow: location,
+//!                                            #   rules, justification, and
+//!                                            #   whether it still suppresses
+//!                                            #   anything (stale allows exit 1);
+//!                                            #   with --json, the tally CI's
+//!                                            #   allow-budget check reads
+//! cargo run -p simlint -- --root DIR         # workspace root (default: the
+//!                                            #   nearest `[workspace]` above cwd)
 //! ```
 
 #![forbid(unsafe_code)]
 
-use quote::ToTokens;
-use simlint::dataflow::{
-    apply_baseline, dataflow_files, parse_baseline, render_baseline, run_dataflow, BASELINE_PATH,
-    DATAFLOW_RULES,
-};
+use simlint::dataflow::DATAFLOW_RULES;
 use simlint::rules::all_rules;
-use simlint::units::{render_units_baseline, run_units, UNITS_BASELINE_PATH, UNITS_RULES};
-use simlint::{find_workspace_root, lint_source_stats, workspace_files, Allow, Diagnostic};
+use simlint::units::UNITS_RULES;
+use simlint::{check, check_workspace, find_workspace_root, Report};
 
 use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::ExitCode;
 
+#[derive(Default)]
 struct Options {
-    deny_all: bool,
-    json: bool,
     list_rules: bool,
     audit_allows: bool,
-    dataflow: bool,
-    units: bool,
-    write_baseline: bool,
-    baseline: Option<PathBuf>,
-    sarif: Option<PathBuf>,
-    dump: Option<PathBuf>,
+    json: bool,
     root: Option<PathBuf>,
     files: Vec<PathBuf>,
 }
 
 fn usage() -> &'static str {
-    "usage: simlint [--deny-all] [--json] [--list-rules] [--audit-allows] [--dataflow] [--units] \
-     [--baseline FILE] [--write-baseline] [--sarif FILE] [--dump FILE] [--root DIR] [FILES...]"
+    "usage: simlint [--list-rules] [--audit-allows [--json]] [--root DIR] [FILES...]"
 }
 
 fn parse_args() -> Result<Options, String> {
-    let mut opts = Options {
-        deny_all: false,
-        json: false,
-        list_rules: false,
-        audit_allows: false,
-        dataflow: false,
-        units: false,
-        write_baseline: false,
-        baseline: None,
-        sarif: None,
-        dump: None,
-        root: None,
-        files: Vec::new(),
-    };
+    let mut opts = Options::default();
     let mut args = std::env::args().skip(1);
-    let path_arg = |args: &mut dyn Iterator<Item = String>, flag: &str| {
-        args.next()
-            .map(PathBuf::from)
-            .ok_or_else(|| format!("{flag} requires a path argument"))
-    };
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--deny-all" => opts.deny_all = true,
-            "--json" => opts.json = true,
             "--list-rules" => opts.list_rules = true,
             "--audit-allows" => opts.audit_allows = true,
-            "--dataflow" => opts.dataflow = true,
-            "--units" => opts.units = true,
-            "--write-baseline" => opts.write_baseline = true,
-            "--baseline" => opts.baseline = Some(path_arg(&mut args, "--baseline")?),
-            "--sarif" => opts.sarif = Some(path_arg(&mut args, "--sarif")?),
-            "--dump" => opts.dump = Some(path_arg(&mut args, "--dump")?),
-            "--root" => opts.root = Some(path_arg(&mut args, "--root")?),
-            "--help" | "-h" => return Err(usage().to_owned()),
+            "--json" => opts.json = true,
+            "--root" => match args.next() {
+                Some(dir) => opts.root = Some(PathBuf::from(dir)),
+                None => return Err(format!("--root requires a directory\n{}", usage())),
+            },
             flag if flag.starts_with('-') => {
                 return Err(format!("unknown flag {flag:?}\n{}", usage()));
             }
             file => opts.files.push(PathBuf::from(file)),
         }
     }
-    if opts.write_baseline && !(opts.dataflow || opts.units) {
-        return Err("--write-baseline requires --dataflow or --units".to_owned());
-    }
-    if opts.baseline.is_some() && opts.dataflow && opts.units {
-        return Err(
-            "--baseline overrides one file; with both --dataflow and --units use the \
-             default per-layer locations"
-                .to_owned(),
-        );
+    if opts.json && !opts.audit_allows {
+        return Err(format!("--json requires --audit-allows\n{}", usage()));
     }
     Ok(opts)
 }
@@ -136,18 +74,22 @@ fn main() -> ExitCode {
         }
     };
 
+    let per_file: Vec<(&str, &str)> = all_rules()
+        .iter()
+        .map(|r| (r.name(), r.summary()))
+        .collect();
+    let sections = [
+        ("per-file rules (sim scope)", per_file.as_slice()),
+        ("interprocedural rules", DATAFLOW_RULES),
+        ("dimensional rules", UNITS_RULES),
+    ];
     if opts.list_rules {
-        println!("simlint rules (all deny by default under --deny-all):");
-        for rule in all_rules() {
-            println!("  {:<18} {}", rule.name(), rule.summary());
-        }
-        println!("\ninterprocedural rules (run with --dataflow):");
-        for (name, summary) in DATAFLOW_RULES {
-            println!("  {name:<18} {summary}");
-        }
-        println!("\ndimensional rules (run with --units):");
-        for (name, summary) in UNITS_RULES {
-            println!("  {name:<18} {summary}");
+        println!("simlint rules (every run checks all of them; any finding exits 1):");
+        for (heading, rules) in sections {
+            println!("\n{heading}:");
+            for (name, summary) in rules {
+                println!("  {name:<18} {summary}");
+            }
         }
         println!(
             "\nsuppress in place with: // simlint: allow(rule-name) -- reason\n\
@@ -156,206 +98,53 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    if let Some(path) = &opts.dump {
-        return dump_file(path);
-    }
-
     let cwd = std::env::current_dir().expect("cwd");
-    let root = match opts.root.clone().or_else(|| find_workspace_root(&cwd)) {
-        Some(root) => root,
-        None => {
-            eprintln!("simlint: no workspace root found above {}", cwd.display());
+    let Some(root) = opts.root.clone().or_else(|| find_workspace_root(&cwd)) else {
+        eprintln!("simlint: no workspace root found above {}", cwd.display());
+        return ExitCode::from(2);
+    };
+    let report = if opts.files.is_empty() {
+        check_workspace(&root).map_err(|err| format!("reading {}: {err}", root.display()))
+    } else {
+        opts.files
+            .iter()
+            .map(|f| {
+                std::fs::read_to_string(f)
+                    .map(|src| (f.clone(), src))
+                    .map_err(|err| format!("reading {}: {err}", f.display()))
+            })
+            .collect::<Result<Vec<_>, _>>()
+            .map(|files| check(&root, &files, |_| true))
+    };
+    let report = match report {
+        Ok(report) => report,
+        Err(msg) => {
+            eprintln!("simlint: {msg}");
             return ExitCode::from(2);
         }
     };
-
-    let files = if opts.files.is_empty() {
-        match workspace_files(&root) {
-            Ok(files) => files,
-            Err(err) => {
-                eprintln!("simlint: walking {}: {err}", root.display());
-                return ExitCode::from(2);
-            }
-        }
-    } else {
-        opts.files.clone()
-    };
-
-    // --- classic per-file pass ---------------------------------------------
-    let rules = all_rules();
-    let mut diags: Vec<Diagnostic> = Vec::new();
-    let mut suppressed: Vec<Diagnostic> = Vec::new();
-    let mut allows: Vec<(PathBuf, Allow)> = Vec::new();
-    let mut checked = 0usize;
-    for file in &files {
-        let src = match std::fs::read_to_string(file) {
-            Ok(src) => src,
-            Err(err) => {
-                eprintln!("simlint: reading {}: {err}", file.display());
-                return ExitCode::from(2);
-            }
-        };
-        checked += 1;
-        let outcome = lint_source_stats(file, &src, &rules);
-        diags.extend(outcome.diags);
-        suppressed.extend(outcome.suppressed);
-        allows.extend(outcome.allows.into_iter().map(|a| (file.clone(), a)));
-    }
 
     if opts.audit_allows {
-        return audit_allows(checked, &allows, opts.deny_all, opts.json);
+        return audit_allows(&report, opts.json);
     }
-
-    // --- interprocedural passes + per-layer baseline gates -----------------
-    let mut stale_baseline: Vec<String> = Vec::new();
-    let mut baselined = 0usize;
-    if opts.dataflow || opts.units {
-        // Workspace runs widen the file set (simcheck tables, bench
-        // helpers); explicit-FILES runs analyze exactly what was given so
-        // fixtures stay self-contained.
-        let layer_inputs = if opts.files.is_empty() {
-            match dataflow_files(&root) {
-                Ok(pairs) => pairs,
-                Err(err) => {
-                    eprintln!("simlint: reading dataflow scope: {err}");
-                    return ExitCode::from(2);
-                }
-            }
-        } else {
-            let mut pairs = Vec::new();
-            for file in &files {
-                match std::fs::read_to_string(file) {
-                    Ok(src) => pairs.push((file.clone(), src)),
-                    Err(err) => {
-                        eprintln!("simlint: reading {}: {err}", file.display());
-                        return ExitCode::from(2);
-                    }
-                }
-            }
-            pairs
-        };
-        // Each layer runs independently against its own committed baseline
-        // (`--baseline` overrides whichever single layer is active).
-        let mut layers: Vec<(simlint::dataflow::DataflowOutcome, PathBuf, String)> = Vec::new();
-        if opts.dataflow {
-            let outcome = run_dataflow(&root, &layer_inputs);
-            let path = opts
-                .baseline
-                .clone()
-                .unwrap_or_else(|| root.join(BASELINE_PATH));
-            let text = render_baseline(&root, &outcome.diags);
-            layers.push((outcome, path, text));
-        }
-        if opts.units {
-            let outcome = run_units(&root, &layer_inputs);
-            let path = opts
-                .baseline
-                .clone()
-                .unwrap_or_else(|| root.join(UNITS_BASELINE_PATH));
-            let text = render_units_baseline(&root, &outcome.diags);
-            layers.push((outcome, path, text));
-        }
-        for (outcome, baseline_path, rendered) in layers {
-            suppressed.extend(outcome.suppressed);
-            if opts.write_baseline {
-                if let Err(err) = std::fs::write(&baseline_path, &rendered) {
-                    eprintln!("simlint: writing {}: {err}", baseline_path.display());
-                    return ExitCode::from(2);
-                }
-                println!(
-                    "simlint: wrote {} finding{} to {}",
-                    outcome.diags.len(),
-                    if outcome.diags.len() == 1 { "" } else { "s" },
-                    baseline_path.display()
-                );
-                continue;
-            }
-            let baseline = match std::fs::read_to_string(&baseline_path) {
-                Ok(text) => parse_baseline(&text),
-                Err(_) => Vec::new(), // no baseline file: everything is new
-            };
-            let (fresh, matched, stale) = apply_baseline(&root, outcome.diags, &baseline);
-            baselined += matched;
-            stale_baseline.extend(stale);
-            diags.extend(fresh);
-        }
-        if opts.write_baseline {
-            return ExitCode::SUCCESS;
-        }
+    for d in &report.diags {
+        println!("{d}");
     }
-
-    // One bad directive or one finding must report once even when both
-    // layers walked the same file (dedupe satellite, ISSUE 8).
-    diags.sort();
-    diags.dedup();
-    suppressed.sort();
-    suppressed.dedup();
-
-    if let Some(sarif_path) = &opts.sarif {
-        let mut summaries: BTreeMap<&'static str, &'static str> = BTreeMap::new();
-        for rule in &rules {
-            summaries.insert(rule.name(), rule.summary());
-        }
-        for (name, summary) in DATAFLOW_RULES {
-            summaries.insert(name, summary);
-        }
-        for (name, summary) in UNITS_RULES {
-            summaries.insert(name, summary);
-        }
-        let sarif = simlint::sarif::to_sarif(&root, &diags, &summaries);
-        if let Err(err) = std::fs::write(sarif_path, &sarif) {
-            eprintln!("simlint: writing {}: {err}", sarif_path.display());
-            return ExitCode::from(2);
-        }
-    }
-
-    if opts.json {
+    if report.diags.is_empty() {
+        let rules: usize = sections.iter().map(|(_, rules)| rules.len()).sum();
         println!(
-            "{}",
-            aggregate_json(
-                checked,
-                &diags,
-                &suppressed,
-                opts.dataflow,
-                opts.units,
-                baselined,
-            )
+            "simlint: clean ({} files checked, {rules} rules)",
+            report.files
         );
-    } else {
-        for d in &diags {
-            println!("{d}");
-        }
-        for fp in &stale_baseline {
-            println!("simlint: stale baseline entry (finding no longer occurs): {fp}");
-        }
-        if diags.is_empty() {
-            let mut passes = String::new();
-            if opts.dataflow {
-                passes.push_str(&format!(", {} dataflow rules", DATAFLOW_RULES.len()));
-            }
-            if opts.units {
-                passes.push_str(&format!(", {} units rules", UNITS_RULES.len()));
-            }
-            if opts.dataflow || opts.units {
-                passes.push_str(&format!(", {baselined} baselined"));
-            }
-            println!(
-                "simlint: clean ({checked} files checked, {} rules{passes})",
-                rules.len()
-            );
-        } else {
-            println!(
-                "simlint: {} diagnostic{} across {checked} files",
-                diags.len(),
-                if diags.len() == 1 { "" } else { "s" }
-            );
-        }
-    }
-
-    if opts.deny_all && !(diags.is_empty() && stale_baseline.is_empty()) {
-        ExitCode::FAILURE
-    } else {
         ExitCode::SUCCESS
+    } else {
+        println!(
+            "simlint: {} diagnostic{} across {} files",
+            report.diags.len(),
+            if report.diags.len() == 1 { "" } else { "s" },
+            report.files
+        );
+        ExitCode::FAILURE
     }
 }
 
@@ -363,26 +152,13 @@ fn main() -> ExitCode {
 /// it is, which rules it waives, the mandatory justification, and whether
 /// it still suppresses anything. The audit is how reviewers keep the waiver
 /// set honest: every entry is a standing exception to a determinism rule,
-/// so each one must still earn its reason. Stale (unused) allows fail the
-/// run under `--deny-all`, same as the `unused-allow` diagnostic would.
-/// With `--json`, emits the tally CI tracks for allow-count no-regression
-/// (annotations naming dataflow rules are counted but never stale here —
-/// their usage is resolved by the `--dataflow` layer).
-fn audit_allows(
-    checked: usize,
-    allows: &[(PathBuf, Allow)],
-    deny_all: bool,
-    json: bool,
-) -> ExitCode {
-    let is_dataflow_only = |a: &Allow| {
-        a.rules
-            .iter()
-            .all(|r| simlint::dataflow::is_dataflow_rule(r) || simlint::units::is_units_rule(r))
-    };
-    let stale = allows
-        .iter()
-        .filter(|(_, a)| !a.used && !is_dataflow_only(a))
-        .count();
+/// so each one must still earn its reason. The `used` flags are the ones
+/// the gate computed, so a stale allow here is exactly one the gate
+/// reports as `unused-allow`, and it fails the run the same way. With
+/// `--json`, emits the tally CI tracks for allow-count no-regression.
+fn audit_allows(report: &Report, json: bool) -> ExitCode {
+    let allows = &report.allows;
+    let stale = allows.iter().filter(|(_, a)| !a.used).count();
     if json {
         let mut by_rule: BTreeMap<&str, usize> = BTreeMap::new();
         for (_, a) in allows {
@@ -395,143 +171,32 @@ fn audit_allows(
             .map(|(rule, n)| format!(r#"    "{rule}": {n}"#))
             .collect();
         println!(
-            "{{\n  \"files_checked\": {checked},\n  \"allows\": {},\n  \"stale\": {stale},\n  \"by_rule\": {{\n{}\n  }}\n}}",
+            "{{\n  \"files_checked\": {},\n  \"allows\": {},\n  \"stale\": {stale},\n  \"by_rule\": {{\n{}\n  }}\n}}",
+            report.files,
             allows.len(),
             rules_json.join(",\n"),
         );
     } else {
         println!(
-            "simlint allow audit: {} annotation{} across {checked} files, {stale} stale",
+            "simlint allow audit: {} annotation{} across {} files, {stale} stale",
             allows.len(),
             if allows.len() == 1 { "" } else { "s" },
+            report.files,
         );
         for (file, a) in allows {
-            let state = if a.used {
-                "used "
-            } else if is_dataflow_only(a) {
-                "defer" // resolved by the --dataflow layer
-            } else {
-                "STALE"
-            };
             println!(
                 "  {}:{} {} allow({}) -- {}",
                 file.display(),
                 a.decl_line,
-                state,
+                if a.used { "used " } else { "STALE" },
                 a.rules.join(", "),
                 a.reason,
             );
         }
     }
-    if deny_all && stale > 0 {
+    if stale > 0 {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
-    }
-}
-
-/// Build the `--json` aggregate document: files checked, per-rule
-/// violation/allow tallies (every registered rule appears, plus any engine
-/// pseudo-rules that fired), and the surviving diagnostics verbatim.
-fn aggregate_json(
-    checked: usize,
-    diags: &[Diagnostic],
-    suppressed: &[Diagnostic],
-    dataflow: bool,
-    units: bool,
-    baselined: usize,
-) -> String {
-    let mut counts: BTreeMap<&str, (usize, usize)> = BTreeMap::new();
-    for rule in all_rules() {
-        counts.insert(rule.name(), (0, 0));
-    }
-    if dataflow {
-        for (name, _) in DATAFLOW_RULES {
-            counts.insert(name, (0, 0));
-        }
-    }
-    if units {
-        for (name, _) in UNITS_RULES {
-            counts.insert(name, (0, 0));
-        }
-    }
-    for d in diags {
-        counts.entry(d.rule).or_insert((0, 0)).0 += 1;
-    }
-    for d in suppressed {
-        counts.entry(d.rule).or_insert((0, 0)).1 += 1;
-    }
-    let rules_json: Vec<String> = counts
-        .iter()
-        .map(|(rule, (violations, allows))| {
-            format!(r#"    "{rule}": {{"violations": {violations}, "allows": {allows}}}"#)
-        })
-        .collect();
-    let diags_json: Vec<String> = diags
-        .iter()
-        .map(|d| format!("    {}", d.to_json()))
-        .collect();
-    let baseline_field = if dataflow || units {
-        format!("\n  \"baselined\": {baselined},")
-    } else {
-        String::new()
-    };
-    format!(
-        "{{\n  \"files_checked\": {checked},{baseline_field}\n  \"violations\": {},\n  \"allows\": {},\n  \"rules\": {{\n{}\n  }},\n  \"diagnostics\": [{}{}{}]\n}}",
-        diags.len(),
-        suppressed.len(),
-        rules_json.join(",\n"),
-        if diags_json.is_empty() { "" } else { "\n" },
-        diags_json.join(",\n"),
-        if diags_json.is_empty() { "" } else { "\n  " },
-    )
-}
-
-/// Debug aid: show how the vendored `syn` split a file into items, with a
-/// token-preview of each (rendered through `quote::ToTokens`).
-fn dump_file(path: &Path) -> ExitCode {
-    let src = match std::fs::read_to_string(path) {
-        Ok(src) => src,
-        Err(err) => {
-            eprintln!("simlint: reading {}: {err}", path.display());
-            return ExitCode::from(2);
-        }
-    };
-    let file = match syn::parse_file(&src) {
-        Ok(file) => file,
-        Err(err) => {
-            eprintln!("simlint: {err}");
-            return ExitCode::FAILURE;
-        }
-    };
-    println!("{}: {} top-level items", path.display(), file.items.len());
-    for item in &file.items {
-        dump_item(item, 1);
-    }
-    ExitCode::SUCCESS
-}
-
-fn dump_item(item: &syn::Item, depth: usize) {
-    let name = item
-        .ident
-        .as_ref()
-        .map_or_else(String::new, |i| format!(" {i}"));
-    let preview: String = item
-        .tokens
-        .to_token_stream()
-        .to_string()
-        .chars()
-        .take(60)
-        .collect();
-    println!(
-        "{}{:?}{} @ {}:{}  {preview}",
-        "  ".repeat(depth),
-        item.kind,
-        name,
-        item.span.start().line,
-        item.span.start().column,
-    );
-    for sub in &item.sub_items {
-        dump_item(sub, depth + 1);
     }
 }

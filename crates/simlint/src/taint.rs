@@ -18,23 +18,15 @@
 //! invariant in an `expect`, or justify with an allow — which is exactly
 //! why it belongs in a lint and not in review comments.
 //!
-//! Messages deliberately contain **no line numbers**: they are baseline
-//! fingerprint material (see DESIGN.md §11), and a message that shifts with
-//! every unrelated edit above it would churn the committed baseline.
+//! Messages deliberately contain **no line numbers** — the diagnostic's
+//! own anchor carries them — so a finding's text does not shift with every
+//! unrelated edit above it.
 
 use crate::graph::{FnNode, Index, HOT_PATH_ENTRIES};
-use crate::{Diagnostic, SIM_SCOPE};
+use crate::{in_sim_scope, Diagnostic};
 
 use std::collections::{BTreeMap, VecDeque};
 use std::path::Path;
-
-/// True when `file` lives under one of the sim-scope directories of `root`.
-/// Files outside the workspace root (virtual fixture paths in tests) are
-/// matched on their relative shape instead.
-fn in_sim_scope(root: &Path, file: &Path) -> bool {
-    let rel = file.strip_prefix(root).unwrap_or(file);
-    SIM_SCOPE.iter().any(|dir| rel.starts_with(dir))
-}
 
 /// Workspace-relative display path for messages and fingerprints.
 fn rel_display(root: &Path, file: &Path) -> String {

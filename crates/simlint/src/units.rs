@@ -1,5 +1,4 @@
-//! Pass 2c of the dataflow engine: dimensional abstract interpretation
-//! (`--units`).
+//! Pass 2d of the dataflow engine: dimensional abstract interpretation.
 //!
 //! The typed quantities in `simnet` (`Bytes`, `ByteRate`, `SimDuration`)
 //! make most dimension errors unrepresentable at compile time, but the
@@ -47,11 +46,10 @@
 //!   cannot hold it (`u32` overflows after 4.3 seconds of simulated
 //!   time).
 //!
-//! Like the taint pass, messages are **line-free** so they stay stable as
-//! baseline fingerprints (DESIGN.md §12); the diagnostic itself still
+//! Like the taint pass, messages are **line-free**; the diagnostic itself
 //! carries the line/column anchor.
 
-use crate::{Diagnostic, FlatTok, SIM_SCOPE};
+use crate::{in_sim_scope, Diagnostic, FlatTok};
 
 use proc_macro2::Delimiter;
 use std::collections::BTreeMap;
@@ -77,14 +75,6 @@ pub const UNITS_RULES: &[(&str, &str)] = &[
         "nanosecond quantity cast to a type too narrow to hold simulated time",
     ),
 ];
-
-/// True when `name` is one of the units-layer rules.
-pub fn is_units_rule(name: &str) -> bool {
-    UNITS_RULES.iter().any(|(n, _)| *n == name)
-}
-
-/// Default committed baseline location, workspace-relative.
-pub const UNITS_BASELINE_PATH: &str = "crates/simlint/units.baseline";
 
 // ---------------------------------------------------------------------------
 // Dimension lattice
@@ -1219,13 +1209,6 @@ fn find_top_level_binop(toks: &[FlatTok], ops: &[char]) -> Option<usize> {
 // Pass driver
 // ---------------------------------------------------------------------------
 
-/// True when `file` lives under one of the sim-scope directories of
-/// `root` (virtual fixture paths match on relative shape).
-fn in_sim_scope(root: &Path, file: &Path) -> bool {
-    let rel = file.strip_prefix(root).unwrap_or(file);
-    SIM_SCOPE.iter().any(|dir| rel.starts_with(dir))
-}
-
 /// Run the units pass over `files`; append findings to `diags`. Findings
 /// are only *reported* in sim scope, but signatures everywhere feed the
 /// interprocedural fixed point.
@@ -1255,87 +1238,6 @@ pub fn units_pass(root: &Path, files: &[(PathBuf, String)], diags: &mut Vec<Diag
     found.sort();
     found.dedup();
     diags.append(&mut found);
-}
-
-/// Run the units pass with in-place `simlint: allow` suppression, using
-/// the same policy as [`crate::dataflow::run_dataflow`]: engine
-/// diagnostics from allow parsing are dropped (the classic layer already
-/// reports them), and `unused-allow` fires only for annotations naming
-/// *exclusively* units rules.
-pub fn run_units(root: &Path, files: &[(PathBuf, String)]) -> crate::dataflow::DataflowOutcome {
-    let mut found = Vec::new();
-    units_pass(root, files, &mut found);
-
-    let mut known: Vec<&'static str> = crate::rules::all_rules().iter().map(|r| r.name()).collect();
-    known.extend(crate::dataflow::DATAFLOW_RULES.iter().map(|(n, _)| *n));
-    known.extend(UNITS_RULES.iter().map(|(n, _)| *n));
-
-    let mut diags = Vec::new();
-    let mut suppressed = Vec::new();
-    let mut by_file: BTreeMap<PathBuf, Vec<Diagnostic>> = BTreeMap::new();
-    for d in found {
-        by_file.entry(d.file.clone()).or_default().push(d);
-    }
-    for (path, src) in files {
-        let mut allows = crate::parse_allows(path, src, &known, &mut Vec::new());
-        for d in by_file.remove(path).unwrap_or_default() {
-            let hit = allows.iter_mut().any(|a| {
-                let hit = a.target_line == d.line && a.rules.iter().any(|r| r == d.rule);
-                if hit {
-                    a.used = true;
-                }
-                hit
-            });
-            if hit {
-                suppressed.push(d);
-            } else {
-                diags.push(d);
-            }
-        }
-        for a in &allows {
-            if !a.used && a.rules.iter().all(|r| is_units_rule(r)) {
-                diags.push(Diagnostic {
-                    file: path.clone(),
-                    line: a.decl_line,
-                    column: 0,
-                    rule: "unused-allow",
-                    message: format!(
-                        "allow({}) suppresses nothing on line {}; remove the stale annotation",
-                        a.rules.join(", "),
-                        a.target_line
-                    ),
-                });
-            }
-        }
-    }
-    for (_, rest) in by_file {
-        diags.extend(rest);
-    }
-    diags.sort();
-    suppressed.sort();
-    crate::dataflow::DataflowOutcome { diags, suppressed }
-}
-
-/// Render the committed units baseline for the given findings (same
-/// fingerprint scheme as the dataflow baseline: `rule|path|message`, no
-/// line numbers).
-pub fn render_units_baseline(root: &Path, diags: &[Diagnostic]) -> String {
-    let mut lines: Vec<String> = diags
-        .iter()
-        .map(|d| crate::dataflow::fingerprint(root, d))
-        .collect();
-    lines.sort();
-    let mut out = String::from(
-        "# simlint units baseline — accepted pre-existing findings.\n\
-         # One `rule|path|message` fingerprint per line (no line numbers: see\n\
-         # DESIGN.md §12). Regenerate with `simlint --units --write-baseline`\n\
-         # only as a deliberate, reviewed acceptance.\n",
-    );
-    for l in lines {
-        out.push_str(&l);
-        out.push('\n');
-    }
-    out
 }
 
 #[cfg(test)]
@@ -1536,24 +1438,8 @@ mod tests {
              }\n"
             .to_owned(),
         )];
-        let out = run_units(Path::new(""), &files);
-        assert!(out.diags.is_empty(), "{:?}", out.diags);
-        assert_eq!(out.suppressed.len(), 1);
-        assert_eq!(out.suppressed[0].rule, "unit-mismatch");
-    }
-
-    #[test]
-    fn baseline_renders_deterministically() {
-        let d = Diagnostic {
-            file: PathBuf::from("crates/simnet/src/f.rs"),
-            line: 3,
-            column: 7,
-            rule: "unit-mismatch",
-            message: "m".to_owned(),
-        };
-        let a = render_units_baseline(Path::new(""), std::slice::from_ref(&d));
-        let b = render_units_baseline(Path::new(""), &[d]);
-        assert_eq!(a, b);
-        assert!(a.contains("unit-mismatch|crates/simnet/src/f.rs|m\n"));
+        let report = crate::check(Path::new(""), &files, |_| false);
+        assert!(report.diags.is_empty(), "{:?}", report.diags);
+        assert!(report.allows[0].1.used);
     }
 }

@@ -1,7 +1,6 @@
-//! Integration tests for the `--dataflow` layer: fixture trigger/ok pairs
-//! per interprocedural rule, cross-crate call-graph resolution, the
-//! committed-baseline byte-identity gate, SARIF rendering, and CLI-level
-//! engine-diagnostic dedupe.
+//! Integration tests for the interprocedural passes: fixture trigger/ok
+//! pairs per rule, cross-crate call-graph resolution, and — at the CLI —
+//! one report per bad directive and allows that mix rules of two passes.
 //!
 //! Fixture files live under `tests/fixtures/dataflow/`. Their on-disk paths
 //! start with `crates/simlint/…`, which is deliberately *outside*
@@ -11,12 +10,11 @@
 //! keeps the fixtures inert for workspace-wide runs while still exercising
 //! the exact scope logic production files hit.
 
-use simlint::dataflow::{run_dataflow, BASELINE_PATH, DATAFLOW_RULES};
 use simlint::graph::build_index;
-use simlint::{find_workspace_root, Diagnostic};
+use simlint::{check, Diagnostic};
 
-use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
+use std::process::{Command, Output};
 
 fn fixture(name: &str) -> String {
     let path = Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -26,14 +24,15 @@ fn fixture(name: &str) -> String {
         .unwrap_or_else(|err| panic!("reading fixture {}: {err}", path.display()))
 }
 
-/// Run the dataflow engine over fixture contents mounted at virtual
-/// sim-scope paths.
+/// Run the workspace-wide passes over fixture contents mounted at virtual
+/// sim-scope paths (the per-file rules stay off: the taint fixture reads
+/// `Instant` on purpose).
 fn run_virtual(files: &[(&str, String)]) -> Vec<Diagnostic> {
     let owned: Vec<(PathBuf, String)> = files
         .iter()
         .map(|(p, s)| (PathBuf::from(p), s.clone()))
         .collect();
-    run_dataflow(Path::new(""), &owned).diags
+    check(Path::new(""), &owned, |_| false).diags
 }
 
 fn rules_of(diags: &[Diagnostic]) -> Vec<&'static str> {
@@ -183,79 +182,65 @@ fn taint_fixed_point_crosses_crate_boundary() {
 }
 
 // ---------------------------------------------------------------------------
-// committed baseline: byte identity against a real workspace run
+// CLI
 // ---------------------------------------------------------------------------
 
-#[test]
-fn workspace_dataflow_run_reproduces_committed_baseline_bytes() {
-    let manifest = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let root = find_workspace_root(manifest).expect("workspace root above simlint");
-    let files = simlint::dataflow::dataflow_files(&root).expect("collect dataflow scope");
-    assert!(
-        files.len() > 50,
-        "dataflow scope should cover the workspace, got {} files",
-        files.len()
-    );
-    let outcome = run_dataflow(&root, &files);
-    let rendered = simlint::dataflow::render_baseline(&root, &outcome.diags);
-    let committed =
-        std::fs::read_to_string(root.join(BASELINE_PATH)).expect("committed baseline file");
-    assert_eq!(
-        rendered, committed,
-        "workspace findings drifted from crates/simlint/dataflow.baseline; \
-         fix the finding or regenerate with --dataflow --write-baseline"
-    );
+/// Run the binary with `flags` followed by `path`.
+fn simlint(flags: &[&str], path: &Path) -> (Output, String) {
+    let out = Command::new(env!("CARGO_BIN_EXE_simlint"))
+        .args(flags)
+        .arg(path)
+        .output()
+        .expect("run simlint binary");
+    let stdout = String::from_utf8(out.stdout.clone()).expect("utf8");
+    (out, stdout)
 }
-
-// ---------------------------------------------------------------------------
-// SARIF
-// ---------------------------------------------------------------------------
-
-#[test]
-fn sarif_renders_dataflow_findings_with_catalog_entries() {
-    let diags = run_virtual(&[(
-        "crates/iwarp/src/fixture.rs",
-        fixture("panic_path_trigger.rs"),
-    )]);
-    let summaries: BTreeMap<&'static str, &'static str> = DATAFLOW_RULES.iter().copied().collect();
-    let sarif = simlint::sarif::to_sarif(Path::new(""), &diags, &summaries);
-    assert!(sarif.contains("\"version\": \"2.1.0\""));
-    assert!(sarif.contains("\"ruleId\": \"panic-path\""));
-    assert!(sarif.contains("\"uri\": \"crates/iwarp/src/fixture.rs\""));
-    // All three dataflow rules appear in the catalog even when only one fired.
-    for (name, _) in DATAFLOW_RULES {
-        assert!(sarif.contains(&format!("\"id\": \"{name}\"")), "{name}");
-    }
-    assert_eq!(sarif.matches('{').count(), sarif.matches('}').count());
-}
-
-// ---------------------------------------------------------------------------
-// CLI: combined classic + dataflow run reports each bad directive once
-// ---------------------------------------------------------------------------
 
 #[test]
 fn cli_reports_bad_allow_directives_once_in_combined_mode() {
     let fixture_path =
         Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/allow_malformed.rs");
-    let out = std::process::Command::new(env!("CARGO_BIN_EXE_simlint"))
-        .arg("--dataflow")
-        .arg("--json")
-        .arg(&fixture_path)
-        .output()
-        .expect("run simlint binary");
-    let stdout = String::from_utf8(out.stdout).expect("utf8");
+    let (out, stdout) = simlint(&[], &fixture_path);
+    assert!(!out.status.success(), "{stdout}");
     assert_eq!(
-        stdout.matches("\"rule\":\"malformed-allow\"").count(),
+        stdout.matches("deny(malformed-allow)").count(),
         1,
         "one malformed directive must produce exactly one diagnostic:\n{stdout}"
     );
     assert_eq!(
-        stdout.matches("\"rule\":\"unknown-rule\"").count(),
+        stdout.matches("deny(unknown-rule)").count(),
         1,
         "one typoed rule name must produce exactly one diagnostic:\n{stdout}"
     );
-    assert!(
-        stdout.contains("\"baselined\""),
-        "dataflow mode must report the baselined count:\n{stdout}"
-    );
+}
+
+/// A throwaway workspace (`[workspace]` manifest plus one iwarp source
+/// file), linted the way ci.sh lints the real one.
+fn shell_workspace(tag: &str, content: &str) -> PathBuf {
+    let root = Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("dataflow_cli_{tag}"));
+    let src_dir = root.join("crates/iwarp/src");
+    std::fs::create_dir_all(&src_dir).expect("scratch src dir");
+    std::fs::write(root.join("Cargo.toml"), "[workspace]\n").expect("write manifest");
+    std::fs::write(src_dir.join("fixture.rs"), content).expect("write fixture");
+    root
+}
+
+#[test]
+fn allows_mixing_rules_of_two_passes_are_judged_once() {
+    // (a) Suppresses nothing: reported once, and the run fails.
+    let unused = shell_workspace("mixed_unused", &fixture("mixed_allow_unused.rs"));
+    let (out, stdout) = simlint(&["--root"], &unused);
+    assert!(!out.status.success(), "{stdout}");
+    assert_eq!(stdout.matches("deny(unused-allow)").count(), 1, "{stdout}");
+    assert_eq!(stdout.matches("deny(").count(), 1, "{stdout}");
+
+    // (b) Suppresses the panic-path finding: no finding, and the audit
+    // agrees it is in use.
+    let used = shell_workspace("mixed_used", &fixture("mixed_allow_panic_path.rs"));
+    let (out, stdout) = simlint(&["--root"], &used);
+    assert!(out.status.success(), "{stdout}");
+    let (out, stdout) = simlint(&["--audit-allows", "--json", "--root"], &used);
+    assert!(out.status.success(), "{stdout}");
+    assert!(stdout.contains("\"allows\": 1,"), "{stdout}");
+    assert!(stdout.contains("\"stale\": 0,"), "{stdout}");
 }

@@ -1,25 +1,23 @@
 //! Fixture-driven rule tests: every rule has a must-trigger and a
 //! must-not-trigger fixture, the allow-list machinery is pinned down to
 //! "suppresses exactly one diagnostic", and — the gate the rest of the
-//! repository relies on — the workspace's own simulation scope must lint
-//! clean, so `cargo test` fails the moment a determinism hazard lands.
+//! repository relies on — the whole pipeline over the workspace must come
+//! back clean, so `cargo test` fails the moment a determinism, panic-path,
+//! FSM or dimension hazard lands.
 
 use simlint::rules::all_rules;
-use simlint::{find_workspace_root, lint_source, workspace_files, Diagnostic};
+use simlint::{check, check_workspace, find_workspace_root, Diagnostic};
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
-fn fixture_path(name: &str) -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/fixtures")
-        .join(name)
-}
-
+/// The pipeline over one fixture, as `simlint FILE` runs it.
 fn lint_fixture(name: &str) -> Vec<Diagnostic> {
-    let path = fixture_path(name);
+    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures")
+        .join(name);
     let src =
         std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("reading fixture {name}: {e}"));
-    lint_source(&path, &src, &all_rules())
+    check(Path::new(""), &[(path, src)], |_| true).diags
 }
 
 fn count_rule(diags: &[Diagnostic], rule: &str) -> usize {
@@ -132,16 +130,17 @@ fn directive_hygiene_is_enforced() {
 fn workspace_simulation_scope_is_clean() {
     let root = find_workspace_root(Path::new(env!("CARGO_MANIFEST_DIR")))
         .expect("simlint lives inside the workspace");
-    let rules = all_rules();
-    let mut diags = Vec::new();
-    for file in workspace_files(&root).expect("walk workspace") {
-        let src = std::fs::read_to_string(&file).expect("read source");
-        diags.extend(lint_source(&file, &src, &rules));
-    }
+    let report = check_workspace(&root).expect("read workspace");
     assert!(
-        diags.is_empty(),
-        "the workspace's simulation scope must lint clean; fix or `// simlint: allow(rule) -- reason` these:\n{}",
-        diags
+        report.files > 50,
+        "the widened scope should cover the workspace, got {} files",
+        report.files
+    );
+    assert!(
+        report.diags.is_empty(),
+        "the workspace must lint clean under every pass; fix or `// simlint: allow(rule) -- reason` these:\n{}",
+        report
+            .diags
             .iter()
             .map(std::string::ToString::to_string)
             .collect::<Vec<_>>()

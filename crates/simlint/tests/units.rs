@@ -1,7 +1,6 @@
-//! Integration tests for the `--units` layer: fixture trigger/ok pairs per
+//! Integration tests for the units pass: fixture trigger/ok pairs per
 //! dimensional rule, the exhaustive operator-legality matrix, the
-//! cross-crate witness chain, the committed-baseline byte-identity gate,
-//! and the CLI baseline round trip.
+//! cross-crate witness chain, and the CLI gate and rule listing.
 //!
 //! Fixture files live under `tests/fixtures/units/`. Their on-disk paths
 //! start with `crates/simlint/…`, which is deliberately *outside*
@@ -11,10 +10,9 @@
 //! keeps the fixtures inert for workspace-wide runs while still exercising
 //! the exact scope logic production files hit.
 
-use simlint::units::{run_units, units_pass, UNITS_BASELINE_PATH, UNITS_RULES};
-use simlint::{find_workspace_root, Diagnostic};
+use simlint::units::{units_pass, UNITS_RULES};
+use simlint::{check, Diagnostic};
 
-use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 fn fixture(name: &str) -> String {
@@ -25,14 +23,14 @@ fn fixture(name: &str) -> String {
         .unwrap_or_else(|err| panic!("reading fixture {}: {err}", path.display()))
 }
 
-/// Run the units engine over fixture contents mounted at virtual sim-scope
-/// paths.
+/// Run the workspace-wide passes over fixture contents mounted at virtual
+/// sim-scope paths (per-file rules off, as for the dataflow fixtures).
 fn run_virtual(files: &[(&str, String)]) -> Vec<Diagnostic> {
     let owned: Vec<(PathBuf, String)> = files
         .iter()
         .map(|(p, s)| (PathBuf::from(p), s.clone()))
         .collect();
-    run_units(Path::new(""), &owned).diags
+    check(Path::new(""), &owned, |_| false).diags
 }
 
 fn rules_of(diags: &[Diagnostic]) -> Vec<&'static str> {
@@ -248,146 +246,29 @@ fn witness_chain_crosses_crates_through_the_fixed_point() {
 }
 
 // ---------------------------------------------------------------------------
-// committed baseline: byte identity against a real workspace run
+// CLI: the gate and the rule listing
 // ---------------------------------------------------------------------------
-
-#[test]
-fn workspace_units_run_reproduces_committed_baseline_bytes() {
-    let manifest = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let root = find_workspace_root(manifest).expect("workspace root above simlint");
-    let files = simlint::dataflow::dataflow_files(&root).expect("collect dataflow scope");
-    let outcome = run_units(&root, &files);
-    let rendered = simlint::units::render_units_baseline(&root, &outcome.diags);
-    let committed =
-        std::fs::read_to_string(root.join(UNITS_BASELINE_PATH)).expect("committed baseline file");
-    assert_eq!(
-        rendered, committed,
-        "workspace findings drifted from crates/simlint/units.baseline; \
-         fix the finding or regenerate with --units --write-baseline"
-    );
-    // The migration to typed quantities is complete: the committed
-    // baseline is *empty* and must stay that way.
-    assert!(
-        outcome.diags.is_empty(),
-        "the units baseline is empty by design; new findings are real bugs: {:?}",
-        outcome.diags
-    );
-}
-
-// ---------------------------------------------------------------------------
-// SARIF
-// ---------------------------------------------------------------------------
-
-#[test]
-fn sarif_renders_units_findings_with_catalog_entries() {
-    let diags = run_virtual(&[(
-        "crates/simnet/src/fixture.rs",
-        fixture("lossy_time_cast_trigger.rs"),
-    )]);
-    let summaries: BTreeMap<&'static str, &'static str> = UNITS_RULES.iter().copied().collect();
-    let sarif = simlint::sarif::to_sarif(Path::new(""), &diags, &summaries);
-    assert!(sarif.contains("\"ruleId\": \"lossy-time-cast\""));
-    for (name, _) in UNITS_RULES {
-        assert!(sarif.contains(&format!("\"id\": \"{name}\"")), "{name}");
-    }
-    assert_eq!(sarif.matches('{').count(), sarif.matches('}').count());
-}
-
-// ---------------------------------------------------------------------------
-// CLI: deny gate, baseline write, and round-trip acceptance
-// ---------------------------------------------------------------------------
-
-/// Build a throwaway workspace shell under `CARGO_TARGET_TMPDIR` with one
-/// sim-scope file, so CLI runs exercise real path/scope resolution.
-fn scratch_workspace(tag: &str, content: &str) -> (PathBuf, PathBuf) {
-    let root = Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("units_cli_{tag}"));
-    let src_dir = root.join("crates/simnet/src");
-    std::fs::create_dir_all(&src_dir).expect("scratch src dir");
-    std::fs::create_dir_all(root.join("crates/simlint")).expect("scratch baseline dir");
-    let file = src_dir.join("fixture.rs");
-    std::fs::write(&file, content).expect("write scratch fixture");
-    (root, file)
-}
 
 #[test]
 fn cli_units_deny_gate_fails_on_fresh_finding() {
-    let (root, file) = scratch_workspace("deny", &fixture("unit_mismatch_trigger.rs"));
+    // A throwaway workspace shell with one sim-scope file, so the run
+    // exercises real path/scope resolution.
+    let root = Path::new(env!("CARGO_TARGET_TMPDIR")).join("units_cli_deny");
+    let src_dir = root.join("crates/simnet/src");
+    std::fs::create_dir_all(&src_dir).expect("scratch src dir");
+    let file = src_dir.join("fixture.rs");
+    std::fs::write(&file, fixture("unit_mismatch_trigger.rs")).expect("write scratch fixture");
     let out = std::process::Command::new(env!("CARGO_BIN_EXE_simlint"))
-        .arg("--units")
-        .arg("--deny-all")
-        .arg("--json")
         .arg("--root")
         .arg(&root)
         .arg(&file)
         .output()
         .expect("run simlint binary");
-    assert!(
-        !out.status.success(),
-        "fresh units findings must fail --deny-all"
-    );
+    assert!(!out.status.success(), "a units finding must fail the run");
     let stdout = String::from_utf8(out.stdout).expect("utf8");
     assert!(
-        stdout.contains("\"rule\":\"unit-mismatch\""),
-        "JSON must carry the finding:\n{stdout}"
-    );
-    assert!(
-        stdout.contains("\"baselined\""),
-        "units mode must report the baselined count:\n{stdout}"
-    );
-}
-
-#[test]
-fn cli_units_baseline_round_trip_accepts_then_gates() {
-    let (root, file) = scratch_workspace("roundtrip", &fixture("raw_quantity_trigger.rs"));
-    let bin = env!("CARGO_BIN_EXE_simlint");
-    // 1. Accept the current findings into the baseline.
-    let write = std::process::Command::new(bin)
-        .arg("--units")
-        .arg("--write-baseline")
-        .arg("--root")
-        .arg(&root)
-        .arg(&file)
-        .output()
-        .expect("run simlint binary");
-    assert!(write.status.success(), "{write:?}");
-    let baseline = root.join(UNITS_BASELINE_PATH);
-    let text = std::fs::read_to_string(&baseline).expect("baseline written");
-    assert!(
-        text.contains("raw-quantity|crates/simnet/src/fixture.rs|"),
-        "baseline must hold the fingerprint:\n{text}"
-    );
-    // 2. The same run now passes the deny gate (finding is baselined).
-    let gated = std::process::Command::new(bin)
-        .arg("--units")
-        .arg("--deny-all")
-        .arg("--root")
-        .arg(&root)
-        .arg(&file)
-        .output()
-        .expect("run simlint binary");
-    assert!(
-        gated.status.success(),
-        "baselined finding must pass --deny-all: {:?}",
-        String::from_utf8_lossy(&gated.stdout)
-    );
-    // 3. Fixing the code strands the baseline entry: stale entries fail.
-    std::fs::write(&file, fixture("raw_quantity_ok.rs")).expect("rewrite fixture");
-    let stale = std::process::Command::new(bin)
-        .arg("--units")
-        .arg("--deny-all")
-        .arg("--root")
-        .arg(&root)
-        .arg(&file)
-        .output()
-        .expect("run simlint binary");
-    assert!(
-        !stale.status.success(),
-        "stale baseline entries must fail --deny-all"
-    );
-    let stdout = String::from_utf8(stale.stdout).expect("utf8");
-    assert!(
-        stdout.contains("stale baseline entry"),
-        "stale entry must be reported:\n{stdout}"
+        stdout.contains("deny(unit-mismatch)"),
+        "the report must carry the finding:\n{stdout}"
     );
 }
 
@@ -398,7 +279,7 @@ fn cli_list_rules_names_the_units_section() {
         .output()
         .expect("run simlint binary");
     let stdout = String::from_utf8(out.stdout).expect("utf8");
-    assert!(stdout.contains("dimensional rules (run with --units):"));
+    assert!(stdout.contains("\ndimensional rules:\n"), "{stdout}");
     for (name, _) in UNITS_RULES {
         assert!(stdout.contains(name), "{name} missing:\n{stdout}");
     }

@@ -23,7 +23,7 @@
 //! There is deliberately no `From<u64>` / `Into<u64>`: constructing or
 //! unwrapping a quantity is always a *named* operation ([`Bytes::new`],
 //! [`Bytes::get`], [`ByteRate::from_gbps`], …), which is what the
-//! `simlint --units` dimensional-analysis pass keys on (DESIGN.md §12).
+//! simlint dimensional-analysis pass keys on (DESIGN.md §12).
 
 use crate::time::SimDuration;
 
