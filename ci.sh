@@ -31,11 +31,8 @@ pin() {
 echo "==> cargo fmt --check"
 cargo fmt --check
 
-echo "==> cargo build --release (+ the figures binary the pins run)"
-# The root package does not depend on `bench`, so the workspace-root build
-# alone leaves target/release/figures stale.
+echo "==> cargo build --release (default members: every crate, and the figures binary the pins run)"
 cargo build --release
-cargo build --release -p bench --bin figures
 
 echo "==> cargo test -q --workspace"
 # Bounded: a test that hangs (as simnet::shard's worker-panic test did

@@ -7,8 +7,10 @@
 //! experiment (Fig. 6) measures precisely this machinery, so it is modelled
 //! explicitly here:
 //!
-//! * [`HostMem`] — a flat per-host address space with real byte storage, so
-//!   RDMA placement is verifiable end-to-end in tests.
+//! * [`HostMem`] — a sparse, page-granular per-host address space with real
+//!   byte storage, so RDMA placement is verifiable end-to-end in tests.
+//!   Allocation only reserves addresses; a page is materialised the first
+//!   time something writes it, and untouched memory reads as zeros.
 //! * [`MemoryRegistry`] — registration bookkeeping: per-page pinning costs,
 //!   key (STag/lkey) allocation and validation, and an LRU pin-down cache.
 
@@ -31,20 +33,35 @@ pub struct VirtAddr(pub u64);
 
 impl VirtAddr {
     /// Byte offset addition.
+    ///
+    /// # Panics
+    /// If the result does not fit in the 64-bit address space.
     #[inline]
     pub fn offset(self, bytes: u64) -> VirtAddr {
-        VirtAddr(self.0 + bytes)
+        VirtAddr(self.region_end(bytes))
     }
 
     /// Number of pages a `[self, self+len)` region touches.
+    ///
+    /// # Panics
+    /// If the region's end does not fit in the 64-bit address space.
     #[inline]
     pub fn pages(self, len: u64) -> u64 {
         if len == 0 {
             return 0;
         }
         let first = self.0 / PAGE_SIZE;
-        let last = (self.0 + len - 1) / PAGE_SIZE;
+        let last = (self.region_end(len) - 1) / PAGE_SIZE;
         last - first + 1
+    }
+
+    /// One past the last byte of `[self, self+len)`.
+    #[inline]
+    fn region_end(self, len: u64) -> u64 {
+        match self.0.checked_add(len) {
+            Some(end) => end,
+            None => panic!("address overflow: {self:?} + {len} bytes wraps past u64::MAX"),
+        }
     }
 }
 
@@ -54,7 +71,13 @@ impl fmt::Debug for VirtAddr {
     }
 }
 
-/// A flat, grow-on-demand address space with real storage.
+/// A sparse, page-granular address space with real storage.
+///
+/// Allocation only advances a bump pointer. A [`PAGE_SIZE`] page is created,
+/// zeroed, the first time [`write`](Self::write) or [`fill`](Self::fill)
+/// touches it, and [`read`](Self::read) returns zeros for pages nothing has
+/// written — the same bytes a zero-initialised arena would hold, without
+/// paying for buffers whose contents no one reads.
 #[derive(Clone, Default)]
 pub struct HostMem {
     inner: Rc<RefCell<MemInner>>,
@@ -62,8 +85,36 @@ pub struct HostMem {
 
 #[derive(Default)]
 struct MemInner {
-    arena: Vec<u8>,
+    /// Materialised pages keyed by page index; an absent page reads as zeros.
+    pages: BTreeMap<u64, Box<[u8]>>,
+    /// Bump pointer: the lowest unallocated address.
     next: u64,
+}
+
+impl MemInner {
+    /// Page `index`, zero-filled on first touch.
+    fn page_mut(&mut self, index: u64) -> &mut [u8] {
+        self.pages
+            .entry(index)
+            .or_insert_with(|| vec![0; PAGE_SIZE as usize].into_boxed_slice())
+    }
+}
+
+/// Split `[addr, addr+len)` into per-page runs, in address order:
+/// `(page index, offset within the page, run length)`.
+fn page_runs(addr: VirtAddr, len: u64) -> impl Iterator<Item = (u64, usize, usize)> {
+    let end = addr.region_end(len);
+    let mut at = addr.0;
+    std::iter::from_fn(move || {
+        if at == end {
+            return None;
+        }
+        let within = at % PAGE_SIZE;
+        let run = (PAGE_SIZE - within).min(end - at);
+        let page = at / PAGE_SIZE;
+        at += run;
+        Some((page, within as usize, run as usize))
+    })
 }
 
 impl HostMem {
@@ -73,16 +124,25 @@ impl HostMem {
     }
 
     /// Allocate `len` bytes aligned to `align` (power of two), returning the
-    /// base address. Storage is zero-initialized.
+    /// base address. The range reads as zeros until something writes it.
+    ///
+    /// # Panics
+    /// If `align` is not a power of two, or the allocation would extend past
+    /// the 64-bit address space.
     pub fn alloc(&self, len: u64, align: u64) -> VirtAddr {
         assert!(align.is_power_of_two(), "alignment must be a power of two");
         let mut m = self.inner.borrow_mut();
-        let base = (m.next + align - 1) & !(align - 1);
-        m.next = base + len;
-        let need = m.next as usize;
-        if m.arena.len() < need {
-            m.arena.resize(need, 0);
-        }
+        let next = m.next;
+        let Some((base, end)) = next
+            .checked_next_multiple_of(align)
+            .and_then(|base| Some((base, base.checked_add(len)?)))
+        else {
+            panic!(
+                "host memory overflow: allocating {len} bytes aligned to {align} \
+                 above {next:#x} wraps past u64::MAX"
+            );
+        };
+        m.next = end;
         VirtAddr(base)
     }
 
@@ -91,34 +151,45 @@ impl HostMem {
         self.alloc(len, PAGE_SIZE)
     }
 
-    /// Write `data` at `addr`.
+    /// Write `data` at `addr`, materialising every page it touches.
     pub fn write(&self, addr: VirtAddr, data: &[u8]) {
         let mut m = self.inner.borrow_mut();
-        let end = addr.0 as usize + data.len();
-        if m.arena.len() < end {
-            m.arena.resize(end, 0);
+        let mut rest = data;
+        for (page, within, run) in page_runs(addr, data.len() as u64) {
+            let (head, tail) = rest.split_at(run);
+            m.page_mut(page)[within..within + run].copy_from_slice(head);
+            rest = tail;
         }
-        m.arena[addr.0 as usize..end].copy_from_slice(data);
     }
 
-    /// Read `len` bytes at `addr` into a fresh vector.
+    /// Read `len` bytes at `addr` into a fresh vector; bytes on pages nothing
+    /// has written read as zeros.
     pub fn read(&self, addr: VirtAddr, len: u64) -> Vec<u8> {
-        let mut m = self.inner.borrow_mut();
-        let end = addr.0 as usize + len as usize;
-        if m.arena.len() < end {
-            m.arena.resize(end, 0);
+        let m = self.inner.borrow();
+        let mut out = vec![0; len as usize];
+        let mut pos = 0;
+        for (page, within, run) in page_runs(addr, len) {
+            if let Some(bytes) = m.pages.get(&page) {
+                out[pos..pos + run].copy_from_slice(&bytes[within..within + run]);
+            }
+            pos += run;
         }
-        m.arena[addr.0 as usize..end].to_vec()
+        out
     }
 
-    /// Fill `[addr, addr+len)` with `byte` (test workloads).
+    /// Fill `[addr, addr+len)` with `byte` (test workloads), materialising
+    /// every page it touches.
     pub fn fill(&self, addr: VirtAddr, len: u64, byte: u8) {
         let mut m = self.inner.borrow_mut();
-        let end = addr.0 as usize + len as usize;
-        if m.arena.len() < end {
-            m.arena.resize(end, 0);
+        for (page, within, run) in page_runs(addr, len) {
+            m.page_mut(page)[within..within + run].fill(byte);
         }
-        m.arena[addr.0 as usize..end].fill(byte);
+    }
+
+    /// Number of materialised pages.
+    #[cfg(test)]
+    fn resident_pages(&self) -> usize {
+        self.inner.borrow().pages.len()
     }
 }
 
@@ -286,10 +357,18 @@ impl MemoryRegistry {
     /// Validate that `key` covers `[addr, addr+len)` — the check a NIC
     /// performs before placing RDMA data. Returns false for unknown keys or
     /// out-of-bounds accesses (which surface as remote protection errors).
+    /// An access whose end wraps past `u64::MAX` is out of bounds.
     pub fn check(&self, key: MemKey, addr: VirtAddr, len: u64) -> bool {
         let s = self.state.borrow();
         let ok = match s.regions.get(&key) {
-            Some((base, rlen)) => addr.0 >= base.0 && addr.0 + len <= base.0 + rlen,
+            Some(&(base, rlen)) => {
+                addr >= base
+                    && addr
+                        .0
+                        .checked_add(len)
+                        .zip(base.0.checked_add(rlen))
+                        .is_some_and(|(end, region_end)| end <= region_end)
+            }
             None => false,
         };
         #[cfg(feature = "simcheck")]
@@ -336,6 +415,87 @@ mod tests {
         assert_eq!(mem.read(addr, 17), b"iwarp vs ib vs mx");
         mem.fill(addr, 4, b'x');
         assert_eq!(mem.read(addr, 5), b"xxxxp");
+    }
+
+    #[test]
+    fn never_written_memory_reads_as_zeros() {
+        let mem = HostMem::new();
+        let addr = mem.alloc_buffer(3 * PAGE_SIZE);
+        assert_eq!(
+            mem.read(addr.offset(10), 2 * PAGE_SIZE),
+            vec![0; 2 * PAGE_SIZE as usize]
+        );
+        assert_eq!(mem.resident_pages(), 0, "a read materialises nothing");
+    }
+
+    #[test]
+    fn write_and_fill_straddle_page_boundaries() {
+        let mem = HostMem::new();
+        let addr = mem.alloc_buffer(8 * PAGE_SIZE);
+        // One boundary: the last 3 bytes of page 0 and the first 2 of page 1.
+        mem.write(addr.offset(PAGE_SIZE - 3), b"abcde");
+        assert_eq!(mem.read(addr.offset(PAGE_SIZE - 4), 7), b"\0abcde\0");
+        assert_eq!(mem.resident_pages(), 2);
+        // Several boundaries: from mid page 2 to mid page 5.
+        let data: Vec<u8> = (0..3 * PAGE_SIZE).map(|i| (i % 251) as u8).collect();
+        let at = addr.offset(2 * PAGE_SIZE + PAGE_SIZE / 2);
+        mem.write(at, &data);
+        assert_eq!(mem.read(at, data.len() as u64), data);
+        assert_eq!(mem.resident_pages(), 6);
+        mem.fill(addr.offset(PAGE_SIZE - 1), 2 * PAGE_SIZE + 2, 0xee);
+        let filled = mem.read(addr.offset(PAGE_SIZE - 2), 2 * PAGE_SIZE + 4);
+        assert_eq!(filled[0], b'b');
+        assert!(filled[1..filled.len() - 1].iter().all(|&b| b == 0xee));
+        assert_eq!(filled[filled.len() - 1], data[PAGE_SIZE as usize / 2 + 1]);
+        assert_eq!(mem.resident_pages(), 6);
+    }
+
+    #[test]
+    fn read_spans_touched_untouched_and_touched_pages() {
+        let mem = HostMem::new();
+        let addr = mem.alloc_buffer(3 * PAGE_SIZE);
+        mem.fill(addr, PAGE_SIZE, 1);
+        mem.fill(addr.offset(2 * PAGE_SIZE), PAGE_SIZE, 3);
+        let got = mem.read(addr.offset(PAGE_SIZE - 1), PAGE_SIZE + 2);
+        let mut want = vec![0; PAGE_SIZE as usize + 2];
+        want[0] = 1;
+        want[PAGE_SIZE as usize + 1] = 3;
+        assert_eq!(got, want);
+        assert_eq!(mem.resident_pages(), 2);
+    }
+
+    #[test]
+    fn allocation_materialises_no_page_until_written() {
+        let mem = HostMem::new();
+        let bufs: Vec<VirtAddr> = (0..24).map(|_| mem.alloc_buffer(4 << 20)).collect();
+        assert_eq!(mem.resident_pages(), 0);
+        mem.write(bufs[23].offset((4 << 20) - 1), &[7]);
+        assert_eq!(mem.resident_pages(), 1);
+    }
+
+    #[test]
+    fn terabyte_buffer_is_free_until_touched() {
+        let mem = HostMem::new();
+        let addr = mem.alloc_buffer(1 << 40);
+        assert_eq!(mem.resident_pages(), 0);
+        let last = addr.offset((1 << 40) - 1);
+        mem.write(last, &[0x5a]);
+        assert_eq!(mem.read(last, 1), [0x5a]);
+        assert_eq!(mem.resident_pages(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "host memory overflow")]
+    fn allocation_past_the_address_space_panics_with_a_name() {
+        let mem = HostMem::new();
+        mem.alloc_buffer(1 << 40);
+        mem.alloc_buffer(u64::MAX - (1 << 39));
+    }
+
+    #[test]
+    #[should_panic(expected = "address overflow")]
+    fn offset_past_the_address_space_panics_with_a_name() {
+        VirtAddr(u64::MAX - 1).offset(2);
     }
 
     #[test]
@@ -428,5 +588,6 @@ mod tests {
         assert!(reg.check(key, addr.offset(100), PAGE_SIZE - 100));
         assert!(!reg.check(key, addr.offset(1), PAGE_SIZE)); // 1 byte past end
         assert!(!reg.check(MemKey(9999), addr, 1)); // unknown key
+        assert!(!reg.check(key, addr.offset(100), u64::MAX - 50)); // end wraps past u64::MAX
     }
 }

@@ -72,7 +72,14 @@ impl MrShadowOracle {
     ) -> Option<Violation> {
         note_check(Rule::MrBounds);
         let shadow_answer = match self.regions.get(&key) {
-            Some(&(base, rlen)) => addr >= base && addr + len <= base + rlen,
+            // An end that wraps past u64::MAX is never covered.
+            Some(&(base, rlen)) => {
+                addr >= base
+                    && addr
+                        .checked_add(len)
+                        .zip(base.checked_add(rlen))
+                        .is_some_and(|(end, region_end)| end <= region_end)
+            }
             None => false,
         };
         if shadow_answer != nic_answer {
@@ -101,6 +108,19 @@ mod tests {
         assert_eq!(o.observe_check(2, 0x1000, 1, false, None), None);
         assert_eq!(o.on_deregister(1, None), None);
         assert_eq!(o.observe_check(1, 0x1000, 1, false, None), None);
+    }
+
+    #[test]
+    fn shadow_rejects_an_access_whose_end_wraps() {
+        let mut o = MrShadowOracle::new();
+        o.on_register(1, 0x1000, 4096, None);
+        assert_eq!(
+            o.observe_check(1, 0x1000 + 100, u64::MAX - 50, false, None),
+            None
+        );
+        assert!(o
+            .observe_check(1, 0x1000 + 100, u64::MAX - 50, true, None)
+            .is_some());
     }
 
     #[test]

@@ -88,6 +88,13 @@ fn fig2_and_fig5_order_digests_are_stable_across_double_runs() {
     }
 }
 
+/// The buffer-reuse figure allocates 24 fresh buffers per side per point and
+/// never reads them; its registration-cost curves must still match the pin.
+#[test]
+fn fig6_matches_the_committed_pin() {
+    generate_pinned("fig6");
+}
+
 #[test]
 fn fig_loss_digest_is_stable_across_double_runs() {
     // The lossy sweep draws from the fault plane's counter-based PRNG; two
