@@ -86,6 +86,10 @@ echo "==> differential sweep: transfer memo vs unmemoized replay (100k cases)"
 # identical with the fingerprint-keyed cache enabled and force-disabled.
 MEMO_DIFF_CASES=100000 cargo test -q --release --test memo_diff
 
+echo "==> calendar differential in release (full 204k operations)"
+# Debug builds run a quarter of the seeded streams for wall-clock.
+cargo test -q --release -p simnet --lib calendar::tests::matches_the_ordered_map_reference_on_random_streams
+
 echo "==> determinism suite in release (full --threads {1,2,4,8} digest matrix)"
 # The fig2/fig-loss thread-sweep digests are ignored in debug builds for
 # wall-clock; release runs the whole matrix in seconds.

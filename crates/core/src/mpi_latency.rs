@@ -12,7 +12,12 @@ use crate::sweep::{iters_for, paper_sizes};
 use crate::userlevel::{self, UserPair};
 
 /// MPI ping-pong half-RTT (µs) for one fabric and size.
+///
+/// # Panics
+///
+/// With no iterations: the average would be 0/0.
 pub fn mpi_half_rtt_us(kind: FabricKind, size: u64, iters: u64) -> f64 {
+    assert!(iters > 0, "MPI half-RTT needs at least one timed iteration");
     let sim = Sim::new();
     let world = MpiWorld::build(&sim, kind, 2);
     let r0 = Rc::clone(world.rank(0));
@@ -106,6 +111,12 @@ pub fn fig3_overhead() -> Figure {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    #[should_panic(expected = "MPI half-RTT needs at least one timed iteration")]
+    fn mpi_half_rtt_rejects_zero_iterations() {
+        mpi_half_rtt_us(FabricKind::MxoM, 4, 0);
+    }
 
     #[test]
     fn mpi_latency_ordering_matches_paper() {

@@ -10,7 +10,7 @@
 
 use hostmodel::cpu::{Cpu, CpuCosts};
 use mpisim::FabricKind;
-use simnet::sync::{join2, join_all};
+use simnet::sync::{join2, TaskGroup};
 use simnet::Sim;
 use udapl::{DatFabric, Provider};
 
@@ -63,7 +63,16 @@ pub fn normalized_latency(kind: FabricKind, n: usize, size: u64, rounds: u64) ->
 }
 
 /// As [`normalized_latency`], with explicit calibration (ablations).
+///
+/// # Panics
+///
+/// With no connections or no rounds: the average would be 0/0.
 pub fn normalized_latency_spec(spec: FabricSpec, n: usize, size: u64, rounds: u64) -> f64 {
+    assert!(n > 0, "multi-connection run needs at least one connection");
+    assert!(
+        rounds > 0,
+        "normalized latency needs at least one timed round"
+    );
     let sim = Sim::new();
     sim.block_on({
         let sim = sim.clone();
@@ -107,21 +116,30 @@ pub fn throughput(kind: FabricKind, n: usize, size: u64, msgs_per_conn: u64) -> 
 }
 
 /// As [`throughput`], with explicit calibration (ablations).
+///
+/// # Panics
+///
+/// With no connections or no messages: the rate would be 0/0.
 pub fn throughput_spec(spec: FabricSpec, n: usize, size: u64, msgs_per_conn: u64) -> f64 {
+    assert!(n > 0, "multi-connection run needs at least one connection");
+    assert!(
+        msgs_per_conn > 0,
+        "throughput needs at least one message per connection"
+    );
     let sim = Sim::new();
     sim.block_on({
         let sim = sim.clone();
         async move {
             let pairs = std::rc::Rc::new(build_pairs_spec(&sim, spec, n).await);
             let t0 = sim.now();
-            let mut tasks = Vec::new();
+            let streams = TaskGroup::new();
             for (i, _) in pairs.iter().enumerate() {
                 // One stream per direction on connection i, A→B first: post
                 // everything, then reap every completion (completion =
                 // remote placement).
                 for from in [A, B] {
                     let ps = std::rc::Rc::clone(&pairs);
-                    tasks.push(sim.spawn(async move {
+                    streams.spawn(&sim, async move {
                         let side = &ps[i][from];
                         for _ in 0..msgs_per_conn {
                             side.write(0, size).await;
@@ -129,10 +147,10 @@ pub fn throughput_spec(spec: FabricSpec, n: usize, size: u64, msgs_per_conn: u64
                         for _ in 0..msgs_per_conn {
                             side.ep.evd_wait().await;
                         }
-                    }));
+                    });
                 }
             }
-            join_all(tasks).await;
+            streams.wait().await;
             let bytes = 2 * n as u64 * msgs_per_conn * size;
             bytes as f64 / (sim.now() - t0).as_secs_f64() / 1e6
         }
@@ -248,6 +266,30 @@ mod tests {
             t32 < t8,
             "IB 512B throughput must drop past 8 conns: 8={t8:.0} 32={t32:.0} MB/s"
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "multi-connection run needs at least one connection")]
+    fn throughput_rejects_zero_connections() {
+        throughput(FabricKind::Iwarp, 0, 512, 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "throughput needs at least one message per connection")]
+    fn throughput_rejects_zero_messages() {
+        throughput(FabricKind::InfiniBand, 2, 512, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "multi-connection run needs at least one connection")]
+    fn normalized_latency_rejects_zero_connections() {
+        normalized_latency(FabricKind::InfiniBand, 0, 128, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "normalized latency needs at least one timed round")]
+    fn normalized_latency_rejects_zero_rounds() {
+        normalized_latency(FabricKind::Iwarp, 2, 128, 0);
     }
 
     #[test]

@@ -327,7 +327,7 @@ impl<N: VerbsNic> Qp<N> {
         let local = Rc::clone(&self.local);
         let remote = Rc::clone(&self.remote);
         let watch = Rc::clone(&self.watch);
-        self.tx.sim.spawn(async move {
+        self.tx.sim.spawn_detached(async move {
             let sim = &tx.sim;
             tx.carry(match wr {
                 WorkRequest::RdmaRead { .. } => READ_REQUEST_LEN,

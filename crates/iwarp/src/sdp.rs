@@ -81,7 +81,7 @@ impl SdpSocket {
         let mem = self.qp.device().mem.clone();
         let cpu = self.cpu.clone();
         let sim = self.cpu.sim().clone();
-        sim.spawn(async move {
+        sim.spawn_detached(async move {
             let bounce = mem.alloc_buffer(SDP_SEGMENT);
             loop {
                 qp.post_recv(0, bounce, SDP_SEGMENT).await;

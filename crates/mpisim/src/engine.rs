@@ -238,7 +238,7 @@ impl<N: VerbsNic> HostEngine<N> {
             });
             let me = Rc::clone(self);
             let wire = self.cfg.eager_header + len;
-            self.sim.spawn(async move {
+            self.sim.spawn_detached(async move {
                 me.transport.send_to(dest, wire).await;
                 let peer = me.peer(dest);
                 peer.handle_arrival(CtrlMsg::Eager {
@@ -267,7 +267,7 @@ impl<N: VerbsNic> HostEngine<N> {
             let me = Rc::clone(self);
             let wire = self.cfg.ctrl_wire;
             let rank = self.rank;
-            self.sim.spawn(async move {
+            self.sim.spawn_detached(async move {
                 me.transport.send_to(dest, wire).await;
                 let peer = me.peer(dest);
                 peer.handle_arrival(CtrlMsg::Rts {
@@ -367,7 +367,7 @@ impl<N: VerbsNic> HostEngine<N> {
         );
         let me = Rc::clone(self);
         let wire = self.cfg.ctrl_wire;
-        self.sim.spawn(async move {
+        self.sim.spawn_detached(async move {
             me.transport.send_to(from, wire).await;
             let peer = me.peer(from);
             peer.handle_arrival(CtrlMsg::Cts {
@@ -457,7 +457,7 @@ impl<N: VerbsNic> HostEngine<N> {
                     .expect("CTS for unknown RTS");
                 let me = Rc::clone(self);
                 let n = rts.len.min(rlen);
-                self.sim.spawn(async move {
+                self.sim.spawn_detached(async move {
                     let ok = me
                         .transport
                         .rdma_write_to(rts.dest, n, rts.payload, rkey, raddr)

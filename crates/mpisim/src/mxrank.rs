@@ -91,7 +91,7 @@ impl MpiRank for MxMpiRank {
             let req = MpiRequest::new();
             let bridge = req.clone();
             let me_rank = self.rank;
-            self.sim.spawn(async move {
+            self.sim.spawn_detached(async move {
                 let st = mx_req.wait().await;
                 bridge.complete(MpiStatus {
                     len: st.len,
@@ -120,7 +120,7 @@ impl MpiRank for MxMpiRank {
             let mx_req = self.ep.irecv(bits, mask, buf, len).await;
             let req = MpiRequest::new();
             let bridge = req.clone();
-            self.sim.spawn(async move {
+            self.sim.spawn_detached(async move {
                 let st = mx_req.wait().await;
                 // The sender's rank rides in the match bits.
                 let source = ((st.bits.0 >> 32) & 0xFFFF) as usize;

@@ -413,7 +413,7 @@ impl MxEndpoint {
         let dest = dest.clone();
         let ticket = dest.order.ticket();
         let sim = self.sim.clone();
-        self.sim.spawn(async move {
+        self.sim.spawn_detached(async move {
             let mut payload = payload;
             let (peer_inner, peer_nic) = (&dest.peer_inner, &dest.peer_nic);
             let rs = dest.transfer_reliable(&sim, Bytes::new(len)).await;
@@ -498,7 +498,7 @@ impl MxEndpoint {
         let ticket = dest.order.ticket();
         let sim = self.sim.clone();
         let sreq = req.clone();
-        self.sim.spawn(async move {
+        self.sim.spawn_detached(async move {
             let (peer_inner, peer_nic) = (&dest.peer_inner, &dest.peer_nic);
             // RTS travels as a small control message.
             let rs = dest.transfer_reliable(&sim, Bytes::new(32)).await;
@@ -523,7 +523,7 @@ impl MxEndpoint {
                     let n = len.min(rlen);
                     let bits = bits;
                     let sim3 = sim2.clone();
-                    sim2.spawn(async move {
+                    sim2.spawn_detached(async move {
                         let (peer_nic, peer_progression) =
                             (&puller.peer_nic, &puller.peer_progression);
                         // Progression thread wakes, pins the receive buffer

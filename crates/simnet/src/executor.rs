@@ -30,7 +30,8 @@
 //! Event/poll/wake counters for all of the above are exposed through
 //! [`Sim::stats`].
 
-use std::cell::RefCell;
+use std::any::Any;
+use std::cell::{Cell, RefCell};
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
 use std::future::Future;
@@ -42,10 +43,52 @@ use std::sync::{Arc, Mutex};
 use std::task::{Context, Poll, Wake, Waker};
 
 use crate::stats::SimStats;
-use crate::sync::{oneshot, OneshotReceiver};
 use crate::time::{SimDuration, SimTime};
 
-type LocalFuture = Pin<Box<dyn Future<Output = ()>>>;
+/// A spawned future as the task slab holds it: boxed as-is, its output
+/// type erased. A wrapper future (`async move { tx.send(fut.await) }`)
+/// would store `fut` twice — once as the wrapper's capture, once as the
+/// value it awaits — so the output is handed over here instead.
+trait Task {
+    /// Poll the future in place. Once it is ready, move its output into
+    /// `joiner` (if it wants one) and return `Ready`.
+    fn poll_task(
+        self: Pin<&mut Self>,
+        cx: &mut Context<'_>,
+        joiner: Option<&dyn Joiner>,
+    ) -> Poll<()>;
+}
+
+impl<F: Future> Task for F
+where
+    F::Output: 'static,
+{
+    fn poll_task(
+        self: Pin<&mut Self>,
+        cx: &mut Context<'_>,
+        joiner: Option<&dyn Joiner>,
+    ) -> Poll<()> {
+        let Poll::Ready(out) = self.poll(cx) else {
+            return Poll::Pending;
+        };
+        if let Some(j) = joiner {
+            j.store(&mut Some(out));
+        }
+        Poll::Ready(())
+    }
+}
+
+/// Who hears about a finished task: a [`JoinHandle`]'s slot or a
+/// [`TaskGroup`](crate::sync::TaskGroup).
+pub(crate) trait Joiner {
+    /// Take the task's output from `out`, an `Option<F::Output>`. The
+    /// default discards it.
+    fn store(&self, _out: &mut dyn Any) {}
+
+    /// The task's future returned and has been dropped: wake whoever
+    /// waits on it.
+    fn finish(&self);
+}
 
 /// Slab address of a task: index plus an ABA-guarding generation. A wake
 /// addressed to a completed (recycled) slot compares generations and is
@@ -135,7 +178,10 @@ enum TaskState {
 
 struct TaskEntry {
     /// `None` while the future is checked out for polling.
-    fut: Option<LocalFuture>,
+    fut: Option<Pin<Box<dyn Task>>>,
+    /// Told when the future returns (`None` for a detached task); checked
+    /// out with `fut`.
+    joiner: Option<Rc<dyn Joiner>>,
     /// The task's reusable waker (cloning bumps a refcount — no allocation).
     waker: Waker,
     /// Same `Arc` that backs `waker`; gives the executor the scheduled flag.
@@ -573,20 +619,46 @@ impl Sim {
         self.core.borrow().tie_fires
     }
 
-    /// Spawn a task. It will not run until the executor is driven by
-    /// [`Sim::block_on`] or [`Sim::run_until_quiescent`].
+    /// Spawn a task whose output the returned [`JoinHandle`] yields. It
+    /// will not run until the executor is driven by [`Sim::block_on`] or
+    /// [`Sim::run_until_quiescent`]. A caller that drops the handle wants
+    /// [`Sim::spawn_detached`], which skips the result slot.
     pub fn spawn<F>(&self, fut: F) -> JoinHandle<F::Output>
     where
         F: Future + 'static,
         F::Output: 'static,
     {
-        let (tx, rx) = oneshot();
-        let wrapped: LocalFuture = Box::pin(async move {
-            let out = fut.await;
-            // The receiver may have been dropped; that simply means nobody
-            // cares about the result.
-            tx.send(out);
+        let slot = Rc::new(JoinSlot {
+            value: Cell::new(None),
+            waker: Cell::new(None),
         });
+        self.spawn_joined(fut, Some(Rc::clone(&slot) as Rc<dyn Joiner>));
+        JoinHandle { slot }
+    }
+
+    /// Spawn a task nobody joins: the future is boxed as-is, with no
+    /// result slot. Polled in spawn order with [`Sim::spawn`]'s tasks.
+    pub fn spawn_detached<F>(&self, fut: F)
+    where
+        F: Future<Output = ()> + 'static,
+    {
+        self.spawn_joined(fut, None);
+    }
+
+    /// Box `fut` into a fresh task slot and queue it; `joiner` hears when
+    /// it returns.
+    pub(crate) fn spawn_joined<F>(&self, fut: F, joiner: Option<Rc<dyn Joiner>>)
+    where
+        F: Future + 'static,
+        F::Output: 'static,
+    {
+        self.insert_task(Box::pin(fut), joiner);
+    }
+
+    /// The part of a spawn that does not depend on the future's type, kept
+    /// out of line so each spawned type adds only its boxing to the binary.
+    #[inline(never)]
+    fn insert_task(&self, fut: Pin<Box<dyn Task>>, joiner: Option<Rc<dyn Joiner>>) {
         let id = {
             let mut core = self.core.borrow_mut();
             core.spawns += 1;
@@ -619,7 +691,8 @@ impl Sim {
                 ready: Arc::clone(&self.ready),
             });
             slot.state = TaskState::Occupied(TaskEntry {
-                fut: Some(wrapped),
+                fut: Some(fut),
+                joiner,
                 waker: Waker::from(Arc::clone(&shared)),
                 shared,
                 repoll: false,
@@ -627,7 +700,6 @@ impl Sim {
             id
         };
         self.ready.push(id);
-        JoinHandle { rx }
     }
 
     /// Sleep for `d` of virtual time.
@@ -813,7 +885,7 @@ impl Sim {
     fn poll_task(&self, id: TaskId) {
         // Check the future out of the slab so the task body may re-borrow
         // the core (spawn, sleep, wake) without RefCell re-entrancy.
-        let (mut fut, waker) = {
+        let (mut fut, joiner, waker) = {
             let mut core = self.core.borrow_mut();
             let Some(slot) = core.tasks.get_mut(id.index as usize) else {
                 return;
@@ -831,8 +903,9 @@ impl Sim {
                     // simlint: allow(relaxed-atomics) -- wake-coalescing flag, single-threaded executor
                     entry.shared.scheduled.store(false, MemOrder::Relaxed);
                     let waker = entry.waker.clone();
+                    let joiner = entry.joiner.take();
                     core.polls += 1;
-                    (fut, waker)
+                    (fut, joiner, waker)
                 }
                 None => {
                     // Checked out by an outer poll (re-entrant drive). Mark
@@ -844,15 +917,23 @@ impl Sim {
             }
         };
         let mut cx = Context::from_waker(&waker);
-        match fut.as_mut().poll(&mut cx) {
+        match fut.as_mut().poll_task(&mut cx, joiner.as_deref()) {
             Poll::Ready(()) => {
-                let mut core = self.core.borrow_mut();
-                core.live_tasks -= 1;
-                let free = core.task_free;
-                let slot = &mut core.tasks[id.index as usize];
-                slot.gen = slot.gen.wrapping_add(1);
-                slot.state = TaskState::Vacant { next_free: free };
-                core.task_free = Some(id.index);
+                // The future goes before its joiner is told, the order a
+                // wrapper that awaited it and then sent the output had.
+                drop(fut);
+                {
+                    let mut core = self.core.borrow_mut();
+                    core.live_tasks -= 1;
+                    let free = core.task_free;
+                    let slot = &mut core.tasks[id.index as usize];
+                    slot.gen = slot.gen.wrapping_add(1);
+                    slot.state = TaskState::Vacant { next_free: free };
+                    core.task_free = Some(id.index);
+                }
+                if let Some(j) = joiner {
+                    j.finish();
+                }
             }
             Poll::Pending => {
                 let mut core = self.core.borrow_mut();
@@ -860,6 +941,7 @@ impl Sim {
                     unreachable!("pending task's slot vanished during poll");
                 };
                 entry.fut = Some(fut);
+                entry.joiner = joiner;
                 if entry.repoll {
                     entry.repoll = false;
                     // simlint: allow(relaxed-atomics) -- wake-coalescing flag, single-threaded executor
@@ -1017,30 +1099,58 @@ impl Future for YieldNow {
     }
 }
 
+/// A joinable task's result, shared by its slab entry (as the task's
+/// [`Joiner`]) and its [`JoinHandle`].
+struct JoinSlot<T> {
+    value: Cell<Option<T>>,
+    /// The task awaiting the handle, woken once when the output lands.
+    waker: Cell<Option<Waker>>,
+}
+
+impl<T: 'static> Joiner for JoinSlot<T> {
+    fn store(&self, out: &mut dyn Any) {
+        let out = out
+            .downcast_mut::<Option<T>>()
+            .expect("join slot typed by `Sim::spawn`");
+        self.value.set(out.take());
+    }
+
+    fn finish(&self) {
+        if let Some(w) = self.waker.take() {
+            w.wake();
+        }
+    }
+}
+
 /// Handle to a spawned task's result.
 ///
 /// Await it inside the simulation, or use [`JoinHandle::try_take`] from
 /// outside the executor loop.
 pub struct JoinHandle<T> {
-    rx: OneshotReceiver<T>,
+    slot: Rc<JoinSlot<T>>,
 }
 
 impl<T> JoinHandle<T> {
     /// Non-blocking: returns the task output if it has completed.
     pub fn try_take(&self, _sim: &Sim) -> Option<T> {
-        self.rx.try_recv()
+        self.slot.value.take()
     }
 }
 
 impl<T> Future for JoinHandle<T> {
     type Output = T;
 
-    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<T> {
-        match Pin::new(&mut self.rx).poll(cx) {
-            Poll::Ready(Some(v)) => Poll::Ready(v),
-            Poll::Ready(None) => panic!("joined task dropped its result channel"),
-            Poll::Pending => Poll::Pending,
+    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<T> {
+        if let Some(v) = self.slot.value.take() {
+            return Poll::Ready(v);
         }
+        // Same-task re-poll: keep the registered waker, skip the clone.
+        let waker = match self.slot.waker.take() {
+            Some(w) if w.will_wake(cx.waker()) => w,
+            _ => cx.waker().clone(),
+        };
+        self.slot.waker.set(Some(waker));
+        Poll::Pending
     }
 }
 
@@ -1353,6 +1463,116 @@ mod tests {
         let expect: Vec<i32> = (0..16).flat_map(|i| [i, 100 + i]).collect();
         assert_eq!(*order.borrow(), expect);
         assert_eq!(sim.stats().timer_events, 16);
+    }
+
+    /// Heap bytes of the future task `index` holds.
+    fn boxed_size(sim: &Sim, index: usize) -> usize {
+        let core = sim.core.borrow();
+        let TaskState::Occupied(entry) = &core.tasks[index].state else {
+            panic!("task slot {index} is vacant");
+        };
+        std::mem::size_of_val(&**entry.fut.as_ref().expect("future checked in"))
+    }
+
+    #[test]
+    fn a_spawned_future_is_boxed_once() {
+        let sim = Sim::new();
+        let s = sim.clone();
+        // A 600-byte buffer held across an await, as a verbs send task's
+        // state is: a wrapper that awaited it would store it twice.
+        let fut = async move {
+            let buf = [7u8; 600];
+            s.sleep(SimDuration::from_nanos(1)).await;
+            buf.iter().map(|&b| u32::from(b)).sum::<u32>()
+        };
+        let own = std::mem::size_of_val(&fut);
+        let h = sim.spawn(fut);
+        assert!(
+            boxed_size(&sim, 0) <= own + 16,
+            "joinable task boxes {} bytes for a {own}-byte future",
+            boxed_size(&sim, 0)
+        );
+        let s = sim.clone();
+        let fut = async move {
+            let buf = [1u8; 600];
+            s.sleep(SimDuration::from_nanos(1)).await;
+            std::hint::black_box(&buf);
+        };
+        let own = std::mem::size_of_val(&fut);
+        sim.spawn_detached(fut);
+        assert_eq!(
+            boxed_size(&sim, 1),
+            own,
+            "a detached task boxes its future as-is"
+        );
+        assert_eq!(sim.block_on(h), 7 * 600);
+    }
+
+    #[test]
+    fn spawn_and_spawn_detached_are_first_polled_in_spawn_order() {
+        let sim = Sim::new();
+        let order = Rc::new(RefCell::new(Vec::new()));
+        let mut handles = Vec::new();
+        for i in 0..8u32 {
+            let order = Rc::clone(&order);
+            if i % 3 == 0 {
+                handles.push(sim.spawn(async move { order.borrow_mut().push(i) }));
+            } else {
+                sim.spawn_detached(async move { order.borrow_mut().push(i) });
+            }
+        }
+        sim.run_until_quiescent();
+        assert_eq!(*order.borrow(), (0..8).collect::<Vec<_>>());
+        assert!(handles.iter().all(|h| h.try_take(&sim).is_some()));
+    }
+
+    #[test]
+    fn a_join_handle_wakes_its_waiter_once_and_drops_the_future_first() {
+        // The finished future is dropped before the joiner is woken, so a
+        // wake its destructor makes is queued ahead of the joiner's.
+        struct WakeOnDrop(Rc<RefCell<Option<Waker>>>);
+        impl Future for WakeOnDrop {
+            type Output = u8;
+            fn poll(self: Pin<&mut Self>, _: &mut Context<'_>) -> Poll<u8> {
+                Poll::Ready(3)
+            }
+        }
+        impl Drop for WakeOnDrop {
+            fn drop(&mut self) {
+                if let Some(w) = self.0.borrow_mut().take() {
+                    w.wake();
+                }
+            }
+        }
+        let sim = Sim::new();
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let parked = Rc::new(RefCell::new(None::<Waker>));
+        {
+            let (log, parked) = (Rc::clone(&log), Rc::clone(&parked));
+            let mut first = true;
+            sim.spawn_detached(std::future::poll_fn(move |cx| {
+                if std::mem::take(&mut first) {
+                    *parked.borrow_mut() = Some(cx.waker().clone());
+                    return Poll::Pending;
+                }
+                log.borrow_mut().push("dropped");
+                Poll::Ready(())
+            }));
+        }
+        let s = sim.clone();
+        let l = Rc::clone(&log);
+        let p = Rc::clone(&parked);
+        sim.spawn_detached(async move {
+            // Wait once so the joinee runs after the handle is polled.
+            let h = s.spawn(WakeOnDrop(p));
+            let v = h.await;
+            l.borrow_mut().push("joined");
+            assert_eq!(v, 3);
+        });
+        let wakes_before = sim.stats().wakes;
+        sim.run_until_quiescent();
+        assert_eq!(*log.borrow(), ["dropped", "joined"]);
+        assert_eq!(sim.stats().wakes - wakes_before, 2);
     }
 
     #[test]

@@ -22,6 +22,7 @@ use std::task::{Context, Poll, Waker};
 use crate::calendar::Calendar;
 use crate::executor::Sim;
 use crate::memo::{MemoKey, MEMO_CAPACITY};
+use crate::sync::TaskGroup;
 use crate::time::{SimDuration, SimTime};
 use crate::units::{ByteRate, Bytes};
 
@@ -576,7 +577,7 @@ impl Pipeline {
                 .chunk_partition(bytes, per_segment_overhead_bytes)
                 .into(),
         };
-        let mut joins = Vec::with_capacity(metas.len());
+        let chunks = TaskGroup::new();
         for (c, &meta) in metas.iter().enumerate() {
             // Stage 0: enter now, FIFO behind this flow's earlier chunks.
             let stage0 = &self.stages[0];
@@ -584,21 +585,24 @@ impl Pipeline {
                 .pipe
                 .reserve_n(self.sim.now(), meta.cwire, meta.csegs);
             let seg0_service = stage0.pipe.service_time(meta.seg_wire);
-            joins.push(self.sim.spawn(chunk_walk(
-                self.sim.clone(),
-                Rc::clone(&self.stages),
-                1,
-                s0,
-                e0,
-                seg0_service,
-                stage0.latency,
-                meta,
-            )));
+            chunks.spawn(
+                &self.sim,
+                chunk_walk(
+                    self.sim.clone(),
+                    Rc::clone(&self.stages),
+                    1,
+                    s0,
+                    e0,
+                    seg0_service,
+                    stage0.latency,
+                    meta,
+                ),
+            );
             if c + 1 < metas.len() && e0 > self.sim.now() {
                 self.sim.sleep_until(e0).await;
             }
         }
-        crate::sync::join_all(joins).await;
+        chunks.wait().await;
     }
 
     /// Attempt the uncontended cut-through fast path: replay the whole
@@ -1168,7 +1172,7 @@ impl Speculation {
             self.materialize_due(s, now);
         }
         let started = self.mat[0].get() as usize;
-        let mut handles = Vec::new();
+        let rest = TaskGroup::new();
         for c in 0..started {
             // Stages already holding this chunk's reservation are exactly
             // the ones `materialize_due` wrote — due-ness is monotone down
@@ -1184,35 +1188,38 @@ impl Speculation {
                 let op = self.op(c, self.nstages - 1);
                 let exit = SimTime::from_nanos(op.end) + self.stages[self.nstages - 1].latency;
                 let sim = self.sim.clone();
-                handles.push(self.sim.spawn(async move {
+                rest.spawn(&self.sim, async move {
                     if exit > sim.now() {
                         sim.sleep_until(exit).await;
                     }
-                }));
+                });
             } else {
                 let prev_op = self.op(c, done - 1);
                 let prev_stage = &self.stages[done - 1];
-                handles.push(self.sim.spawn(chunk_walk(
-                    self.sim.clone(),
-                    Rc::clone(&self.stages),
-                    done,
-                    SimTime::from_nanos(prev_op.start),
-                    SimTime::from_nanos(prev_op.end),
-                    prev_stage.pipe.service_time(meta.seg_wire),
-                    prev_stage.latency,
-                    meta,
-                )));
+                rest.spawn(
+                    &self.sim,
+                    chunk_walk(
+                        self.sim.clone(),
+                        Rc::clone(&self.stages),
+                        done,
+                        SimTime::from_nanos(prev_op.start),
+                        SimTime::from_nanos(prev_op.end),
+                        prev_stage.pipe.service_time(meta.seg_wire),
+                        prev_stage.latency,
+                        meta,
+                    ),
+                );
             }
         }
         if started < self.metas.len() {
             let spec = Rc::clone(self);
-            handles.push(self.sim.spawn(async move {
+            rest.spawn(&self.sim, async move {
                 spec.resume_main(started).await;
-            }));
+            });
         }
         let spec = Rc::clone(self);
-        self.sim.spawn(async move {
-            crate::sync::join_all(handles).await;
+        self.sim.spawn_detached(async move {
+            rest.wait().await;
             spec.phase.set(SpecPhase::Done);
             if let Some(w) = spec.waker.borrow_mut().take() {
                 w.wake();
@@ -1230,27 +1237,30 @@ impl Speculation {
             self.sim.sleep_until(e0_last).await;
         }
         let stage0 = &self.stages[0];
-        let mut joins = Vec::with_capacity(self.metas.len() - started);
+        let chunks = TaskGroup::new();
         for c in started..self.metas.len() {
             let meta = self.metas[c];
             let (s0, e0) = stage0
                 .pipe
                 .reserve_n(self.sim.now(), meta.cwire, meta.csegs);
-            joins.push(self.sim.spawn(chunk_walk(
-                self.sim.clone(),
-                Rc::clone(&self.stages),
-                1,
-                s0,
-                e0,
-                stage0.pipe.service_time(meta.seg_wire),
-                stage0.latency,
-                meta,
-            )));
+            chunks.spawn(
+                &self.sim,
+                chunk_walk(
+                    self.sim.clone(),
+                    Rc::clone(&self.stages),
+                    1,
+                    s0,
+                    e0,
+                    stage0.pipe.service_time(meta.seg_wire),
+                    stage0.latency,
+                    meta,
+                ),
+            );
             if c + 1 < self.metas.len() && e0 > self.sim.now() {
                 self.sim.sleep_until(e0).await;
             }
         }
-        crate::sync::join_all(joins).await;
+        chunks.wait().await;
     }
 }
 

@@ -392,7 +392,7 @@ impl<M: Send + 'static> ShardCtx<M> {
         sim.note_cross_shard_event();
         let at = ev.at;
         let payload = ev.payload;
-        self.inner.sim.spawn(async move {
+        self.inner.sim.spawn_detached(async move {
             sim.sleep_until(at).await;
             let mut inbox = inbox.borrow_mut();
             inbox.queue.push_back(payload);

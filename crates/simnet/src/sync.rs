@@ -1,16 +1,19 @@
 //! Intra-simulation synchronization primitives: oneshot and mpsc channels,
-//! counting semaphore, and notify cell.
+//! counting semaphore, notify cell, barrier, FIFO gate and task group.
 //!
 //! All primitives are `!Send`; they live entirely inside the single-threaded
 //! simulation and synchronize *tasks*, not threads. Wake-ups are mediated by
 //! the executor's FIFO ready queue, so ordering stays deterministic.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
 use std::task::{Context, Poll, Waker};
+
+use crate::executor::Joiner;
+use crate::Sim;
 
 // ---------------------------------------------------------------------------
 // oneshot
@@ -506,6 +509,82 @@ impl FifoGate {
 }
 
 // ---------------------------------------------------------------------------
+// TaskGroup
+// ---------------------------------------------------------------------------
+
+struct GroupState {
+    /// Members spawned and not yet finished.
+    pending: Cell<usize>,
+    /// The waiter, registered by its first pending poll of
+    /// [`TaskGroup::wait`] and kept: every later finish wakes it.
+    waiter: RefCell<Option<Waker>>,
+}
+
+impl Joiner for GroupState {
+    fn finish(&self) {
+        self.pending.set(self.pending.get() - 1);
+        if let Some(w) = self.waiter.borrow().as_ref() {
+            w.wake_by_ref();
+        }
+    }
+}
+
+/// Spawned tasks one waiter awaits as a whole, in O(1) per wake.
+///
+/// Members are detached tasks (their outputs are `()`); [`TaskGroup::wait`]
+/// completes once all have finished. The waiter is woken once per member
+/// that finishes after its first pending poll — exactly the wakes
+/// [`join_all`] over the members' [`JoinHandle`](crate::JoinHandle)s
+/// delivers, so swapping one for the other keeps every ready-queue
+/// position and armed timer.
+pub struct TaskGroup {
+    state: Rc<GroupState>,
+}
+
+impl Default for TaskGroup {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl TaskGroup {
+    /// An empty group.
+    pub fn new() -> Self {
+        TaskGroup {
+            state: Rc::new(GroupState {
+                pending: Cell::new(0),
+                waiter: RefCell::new(None),
+            }),
+        }
+    }
+
+    /// Spawn `fut` on `sim` as a member. Polled in spawn order with every
+    /// other task, like [`Sim::spawn_detached`].
+    pub fn spawn<F>(&self, sim: &Sim, fut: F)
+    where
+        F: Future<Output = ()> + 'static,
+    {
+        self.state.pending.set(self.state.pending.get() + 1);
+        sim.spawn_joined(fut, Some(Rc::clone(&self.state) as Rc<dyn Joiner>));
+    }
+
+    /// Wait until every member spawned so far has finished.
+    pub async fn wait(&self) {
+        std::future::poll_fn(|cx| {
+            if self.state.pending.get() == 0 {
+                return Poll::Ready(());
+            }
+            let mut waiter = self.state.waiter.borrow_mut();
+            if !waiter.as_ref().is_some_and(|w| w.will_wake(cx.waker())) {
+                *waiter = Some(cx.waker().clone());
+            }
+            Poll::Pending
+        })
+        .await;
+    }
+}
+
+// ---------------------------------------------------------------------------
 // join helpers
 // ---------------------------------------------------------------------------
 
@@ -566,6 +645,11 @@ pub async fn join2<A: Future, B: Future>(a: A, b: B) -> (A::Output, B::Output) {
 }
 
 /// Await every future in the vector, returning outputs in input order.
+///
+/// Every wake re-polls every still-pending future, so a wait costs
+/// O(pending) per wake: awaiting `n` [`JoinHandle`](crate::JoinHandle)s
+/// that finish one by one is O(n²) polls. Tasks whose outputs nobody
+/// needs belong in a [`TaskGroup`], whose wait is O(1) per wake.
 pub async fn join_all<F: Future>(futs: Vec<F>) -> Vec<F::Output> {
     let mut pinned: Vec<_> = futs.into_iter().map(Box::pin).collect();
     let mut outs: Vec<Option<F::Output>> = pinned.iter().map(|_| None).collect();
@@ -761,6 +845,52 @@ mod tests {
             .collect();
         let out = sim.block_on(async move { join_all(futs).await });
         assert_eq!(out, vec![0, 1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn a_task_group_wakes_its_waiter_as_join_all_over_handles_does() {
+        // Members finishing before the waiter waits, at one instant
+        // together, and one by one after it; each finish also arms a
+        // timer, so a moved wake would show in the trace digest.
+        fn run(group: bool) -> (u64, u64, u64, u64, u64, u64) {
+            let sim = Sim::new();
+            let s = sim.clone();
+            sim.block_on(async move {
+                let tasks = TaskGroup::new();
+                let mut handles = Vec::new();
+                for d in [0u64, 5, 10, 10, 30, 7, 10] {
+                    let s2 = s.clone();
+                    let member = async move {
+                        s2.sleep(SimDuration::from_nanos(d)).await;
+                        s2.spawn_detached({
+                            let s3 = s2.clone();
+                            async move { s3.sleep(SimDuration::from_nanos(1)).await }
+                        });
+                    };
+                    if group {
+                        tasks.spawn(&s, member);
+                    } else {
+                        handles.push(s.spawn(member));
+                    }
+                }
+                s.sleep(SimDuration::from_nanos(7)).await;
+                if group {
+                    tasks.wait().await;
+                } else {
+                    join_all(handles).await;
+                }
+            });
+            let st = sim.stats();
+            (
+                st.wakes,
+                st.redundant_wakes,
+                st.polls,
+                sim.order_trace_digest(),
+                sim.now().as_nanos(),
+                sim.run_until_quiescent().as_nanos(),
+            )
+        }
+        assert_eq!(run(true), run(false));
     }
 }
 
