@@ -45,16 +45,16 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo doc --no-deps (broken intra-doc links are errors)"
 RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc -q --no-deps --workspace
 
-echo "==> simlint (determinism, panic-path, FSM & units gates)"
+echo "==> simlint (determinism, panic-path & FSM gates)"
 # One pipeline over the workspace; any finding fails. Per-file rules reject
 # hash-order iteration, wall-clock reads, OS threads, unseeded RNGs,
 # unordered float accumulation, Relaxed atomics, cross-shard state and
 # incomplete memo keys in simulation-state code (DESIGN.md §6); the
 # interprocedural passes add nondeterminism taint through calls, unwraps
 # reachable from the fabric transfer hot paths and static FSM conformance
-# between the fabric machines and the simcheck tables (§11); the
-# dimensional pass adds unit-mismatch, unit-arith, raw-quantity and
-# lossy-time-cast (§12).
+# between the fabric machines and the simcheck tables (§11). Dimensions
+# are the compiler's: the types and simnet's cast_possible_truncation
+# deny, enforced by the clippy step above (§12).
 cargo run -q -p simlint
 
 mkdir -p results/ci

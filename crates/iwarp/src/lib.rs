@@ -27,7 +27,6 @@ pub mod ddp;
 pub mod mpa;
 pub mod rdmap;
 pub mod rnic;
-pub mod sdp;
 pub mod verbs;
 
 pub use calib::NetEffectCalib;

@@ -23,7 +23,7 @@ use etherstack::{Fabric, VerbsNic};
 use hostmodel::cpu::Cpu;
 use hostmodel::lru::LruCache;
 use hostmodel::mem::{HostMem, MemKey, VirtAddr};
-use simnet::{Sim, SimDuration};
+use simnet::{Bytes, Sim, SimDuration};
 
 use crate::rank::{LocalFuture, MpiRank, Source};
 use crate::request::{MpiRequest, MpiStatus};
@@ -35,9 +35,9 @@ pub struct MpiConfig {
     /// Messages of at least this many bytes use the rendezvous protocol.
     pub rndv_threshold: u64,
     /// Wire bytes of the eager header prepended to payload.
-    pub eager_header: u64,
+    pub eager_header: Bytes,
     /// Wire bytes of a control message (RTS/CTS/FIN).
-    pub ctrl_wire: u64,
+    pub ctrl_wire: Bytes,
     /// CPU cost per posted-receive-queue entry walked on message arrival.
     pub posted_per_entry: SimDuration,
     /// CPU cost per unexpected-queue entry walked on `MPI_Irecv`.
@@ -237,7 +237,7 @@ impl<N: VerbsNic> HostEngine<N> {
                 tag,
             });
             let me = Rc::clone(self);
-            let wire = self.cfg.eager_header + len;
+            let wire = self.cfg.eager_header + Bytes::new(len);
             self.sim.spawn_detached(async move {
                 me.transport.send_to(dest, wire).await;
                 let peer = me.peer(dest);

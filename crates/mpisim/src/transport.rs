@@ -57,15 +57,15 @@ impl<N: VerbsNic> FabricTransport<N> {
     }
 
     /// Post, then carry `bytes` to `dest` NIC to NIC.
-    async fn cross(&self, dest: usize, bytes: u64) {
+    async fn cross(&self, dest: usize, bytes: Bytes) {
         self.cpu.work(self.post_cost).await;
-        self.lanes[&dest].carry(Bytes::new(bytes)).await;
+        self.lanes[&dest].carry(bytes).await;
     }
 
     /// Deliver a `wire_bytes`-long two-sided message to `dest`; the future
     /// completes at *arrival* time. Messages to the same destination are
     /// FIFO (connection-ordered).
-    pub fn send_to(&self, dest: usize, wire_bytes: u64) -> impl Future<Output = ()> + '_ {
+    pub fn send_to(&self, dest: usize, wire_bytes: Bytes) -> impl Future<Output = ()> + '_ {
         // Ticket at post time: the connection delivers in post order even
         // when a small late message finishes its wire crossing first.
         let gate = &self.lanes[&dest].order;
@@ -87,7 +87,7 @@ impl<N: VerbsNic> FabricTransport<N> {
         rkey: MemKey,
         raddr: VirtAddr,
     ) -> bool {
-        self.cross(dest, len).await;
+        self.cross(dest, Bytes::new(len)).await;
         self.lanes[&dest].place(rkey, raddr, len, payload)
     }
 

@@ -4,7 +4,7 @@ use std::rc::Rc;
 
 use etherstack::{Fabric, VerbsNic};
 use hostmodel::cpu::{Cpu, CpuCosts};
-use simnet::{Sim, SimDuration};
+use simnet::{Bytes, Sim, SimDuration};
 
 use crate::engine::{HostEngine, HostMpiRank, MpiConfig};
 use crate::mxrank::MxMpiRank;
@@ -48,8 +48,8 @@ impl FabricKind {
 pub fn iwarp_mpi_config() -> MpiConfig {
     MpiConfig {
         rndv_threshold: 6_000,
-        eager_header: 32,
-        ctrl_wire: 40,
+        eager_header: Bytes::new(32),
+        ctrl_wire: Bytes::new(40),
         posted_per_entry: SimDuration::from_nanos(30),
         unexpected_per_entry: SimDuration::from_nanos(15),
         send_sw: SimDuration::from_nanos(250),
@@ -62,8 +62,8 @@ pub fn iwarp_mpi_config() -> MpiConfig {
 pub fn ib_mpi_config() -> MpiConfig {
     MpiConfig {
         rndv_threshold: 8_192,
-        eager_header: 32,
-        ctrl_wire: 40,
+        eager_header: Bytes::new(32),
+        ctrl_wire: Bytes::new(40),
         posted_per_entry: SimDuration::from_nanos(35),
         unexpected_per_entry: SimDuration::from_nanos(18),
         send_sw: SimDuration::from_nanos(60),

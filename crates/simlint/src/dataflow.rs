@@ -3,9 +3,8 @@
 //! The classic rules in [`crate::rules`] are per-file; the passes here
 //! ([`crate::taint`], [`crate::fsm`]) are workspace-wide — they need every
 //! file at once to resolve calls and to pair fabric machines with oracle
-//! tables. Their findings join the per-file and [`crate::units`] findings
-//! before the allows are applied, so one annotation may waive rules of
-//! any pass.
+//! tables. Their findings join the per-file findings before the allows are
+//! applied, so one annotation may waive rules of either pass.
 
 use crate::graph::build_index;
 use crate::{fsm, taint, Diagnostic};

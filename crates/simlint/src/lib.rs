@@ -25,10 +25,15 @@
 //! ## One pipeline
 //!
 //! [`check`] is the whole tool: it runs the per-file rules of
-//! [`rules`] on sim-scope files, the workspace-wide passes of [`dataflow`]
-//! (taint, panic paths, FSM conformance) and [`units`] over the widened
+//! [`rules`] on sim-scope files and the workspace-wide passes of
+//! [`dataflow`] (taint, panic paths, FSM conformance) over the widened
 //! scope, then parses each file's allows once and applies them to the
 //! union of findings. Whatever survives fails the run.
+//!
+//! Dimensional mistakes (a duration added to a byte count, a time narrowed
+//! to `u32`) are not linted here: the `SimTime` / `SimDuration` / `Bytes`
+//! types make them compile errors, and `simnet` denies
+//! `clippy::cast_possible_truncation` (DESIGN.md §12).
 //!
 //! ## Allow-list annotations
 //!
@@ -57,7 +62,6 @@ pub mod fsm;
 pub mod graph;
 pub mod rules;
 pub mod taint;
-pub mod units;
 
 // ---------------------------------------------------------------------------
 // Diagnostics
@@ -331,12 +335,7 @@ pub fn check(root: &Path, files: &[(PathBuf, String)], classic: impl Fn(&Path) -
     let known: Vec<&'static str> = rules
         .iter()
         .map(|r| r.name())
-        .chain(
-            dataflow::DATAFLOW_RULES
-                .iter()
-                .chain(units::UNITS_RULES)
-                .map(|(n, _)| *n),
-        )
+        .chain(dataflow::DATAFLOW_RULES.iter().map(|(n, _)| *n))
         .collect();
     let mut diags = Vec::new();
     let mut allows = Vec::new();
@@ -349,7 +348,6 @@ pub fn check(root: &Path, files: &[(PathBuf, String)], classic: impl Fn(&Path) -
         }
     }
     dataflow::dataflow_pass(root, files, &mut found);
-    units::units_pass(root, files, &mut found);
 
     for d in found {
         let hit = allows.iter_mut().find(|(file, a)| {

@@ -1,7 +1,7 @@
-//! `simlint` CLI — lint the workspace for determinism, simulation-safety
-//! and dimensional violations. Every run is the whole pipeline
-//! ([`simlint::check`]): per-file rules, the interprocedural passes and the
-//! units pass, allows applied once; any surviving finding exits 1.
+//! `simlint` CLI — lint the workspace for determinism and simulation-safety
+//! violations. Every run is the whole pipeline ([`simlint::check`]):
+//! per-file rules and the interprocedural passes, allows applied once; any
+//! surviving finding exits 1.
 //!
 //! ```text
 //! cargo run -p simlint                       # lint the workspace
@@ -21,7 +21,6 @@
 
 use simlint::dataflow::DATAFLOW_RULES;
 use simlint::rules::all_rules;
-use simlint::units::UNITS_RULES;
 use simlint::{check, check_workspace, find_workspace_root, Report};
 
 use std::collections::BTreeMap;
@@ -81,7 +80,6 @@ fn main() -> ExitCode {
     let sections = [
         ("per-file rules (sim scope)", per_file.as_slice()),
         ("interprocedural rules", DATAFLOW_RULES),
-        ("dimensional rules", UNITS_RULES),
     ];
     if opts.list_rules {
         println!("simlint rules (every run checks all of them; any finding exits 1):");

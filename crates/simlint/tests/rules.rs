@@ -2,9 +2,10 @@
 //! must-not-trigger fixture, the allow-list machinery is pinned down to
 //! "suppresses exactly one diagnostic", and — the gate the rest of the
 //! repository relies on — the whole pipeline over the workspace must come
-//! back clean, so `cargo test` fails the moment a determinism, panic-path,
-//! FSM or dimension hazard lands.
+//! back clean, so `cargo test` fails the moment a determinism, panic-path
+//! or FSM hazard lands.
 
+use simlint::dataflow::DATAFLOW_RULES;
 use simlint::rules::all_rules;
 use simlint::{check, check_workspace, find_workspace_root, Diagnostic};
 
@@ -93,6 +94,28 @@ fn rule_registry_matches_fixture_table() {
         names, covered,
         "every registered rule needs a fixture row (and vice versa)"
     );
+}
+
+#[test]
+fn cli_list_rules_lists_exactly_the_eleven_rules() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_simlint"))
+        .arg("--list-rules")
+        .output()
+        .expect("run simlint binary");
+    assert!(out.status.success());
+    let stdout = String::from_utf8(out.stdout).expect("utf8");
+    let listed: Vec<&str> = stdout
+        .lines()
+        .filter_map(|line| line.strip_prefix("  "))
+        .filter_map(|row| row.split_whitespace().next())
+        .collect();
+    let registered: Vec<&str> = all_rules()
+        .iter()
+        .map(|r| r.name())
+        .chain(DATAFLOW_RULES.iter().map(|(name, _)| *name))
+        .collect();
+    assert_eq!(listed, registered, "{stdout}");
+    assert_eq!(listed.len(), 11, "{stdout}");
 }
 
 #[test]

@@ -33,17 +33,19 @@
 #[cfg(test)]
 use std::cell::Cell;
 
+use crate::time::{SimDuration, SimTime};
+
 /// Most runs one block holds. Every block's `Vec` is allocated at this
 /// capacity, so it never regrows. Measured on fig2's 256-connection
 /// points: 64 beats 32 and 128 (scan and shift lengths against the number
 /// of summaries to step over).
 const BLOCK_CAP: usize = 64;
 
-/// One busy stretch `[start, end)`, in nanoseconds.
+/// One busy stretch `[start, end)`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct Run {
-    start: u64,
-    end: u64,
+    start: SimTime,
+    end: SimTime,
 }
 
 #[derive(Debug)]
@@ -51,8 +53,9 @@ struct Block {
     /// Time-ordered, disjoint, non-touching; never empty.
     runs: Vec<Run>,
     /// Largest free gap following one of `runs` (see the module docs);
-    /// `u64::MAX` in the last block. Maintained by [`Calendar::refresh`].
-    max_gap: u64,
+    /// `SimDuration::MAX` in the last block. Maintained by
+    /// [`Calendar::refresh`].
+    max_gap: SimDuration,
 }
 
 impl Block {
@@ -61,7 +64,7 @@ impl Block {
         v.extend_from_slice(runs);
         Block {
             runs: v,
-            max_gap: u64::MAX,
+            max_gap: SimDuration::MAX,
         }
     }
 
@@ -71,7 +74,12 @@ impl Block {
 
     /// Index of the first run at or after `from` that is followed by at
     /// least `dur` of free time. `tail_gap` is the gap after the last run.
-    fn first_gap_from(&self, from: usize, dur: u64, tail_gap: u64) -> Option<usize> {
+    fn first_gap_from(
+        &self,
+        from: usize,
+        dur: SimDuration,
+        tail_gap: SimDuration,
+    ) -> Option<usize> {
         self.runs[from..]
             .windows(2)
             .position(|w| w[1].start - w[0].end >= dur)
@@ -101,20 +109,17 @@ impl Calendar {
     }
 
     /// End of the latest reservation, `None` when the calendar is empty.
-    pub(crate) fn last_end(&self) -> Option<u64> {
+    pub(crate) fn last_end(&self) -> Option<SimTime> {
         self.blocks.last().map(|blk| blk.last().end)
     }
 
-    /// Reserve the first `dur` nanoseconds free at or after `earliest`
-    /// and return their start. Runs that ended at or before `now` are
-    /// dropped first: nothing can be placed there any more.
-    ///
-    /// (Not called `reserve`: simlint's units pass resolves calls by name
-    /// and would read the arguments as [`Pipe::reserve`]'s time and bytes.)
-    ///
-    /// [`Pipe::reserve`]: crate::pipe::Pipe::reserve
-    pub(crate) fn book(&mut self, now: u64, earliest: u64, dur: u64) -> u64 {
-        debug_assert!(dur > 0, "zero-length reservation");
+    /// Reserve the first `dur` free at or after `earliest` and return its
+    /// start. Runs that ended at or before `now` are dropped first: nothing
+    /// can be placed there any more. A calendar booked only at or after
+    /// one `now` never drops a run (each ends after `now`), which is how
+    /// the pipe's closed-form plan books its virtual stages.
+    pub(crate) fn book(&mut self, now: SimTime, earliest: SimTime, dur: SimDuration) -> SimTime {
+        debug_assert!(!dur.is_zero(), "zero-length reservation");
         self.prune(now);
         let (mut b, mut i) = self.seek(earliest);
         let mut start = earliest;
@@ -153,7 +158,7 @@ impl Calendar {
 
     /// Mark `[start, end)` busy. The interval must be free; it may touch
     /// its neighbours, which then merge with it.
-    pub(crate) fn insert(&mut self, start: u64, end: u64) {
+    pub(crate) fn insert(&mut self, start: SimTime, end: SimTime) {
         debug_assert!(start < end, "empty calendar interval");
         let (b, i) = self.seek(start);
         self.place(b, i, start, end);
@@ -161,7 +166,7 @@ impl Calendar {
 
     /// Drop every run that ended at or before `now`. Ends are sorted, so
     /// those form a prefix: whole blocks first, then the head of one.
-    fn prune(&mut self, now: u64) {
+    fn prune(&mut self, now: SimTime) {
         if self.blocks.first().is_none_or(|blk| blk.runs[0].end > now) {
             return;
         }
@@ -179,7 +184,7 @@ impl Calendar {
                     .windows(2)
                     .map(|w| w[1].start - w[0].end)
                     .max()
-                    .unwrap_or(0);
+                    .unwrap_or(SimDuration::ZERO);
                 head.runs.drain(..past);
                 self.len -= past;
                 self.lost_gap(0, dropped);
@@ -189,7 +194,7 @@ impl Calendar {
 
     /// Position `(block, index)` of the first run ending after `t`;
     /// `(self.blocks.len(), 0)` when there is none.
-    fn seek(&self, t: u64) -> (usize, usize) {
+    fn seek(&self, t: SimTime) -> (usize, usize) {
         let ended = |blk: &Block| {
             self.probe(1);
             blk.last().end <= t
@@ -222,8 +227,8 @@ impl Calendar {
     }
 
     /// Free time between the last run of block `b` and the next block.
-    fn tail_gap(&self, b: usize) -> u64 {
-        self.blocks.get(b + 1).map_or(u64::MAX, |next| {
+    fn tail_gap(&self, b: usize) -> SimDuration {
+        self.blocks.get(b + 1).map_or(SimDuration::MAX, |next| {
             next.runs[0].start - self.blocks[b].last().end
         })
     }
@@ -243,14 +248,14 @@ impl Calendar {
     /// Block `b`'s gap of width `old` shrank or vanished. The summary
     /// falls only if that gap was the largest, and never in the last
     /// block, whose unbounded tail gap is always the largest.
-    fn lost_gap(&mut self, b: usize, old: u64) {
+    fn lost_gap(&mut self, b: usize, old: SimDuration) {
         if b + 1 < self.blocks.len() && old == self.blocks[b].max_gap {
             self.refresh(b);
         }
     }
 
     /// Block `b` gained a gap of width `gap`.
-    fn gained_gap(&mut self, b: usize, gap: u64) {
+    fn gained_gap(&mut self, b: usize, gap: SimDuration) {
         let blk = &mut self.blocks[b];
         blk.max_gap = blk.max_gap.max(gap);
     }
@@ -258,11 +263,11 @@ impl Calendar {
     /// Make the free interval `[start, end)` busy, given the position
     /// `(b, i)` of the first run ending after `start` (which therefore
     /// starts at or after `end`). Touching neighbours are merged.
-    fn place(&mut self, b: usize, i: usize, start: u64, end: u64) {
+    fn place(&mut self, b: usize, i: usize, start: SimTime, end: SimTime) {
         let next = self.blocks.get(b).map(|blk| blk.runs[i]);
         debug_assert!(
             next.is_none_or(|n| end <= n.start),
-            "calendar interval [{start}, {end}) overlaps busy run {next:?}"
+            "calendar interval [{start:?}, {end:?}) overlaps busy run {next:?}"
         );
         let prev = if i > 0 {
             Some((b, i - 1))
@@ -296,7 +301,7 @@ impl Calendar {
             }
             (Some((pb, pi)), None) => {
                 let run = &mut self.blocks[pb].runs[pi];
-                let old_gap = next.map_or(u64::MAX, |n| n.start - run.end);
+                let old_gap = next.map_or(SimDuration::MAX, |n| n.start - run.end);
                 run.end = end;
                 self.lost_gap(pb, old_gap);
             }
@@ -382,7 +387,6 @@ impl Calendar {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipe::vreserve;
     use std::collections::BTreeMap;
 
     /// The ordered-map calendar this module replaced, kept as the
@@ -461,18 +465,41 @@ mod tests {
         }
     }
 
+    /// The calendar in the reference model's raw nanoseconds.
     impl Calendar {
+        fn book_ns(&mut self, now: u64, earliest: u64, dur: u64) -> u64 {
+            self.book(
+                SimTime::from_nanos(now),
+                SimTime::from_nanos(earliest),
+                SimDuration::from_nanos(dur),
+            )
+            .as_nanos()
+        }
+
+        fn insert_ns(&mut self, start: u64, end: u64) {
+            self.insert(SimTime::from_nanos(start), SimTime::from_nanos(end));
+        }
+
+        fn last_end_ns(&self) -> Option<u64> {
+            self.last_end().map(SimTime::as_nanos)
+        }
+
         fn flat(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-            self.blocks
-                .iter()
-                .flat_map(|blk| blk.runs.iter().map(|r| (r.start, r.end)))
+            self.blocks.iter().flat_map(|blk| {
+                blk.runs
+                    .iter()
+                    .map(|r| (r.start.as_nanos(), r.end.as_nanos()))
+            })
         }
 
         /// Every structural invariant, each cached gap recomputed from
         /// scratch, and run-for-run equality with `model`.
         fn assert_matches(&self, model: &BTreeMap<u64, u64>) {
             assert_eq!(self.len(), model.len());
-            assert_eq!(self.last_end(), model.last_key_value().map(|(_, &en)| en));
+            assert_eq!(
+                self.last_end_ns(),
+                model.last_key_value().map(|(_, &en)| en)
+            );
             let mut expected = model.iter();
             let mut prev_end = None;
             for (b, blk) in self.blocks.iter().enumerate() {
@@ -480,9 +507,10 @@ mod tests {
                 assert!(blk.runs.len() <= BLOCK_CAP, "block {b} is overfull");
                 assert_eq!(blk.runs.capacity(), BLOCK_CAP, "block {b} regrew");
                 let next_first = self.blocks.get(b + 1).map(|n| n.runs[0]);
-                let mut max_gap = 0;
+                let mut max_gap = SimDuration::ZERO;
                 for (j, &r) in blk.runs.iter().enumerate() {
-                    assert_eq!(expected.next(), Some((&r.start, &r.end)));
+                    let (start, end) = (r.start.as_nanos(), r.end.as_nanos());
+                    assert_eq!(expected.next(), Some((&start, &end)));
                     assert!(r.start < r.end, "empty run {r:?}");
                     assert!(
                         prev_end.is_none_or(|e| e < r.start),
@@ -490,7 +518,7 @@ mod tests {
                     );
                     prev_end = Some(r.end);
                     let next = blk.runs.get(j + 1).copied().or(next_first);
-                    max_gap = max_gap.max(next.map_or(u64::MAX, |n| n.start - r.end));
+                    max_gap = max_gap.max(next.map_or(SimDuration::MAX, |n| n.start - r.end));
                 }
                 assert_eq!(blk.max_gap, max_gap, "stale gap summary on block {b}");
             }
@@ -519,7 +547,7 @@ mod tests {
     /// jumps up to half-way to the tail once it is longer, so the length
     /// hovers around `target` and prunes take whole blocks plus part of
     /// one. `target == None` pins `now` at zero and emits no `insert`: the
-    /// prune-free stream `vreserve` can follow.
+    /// prune-free stream the pipe's closed-form plan books.
     fn next_op(
         rng: &mut Rng,
         now: &mut u64,
@@ -602,7 +630,7 @@ mod tests {
                 match next_op(&mut rng, &mut now, Some(target), &model) {
                     Op::Reserve { now, earliest, dur } => {
                         let blocks_before = cal.blocks.len();
-                        let got = cal.book(now, earliest, dur);
+                        let got = cal.book_ns(now, earliest, dur);
                         blocks_pruned += blocks_before.saturating_sub(cal.blocks.len());
                         reference::prune_past(&mut model, now);
                         let (want, _) = reference::first_fit(&model, earliest, dur);
@@ -610,7 +638,7 @@ mod tests {
                         assert_eq!(got, want, "seed {seed}: book({now}, {earliest}, {dur})");
                     }
                     Op::Insert { start, end } => {
-                        cal.insert(start, end);
+                        cal.insert_ns(start, end);
                         reference::insert_merged(&mut model, start, end);
                     }
                 }
@@ -630,11 +658,10 @@ mod tests {
     }
 
     #[test]
-    fn vreserve_matches_the_reference_without_pruning() {
+    fn unpruned_booking_matches_the_reference() {
         for seed in [11, 12, 13] {
             let mut rng = Rng(seed);
             let mut cal = Calendar::default();
-            let mut vcal: Vec<(u64, u64)> = Vec::new();
             let mut model = BTreeMap::new();
             let mut now = 0;
             for step in 0..20_000 {
@@ -644,17 +671,13 @@ mod tests {
                 };
                 let (want, _) = reference::first_fit(&model, earliest, dur);
                 reference::insert_merged(&mut model, want, want + dur);
-                assert_eq!(vreserve(&mut vcal, earliest, dur), (want, want + dur));
-                assert_eq!(cal.book(now, earliest, dur), want);
-                assert_eq!(vcal.len(), model.len());
+                assert_eq!(cal.book_ns(now, earliest, dur), want);
+                assert_eq!(cal.len(), model.len());
                 if step % 500 == 0 {
-                    assert!(vcal.iter().copied().eq(cal.flat()));
                     cal.assert_matches(&model);
                 }
             }
-            cal.check();
             cal.assert_matches(&model);
-            assert!(vcal.iter().copied().eq(cal.flat()));
         }
     }
 
@@ -664,7 +687,7 @@ mod tests {
         let mut cal = Calendar::default();
         let mut model = BTreeMap::new();
         for k in 0..n {
-            cal.insert(100 + 10 * k, 109 + 10 * k);
+            cal.insert_ns(100 + 10 * k, 109 + 10 * k);
             model.insert(100 + 10 * k, 109 + 10 * k);
         }
         (cal, model)
@@ -679,7 +702,7 @@ mod tests {
             assert_eq!(want, 99 + 10 * n);
             assert_eq!(walked, n, "the reference steps over every run");
             cal.probes.set(0);
-            assert_eq!(cal.book(0, 99, 2), want);
+            assert_eq!(cal.book_ns(0, 99, 2), want);
             let probes = cal.probes.get();
             assert!(probes <= budget, "{probes} entries examined for {n} runs");
             assert_eq!(cal.len() as u64, n, "merged into the last run");
@@ -695,9 +718,9 @@ mod tests {
         let mut cal = Calendar::default();
         for k in 0..10_000u64 {
             if k % 2 == 0 {
-                cal.insert(10 * k, 10 * k + 5);
+                cal.insert_ns(10 * k, 10 * k + 5);
             } else {
-                assert_eq!(cal.book(0, 10 * k, 5), 10 * k);
+                assert_eq!(cal.book_ns(0, 10 * k, 5), 10 * k);
             }
         }
         let created = cal.blocks.len() as u64;
@@ -713,33 +736,33 @@ mod tests {
     #[test]
     fn empty_calendar_takes_the_reservation_where_asked() {
         let mut cal = Calendar::default();
-        assert_eq!((cal.len(), cal.last_end()), (0, None));
-        assert_eq!(cal.book(50, 70, 5), 70);
-        assert_eq!((cal.len(), cal.last_end()), (1, Some(75)));
+        assert_eq!((cal.len(), cal.last_end_ns()), (0, None));
+        assert_eq!(cal.book_ns(50, 70, 5), 70);
+        assert_eq!((cal.len(), cal.last_end_ns()), (1, Some(75)));
         cal.check();
     }
 
     #[test]
     fn earliest_inside_at_the_end_of_and_beyond_a_run() {
         let mut cal = Calendar::default();
-        cal.insert(100, 200);
-        cal.insert(300, 400);
+        cal.insert_ns(100, 200);
+        cal.insert_ns(300, 400);
         // Inside a run: waits for it, and the 100 ns gap behind it fits.
-        assert_eq!(cal.book(0, 150, 40), 200);
+        assert_eq!(cal.book_ns(0, 150, 40), 200);
         assert_eq!(cal.flat().collect::<Vec<_>>(), [(100, 240), (300, 400)]);
         // Inside a run whose gap is now too short: on to the next gap.
-        assert_eq!(cal.book(0, 150, 61), 400);
+        assert_eq!(cal.book_ns(0, 150, 61), 400);
         assert_eq!(cal.flat().collect::<Vec<_>>(), [(100, 240), (300, 461)]);
         // Exactly at a run's end: starts there and merges.
-        assert_eq!(cal.book(0, 240, 10), 240);
+        assert_eq!(cal.book_ns(0, 240, 10), 240);
         assert_eq!(cal.flat().collect::<Vec<_>>(), [(100, 250), (300, 461)]);
         // Fills the gap exactly: bridges both neighbours.
-        assert_eq!(cal.book(0, 0, 50), 0);
-        assert_eq!(cal.book(0, 250, 50), 250);
+        assert_eq!(cal.book_ns(0, 0, 50), 0);
+        assert_eq!(cal.book_ns(0, 250, 50), 250);
         assert_eq!(cal.flat().collect::<Vec<_>>(), [(0, 50), (100, 461)]);
         // Beyond the last end: a new run where asked.
-        assert_eq!(cal.book(0, 500, 7), 500);
-        assert_eq!((cal.len(), cal.last_end()), (3, Some(507)));
+        assert_eq!(cal.book_ns(0, 500, 7), 500);
+        assert_eq!((cal.len(), cal.last_end_ns()), (3, Some(507)));
         cal.check();
     }
 
@@ -748,19 +771,19 @@ mod tests {
         // 10 ns runs 30 ns apart: room for a loose 1 ns run in every gap.
         let mut cal = Calendar::default();
         for k in 0..BLOCK_CAP as u64 {
-            cal.insert(100 + 40 * k, 110 + 40 * k);
+            cal.insert_ns(100 + 40 * k, 110 + 40 * k);
         }
         assert_eq!((cal.blocks.len(), cal.len()), (1, BLOCK_CAP));
         // Behind the last run: the full block stays, a new one starts.
-        cal.insert(100 + 40 * BLOCK_CAP as u64, 110 + 40 * BLOCK_CAP as u64);
+        cal.insert_ns(100 + 40 * BLOCK_CAP as u64, 110 + 40 * BLOCK_CAP as u64);
         assert_eq!(cal.blocks[0].runs.len(), BLOCK_CAP);
         assert_eq!(cal.blocks[1].runs.len(), 1);
-        assert_eq!(cal.blocks[0].max_gap, 30);
+        assert_eq!(cal.blocks[0].max_gap, SimDuration::from_nanos(30));
         cal.check();
         // Inside the full block, once in each half.
-        cal.insert(120, 121);
+        cal.insert_ns(120, 121);
         assert_eq!(cal.blocks.len(), 3);
-        cal.insert(
+        cal.insert_ns(
             120 + 40 * (BLOCK_CAP as u64 - 2),
             121 + 40 * (BLOCK_CAP as u64 - 2),
         );
@@ -769,9 +792,9 @@ mod tests {
         assert_eq!(cal.len(), BLOCK_CAP + 3);
         cal.check();
         // In front of a block's first run: the block before owns that gap.
-        let first = cal.blocks[1].runs[0].start;
-        cal.insert(first - 3, first - 2);
-        assert_eq!(cal.blocks[1].runs[0].start, first - 3);
+        let first = cal.blocks[1].runs[0].start.as_nanos();
+        cal.insert_ns(first - 3, first - 2);
+        assert_eq!(cal.blocks[1].runs[0].start.as_nanos(), first - 3);
         cal.check();
     }
 
@@ -783,15 +806,19 @@ mod tests {
         // block 1, over and over: block 0's last run swallows block 1 one
         // run at a time until the block is gone.
         while cal.blocks.len() == 2 {
-            let sliver = cal.blocks[0].last().end;
-            assert_eq!(cal.blocks[1].runs[0].start, sliver + 1);
-            cal.insert(sliver, sliver + 1);
+            let sliver = cal.blocks[0].last().end.as_nanos();
+            assert_eq!(cal.blocks[1].runs[0].start.as_nanos(), sliver + 1);
+            cal.insert_ns(sliver, sliver + 1);
             reference::insert_merged(&mut model, sliver, sliver + 1);
             cal.check();
             cal.assert_matches(&model);
         }
         assert_eq!(cal.len(), BLOCK_CAP);
-        assert_eq!(cal.blocks[0].max_gap, u64::MAX, "block 0 is the last again");
+        assert_eq!(
+            cal.blocks[0].max_gap,
+            SimDuration::MAX,
+            "block 0 is the last again"
+        );
     }
 
     #[test]
@@ -802,21 +829,21 @@ mod tests {
         let mut model = BTreeMap::new();
         let mut t = 100;
         for k in 0..(5 * BLOCK_CAP + 10) {
-            cal.insert(t, t + 9);
+            cal.insert_ns(t, t + 9);
             model.insert(t, t + 9);
             t += if k == 2 * BLOCK_CAP + 2 { 509 } else { 10 };
         }
         assert_eq!(cal.blocks.len(), 6);
-        assert_eq!(cal.blocks[2].max_gap, 500);
+        assert_eq!(cal.blocks[2].max_gap, SimDuration::from_nanos(500));
         // `now` lands past the wide gap: two blocks and the head of the
         // third go, and the third's summary must fall back to a sliver.
-        let now = cal.blocks[2].runs[10].start;
+        let now = cal.blocks[2].runs[10].start.as_nanos();
         reference::prune_past(&mut model, now);
         let (want, _) = reference::first_fit(&model, now, 300);
         reference::insert_merged(&mut model, want, want + 300);
-        assert_eq!(cal.book(now, now, 300), want);
+        assert_eq!(cal.book_ns(now, now, 300), want);
         assert_eq!(cal.blocks.len(), 4);
-        assert_eq!(cal.blocks[0].max_gap, 1);
+        assert_eq!(cal.blocks[0].max_gap, SimDuration::from_nanos(1));
         cal.check();
         cal.assert_matches(&model);
     }

@@ -676,7 +676,7 @@ impl Sim {
                         gen: 0,
                         state: TaskState::Vacant { next_free: None },
                     });
-                    (core.tasks.len() - 1) as u32
+                    u32::try_from(core.tasks.len() - 1).expect("task slab outgrew u32 indices")
                 }
             };
             let slot = &mut core.tasks[index as usize];
@@ -971,7 +971,7 @@ impl Sim {
                     gen: 0,
                     state: TimerState::Vacant { next_free: None },
                 });
-                (core.timer_slots.len() - 1) as u32
+                u32::try_from(core.timer_slots.len() - 1).expect("timer slab outgrew u32 indices")
             }
         };
         let slot = &mut core.timer_slots[index as usize];

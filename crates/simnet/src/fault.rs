@@ -215,7 +215,7 @@ impl FaultPlane {
                     .wrapping_add(splitmix64(stream))
                     .wrapping_add(count),
             );
-            let draw = (h % u64::from(PPM)) as u32;
+            let draw = u32::try_from(h % u64::from(PPM)).expect("a draw below PPM fits in u32");
             if draw < c.drop_ppm {
                 FaultDecision::Drop
             } else if draw < c.drop_ppm + c.corrupt_ppm {

@@ -14,9 +14,8 @@
 //! 2. **Nanosecond-resolution virtual time** — the quantities measured by the
 //!    reproduced paper are microseconds; 1 ns resolution keeps quantization
 //!    error three orders of magnitude below the signal.
-//! 3. **Zero dependencies** — the executor, channels, semaphores and
-//!    bandwidth pipes are hand-rolled so the simulation core is fully
-//!    auditable.
+//! 3. **Zero dependencies** — the executor, channels and bandwidth pipes
+//!    are hand-rolled so the simulation core is fully auditable.
 //!
 //! ## Quick example
 //!
@@ -37,6 +36,9 @@
 //! ```
 
 #![forbid(unsafe_code)]
+// Virtual time is computed here: a narrowing `as` cast of a nanosecond
+// count wraps silently, so every narrowing is a checked conversion.
+#![deny(clippy::cast_possible_truncation)]
 
 mod calendar;
 pub mod executor;

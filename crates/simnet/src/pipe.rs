@@ -35,13 +35,17 @@ struct PipeState {
     calendar: RefCell<Calendar>,
     busy: Cell<SimDuration>,
     transfers: Cell<u64>,
-    bytes: Cell<u64>,
+    bytes: Cell<Bytes>,
     /// Live cut-through speculation registered on this pipe, if any, with
     /// the stage index this pipe occupies in the speculating pipeline.
     /// Weak: the transfer future owns the speculation; a dropped future
     /// must not leak a registration.
-    spec: RefCell<Option<(Weak<Speculation>, u32)>>,
+    spec: RefCell<Option<(Weak<Speculation>, usize)>>,
 }
+
+/// Shortest occupancy a reservation takes: a zero-length service still
+/// books 1 ns, so a calendar never holds an empty run.
+const MIN_OCCUPANCY: SimDuration = SimDuration::from_nanos(1);
 
 /// A FIFO bandwidth resource. Clonable handle; clones share the resource.
 #[derive(Clone, Debug)]
@@ -63,7 +67,7 @@ impl Pipe {
                 calendar: RefCell::new(Calendar::default()),
                 busy: Cell::new(SimDuration::ZERO),
                 transfers: Cell::new(0),
-                bytes: Cell::new(0),
+                bytes: Cell::new(Bytes::ZERO),
                 spec: RefCell::new(None),
             }),
         }
@@ -100,7 +104,7 @@ impl Pipe {
         let slot = self.state.spec.borrow().clone();
         if let Some((weak, stage_idx)) = slot {
             match weak.upgrade() {
-                Some(spec) => spec.materialize_due(stage_idx as usize, self.sim.now()),
+                Some(spec) => spec.materialize_due(stage_idx, self.sim.now()),
                 None => *self.state.spec.borrow_mut() = None,
             }
         }
@@ -131,7 +135,7 @@ impl Pipe {
     pub fn reserve(&self, earliest: SimTime, bytes: Bytes) -> (SimTime, SimTime) {
         let (start, end) = self.reserve_service(earliest, self.service_time(bytes));
         self.state.transfers.set(self.state.transfers.get() + 1);
-        self.state.bytes.set(self.state.bytes.get() + bytes.get());
+        self.state.bytes.set(self.state.bytes.get() + bytes);
         (start, end)
     }
 
@@ -150,7 +154,7 @@ impl Pipe {
         self.state
             .transfers
             .set(self.state.transfers.get() + n_transfers);
-        self.state.bytes.set(self.state.bytes.get() + bytes.get());
+        self.state.bytes.set(self.state.bytes.get() + bytes);
         (start, end)
     }
 
@@ -173,13 +177,12 @@ impl Pipe {
         // us. (The demoted speculation's continuation tasks re-enter here,
         // but only after the registration below has been cleared.)
         self.demote_speculation();
-        let now_ns = self.sim.now().as_nanos();
         let mut cal = self.state.calendar.borrow_mut();
-        let dur = service.as_nanos().max(1);
-        let t = cal.book(now_ns, earliest.as_nanos(), dur);
+        let dur = service.max(MIN_OCCUPANCY);
+        let start = cal.book(self.sim.now(), earliest, dur);
         self.sim.note_calendar_len(cal.len() as u64);
         self.state.busy.set(self.state.busy.get() + service);
-        (SimTime::from_nanos(t), SimTime::from_nanos(t + dur))
+        (start, start + dur)
     }
 
     /// Transfer `bytes` through the pipe: reserves capacity now (FIFO behind
@@ -200,7 +203,7 @@ impl Pipe {
             .calendar
             .borrow()
             .last_end()
-            .map_or(SimTime::ZERO, SimTime::from_nanos)
+            .unwrap_or(SimTime::ZERO)
             .max(self.sim.now())
     }
 
@@ -213,7 +216,7 @@ impl Pipe {
     /// Total bytes carried.
     pub fn total_bytes(&self) -> u64 {
         self.sync_speculation_reads();
-        self.state.bytes.get()
+        self.state.bytes.get().get()
     }
 
     /// Total transfer count.
@@ -327,32 +330,34 @@ struct PlanSummary {
     /// The chunk partition (pure function of byte counts; cached to skip
     /// recomputing it on every hit).
     metas: Rc<[ChunkMeta]>,
-    /// Completion instant minus base, in nanoseconds.
-    completion_off: u64,
+    /// Completion instant minus base.
+    completion_off: SimDuration,
     /// Scheduling events the plan coalesces (pre-adjustment; see
     /// [`Speculation::coalesced`]).
     coalesced: u64,
     /// Length of the chunk-0/stage-0 occupancy — the one reservation a
     /// hit makes eagerly (the calendar is idle, so it lands at `now`).
-    first_dur: u64,
-    /// Per-stage `(busy_ns, bytes, transfers)` totals over every chunk,
-    /// for the O(stages) counter fold at commit.
-    totals: Rc<Vec<(u64, u64, u64)>>,
+    first_dur: SimDuration,
+    /// Per-stage totals over every chunk, for the O(stages) counter fold
+    /// at commit.
+    totals: Rc<Vec<StageTotals>>,
 }
 
-/// Per-stage `(busy_ns, bytes, transfers)` totals of a full traversal —
-/// the counter delta [`Speculation::commit`] applies on an untouched
-/// window.
-fn stage_totals(stages: &[Stage], metas: &[ChunkMeta]) -> Vec<(u64, u64, u64)> {
+/// One stage's `(busy, bytes, transfers)` counter delta.
+type StageTotals = (SimDuration, Bytes, u64);
+
+/// Per-stage totals of a full traversal — the counter delta
+/// [`Speculation::commit`] applies on an untouched window.
+fn stage_totals(stages: &[Stage], metas: &[ChunkMeta]) -> Vec<StageTotals> {
     stages
         .iter()
         .map(|stage| {
-            let mut busy = 0u64;
-            let mut bytes = 0u64;
+            let mut busy = SimDuration::ZERO;
+            let mut bytes = Bytes::ZERO;
             let mut transfers = 0u64;
             for meta in metas {
-                busy += stage.pipe.bulk_service(meta.cwire, meta.csegs).as_nanos();
-                bytes += meta.cwire.get();
+                busy += stage.pipe.bulk_service(meta.cwire, meta.csegs);
+                bytes += meta.cwire;
                 transfers += meta.csegs;
             }
             (busy, bytes, transfers)
@@ -373,7 +378,7 @@ struct ChunkMeta {
 /// One (chunk, stage) reservation in a speculated traversal: the wall time
 /// at which the per-segment walk would have made it, the instant the sleep
 /// driving it would have been armed, and the occupancy it would have
-/// claimed. All nanoseconds.
+/// claimed.
 ///
 /// `arm` settles same-instant ordering: timers at equal deadlines fire in
 /// arm (seq) order, so when a competing reservation lands at exactly
@@ -381,10 +386,10 @@ struct ChunkMeta {
 /// armed strictly before the competitor's ([`Sim::last_fired_timer`]).
 #[derive(Clone, Copy, Debug)]
 struct PlanOp {
-    wall: u64,
-    arm: u64,
-    start: u64,
-    end: u64,
+    wall: SimTime,
+    arm: SimTime,
+    start: SimTime,
+    end: SimTime,
 }
 
 /// Walk one chunk block through `stages[from..]` in wall-clock step with
@@ -454,7 +459,9 @@ impl Pipeline {
     /// replay and the live walk always agree on it.
     fn chunk_partition(&self, bytes: Bytes, per_segment_overhead_bytes: Bytes) -> Vec<ChunkMeta> {
         let nsegs = bytes.div_ceil(self.segment).max(1);
-        let mut metas = Vec::with_capacity(nsegs.div_ceil(self.chunk) as usize);
+        // A capacity hint only: a chunk count past `usize` fails on the pushes.
+        let chunks = usize::try_from(nsegs.div_ceil(self.chunk)).unwrap_or(0);
+        let mut metas = Vec::with_capacity(chunks);
         let mut segs_left = nsegs;
         let mut payload_left = bytes;
         while segs_left > 0 {
@@ -631,7 +638,6 @@ impl Pipeline {
         part: &mut Option<Rc<[ChunkMeta]>>,
     ) -> Option<Rc<Speculation>> {
         let now = self.sim.now();
-        let now_ns = now.as_nanos();
         for (i, st) in self.stages.iter().enumerate() {
             // The replay inserts each stage's reservations independently,
             // which is only order-exact when no two stages share a
@@ -651,7 +657,7 @@ impl Pipeline {
             // Idle over the whole horizon: any live reservation could
             // overlap ours, so require the calendar to be entirely past.
             let last_end = st.pipe.state.calendar.borrow().last_end();
-            if last_end.is_some_and(|en| en > now_ns) {
+            if last_end.is_some_and(|en| en > now) {
                 return None;
             }
         }
@@ -695,7 +701,7 @@ impl Pipeline {
                 key,
                 MemoEntry::Plan(Rc::new(PlanSummary {
                     metas: Rc::clone(&metas),
-                    completion_off: (plan.completion - now).as_nanos(),
+                    completion_off: plan.completion - now,
                     coalesced: plan.coalesced,
                     first_dur: first.end - first.start,
                     totals: Rc::clone(&totals),
@@ -722,7 +728,7 @@ impl Pipeline {
         });
         let (s0, e0) = self.launch(&spec, now);
         debug_assert_eq!(
-            (s0.as_nanos(), e0.as_nanos()),
+            (s0, e0),
             (spec.op(0, 0).start, spec.op(0, 0).end),
             "eager stage-0 reservation must match the plan"
         );
@@ -741,7 +747,7 @@ impl Pipeline {
             ops: RefCell::new(Vec::new()),
             nstages: self.stages.len(),
             base: now,
-            completion: now + SimDuration::from_nanos(sum.completion_off),
+            completion: now + sum.completion_off,
             coalesced: sum.coalesced.saturating_sub(1),
             totals: Some(Rc::clone(&sum.totals)),
             memo: Some((Rc::clone(&self.memo), key)),
@@ -751,7 +757,7 @@ impl Pipeline {
         });
         let (s0, e0) = self.launch(&spec, now);
         debug_assert_eq!(
-            e0.as_nanos() - s0.as_nanos(),
+            e0 - s0,
             sum.first_dur,
             "cached stage-0 occupancy must match the replayed reservation"
         );
@@ -771,7 +777,7 @@ impl Pipeline {
         let (s0, e0) = self.stages[0].pipe.reserve_n(now, meta.cwire, meta.csegs);
         spec.mat[0].set(1);
         for (i, st) in self.stages.iter().enumerate() {
-            *st.pipe.state.spec.borrow_mut() = Some((Rc::downgrade(spec), i as u32));
+            *st.pipe.state.spec.borrow_mut() = Some((Rc::downgrade(spec), i));
         }
         (s0, e0)
     }
@@ -795,8 +801,10 @@ struct PlanOut {
     coalesced: u64,
 }
 
-/// Replay the whole per-segment walk in closed form against virtual
-/// calendars, starting at `now`. Pure: touches no real calendar or
+/// Replay the whole per-segment walk in closed form against one virtual
+/// [`Calendar`] per stage, starting at `now`. Every booking is at or after
+/// `now`, so no virtual calendar ever prunes and each places exactly where
+/// the stage's real, idle calendar would. Pure: touches no real calendar or
 /// counter, so it can run speculatively (fast path) or retroactively
 /// (rebuilding a memoized plan's ops at its original base).
 ///
@@ -811,11 +819,11 @@ struct PlanOut {
 /// summary cached at one instant replays bit-identically at any other.
 fn compute_plan(stages: &[Stage], metas: &[ChunkMeta], now: SimTime) -> Option<PlanOut> {
     let nstages = stages.len();
-    let mut vcal: Vec<Vec<(u64, u64)>> = vec![Vec::new(); nstages];
+    let mut vcal: Vec<Calendar> = (0..nstages).map(|_| Calendar::default()).collect();
     // Last reservation wall per stage: insertion order into a calendar
     // must match the walk's wall-clock order, so walls must strictly
     // increase chunk-over-chunk on every stage.
-    let mut last_wall: Vec<u64> = vec![0; nstages];
+    let mut last_wall = vec![SimTime::ZERO; nstages];
     let mut ops: Vec<PlanOp> = Vec::with_capacity(metas.len() * nstages);
     let mut completion = now;
     let mut coalesced: u64 = 0;
@@ -825,15 +833,19 @@ fn compute_plan(stages: &[Stage], metas: &[ChunkMeta], now: SimTime) -> Option<P
     let mut arm_main = now;
     for (c, meta) in metas.iter().enumerate() {
         let stage0 = &stages[0];
-        if c > 0 && w_main.as_nanos() <= last_wall[0] {
+        if c > 0 && w_main <= last_wall[0] {
             return None;
         }
-        let dur0 = stage0.pipe.bulk_service(meta.cwire, meta.csegs);
-        let (s0, e0) = vreserve(&mut vcal[0], w_main.as_nanos(), dur0.as_nanos().max(1));
-        last_wall[0] = w_main.as_nanos();
+        let dur0 = stage0
+            .pipe
+            .bulk_service(meta.cwire, meta.csegs)
+            .max(MIN_OCCUPANCY);
+        let s0 = vcal[0].book(now, w_main, dur0);
+        let e0 = s0 + dur0;
+        last_wall[0] = w_main;
         ops.push(PlanOp {
-            wall: w_main.as_nanos(),
-            arm: arm_main.as_nanos(),
+            wall: w_main,
+            arm: arm_main,
             start: s0,
             end: e0,
         });
@@ -843,8 +855,8 @@ fn compute_plan(stages: &[Stage], metas: &[ChunkMeta], now: SimTime) -> Option<P
         // segment, so until its first own sleep it is ordered by the
         // pacing loop's driving timer.
         let mut arm_task = arm_main;
-        let mut prev_start = SimTime::from_nanos(s0);
-        let mut prev_end = SimTime::from_nanos(e0);
+        let mut prev_start = s0;
+        let mut prev_end = e0;
         let mut prev_seg = stage0.pipe.service_time(meta.seg_wire);
         let mut prev_lat = stage0.latency;
         for (s, stage) in stages.iter().enumerate().skip(1) {
@@ -859,20 +871,24 @@ fn compute_plan(stages: &[Stage], metas: &[ChunkMeta], now: SimTime) -> Option<P
                 + stage.pipe.service_time(Bytes::ZERO) * (meta.csegs - 1);
             let floor = (prev_end + seg_service + prev_lat) - block;
             let earliest = tw.max(floor);
-            if c > 0 && tw.as_nanos() <= last_wall[s] {
+            if c > 0 && tw <= last_wall[s] {
                 return None;
             }
-            let durs = stage.pipe.bulk_service(meta.cwire, meta.csegs);
-            let (st, en) = vreserve(&mut vcal[s], earliest.as_nanos(), durs.as_nanos().max(1));
-            last_wall[s] = tw.as_nanos();
+            let durs = stage
+                .pipe
+                .bulk_service(meta.cwire, meta.csegs)
+                .max(MIN_OCCUPANCY);
+            let st = vcal[s].book(now, earliest, durs);
+            let en = st + durs;
+            last_wall[s] = tw;
             ops.push(PlanOp {
-                wall: tw.as_nanos(),
-                arm: arm_task.as_nanos(),
+                wall: tw,
+                arm: arm_task,
                 start: st,
                 end: en,
             });
-            prev_start = SimTime::from_nanos(st);
-            prev_end = SimTime::from_nanos(en);
+            prev_start = st;
+            prev_end = en;
             prev_seg = seg_service;
             prev_lat = stage.latency;
         }
@@ -882,10 +898,9 @@ fn compute_plan(stages: &[Stage], metas: &[ChunkMeta], now: SimTime) -> Option<P
             coalesced += 1; // the exit sleep
         }
         completion = completion.max(tw);
-        let e0t = SimTime::from_nanos(e0);
-        if c + 1 < metas.len() && e0t > w_main {
+        if c + 1 < metas.len() && e0 > w_main {
             arm_main = w_main;
-            w_main = e0t;
+            w_main = e0;
             coalesced += 1; // the pacing sleep in the main loop
         }
     }
@@ -894,44 +909,6 @@ fn compute_plan(stages: &[Stage], metas: &[ChunkMeta], now: SimTime) -> Option<P
         completion,
         coalesced,
     })
-}
-
-/// First-fit reserve on a sorted, disjoint virtual calendar, with the same
-/// touching-neighbour merge as the real one. Placement mirrors
-/// [`Calendar::book`] exactly, minus the pruning (a plan starts on idle
-/// calendars, so there is nothing to prune); the calendar's differential
-/// test holds the two together.
-pub(crate) fn vreserve(cal: &mut Vec<(u64, u64)>, earliest: u64, dur: u64) -> (u64, u64) {
-    let mut t = earliest;
-    let mut i = cal.partition_point(|&(_, en)| en <= t);
-    while i < cal.len() {
-        let (st, en) = cal[i];
-        if t + dur <= st {
-            break;
-        }
-        t = t.max(en);
-        i += 1;
-    }
-    let (st_new, en_new) = (t, t + dur);
-    let idx = cal.partition_point(|&(st, _)| st <= st_new);
-    let merge_prev = idx > 0 && cal[idx - 1].1 == st_new;
-    let merge_next = idx < cal.len() && cal[idx].0 == en_new;
-    match (merge_prev, merge_next) {
-        (true, true) => {
-            cal[idx - 1].1 = cal[idx].1;
-            cal.remove(idx);
-        }
-        (true, false) => {
-            cal[idx - 1].1 = en_new;
-        }
-        (false, true) => {
-            cal[idx] = (st_new, cal[idx].1);
-        }
-        (false, false) => {
-            cal.insert(idx, (st_new, en_new));
-        }
-    }
-    (st_new, en_new)
 }
 
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -972,10 +949,10 @@ struct Speculation {
     /// Scheduling events (sleeps + spawns) the plan avoids, minus the one
     /// completion sleep the fast path still takes.
     coalesced: u64,
-    /// Per-stage `(busy_ns, bytes, transfers)` totals over the whole plan,
-    /// shared with the memo entry; lets [`Speculation::commit`] fold the
-    /// counters in O(stages) instead of O(chunks × stages).
-    totals: Option<Rc<Vec<(u64, u64, u64)>>>,
+    /// Per-stage totals over the whole plan, shared with the memo entry;
+    /// lets [`Speculation::commit`] fold the counters in O(stages) instead
+    /// of O(chunks × stages).
+    totals: Option<Rc<Vec<StageTotals>>>,
     /// The cache this traversal was served from (or inserted into): a
     /// demotion means the cached outcome is no longer trustworthy for the
     /// occupancy class it was keyed under, so the entry is evicted.
@@ -983,7 +960,7 @@ struct Speculation {
     phase: Cell<SpecPhase>,
     /// Per stage: number of chunks whose reservation has been written to
     /// the real calendar (reads and demotion advance this cursor).
-    mat: Vec<Cell<u32>>,
+    mat: Vec<Cell<usize>>,
     /// Waker of the owning transfer future, parked in [`SpecWait`].
     waker: RefCell<Option<Waker>>,
 }
@@ -1015,16 +992,16 @@ impl Speculation {
     /// strictly before the one that fired most recently — at equal
     /// deadlines the earlier-armed timer fires first, and the current
     /// event runs within the drive segment of that last firing.
-    fn op_due(&self, op: &PlanOp, now_ns: u64) -> bool {
-        if op.wall < now_ns {
+    fn op_due(&self, op: &PlanOp, now: SimTime) -> bool {
+        if op.wall < now {
             return true;
         }
-        if op.wall > now_ns {
+        if op.wall > now {
             return false;
         }
         matches!(
             self.sim.last_fired_timer(),
-            Some((deadline, armed)) if deadline.as_nanos() == now_ns && op.arm < armed.as_nanos()
+            Some((deadline, armed)) if deadline == now && op.arm < armed
         )
     }
 
@@ -1032,14 +1009,13 @@ impl Speculation {
     /// real calendar and counters, in plan order (which the strict-wall
     /// guard made equal to wall order).
     fn materialize_due(&self, s: usize, now: SimTime) {
-        let now_ns = now.as_nanos();
-        let done = self.mat[s].get() as usize;
+        let done = self.mat[s].get();
         if done >= self.metas.len() {
             return;
         }
         self.ensure_ops();
         let mut c = done;
-        while c < self.metas.len() && self.op_due(&self.op(c, s), now_ns) {
+        while c < self.metas.len() && self.op_due(&self.op(c, s), now) {
             c += 1;
         }
         if c == done {
@@ -1060,11 +1036,9 @@ impl Speculation {
             pipe.state
                 .transfers
                 .set(pipe.state.transfers.get() + meta.csegs);
-            pipe.state
-                .bytes
-                .set(pipe.state.bytes.get() + meta.cwire.get());
+            pipe.state.bytes.set(pipe.state.bytes.get() + meta.cwire);
         }
-        self.mat[s].set(c as u32);
+        self.mat[s].set(c);
     }
 
     /// Clear this speculation's registration from one pipe (leaving any
@@ -1093,11 +1067,9 @@ impl Speculation {
         for (s, stage) in self.stages.iter().enumerate() {
             let pipe = &stage.pipe;
             self.unregister(pipe);
-            let done = self.mat[s].get() as usize;
+            let done = self.mat[s].get();
             if let Some((busy, bytes, transfers)) = self.fold_totals(s, done) {
-                pipe.state
-                    .busy
-                    .set(pipe.state.busy.get() + SimDuration::from_nanos(busy));
+                pipe.state.busy.set(pipe.state.busy.get() + busy);
                 pipe.state
                     .transfers
                     .set(pipe.state.transfers.get() + transfers);
@@ -1110,12 +1082,10 @@ impl Speculation {
                     pipe.state
                         .transfers
                         .set(pipe.state.transfers.get() + meta.csegs);
-                    pipe.state
-                        .bytes
-                        .set(pipe.state.bytes.get() + meta.cwire.get());
+                    pipe.state.bytes.set(pipe.state.bytes.get() + meta.cwire);
                 }
             }
-            self.mat[s].set(self.metas.len() as u32);
+            self.mat[s].set(self.metas.len());
         }
     }
 
@@ -1124,19 +1094,16 @@ impl Speculation {
     /// traversal can be in are folded — nothing materialized, or exactly
     /// the eager chunk-0 reservation on stage 0; an observed window (any
     /// other cursor) falls back to the per-chunk loop. Either way the
-    /// counter sums are identical: `u64`/saturating adds commute.
-    fn fold_totals(&self, s: usize, done: usize) -> Option<(u64, u64, u64)> {
+    /// counter sums are identical: saturating adds commute.
+    fn fold_totals(&self, s: usize, done: usize) -> Option<StageTotals> {
         let totals = self.totals.as_ref()?;
         let (busy, bytes, transfers) = totals[s];
         match done {
             0 => Some((busy, bytes, transfers)),
             1 if s == 0 => {
                 let m = self.metas[0];
-                let b0 = self.stages[0]
-                    .pipe
-                    .bulk_service(m.cwire, m.csegs)
-                    .as_nanos();
-                Some((busy - b0, bytes - m.cwire.get(), transfers - m.csegs))
+                let b0 = self.stages[0].pipe.bulk_service(m.cwire, m.csegs);
+                Some((busy - b0, bytes - m.cwire, transfers - m.csegs))
             }
             _ => None,
         }
@@ -1171,7 +1138,7 @@ impl Speculation {
         for s in 0..self.nstages {
             self.materialize_due(s, now);
         }
-        let started = self.mat[0].get() as usize;
+        let started = self.mat[0].get();
         let rest = TaskGroup::new();
         for c in 0..started {
             // Stages already holding this chunk's reservation are exactly
@@ -1179,14 +1146,14 @@ impl Speculation {
             // the stage chain (walls are non-decreasing, and equal walls
             // share a driving timer), so the done set is a prefix.
             let mut done = 1;
-            while done < self.nstages && (c as u32) < self.mat[done].get() {
+            while done < self.nstages && c < self.mat[done].get() {
                 done += 1;
             }
             let meta = self.metas[c];
             if done == self.nstages {
                 // Fully reserved; only the exit sleep remains.
                 let op = self.op(c, self.nstages - 1);
-                let exit = SimTime::from_nanos(op.end) + self.stages[self.nstages - 1].latency;
+                let exit = op.end + self.stages[self.nstages - 1].latency;
                 let sim = self.sim.clone();
                 rest.spawn(&self.sim, async move {
                     if exit > sim.now() {
@@ -1202,8 +1169,8 @@ impl Speculation {
                         self.sim.clone(),
                         Rc::clone(&self.stages),
                         done,
-                        SimTime::from_nanos(prev_op.start),
-                        SimTime::from_nanos(prev_op.end),
+                        prev_op.start,
+                        prev_op.end,
                         prev_stage.pipe.service_time(meta.seg_wire),
                         prev_stage.latency,
                         meta,
@@ -1232,7 +1199,7 @@ impl Speculation {
     /// chunk to clear stage 0 (that instant is strictly in the future,
     /// else the next chunk would already have started).
     async fn resume_main(&self, started: usize) {
-        let e0_last = SimTime::from_nanos(self.op(started - 1, 0).end);
+        let e0_last = self.op(started - 1, 0).end;
         if e0_last > self.sim.now() {
             self.sim.sleep_until(e0_last).await;
         }

@@ -1,5 +1,5 @@
 //! Intra-simulation synchronization primitives: oneshot and mpsc channels,
-//! counting semaphore, notify cell, barrier, FIFO gate and task group.
+//! notify cell, barrier, FIFO gate and task group.
 //!
 //! All primitives are `!Send`; they live entirely inside the single-threaded
 //! simulation and synchronize *tasks*, not threads. Wake-ups are mediated by
@@ -232,77 +232,6 @@ impl<T> Future for Recv<'_, T> {
         {
             s.recv_waker = Some(cx.waker().clone());
         }
-        Poll::Pending
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Semaphore
-// ---------------------------------------------------------------------------
-
-struct SemState {
-    permits: usize,
-    waiters: VecDeque<Waker>,
-}
-
-/// A counting semaphore with FIFO wake-up, used to model finite resources
-/// (completion-queue credit, send-window slots, NIC work-queue depth).
-#[derive(Clone)]
-pub struct Semaphore {
-    state: Rc<RefCell<SemState>>,
-}
-
-impl Semaphore {
-    /// Create a semaphore holding `permits` initial permits.
-    pub fn new(permits: usize) -> Self {
-        Semaphore {
-            state: Rc::new(RefCell::new(SemState {
-                permits,
-                waiters: VecDeque::new(),
-            })),
-        }
-    }
-
-    /// Acquire one permit, waiting if none are available.
-    pub fn acquire(&self) -> Acquire {
-        Acquire { sem: self.clone() }
-    }
-
-    /// Return one permit and wake the longest-waiting acquirer, if any.
-    pub fn release(&self) {
-        let mut s = self.state.borrow_mut();
-        s.permits += 1;
-        if let Some(w) = s.waiters.pop_front() {
-            w.wake();
-        }
-    }
-
-    /// Currently available permits.
-    pub fn available(&self) -> usize {
-        self.state.borrow().permits
-    }
-}
-
-/// Future returned by [`Semaphore::acquire`].
-pub struct Acquire {
-    sem: Semaphore,
-}
-
-impl Future for Acquire {
-    type Output = ();
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
-        let mut s = self.sem.state.borrow_mut();
-        if s.permits > 0 {
-            s.permits -= 1;
-            return Poll::Ready(());
-        }
-        // Register at the back on every permit-less poll. A previously
-        // registered waker has either been consumed by a `release` (so this
-        // poll is the resulting wake losing the race and it must re-queue)
-        // or this is a spurious poll from a join combinator, in which case
-        // the stale registration wakes us harmlessly later.
-        s.waiters.push_back(cx.waker().clone());
         Poll::Pending
     }
 }
@@ -745,33 +674,6 @@ mod tests {
         let (tx, rx) = mpsc::<u32>();
         drop(rx);
         assert_eq!(tx.send(7), Err(7));
-    }
-
-    #[test]
-    fn semaphore_limits_concurrency() {
-        let sim = Sim::new();
-        let sem = Semaphore::new(2);
-        let peak = Rc::new(RefCell::new((0usize, 0usize))); // (current, max)
-        let mut handles = Vec::new();
-        for _ in 0..6 {
-            let sem = sem.clone();
-            let s = sim.clone();
-            let peak = Rc::clone(&peak);
-            handles.push(sim.spawn(async move {
-                sem.acquire().await;
-                {
-                    let mut p = peak.borrow_mut();
-                    p.0 += 1;
-                    p.1 = p.1.max(p.0);
-                }
-                s.sleep(SimDuration::from_nanos(100)).await;
-                peak.borrow_mut().0 -= 1;
-                sem.release();
-            }));
-        }
-        sim.block_on(async move { join_all(handles).await });
-        assert_eq!(peak.borrow().1, 2);
-        assert_eq!(sem.available(), 2);
     }
 
     #[test]

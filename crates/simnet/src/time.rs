@@ -64,6 +64,9 @@ impl SimDuration {
     /// The zero-length span.
     pub const ZERO: SimDuration = SimDuration(0);
 
+    /// The longest span (saturation point): an unbounded gap.
+    pub const MAX: SimDuration = SimDuration(u64::MAX);
+
     /// Construct from nanoseconds.
     #[inline]
     pub const fn from_nanos(ns: u64) -> Self {
@@ -73,19 +76,19 @@ impl SimDuration {
     /// Construct from microseconds.
     #[inline]
     pub const fn from_micros(us: u64) -> Self {
-        SimDuration(us * 1_000)
+        SimDuration(us.saturating_mul(1_000))
     }
 
     /// Construct from milliseconds.
     #[inline]
     pub const fn from_millis(ms: u64) -> Self {
-        SimDuration(ms * 1_000_000)
+        SimDuration(ms.saturating_mul(1_000_000))
     }
 
     /// Construct from whole seconds.
     #[inline]
     pub const fn from_secs(s: u64) -> Self {
-        SimDuration(s * 1_000_000_000)
+        SimDuration(s.saturating_mul(1_000_000_000))
     }
 
     /// Construct from fractional seconds; negative values clamp to zero.
@@ -98,6 +101,10 @@ impl SimDuration {
     /// silently. Debug builds assert; release builds clamp NaN to zero
     /// and ±infinity to the saturation bounds (0 / `u64::MAX` ns).
     #[inline]
+    #[allow(
+        clippy::cast_possible_truncation,
+        reason = "deliberate saturating float-to-int conversion"
+    )]
     pub fn from_secs_f64(s: f64) -> Self {
         debug_assert!(
             s.is_finite(),
@@ -112,6 +119,10 @@ impl SimDuration {
     /// zero. Same finiteness contract as [`SimDuration::from_secs_f64`]:
     /// debug builds assert on NaN/infinity, release builds clamp.
     #[inline]
+    #[allow(
+        clippy::cast_possible_truncation,
+        reason = "deliberate saturating float-to-int conversion"
+    )]
     pub fn from_micros_f64(us: f64) -> Self {
         debug_assert!(
             us.is_finite(),
@@ -181,7 +192,7 @@ impl SimDuration {
         );
         let ns =
             (bytes.get() as u128 * 1_000_000_000u128).div_ceil(rate.as_bytes_per_sec() as u128);
-        SimDuration(ns.min(u64::MAX as u128) as u64)
+        SimDuration(u64::try_from(ns).unwrap_or(u64::MAX))
     }
 }
 
@@ -333,6 +344,10 @@ mod tests {
     fn arithmetic_saturates() {
         let huge = SimTime::from_nanos(u64::MAX);
         assert_eq!((huge + SimDuration::from_secs(1)).as_nanos(), u64::MAX);
+        assert_eq!(SimDuration::from_secs(u64::MAX), SimDuration::MAX);
+        assert_eq!(SimDuration::from_millis(u64::MAX), SimDuration::MAX);
+        assert_eq!(SimDuration::from_micros(u64::MAX).as_nanos(), u64::MAX);
+        assert_eq!(SimDuration::from_secs(1 << 40).as_nanos(), u64::MAX);
         let d = SimDuration::from_nanos(5) - SimDuration::from_nanos(9);
         assert_eq!(d.as_nanos(), 0);
         assert_eq!(

@@ -22,8 +22,9 @@
 //!
 //! There is deliberately no `From<u64>` / `Into<u64>`: constructing or
 //! unwrapping a quantity is always a *named* operation ([`Bytes::new`],
-//! [`Bytes::get`], [`ByteRate::from_gbps`], …), which is what the
-//! simlint dimensional-analysis pass keys on (DESIGN.md §12).
+//! [`Bytes::get`], [`ByteRate::from_gbps`], …), so every place a raw
+//! number enters or leaves the type system is a greppable call
+//! (DESIGN.md §12).
 
 use crate::time::SimDuration;
 
@@ -153,6 +154,10 @@ impl ByteRate {
     /// builds clamp NaN and negatives to zero and +infinity to the
     /// saturation bound (`u64::MAX` B/s).
     #[inline]
+    #[allow(
+        clippy::cast_possible_truncation,
+        reason = "deliberate saturating float-to-int conversion"
+    )]
     pub fn from_gbps_f64(gigabits_per_sec: f64) -> Self {
         debug_assert!(
             gigabits_per_sec.is_finite(),
@@ -281,7 +286,7 @@ impl Mul<SimDuration> for ByteRate {
     #[inline]
     fn mul(self, rhs: SimDuration) -> Bytes {
         let drained = (self.0 as u128 * rhs.as_nanos() as u128) / 1_000_000_000u128;
-        Bytes(drained.min(u64::MAX as u128) as u64)
+        Bytes(u64::try_from(drained).unwrap_or(u64::MAX))
     }
 }
 
