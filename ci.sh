@@ -45,14 +45,13 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo doc --no-deps (broken intra-doc links are errors)"
 RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc -q --no-deps --workspace
 
-echo "==> simlint (determinism, panic-path & FSM gates)"
+echo "==> simlint (determinism & panic-path gates)"
 # One pipeline over the workspace; any finding fails. Per-file rules reject
 # hash-order iteration, wall-clock reads, OS threads, unseeded RNGs,
 # unordered float accumulation, Relaxed atomics, cross-shard state and
 # incomplete memo keys in simulation-state code (DESIGN.md §6); the
-# interprocedural passes add nondeterminism taint through calls, unwraps
-# reachable from the fabric transfer hot paths and static FSM conformance
-# between the fabric machines and the simcheck tables (§11). Dimensions
+# interprocedural passes add nondeterminism taint through calls and unwraps
+# reachable from the fabric transfer hot paths (§11). Dimensions
 # are the compiler's: the types and simnet's cast_possible_truncation
 # deny, enforced by the clippy step above (§12).
 cargo run -q -p simlint
@@ -113,15 +112,13 @@ echo "==> benchmark/check.sh: perfbench stable surface + digest-exact goldens"
 # or moves a golden fails here instead of in the bench pipeline.
 benchmark/check.sh
 
-echo "==> fault injection: recovery suite under --features simcheck"
-# The lossy integration tests with the exactly-once delivery and
-# retransmit-budget oracles compiled into every recovery engine.
-cargo test -q --features simcheck --test fault_injection
-
 echo "==> conformance: cargo test --features simcheck (oracles on)"
 # Re-run the workspace tests with the runtime conformance oracles compiled
 # in (DESIGN.md "Runtime conformance checking"). Covers the per-oracle
-# mutation tests in crates/simcheck and the simcheck_e2e figure run.
+# mutation tests in crates/simcheck, the fabrics' seeded-illegal-event
+# tests, the lossy fault_injection suite with the exactly-once delivery and
+# retransmit-budget oracles in every recovery engine, and the simcheck_e2e
+# figure run.
 timeout 1800 cargo test -q --workspace --features simcheck
 
 # The oracles are pure observers: the checked build must reproduce the same

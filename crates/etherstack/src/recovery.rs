@@ -21,7 +21,7 @@
 //! * **ACK replay** — MX judges the message ACK too; losing it replays a
 //!   message the receiver already has.
 //!
-//! The constants live with their protocols: [`HOST_TCP`] and
+//! The constants live with their protocols: `HOST_TCP` and
 //! [`TCP_OFFLOAD`] here, `infiniband::recovery::RC_GO_BACK_N` and
 //! `mx10g::recovery::MX_RESEND` beside the explanation of why they have the
 //! values they have.
@@ -33,13 +33,10 @@ use simnet::{Bytes, FaultDecision, FaultPlane, Pipeline, Sim, SimDuration};
 
 /// Send-side phases of one recovering transfer, named after the TCP sender
 /// they were first written for; every protocol's transfer walks them (an
-/// early NAK is `FastRetx`, any timer wait `RtoWait`). This is the canonical
-/// machine: [`fsm_next`] is the single in-crate statement of which
-/// transitions exist, and `simlint` statically diffs it against
-/// `simcheck::ether::TCP_FSM_TABLE` (rule `fsm-drift`) so the model and
-/// the conformance-side restatement cannot disagree silently.
+/// early NAK is `FastRetx`, any timer wait `RtoWait`). [`fsm_next`] is the
+/// one statement of which transitions exist.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TcpSendPhase {
+enum TcpSendPhase {
     /// Healthy: contiguous segments stream through the pipeline.
     Streaming,
     /// A loss with enough trailing segments to clock out duplicate ACKs;
@@ -54,7 +51,7 @@ pub enum TcpSendPhase {
 
 /// Events driving [`TcpSendPhase`] through [`fsm_next`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TcpSendEvent {
+enum TcpSendEvent {
     /// A segment was judged deliverable.
     SegmentDelivered,
     /// A segment was delayed in flight (queueing, no retransmit).
@@ -71,39 +68,10 @@ pub enum TcpSendEvent {
     Finish,
 }
 
-impl TcpSendPhase {
-    /// Variant spelling as it appears in `simcheck::ether::TCP_FSM_TABLE`
-    /// rows.
-    pub fn table_name(self) -> &'static str {
-        match self {
-            TcpSendPhase::Streaming => "Streaming",
-            TcpSendPhase::FastRetx => "FastRetx",
-            TcpSendPhase::RtoWait => "RtoWait",
-            TcpSendPhase::Done => "Done",
-        }
-    }
-}
-
-impl TcpSendEvent {
-    /// Event spelling as it appears in `simcheck::ether::TCP_FSM_TABLE`
-    /// rows.
-    pub fn table_name(self) -> &'static str {
-        match self {
-            TcpSendEvent::SegmentDelivered => "SegmentDelivered",
-            TcpSendEvent::SegmentDelayed => "SegmentDelayed",
-            TcpSendEvent::LossFastRetx => "LossFastRetx",
-            TcpSendEvent::LossTail => "LossTail",
-            TcpSendEvent::RetxDelivered => "RetxDelivered",
-            TcpSendEvent::RetxLost => "RetxLost",
-            TcpSendEvent::Finish => "Finish",
-        }
-    }
-}
-
-/// Canonical recovery transition function: `None` means the event cannot
-/// occur in `from` (e.g. a fresh loss while already waiting on the timer —
-/// the engine handles one hole at a time).
-pub fn fsm_next(from: TcpSendPhase, ev: TcpSendEvent) -> Option<TcpSendPhase> {
+/// Recovery transition function: `None` means the event cannot occur in
+/// `from` (e.g. a fresh loss while already waiting on the timer — the
+/// engine handles one hole at a time).
+fn fsm_next(from: TcpSendPhase, ev: TcpSendEvent) -> Option<TcpSendPhase> {
     match (from, ev) {
         (TcpSendPhase::Streaming, TcpSendEvent::SegmentDelivered) => Some(TcpSendPhase::Streaming),
         (TcpSendPhase::Streaming, TcpSendEvent::SegmentDelayed) => Some(TcpSendPhase::Streaming),
@@ -166,7 +134,7 @@ pub struct LossRecovery {
 
 /// Host software TCP: fast retransmit on the third duplicate ACK, timers
 /// at interrupt-driven kernel granularity.
-pub const HOST_TCP: LossRecovery = LossRecovery {
+pub(crate) const HOST_TCP: LossRecovery = LossRecovery {
     tag: "ether",
     timeout: SimDuration::from_micros(200),
     max_backoff_exp: 6,
@@ -177,7 +145,7 @@ pub const HOST_TCP: LossRecovery = LossRecovery {
 };
 
 /// The iWARP RNIC's TCP offload engine: the same algorithms as
-/// [`HOST_TCP`] in a hardware retransmit state machine, so tighter timers.
+/// `HOST_TCP` in a hardware retransmit state machine, so tighter timers.
 pub const TCP_OFFLOAD: LossRecovery = LossRecovery {
     tag: "iwarp",
     timeout: SimDuration::from_micros(60),
@@ -459,38 +427,6 @@ mod tests {
         assert_eq!(sstats.faults_injected, stats.faults);
         assert_eq!(sstats.retransmits, stats.retransmits);
         assert_eq!(sstats.rto_fires, stats.rto_fires);
-    }
-
-    /// The crate machine and the conformance table must agree on every
-    /// (phase, event) pair — the runtime complement of the static
-    /// `fsm-drift` diff in `simlint`.
-    #[cfg(feature = "simcheck")]
-    #[test]
-    fn recovery_machine_matches_simcheck_table_exhaustively() {
-        use TcpSendEvent::{
-            Finish, LossFastRetx, LossTail, RetxDelivered, RetxLost, SegmentDelayed,
-            SegmentDelivered,
-        };
-        use TcpSendPhase::{Done, FastRetx, RtoWait, Streaming};
-        for from in [Streaming, FastRetx, RtoWait, Done] {
-            for ev in [
-                SegmentDelivered,
-                SegmentDelayed,
-                LossFastRetx,
-                LossTail,
-                RetxDelivered,
-                RetxLost,
-                Finish,
-            ] {
-                let machine = fsm_next(from, ev).map(TcpSendPhase::table_name);
-                let table = simcheck::fsm_lookup(
-                    simcheck::ether::TCP_FSM_TABLE,
-                    from.table_name(),
-                    ev.table_name(),
-                );
-                assert_eq!(machine, table, "{from:?} --{ev:?}--> disagrees");
-            }
-        }
     }
 
     #[test]

@@ -27,4 +27,3 @@ pub mod verbs;
 
 pub use calib::MellanoxCalib;
 pub use hca::{HcaDevice, IbFabric};
-pub use verbs::{Qp, WorkRequest};

@@ -3,9 +3,10 @@
 //! The QP/CQ/MR user interface (the Mellanox VAPI semantics the paper
 //! benchmarks through: reliable-connected QPs, RDMA Write / Send work
 //! requests, completion queues, lkey/rkey registration) is the shared
-//! [`Qp`]. This module supplies the InfiniBand half: the QP bring-up
-//! machine, the per-message processor hook and the connection numbering
-//! (RC loss recovery is [`crate::recovery::RC_GO_BACK_N`], on the HCA).
+//! [`Qp`](etherstack::Qp). This module supplies the InfiniBand half: the QP
+//! bring-up machine, the per-message processor hook and the connection
+//! numbering (RC loss recovery is [`crate::recovery::RC_GO_BACK_N`], on the
+//! HCA).
 
 #[cfg(feature = "simcheck")]
 use std::cell::RefCell;
@@ -16,16 +17,13 @@ use simnet::{Sim, SimDuration};
 
 use crate::hca::HcaDevice;
 
-pub use etherstack::{Qp, WorkRequest};
-
 /// Lifecycle phases of a reliable-connected QP, as the connect handshake
-/// walks them. This is the canonical machine: [`fsm_next`] is the single
-/// in-crate statement of which transitions exist, and `simlint`
-/// statically diffs it against `simcheck::ib::QP_FSM_TABLE` (rule
-/// `fsm-drift`) so the model and the conformance oracle cannot disagree
-/// silently.
+/// walks them. [`fsm_next`] is the one statement of which transitions
+/// exist; the `ib.qp-state` oracle judges with it, and nothing else reads a
+/// QP's phase, so the machine is compiled only with `simcheck`.
+#[cfg(feature = "simcheck")]
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum QpPhase {
+pub(crate) enum QpPhase {
     /// Freshly created, no transport state.
     Reset,
     /// Port/pkey assigned; receives may be posted.
@@ -34,77 +32,41 @@ pub enum QpPhase {
     Rtr,
     /// Ready to send: timeouts and retry budget armed.
     Rts,
-    /// Fatal transport error; only a tear-down leaves this state.
-    Error,
 }
 
 /// Events driving [`QpPhase`] through [`fsm_next`].
+#[cfg(feature = "simcheck")]
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum QpEvent {
+pub(crate) enum QpEvent {
     /// One rung of the modify-QP bring-up ladder.
     BringUp,
-    /// Unrecoverable transport error.
-    Fatal,
-    /// Modify-QP back to RESET.
-    TearDown,
+    /// A send-queue work request was posted.
+    PostSend,
+    /// A receive was posted.
+    PostRecv,
 }
 
-impl QpPhase {
-    /// Variant spelling as it appears in `simcheck::ib::QP_FSM_TABLE` rows.
-    pub fn table_name(self) -> &'static str {
-        match self {
-            QpPhase::Reset => "Reset",
-            QpPhase::Init => "Init",
-            QpPhase::Rtr => "Rtr",
-            QpPhase::Rts => "Rts",
-            QpPhase::Error => "Error",
-        }
-    }
-
-    /// The oracle-side state mirroring this phase.
-    #[cfg(feature = "simcheck")]
-    fn oracle_state(self) -> simcheck::ib::QpState {
-        match self {
-            QpPhase::Reset => simcheck::ib::QpState::Reset,
-            QpPhase::Init => simcheck::ib::QpState::Init,
-            QpPhase::Rtr => simcheck::ib::QpState::Rtr,
-            QpPhase::Rts => simcheck::ib::QpState::Rts,
-            QpPhase::Error => simcheck::ib::QpState::Error,
-        }
-    }
-}
-
-impl QpEvent {
-    /// Event spelling as it appears in `simcheck::ib::QP_FSM_TABLE` rows.
-    pub fn table_name(self) -> &'static str {
-        match self {
-            QpEvent::BringUp => "BringUp",
-            QpEvent::Fatal => "Fatal",
-            QpEvent::TearDown => "TearDown",
-        }
-    }
-}
-
-/// Canonical QP transition function: `None` means the event is illegal in
-/// `from`. [`VerbsNic::watch`] drives the bring-up ladder through this
-/// function rather than a hardcoded state list.
-pub fn fsm_next(from: QpPhase, ev: QpEvent) -> Option<QpPhase> {
+/// QP transition function: `None` means the event is illegal in `from`
+/// (sends need RTS, receives INIT or later).
+#[cfg(feature = "simcheck")]
+pub(crate) fn fsm_next(from: QpPhase, ev: QpEvent) -> Option<QpPhase> {
     match (from, ev) {
         (QpPhase::Reset, QpEvent::BringUp) => Some(QpPhase::Init),
         (QpPhase::Init, QpEvent::BringUp) => Some(QpPhase::Rtr),
         (QpPhase::Rtr, QpEvent::BringUp) => Some(QpPhase::Rts),
-        (_, QpEvent::Fatal) => Some(QpPhase::Error),
-        (_, QpEvent::TearDown) => Some(QpPhase::Reset),
+        (QpPhase::Rts, QpEvent::PostSend) => Some(QpPhase::Rts),
+        (QpPhase::Init | QpPhase::Rtr | QpPhase::Rts, QpEvent::PostRecv) => Some(from),
         _ => None,
     }
 }
 
 /// The RC side of one QP. Nothing without `simcheck`; with it, the oracles
-/// judging QP state-machine legality (rule `ib.qp-state`) and that
-/// send-queue completions surface in post order (rule `ib.cq-order`).
+/// judging every bring-up step and post against `fsm_next` (rule
+/// `ib.qp-state`) and that send-queue completions surface in post order
+/// (rule `ib.cq-order`).
 pub struct RcWatch {
     #[cfg(feature = "simcheck")]
-    state: RefCell<simcheck::ib::QpStateOracle>,
+    state: RefCell<simcheck::FsmOracle<QpPhase, QpEvent>>,
     #[cfg(feature = "simcheck")]
     cq: RefCell<simcheck::ib::CqOrderOracle>,
 }
@@ -116,16 +78,14 @@ impl QpWatch for RcWatch {
         {
             let now = Some(_sim.now().as_nanos());
             match _step {
-                // Posts require RTS; the completion for this WQE must
-                // surface in post order.
+                // The completion for this WQE must surface in post order.
                 QpStep::PostSend(_, seq) => {
-                    let _ = self.state.borrow_mut().observe_post_send(now);
+                    let _ = self.state.borrow_mut().observe(QpEvent::PostSend, now);
                     let posted = self.cq.borrow_mut().on_post();
                     debug_assert_eq!(posted, seq, "both count this QP's posts");
                 }
-                // Receive posts require INIT or later.
                 QpStep::PostRecv => {
-                    let _ = self.state.borrow_mut().observe_post_recv(now);
+                    let _ = self.state.borrow_mut().observe(QpEvent::PostRecv, now);
                 }
                 QpStep::Completed(seq) => {
                     let _ = self.cq.borrow_mut().observe_completion(seq, now);
@@ -136,9 +96,9 @@ impl QpWatch for RcWatch {
     }
 }
 
-/// What the shared [`Qp`] leaves to the HCA: the serial per-message
-/// processor with its QP-context cache, and connections keyed by
-/// QP-number pair.
+/// What the shared [`Qp`](etherstack::Qp) leaves to the HCA: the serial
+/// per-message processor with its QP-context cache, and connections keyed
+/// by QP-number pair.
 impl VerbsNic for HcaDevice {
     type Watch = RcWatch;
 
@@ -167,20 +127,23 @@ impl VerbsNic for HcaDevice {
         (u64::from(qpn) << 32) | u64::from(peer_qpn)
     }
 
-    /// Walks the fresh QP through the canonical RC bring-up (RESET → INIT →
-    /// RTR → RTS) that the connect handshake models, driven off
-    /// [`fsm_next`] rather than a hardcoded ladder.
+    /// Walks the fresh QP's oracle up the RC bring-up ladder (RESET → INIT
+    /// → RTR → RTS) that the connect handshake models.
     fn watch(&self, _sim: &Sim, _qpn: u32, _stream: u64) -> RcWatch {
         #[cfg(feature = "simcheck")]
         let state = {
-            let mut st = simcheck::ib::QpStateOracle::new(u64::from(_qpn));
+            let mut st = simcheck::FsmOracle::new(
+                QpPhase::Reset,
+                fsm_next,
+                simcheck::Rule::IbQpState,
+                "ib",
+                u64::from(_qpn),
+            );
             let now = Some(_sim.now().as_nanos());
-            let mut phase = QpPhase::Reset;
-            while let Some(next) = fsm_next(phase, QpEvent::BringUp) {
-                let _ = st.observe_transition(next.oracle_state(), now);
-                phase = next;
+            for _ in 0..3 {
+                let _ = st.observe(QpEvent::BringUp, now);
             }
-            debug_assert_eq!(phase, QpPhase::Rts, "bring-up ladder must end in RTS");
+            debug_assert_eq!(st.phase(), QpPhase::Rts, "bring-up ladder must end in RTS");
             RefCell::new(st)
         };
         RcWatch {
@@ -196,28 +159,43 @@ impl VerbsNic for HcaDevice {
 mod tests {
     use super::*;
     use crate::hca::IbFabric;
+    use etherstack::WorkRequest;
     use hostmodel::cpu::{Cpu, CpuCosts};
     use simnet::sync::join2;
 
-    /// The crate machine and the conformance table must agree on every
-    /// (phase, event) pair — the runtime complement of the static
-    /// `fsm-drift` diff in `simlint`.
+    /// The `ib.qp-state` oracle judges with this crate's [`fsm_next`]: the
+    /// bring-up ladder and the posts it admits are clean, and a send in
+    /// INIT fires exactly once.
     #[cfg(feature = "simcheck")]
     #[test]
-    fn qp_machine_matches_simcheck_table_exhaustively() {
-        use QpEvent::{BringUp, Fatal, TearDown};
-        use QpPhase::{Error, Init, Reset, Rtr, Rts};
-        for from in [Reset, Init, Rtr, Rts, Error] {
-            for ev in [BringUp, Fatal, TearDown] {
-                let machine = fsm_next(from, ev).map(QpPhase::table_name);
-                let table = simcheck::fsm_lookup(
-                    simcheck::ib::QP_FSM_TABLE,
-                    from.table_name(),
-                    ev.table_name(),
-                );
-                assert_eq!(machine, table, "{from:?} --{ev:?}--> disagrees");
-            }
-        }
+    fn qp_oracle_on_fsm_next_fires_once_for_a_send_before_rts() {
+        let rule = simcheck::Rule::IbQpState;
+        // The registry is process-global and the other tests here feed
+        // this rule too: compare violation deltas.
+        let violations = || {
+            let s = simcheck::summary();
+            s.rules
+                .iter()
+                .find(|r| r.rule == rule)
+                .map(|r| r.violations)
+        };
+        let before = violations();
+        let mut o = simcheck::FsmOracle::new(QpPhase::Reset, fsm_next, rule, "ib", 1);
+        assert_eq!(o.observe(QpEvent::BringUp, None), None);
+        assert_eq!(o.observe(QpEvent::PostRecv, None), None);
+        let v = o
+            .observe(QpEvent::PostSend, Some(5))
+            .expect("sends need RTS");
+        assert!(
+            v.detail.contains("PostSend") && v.detail.contains("Init"),
+            "{}",
+            v.detail
+        );
+        assert_eq!(o.observe(QpEvent::BringUp, None), None);
+        assert_eq!(o.observe(QpEvent::BringUp, None), None);
+        assert_eq!(o.observe(QpEvent::PostSend, None), None);
+        assert_eq!(o.phase(), QpPhase::Rts);
+        assert_eq!(violations(), before.map(|n| n + 1));
     }
 
     fn setup() -> (Sim, IbFabric, Cpu, Cpu) {

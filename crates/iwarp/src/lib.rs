@@ -31,4 +31,4 @@ pub mod verbs;
 
 pub use calib::NetEffectCalib;
 pub use rnic::{IwarpFabric, RnicDevice};
-pub use verbs::{Cqe, CqeStatus, Qp, WorkRequest};
+pub use verbs::WorkRequest;

@@ -1,9 +1,10 @@
 //! iWARP verbs — what makes the RNIC a [`VerbsNic`].
 //!
 //! The QP/CQ/STag user-level interface the paper benchmarks through is the
-//! shared [`Qp`]: queue pairs over a (simulated) TCP connection, work
-//! requests posted to a send queue, completions reaped from a completion
-//! queue, and memory registered into STags before the NIC may touch it.
+//! shared [`Qp`](etherstack::Qp): queue pairs over a (simulated) TCP
+//! connection, work requests posted to a send queue, completions reaped
+//! from a completion queue, and memory registered into STags before the
+//! NIC may touch it.
 //! This module supplies the iWARP half: the RDMAP stream machine and the
 //! connection numbering (the TOE's loss recovery is
 //! [`RnicDevice`]'s [`LOSS_RECOVERY`](etherstack::NicModel::LOSS_RECOVERY)).
@@ -16,101 +17,61 @@ use etherstack::{QpStep, QpWatch, VerbsNic};
 use hostmodel::nic::CqeOpcode;
 use simnet::{Sim, SimDuration};
 
-use crate::rdmap::opcode;
 use crate::rnic::RnicDevice;
 
-pub use etherstack::{Qp, WorkRequest};
-pub use hostmodel::nic::{Cqe, CqeStatus};
+pub use etherstack::WorkRequest;
 
-/// Lifecycle phases of one RDMAP stream (one direction of a QP). This is
-/// the canonical machine: [`fsm_next`] is the single in-crate statement of
-/// which transitions exist, and `simlint` statically diffs it
-/// against `simcheck::iwarp::RDMAP_FSM_TABLE` (rule `fsm-drift`) so the
-/// model and the conformance oracle cannot disagree silently.
+/// Lifecycle phases of one RDMAP stream (one direction of a QP).
+/// [`fsm_next`] is the one statement of which transitions exist; the
+/// `iwarp.rdmap-state` oracle judges with it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum StreamPhase {
+enum StreamPhase {
     /// Connection up; any opcode may be posted.
     Operational,
-    /// A Terminate was sent or received; nothing further is legal.
+    /// A Terminate arrived from the peer; nothing further is legal.
     Terminated,
 }
 
 /// Events driving [`StreamPhase`] through [`fsm_next`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum StreamEvent {
+enum StreamEvent {
     /// Tagged RDMA Write posted.
     PostWrite,
     /// Untagged Send posted.
     PostSend,
     /// RDMA Read Request posted.
     PostReadRequest,
-    /// Terminate posted (local error path).
-    PostTerminate,
     /// Read Response arrived for an outstanding Read Request.
     RecvReadResponse,
     /// Terminate arrived from the peer (remote error path; idempotent).
     RecvTerminate,
 }
 
-impl StreamPhase {
-    /// Variant spelling as it appears in `simcheck::iwarp::RDMAP_FSM_TABLE`
-    /// rows.
-    pub fn table_name(self) -> &'static str {
-        match self {
-            StreamPhase::Operational => "Operational",
-            StreamPhase::Terminated => "Terminated",
-        }
-    }
-}
-
-impl StreamEvent {
-    /// Event spelling as it appears in `simcheck::iwarp::RDMAP_FSM_TABLE`
-    /// rows.
-    pub fn table_name(self) -> &'static str {
-        match self {
-            StreamEvent::PostWrite => "PostWrite",
-            StreamEvent::PostSend => "PostSend",
-            StreamEvent::PostReadRequest => "PostReadRequest",
-            StreamEvent::PostTerminate => "PostTerminate",
-            StreamEvent::RecvReadResponse => "RecvReadResponse",
-            StreamEvent::RecvTerminate => "RecvTerminate",
-        }
-    }
-}
-
-/// Canonical RDMAP stream transition function: `None` means the event is
-/// illegal in `from` (e.g. any post on a terminated stream).
-pub fn fsm_next(from: StreamPhase, ev: StreamEvent) -> Option<StreamPhase> {
+/// RDMAP stream transition function: `None` means the event is illegal in
+/// `from` (e.g. any post on a terminated stream).
+fn fsm_next(from: StreamPhase, ev: StreamEvent) -> Option<StreamPhase> {
     match (from, ev) {
         (StreamPhase::Operational, StreamEvent::PostWrite) => Some(StreamPhase::Operational),
         (StreamPhase::Operational, StreamEvent::PostSend) => Some(StreamPhase::Operational),
         (StreamPhase::Operational, StreamEvent::PostReadRequest) => Some(StreamPhase::Operational),
-        (StreamPhase::Operational, StreamEvent::PostTerminate) => Some(StreamPhase::Terminated),
         (StreamPhase::Operational, StreamEvent::RecvReadResponse) => Some(StreamPhase::Operational),
         (_, StreamEvent::RecvTerminate) => Some(StreamPhase::Terminated),
         _ => None,
     }
 }
 
-/// Advance a tracked stream phase by `ev`. An event with no legal
-/// transition (posting on a terminated stream) leaves the phase unchanged:
-/// judging that is the simcheck oracle's job — the tracker only mirrors
-/// the legal moves the model makes.
-fn fsm_advance(phase: &Cell<StreamPhase>, ev: StreamEvent) {
-    if let Some(next) = fsm_next(phase.get(), ev) {
-        phase.set(next);
-    }
-}
-
-/// The RDMAP side of one QP: the always-compiled [`StreamPhase`] of this
-/// side's outgoing stream, advanced by [`fsm_next`] as the model moves, and
+/// The RDMAP side of one QP: the always-compiled `StreamPhase` of this
+/// side's outgoing stream, advanced by `fsm_next` as the model moves, and
 /// (under `simcheck`) the oracles that additionally *judge* the moves.
 pub struct StreamWatch {
     phase: Cell<StreamPhase>,
-    /// RDMAP opcode legality on the outgoing stream (rule
+    /// Every event has a transition in `fsm_next` (rule
     /// `iwarp.rdmap-state`).
     #[cfg(feature = "simcheck")]
-    rdmap: RefCell<simcheck::iwarp::RdmapStateOracle>,
+    machine: RefCell<simcheck::FsmOracle<StreamPhase, StreamEvent>>,
+    /// Read Responses need an outstanding Read Request (same rule).
+    #[cfg(feature = "simcheck")]
+    reads: RefCell<simcheck::iwarp::RdmapStateOracle>,
     /// Deliveries admitted by the peer's in-order gate must consume
     /// consecutive tickets (rule `iwarp.ddp-msn` at the verbs layer).
     #[cfg(feature = "simcheck")]
@@ -118,51 +79,60 @@ pub struct StreamWatch {
 }
 
 impl StreamWatch {
-    /// Current [`StreamPhase`] of the watched stream.
-    pub fn phase(&self) -> StreamPhase {
-        self.phase.get()
+    /// Advance the tracked phase by `ev`. An event with no legal transition
+    /// (posting on a terminated stream) leaves the phase unchanged: judging
+    /// that is the simcheck oracle's job.
+    fn step(&self, _sim: &Sim, ev: StreamEvent) {
+        if let Some(next) = fsm_next(self.phase.get(), ev) {
+            self.phase.set(next);
+        }
+        #[cfg(feature = "simcheck")]
+        let _ = self
+            .machine
+            .borrow_mut()
+            .observe(ev, Some(_sim.now().as_nanos()));
     }
 }
 
 impl QpWatch for StreamWatch {
     #[inline]
-    fn observe(&self, _sim: &Sim, step: QpStep) {
-        #[cfg(feature = "simcheck")]
-        let now = Some(_sim.now().as_nanos());
+    fn observe(&self, sim: &Sim, step: QpStep) {
         match step {
             QpStep::PostSend(op, _) => {
-                let (ev, _wire_op) = match op {
-                    CqeOpcode::RdmaRead => (StreamEvent::PostReadRequest, opcode::READ_REQUEST),
-                    CqeOpcode::Send => (StreamEvent::PostSend, opcode::SEND),
-                    _ => (StreamEvent::PostWrite, opcode::WRITE),
+                let ev = match op {
+                    CqeOpcode::RdmaRead => StreamEvent::PostReadRequest,
+                    CqeOpcode::Send => StreamEvent::PostSend,
+                    _ => StreamEvent::PostWrite,
                 };
-                fsm_advance(&self.phase, ev);
+                self.step(sim, ev);
                 #[cfg(feature = "simcheck")]
-                let _ = self.rdmap.borrow_mut().observe_post(_wire_op, now);
+                if ev == StreamEvent::PostReadRequest {
+                    self.reads.borrow_mut().on_read_request();
+                }
             }
             #[cfg(feature = "simcheck")]
             QpStep::Delivered(ticket) => {
+                let now = Some(sim.now().as_nanos());
                 let _ = self.delivery.borrow_mut().observe_delivery(ticket, now);
             }
-            QpStep::RemoteFault => {
-                // The remote protection fault came back as a Terminate.
-                fsm_advance(&self.phase, StreamEvent::RecvTerminate);
-                #[cfg(feature = "simcheck")]
-                let _ = self.rdmap.borrow_mut().observe_terminate_received(now);
-            }
+            // The remote protection fault came back as a Terminate.
+            QpStep::RemoteFault => self.step(sim, StreamEvent::RecvTerminate),
             QpStep::ReadResponse => {
-                fsm_advance(&self.phase, StreamEvent::RecvReadResponse);
+                self.step(sim, StreamEvent::RecvReadResponse);
                 #[cfg(feature = "simcheck")]
-                let _ = self.rdmap.borrow_mut().observe_read_response(now);
+                let _ = self
+                    .reads
+                    .borrow_mut()
+                    .observe_read_response(Some(sim.now().as_nanos()));
             }
             _ => {}
         }
     }
 }
 
-/// What the shared [`Qp`] leaves to the RNIC: TCP streams keyed by node
-/// pair, watched as RDMAP streams. The pipelined engine has no serial
-/// per-message stage.
+/// What the shared [`Qp`](etherstack::Qp) leaves to the RNIC: TCP streams
+/// keyed by node pair, watched as RDMAP streams. The pipelined engine has
+/// no serial per-message stage.
 impl VerbsNic for RnicDevice {
     type Watch = StreamWatch;
 
@@ -183,7 +153,15 @@ impl VerbsNic for RnicDevice {
         StreamWatch {
             phase: Cell::new(StreamPhase::Operational),
             #[cfg(feature = "simcheck")]
-            rdmap: RefCell::new(simcheck::iwarp::RdmapStateOracle::new(_stream)),
+            machine: RefCell::new(simcheck::FsmOracle::new(
+                StreamPhase::Operational,
+                fsm_next,
+                simcheck::Rule::RdmapState,
+                "iwarp",
+                _stream,
+            )),
+            #[cfg(feature = "simcheck")]
+            reads: RefCell::new(simcheck::iwarp::RdmapStateOracle::new(_stream)),
             #[cfg(feature = "simcheck")]
             delivery: RefCell::new(simcheck::iwarp::DeliveryOrderOracle::new(_stream)),
         }
@@ -194,8 +172,10 @@ impl VerbsNic for RnicDevice {
 mod tests {
     use super::*;
     use crate::rnic::IwarpFabric;
+    use etherstack::Qp;
     use hostmodel::cpu::{Cpu, CpuCosts};
     use hostmodel::mem::{MemKey, VirtAddr};
+    use hostmodel::nic::{Cqe, CqeStatus};
     use simnet::sync::join2;
 
     fn setup() -> (Sim, IwarpFabric, Cpu, Cpu) {
@@ -262,53 +242,54 @@ mod tests {
         );
     }
 
+    /// Post an RDMA Write under a key the peer never issued; reap its CQE.
+    async fn write_with_forged_key(qp: &Qp<RnicDevice>, wr_id: u64) -> Cqe {
+        qp.post_send_wr(WorkRequest::RdmaWrite {
+            wr_id,
+            len: 16,
+            payload: None,
+            rkey: MemKey(424242),
+            remote_addr: VirtAddr(0),
+        })
+        .await;
+        qp.next_cqe().await
+    }
+
     #[test]
     fn remote_protection_fault_terminates_the_stream() {
         let (sim, fab, cpu_a, cpu_b) = setup();
         sim.block_on(async move {
             let (qa, _qb) = fab.connect(0, 1, &cpu_a, &cpu_b).await;
-            assert_eq!(qa.watch().phase(), StreamPhase::Operational);
-            qa.post_send_wr(WorkRequest::RdmaWrite {
-                wr_id: 1,
-                len: 16,
-                payload: None,
-                rkey: MemKey(424242),
-                remote_addr: VirtAddr(0),
-            })
-            .await;
-            let cqe = qa.next_cqe().await;
+            assert_eq!(qa.watch().phase.get(), StreamPhase::Operational);
+            let cqe = write_with_forged_key(&qa, 1).await;
             assert_eq!(cqe.status, CqeStatus::RemoteAccessError);
-            assert_eq!(qa.watch().phase(), StreamPhase::Terminated);
+            assert_eq!(qa.watch().phase.get(), StreamPhase::Terminated);
         });
     }
 
-    /// The crate machine and the conformance table must agree on every
-    /// (phase, event) pair — the runtime complement of the static
-    /// `fsm-drift` diff in `simlint`.
+    /// The `iwarp.rdmap-state` oracle judges with this crate's
+    /// [`fsm_next`]: the fault's Terminate is legal, one more Write on the
+    /// terminated stream fires exactly once.
     #[cfg(feature = "simcheck")]
     #[test]
-    fn stream_machine_matches_simcheck_table_exhaustively() {
-        use StreamEvent::{
-            PostReadRequest, PostSend, PostTerminate, PostWrite, RecvReadResponse, RecvTerminate,
+    fn a_write_on_a_terminated_stream_fires_the_rdmap_oracle_once() {
+        let rule = simcheck::Rule::RdmapState;
+        // The registry is process-global: compare violation deltas.
+        let violations = move || {
+            let s = simcheck::summary();
+            s.rules
+                .iter()
+                .find(|r| r.rule == rule)
+                .map(|r| r.violations)
         };
-        use StreamPhase::{Operational, Terminated};
-        for from in [Operational, Terminated] {
-            for ev in [
-                PostWrite,
-                PostSend,
-                PostReadRequest,
-                PostTerminate,
-                RecvReadResponse,
-                RecvTerminate,
-            ] {
-                let machine = fsm_next(from, ev).map(StreamPhase::table_name);
-                let table = simcheck::fsm_lookup(
-                    simcheck::iwarp::RDMAP_FSM_TABLE,
-                    from.table_name(),
-                    ev.table_name(),
-                );
-                assert_eq!(machine, table, "{from:?} --{ev:?}--> disagrees");
-            }
-        }
+        let (sim, fab, cpu_a, cpu_b) = setup();
+        sim.block_on(async move {
+            let (qa, _qb) = fab.connect(0, 1, &cpu_a, &cpu_b).await;
+            let before = violations();
+            write_with_forged_key(&qa, 1).await;
+            assert_eq!(violations(), before, "a remote fault is a legal Terminate");
+            write_with_forged_key(&qa, 2).await;
+            assert_eq!(violations(), before.map(|n| n + 1));
+        });
     }
 }

@@ -1,4 +1,4 @@
-//! The MX endpoint API: `mx_isend` / `mx_irecv` / `mx_test` / `mx_wait`.
+//! The MX endpoint API: `mx_isend` / `mx_irecv` / `mx_wait`.
 //!
 //! Semantics follow the MX-10G library: non-blocking matched send/receive
 //! with 64-bit match bits, an internal eager→rendezvous switch at 32 KB,
@@ -30,13 +30,10 @@ pub struct MxStatus {
 }
 
 /// Lifecycle phases of one MX send, from matching through protocol
-/// selection to completion. This is the canonical machine: [`fsm_next`] is
-/// the single in-crate statement of which transitions exist, and simlint
-/// statically diffs it against `simcheck::mx::MX_FSM_TABLE`
-/// (rule `fsm-drift`) so the model and the conformance-side restatement
-/// cannot disagree silently.
+/// selection to completion. [`fsm_next`] is the one statement of which
+/// transitions exist.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum MxSendPhase {
+enum MxSendPhase {
     /// Posted; the eager/rendezvous switch has not yet chosen a protocol.
     Matching,
     /// Eager: the payload travels with the envelope.
@@ -51,7 +48,7 @@ pub enum MxSendPhase {
 
 /// Events driving [`MxSendPhase`] through [`fsm_next`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum MxSendEvent {
+enum MxSendEvent {
     /// The switch chose eager (`len < rndv_threshold`).
     SelectEager,
     /// The switch chose rendezvous.
@@ -62,34 +59,9 @@ pub enum MxSendEvent {
     DataDelivered,
 }
 
-impl MxSendPhase {
-    /// Variant spelling as it appears in `simcheck::mx::MX_FSM_TABLE` rows.
-    pub fn table_name(self) -> &'static str {
-        match self {
-            MxSendPhase::Matching => "Matching",
-            MxSendPhase::EagerData => "EagerData",
-            MxSendPhase::RndvHandshake => "RndvHandshake",
-            MxSendPhase::RndvData => "RndvData",
-            MxSendPhase::Complete => "Complete",
-        }
-    }
-}
-
-impl MxSendEvent {
-    /// Event spelling as it appears in `simcheck::mx::MX_FSM_TABLE` rows.
-    pub fn table_name(self) -> &'static str {
-        match self {
-            MxSendEvent::SelectEager => "SelectEager",
-            MxSendEvent::SelectRndv => "SelectRndv",
-            MxSendEvent::CtsArrived => "CtsArrived",
-            MxSendEvent::DataDelivered => "DataDelivered",
-        }
-    }
-}
-
-/// Canonical MX send transition function: `None` means the event cannot
-/// occur in `from` (e.g. a CTS for an eager send).
-pub fn fsm_next(from: MxSendPhase, ev: MxSendEvent) -> Option<MxSendPhase> {
+/// MX send transition function: `None` means the event cannot occur in
+/// `from` (e.g. a CTS for an eager send).
+fn fsm_next(from: MxSendPhase, ev: MxSendEvent) -> Option<MxSendPhase> {
     match (from, ev) {
         (MxSendPhase::Matching, MxSendEvent::SelectEager) => Some(MxSendPhase::EagerData),
         (MxSendPhase::Matching, MxSendEvent::SelectRndv) => Some(MxSendPhase::RndvHandshake),
@@ -140,25 +112,11 @@ impl MxRequest {
         }
     }
 
-    /// Current [`MxSendPhase`] (meaningful for send requests; receive
-    /// requests stay in `Matching`).
-    pub fn send_phase(&self) -> MxSendPhase {
-        self.state.phase.get()
-    }
-
     fn complete(&self, len: u64, bits: MatchInfo) {
         self.state.len.set(len);
         self.state.bits.set(bits);
         self.state.done.set(true);
         self.state.notify.notify_one();
-    }
-
-    /// Non-blocking completion probe (`mx_test`).
-    pub fn test(&self) -> Option<MxStatus> {
-        self.state.done.get().then(|| MxStatus {
-            len: self.state.len.get(),
-            bits: self.state.bits.get(),
-        })
     }
 
     /// Block (in virtual time) until complete (`mx_wait`).
@@ -243,12 +201,6 @@ pub struct MxAddr {
 }
 
 impl MxAddr {
-    /// Replayed messages the receiving NIC's matching layer has dropped on
-    /// this connection.
-    pub fn replay_drops(&self) -> u64 {
-        self.replay.borrow().drops()
-    }
-
     /// Move `bytes` to the peer NIC under MX's firmware resend. With the
     /// fault plane disabled this is [`Pipeline::transfer`]. Hands back the
     /// engine's own future: an `async fn` here would be one more frame in
@@ -357,16 +309,6 @@ impl MxEndpoint {
             .borrow()
             .iter()
             .any(|u| matches(u.bits, bits, mask))
-    }
-
-    /// Current unexpected-queue depth (for benchmark assertions).
-    pub fn unexpected_depth(&self) -> usize {
-        self.inner.unexpected.borrow().len()
-    }
-
-    /// Current posted-receive-queue depth.
-    pub fn posted_depth(&self) -> usize {
-        self.inner.posted.borrow().len()
     }
 
     /// Non-blocking matched send (`mx_isend`) of `len` bytes from the
@@ -681,29 +623,8 @@ mod tests {
             assert_eq!(st.len, 5);
             s.wait().await;
             assert_eq!(eb.nic().mem.read(rbuf, 5), b"lanai");
-            assert_eq!(s.send_phase(), MxSendPhase::Complete);
+            assert_eq!(s.state.phase.get(), MxSendPhase::Complete);
         });
-    }
-
-    /// The crate machine and the conformance table must agree on every
-    /// (phase, event) pair — the runtime complement of the static
-    /// `fsm-drift` diff in `simlint`.
-    #[cfg(feature = "simcheck")]
-    #[test]
-    fn send_machine_matches_simcheck_table_exhaustively() {
-        use MxSendEvent::{CtsArrived, DataDelivered, SelectEager, SelectRndv};
-        use MxSendPhase::{Complete, EagerData, Matching, RndvData, RndvHandshake};
-        for from in [Matching, EagerData, RndvHandshake, RndvData, Complete] {
-            for ev in [SelectEager, SelectRndv, CtsArrived, DataDelivered] {
-                let machine = fsm_next(from, ev).map(MxSendPhase::table_name);
-                let table = simcheck::fsm_lookup(
-                    simcheck::mx::MX_FSM_TABLE,
-                    from.table_name(),
-                    ev.table_name(),
-                );
-                assert_eq!(machine, table, "{from:?} --{ev:?}--> disagrees");
-            }
-        }
     }
 
     #[test]
@@ -721,14 +642,14 @@ mod tests {
                 )
                 .await;
             s.wait().await;
-            assert_eq!(eb.unexpected_depth(), 1);
+            assert_eq!(eb.inner.unexpected.borrow().len(), 1);
             // A receive with a different tag must NOT match.
             let rbuf = eb.nic().mem.alloc_buffer(64);
             let r_other = eb
                 .irecv(MatchInfo::mpi(0, 0, 1), MatchInfo::EXACT, rbuf, 64)
                 .await;
-            assert!(r_other.test().is_none());
-            assert_eq!(eb.posted_depth(), 1);
+            assert!(!r_other.state.done.get());
+            assert_eq!(eb.inner.posted.borrow().len(), 1);
             // The right tag drains the unexpected queue.
             let rbuf2 = eb.nic().mem.alloc_buffer(64);
             let r = eb
@@ -736,7 +657,7 @@ mod tests {
                 .await;
             assert_eq!(r.wait().await.len, 4);
             assert_eq!(eb.nic().mem.read(rbuf2, 4), b"late");
-            assert_eq!(eb.unexpected_depth(), 0);
+            assert_eq!(eb.inner.unexpected.borrow().len(), 0);
         });
     }
 
@@ -799,7 +720,7 @@ mod tests {
                 .isend(&addr_b, MatchInfo::mpi(0, 1, 9), sb, n, None)
                 .await;
             // Sender must NOT complete: no receive exists yet.
-            assert!(s.test().is_none());
+            assert!(!s.state.done.get());
             let rbuf = eb.nic().mem.alloc_buffer(n);
             let r = eb
                 .irecv(MatchInfo::mpi(0, 1, 9), MatchInfo::EXACT, rbuf, n)
@@ -885,9 +806,10 @@ mod tests {
                         s.wait().await;
                         assert_eq!(eb.nic().mem.read(rbuf, 5), b"lanai");
                     }
-                    assert_eq!(eb.unexpected_depth(), 0);
-                    assert_eq!(eb.posted_depth(), 0);
-                    (sim2.now().as_nanos(), addr_b.replay_drops(), sim2.stats())
+                    assert_eq!(eb.inner.unexpected.borrow().len(), 0);
+                    assert_eq!(eb.inner.posted.borrow().len(), 0);
+                    let drops = addr_b.replay.borrow().drops();
+                    (sim2.now().as_nanos(), drops, sim2.stats())
                 }
             });
             assert!(stats.faults_injected > 0, "2% over 120 judges hit none");
@@ -931,8 +853,9 @@ mod tests {
                 assert_eq!(r.wait().await.len, 4);
                 s.wait().await;
             }
-            assert_eq!(eb.unexpected_depth(), 0);
-            addr_b.replay_drops()
+            assert_eq!(eb.inner.unexpected.borrow().len(), 0);
+            let drops = addr_b.replay.borrow().drops();
+            drops
         });
         assert!(drops > 0, "no ACK loss replay reached the filter");
     }

@@ -13,29 +13,6 @@ const ETH_MIN_FRAME: u64 = 64;
 const ETH_PREAMBLE_LEN: u64 = 8;
 const ETH_IFG_LEN: u64 = 12;
 
-/// Legal send-path phases of the host-TCP recovery loop, `(from, event,
-/// to)` with `"*"` matching any state: a stream delivers (or delays)
-/// segments while `Streaming`, drops move it to `FastRetx` when enough
-/// trailing segments exist to generate duplicate ACKs and to `RtoWait`
-/// otherwise, retransmissions either resume the stream or stay in RTO
-/// backoff, and the final segment finishes the transfer. The
-/// `etherstack::recovery` loop tracks these phases (`TcpSendPhase` /
-/// `fsm_next`), this export is the conformance-side restatement, and
-/// `simlint` diffs the two (rule `fsm-drift`); feature-gated
-/// tests in `etherstack` additionally cross-check the machine against this
-/// table exhaustively.
-pub const TCP_FSM_TABLE: crate::FsmTable = &[
-    ("Streaming", "SegmentDelivered", "Streaming"),
-    ("Streaming", "SegmentDelayed", "Streaming"),
-    ("Streaming", "LossFastRetx", "FastRetx"),
-    ("Streaming", "LossTail", "RtoWait"),
-    ("FastRetx", "RetxDelivered", "Streaming"),
-    ("FastRetx", "RetxLost", "RtoWait"),
-    ("RtoWait", "RetxDelivered", "Streaming"),
-    ("RtoWait", "RetxLost", "RtoWait"),
-    ("Streaming", "Finish", "Done"),
-];
-
 /// Transmit-side TCP sequence oracle: the segmenter must emit contiguous
 /// sequence numbers, each segment starting where the previous ended
 /// (mod 2^32).
@@ -46,13 +23,9 @@ pub struct TcpTxOracle {
 }
 
 impl TcpTxOracle {
-    pub fn new(conn: u64) -> Self {
-        TcpTxOracle { next: None, conn }
-    }
-
-    /// Like [`TcpTxOracle::new`], but with the cursor pre-seeded at the
-    /// stream's initial sequence number: the very first emitted segment is
-    /// checked against the true origin instead of being accepted blindly.
+    /// An oracle whose cursor starts at the stream's initial sequence
+    /// number: the very first emitted segment is checked against the true
+    /// origin (the `Default` oracle accepts it blindly).
     pub fn with_origin(conn: u64, isn: u32) -> Self {
         TcpTxOracle {
             next: Some(isn),
@@ -93,16 +66,9 @@ pub struct TcpRxOracle {
 }
 
 impl TcpRxOracle {
-    pub fn new(conn: u64) -> Self {
-        TcpRxOracle {
-            expected: None,
-            conn,
-        }
-    }
-
-    /// Like [`TcpRxOracle::new`], but with the cursor pre-seeded at the
-    /// stream's initial sequence number: the first `observe_advance` is
-    /// checked against the true origin instead of being accepted blindly.
+    /// An oracle whose cursor starts at the stream's initial sequence
+    /// number: the first `observe_advance` is checked against the true
+    /// origin (the `Default` oracle accepts it blindly).
     pub fn with_origin(conn: u64, isn: u32) -> Self {
         TcpRxOracle {
             expected: Some(isn),
@@ -183,7 +149,7 @@ mod tests {
 
     #[test]
     fn tx_oracle_accepts_contiguous_segments() {
-        let mut o = TcpTxOracle::new(1);
+        let mut o = TcpTxOracle::default();
         assert_eq!(o.observe_segment(0, 1460, None), None);
         assert_eq!(o.observe_segment(1460, 1460, None), None);
         assert_eq!(o.observe_segment(2920, 40, None), None);
@@ -191,7 +157,7 @@ mod tests {
 
     #[test]
     fn tx_oracle_accepts_wraparound() {
-        let mut o = TcpTxOracle::new(1);
+        let mut o = TcpTxOracle::default();
         assert_eq!(o.observe_segment(u32::MAX - 99, 100, None), None);
         assert_eq!(o.observe_segment(0, 10, None), None);
     }
@@ -199,7 +165,7 @@ mod tests {
     #[test]
     fn tx_oracle_fires_on_gap() {
         // Seeded corruption: skip 100 bytes of sequence space.
-        let mut o = TcpTxOracle::new(1);
+        let mut o = TcpTxOracle::default();
         assert_eq!(o.observe_segment(0, 1460, None), None);
         let v = o.observe_segment(1560, 1460, Some(4)).expect("must fire");
         assert_eq!(v.rule, Rule::TcpSeq);
@@ -209,7 +175,7 @@ mod tests {
     #[test]
     fn tx_oracle_with_origin_fires_when_first_segment_misses_isn() {
         // Seeded corruption: stream claims ISN 5000 but first segment
-        // starts at 0 — the blind `new` constructor would accept this.
+        // starts at 0 — the blind `Default` oracle would accept this.
         let mut o = TcpTxOracle::with_origin(1, 5000);
         let v = o.observe_segment(0, 100, None).expect("must fire");
         assert!(v.detail.contains("continues at 5000"), "{}", v.detail);
@@ -228,7 +194,7 @@ mod tests {
 
     #[test]
     fn rx_oracle_accepts_exact_advance() {
-        let mut o = TcpRxOracle::new(2);
+        let mut o = TcpRxOracle::default();
         assert_eq!(o.observe_advance(0, 1460, 1460, None), None);
         assert_eq!(o.observe_advance(1460, 1460, 0, None), None); // out-of-order hold
         assert_eq!(o.observe_advance(1460, 4380, 2920, None), None); // drain
@@ -237,7 +203,7 @@ mod tests {
     #[test]
     fn rx_oracle_fires_on_phantom_advance() {
         // Seeded corruption: cursor advances without delivering bytes.
-        let mut o = TcpRxOracle::new(2);
+        let mut o = TcpRxOracle::default();
         assert_eq!(o.observe_advance(0, 1460, 1460, None), None);
         let v = o
             .observe_advance(1460, 2920, 0, Some(8))
@@ -247,7 +213,7 @@ mod tests {
 
     #[test]
     fn rx_oracle_fires_on_cursor_jump_between_offers() {
-        let mut o = TcpRxOracle::new(2);
+        let mut o = TcpRxOracle::default();
         assert_eq!(o.observe_advance(0, 1460, 1460, None), None);
         let v = o.observe_advance(2000, 2000, 0, None).expect("must fire");
         assert!(v.detail.contains("jumped"), "{}", v.detail);

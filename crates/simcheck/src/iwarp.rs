@@ -1,5 +1,6 @@
-//! iWARP conformance oracles: MPA framing, DDP MSN ordering, RDMAP stream
-//! state.
+//! iWARP conformance oracles: MPA framing, DDP MSN ordering, RDMAP Read
+//! accounting. The RDMAP stream phase (rule `iwarp.rdmap-state`) is a
+//! [`crate::FsmOracle`] over `iwarp::verbs::fsm_next`.
 //!
 //! The framing check recomputes the MPA invariants (RFC 5044) independently
 //! of `iwarp::mpa` — marker placement, back-pointers, pad, and CRC-32C —
@@ -16,15 +17,6 @@ const FABRIC: &str = "iwarp";
 /// imported from `iwarp`.
 const MARKER_INTERVAL: u64 = 512;
 const MARKER_LEN: usize = 4;
-
-/// RDMAP opcodes (RFC 5040 §4.3), mirrored from `iwarp::rdmap::opcode`.
-pub mod opcode {
-    pub const WRITE: u8 = 0b0000;
-    pub const READ_REQUEST: u8 = 0b0001;
-    pub const READ_RESPONSE: u8 = 0b0010;
-    pub const SEND: u8 = 0b0011;
-    pub const TERMINATE: u8 = 0b0110;
-}
 
 /// Bitwise CRC-32C (Castagnoli, reflected polynomial 0x82F63B78). Slow but
 /// independent of `etherstack::crc` — the point of the oracle is to verify
@@ -150,13 +142,6 @@ pub struct DdpMsnOracle {
 }
 
 impl DdpMsnOracle {
-    pub fn new(conn: u64) -> Self {
-        DdpMsnOracle {
-            last: BTreeMap::new(),
-            conn,
-        }
-    }
-
     /// Observe a completed untagged message on queue `qn` with sequence
     /// number `msn`.
     pub fn observe_complete(&mut self, qn: u32, msn: u32) -> Option<Violation> {
@@ -208,57 +193,10 @@ impl DeliveryOrderOracle {
     }
 }
 
-/// RDMAP stream state for opcode-legality checking.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum StreamState {
-    Operational,
-    Terminated,
-}
-
-impl StreamState {
-    /// Variant spelling as it appears in [`RDMAP_FSM_TABLE`] rows (and in
-    /// the `iwarp` crate's `StreamPhase` machine).
-    fn table_name(self) -> &'static str {
-        match self {
-            StreamState::Operational => "Operational",
-            StreamState::Terminated => "Terminated",
-        }
-    }
-
-    fn from_table_name(name: &str) -> Self {
-        match name {
-            "Operational" => StreamState::Operational,
-            "Terminated" => StreamState::Terminated,
-            other => panic!("RDMAP_FSM_TABLE names unknown state {other:?}"),
-        }
-    }
-}
-
-/// Legal RDMAP stream transitions, `(from, event, to)` with `"*"` matching
-/// any state: every opcode family is legal only on an operational stream
-/// (posting a Terminate moves the stream to Terminated), while a Terminate
-/// *arriving* is legal from any state (the remote error path is
-/// idempotent). This table is the oracle's single source of state legality
-/// ([`RdmapStateOracle`] consults it via [`crate::fsm_lookup`]), and
-/// `simlint` statically diffs it against
-/// `iwarp::verbs::fsm_next` (rule `fsm-drift`).
-pub const RDMAP_FSM_TABLE: crate::FsmTable = &[
-    ("Operational", "PostWrite", "Operational"),
-    ("Operational", "PostSend", "Operational"),
-    ("Operational", "PostReadRequest", "Operational"),
-    ("Operational", "PostTerminate", "Terminated"),
-    ("Operational", "RecvReadResponse", "Operational"),
-    ("*", "RecvTerminate", "Terminated"),
-];
-
-/// RDMAP opcode-legality oracle for one stream (QP).
-///
-/// Tracks whether the stream has been terminated (no opcode is legal
-/// afterwards) and the number of outstanding Read Requests (a Read Response
-/// without one is a protocol violation).
+/// The part of RDMAP legality a stream phase cannot express: a Read
+/// Response needs an outstanding Read Request on its stream.
 #[derive(Debug)]
 pub struct RdmapStateOracle {
-    state: StreamState,
     outstanding_reads: u64,
     conn: u64,
 }
@@ -266,73 +204,19 @@ pub struct RdmapStateOracle {
 impl RdmapStateOracle {
     pub fn new(conn: u64) -> Self {
         RdmapStateOracle {
-            state: StreamState::Operational,
             outstanding_reads: 0,
             conn,
         }
     }
 
-    /// Observe an RDMAP message posted on the stream.
-    pub fn observe_post(&mut self, op: u8, now_ns: Option<u64>) -> Option<Violation> {
-        note_check(Rule::RdmapState);
-        let mk = |detail: String| {
-            record(Violation {
-                rule: Rule::RdmapState,
-                sim_time_ns: now_ns,
-                fabric: FABRIC,
-                conn: self.conn,
-                detail,
-            })
-        };
-        // Opcodes that are never legal to post (in any state) short-circuit;
-        // a terminated stream still reports the terminated-stream message
-        // first, matching the event-free legality check below.
-        let event = match op {
-            opcode::WRITE => "PostWrite",
-            opcode::SEND => "PostSend",
-            opcode::READ_REQUEST => "PostReadRequest",
-            opcode::TERMINATE => "PostTerminate",
-            opcode::READ_RESPONSE => {
-                return Some(if self.state == StreamState::Terminated {
-                    mk(format!("opcode {op:#04x} posted on terminated stream"))
-                } else {
-                    mk("Read Response posted from the requester side".to_owned())
-                });
-            }
-            other => {
-                return Some(if self.state == StreamState::Terminated {
-                    mk(format!("opcode {op:#04x} posted on terminated stream"))
-                } else {
-                    mk(format!("unknown RDMAP opcode {other:#04x}"))
-                });
-            }
-        };
-        match crate::fsm_lookup(RDMAP_FSM_TABLE, self.state.table_name(), event) {
-            Some(next) => {
-                if op == opcode::READ_REQUEST {
-                    self.outstanding_reads += 1;
-                }
-                self.state = StreamState::from_table_name(next);
-                None
-            }
-            // The only state with no row for a post event is Terminated.
-            None => Some(mk(format!("opcode {op:#04x} posted on terminated stream"))),
-        }
+    /// A Read Request was posted on the stream.
+    pub fn on_read_request(&mut self) {
+        self.outstanding_reads += 1;
     }
 
     /// Observe a Read Response arriving for this stream's requester.
     pub fn observe_read_response(&mut self, now_ns: Option<u64>) -> Option<Violation> {
         note_check(Rule::RdmapState);
-        if crate::fsm_lookup(RDMAP_FSM_TABLE, self.state.table_name(), "RecvReadResponse").is_none()
-        {
-            return Some(record(Violation {
-                rule: Rule::RdmapState,
-                sim_time_ns: now_ns,
-                fabric: FABRIC,
-                conn: self.conn,
-                detail: "Read Response on terminated stream".to_owned(),
-            }));
-        }
         if self.outstanding_reads == 0 {
             return Some(record(Violation {
                 rule: Rule::RdmapState,
@@ -343,18 +227,6 @@ impl RdmapStateOracle {
             }));
         }
         self.outstanding_reads -= 1;
-        None
-    }
-
-    /// Observe a Terminate arriving from the peer (remote error path).
-    pub fn observe_terminate_received(&mut self, now_ns: Option<u64>) -> Option<Violation> {
-        note_check(Rule::RdmapState);
-        // Legal from any state (wildcard row): receiving Terminate is
-        // idempotent, so this never fires.
-        let next = crate::fsm_lookup(RDMAP_FSM_TABLE, self.state.table_name(), "RecvTerminate")
-            .expect("RDMAP_FSM_TABLE admits RecvTerminate from any state");
-        self.state = StreamState::from_table_name(next);
-        let _ = now_ns;
         None
     }
 }
@@ -434,7 +306,7 @@ mod tests {
 
     #[test]
     fn ddp_msn_oracle_fires_on_regression() {
-        let mut o = DdpMsnOracle::new(9);
+        let mut o = DdpMsnOracle::default();
         assert_eq!(o.observe_complete(0, 1), None);
         assert_eq!(o.observe_complete(0, 2), None);
         assert_eq!(o.observe_complete(1, 1), None); // independent queue
@@ -457,28 +329,12 @@ mod tests {
     }
 
     #[test]
-    fn rdmap_oracle_fires_on_post_after_terminate() {
-        let mut o = RdmapStateOracle::new(2);
-        assert_eq!(o.observe_post(opcode::WRITE, None), None);
-        assert_eq!(o.observe_post(opcode::TERMINATE, None), None);
-        let v = o.observe_post(opcode::SEND, Some(99)).expect("must fire");
-        assert!(v.detail.contains("terminated stream"), "{}", v.detail);
-    }
-
-    #[test]
     fn rdmap_oracle_fires_on_orphan_read_response() {
         let mut o = RdmapStateOracle::new(2);
         let v = o.observe_read_response(None).expect("must fire");
         assert!(v.detail.contains("without outstanding"), "{}", v.detail);
         // With an outstanding request it passes.
-        assert_eq!(o.observe_post(opcode::READ_REQUEST, None), None);
+        o.on_read_request();
         assert_eq!(o.observe_read_response(None), None);
-    }
-
-    #[test]
-    fn rdmap_oracle_fires_on_unknown_opcode() {
-        let mut o = RdmapStateOracle::new(2);
-        let v = o.observe_post(0x0F, None).expect("must fire");
-        assert!(v.detail.contains("unknown RDMAP opcode"), "{}", v.detail);
     }
 }

@@ -21,11 +21,12 @@
 //!   first-touch state insertion (steady state is allocation-free).
 //! - **Structured reports.** A violation carries the rule id, simulated time
 //!   (when the call site has a clock), fabric tag, and connection id. All
-//!   violations are counted per rule; the first [`MAX_LOGGED`] are retained
-//!   verbatim for the process-level [`summary`].
+//!   violations are counted per rule; the first 64 are retained verbatim
+//!   for the process-level [`summary`].
 //! - **Deliberately dependency-free** so the fabric crates can depend on it
 //!   without cycles. Simulated time crosses the boundary as plain
-//!   nanoseconds.
+//!   nanoseconds, and a protocol state machine as the fabric's own
+//!   `fsm_next` function ([`FsmOracle`]): no machine is restated here.
 //!
 //! Each oracle has a mutation-style unit test in its module: seed a deliberate
 //! corruption, assert the oracle fires. Those tests are tier-1 (they run
@@ -55,11 +56,13 @@ pub enum Rule {
     /// DDP untagged-queue MSN is strictly increasing per queue (at the codec
     /// layer) and deliveries are consecutive per stream (at the verbs layer).
     DdpMsn,
-    /// RDMAP opcode legality per stream state: no posts after Terminate, no
-    /// Read Response without an outstanding Read Request.
+    /// RDMAP stream legality: every event has a transition in
+    /// `iwarp::verbs::fsm_next` (no posts after Terminate), and no Read
+    /// Response arrives without an outstanding Read Request.
     RdmapState,
-    /// IB QP state machine: RESET -> INIT -> RTR -> RTS transitions only;
-    /// sends require RTS.
+    /// IB QP state machine: every bring-up step and post has a transition
+    /// in `infiniband::verbs::fsm_next` (sends need RTS, receives INIT or
+    /// later).
     IbQpState,
     /// WQE -> CQE completion ordering per QP: completions are reported in
     /// post order.
@@ -102,7 +105,7 @@ pub enum Rule {
 
 impl Rule {
     /// All rules, in report order.
-    pub const ALL: [Rule; 15] = [
+    pub(crate) const ALL: [Rule; 15] = [
         Rule::MpaFraming,
         Rule::DdpMsn,
         Rule::RdmapState,
@@ -121,7 +124,7 @@ impl Rule {
     ];
 
     /// Stable string id, `<fabric>.<rule>`.
-    pub fn id(self) -> &'static str {
+    pub(crate) fn id(self) -> &'static str {
         match self {
             Rule::MpaFraming => "iwarp.mpa-framing",
             Rule::DdpMsn => "iwarp.ddp-msn",
@@ -141,24 +144,9 @@ impl Rule {
         }
     }
 
+    /// Counter slot: the declaration order, which [`Rule::ALL`] follows.
     fn idx(self) -> usize {
-        match self {
-            Rule::MpaFraming => 0,
-            Rule::DdpMsn => 1,
-            Rule::RdmapState => 2,
-            Rule::IbQpState => 3,
-            Rule::IbCqOrder => 4,
-            Rule::MrBounds => 5,
-            Rule::MxMatchOrder => 6,
-            Rule::MxRndvSwitch => 7,
-            Rule::TcpSeq => 8,
-            Rule::EthFrame => 9,
-            Rule::FaultDelivery => 10,
-            Rule::FaultRetxBound => 11,
-            Rule::ShardMergeOrder => 12,
-            Rule::ShardLookahead => 13,
-            Rule::WorkloadConservation => 14,
-        }
+        self as usize
     }
 }
 
@@ -172,15 +160,15 @@ impl fmt::Display for Rule {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Violation {
     /// Which rule fired.
-    pub rule: Rule,
+    pub(crate) rule: Rule,
     /// Simulated time in nanoseconds, when the call site has a clock.
     /// Codec-layer sites (byte-level framing checks) pass `None`.
-    pub sim_time_ns: Option<u64>,
+    pub(crate) sim_time_ns: Option<u64>,
     /// Fabric tag (`"iwarp"`, `"ib"`, `"mx10g"`, `"ether"`, `"host"`).
-    pub fabric: &'static str,
+    pub(crate) fabric: &'static str,
     /// Connection identifier (QPN, node pair, stream id — fabric-specific;
     /// 0 when the check is not connection-scoped).
-    pub conn: u64,
+    pub(crate) conn: u64,
     /// Human-readable description of the observed inconsistency.
     pub detail: String,
 }
@@ -200,36 +188,67 @@ impl fmt::Display for Violation {
     }
 }
 
-/// A protocol transition table: `(from, event, to)` rows over state and
-/// event *names* (enum variant spelling), with `"*"` as the wildcard
-/// from-state. Each fabric oracle module exports its table as a `pub const`
-/// (`ib::QP_FSM_TABLE`, `iwarp::RDMAP_FSM_TABLE`, `ether::TCP_FSM_TABLE`,
-/// `mx::MX_FSM_TABLE`) so that (a) the runtime oracles and the fabric state
-/// machines share one source of truth, and (b) `simlint` can
-/// statically diff each table against the fabric's `fsm_next` match arms
-/// (rule `fsm-drift`, DESIGN.md §11).
-pub type FsmTable = &'static [(&'static str, &'static str, &'static str)];
-
-/// Look up the successor state for `(from, ev)` in `table`. First matching
-/// row wins; a `"*"` from-state matches any state.
-pub fn fsm_lookup(table: FsmTable, from: &str, ev: &str) -> Option<&'static str> {
-    table
-        .iter()
-        .find(|(f, e, _)| (*f == "*" || *f == from) && *e == ev)
-        .map(|(_, _, to)| *to)
+/// A protocol state machine judged by the fabric's own transition function.
+///
+/// The fabric passes its `fsm_next` in when it builds the oracle, so the
+/// machine is stated once, in the fabric, and this crate never restates it.
+/// Every observed event counts one check against `rule`; an event the
+/// machine has no transition for in the current phase records one
+/// violation and leaves the phase where it was.
+#[derive(Debug)]
+pub struct FsmOracle<S, E> {
+    phase: S,
+    next: fn(S, E) -> Option<S>,
+    rule: Rule,
+    fabric: &'static str,
+    conn: u64,
 }
 
-/// True when any row of `table` admits a `from → to` transition under
-/// *some* event — the legality question an oracle that observes state
-/// changes (but not their triggering events) can ask.
-pub fn fsm_legal_transition(table: FsmTable, from: &str, to: &str) -> bool {
-    table
-        .iter()
-        .any(|(f, _, t)| (*f == "*" || *f == from) && *t == to)
+impl<S: Copy + fmt::Debug, E: Copy + fmt::Debug> FsmOracle<S, E> {
+    /// A machine in phase `initial`, advanced by `next`.
+    pub fn new(
+        initial: S,
+        next: fn(S, E) -> Option<S>,
+        rule: Rule,
+        fabric: &'static str,
+        conn: u64,
+    ) -> Self {
+        FsmOracle {
+            phase: initial,
+            next,
+            rule,
+            fabric,
+            conn,
+        }
+    }
+
+    /// The current phase.
+    pub fn phase(&self) -> S {
+        self.phase
+    }
+
+    /// Observe event `ev`: advance, or fire if the machine has no row for
+    /// it in the current phase.
+    pub fn observe(&mut self, ev: E, now_ns: Option<u64>) -> Option<Violation> {
+        note_check(self.rule);
+        match (self.next)(self.phase, ev) {
+            Some(next) => {
+                self.phase = next;
+                None
+            }
+            None => Some(record(Violation {
+                rule: self.rule,
+                sim_time_ns: now_ns,
+                fabric: self.fabric,
+                conn: self.conn,
+                detail: format!("event {ev:?} is illegal in phase {:?}", self.phase),
+            })),
+        }
+    }
 }
 
 /// Violations beyond this many are counted but not retained verbatim.
-pub const MAX_LOGGED: usize = 64;
+pub(crate) const MAX_LOGGED: usize = 64;
 
 const RULE_COUNT: usize = Rule::ALL.len();
 
@@ -240,14 +259,14 @@ static LOG: Mutex<Vec<Violation>> = Mutex::new(Vec::new());
 /// Count one oracle check against `rule`. Called on every observation —
 /// a single relaxed atomic increment, no allocation.
 #[inline]
-pub fn note_check(rule: Rule) {
+pub(crate) fn note_check(rule: Rule) {
     CHECKS[rule.idx()].fetch_add(1, Ordering::Relaxed);
 }
 
 /// Record a violation in the global registry (violation path only — this
 /// allocates). Returns the violation back so call sites and tests can
 /// inspect it.
-pub fn record(v: Violation) -> Violation {
+pub(crate) fn record(v: Violation) -> Violation {
     VIOLATIONS[v.rule.idx()].fetch_add(1, Ordering::Relaxed);
     let mut log = LOG.lock().expect("simcheck log poisoned");
     if log.len() < MAX_LOGGED {
@@ -269,7 +288,7 @@ pub struct RuleStats {
 pub struct Summary {
     pub rules: Vec<RuleStats>,
     /// The first [`MAX_LOGGED`] violations, verbatim.
-    pub logged: Vec<Violation>,
+    pub(crate) logged: Vec<Violation>,
 }
 
 impl Summary {
@@ -347,9 +366,65 @@ mod tests {
         ids.sort_unstable();
         ids.dedup();
         assert_eq!(ids.len(), Rule::ALL.len(), "duplicate rule id");
-        for (i, r) in Rule::ALL.iter().enumerate() {
-            assert_eq!(r.idx(), i, "Rule::ALL order must match idx()");
+    }
+
+    /// A two-state test machine: `Go` moves Idle → Busy, `Stop` moves it
+    /// back, and nothing else is a row.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    enum Phase {
+        Idle,
+        Busy,
+    }
+
+    #[derive(Clone, Copy, Debug)]
+    enum Event {
+        Go,
+        Stop,
+    }
+
+    fn next(from: Phase, ev: Event) -> Option<Phase> {
+        match (from, ev) {
+            (Phase::Idle, Event::Go) => Some(Phase::Busy),
+            (Phase::Busy, Event::Stop) => Some(Phase::Idle),
+            _ => None,
         }
+    }
+
+    fn counts(rule: Rule) -> (u64, u64) {
+        let s = summary();
+        let r = s
+            .rules
+            .iter()
+            .find(|r| r.rule == rule)
+            .expect("rule present");
+        (r.checks, r.violations)
+    }
+
+    #[test]
+    fn fsm_oracle_fires_once_on_a_missing_row_and_keeps_its_phase() {
+        // Seeded illegal event: `Go` while Busy. The registry is
+        // process-global, so compare deltas on a rule no other test in
+        // this crate records against.
+        let rule = Rule::IbQpState;
+        let (checks0, violations0) = counts(rule);
+        let mut o = FsmOracle::new(Phase::Idle, next, rule, "test", 5);
+        assert_eq!(o.observe(Event::Go, None), None);
+        assert_eq!(o.phase(), Phase::Busy);
+        let v = o.observe(Event::Go, Some(9)).expect("no Busy --Go--> row");
+        assert_eq!((v.rule, v.conn, v.sim_time_ns), (rule, 5, Some(9)));
+        assert!(
+            v.detail.contains("Go") && v.detail.contains("Busy"),
+            "{}",
+            v.detail
+        );
+        assert_eq!(
+            o.phase(),
+            Phase::Busy,
+            "an illegal event does not move the phase"
+        );
+        assert_eq!(o.observe(Event::Stop, None), None);
+        assert_eq!(o.phase(), Phase::Idle);
+        assert_eq!(counts(rule), (checks0 + 3, violations0 + 1));
     }
 
     #[test]

@@ -5,23 +5,6 @@ use crate::{note_check, record, Rule, Violation};
 
 const FABRIC: &str = "mx10g";
 
-/// Legal send-path phases of an MX message, `(from, event, to)` with `"*"`
-/// matching any state: a send starts in `Matching` where the
-/// eager/rendezvous switch picks its protocol, an eager send delivers its
-/// payload directly, and a rendezvous send handshakes (RTS → CTS) before
-/// the bulk pull. The `mx10g::endpoint` send paths track these phases
-/// (`MxSendPhase` / `fsm_next`), this export is the conformance-side
-/// restatement, and `simlint` diffs the two (rule `fsm-drift`);
-/// feature-gated tests in `mx10g` additionally cross-check the machine
-/// against this table exhaustively.
-pub const MX_FSM_TABLE: crate::FsmTable = &[
-    ("Matching", "SelectEager", "EagerData"),
-    ("Matching", "SelectRndv", "RndvHandshake"),
-    ("RndvHandshake", "CtsArrived", "RndvData"),
-    ("EagerData", "DataDelivered", "Complete"),
-    ("RndvData", "DataDelivered", "Complete"),
-];
-
 /// Matching-order oracle: MX guarantees receives match sends in posted
 /// order per source — the model enforces it with an in-order delivery gate,
 /// and the oracle mirrors the gate's ticket sequence.

@@ -20,9 +20,7 @@
 //!
 //! simcheck is dependency-free, so the trace crosses the boundary as plain
 //! integers ([`CrossEventRecord`], mirroring `simnet::shard::CrossRecord`).
-//! [`check_trace`] validates a complete merged trace after a run;
-//! [`MergeOracle`] is the incremental form for call sites that observe
-//! deliveries one at a time.
+//! [`check_trace`] validates a complete merged trace after a run.
 
 use std::collections::BTreeMap;
 
@@ -53,7 +51,7 @@ fn chan_conn(src: u64, dst: u64) -> u64 {
 /// order; it tracks per-channel sequence continuity and the two
 /// monotonicity invariants.
 #[derive(Debug, Default)]
-pub struct MergeOracle {
+struct MergeOracle {
     /// Next expected seq and last delivery time per `(src, dst)` channel.
     chans: BTreeMap<(u64, u64), (u64, u64)>,
     /// Last delivery time seen in the merged order.
@@ -61,15 +59,10 @@ pub struct MergeOracle {
 }
 
 impl MergeOracle {
-    /// Fresh oracle with no channels observed.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Observe the next delivery in merge order. Fires `shard.merge-order`
     /// on a sequence gap/duplicate, a per-channel time regression, or a
     /// merged-order time regression.
-    pub fn on_deliver(&mut self, r: &CrossEventRecord) -> Option<Violation> {
+    fn on_deliver(&mut self, r: &CrossEventRecord) -> Option<Violation> {
         note_check(Rule::ShardMergeOrder);
         let conn = chan_conn(r.src, r.dst);
         if r.at_ns < self.last_at {
@@ -123,7 +116,7 @@ impl MergeOracle {
 /// Check the lookahead bound for one delivery: `at >= sent + lookahead`.
 /// Fires `shard.lookahead` on a delivery inside the window (or one that
 /// travels backwards in time).
-pub fn check_lookahead(r: &CrossEventRecord, lookahead_ns: u64) -> Option<Violation> {
+fn check_lookahead(r: &CrossEventRecord, lookahead_ns: u64) -> Option<Violation> {
     note_check(Rule::ShardLookahead);
     let earliest = r.sent_ns.saturating_add(lookahead_ns);
     if r.at_ns < earliest {
@@ -142,13 +135,13 @@ pub fn check_lookahead(r: &CrossEventRecord, lookahead_ns: u64) -> Option<Violat
     None
 }
 
-/// Validate a complete merged trace: every delivery through the
-/// [`MergeOracle`], and — when the run had links (`lookahead_ns` is
-/// `Some`) — every delivery against [`check_lookahead`]. Returns all
+/// Validate a complete merged trace: every delivery through a
+/// `MergeOracle`, and — when the run had links (`lookahead_ns` is
+/// `Some`) — every delivery against `check_lookahead`. Returns all
 /// violations found (empty for a conforming trace).
 pub fn check_trace(trace: &[CrossEventRecord], lookahead_ns: Option<u64>) -> Vec<Violation> {
     let mut out = Vec::new();
-    let mut merge = MergeOracle::new();
+    let mut merge = MergeOracle::default();
     for r in trace {
         if let Some(v) = merge.on_deliver(r) {
             out.push(v);

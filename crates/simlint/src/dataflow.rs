@@ -1,13 +1,13 @@
 //! The interprocedural passes as one step of the [`crate::check`] pipeline.
 //!
-//! The classic rules in [`crate::rules`] are per-file; the passes here
-//! ([`crate::taint`], [`crate::fsm`]) are workspace-wide — they need every
-//! file at once to resolve calls and to pair fabric machines with oracle
-//! tables. Their findings join the per-file findings before the allows are
-//! applied, so one annotation may waive rules of either pass.
+//! The classic rules in [`crate::rules`] are per-file; the two passes here
+//! (taint and panic paths, both in [`crate::taint`]) are workspace-wide —
+//! they need every file at once to resolve calls. Their findings join the
+//! per-file findings before the allows are applied, so one annotation may
+//! waive rules of either kind.
 
 use crate::graph::build_index;
-use crate::{fsm, taint, Diagnostic};
+use crate::{taint, Diagnostic};
 
 use std::path::{Path, PathBuf};
 
@@ -23,20 +23,15 @@ pub const DATAFLOW_RULES: &[(&str, &str)] = &[
         "panic-path",
         "bare unwrap() reachable from a fabric transfer hot path",
     ),
-    (
-        "fsm-drift",
-        "fabric state machine and simcheck oracle transition table disagree",
-    ),
 ];
 
-/// Run taint + panic + FSM passes over `files`; append their findings,
+/// Run the taint and panic passes over `files`; append their findings,
 /// sorted and deduplicated, to `found`.
 pub(crate) fn dataflow_pass(root: &Path, files: &[(PathBuf, String)], found: &mut Vec<Diagnostic>) {
     let mut diags = Vec::new();
     let index = build_index(files, &mut Vec::new());
     taint::taint_pass(root, &index, &mut diags);
     taint::panic_pass(root, &index, &mut diags);
-    fsm::fsm_pass(root, files, &mut diags);
     diags.sort();
     diags.dedup();
     found.append(&mut diags);

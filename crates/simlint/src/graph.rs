@@ -5,7 +5,7 @@
 //! a nondeterminism source laundered through a helper — `fn stamp() ->
 //! Instant { Instant::now() }` called from another crate — crosses the file
 //! boundary invisibly. This module builds the structure the interprocedural
-//! passes ([`crate::taint`], [`crate::fsm`]) walk: every function item in
+//! passes ([`crate::taint`]) walk: every function item in
 //! the analyzed file set, the names it calls, and the source/sink/panic
 //! facts of its body.
 //!

@@ -26,7 +26,7 @@
 //!
 //! [`check`] is the whole tool: it runs the per-file rules of
 //! [`rules`] on sim-scope files and the workspace-wide passes of
-//! [`dataflow`] (taint, panic paths, FSM conformance) over the widened
+//! [`dataflow`] (taint, panic paths) over the widened
 //! scope, then parses each file's allows once and applies them to the
 //! union of findings. Whatever survives fails the run.
 //!
@@ -58,7 +58,6 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 
 pub mod dataflow;
-pub mod fsm;
 pub mod graph;
 pub mod rules;
 pub mod taint;
@@ -380,8 +379,7 @@ pub fn check(root: &Path, files: &[(PathBuf, String)], classic: impl Fn(&Path) -
 }
 
 /// [`check`] over the workspace: the per-file rules on [`SIM_SCOPE`], the
-/// workspace-wide passes over it plus `crates/simcheck/src` and
-/// `crates/bench/src`.
+/// workspace-wide passes over it plus `crates/bench/src`.
 pub fn check_workspace(root: &Path) -> std::io::Result<Report> {
     let files = workspace_sources(root)?;
     Ok(check(root, &files, |file| in_sim_scope(root, file)))
@@ -448,11 +446,10 @@ pub const SIM_SCOPE: &[&str] = &[
     "examples",
 ];
 
-/// Extra directories only the workspace-wide passes read: `simcheck` for
-/// the exported FSM tables, `bench` so a wall-clock helper there still
-/// taints sim-scope callers (findings are only *reported* in sim scope —
-/// bench times figure generation by design).
-const EXTRA_SCOPE: &[&str] = &["crates/simcheck/src", "crates/bench/src"];
+/// Extra directory only the workspace-wide passes read: `bench`, so a
+/// wall-clock helper there still taints sim-scope callers (findings are
+/// only *reported* in sim scope — bench times figure generation by design).
+const EXTRA_SCOPE: &[&str] = &["crates/bench/src"];
 
 /// True when `file` lives under one of the sim-scope directories of `root`.
 /// Files outside the workspace root (virtual fixture paths in tests) are

@@ -92,46 +92,6 @@ fn panic_path_fixture_ok_twin_is_clean() {
 }
 
 // ---------------------------------------------------------------------------
-// fsm-drift
-// ---------------------------------------------------------------------------
-
-#[test]
-fn fsm_fixture_trigger_reports_implemented_but_unchecked_row() {
-    let diags = run_virtual(&[
-        (
-            "crates/infiniband/src/fixture.rs",
-            fixture("fsm_drift_machine_trigger.rs"),
-        ),
-        ("crates/simcheck/src/ib.rs", fixture("fsm_drift_table.rs")),
-    ]);
-    assert_eq!(rules_of(&diags), ["fsm-drift"], "{diags:?}");
-    assert!(
-        diags[0].message.contains("Error --Reopen--> Init"),
-        "{}",
-        diags[0].message
-    );
-    assert!(
-        diags[0]
-            .message
-            .contains("implemented by `QpPhase::fsm_next`"),
-        "{}",
-        diags[0].message
-    );
-}
-
-#[test]
-fn fsm_fixture_ok_twin_is_clean() {
-    let diags = run_virtual(&[
-        (
-            "crates/infiniband/src/fixture.rs",
-            fixture("fsm_drift_machine_ok.rs"),
-        ),
-        ("crates/simcheck/src/ib.rs", fixture("fsm_drift_table.rs")),
-    ]);
-    assert!(diags.is_empty(), "{diags:?}");
-}
-
-// ---------------------------------------------------------------------------
 // call graph across a synthetic two-crate tree
 // ---------------------------------------------------------------------------
 

@@ -2,8 +2,8 @@
 //! must-not-trigger fixture, the allow-list machinery is pinned down to
 //! "suppresses exactly one diagnostic", and — the gate the rest of the
 //! repository relies on — the whole pipeline over the workspace must come
-//! back clean, so `cargo test` fails the moment a determinism, panic-path
-//! or FSM hazard lands.
+//! back clean, so `cargo test` fails the moment a determinism or
+//! panic-path hazard lands.
 
 use simlint::dataflow::DATAFLOW_RULES;
 use simlint::rules::all_rules;
@@ -97,7 +97,7 @@ fn rule_registry_matches_fixture_table() {
 }
 
 #[test]
-fn cli_list_rules_lists_exactly_the_eleven_rules() {
+fn cli_list_rules_lists_exactly_the_ten_rules() {
     let out = std::process::Command::new(env!("CARGO_BIN_EXE_simlint"))
         .arg("--list-rules")
         .output()
@@ -115,7 +115,7 @@ fn cli_list_rules_lists_exactly_the_eleven_rules() {
         .chain(DATAFLOW_RULES.iter().map(|(name, _)| *name))
         .collect();
     assert_eq!(listed, registered, "{stdout}");
-    assert_eq!(listed.len(), 11, "{stdout}");
+    assert_eq!(listed.len(), 10, "{stdout}");
 }
 
 #[test]
