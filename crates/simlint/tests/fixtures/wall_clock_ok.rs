@@ -5,7 +5,7 @@ use simnet::time::{SimDuration, SimTime};
 use simnet::Sim;
 
 async fn wait_one_us(sim: &Sim) -> SimTime {
-    sim.sleep(SimDuration::from_micros_f64(1.0)).await;
+    sim.sleep(SimDuration::from_micros(1)).await;
     sim.now()
 }
 

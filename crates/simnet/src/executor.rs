@@ -15,17 +15,22 @@
 //! * tasks live in a **generational slab** (`Vec` + intrusive free list),
 //!   so a task lookup is an index, not a hash, and completed slots are
 //!   recycled with a bumped generation that invalidates stale wakes;
-//! * each task's [`Waker`] is created **once at spawn** and reused for
-//!   every poll (cloning a `Waker` is a refcount bump);
+//! * each task's [`Waker`] is created **once at spawn** and lent to every
+//!   poll (moved out of the slot and back, not cloned);
 //! * each task carries a **`scheduled` flag**, so redundant wakes coalesce:
 //!   a task already in the ready queue is never pushed (or polled) twice;
 //! * timer slots live in a second generational slab instead of per-sleep
 //!   `Rc<RefCell<_>>` allocations; a dropped [`Sleep`] cancels **lazily** —
 //!   the slot is reclaimed when its heap entry pops;
-//! * all timers due at the same instant fire as **one batch**, so the ready
-//!   queue is drained once per simulated instant rather than once per
-//!   timer, and the wakers they release are staged in a reusable scratch
-//!   buffer.
+//! * a [`Sleep`] polled by its own task records the task's **slab id**, not
+//!   a `Waker` clone, and the fired timer queues that id directly: no
+//!   refcount, lock or atomic read-modify-write between a deadline and the
+//!   poll it causes;
+//! * the executor takes woken ids from the `Waker`-facing mutex queue **a
+//!   whole queue per lock**, swapping it with a local one when that runs dry;
+//! * timers fire **one heap entry per drain cycle**, even when several
+//!   share an instant: each sleeper's continuation runs to exhaustion before
+//!   the next timer fires.
 //!
 //! Event/poll/wake counters for all of the above are exposed through
 //! [`Sim::stats`].
@@ -106,42 +111,84 @@ struct TimerKey {
     gen: u32,
 }
 
-/// Shared FIFO of runnable task ids. This is the only piece of executor
-/// state touched by [`Waker`]s, which the `std::task` contract requires to
-/// be `Send + Sync`; the mutex is never contended because the simulation is
-/// single-threaded.
+/// FIFO of task ids woken through a [`Waker`], which the `std::task`
+/// contract requires to be `Send + Sync`; the mutex is never contended
+/// because the simulation is single-threaded. The executor polls from its
+/// own `Core::run_queue` and refills that by swapping the two queues, one
+/// lock per refill.
 #[derive(Default)]
 struct ReadyQueue {
     // simlint: allow(cross-shard-state) -- std::task requires Send+Sync wakers; never contended, never crosses shards
     queue: Mutex<VecDeque<TaskId>>,
-    /// Total `Waker::wake` calls observed.
-    wakes: AtomicU64,
+    /// Every wake observed: through a `Waker`, or by a fired timer that
+    /// addresses its task by id.
+    wakes: Counter,
     /// Wakes dropped because the task was already scheduled.
-    redundant_wakes: AtomicU64,
+    redundant_wakes: Counter,
 }
 
 impl ReadyQueue {
-    fn push(&self, id: TaskId) {
-        self.queue
-            .lock()
-            .expect("ready queue poisoned")
-            .push_back(id);
+    fn lock(&self) -> std::sync::MutexGuard<'_, VecDeque<TaskId>> {
+        self.queue.lock().expect("ready queue poisoned")
     }
 
-    fn pop(&self) -> Option<TaskId> {
-        self.queue.lock().expect("ready queue poisoned").pop_front()
+    fn push(&self, id: TaskId) {
+        self.lock().push_back(id);
     }
 }
 
-/// One waker per task, allocated at spawn and reused for every poll. The
+/// A counter only the simulation's own thread touches (`Sim` is `!Send`).
+/// It is atomic because wakers must be `Send + Sync`; with one thread, a
+/// relaxed load and store is an increment, with no read-modify-write.
+#[derive(Default)]
+struct Counter(AtomicU64);
+
+impl Counter {
+    fn get(&self) -> u64 {
+        // simlint: allow(relaxed-atomics) -- single-thread counter, see `Counter`
+        self.0.load(MemOrder::Relaxed)
+    }
+
+    fn bump(&self) {
+        // simlint: allow(relaxed-atomics) -- single-thread counter, see `Counter`
+        self.0.store(self.get() + 1, MemOrder::Relaxed);
+    }
+}
+
+/// One waker per task, allocated at spawn and lent to every poll. The
 /// `scheduled` flag is the wake-coalescing protocol: the first wake of an
 /// idle task flips it and enqueues; further wakes see it set and do
 /// nothing; the executor clears it immediately before polling, so a wake
-/// that lands *during* the poll re-enqueues the task.
+/// that lands *during* the poll re-enqueues the task. Like [`Counter`], the
+/// flag is read and written by the simulation's thread only.
 struct TaskWaker {
     id: TaskId,
     scheduled: AtomicBool,
     ready: Arc<ReadyQueue>,
+}
+
+impl TaskWaker {
+    fn scheduled(&self) -> bool {
+        // simlint: allow(relaxed-atomics) -- single-thread flag, see `TaskWaker`
+        self.scheduled.load(MemOrder::Relaxed)
+    }
+
+    fn set_scheduled(&self, on: bool) {
+        // simlint: allow(relaxed-atomics) -- single-thread flag, see `TaskWaker`
+        self.scheduled.store(on, MemOrder::Relaxed);
+    }
+
+    /// Count one wake and mark the task scheduled. Returns whether it was
+    /// idle, i.e. whether the caller must queue its id.
+    fn note_wake(&self) -> bool {
+        self.ready.wakes.bump();
+        if self.scheduled() {
+            self.ready.redundant_wakes.bump();
+            return false;
+        }
+        self.set_scheduled(true);
+        true
+    }
 }
 
 impl Wake for TaskWaker {
@@ -150,16 +197,8 @@ impl Wake for TaskWaker {
     }
 
     fn wake_by_ref(self: &Arc<Self>) {
-        // The executor is single-threaded; these atomics exist only because
-        // `Wake` requires `Send + Sync`. No cross-thread ordering can arise.
-        // simlint: allow(relaxed-atomics) -- observational wake counter, single-threaded executor
-        self.ready.wakes.fetch_add(1, MemOrder::Relaxed);
-        // simlint: allow(relaxed-atomics) -- wake-coalescing flag, single-threaded executor
-        if !self.scheduled.swap(true, MemOrder::Relaxed) {
+        if self.note_wake() {
             self.ready.push(self.id);
-        } else {
-            // simlint: allow(relaxed-atomics) -- observational wake counter, single-threaded executor
-            self.ready.redundant_wakes.fetch_add(1, MemOrder::Relaxed);
         }
     }
 }
@@ -177,18 +216,24 @@ enum TaskState {
 }
 
 struct TaskEntry {
-    /// `None` while the future is checked out for polling.
-    fut: Option<Pin<Box<dyn Task>>>,
-    /// Told when the future returns (`None` for a detached task); checked
-    /// out with `fut`.
-    joiner: Option<Rc<dyn Joiner>>,
-    /// The task's reusable waker (cloning bumps a refcount — no allocation).
-    waker: Waker,
-    /// Same `Arc` that backs `waker`; gives the executor the scheduled flag.
+    /// `None` while checked out for polling.
+    body: Option<TaskBody>,
+    /// Same `Arc` that backs the body's waker; gives the executor the
+    /// scheduled flag and, by address, the waker's identity.
     shared: Arc<TaskWaker>,
-    /// A ready-queue entry for this task was consumed while its future was
+    /// A ready-queue entry for this task was consumed while its body was
     /// checked out (re-entrant `drive`); re-enqueue after the poll returns.
     repoll: bool,
+}
+
+/// What a poll checks out of the task's slot and puts back.
+struct TaskBody {
+    fut: Pin<Box<dyn Task>>,
+    /// Told when the future returns (`None` for a detached task).
+    joiner: Option<Rc<dyn Joiner>>,
+    /// The task's waker, built once at spawn and moved, not cloned, into
+    /// each poll's `Context`.
+    waker: Waker,
 }
 
 /// A timer slab slot, lifecycle `Pending → Fired → freed` (or
@@ -198,13 +243,22 @@ struct TimerSlot {
     state: TimerState,
 }
 
+/// Whom a fired timer wakes.
+enum Waiter {
+    /// The task whose own waker polled the [`Sleep`]: queued by id, with no
+    /// `Waker` in between.
+    Task(TaskId),
+    /// Any other waker (a hand-rolled `Context`, a combinator's own waker).
+    Waker(Waker),
+}
+
 enum TimerState {
     Vacant {
         next_free: Option<u32>,
     },
-    /// Armed; the waker is the owning task's (refcounted, not allocated).
+    /// Armed.
     Pending {
-        waker: Option<Waker>,
+        waiter: Waiter,
     },
     /// The deadline was reached; the [`Sleep`] will observe and free it.
     Fired,
@@ -257,7 +311,9 @@ enum TimerPop {
     /// Earliest heap entry is at or past the bound; nothing was popped.
     /// Carries that entry's deadline — the shard's next-event report.
     AtHorizon(SimTime),
-    /// One entry was consumed (fired, or a cancelled slot reclaimed).
+    /// One entry was consumed (fired, or a cancelled slot reclaimed). A
+    /// task-addressed timer has already queued its task; a waker-addressed
+    /// one hands its waker back to be woken outside the core borrow.
     Fired(Option<Waker>),
 }
 
@@ -268,6 +324,13 @@ struct Core {
     timer_free: Option<u32>,
     tasks: Vec<TaskSlot>,
     task_free: Option<u32>,
+    /// Runnable ids, polled FIFO. Refilled by swapping with the `Waker`
+    /// queue when empty; everything here was queued before everything
+    /// there, so the swap keeps one FIFO order.
+    run_queue: VecDeque<TaskId>,
+    /// The task being polled, and the address of its `TaskWaker`: a
+    /// [`Sleep`] polled with that waker is addressed to the task by id.
+    polling: Option<(TaskId, *const ())>,
     live_tasks: u64,
     next_timer_seq: u64,
     // Counters surfaced through `Sim::stats`.
@@ -312,10 +375,6 @@ struct Core {
     /// workload fire the same timer *set*; the digest differs iff the
     /// *order* did (e.g. under a perturbation salt).
     trace_digest: u64,
-    /// Fired timers whose deadline equalled the previously fired one's —
-    /// i.e. members of same-instant tie groups, the only events a
-    /// perturbation salt can reorder.
-    tie_fires: u64,
 }
 
 /// FNV-1a offset basis / prime (64-bit), shared with the figure digests in
@@ -382,6 +441,8 @@ impl Sim {
                 timer_free: None,
                 tasks: Vec::new(),
                 task_free: None,
+                run_queue: VecDeque::new(),
+                polling: None,
                 live_tasks: 0,
                 next_timer_seq: 0,
                 spawns: 0,
@@ -409,7 +470,6 @@ impl Sim {
                 last_fired: None,
                 tie_salt,
                 trace_digest: FNV_OFFSET,
-                tie_fires: 0,
             })),
             ready: Arc::new(ReadyQueue::default()),
         }
@@ -426,10 +486,8 @@ impl Sim {
         SimStats {
             spawns: core.spawns,
             polls: core.polls,
-            // simlint: allow(relaxed-atomics) -- stats snapshot of observational counter
-            wakes: self.ready.wakes.load(MemOrder::Relaxed),
-            // simlint: allow(relaxed-atomics) -- stats snapshot of observational counter
-            redundant_wakes: self.ready.redundant_wakes.load(MemOrder::Relaxed),
+            wakes: self.ready.wakes.get(),
+            redundant_wakes: self.ready.redundant_wakes.get(),
             timer_events: core.timer_events,
             timers_set: core.timers_set,
             timers_cancelled: core.timers_cancelled,
@@ -467,7 +525,7 @@ impl Sim {
     }
 
     /// Whether the pipeline cut-through fast path is enabled.
-    pub fn fast_path_enabled(&self) -> bool {
+    pub(crate) fn fast_path_enabled(&self) -> bool {
         self.core.borrow().fast_path_enabled
     }
 
@@ -528,7 +586,7 @@ impl Sim {
 
     /// The currently installed fault-plane fingerprint (0 = no active
     /// plane).
-    pub fn fault_fingerprint(&self) -> u64 {
+    pub(crate) fn fault_fingerprint(&self) -> u64 {
         self.core.borrow().fault_fp
     }
 
@@ -541,9 +599,8 @@ impl Sim {
     }
 
     /// Record a fault injected by a [`crate::fault::FaultPlane`] (a drop,
-    /// corruption or delay decision). Public because the fabric crates own
-    /// their recovery engines and judge transfers from outside `simnet`.
-    pub fn note_fault_injected(&self) {
+    /// corruption or delay decision).
+    pub(crate) fn note_fault_injected(&self) {
         self.core.borrow_mut().faults_injected += 1;
     }
 
@@ -612,17 +669,10 @@ impl Sim {
         self.core.borrow().trace_digest
     }
 
-    /// How many fired timers shared their deadline with the previously
-    /// fired one — the size of the schedule-perturbation surface. 0 means
-    /// a salt cannot change anything.
-    pub fn tie_fires(&self) -> u64 {
-        self.core.borrow().tie_fires
-    }
-
     /// Spawn a task whose output the returned [`JoinHandle`] yields. It
-    /// will not run until the executor is driven by [`Sim::block_on`] or
-    /// [`Sim::run_until_quiescent`]. A caller that drops the handle wants
-    /// [`Sim::spawn_detached`], which skips the result slot.
+    /// will not run until the executor is driven, e.g. by [`Sim::block_on`].
+    /// A caller that drops the handle wants [`Sim::spawn_detached`], which
+    /// skips the result slot.
     pub fn spawn<F>(&self, fut: F) -> JoinHandle<F::Output>
     where
         F: Future + 'static,
@@ -691,9 +741,11 @@ impl Sim {
                 ready: Arc::clone(&self.ready),
             });
             slot.state = TaskState::Occupied(TaskEntry {
-                fut: Some(fut),
-                joiner,
-                waker: Waker::from(Arc::clone(&shared)),
+                body: Some(TaskBody {
+                    fut,
+                    joiner,
+                    waker: Waker::from(Arc::clone(&shared)),
+                }),
                 shared,
                 repoll: false,
             });
@@ -711,7 +763,7 @@ impl Sim {
     /// already in the past).
     pub fn sleep_until(&self, at: SimTime) -> Sleep {
         Sleep {
-            sim: self.clone(),
+            core: Rc::clone(&self.core),
             at,
             key: None,
         }
@@ -761,14 +813,15 @@ impl Sim {
 
     /// Drive the simulation until no task is runnable and no timer is
     /// pending. Returns the final virtual time.
-    pub fn run_until_quiescent(&self) -> SimTime {
+    #[cfg(test)]
+    pub(crate) fn run_until_quiescent(&self) -> SimTime {
         self.drive(|_| false);
         self.now()
     }
 
     /// Drive the simulation up to (but excluding) virtual time `bound`:
     /// drain the ready queue, then fire timers strictly below `bound`,
-    /// exactly as [`Sim::run_until_quiescent`] would have fired them.
+    /// exactly as an unbounded run would have fired them.
     ///
     /// Returns the deadline of the earliest still-pending heap entry
     /// (`>= bound`), or `None` if the shard is quiescent. The returned
@@ -781,11 +834,9 @@ impl Sim {
     /// lookahead loop: events below the bound cannot be affected by
     /// cross-shard traffic that has not arrived yet, so each shard may
     /// process them without synchronization.
-    pub fn run_until_horizon(&self, bound: SimTime) -> Option<SimTime> {
+    pub(crate) fn run_until_horizon(&self, bound: SimTime) -> Option<SimTime> {
         loop {
-            while let Some(id) = self.ready.pop() {
-                self.poll_task(id);
-            }
+            self.run_ready();
             match self.pop_due_timer(Some(bound)) {
                 TimerPop::Quiescent => return None,
                 TimerPop::AtHorizon(at) => return Some(at),
@@ -802,11 +853,7 @@ impl Sim {
     /// returns true the loop exits early.
     fn drive(&self, mut done: impl FnMut(&Sim) -> bool) {
         loop {
-            // Drain the ready queue FIFO. Tasks woken while we drain are
-            // appended and handled in the same batch.
-            while let Some(id) = self.ready.pop() {
-                self.poll_task(id);
-            }
+            self.run_ready();
             if done(self) {
                 return;
             }
@@ -822,6 +869,25 @@ impl Sim {
         }
     }
 
+    /// Poll every runnable task, FIFO, until none is left. Tasks woken
+    /// meanwhile are appended and polled in the same pass.
+    fn run_ready(&self) {
+        while let Some(id) = self.next_ready() {
+            self.poll_task(id);
+        }
+    }
+
+    /// Pop the next runnable id. When `run_queue` is empty, refill it with
+    /// everything `Waker`s queued since the last refill: one lock, a swap
+    /// of two `VecDeque`s, no copying.
+    fn next_ready(&self) -> Option<TaskId> {
+        let mut core = self.core.borrow_mut();
+        if core.run_queue.is_empty() {
+            std::mem::swap(&mut *self.ready.lock(), &mut core.run_queue);
+        }
+        core.run_queue.pop_front()
+    }
+
     /// Advance virtual time to the next timer and fire it. Exactly one heap
     /// entry is consumed per call so that, when several timers share an
     /// instant, each sleeper's continuation runs to exhaustion before the
@@ -829,7 +895,8 @@ impl Sim {
     /// us was validated against. With `bound` set, entries at or past the
     /// bound are left in place and reported instead of fired.
     fn pop_due_timer(&self, bound: Option<SimTime>) -> TimerPop {
-        let mut core = self.core.borrow_mut();
+        let mut guard = self.core.borrow_mut();
+        let core = &mut *guard;
         let Some(&head) = core.timers.peek() else {
             return TimerPop::Quiescent;
         };
@@ -841,37 +908,40 @@ impl Sim {
         let entry = core.timers.pop().expect("peeked timer vanished");
         debug_assert!(entry.at >= core.now, "timer heap went backwards");
         core.now = core.now.max(entry.at);
-        let idx = entry.key.index as usize;
-        if core.timer_slots[idx].gen != entry.key.gen {
+        let slot = &mut core.timer_slots[entry.key.index as usize];
+        if slot.gen != entry.key.gen {
             debug_assert!(false, "timer heap entry outlived its slot");
             return TimerPop::Fired(None);
         }
-        let free = core.timer_free;
-        let slot = &mut core.timer_slots[idx];
         match std::mem::replace(&mut slot.state, TimerState::Fired) {
-            TimerState::Pending { waker } => {
+            TimerState::Pending { waiter } => {
                 core.timer_events += 1;
                 // Event-ordering trace: digest `(deadline, seq)` in
-                // firing order, and count same-instant tie members —
-                // the only events a perturbation salt can reorder.
-                if let Some((prev_at, _)) = core.last_fired {
-                    if prev_at == entry.at {
-                        core.tie_fires += 1;
-                    }
-                }
+                // firing order.
                 core.trace_digest =
                     fnv1a_u64(fnv1a_u64(core.trace_digest, entry.at.as_nanos()), entry.seq);
                 core.last_fired = Some((entry.at, entry.armed));
-                TimerPop::Fired(waker)
+                match waiter {
+                    Waiter::Task(id) => {
+                        // Timers fire only once both queues have drained, so
+                        // queuing the id here puts it exactly where the
+                        // task's `Waker::wake` would have.
+                        debug_assert!(
+                            core.run_queue.is_empty() && self.ready.lock().is_empty(),
+                            "a timer fired with tasks still runnable"
+                        );
+                        core.wake_task(id, &self.ready);
+                        TimerPop::Fired(None)
+                    }
+                    Waiter::Waker(w) => TimerPop::Fired(Some(w)),
+                }
             }
             TimerState::Cancelled => {
                 // Lazy cancellation: reclaim the slot now that its
                 // heap entry is gone. Time still advanced to
                 // `entry.at` above, exactly as the seed executor did
                 // for orphaned timers.
-                slot.gen = slot.gen.wrapping_add(1);
-                slot.state = TimerState::Vacant { next_free: free };
-                core.timer_free = Some(entry.key.index);
+                core.free_timer(entry.key.index);
                 TimerPop::Fired(None)
             }
             other => {
@@ -883,10 +953,11 @@ impl Sim {
     }
 
     fn poll_task(&self, id: TaskId) {
-        // Check the future out of the slab so the task body may re-borrow
-        // the core (spawn, sleep, wake) without RefCell re-entrancy.
-        let (mut fut, joiner, waker) = {
-            let mut core = self.core.borrow_mut();
+        // Check the body out of the slab so the task may re-borrow the core
+        // (spawn, sleep, wake) without RefCell re-entrancy.
+        let (body, outer) = {
+            let mut guard = self.core.borrow_mut();
+            let core = &mut *guard;
             let Some(slot) = core.tasks.get_mut(id.index as usize) else {
                 return;
             };
@@ -896,34 +967,36 @@ impl Sim {
             let TaskState::Occupied(entry) = &mut slot.state else {
                 return;
             };
-            match entry.fut.take() {
-                Some(fut) => {
-                    // Clear the flag *before* polling: a wake that lands
-                    // mid-poll must re-enqueue the task.
-                    // simlint: allow(relaxed-atomics) -- wake-coalescing flag, single-threaded executor
-                    entry.shared.scheduled.store(false, MemOrder::Relaxed);
-                    let waker = entry.waker.clone();
-                    let joiner = entry.joiner.take();
-                    core.polls += 1;
-                    (fut, joiner, waker)
-                }
-                None => {
-                    // Checked out by an outer poll (re-entrant drive). Mark
-                    // for re-enqueue when that poll restores the future, so
-                    // the wake this queue entry represents is not lost.
-                    entry.repoll = true;
-                    return;
-                }
-            }
+            let Some(body) = entry.body.take() else {
+                // Checked out by an outer poll (re-entrant drive). Mark for
+                // re-enqueue when that poll restores the body, so the wake
+                // this queue entry represents is not lost.
+                entry.repoll = true;
+                return;
+            };
+            // Clear the flag *before* polling: a wake that lands mid-poll
+            // must re-enqueue the task.
+            entry.shared.set_scheduled(false);
+            let shared = Arc::as_ptr(&entry.shared).cast::<()>();
+            core.polls += 1;
+            (body, core.polling.replace((id, shared)))
         };
-        let mut cx = Context::from_waker(&waker);
-        match fut.as_mut().poll_task(&mut cx, joiner.as_deref()) {
+        let TaskBody {
+            mut fut,
+            joiner,
+            waker,
+        } = body;
+        let poll = fut
+            .as_mut()
+            .poll_task(&mut Context::from_waker(&waker), joiner.as_deref());
+        match poll {
             Poll::Ready(()) => {
                 // The future goes before its joiner is told, the order a
                 // wrapper that awaited it and then sent the output had.
                 drop(fut);
                 {
                     let mut core = self.core.borrow_mut();
+                    core.polling = outer;
                     core.live_tasks -= 1;
                     let free = core.task_free;
                     let slot = &mut core.tasks[id.index as usize];
@@ -937,79 +1010,110 @@ impl Sim {
             }
             Poll::Pending => {
                 let mut core = self.core.borrow_mut();
+                core.polling = outer;
                 let TaskState::Occupied(entry) = &mut core.tasks[id.index as usize].state else {
                     unreachable!("pending task's slot vanished during poll");
                 };
-                entry.fut = Some(fut);
-                entry.joiner = joiner;
+                entry.body = Some(TaskBody { fut, joiner, waker });
                 if entry.repoll {
                     entry.repoll = false;
-                    // simlint: allow(relaxed-atomics) -- wake-coalescing flag, single-threaded executor
-                    entry.shared.scheduled.store(true, MemOrder::Relaxed);
+                    entry.shared.set_scheduled(true);
                     drop(core);
                     self.ready.push(id);
                 }
             }
         }
     }
+}
 
-    /// Arm a timer at `(at, next seq)` backed by a pooled slot holding the
-    /// sleeper's waker. Returns the slot key for [`Sleep`] to poll/free.
-    fn register_timer(&self, at: SimTime, waker: Waker) -> TimerKey {
-        let mut core = self.core.borrow_mut();
-        core.timers_set += 1;
-        let index = match core.timer_free {
+impl Core {
+    /// The task being polled, if `waker` is that task's own cached waker.
+    fn own_task(&self, waker: &Waker) -> Option<TaskId> {
+        let (id, shared) = self.polling?;
+        std::ptr::eq(waker.data(), shared).then_some(id)
+    }
+
+    /// Wake task `id` as its `Waker` would, counting the wake and queuing
+    /// the id on `run_queue` if the task was idle. A task that has since
+    /// completed (slot vacant or recycled) counts the wake and is not
+    /// queued.
+    fn wake_task(&mut self, id: TaskId, ready: &ReadyQueue) {
+        match self.tasks.get(id.index as usize) {
+            Some(TaskSlot {
+                gen,
+                state: TaskState::Occupied(entry),
+            }) if *gen == id.gen => {
+                if entry.shared.note_wake() {
+                    self.run_queue.push_back(id);
+                }
+            }
+            _ => ready.wakes.bump(),
+        }
+    }
+
+    /// Arm a timer at `(at, next seq)` backed by a pooled slot holding whom
+    /// it wakes. Returns the slot key for [`Sleep`] to poll/free.
+    fn register_timer(&mut self, at: SimTime, waiter: Waiter) -> TimerKey {
+        self.timers_set += 1;
+        let index = match self.timer_free {
             Some(i) => {
-                let TimerState::Vacant { next_free } = core.timer_slots[i as usize].state else {
+                let TimerState::Vacant { next_free } = self.timer_slots[i as usize].state else {
                     unreachable!("timer free list points at occupied slot");
                 };
-                core.timer_free = next_free;
+                self.timer_free = next_free;
                 i
             }
             None => {
-                core.timer_slots.push(TimerSlot {
+                self.timer_slots.push(TimerSlot {
                     gen: 0,
                     state: TimerState::Vacant { next_free: None },
                 });
-                u32::try_from(core.timer_slots.len() - 1).expect("timer slab outgrew u32 indices")
+                u32::try_from(self.timer_slots.len() - 1).expect("timer slab outgrew u32 indices")
             }
         };
-        let slot = &mut core.timer_slots[index as usize];
-        slot.state = TimerState::Pending { waker: Some(waker) };
+        let slot = &mut self.timer_slots[index as usize];
+        slot.state = TimerState::Pending { waiter };
         let key = TimerKey {
             index,
             gen: slot.gen,
         };
-        let seq = core.next_timer_seq;
-        core.next_timer_seq += 1;
-        let ord = scramble_ord(seq, core.tie_salt);
-        let armed = core.now;
-        core.timers.push(TimerEntry {
+        let seq = self.next_timer_seq;
+        self.next_timer_seq += 1;
+        self.timers.push(TimerEntry {
             at,
             seq,
-            ord,
+            ord: scramble_ord(seq, self.tie_salt),
             key,
-            armed,
+            armed: self.now,
         });
         key
     }
 
-    /// Free a timer slot whose heap entry has already popped (state Fired).
-    fn free_fired_timer(&self, key: TimerKey) {
-        let mut core = self.core.borrow_mut();
-        let free = core.timer_free;
-        let slot = &mut core.timer_slots[key.index as usize];
-        debug_assert_eq!(slot.gen, key.gen, "freeing a recycled timer slot");
-        debug_assert!(matches!(slot.state, TimerState::Fired));
+    /// Return timer slot `index` to the free list under a new generation.
+    fn free_timer(&mut self, index: u32) {
+        let slot = &mut self.timer_slots[index as usize];
         slot.gen = slot.gen.wrapping_add(1);
-        slot.state = TimerState::Vacant { next_free: free };
-        core.timer_free = Some(key.index);
+        slot.state = TimerState::Vacant {
+            next_free: self.timer_free,
+        };
+        self.timer_free = Some(index);
+    }
+}
+
+impl Waiter {
+    /// `Task(id)` when `waker` is task `id`'s own (see [`Core::own_task`]),
+    /// else a clone of `waker`.
+    fn new(own: Option<TaskId>, waker: &Waker) -> Self {
+        match own {
+            Some(id) => Waiter::Task(id),
+            None => Waiter::Waker(waker.clone()),
+        }
     }
 }
 
 /// Future returned by [`Sim::sleep`] / [`Sim::sleep_until`].
 pub struct Sleep {
-    sim: Sim,
+    core: Rc<RefCell<Core>>,
     at: SimTime,
     key: Option<TimerKey>,
 }
@@ -1018,59 +1122,56 @@ impl Future for Sleep {
     type Output = ();
 
     fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
-        if let Some(key) = self.key {
-            let fired = {
-                let mut core = self.sim.core.borrow_mut();
-                let slot = &mut core.timer_slots[key.index as usize];
-                debug_assert_eq!(slot.gen, key.gen, "sleep outlived its timer slot");
-                match &mut slot.state {
-                    TimerState::Fired => true,
-                    TimerState::Pending { waker } => {
-                        // Re-registration only matters when a combinator
-                        // polls with a different task's waker; the common
-                        // same-task re-poll skips the clone.
-                        if !waker.as_ref().is_some_and(|w| w.will_wake(cx.waker())) {
-                            *waker = Some(cx.waker().clone());
-                        }
-                        false
-                    }
-                    _ => unreachable!("armed sleep found vacant/cancelled slot"),
-                }
-            };
-            if fired {
-                self.sim.free_fired_timer(key);
-                self.key = None;
+        let this = &mut *self;
+        let mut guard = this.core.borrow_mut();
+        let core = &mut *guard;
+        let own = core.own_task(cx.waker());
+        let Some(key) = this.key else {
+            if core.now >= this.at {
                 return Poll::Ready(());
             }
+            this.key = Some(core.register_timer(this.at, Waiter::new(own, cx.waker())));
             return Poll::Pending;
+        };
+        let slot = &mut core.timer_slots[key.index as usize];
+        debug_assert_eq!(slot.gen, key.gen, "sleep outlived its timer slot");
+        match &mut slot.state {
+            TimerState::Fired => {
+                core.free_timer(key.index);
+                this.key = None;
+                Poll::Ready(())
+            }
+            TimerState::Pending { waiter } => {
+                // A re-poll by the same task, or under the same waker, keeps
+                // the waiter; any other waker re-targets the timer.
+                let same = match waiter {
+                    Waiter::Task(id) => own == Some(*id),
+                    Waiter::Waker(w) => w.will_wake(cx.waker()),
+                };
+                if !same {
+                    *waiter = Waiter::new(own, cx.waker());
+                }
+                Poll::Pending
+            }
+            _ => unreachable!("armed sleep found vacant/cancelled slot"),
         }
-        if self.sim.now() >= self.at {
-            return Poll::Ready(());
-        }
-        let key = self.sim.register_timer(self.at, cx.waker().clone());
-        self.key = Some(key);
-        Poll::Pending
     }
 }
 
 impl Drop for Sleep {
     fn drop(&mut self) {
         let Some(key) = self.key.take() else { return };
-        let mut core = self.sim.core.borrow_mut();
-        let free = core.timer_free;
+        let mut guard = self.core.borrow_mut();
+        let core = &mut *guard;
         let slot = &mut core.timer_slots[key.index as usize];
         if slot.gen != key.gen {
             return;
         }
         match slot.state {
-            TimerState::Fired => {
-                // Heap entry already popped: reclaim immediately.
-                slot.gen = slot.gen.wrapping_add(1);
-                slot.state = TimerState::Vacant { next_free: free };
-                core.timer_free = Some(key.index);
-            }
+            // Heap entry already popped: reclaim immediately.
+            TimerState::Fired => core.free_timer(key.index),
             TimerState::Pending { .. } => {
-                // Lazy cancel: drop the waker now, let the heap entry
+                // Lazy cancel: drop the waiter now, let the heap entry
                 // reclaim the slot when it pops.
                 slot.state = TimerState::Cancelled;
                 core.timers_cancelled += 1;
@@ -1124,15 +1225,14 @@ impl<T: 'static> Joiner for JoinSlot<T> {
 
 /// Handle to a spawned task's result.
 ///
-/// Await it inside the simulation, or use [`JoinHandle::try_take`] from
-/// outside the executor loop.
+/// Await it inside the simulation, or hand it to [`Sim::block_on`].
 pub struct JoinHandle<T> {
     slot: Rc<JoinSlot<T>>,
 }
 
 impl<T> JoinHandle<T> {
     /// Non-blocking: returns the task output if it has completed.
-    pub fn try_take(&self, _sim: &Sim) -> Option<T> {
+    pub(crate) fn try_take(&self, _sim: &Sim) -> Option<T> {
         self.slot.value.take()
     }
 }
@@ -1423,8 +1523,7 @@ mod tests {
             // Race a short sleep against a long one; the loser is dropped.
             let short = s.sleep(SimDuration::from_nanos(10));
             let long = s.sleep(SimDuration::from_micros(50));
-            let winner = crate::sync::select2(short, long).await;
-            assert!(matches!(winner, crate::sync::Either::Left(())));
+            assert!(race(short, long).await, "the short sleep wins");
         });
         // The long timer is cancelled but still in the heap; draining to
         // quiescence pops it and reclaims the slot.
@@ -1471,7 +1570,7 @@ mod tests {
         let TaskState::Occupied(entry) = &core.tasks[index].state else {
             panic!("task slot {index} is vacant");
         };
-        std::mem::size_of_val(&**entry.fut.as_ref().expect("future checked in"))
+        std::mem::size_of_val(&*entry.body.as_ref().expect("future checked in").fut)
     }
 
     #[test]
@@ -1590,5 +1689,224 @@ mod tests {
         assert_eq!(st.polls, 2);
         assert_eq!(st.tasks_live, 0);
         assert_eq!(st.timers_pending, 0);
+    }
+
+    /// Await whichever of `a` and `b` finishes first and drop the other;
+    /// true if `a` won.
+    async fn race(a: impl Future, b: impl Future) -> bool {
+        let (mut a, mut b) = (std::pin::pin!(a), std::pin::pin!(b));
+        std::future::poll_fn(|cx| {
+            if a.as_mut().poll(cx).is_ready() {
+                Poll::Ready(true)
+            } else if b.as_mut().poll(cx).is_ready() {
+                Poll::Ready(false)
+            } else {
+                Poll::Pending
+            }
+        })
+        .await
+    }
+
+    /// Poll `sleep` once with `cx`; it must still be pending.
+    fn arm(sleep: &mut Sleep, cx: &mut Context<'_>) {
+        assert!(Pin::new(sleep).poll(cx).is_pending());
+    }
+
+    #[test]
+    fn a_sleep_handed_to_another_task_wakes_that_task() {
+        let sim = Sim::new();
+        let (tx, rx) = crate::sync::oneshot::<Sleep>();
+        // A arms the sleep under its own waker, hands it over and parks.
+        let a_polls = Rc::new(Cell::new(0u32));
+        let (s, polls) = (sim.clone(), Rc::clone(&a_polls));
+        let mut handoff = Some(tx);
+        sim.spawn_detached(std::future::poll_fn(move |cx| {
+            polls.set(polls.get() + 1);
+            if let Some(tx) = handoff.take() {
+                let mut sleep = s.sleep(SimDuration::from_nanos(50));
+                arm(&mut sleep, cx);
+                tx.send(sleep);
+            }
+            Poll::Pending
+        }));
+        let s = sim.clone();
+        let woke_at = sim.block_on(async move {
+            rx.await.expect("A sends the sleep").await;
+            s.now()
+        });
+        assert_eq!(woke_at.as_nanos(), 50, "B is woken when the timer fires");
+        assert_eq!(a_polls.get(), 1, "A, which armed the timer, is not woken");
+    }
+
+    /// A waker from outside the executor that counts its wakes.
+    #[derive(Default)]
+    struct CountingWake(AtomicU64);
+
+    impl CountingWake {
+        fn count(&self) -> u64 {
+            self.0.load(MemOrder::SeqCst)
+        }
+    }
+
+    impl Wake for CountingWake {
+        fn wake(self: Arc<Self>) {
+            self.wake_by_ref();
+        }
+
+        fn wake_by_ref(self: &Arc<Self>) {
+            self.0.store(self.count() + 1, MemOrder::SeqCst);
+        }
+    }
+
+    #[test]
+    fn a_sleep_polled_under_a_foreign_waker_wakes_that_waker_once() {
+        let sim = Sim::new();
+        let counter = Arc::new(CountingWake::default());
+        let parked = Rc::new(RefCell::new(None::<Sleep>));
+        // Polled by hand inside a task, so the executor is mid-poll of
+        // that task but the waker is not the task's own.
+        let (s, c, p) = (sim.clone(), Arc::clone(&counter), Rc::clone(&parked));
+        sim.block_on(async move {
+            let waker = Waker::from(c);
+            let mut cx = Context::from_waker(&waker);
+            let mut sleep = s.sleep(SimDuration::from_nanos(20));
+            arm(&mut sleep, &mut cx);
+            arm(&mut sleep, &mut cx);
+            *p.borrow_mut() = Some(sleep);
+        });
+        let wakes = sim.stats().wakes;
+        assert_eq!(sim.run_until_quiescent().as_nanos(), 20);
+        assert_eq!(counter.count(), 1, "the foreign waker is woken once");
+        assert_eq!(sim.stats().wakes, wakes, "no task was woken");
+        let mut sleep = parked.borrow_mut().take().expect("parked");
+        let waker = Waker::from(counter);
+        assert!(Pin::new(&mut sleep)
+            .poll(&mut Context::from_waker(&waker))
+            .is_ready());
+    }
+
+    #[test]
+    fn a_timer_armed_by_a_finished_task_does_not_wake_its_slots_next_occupant() {
+        let sim = Sim::new();
+        let orphan = Rc::new(RefCell::new(None::<Sleep>));
+        // A arms two timers addressed to itself by id: it drops one
+        // (cancelled) and leaves the other behind, then finishes.
+        let (s, o) = (sim.clone(), Rc::clone(&orphan));
+        sim.spawn_detached(std::future::poll_fn(move |cx| {
+            let mut cancelled = s.sleep(SimDuration::from_nanos(100));
+            let mut left = s.sleep(SimDuration::from_nanos(200));
+            arm(&mut cancelled, cx);
+            arm(&mut left, cx);
+            *o.borrow_mut() = Some(left);
+            Poll::Ready(())
+        }));
+        assert_eq!(
+            sim.run_until_horizon(SimTime::from_nanos(1)),
+            Some(SimTime::from_nanos(100))
+        );
+        assert_eq!(sim.stats().timers_cancelled, 1);
+        // B takes A's slot under the next generation and parks.
+        let polls = Rc::new(Cell::new(0u32));
+        sim.spawn(Probe {
+            polls: Rc::clone(&polls),
+            waker: Rc::new(RefCell::new(None)),
+            done: Rc::new(Cell::new(false)),
+        });
+        assert_eq!(sim.core.borrow().tasks.len(), 1, "B reuses A's slot");
+        assert_eq!(sim.run_until_quiescent().as_nanos(), 200);
+        assert_eq!(polls.get(), 1, "neither timer reaches B");
+        let st = sim.stats();
+        assert_eq!(st.timer_events, 1, "the cancelled timer does not fire");
+        assert_eq!(
+            (st.wakes, st.redundant_wakes),
+            (1, 0),
+            "the stale wake is counted"
+        );
+    }
+
+    /// Timers (with same-instant ties and a lost race), `Notify`, `mpsc`, a
+    /// `TaskGroup`, a joined task, a yield and a redundant wake in one
+    /// fixed run. Returns the counters and the order-trace digest.
+    fn mixed_run() -> ([u64; 7], u64) {
+        use crate::sync::{mpsc, Notify, TaskGroup};
+        let sim = Sim::new();
+        let notify = Notify::new();
+        let (tx, mut rx) = mpsc::<u64>();
+        let group = TaskGroup::new();
+        for i in 0..6u64 {
+            let (s, tx, n) = (sim.clone(), tx.clone(), notify.clone());
+            group.spawn(&sim, async move {
+                // All six tie at 10 ns, then three pairs tie again.
+                s.sleep(SimDuration::from_nanos(10)).await;
+                s.sleep(SimDuration::from_nanos(i % 3 * 5)).await;
+                tx.send(i).expect("consumer alive");
+                if i % 2 == 0 {
+                    n.notify_one();
+                }
+            });
+        }
+        drop(tx);
+        let s = sim.clone();
+        let consumer = sim.spawn(async move {
+            let mut sum = 0;
+            while let Some(v) = rx.recv().await {
+                sum += v;
+                s.sleep(SimDuration::from_nanos(3)).await;
+            }
+            sum
+        });
+        let (s, n) = (sim.clone(), notify);
+        sim.spawn_detached(async move {
+            for _ in 0..2 {
+                n.notified().await;
+                // A race the notification wins against a sleep it cancels.
+                let lost = s.sleep(SimDuration::from_nanos(1_000));
+                race(n.notified(), lost).await;
+                s.yield_now().await;
+                // Two wakes of a task already queued: one is redundant.
+                let mut woke = false;
+                std::future::poll_fn(|cx| {
+                    if std::mem::replace(&mut woke, true) {
+                        return Poll::Ready(());
+                    }
+                    cx.waker().wake_by_ref();
+                    cx.waker().wake_by_ref();
+                    Poll::Pending
+                })
+                .await;
+            }
+        });
+        let s = sim.clone();
+        let sum = sim.block_on(async move {
+            group.wait().await;
+            s.sleep(SimDuration::from_nanos(7)).await;
+            consumer.await
+        });
+        assert_eq!(sum, 15);
+        sim.run_until_quiescent();
+        let st = sim.stats();
+        (
+            [
+                st.polls,
+                st.wakes,
+                st.redundant_wakes,
+                st.timer_events,
+                st.timers_set,
+                st.timers_cancelled,
+                st.spawns,
+            ],
+            sim.order_trace_digest(),
+        )
+    }
+
+    #[test]
+    fn a_mixed_run_keeps_the_counters_and_order_trace_of_waking_through_wakers() {
+        // Taken from the executor in which every fired timer woke its task
+        // through a cloned `Waker`.
+        let (counts, digest) = mixed_run();
+        // [polls, wakes, redundant_wakes, timer_events, timers_set,
+        //  timers_cancelled, spawns]
+        assert_eq!(counts, [42, 35, 2, 18, 19, 1, 9]);
+        assert_eq!(digest, 0xaa68_052c_d448_5f7a);
     }
 }

@@ -35,12 +35,12 @@ use crate::executor::Sim;
 use crate::time::SimDuration;
 
 /// One million: the denominator of all fault rates.
-pub const PPM: u32 = 1_000_000;
+pub(crate) const PPM: u32 = 1_000_000;
 
 /// Fault-plane configuration. All rates are parts-per-million of judged
 /// transfer units; they are applied in drop → corrupt → delay priority from
 /// a single uniform draw, so `drop_ppm + corrupt_ppm + delay_ppm` must not
-/// exceed [`PPM`].
+/// exceed one million.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultConfig {
     /// Probability (ppm) that a judged unit is silently dropped.
@@ -136,7 +136,7 @@ impl FaultPlane {
     /// An active plane with the given configuration.
     ///
     /// # Panics
-    /// If the configured rates sum to more than [`PPM`].
+    /// If the configured rates sum to more than one million.
     pub fn new(config: FaultConfig) -> Self {
         let total = u64::from(config.drop_ppm)
             + u64::from(config.corrupt_ppm)
@@ -163,7 +163,7 @@ impl FaultPlane {
     /// disabled, a nonzero SplitMix64 mix of (seed, rates, delay) when
     /// enabled. Installed on the simulation by each fabric's
     /// `set_fault_plane` ([`Sim::set_fault_fingerprint`]) and folded into
-    /// every transfer memo key ([`crate::memo::MemoKey`]), so outcomes
+    /// every transfer memo key (`memo::MemoKey`), so outcomes
     /// cached under one fault regime can never replay under another.
     ///
     /// [`Sim::set_fault_fingerprint`]: crate::Sim::set_fault_fingerprint

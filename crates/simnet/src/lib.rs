@@ -41,7 +41,7 @@
 #![deny(clippy::cast_possible_truncation)]
 
 mod calendar;
-pub mod executor;
+mod executor;
 pub mod fault;
 pub mod memo;
 pub mod perturb;
@@ -50,13 +50,12 @@ pub mod shard;
 pub mod stats;
 pub mod sync;
 pub mod time;
-pub mod units;
+mod units;
 
 pub use executor::{JoinHandle, Sim};
 pub use fault::{FaultConfig, FaultDecision, FaultPlane};
-pub use memo::MemoKey;
-pub use pipe::{Link, Pipe, Pipeline, Stage};
-pub use shard::{CrossReceiver, CrossRecord, ShardCtx, ShardId, ShardOutcome, ShardedSim};
+pub use pipe::{Pipe, Pipeline, Stage};
+pub use shard::ShardedSim;
 pub use stats::SimStats;
 pub use time::{SimDuration, SimTime};
 pub use units::{ByteRate, Bytes};

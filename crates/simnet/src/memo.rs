@@ -21,7 +21,7 @@
 //!   fabric, endpoints, protocol mode, stage geometry and shard id are all
 //!   encoded by *which* cache is consulted — two paths can never observe
 //!   each other's entries.
-//! * **[`MemoKey`].** Within one cache, entries are keyed by the byte
+//! * **`MemoKey`.** Within one cache, entries are keyed by the byte
 //!   count, the per-segment header overhead, the simulation's tie-break
 //!   perturbation salt ([`Sim::tie_break_salt`]) and the active fault
 //!   plane's fingerprint ([`FaultPlane::fingerprint`]). The salt and fault
@@ -67,24 +67,24 @@ use std::sync::atomic::{AtomicBool, Ordering};
 /// per-call inputs. `tie_salt` and `fault_fp` must remain key fields — the
 /// `simlint` `memo-key` rule fails the build if either is removed.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
-pub struct MemoKey {
+pub(crate) struct MemoKey {
     /// Message payload length.
-    pub bytes: Bytes,
+    pub(crate) bytes: Bytes,
     /// Per-segment header overhead.
-    pub overhead: Bytes,
+    pub(crate) overhead: Bytes,
     /// The simulation's schedule-perturbation salt
     /// ([`crate::Sim::tie_break_salt`]); 0 in production runs.
-    pub tie_salt: u64,
+    pub(crate) tie_salt: u64,
     /// Fingerprint of the active fault plane
     /// ([`crate::FaultPlane::fingerprint`]); 0 when faults are disabled.
-    pub fault_fp: u64,
+    pub(crate) fault_fp: u64,
 }
 
 /// Maximum entries per pipeline cache. Steady-state workloads use a
 /// handful of distinct message sizes per path; the cap only matters for
 /// adversarial size sweeps, where oldest-key eviction (counted in
 /// `SimStats::memo_evictions`) keeps memory bounded.
-pub const MEMO_CAPACITY: usize = 128;
+pub(crate) const MEMO_CAPACITY: usize = 128;
 
 /// Process-wide default for whether new [`Sim`]s enable the transfer
 /// memo. `true` unless [`set_default_enabled`] turned it off (e.g. the
@@ -104,7 +104,7 @@ pub fn set_default_enabled(enabled: bool) {
 }
 
 /// The process-wide default transfer-memo setting.
-pub fn default_enabled() -> bool {
+pub(crate) fn default_enabled() -> bool {
     DEFAULT_ENABLED.load(Ordering::SeqCst)
 }
 

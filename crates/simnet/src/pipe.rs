@@ -6,11 +6,10 @@
 //! `n` bytes occupies the pipe for `n / bandwidth` (plus a fixed per-transfer
 //! overhead), which is the standard store-and-forward service model.
 //!
-//! A [`Link`] is a pipe plus propagation latency. A [`Pipeline`] chains
-//! stages and moves a message through them at *segment* granularity, so a
-//! long message overlaps its own stages the way wormhole/cut-through
-//! hardware does — this is what produces realistic `1/(a + b/m)` bandwidth
-//! curves without closed-form shortcuts.
+//! A [`Pipeline`] chains stages and moves a message through them at
+//! *segment* granularity, so a long message overlaps its own stages the
+//! way wormhole/cut-through hardware does — this is what produces
+//! realistic `1/(a + b/m)` bandwidth curves without closed-form shortcuts.
 
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
@@ -74,7 +73,7 @@ impl Pipe {
     }
 
     /// Two handles to the same underlying resource?
-    pub fn same_resource(&self, other: &Pipe) -> bool {
+    pub(crate) fn same_resource(&self, other: &Pipe) -> bool {
         Rc::ptr_eq(&self.state, &other.state)
     }
 
@@ -117,7 +116,7 @@ impl Pipe {
 
     /// Service time for `bytes` on this pipe (overhead + serialization),
     /// without reserving anything.
-    pub fn service_time(&self, bytes: Bytes) -> SimDuration {
+    pub(crate) fn service_time(&self, bytes: Bytes) -> SimDuration {
         self.state.per_transfer_overhead + bytes / self.state.rate
     }
 
@@ -143,7 +142,7 @@ impl Pipe {
     /// `bytes` (one per-transfer overhead each, one contiguous occupancy).
     /// Used by [`Pipeline`] to move segment batches without paying one
     /// scheduling event per segment.
-    pub fn reserve_n(
+    pub(crate) fn reserve_n(
         &self,
         earliest: SimTime,
         bytes: Bytes,
@@ -223,42 +222,6 @@ impl Pipe {
     pub fn total_transfers(&self) -> u64 {
         self.sync_speculation_reads();
         self.state.transfers.get()
-    }
-}
-
-/// A pipe with propagation latency: serialize, then travel.
-#[derive(Clone, Debug)]
-pub struct Link {
-    pipe: Pipe,
-    latency: SimDuration,
-    sim: Sim,
-}
-
-impl Link {
-    /// Create a link with `rate` bandwidth and fixed propagation
-    /// `latency` (cable + receiver clock recovery, or switch port-to-port).
-    pub fn new(sim: &Sim, rate: ByteRate, latency: SimDuration) -> Self {
-        Link {
-            pipe: Pipe::new(sim, rate, SimDuration::ZERO),
-            latency,
-            sim: sim.clone(),
-        }
-    }
-
-    /// The serializing pipe underneath this link.
-    pub fn pipe(&self) -> &Pipe {
-        &self.pipe
-    }
-
-    /// Propagation latency.
-    pub fn latency(&self) -> SimDuration {
-        self.latency
-    }
-
-    /// Transfer `bytes`: serialize onto the wire FIFO, then propagate.
-    pub async fn transfer(&self, bytes: Bytes) {
-        let (_s, end) = self.pipe.reserve(self.sim.now(), bytes);
-        self.sim.sleep_until(end + self.latency).await;
     }
 }
 
@@ -489,24 +452,15 @@ impl Pipeline {
         &self.stages
     }
 
-    /// Sum of the per-stage forwarding latencies: a strict lower bound on
-    /// the end-to-end delivery time of any byte through this pipeline
-    /// (serialization only adds to it). This is the quantity the sharded
-    /// engine uses as its conservative-lookahead window when a pipeline
-    /// spans two shards — no cross-shard event can arrive sooner than the
-    /// wire's propagation floor, so each shard may safely advance that far
-    /// past the global minimum next-event time (see [`crate::shard`]).
-    pub fn floor_latency(&self) -> SimDuration {
-        self.stages
-            .iter()
-            .fold(SimDuration::ZERO, |acc, s| acc + s.latency)
-    }
-
     /// Compute and reserve the passage of a `bytes`-long message (plus
     /// `per_segment_overhead_bytes` of headers on every segment) through all
     /// stages, starting now. Returns the completion time at the pipeline
     /// exit without sleeping — used when the caller wants to overlap.
-    pub fn reserve_message(&self, bytes: Bytes, per_segment_overhead_bytes: Bytes) -> SimTime {
+    pub(crate) fn reserve_message(
+        &self,
+        bytes: Bytes,
+        per_segment_overhead_bytes: Bytes,
+    ) -> SimTime {
         let now = self.sim.now();
         let nsegs = bytes.div_ceil(self.segment).max(1);
         let mut exit = now;
@@ -1312,18 +1266,6 @@ mod tests {
         });
         assert_eq!(pipe.total_transfers(), 1);
         assert_eq!(pipe.total_bytes(), 100);
-    }
-
-    #[test]
-    fn link_adds_propagation_after_serialization() {
-        let sim = Sim::new();
-        let link = Link::new(&sim, gbps(10), us(1));
-        let l = link;
-        let s = sim.clone();
-        sim.block_on(async move {
-            l.transfer(b(1250)).await; // 1 µs wire + 1 µs propagation
-            assert_eq!(s.now().as_nanos(), 2_000);
-        });
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //!    links): nothing anyone can still send arrives at `s` below `B[s]`,
 //!    so events below it are closed under cross-shard influence. Each
 //!    shard with work below its bound runs
-//!    [`Sim::run_until_horizon`]`(B[s])` on its owning worker thread,
+//!    `Sim::run_until_horizon(B[s])` on its owning worker thread,
 //!    buffering outgoing cross-shard events; shards with nothing to do
 //!    are skipped without a thread hand-off.
 //! 4. At the barrier the coordinator collects the buffered events and
@@ -939,7 +939,6 @@ impl<M: Send + 'static, R: Send + 'static> Coordinator<'_, M, R> {
         }
 
         let mut results = Vec::with_capacity(self.shard_count);
-        let mut per_shard = Vec::with_capacity(self.shard_count);
         let mut end = SimTime::ZERO;
         let mut agg = SimStats::default();
         let mut incomplete = Vec::new();
@@ -950,7 +949,6 @@ impl<M: Send + 'static, R: Send + 'static> Coordinator<'_, M, R> {
             // *intra*-shard ordering too, not just the merge.
             trace_digest = crate::executor::fnv1a_u64(trace_digest, f.trace);
             agg.absorb(&f.stats);
-            per_shard.push(f.stats);
             end = end.max(f.end);
             match f.result {
                 Some(r) => results.push(r),
@@ -971,7 +969,6 @@ impl<M: Send + 'static, R: Send + 'static> Coordinator<'_, M, R> {
         Ok(ShardOutcome {
             results,
             stats: agg,
-            per_shard,
             end,
             lookahead: self.lookahead,
             trace_digest,
@@ -993,8 +990,6 @@ pub struct ShardOutcome<R> {
     /// `cross_shard_events`, `lookahead_rounds`, `merge_queue_peak`) set
     /// from the coordinator's own bookkeeping.
     pub stats: SimStats,
-    /// Raw per-shard snapshots, indexed by shard id.
-    pub per_shard: Vec<SimStats>,
     /// Latest virtual end time across the shards.
     pub end: SimTime,
     /// The conservative lookahead window used (minimum declared link
@@ -1230,8 +1225,6 @@ mod tests {
         assert_eq!(out.results, vec![0, 7]);
         assert_eq!(out.stats.shards, 2);
         assert_eq!(out.stats.cross_shard_events, 1);
-        assert_eq!(out.per_shard.len(), 2);
-        assert_eq!(out.per_shard[1].cross_shard_events, 1);
         assert_eq!(out.stats.merge_queue_peak, 1);
         assert_eq!(out.end.as_nanos(), 5_000);
         assert_eq!(out.trace.len(), 1);

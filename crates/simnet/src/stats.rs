@@ -14,7 +14,8 @@ pub struct SimStats {
     pub spawns: u64,
     /// Task polls executed (each is one scheduling event).
     pub polls: u64,
-    /// `Waker::wake` calls observed.
+    /// Wakes observed: `Waker::wake` calls, plus fired timers that wake
+    /// the task which armed them by id.
     pub wakes: u64,
     /// Wakes coalesced away because the task was already scheduled.
     pub redundant_wakes: u64,
@@ -102,7 +103,7 @@ impl SimStats {
     /// executor snapshots into one run-level view (which then overrides
     /// `shards`, `lookahead_rounds` and `merge_queue_peak` with
     /// coordinator-level values).
-    pub fn absorb(&mut self, other: &SimStats) {
+    pub(crate) fn absorb(&mut self, other: &SimStats) {
         self.spawns += other.spawns;
         self.polls += other.polls;
         self.wakes += other.wakes;
@@ -144,7 +145,7 @@ impl Counter {
 
     /// Add `n` to the counter.
     #[inline]
-    pub fn add(&self, n: u64) {
+    pub(crate) fn add(&self, n: u64) {
         self.0.set(self.0.get() + n);
     }
 
@@ -158,12 +159,6 @@ impl Counter {
     #[inline]
     pub fn get(&self) -> u64 {
         self.0.get()
-    }
-
-    /// Reset to zero (between benchmark phases).
-    #[inline]
-    pub fn reset(&self) {
-        self.0.set(0);
     }
 }
 
@@ -208,8 +203,7 @@ mod tests {
         c.inc();
         c2.add(4);
         assert_eq!(c.get(), 5);
-        c.reset();
-        assert_eq!(c2.get(), 0);
+        assert_eq!(c2.get(), 5);
     }
 
     #[test]

@@ -73,13 +73,6 @@ impl<T> Drop for OneshotSender<T> {
     }
 }
 
-impl<T> OneshotReceiver<T> {
-    /// Non-blocking probe for the value.
-    pub fn try_recv(&self) -> Option<T> {
-        self.state.borrow_mut().value.take()
-    }
-}
-
 impl<T> Future for OneshotReceiver<T> {
     type Output = Option<T>;
 
@@ -516,33 +509,6 @@ impl TaskGroup {
 // ---------------------------------------------------------------------------
 // join helpers
 // ---------------------------------------------------------------------------
-
-/// Outcome of [`select2`]: which future won the race.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Either<A, B> {
-    /// The first future completed first.
-    Left(A),
-    /// The second future completed first.
-    Right(B),
-}
-
-/// Await whichever future completes first and drop the loser (cancelling
-/// any resources it holds — e.g. a pending [`crate::executor::Sleep`]
-/// timer, which is reclaimed lazily by the executor).
-pub async fn select2<A: Future, B: Future>(a: A, b: B) -> Either<A::Output, B::Output> {
-    let mut a = Box::pin(a);
-    let mut b = Box::pin(b);
-    std::future::poll_fn(move |cx| {
-        if let Poll::Ready(v) = a.as_mut().poll(cx) {
-            return Poll::Ready(Either::Left(v));
-        }
-        if let Poll::Ready(v) = b.as_mut().poll(cx) {
-            return Poll::Ready(Either::Right(v));
-        }
-        Poll::Pending
-    })
-    .await
-}
 
 /// Await two futures concurrently, returning both outputs.
 pub async fn join2<A: Future, B: Future>(a: A, b: B) -> (A::Output, B::Output) {

@@ -55,7 +55,7 @@ impl SimTime {
 
     /// The later of two instants.
     #[inline]
-    pub fn max(self, other: SimTime) -> SimTime {
+    pub(crate) fn max(self, other: SimTime) -> SimTime {
         SimTime(self.0.max(other.0))
     }
 }
@@ -65,7 +65,7 @@ impl SimDuration {
     pub const ZERO: SimDuration = SimDuration(0);
 
     /// The longest span (saturation point): an unbounded gap.
-    pub const MAX: SimDuration = SimDuration(u64::MAX);
+    pub(crate) const MAX: SimDuration = SimDuration(u64::MAX);
 
     /// Construct from nanoseconds.
     #[inline]
@@ -83,12 +83,6 @@ impl SimDuration {
     #[inline]
     pub const fn from_millis(ms: u64) -> Self {
         SimDuration(ms.saturating_mul(1_000_000))
-    }
-
-    /// Construct from whole seconds.
-    #[inline]
-    pub const fn from_secs(s: u64) -> Self {
-        SimDuration(s.saturating_mul(1_000_000_000))
     }
 
     /// Construct from fractional seconds; negative values clamp to zero.
@@ -115,22 +109,6 @@ impl SimDuration {
         SimDuration((s.max(0.0) * 1e9).round() as u64)
     }
 
-    /// Construct from fractional microseconds; negative values clamp to
-    /// zero. Same finiteness contract as [`SimDuration::from_secs_f64`]:
-    /// debug builds assert on NaN/infinity, release builds clamp.
-    #[inline]
-    #[allow(
-        clippy::cast_possible_truncation,
-        reason = "deliberate saturating float-to-int conversion"
-    )]
-    pub fn from_micros_f64(us: f64) -> Self {
-        debug_assert!(
-            us.is_finite(),
-            "SimDuration::from_micros_f64 requires a finite span, got {us}"
-        );
-        SimDuration((us.max(0.0) * 1e3).round() as u64)
-    }
-
     /// Raw nanosecond count.
     #[inline]
     pub const fn as_nanos(self) -> u64 {
@@ -155,21 +133,6 @@ impl SimDuration {
         self.0 == 0
     }
 
-    /// Integer division by a count, rounding to nearest; used to normalize
-    /// cumulative times over message counts.
-    ///
-    /// # Contract
-    ///
-    /// `n` must be positive: averaging over zero messages has no meaning,
-    /// and callers (benchmark reducers, stage normalizers) guarantee at
-    /// least one sample before dividing. Panics with the stated invariant
-    /// instead of surfacing a bare divide-by-zero.
-    #[inline]
-    pub fn div_count(self, n: u64) -> SimDuration {
-        assert!(n > 0, "SimDuration::div_count over zero messages");
-        SimDuration((self.0 + n / 2) / n)
-    }
-
     /// The time to serialize `bytes` at `rate`, rounded up.
     ///
     /// This is the fundamental bandwidth→time conversion used by every
@@ -185,7 +148,7 @@ impl SimDuration {
     /// construction, both of which reject zero; the check here turns a
     /// bare `div_ceil` divide-by-zero into a stated invariant.
     #[inline]
-    pub fn serialize(bytes: Bytes, rate: ByteRate) -> SimDuration {
+    pub(crate) fn serialize(bytes: Bytes, rate: ByteRate) -> SimDuration {
         assert!(
             !rate.is_zero(),
             "SimDuration::serialize over a zero-bandwidth rate never completes"
@@ -267,9 +230,9 @@ impl Mul<u64> for SimDuration {
 
 impl Div<u64> for SimDuration {
     type Output = SimDuration;
-    /// Floor division by a count. `rhs` must be positive (same contract as
-    /// [`SimDuration::div_count`]); panics with the stated invariant
-    /// instead of a bare divide-by-zero.
+    /// Floor division by a count. `rhs` must be positive: averaging over
+    /// zero samples has no meaning, so this panics with the stated
+    /// invariant instead of a bare divide-by-zero.
     #[inline]
     fn div(self, rhs: u64) -> SimDuration {
         assert!(rhs > 0, "SimDuration division by a zero count");
@@ -309,14 +272,13 @@ mod tests {
     fn construction_roundtrips() {
         assert_eq!(SimDuration::from_micros(3).as_nanos(), 3_000);
         assert_eq!(SimDuration::from_millis(2).as_nanos(), 2_000_000);
-        assert_eq!(SimDuration::from_secs(1).as_nanos(), 1_000_000_000);
         assert_eq!(SimTime::from_nanos(42).as_nanos(), 42);
     }
 
     #[test]
     fn float_construction_rounds() {
         assert_eq!(SimDuration::from_secs_f64(1.5e-9).as_nanos(), 2);
-        assert_eq!(SimDuration::from_micros_f64(0.5).as_nanos(), 500);
+        assert_eq!(SimDuration::from_secs_f64(0.5e-6).as_nanos(), 500);
         assert_eq!(SimDuration::from_secs_f64(-1.0).as_nanos(), 0);
     }
 
@@ -334,7 +296,7 @@ mod tests {
     fn float_construction_rejects_infinity() {
         // Release builds saturate +inf at u64::MAX ns, -inf clamps to 0.
         assert_eq!(
-            SimDuration::from_micros_f64(f64::INFINITY).as_nanos(),
+            SimDuration::from_secs_f64(f64::INFINITY).as_nanos(),
             u64::MAX
         );
         assert_eq!(SimDuration::from_secs_f64(f64::NEG_INFINITY).as_nanos(), 0);
@@ -343,11 +305,10 @@ mod tests {
     #[test]
     fn arithmetic_saturates() {
         let huge = SimTime::from_nanos(u64::MAX);
-        assert_eq!((huge + SimDuration::from_secs(1)).as_nanos(), u64::MAX);
-        assert_eq!(SimDuration::from_secs(u64::MAX), SimDuration::MAX);
+        assert_eq!((huge + SimDuration::from_millis(1)).as_nanos(), u64::MAX);
         assert_eq!(SimDuration::from_millis(u64::MAX), SimDuration::MAX);
         assert_eq!(SimDuration::from_micros(u64::MAX).as_nanos(), u64::MAX);
-        assert_eq!(SimDuration::from_secs(1 << 40).as_nanos(), u64::MAX);
+        assert_eq!(SimDuration::from_millis(1 << 50).as_nanos(), u64::MAX);
         let d = SimDuration::from_nanos(5) - SimDuration::from_nanos(9);
         assert_eq!(d.as_nanos(), 0);
         assert_eq!(
@@ -395,18 +356,6 @@ mod tests {
     #[should_panic(expected = "zero-bandwidth")]
     fn serialization_over_zero_rate_states_invariant() {
         let _ = SimDuration::serialize(Bytes::new(1), ByteRate::from_bytes_per_sec(0));
-    }
-
-    #[test]
-    fn div_count_rounds_to_nearest() {
-        assert_eq!(SimDuration::from_nanos(10).div_count(4).as_nanos(), 3);
-        assert_eq!(SimDuration::from_nanos(9).div_count(3).as_nanos(), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "zero messages")]
-    fn div_count_by_zero_states_invariant() {
-        let _ = SimDuration::from_nanos(10).div_count(0);
     }
 
     #[test]

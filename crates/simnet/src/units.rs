@@ -54,9 +54,6 @@ impl Bytes {
     /// The zero byte count.
     pub const ZERO: Bytes = Bytes(0);
 
-    /// The largest representable count (saturation point).
-    pub const MAX: Bytes = Bytes(u64::MAX);
-
     /// Construct from a raw byte count.
     #[inline]
     pub const fn new(count: u64) -> Self {
@@ -89,18 +86,8 @@ impl Bytes {
 
     /// The smaller of two counts.
     #[inline]
-    pub const fn min(self, other: Bytes) -> Bytes {
+    pub(crate) const fn min(self, other: Bytes) -> Bytes {
         if self.0 <= other.0 {
-            self
-        } else {
-            other
-        }
-    }
-
-    /// The larger of two counts.
-    #[inline]
-    pub const fn max(self, other: Bytes) -> Bytes {
-        if self.0 >= other.0 {
             self
         } else {
             other
@@ -119,7 +106,7 @@ impl Bytes {
     /// Split the count into `parts` pieces, rounding the piece size up:
     /// the per-segment share of a chunk. `parts` must be nonzero.
     #[inline]
-    pub const fn div_ceil_count(self, parts: u64) -> Bytes {
+    pub(crate) const fn div_ceil_count(self, parts: u64) -> Bytes {
         assert!(parts > 0, "Bytes::div_ceil_count into zero parts");
         Bytes(self.0.div_ceil(parts))
     }
@@ -135,66 +122,21 @@ impl ByteRate {
 
     /// Construct from a link rate in gigabits per second:
     /// `from_gbps(10)` is 10 GbE's 1.25 GB/s, `from_gbps(8)` is 1 GB/s.
-    /// The integer form cannot express NaN/infinity by construction; for
-    /// fractional or computed rates use [`ByteRate::from_gbps_f64`], which
-    /// carries the finiteness contract.
     #[inline]
     pub const fn from_gbps(gigabits_per_sec: u64) -> Self {
         ByteRate(gigabits_per_sec.saturating_mul(125_000_000))
     }
 
-    /// Construct from a fractional link rate in gigabits per second — the
-    /// form offered-load sweeps compute (`target_gbps * scale`).
-    ///
-    /// # Contract
-    ///
-    /// The rate must be finite and non-negative: NaN/infinity only arise
-    /// from a bad load config (divide by zero upstream) and must fail
-    /// loudly rather than saturate silently. Debug builds assert; release
-    /// builds clamp NaN and negatives to zero and +infinity to the
-    /// saturation bound (`u64::MAX` B/s).
-    #[inline]
-    #[allow(
-        clippy::cast_possible_truncation,
-        reason = "deliberate saturating float-to-int conversion"
-    )]
-    pub fn from_gbps_f64(gigabits_per_sec: f64) -> Self {
-        debug_assert!(
-            gigabits_per_sec.is_finite(),
-            "ByteRate::from_gbps_f64 requires a finite rate, got {gigabits_per_sec}"
-        );
-        // NaN reaches this comparison only in release (the finiteness
-        // assert above fires first in debug), where both asserts vanish —
-        // so plain >= is safe here despite the partial order.
-        debug_assert!(
-            gigabits_per_sec >= 0.0,
-            "ByteRate::from_gbps_f64 requires a non-negative rate, got {gigabits_per_sec}"
-        );
-        // NaN.max(0.0) is 0.0 and `as u64` saturates, so the release
-        // clamps fall out of the expression; the asserts are the loud path.
-        ByteRate((gigabits_per_sec.max(0.0) * 125_000_000.0).round() as u64)
-    }
-
     /// The raw bytes-per-second figure.
     #[inline]
-    pub const fn as_bytes_per_sec(self) -> u64 {
+    pub(crate) const fn as_bytes_per_sec(self) -> u64 {
         self.0
     }
 
     /// True when the rate is zero (no legal time conversion exists).
     #[inline]
-    pub const fn is_zero(self) -> bool {
+    pub(crate) const fn is_zero(self) -> bool {
         self.0 == 0
-    }
-
-    /// The smaller of two rates (bottleneck selection).
-    #[inline]
-    pub const fn min(self, other: ByteRate) -> ByteRate {
-        if self.0 <= other.0 {
-            self
-        } else {
-            other
-        }
     }
 }
 
@@ -267,7 +209,7 @@ impl Mul<u64> for ByteRate {
 // --- The legal cross-dimension operators -----------------------------------
 
 /// `Bytes / ByteRate -> SimDuration`: the serialization time of a payload
-/// at a rate, rounded up. Identical to [`SimDuration::serialize`] — this
+/// at a rate, rounded up. Identical to `SimDuration::serialize` — this
 /// operator *is* that conversion. Panics on a zero rate (see the
 /// stated invariant there).
 impl Div<ByteRate> for Bytes {
@@ -280,7 +222,7 @@ impl Div<ByteRate> for Bytes {
 
 /// `ByteRate * SimDuration -> Bytes`: how many bytes drain through a rate
 /// in a window, rounded down. Widened through `u128` so multi-GB/s rates
-/// over long windows cannot overflow; saturates at [`Bytes::MAX`].
+/// over long windows cannot overflow; saturates at `u64::MAX` bytes.
 impl Mul<SimDuration> for ByteRate {
     type Output = Bytes;
     #[inline]
@@ -334,42 +276,10 @@ mod tests {
     }
 
     #[test]
-    fn fractional_gbps_rounds() {
-        // 2.5 Gb/s = 312.5 MB/s; 10.0 matches the integer constructor.
-        assert_eq!(ByteRate::from_gbps_f64(2.5).as_bytes_per_sec(), 312_500_000);
-        assert_eq!(ByteRate::from_gbps_f64(10.0), ByteRate::from_gbps(10));
-        assert_eq!(ByteRate::from_gbps_f64(0.0).as_bytes_per_sec(), 0);
-    }
-
-    #[test]
-    #[cfg_attr(debug_assertions, should_panic(expected = "finite rate"))]
-    fn fractional_gbps_rejects_nan() {
-        // Debug builds state the invariant; release builds clamp NaN to a
-        // zero rate rather than fabricating bandwidth.
-        assert_eq!(ByteRate::from_gbps_f64(f64::NAN).as_bytes_per_sec(), 0);
-    }
-
-    #[test]
-    #[cfg_attr(debug_assertions, should_panic(expected = "finite rate"))]
-    fn fractional_gbps_rejects_infinity() {
-        // Release builds saturate +inf at u64::MAX B/s.
-        assert_eq!(
-            ByteRate::from_gbps_f64(f64::INFINITY).as_bytes_per_sec(),
-            u64::MAX
-        );
-    }
-
-    #[test]
-    #[cfg_attr(debug_assertions, should_panic(expected = "non-negative rate"))]
-    fn fractional_gbps_rejects_negative() {
-        assert_eq!(ByteRate::from_gbps_f64(-1.0).as_bytes_per_sec(), 0);
-    }
-
-    #[test]
     fn byte_arithmetic_saturates() {
-        assert_eq!((Bytes::MAX + Bytes::new(1)).get(), u64::MAX);
+        assert_eq!((Bytes::new(u64::MAX) + Bytes::new(1)).get(), u64::MAX);
         assert_eq!((Bytes::new(5) - Bytes::new(9)).get(), 0);
-        assert_eq!((Bytes::MAX * 2).get(), u64::MAX);
+        assert_eq!((Bytes::new(u64::MAX) * 2).get(), u64::MAX);
         assert_eq!(
             (ByteRate::from_bytes_per_sec(u64::MAX) * 2).as_bytes_per_sec(),
             u64::MAX
@@ -433,7 +343,7 @@ mod tests {
         let d = Bytes::new(64 << 30) / ByteRate::from_gbps(8);
         assert!(d.as_secs_f64() > 68.0 && d.as_secs_f64() < 69.0, "{d}");
         // Saturation: a huge payload over a 1 B/s trickle pins at u64::MAX.
-        let d = Bytes::MAX / ByteRate::from_bytes_per_sec(1);
+        let d = Bytes::new(u64::MAX) / ByteRate::from_bytes_per_sec(1);
         assert_eq!(d.as_nanos(), u64::MAX);
     }
 
