@@ -124,16 +124,13 @@ fn main() {
             t0.elapsed().as_secs_f64()
         );
     }
-    // With conformance checking compiled in, report the oracle tallies and
-    // fail the run if any invariant fired (checks are pure observers, so
-    // the tables/JSON above are still byte-identical to an unchecked run).
-    #[cfg(feature = "simcheck")]
-    {
-        let summary = simcheck::summary();
-        eprintln!("{summary}");
-        if summary.total_violations() > 0 {
-            std::process::exit(1);
-        }
+    // Report the conformance oracles' tallies and fail the run if any
+    // invariant fired (the oracles are pure observers: they move no byte of
+    // the tables or JSON above).
+    let summary = simcheck::summary();
+    eprintln!("{summary}");
+    if summary.total_violations() > 0 {
+        std::process::exit(1);
     }
 }
 

@@ -108,12 +108,12 @@ pub fn mx_matching_location() -> Figure {
 }
 
 /// Fig. 7 ratio over an MX fabric with explicit calibration.
-pub fn mx_fig7_ratio_with(calib: mx10g::MyriCalib, depth: usize, size: u64) -> f64 {
+pub(crate) fn mx_fig7_ratio_with(calib: mx10g::MyriCalib, depth: usize, size: u64) -> f64 {
     mx_queue_ratio(calib, depth, size, QueueTest::Unexpected)
 }
 
 /// Fig. 8 ratio over an MX fabric with explicit calibration.
-pub fn mx_fig8_ratio_with(calib: mx10g::MyriCalib, depth: usize, size: u64) -> f64 {
+pub(crate) fn mx_fig8_ratio_with(calib: mx10g::MyriCalib, depth: usize, size: u64) -> f64 {
     mx_queue_ratio(calib, depth, size, QueueTest::Posted)
 }
 

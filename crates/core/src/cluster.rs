@@ -9,7 +9,7 @@
 //! through the engine's deterministic cross-shard channel; the receiving
 //! host pumps each arrival through its *ingress* half (switch egress port,
 //! RX engines, host DMA). The split data path comes from
-//! [`crate::fabric::host_at`], cut at the switch hop so the switch
+//! `fabric::host_at`, cut at the switch hop so the switch
 //! forwarding latency (plus any declared propagation span) becomes the
 //! cross-shard link latency — and therefore the lookahead window.
 //!
@@ -17,7 +17,7 @@
 //! `--threads` flag shards within a figure (near-linear speedup on
 //! multi-core hosts), its [`ClusterOutcome::trace_digest`] is what the
 //! determinism tests compare across thread counts, and its merged trace
-//! feeds `simcheck`'s shard oracles when the `simcheck` feature is on.
+//! feeds `simcheck`'s shard oracles.
 
 use mpisim::FabricKind;
 use simnet::sync::join_all;
@@ -167,23 +167,20 @@ pub fn cluster_exchange(kind: FabricKind, spec: ClusterSpec) -> ClusterOutcome {
     }
     let out = ss.run();
 
-    #[cfg(feature = "simcheck")]
-    {
-        let trace: Vec<simcheck::shard::CrossEventRecord> = out
-            .trace
-            .iter()
-            .map(|r| simcheck::shard::CrossEventRecord {
-                at_ns: r.at_ns,
-                sent_ns: r.sent_ns,
-                src: r.src,
-                dst: r.dst,
-                seq: r.seq,
-            })
-            .collect();
-        let lookahead_ns = out.lookahead.map(simnet::SimDuration::as_nanos);
-        for v in simcheck::shard::check_trace(&trace, lookahead_ns) {
-            debug_assert!(false, "shard oracle violation: {v}");
-        }
+    let trace: Vec<simcheck::shard::CrossEventRecord> = out
+        .trace
+        .iter()
+        .map(|r| simcheck::shard::CrossEventRecord {
+            at_ns: r.at_ns,
+            sent_ns: r.sent_ns,
+            src: r.src,
+            dst: r.dst,
+            seq: r.seq,
+        })
+        .collect();
+    let lookahead_ns = out.lookahead.map(simnet::SimDuration::as_nanos);
+    for v in simcheck::shard::check_trace(&trace, lookahead_ns) {
+        debug_assert!(false, "shard oracle violation: {v}");
     }
 
     ClusterOutcome {

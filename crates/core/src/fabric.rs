@@ -3,7 +3,7 @@
 //! Generators that drive a fabric below the verbs — the sharded cluster
 //! ring, the open-loop workload engine, the registration microbenchmark —
 //! need one host's worth of it: the host-local halves of the data path and
-//! the NIC's registration handles. [`host_at`] builds that for any kind
+//! the NIC's registration handles. `host_at` builds that for any kind
 //! through the generic [`etherstack::Fabric`] container, so none of them
 //! names a fabric crate.
 
@@ -35,7 +35,7 @@ fn host<N: RdmaNic>(sim: &Sim, node: usize, calib: N::Calib) -> Host {
 /// Host `node` of a `kind` fabric with the paper's testbed calibration,
 /// built in `sim`. Distinct `node`s get distinct NICs with private pipes,
 /// so several hosts can live on one calendar.
-pub fn host_at(kind: FabricKind, sim: &Sim, node: usize) -> Host {
+pub(crate) fn host_at(kind: FabricKind, sim: &Sim, node: usize) -> Host {
     match kind {
         FabricKind::Iwarp => host::<iwarp::RnicDevice>(sim, node, Default::default()),
         FabricKind::InfiniBand => host::<infiniband::HcaDevice>(sim, node, Default::default()),

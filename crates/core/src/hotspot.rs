@@ -14,7 +14,7 @@ use crate::report::{Figure, Series};
 
 /// Mean per-message latency (µs) at the hot rank with `senders` peers
 /// each sending `msgs` messages of `size` bytes.
-pub fn hotspot_latency(kind: FabricKind, senders: usize, size: u64, msgs: u64) -> f64 {
+pub(crate) fn hotspot_latency(kind: FabricKind, senders: usize, size: u64, msgs: u64) -> f64 {
     let sim = Sim::new();
     let world = MpiWorld::build(&sim, kind, senders + 1);
     let hot = Rc::clone(world.rank(0));

@@ -17,7 +17,7 @@
 //! | Fig. 8 | [`queues::fig8_receive_queue`] | posted-receive queue |
 //! | (§6, omitted for space) | [`overlap::overlap_and_progress`] | overlap & independent progress |
 //! | (§7, speculation) | [`ablation`] | mechanism ablations |
-//! | (§6, omitted for space) | [`hotspot::hotspot_latency`] | hot-spot communication |
+//! | (§6, omitted for space) | [`hotspot::hotspot_figure`] | hot-spot communication |
 //! | (beyond the paper) | [`loss::fig_loss_latency`] / [`loss::fig_loss_bandwidth`] | recovery under injected loss |
 //! | (beyond the paper) | [`cluster::fig_cluster_bandwidth`] | sharded multi-host exchange |
 //! | (beyond the paper) | [`workload::run_workload`] | open-loop tail latency vs offered load |

@@ -19,7 +19,7 @@ use crate::report::{Figure, Series};
 use crate::sweep::pow2_sizes;
 
 /// Sizes swept by the LogP figure (1 B – 1 MB, as plotted by the paper).
-pub fn logp_sizes() -> Vec<u64> {
+pub(crate) fn logp_sizes() -> Vec<u64> {
     pow2_sizes(1, 1 << 20)
 }
 

@@ -20,7 +20,7 @@ use crate::report::{Figure, Series};
 use crate::userlevel::{user_label, UserPair};
 
 /// Loss rates swept, in parts per million: 0, 10⁻⁴, 10⁻³, 10⁻².
-pub const LOSS_RATES_PPM: [u32; 4] = [0, 100, 1_000, 10_000];
+pub(crate) const LOSS_RATES_PPM: [u32; 4] = [0, 100, 1_000, 10_000];
 
 /// Message size for the sweep: large enough that every stack segments it
 /// into many packets (and MX takes its rendezvous path).

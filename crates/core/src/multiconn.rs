@@ -18,17 +18,17 @@ use crate::report::{Figure, Series};
 use crate::userlevel::{connect_rdma_pair, RdmaPair, A, B};
 
 /// Connection counts swept (the paper goes to 256).
-pub fn connection_counts() -> Vec<usize> {
+pub(crate) fn connection_counts() -> Vec<usize> {
     vec![1, 2, 4, 8, 16, 32, 64, 128, 256]
 }
 
 /// Message sizes for the latency panel (paper legend: 128 B – 16 KB).
-pub fn latency_sizes() -> Vec<u64> {
+pub(crate) fn latency_sizes() -> Vec<u64> {
     vec![128, 1024, 2048, 4096, 8192, 16384]
 }
 
 /// Message sizes for the throughput panel (paper legend: 512 B – 16 KB).
-pub fn throughput_sizes() -> Vec<u64> {
+pub(crate) fn throughput_sizes() -> Vec<u64> {
     vec![512, 1024, 2048, 4096, 8192, 16384]
 }
 
@@ -67,7 +67,7 @@ pub fn normalized_latency(kind: FabricKind, n: usize, size: u64, rounds: u64) ->
 /// # Panics
 ///
 /// With no connections or no rounds: the average would be 0/0.
-pub fn normalized_latency_spec(spec: FabricSpec, n: usize, size: u64, rounds: u64) -> f64 {
+pub(crate) fn normalized_latency_spec(spec: FabricSpec, n: usize, size: u64, rounds: u64) -> f64 {
     assert!(n > 0, "multi-connection run needs at least one connection");
     assert!(
         rounds > 0,
@@ -120,7 +120,7 @@ pub fn throughput(kind: FabricKind, n: usize, size: u64, msgs_per_conn: u64) -> 
 /// # Panics
 ///
 /// With no connections or no messages: the rate would be 0/0.
-pub fn throughput_spec(spec: FabricSpec, n: usize, size: u64, msgs_per_conn: u64) -> f64 {
+pub(crate) fn throughput_spec(spec: FabricSpec, n: usize, size: u64, msgs_per_conn: u64) -> f64 {
     assert!(n > 0, "multi-connection run needs at least one connection");
     assert!(
         msgs_per_conn > 0,

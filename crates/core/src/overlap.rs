@@ -20,7 +20,7 @@ use crate::report::{Figure, Series};
 /// Measure the sender-side overlap ratio for a `size`-byte message given
 /// `compute_us` of overlappable host work: 1.0 = fully hidden, 0.0 = fully
 /// serialized.
-pub fn sender_overlap(kind: FabricKind, size: u64, compute_us: u64) -> f64 {
+pub(crate) fn sender_overlap(kind: FabricKind, size: u64, compute_us: u64) -> f64 {
     // t_base: message alone. t_comp: compute alone. t_both: isend +
     // compute + wait. overlap = (t_base + t_comp - t_both) / min(t_base,
     // t_comp), clamped.
@@ -68,7 +68,7 @@ fn timed(kind: FabricKind, size: u64, compute_us: u64) -> f64 {
 /// computes (no MPI calls) for `compute_us`; returns the factor by which
 /// the sender's rendezvous completion is delayed relative to an idle
 /// receiver. 1.0 = fully independent progress.
-pub fn independent_progress_delay(kind: FabricKind, size: u64, compute_us: u64) -> f64 {
+pub(crate) fn independent_progress_delay(kind: FabricKind, size: u64, compute_us: u64) -> f64 {
     let idle = rndv_sender_completion(kind, size, 0);
     let busy = rndv_sender_completion(kind, size, compute_us);
     busy / idle

@@ -142,7 +142,7 @@ pub fn receive_queue_latency(kind: FabricKind, depth: usize, size: u64, iters: u
 }
 
 /// Ratio loaded / empty for the unexpected-queue experiment.
-pub fn fig7_ratio(kind: FabricKind, depth: usize, size: u64) -> f64 {
+pub(crate) fn fig7_ratio(kind: FabricKind, depth: usize, size: u64) -> f64 {
     let iters = 10;
     unexpected_latency(kind, depth, size, iters) / unexpected_latency(kind, 0, size, iters)
 }

@@ -16,7 +16,7 @@ use crate::report::{Figure, Series};
 use crate::sweep::pow2_sizes;
 
 /// Cold registration cost (µs) for a fresh `size`-byte buffer.
-pub fn registration_cost_us(kind: FabricKind, size: u64) -> f64 {
+pub(crate) fn registration_cost_us(kind: FabricKind, size: u64) -> f64 {
     let sim = Sim::new();
     sim.block_on({
         let sim = sim.clone();
@@ -27,24 +27,6 @@ pub fn registration_cost_us(kind: FabricKind, size: u64) -> f64 {
             let t0 = sim.now();
             let reg = registry.register_cached(&cpu, buf, size).await;
             assert!(!reg.cache_hit, "fresh buffer must miss");
-            (sim.now() - t0).as_micros_f64()
-        }
-    })
-}
-
-/// Warm (cache-hit) registration cost (µs).
-pub fn cached_registration_cost_us(kind: FabricKind, size: u64) -> f64 {
-    let sim = Sim::new();
-    sim.block_on({
-        let sim = sim.clone();
-        async move {
-            let cpu = Cpu::new(&sim, CpuCosts::default());
-            let registry = host_at(kind, &sim, 0).registry;
-            let buf = hostmodel::mem::HostMem::new().alloc_buffer(size);
-            registry.register_cached(&cpu, buf, size).await;
-            let t0 = sim.now();
-            let reg = registry.register_cached(&cpu, buf, size).await;
-            assert!(reg.cache_hit);
             (sim.now() - t0).as_micros_f64()
         }
     })
@@ -71,6 +53,24 @@ pub fn registration_figure() -> Figure {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Warm (cache-hit) registration cost (µs).
+    fn cached_registration_cost_us(kind: FabricKind, size: u64) -> f64 {
+        let sim = Sim::new();
+        sim.block_on({
+            let sim = sim.clone();
+            async move {
+                let cpu = Cpu::new(&sim, CpuCosts::default());
+                let registry = host_at(kind, &sim, 0).registry;
+                let buf = hostmodel::mem::HostMem::new().alloc_buffer(size);
+                registry.register_cached(&cpu, buf, size).await;
+                let t0 = sim.now();
+                let reg = registry.register_cached(&cpu, buf, size).await;
+                assert!(reg.cache_hit);
+                (sim.now() - t0).as_micros_f64()
+            }
+        })
+    }
 
     #[test]
     fn neteffect_registers_cheaper_than_mellanox() {

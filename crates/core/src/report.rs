@@ -30,16 +30,6 @@ impl Series {
             .find(|(px, _)| (*px - x).abs() < 1e-9)
             .map(|(_, y)| *y)
     }
-
-    /// Maximum y value.
-    pub fn max_y(&self) -> f64 {
-        self.points.iter().map(|(_, y)| *y).fold(f64::MIN, f64::max)
-    }
-
-    /// Minimum y value.
-    pub fn min_y(&self) -> f64 {
-        self.points.iter().map(|(_, y)| *y).fold(f64::MAX, f64::min)
-    }
 }
 
 /// One reproduced figure: several series over a common x axis.
@@ -210,16 +200,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn series_lookup_and_extrema() {
+    fn series_lookup() {
         let mut s = Series::new("iWARP");
         s.push(1.0, 9.78);
         s.push(2.0, 10.1);
         assert_eq!(s.at(1.0), Some(9.78));
         assert_eq!(s.at(3.0), None);
-        // Extrema are stored values round-tripped untouched, so the
-        // comparison is legitimately bit-exact.
-        assert_eq!(s.max_y().to_bits(), 10.1_f64.to_bits());
-        assert_eq!(s.min_y().to_bits(), 9.78_f64.to_bits());
     }
 
     #[test]

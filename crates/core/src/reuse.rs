@@ -19,7 +19,7 @@ use crate::report::{Figure, Series};
 use crate::sweep::pow2_sizes;
 
 /// Number of statically allocated buffers per side (paper: 24).
-pub const NUM_BUFFERS: usize = 24;
+pub(crate) const NUM_BUFFERS: usize = 24;
 
 /// Sizes swept (64 B – 4 MB).
 pub fn reuse_sizes() -> Vec<u64> {

@@ -1,7 +1,7 @@
 //! Message-size sweeps and iteration budgets shared by the generators.
 
 /// Power-of-two sizes from `lo` to `hi` inclusive.
-pub fn pow2_sizes(lo: u64, hi: u64) -> Vec<u64> {
+pub(crate) fn pow2_sizes(lo: u64, hi: u64) -> Vec<u64> {
     let mut v = Vec::new();
     let mut s = lo.max(1);
     while s <= hi {

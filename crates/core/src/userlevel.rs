@@ -16,7 +16,7 @@ use crate::report::{Figure, Series};
 use crate::sweep::{iters_for, paper_sizes};
 
 /// Maximum message size exercised by the user-level pair.
-pub const MAX_MSG: u64 = 4 << 20;
+pub(crate) const MAX_MSG: u64 = 4 << 20;
 
 /// Byte offset every message is read from and written to: the start of the
 /// registered buffer on either side.
@@ -260,7 +260,7 @@ pub fn fig1_bandwidth() -> Figure {
 }
 
 /// The paper's user-level legend labels.
-pub fn user_label(kind: FabricKind) -> &'static str {
+pub(crate) fn user_label(kind: FabricKind) -> &'static str {
     match kind {
         FabricKind::Iwarp => "iWARP RDMA Write",
         FabricKind::InfiniBand => "VAPI RDMA Write",

@@ -21,7 +21,7 @@
 //!
 //! Conservation is checked two ways: [`simnet::SimStats`] carries
 //! `flows_issued`/`flows_completed`/`gen_backlog_peak` for any run, and
-//! with the `simcheck` feature the `workload.conservation` oracle shadows
+//! the `simcheck` `workload.conservation` oracle shadows
 //! the per-tenant tallies and cross-checks them at quiesce.
 
 use std::cell::RefCell;
@@ -255,7 +255,6 @@ pub struct WorkloadOutcome {
 pub type FlowSink = Rc<RefCell<dyn FnMut(usize, SimDuration)>>;
 
 /// Stable per-fabric tag for oracle reports.
-#[cfg(feature = "simcheck")]
 fn fabric_tag(kind: FabricKind) -> &'static str {
     match kind {
         FabricKind::Iwarp => "iwarp",
@@ -288,7 +287,6 @@ pub fn run_workload(spec: &WorkloadSpec, sink: &FlowSink) -> WorkloadOutcome {
     let n = spec.tenants.len();
     let issued: Vec<Counter> = (0..n).map(|_| Counter::new()).collect();
     let completed: Vec<Counter> = (0..n).map(|_| Counter::new()).collect();
-    #[cfg(feature = "simcheck")]
     let oracle = Rc::new(RefCell::new(simcheck::workload::ConservationOracle::new(
         fabric_tag(spec.kind),
         n,
@@ -304,14 +302,12 @@ pub fn run_workload(spec: &WorkloadSpec, sink: &FlowSink) -> WorkloadOutcome {
         let s = sim.clone();
         let iss = issued[tenant].clone();
         let com = completed[tenant].clone();
-        #[cfg(feature = "simcheck")]
         let orc = Rc::clone(&oracle);
         tasks.push(sim.spawn(async move {
             for i in 0..t.flows {
                 s.sleep(t.arrivals.gap(i)).await;
                 iss.inc();
                 s.note_flow_issued();
-                #[cfg(feature = "simcheck")]
                 orc.borrow_mut().on_issue(tenant);
                 s.note_gen_backlog(iss.get() - com.get());
                 let _ = tx.send(s.now());
@@ -332,7 +328,6 @@ pub fn run_workload(spec: &WorkloadSpec, sink: &FlowSink) -> WorkloadOutcome {
             server_overhead: server.overhead_bytes,
         };
         let sink = Rc::clone(sink);
-        #[cfg(feature = "simcheck")]
         let orc = Rc::clone(&oracle);
         tasks.push(sim.spawn(async move {
             for _ in 0..t.flows {
@@ -374,7 +369,6 @@ pub fn run_workload(spec: &WorkloadSpec, sink: &FlowSink) -> WorkloadOutcome {
                 }
                 com.inc();
                 s.note_flow_completed();
-                #[cfg(feature = "simcheck")]
                 orc.borrow_mut().on_complete(tenant);
                 let latency = s.now().duration_since(arrived);
                 (sink.borrow_mut())(tenant, latency);
@@ -388,15 +382,12 @@ pub fn run_workload(spec: &WorkloadSpec, sink: &FlowSink) -> WorkloadOutcome {
     let issued: Vec<u64> = issued.iter().map(Counter::get).collect();
     let completed: Vec<u64> = completed.iter().map(Counter::get).collect();
 
-    #[cfg(feature = "simcheck")]
-    {
-        let violations =
-            oracle
-                .borrow()
-                .check_quiesce(&issued, &completed, true, Some(sim.now().as_nanos()));
-        for v in violations {
-            debug_assert!(false, "workload oracle violation: {v}");
-        }
+    let violations =
+        oracle
+            .borrow()
+            .check_quiesce(&issued, &completed, true, Some(sim.now().as_nanos()));
+    for v in violations {
+        debug_assert!(false, "workload oracle violation: {v}");
     }
 
     WorkloadOutcome {

@@ -76,7 +76,6 @@ pub fn wire_bytes(l2_payload: u64) -> u64 {
     // Conformance oracle (rule `ether.frame-accounting`): cross-check that
     // the accounting covers header + FCS (CRC) + min-frame pad + preamble +
     // IFG against simcheck's independent restatement.
-    #[cfg(feature = "simcheck")]
     let _ = simcheck::ether::check_wire_accounting(l2_payload, wire, None);
     wire
 }

@@ -62,9 +62,8 @@ pub enum QpStep {
     Completed(u64),
 }
 
-/// The observer seam of one QP side: the fabric's always-compiled phase
-/// tracker and, under `--features simcheck`, its conformance oracles. Pure:
-/// an implementation never touches simulated time.
+/// The observer seam of one QP side: the fabric's conformance oracles.
+/// Pure: an implementation never touches simulated time.
 pub trait QpWatch: 'static {
     /// See one step of this QP side's life.
     fn observe(&self, sim: &Sim, step: QpStep);

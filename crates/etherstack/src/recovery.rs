@@ -209,9 +209,7 @@ pub async fn transfer_reliable(
     let unit = unit.max(Bytes::new(1));
     let n = bytes.div_ceil(unit).max(1);
     let mut stats = RecoveryStats::default();
-    #[cfg(feature = "simcheck")]
     let mut oracle = simcheck::fault::DeliveryOracle::new(policy.tag, stream, n);
-    #[cfg(feature = "simcheck")]
     let mut observe_run = |lo: u64, hi: u64, now_ns: u64| {
         for idx in lo..hi {
             let _ = oracle.on_deliver(idx, Some(now_ns));
@@ -242,7 +240,6 @@ pub async fn transfer_reliable(
             if run_start < i {
                 path.transfer(run_bytes(run_start, i), per_unit_overhead)
                     .await;
-                #[cfg(feature = "simcheck")]
                 observe_run(run_start, i, sim.now().as_nanos());
                 run_start = i;
             }
@@ -298,7 +295,6 @@ pub async fn transfer_reliable(
                 stats.faults += 1;
                 sim.sleep(plane.delay()).await;
             }
-            #[cfg(feature = "simcheck")]
             observe_run(run_start, i + 1, sim.now().as_nanos());
             run_start = i + 1;
         }
@@ -335,27 +331,24 @@ pub async fn transfer_reliable(
             attempt += 1;
         }
     }
-    #[cfg(feature = "simcheck")]
-    {
-        let now = Some(sim.now().as_nanos());
-        let _ = oracle.finish(now);
-        // Selective repeat spends at most one retransmission per fault (a
-        // lost retransmission is itself a new fault); a go-back-N attempt
-        // or an ACK replay at most the whole message.
-        let budget = if policy.resend_tail || policy.ack_replay {
-            n
-        } else {
-            1
-        };
-        let _ = simcheck::fault::check_retransmit_bound(
-            policy.tag,
-            stream,
-            stats.faults,
-            stats.retransmits,
-            budget,
-            now,
-        );
-    }
+    let now = Some(sim.now().as_nanos());
+    let _ = oracle.finish(now);
+    // Selective repeat spends at most one retransmission per fault (a
+    // lost retransmission is itself a new fault); a go-back-N attempt
+    // or an ACK replay at most the whole message.
+    let budget = if policy.resend_tail || policy.ack_replay {
+        n
+    } else {
+        1
+    };
+    let _ = simcheck::fault::check_retransmit_bound(
+        policy.tag,
+        stream,
+        stats.faults,
+        stats.retransmits,
+        budget,
+        now,
+    );
     stats
 }
 

@@ -77,7 +77,6 @@ pub struct TcpSegmenter {
     mss: usize,
     /// Conformance oracle: emitted segments must be sequence-contiguous
     /// (rule `ether.tcp-seq`).
-    #[cfg(feature = "simcheck")]
     check: simcheck::ether::TcpTxOracle,
 }
 
@@ -89,7 +88,6 @@ impl TcpSegmenter {
         TcpSegmenter {
             next_seq: isn,
             mss,
-            #[cfg(feature = "simcheck")]
             check: simcheck::ether::TcpTxOracle::with_origin(u64::from(isn), isn),
         }
     }
@@ -98,7 +96,6 @@ impl TcpSegmenter {
     pub fn push(&mut self, data: &[u8]) -> Vec<TcpSegment> {
         let mut out = Vec::with_capacity(data.len() / self.mss + 1);
         for chunk in data.chunks(self.mss) {
-            #[cfg(feature = "simcheck")]
             let _ = self
                 .check
                 .observe_segment(self.next_seq, chunk.len() as u32, None);
@@ -126,7 +123,6 @@ pub struct TcpReassembler {
     assembled: Vec<u8>,
     /// Conformance oracle: the expected-seq cursor advances exactly by the
     /// bytes delivered (rule `ether.tcp-seq`).
-    #[cfg(feature = "simcheck")]
     check: simcheck::ether::TcpRxOracle,
 }
 
@@ -137,7 +133,6 @@ impl TcpReassembler {
             expected: isn,
             pending: std::collections::BTreeMap::new(),
             assembled: Vec::new(),
-            #[cfg(feature = "simcheck")]
             check: simcheck::ether::TcpRxOracle::with_origin(u64::from(isn), isn),
         }
     }
@@ -202,19 +197,13 @@ impl TcpReassembler {
             self.pending
                 .insert(base.wrapping_add(start as u32), payload);
         }
-        #[cfg(feature = "simcheck")]
         let before = self.expected;
-        #[cfg(feature = "simcheck")]
         let mut delivered: u32 = 0;
         while let Some(p) = self.pending.remove(&self.expected) {
             self.expected = self.expected.wrapping_add(p.len() as u32);
-            #[cfg(feature = "simcheck")]
-            {
-                delivered = delivered.wrapping_add(p.len() as u32);
-            }
+            delivered = delivered.wrapping_add(p.len() as u32);
             self.assembled.extend_from_slice(&p);
         }
-        #[cfg(feature = "simcheck")]
         let _ = self
             .check
             .observe_advance(before, self.expected, delivered, None);

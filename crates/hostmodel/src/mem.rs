@@ -25,7 +25,7 @@ use crate::cpu::Cpu;
 use crate::lru::LruCache;
 
 /// Hardware page size used for pinning-cost accounting.
-pub const PAGE_SIZE: u64 = 4096;
+pub(crate) const PAGE_SIZE: u64 = 4096;
 
 /// A virtual address in a simulated host's address space.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -73,7 +73,7 @@ impl fmt::Debug for VirtAddr {
 
 /// A sparse, page-granular address space with real storage.
 ///
-/// Allocation only advances a bump pointer. A [`PAGE_SIZE`] page is created,
+/// Allocation only advances a bump pointer. A `PAGE_SIZE` page is created,
 /// zeroed, the first time [`write`](Self::write) or [`fill`](Self::fill)
 /// touches it, and [`read`](Self::read) returns zeros for pages nothing has
 /// written — the same bytes a zero-initialised arena would hold, without
@@ -129,7 +129,7 @@ impl HostMem {
     /// # Panics
     /// If `align` is not a power of two, or the allocation would extend past
     /// the 64-bit address space.
-    pub fn alloc(&self, len: u64, align: u64) -> VirtAddr {
+    pub(crate) fn alloc(&self, len: u64, align: u64) -> VirtAddr {
         assert!(align.is_power_of_two(), "alignment must be a power of two");
         let mut m = self.inner.borrow_mut();
         let next = m.next;
@@ -242,7 +242,6 @@ struct RegistryState {
     next_key: u32,
     /// Conformance oracle: independent shadow of `regions`, cross-validated
     /// on every `check` (rule `host.mr-bounds`).
-    #[cfg(feature = "simcheck")]
     shadow: simcheck::host::MrShadowOracle,
 }
 
@@ -261,7 +260,6 @@ impl MemoryRegistry {
                 cache: LruCache::new(costs.cache_capacity.max(1)),
                 regions: BTreeMap::new(),
                 next_key: 1,
-                #[cfg(feature = "simcheck")]
                 shadow: simcheck::host::MrShadowOracle::new(),
             })),
         }
@@ -297,12 +295,10 @@ impl MemoryRegistry {
             let key = MemKey(s.next_key);
             s.next_key += 1;
             s.regions.insert(key, (addr, len));
-            #[cfg(feature = "simcheck")]
             let _ = s.shadow.on_register(key.0, addr.0, len, None);
             let mut cost = s.costs.base + s.costs.per_page * addr.pages(len);
             if let Some((_old, old_key)) = s.cache.insert(cache_key, key) {
                 s.regions.remove(&old_key);
-                #[cfg(feature = "simcheck")]
                 let _ = s.shadow.on_deregister(old_key.0, None);
                 cost += s.costs.dereg;
             }
@@ -323,7 +319,6 @@ impl MemoryRegistry {
             let key = MemKey(s.next_key);
             s.next_key += 1;
             s.regions.insert(key, (addr, len));
-            #[cfg(feature = "simcheck")]
             let _ = s.shadow.on_register(key.0, addr.0, len, None);
             (key, s.costs.base + s.costs.per_page * addr.pages(len))
         };
@@ -336,7 +331,6 @@ impl MemoryRegistry {
         let cost = {
             let mut s = self.state.borrow_mut();
             s.regions.remove(&key);
-            #[cfg(feature = "simcheck")]
             let _ = s.shadow.on_deregister(key.0, None);
             // Purge any cache entry pointing at this key (small cache, so a
             // drain-and-reinsert pass is fine).
@@ -371,7 +365,6 @@ impl MemoryRegistry {
             }
             None => false,
         };
-        #[cfg(feature = "simcheck")]
         let _ = s.shadow.observe_check(key.0, addr.0, len, ok, None);
         ok
     }

@@ -8,7 +8,6 @@
 //! numbering (RC loss recovery is [`crate::recovery::RC_GO_BACK_N`], on the
 //! HCA).
 
-#[cfg(feature = "simcheck")]
 use std::cell::RefCell;
 use std::future::Future;
 
@@ -20,8 +19,7 @@ use crate::hca::HcaDevice;
 /// Lifecycle phases of a reliable-connected QP, as the connect handshake
 /// walks them. [`fsm_next`] is the one statement of which transitions
 /// exist; the `ib.qp-state` oracle judges with it, and nothing else reads a
-/// QP's phase, so the machine is compiled only with `simcheck`.
-#[cfg(feature = "simcheck")]
+/// QP's phase.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum QpPhase {
     /// Freshly created, no transport state.
@@ -35,7 +33,6 @@ pub(crate) enum QpPhase {
 }
 
 /// Events driving [`QpPhase`] through [`fsm_next`].
-#[cfg(feature = "simcheck")]
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum QpEvent {
     /// One rung of the modify-QP bring-up ladder.
@@ -48,7 +45,6 @@ pub(crate) enum QpEvent {
 
 /// QP transition function: `None` means the event is illegal in `from`
 /// (sends need RTS, receives INIT or later).
-#[cfg(feature = "simcheck")]
 pub(crate) fn fsm_next(from: QpPhase, ev: QpEvent) -> Option<QpPhase> {
     match (from, ev) {
         (QpPhase::Reset, QpEvent::BringUp) => Some(QpPhase::Init),
@@ -60,38 +56,32 @@ pub(crate) fn fsm_next(from: QpPhase, ev: QpEvent) -> Option<QpPhase> {
     }
 }
 
-/// The RC side of one QP. Nothing without `simcheck`; with it, the oracles
-/// judging every bring-up step and post against `fsm_next` (rule
-/// `ib.qp-state`) and that send-queue completions surface in post order
-/// (rule `ib.cq-order`).
+/// The RC side of one QP: the oracles judging every bring-up step and post
+/// against `fsm_next` (rule `ib.qp-state`) and that send-queue completions
+/// surface in post order (rule `ib.cq-order`).
 pub struct RcWatch {
-    #[cfg(feature = "simcheck")]
     state: RefCell<simcheck::FsmOracle<QpPhase, QpEvent>>,
-    #[cfg(feature = "simcheck")]
     cq: RefCell<simcheck::ib::CqOrderOracle>,
 }
 
 impl QpWatch for RcWatch {
     #[inline]
-    fn observe(&self, _sim: &Sim, _step: QpStep) {
-        #[cfg(feature = "simcheck")]
-        {
-            let now = Some(_sim.now().as_nanos());
-            match _step {
-                // The completion for this WQE must surface in post order.
-                QpStep::PostSend(_, seq) => {
-                    let _ = self.state.borrow_mut().observe(QpEvent::PostSend, now);
-                    let posted = self.cq.borrow_mut().on_post();
-                    debug_assert_eq!(posted, seq, "both count this QP's posts");
-                }
-                QpStep::PostRecv => {
-                    let _ = self.state.borrow_mut().observe(QpEvent::PostRecv, now);
-                }
-                QpStep::Completed(seq) => {
-                    let _ = self.cq.borrow_mut().observe_completion(seq, now);
-                }
-                _ => {}
+    fn observe(&self, sim: &Sim, step: QpStep) {
+        let now = Some(sim.now().as_nanos());
+        match step {
+            // The completion for this WQE must surface in post order.
+            QpStep::PostSend(_, seq) => {
+                let _ = self.state.borrow_mut().observe(QpEvent::PostSend, now);
+                let posted = self.cq.borrow_mut().on_post();
+                debug_assert_eq!(posted, seq, "both count this QP's posts");
             }
+            QpStep::PostRecv => {
+                let _ = self.state.borrow_mut().observe(QpEvent::PostRecv, now);
+            }
+            QpStep::Completed(seq) => {
+                let _ = self.cq.borrow_mut().observe_completion(seq, now);
+            }
+            _ => {}
         }
     }
 }
@@ -129,28 +119,26 @@ impl VerbsNic for HcaDevice {
 
     /// Walks the fresh QP's oracle up the RC bring-up ladder (RESET → INIT
     /// → RTR → RTS) that the connect handshake models.
-    fn watch(&self, _sim: &Sim, _qpn: u32, _stream: u64) -> RcWatch {
-        #[cfg(feature = "simcheck")]
-        let state = {
-            let mut st = simcheck::FsmOracle::new(
-                QpPhase::Reset,
-                fsm_next,
-                simcheck::Rule::IbQpState,
-                "ib",
-                u64::from(_qpn),
-            );
-            let now = Some(_sim.now().as_nanos());
-            for _ in 0..3 {
-                let _ = st.observe(QpEvent::BringUp, now);
-            }
-            debug_assert_eq!(st.phase(), QpPhase::Rts, "bring-up ladder must end in RTS");
-            RefCell::new(st)
-        };
+    fn watch(&self, sim: &Sim, qpn: u32, _stream: u64) -> RcWatch {
+        let mut state = simcheck::FsmOracle::new(
+            QpPhase::Reset,
+            fsm_next,
+            simcheck::Rule::IbQpState,
+            "ib",
+            u64::from(qpn),
+        );
+        let now = Some(sim.now().as_nanos());
+        for _ in 0..3 {
+            let _ = state.observe(QpEvent::BringUp, now);
+        }
+        debug_assert_eq!(
+            state.phase(),
+            QpPhase::Rts,
+            "bring-up ladder must end in RTS"
+        );
         RcWatch {
-            #[cfg(feature = "simcheck")]
-            state,
-            #[cfg(feature = "simcheck")]
-            cq: RefCell::new(simcheck::ib::CqOrderOracle::new(u64::from(_qpn))),
+            state: RefCell::new(state),
+            cq: RefCell::new(simcheck::ib::CqOrderOracle::new(u64::from(qpn))),
         }
     }
 }
@@ -166,7 +154,6 @@ mod tests {
     /// The `ib.qp-state` oracle judges with this crate's [`fsm_next`]: the
     /// bring-up ladder and the posts it admits are clean, and a send in
     /// INIT fires exactly once.
-    #[cfg(feature = "simcheck")]
     #[test]
     fn qp_oracle_on_fsm_next_fires_once_for_a_send_before_rts() {
         let rule = simcheck::Rule::IbQpState;

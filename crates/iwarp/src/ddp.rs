@@ -199,7 +199,6 @@ pub struct UntaggedReassembler {
     partial: std::collections::BTreeMap<(u32, u32), PartialMsg>,
     /// Conformance oracle: per-queue completion MSNs must be strictly
     /// increasing (rule `iwarp.ddp-msn`).
-    #[cfg(feature = "simcheck")]
     check: simcheck::iwarp::DdpMsnOracle,
 }
 
@@ -240,7 +239,6 @@ impl UntaggedReassembler {
                 .remove(&(qn, msn))
                 .expect("entry was just updated under this key")
                 .bytes;
-            #[cfg(feature = "simcheck")]
             let _ = self.check.observe_complete(qn, msn);
             Some((qn, msn, msg))
         } else {

@@ -57,7 +57,6 @@ impl MpaFramer {
         if !self.markers_enabled {
             // Conformance oracle (rule `iwarp.mpa-framing`): independent
             // re-verification of the emitted framing.
-            #[cfg(feature = "simcheck")]
             let _ = simcheck::iwarp::check_mpa_frame(self.stream_pos, &fpdu, false, 0);
             self.stream_pos += fpdu.len() as u64;
             return fpdu;
@@ -79,7 +78,6 @@ impl MpaFramer {
         }
         // A marker can also land exactly at the end of the FPDU; it belongs
         // to the *next* FPDU's preamble, so we leave it to the next call.
-        #[cfg(feature = "simcheck")]
         let _ = simcheck::iwarp::check_mpa_frame(fpdu_start, &out, true, 0);
         out
     }

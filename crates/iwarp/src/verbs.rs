@@ -9,8 +9,6 @@
 //! connection numbering (the TOE's loss recovery is
 //! [`RnicDevice`]'s [`LOSS_RECOVERY`](etherstack::NicModel::LOSS_RECOVERY)).
 
-use std::cell::Cell;
-#[cfg(feature = "simcheck")]
 use std::cell::RefCell;
 
 use etherstack::{QpStep, QpWatch, VerbsNic};
@@ -60,37 +58,28 @@ fn fsm_next(from: StreamPhase, ev: StreamEvent) -> Option<StreamPhase> {
     }
 }
 
-/// The RDMAP side of one QP: the always-compiled `StreamPhase` of this
-/// side's outgoing stream, advanced by `fsm_next` as the model moves, and
-/// (under `simcheck`) the oracles that additionally *judge* the moves.
+/// The RDMAP side of one QP: the oracles that walk this side's outgoing
+/// stream through `fsm_next` and judge every move.
 pub struct StreamWatch {
-    phase: Cell<StreamPhase>,
-    /// Every event has a transition in `fsm_next` (rule
-    /// `iwarp.rdmap-state`).
-    #[cfg(feature = "simcheck")]
+    /// The stream's `StreamPhase`; every event has a transition in
+    /// `fsm_next` (rule `iwarp.rdmap-state`).
     machine: RefCell<simcheck::FsmOracle<StreamPhase, StreamEvent>>,
     /// Read Responses need an outstanding Read Request (same rule).
-    #[cfg(feature = "simcheck")]
     reads: RefCell<simcheck::iwarp::RdmapStateOracle>,
     /// Deliveries admitted by the peer's in-order gate must consume
     /// consecutive tickets (rule `iwarp.ddp-msn` at the verbs layer).
-    #[cfg(feature = "simcheck")]
     delivery: RefCell<simcheck::iwarp::DeliveryOrderOracle>,
 }
 
 impl StreamWatch {
-    /// Advance the tracked phase by `ev`. An event with no legal transition
-    /// (posting on a terminated stream) leaves the phase unchanged: judging
-    /// that is the simcheck oracle's job.
-    fn step(&self, _sim: &Sim, ev: StreamEvent) {
-        if let Some(next) = fsm_next(self.phase.get(), ev) {
-            self.phase.set(next);
-        }
-        #[cfg(feature = "simcheck")]
+    /// Advance the stream by `ev`. An event with no legal transition
+    /// (posting on a terminated stream) fires the oracle and leaves the
+    /// phase unchanged.
+    fn step(&self, sim: &Sim, ev: StreamEvent) {
         let _ = self
             .machine
             .borrow_mut()
-            .observe(ev, Some(_sim.now().as_nanos()));
+            .observe(ev, Some(sim.now().as_nanos()));
     }
 }
 
@@ -105,12 +94,10 @@ impl QpWatch for StreamWatch {
                     _ => StreamEvent::PostWrite,
                 };
                 self.step(sim, ev);
-                #[cfg(feature = "simcheck")]
                 if ev == StreamEvent::PostReadRequest {
                     self.reads.borrow_mut().on_read_request();
                 }
             }
-            #[cfg(feature = "simcheck")]
             QpStep::Delivered(ticket) => {
                 let now = Some(sim.now().as_nanos());
                 let _ = self.delivery.borrow_mut().observe_delivery(ticket, now);
@@ -119,7 +106,6 @@ impl QpWatch for StreamWatch {
             QpStep::RemoteFault => self.step(sim, StreamEvent::RecvTerminate),
             QpStep::ReadResponse => {
                 self.step(sim, StreamEvent::RecvReadResponse);
-                #[cfg(feature = "simcheck")]
                 let _ = self
                     .reads
                     .borrow_mut()
@@ -149,21 +135,17 @@ impl VerbsNic for RnicDevice {
         ((self.node as u64) << 32) | peer.node as u64
     }
 
-    fn watch(&self, _sim: &Sim, _qpn: u32, _stream: u64) -> StreamWatch {
+    fn watch(&self, _sim: &Sim, _qpn: u32, stream: u64) -> StreamWatch {
         StreamWatch {
-            phase: Cell::new(StreamPhase::Operational),
-            #[cfg(feature = "simcheck")]
             machine: RefCell::new(simcheck::FsmOracle::new(
                 StreamPhase::Operational,
                 fsm_next,
                 simcheck::Rule::RdmapState,
                 "iwarp",
-                _stream,
+                stream,
             )),
-            #[cfg(feature = "simcheck")]
-            reads: RefCell::new(simcheck::iwarp::RdmapStateOracle::new(_stream)),
-            #[cfg(feature = "simcheck")]
-            delivery: RefCell::new(simcheck::iwarp::DeliveryOrderOracle::new(_stream)),
+            reads: RefCell::new(simcheck::iwarp::RdmapStateOracle::new(stream)),
+            delivery: RefCell::new(simcheck::iwarp::DeliveryOrderOracle::new(stream)),
         }
     }
 }
@@ -260,17 +242,19 @@ mod tests {
         let (sim, fab, cpu_a, cpu_b) = setup();
         sim.block_on(async move {
             let (qa, _qb) = fab.connect(0, 1, &cpu_a, &cpu_b).await;
-            assert_eq!(qa.watch().phase.get(), StreamPhase::Operational);
+            assert_eq!(
+                qa.watch().machine.borrow().phase(),
+                StreamPhase::Operational
+            );
             let cqe = write_with_forged_key(&qa, 1).await;
             assert_eq!(cqe.status, CqeStatus::RemoteAccessError);
-            assert_eq!(qa.watch().phase.get(), StreamPhase::Terminated);
+            assert_eq!(qa.watch().machine.borrow().phase(), StreamPhase::Terminated);
         });
     }
 
     /// The `iwarp.rdmap-state` oracle judges with this crate's
     /// [`fsm_next`]: the fault's Terminate is legal, one more Write on the
     /// terminated stream fires exactly once.
-    #[cfg(feature = "simcheck")]
     #[test]
     fn a_write_on_a_terminated_stream_fires_the_rdmap_oracle_once() {
         let rule = simcheck::Rule::RdmapState;

@@ -17,7 +17,7 @@ use hostmodel::mem::VirtAddr;
 use crate::rank::{recv, send, MpiRank, Source};
 
 /// Tags at and above this value are reserved for collectives.
-pub const COLL_TAG_BASE: u32 = 0xC011_0000;
+pub(crate) const COLL_TAG_BASE: u32 = 0xC011_0000;
 
 /// Dissemination barrier: in round k every rank signals `(me + 2^k) % n`
 /// and waits for a signal from `(me − 2^k) mod n`.

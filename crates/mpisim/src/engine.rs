@@ -31,7 +31,7 @@ use crate::transport::FabricTransport;
 
 /// Per-fabric MPI library configuration.
 #[derive(Clone, Copy, Debug)]
-pub struct MpiConfig {
+pub(crate) struct MpiConfig {
     /// Messages of at least this many bytes use the rendezvous protocol.
     pub rndv_threshold: u64,
     /// Wire bytes of the eager header prepended to payload.
@@ -72,7 +72,7 @@ struct Unex {
 
 /// Control messages exchanged between engines. Content travels with the
 /// simulated message; timing comes from the transport.
-pub enum CtrlMsg {
+pub(crate) enum CtrlMsg {
     /// Eager data.
     Eager {
         /// Sender rank.
@@ -132,7 +132,7 @@ struct FinWait {
 }
 
 /// One host-matched MPI process.
-pub struct HostEngine<N: VerbsNic> {
+pub(crate) struct HostEngine<N: VerbsNic> {
     sim: Sim,
     rank: usize,
     size: usize,
@@ -172,7 +172,7 @@ impl<N: VerbsNic> HostEngine<N> {
     }
 
     /// Wire the peer table (called once by the world builder).
-    pub fn set_peers(&self, peers: Vec<Weak<HostEngine<N>>>) {
+    pub(crate) fn set_peers(&self, peers: Vec<Weak<HostEngine<N>>>) {
         *self.peers.borrow_mut() = peers;
     }
 
@@ -190,8 +190,9 @@ impl<N: VerbsNic> HostEngine<N> {
             .any(|u| src.admits(u.from) && (tag == crate::rank::ANY_TAG || tag == u.tag))
     }
 
-    /// Current queue depths `(posted, unexpected)` — for tests.
-    pub fn queue_depths(&self) -> (usize, usize) {
+    /// Current queue depths `(posted, unexpected)`.
+    #[cfg(test)]
+    fn queue_depths(&self) -> (usize, usize) {
         (self.posted.borrow().len(), self.unexpected.borrow().len())
     }
 
@@ -383,7 +384,7 @@ impl<N: VerbsNic> HostEngine<N> {
     /// Progress-engine entry point: a control message arrived from the
     /// fabric. Runs at arrival time and charges *this* (receiving) rank's
     /// CPU, as a polling MPI progress engine does.
-    pub async fn handle_arrival(self: &Rc<Self>, msg: CtrlMsg) {
+    pub(crate) async fn handle_arrival(self: &Rc<Self>, msg: CtrlMsg) {
         self.cpu.work(self.cfg.recv_sw).await;
         match msg {
             CtrlMsg::Eager {
@@ -505,7 +506,7 @@ impl<N: VerbsNic> HostEngine<N> {
 }
 
 /// [`MpiRank`] wrapper around a host engine.
-pub struct HostMpiRank<N: VerbsNic> {
+pub(crate) struct HostMpiRank<N: VerbsNic> {
     engine: Rc<HostEngine<N>>,
 }
 
@@ -513,11 +514,6 @@ impl<N: VerbsNic> HostMpiRank<N> {
     /// Wrap an engine.
     pub fn new(engine: Rc<HostEngine<N>>) -> Self {
         HostMpiRank { engine }
-    }
-
-    /// The engine underneath (tests poke at queue depths).
-    pub fn engine(&self) -> &Rc<HostEngine<N>> {
-        &self.engine
     }
 }
 

@@ -11,7 +11,7 @@
 //!   **rendezvous** (RTS → registration → CTS → RDMA Write → FIN) with a
 //!   pin-down cache, exactly the machinery Figs. 3–8 measure.
 //! * **NIC-matched mode** (MX): MPI matching maps directly onto MX match
-//!   bits and the queues live on the NIC ([`mxrank`]) — which is why
+//!   bits and the queues live on the NIC (`mxrank`) — which is why
 //!   MPICH-MX wins the unexpected-queue test and loses the posted-queue
 //!   test in the paper.
 //!
@@ -22,12 +22,12 @@
 
 pub mod collectives;
 pub mod engine;
-pub mod mxrank;
+pub(crate) mod mxrank;
 pub mod rank;
 pub mod request;
 pub mod transport;
 pub mod world;
 
-pub use rank::{MpiRank, Source, ANY_TAG};
+pub use rank::{MpiRank, Source};
 pub use request::{MpiRequest, MpiStatus};
 pub use world::{FabricKind, MpiWorld};

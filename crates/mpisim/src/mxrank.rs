@@ -20,7 +20,7 @@ use crate::request::{MpiRequest, MpiStatus};
 const CONTEXT: u16 = 1;
 
 /// One MPI process over an MX endpoint.
-pub struct MxMpiRank {
+pub(crate) struct MxMpiRank {
     sim: Sim,
     rank: usize,
     size: usize,

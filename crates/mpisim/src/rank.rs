@@ -9,7 +9,7 @@ use hostmodel::mem::{HostMem, VirtAddr};
 use crate::request::MpiRequest;
 
 /// Wildcard tag (`MPI_ANY_TAG`).
-pub const ANY_TAG: u32 = u32::MAX;
+pub(crate) const ANY_TAG: u32 = u32::MAX;
 
 /// Receive source selector.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -33,7 +33,7 @@ impl Source {
 
 /// Boxed local future (the trait must be object-safe; everything runs on
 /// the single-threaded simulation executor).
-pub type LocalFuture<'a, T> = Pin<Box<dyn Future<Output = T> + 'a>>;
+pub(crate) type LocalFuture<'a, T> = Pin<Box<dyn Future<Output = T> + 'a>>;
 
 /// One MPI process. Implemented by the host-matched engine (iWARP, IB) and
 /// the NIC-matched MX adapter.

@@ -19,7 +19,7 @@ use hostmodel::mem::{MemKey, VirtAddr};
 use simnet::{Bytes, SimDuration};
 
 /// Timed fabric primitives for one rank.
-pub struct FabricTransport<N: VerbsNic> {
+pub(crate) struct FabricTransport<N: VerbsNic> {
     cpu: Cpu,
     post_cost: SimDuration,
     dev: Rc<N>,
@@ -65,7 +65,7 @@ impl<N: VerbsNic> FabricTransport<N> {
     /// Deliver a `wire_bytes`-long two-sided message to `dest`; the future
     /// completes at *arrival* time. Messages to the same destination are
     /// FIFO (connection-ordered).
-    pub fn send_to(&self, dest: usize, wire_bytes: Bytes) -> impl Future<Output = ()> + '_ {
+    pub(crate) fn send_to(&self, dest: usize, wire_bytes: Bytes) -> impl Future<Output = ()> + '_ {
         // Ticket at post time: the connection delivers in post order even
         // when a small late message finishes its wire crossing first.
         let gate = &self.lanes[&dest].order;
@@ -79,7 +79,7 @@ impl<N: VerbsNic> FabricTransport<N> {
 
     /// One-sided write of `len` bytes into `(rkey, raddr)` at `dest`;
     /// completes at placement. Returns false on a remote protection fault.
-    pub async fn rdma_write_to(
+    pub(crate) async fn rdma_write_to(
         &self,
         dest: usize,
         len: u64,

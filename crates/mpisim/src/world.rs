@@ -45,7 +45,7 @@ impl FabricKind {
 
 /// MPICH-over-iWARP configuration. The eager→rendezvous switch lands
 /// between the paper's 4 KB and 8 KB sample points.
-pub fn iwarp_mpi_config() -> MpiConfig {
+pub(crate) fn iwarp_mpi_config() -> MpiConfig {
     MpiConfig {
         rndv_threshold: 6_000,
         eager_header: Bytes::new(32),
@@ -59,7 +59,7 @@ pub fn iwarp_mpi_config() -> MpiConfig {
 }
 
 /// MVAPICH 0.9.5 configuration. Rendezvous from 8 KB.
-pub fn ib_mpi_config() -> MpiConfig {
+pub(crate) fn ib_mpi_config() -> MpiConfig {
     MpiConfig {
         rndv_threshold: 8_192,
         eager_header: Bytes::new(32),

@@ -196,7 +196,6 @@ pub struct MxAddr {
     replay: Rc<RefCell<ReplayFilter>>,
     /// Conformance oracle: messages from one source match in send order
     /// (rule `mx.match-order`).
-    #[cfg(feature = "simcheck")]
     match_check: Rc<RefCell<simcheck::mx::MatchOrderOracle>>,
 }
 
@@ -286,7 +285,6 @@ impl MxEndpoint {
             conn_id,
             fault: fab.fault_plane(),
             replay: Rc::new(RefCell::new(ReplayFilter::new())),
-            #[cfg(feature = "simcheck")]
             match_check: Rc::new(RefCell::new(simcheck::mx::MatchOrderOracle::new(conn_id))),
         }
     }
@@ -344,7 +342,6 @@ impl MxEndpoint {
     ) {
         // Conformance oracle: this path is the eager side of the protocol
         // switch (rule `mx.rndv-switch`).
-        #[cfg(feature = "simcheck")]
         let _ = simcheck::mx::check_rndv_switch(
             len,
             self.nic.calib.rndv_threshold.get(),
@@ -361,7 +358,6 @@ impl MxEndpoint {
             let rs = dest.transfer_reliable(&sim, Bytes::new(len)).await;
             // MX matches messages from one source in send order.
             dest.order.enter(ticket).await;
-            #[cfg(feature = "simcheck")]
             let _ = dest
                 .match_check
                 .borrow_mut()
@@ -425,7 +421,6 @@ impl MxEndpoint {
     ) {
         // Conformance oracle: this path is the rendezvous side of the
         // protocol switch (rule `mx.rndv-switch`).
-        #[cfg(feature = "simcheck")]
         let _ = simcheck::mx::check_rndv_switch(
             len,
             self.nic.calib.rndv_threshold.get(),
@@ -446,7 +441,6 @@ impl MxEndpoint {
             let rs = dest.transfer_reliable(&sim, Bytes::new(32)).await;
             // The RTS envelope matches in send order, like any message.
             dest.order.enter(ticket).await;
-            #[cfg(feature = "simcheck")]
             let _ = dest
                 .match_check
                 .borrow_mut()

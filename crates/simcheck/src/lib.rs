@@ -10,10 +10,8 @@
 //!
 //! # Design rules
 //!
-//! - **Feature-gated, zero-cost when off.** Fabric crates depend on simcheck
-//!   optionally behind their own `simcheck` cargo feature; every call site is
-//!   `#[cfg(feature = "simcheck")]` so the disabled build compiles the checks
-//!   out entirely. Figure digests must be byte-identical either way.
+//! - **Always on.** Every build wires the oracles into the fabric crates;
+//!   the `figures` binary prints the [`summary`] and fails on a violation.
 //! - **Pure observers.** Oracles never advance simulated time, never await,
 //!   and never influence model state. On the uncontended fast path they do
 //!   bounded arithmetic plus one relaxed atomic increment; allocation is
@@ -29,9 +27,7 @@
 //!   `fsm_next` function ([`FsmOracle`]): no machine is restated here.
 //!
 //! Each oracle has a mutation-style unit test in its module: seed a deliberate
-//! corruption, assert the oracle fires. Those tests are tier-1 (they run
-//! without the feature — the oracle *code* is always compiled; only the
-//! *wiring* inside the fabric crates is gated).
+//! corruption, assert the oracle fires.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -333,38 +333,18 @@ struct Core {
     polling: Option<(TaskId, *const ())>,
     live_tasks: u64,
     next_timer_seq: u64,
-    // Counters surfaced through `Sim::stats`.
-    spawns: u64,
-    polls: u64,
-    timer_events: u64,
-    timers_set: u64,
-    timers_cancelled: u64,
-    // Pipeline cut-through fast-path accounting (updated by `pipe`).
+    /// The counters [`Sim::stats`] reports, bumped in place by the
+    /// executor, `pipe`, `fault`, the fabric recovery engines and
+    /// `netbench::workload`. Its `wakes`, `redundant_wakes`, `tasks_live`
+    /// and `timers_pending` stay zero: `stats` reads those live.
+    stats: SimStats,
+    /// Pipeline cut-through fast path (see `pipe`).
     fast_path_enabled: bool,
-    fast_path_hits: u64,
-    slow_path_falls: u64,
-    events_coalesced: u64,
-    calendar_peak_len: u64,
-    // Whole-transfer memoization (see `crate::memo` and `pipe`).
+    /// Whole-transfer memoization (see `crate::memo` and `pipe`).
     transfer_memo_enabled: bool,
-    memo_hits: u64,
-    memo_misses: u64,
-    memo_evictions: u64,
     /// Fingerprint of the active fault plane (0 = disabled); folded into
     /// transfer memo keys so entries never replay across fault regimes.
     fault_fp: u64,
-    // Fault-plane accounting (updated by `fault` and the fabric recovery
-    // engines).
-    faults_injected: u64,
-    retransmits: u64,
-    rto_fires: u64,
-    /// Cross-shard events delivered *into* this simulation by the sharded
-    /// engine's merge channels (see [`crate::shard`]).
-    cross_shard_events: u64,
-    // Open-loop workload accounting (updated by `netbench::workload`).
-    flows_issued: u64,
-    flows_completed: u64,
-    gen_backlog_peak: u64,
     /// `(deadline, armed)` of the most recently fired timer.
     last_fired: Option<(SimTime, SimTime)>,
     /// Schedule-perturbation salt captured from [`crate::perturb`] at
@@ -445,28 +425,10 @@ impl Sim {
                 polling: None,
                 live_tasks: 0,
                 next_timer_seq: 0,
-                spawns: 0,
-                polls: 0,
-                timer_events: 0,
-                timers_set: 0,
-                timers_cancelled: 0,
+                stats: SimStats::default(),
                 fast_path_enabled: tie_salt == 0,
-                fast_path_hits: 0,
-                slow_path_falls: 0,
-                events_coalesced: 0,
-                calendar_peak_len: 0,
                 transfer_memo_enabled: crate::memo::default_enabled(),
-                memo_hits: 0,
-                memo_misses: 0,
-                memo_evictions: 0,
                 fault_fp: 0,
-                faults_injected: 0,
-                retransmits: 0,
-                rto_fires: 0,
-                cross_shard_events: 0,
-                flows_issued: 0,
-                flows_completed: 0,
-                gen_backlog_peak: 0,
                 last_fired: None,
                 tie_salt,
                 trace_digest: FNV_OFFSET,
@@ -483,36 +445,15 @@ impl Sim {
     /// Snapshot of the executor's event/poll/wake counters.
     pub fn stats(&self) -> SimStats {
         let core = self.core.borrow();
+        // `shards`, `lookahead_rounds` and `merge_queue_peak` describe a
+        // sharded run as a whole: zero here, filled in by
+        // `shard::ShardOutcome::stats`.
         SimStats {
-            spawns: core.spawns,
-            polls: core.polls,
             wakes: self.ready.wakes.get(),
             redundant_wakes: self.ready.redundant_wakes.get(),
-            timer_events: core.timer_events,
-            timers_set: core.timers_set,
-            timers_cancelled: core.timers_cancelled,
             tasks_live: core.live_tasks,
             timers_pending: core.timers.len() as u64,
-            fast_path_hits: core.fast_path_hits,
-            slow_path_falls: core.slow_path_falls,
-            events_coalesced: core.events_coalesced,
-            calendar_peak_len: core.calendar_peak_len,
-            memo_hits: core.memo_hits,
-            memo_misses: core.memo_misses,
-            memo_evictions: core.memo_evictions,
-            faults_injected: core.faults_injected,
-            retransmits: core.retransmits,
-            rto_fires: core.rto_fires,
-            // Shard-level counters: `cross_shard_events` counts deliveries
-            // *into* this shard; the other three describe the sharded run
-            // as a whole and are filled in by `shard::ShardOutcome::stats`.
-            cross_shard_events: core.cross_shard_events,
-            shards: 0,
-            lookahead_rounds: 0,
-            merge_queue_peak: 0,
-            flows_issued: core.flows_issued,
-            flows_completed: core.flows_completed,
-            gen_backlog_peak: core.gen_backlog_peak,
+            ..core.stats
         }
     }
 
@@ -533,13 +474,13 @@ impl Sim {
     /// (timer firings + task spawns) it avoided.
     pub(crate) fn note_fast_path_hit(&self, coalesced: u64) {
         let mut core = self.core.borrow_mut();
-        core.fast_path_hits += 1;
-        core.events_coalesced += coalesced;
+        core.stats.fast_path_hits += 1;
+        core.stats.events_coalesced += coalesced;
     }
 
     /// Record a transfer that took (or was demoted to) the per-segment walk.
     pub(crate) fn note_slow_path_fall(&self) {
-        self.core.borrow_mut().slow_path_falls += 1;
+        self.core.borrow_mut().stats.slow_path_falls += 1;
     }
 
     /// Enable or disable the whole-transfer memo cache (see
@@ -561,18 +502,18 @@ impl Sim {
     /// Record a transfer replayed from the memo cache (including cached
     /// "plan refused" outcomes that skip straight to the walk).
     pub(crate) fn note_memo_hit(&self) {
-        self.core.borrow_mut().memo_hits += 1;
+        self.core.borrow_mut().stats.memo_hits += 1;
     }
 
     /// Record a memo-eligible transfer whose fingerprint was not cached.
     pub(crate) fn note_memo_miss(&self) {
-        self.core.borrow_mut().memo_misses += 1;
+        self.core.borrow_mut().stats.memo_misses += 1;
     }
 
     /// Record a memo entry evicted — either by a mid-window demotion of a
     /// replayed transfer or by the capacity cap.
     pub(crate) fn note_memo_eviction(&self) {
-        self.core.borrow_mut().memo_evictions += 1;
+        self.core.borrow_mut().stats.memo_evictions += 1;
     }
 
     /// Install the fingerprint of the active fault plane
@@ -593,55 +534,55 @@ impl Sim {
     /// Track the high-water mark of a pipe calendar's interval count.
     pub(crate) fn note_calendar_len(&self, len: u64) {
         let mut core = self.core.borrow_mut();
-        if len > core.calendar_peak_len {
-            core.calendar_peak_len = len;
+        if len > core.stats.calendar_peak_len {
+            core.stats.calendar_peak_len = len;
         }
     }
 
     /// Record a fault injected by a [`crate::fault::FaultPlane`] (a drop,
     /// corruption or delay decision).
     pub(crate) fn note_fault_injected(&self) {
-        self.core.borrow_mut().faults_injected += 1;
+        self.core.borrow_mut().stats.faults_injected += 1;
     }
 
     /// Record `n` retransmitted units (segments, packets or messages,
     /// whatever granularity the fabric's recovery engine works in).
     pub fn note_retransmits(&self, n: u64) {
-        self.core.borrow_mut().retransmits += n;
+        self.core.borrow_mut().stats.retransmits += n;
     }
 
     /// Record one retransmission-timeout expiry (as opposed to a fast
     /// retransmit triggered by feedback such as dup-ACKs or NAKs).
     pub fn note_rto_fire(&self) {
-        self.core.borrow_mut().rto_fires += 1;
+        self.core.borrow_mut().stats.rto_fires += 1;
     }
 
     /// Record one cross-shard event delivered into this simulation through
     /// the sharded engine's merge channels (see [`crate::shard`]).
     pub(crate) fn note_cross_shard_event(&self) {
-        self.core.borrow_mut().cross_shard_events += 1;
+        self.core.borrow_mut().stats.cross_shard_events += 1;
     }
 
     /// Record one flow issued by an open-loop workload generator. Public
     /// because the workload engine (`netbench::workload`) drives the
     /// fabric data paths from outside `simnet`.
     pub fn note_flow_issued(&self) {
-        self.core.borrow_mut().flows_issued += 1;
+        self.core.borrow_mut().stats.flows_issued += 1;
     }
 
     /// Record one flow whose response (or final streaming byte) completed.
     /// At quiesce the `workload.conservation` oracle requires
     /// `flows_issued == flows_completed + in-flight`.
     pub fn note_flow_completed(&self) {
-        self.core.borrow_mut().flows_completed += 1;
+        self.core.borrow_mut().stats.flows_completed += 1;
     }
 
     /// Track the high-water mark of a workload generator's backlog (flows
     /// issued but not yet picked up by a service loop).
     pub fn note_gen_backlog(&self, depth: u64) {
         let mut core = self.core.borrow_mut();
-        if depth > core.gen_backlog_peak {
-            core.gen_backlog_peak = depth;
+        if depth > core.stats.gen_backlog_peak {
+            core.stats.gen_backlog_peak = depth;
         }
     }
 
@@ -711,7 +652,7 @@ impl Sim {
     fn insert_task(&self, fut: Pin<Box<dyn Task>>, joiner: Option<Rc<dyn Joiner>>) {
         let id = {
             let mut core = self.core.borrow_mut();
-            core.spawns += 1;
+            core.stats.spawns += 1;
             core.live_tasks += 1;
             let index = match core.task_free {
                 Some(i) => {
@@ -915,7 +856,7 @@ impl Sim {
         }
         match std::mem::replace(&mut slot.state, TimerState::Fired) {
             TimerState::Pending { waiter } => {
-                core.timer_events += 1;
+                core.stats.timer_events += 1;
                 // Event-ordering trace: digest `(deadline, seq)` in
                 // firing order.
                 core.trace_digest =
@@ -978,7 +919,7 @@ impl Sim {
             // must re-enqueue the task.
             entry.shared.set_scheduled(false);
             let shared = Arc::as_ptr(&entry.shared).cast::<()>();
-            core.polls += 1;
+            core.stats.polls += 1;
             (body, core.polling.replace((id, shared)))
         };
         let TaskBody {
@@ -1054,7 +995,7 @@ impl Core {
     /// Arm a timer at `(at, next seq)` backed by a pooled slot holding whom
     /// it wakes. Returns the slot key for [`Sleep`] to poll/free.
     fn register_timer(&mut self, at: SimTime, waiter: Waiter) -> TimerKey {
-        self.timers_set += 1;
+        self.stats.timers_set += 1;
         let index = match self.timer_free {
             Some(i) => {
                 let TimerState::Vacant { next_free } = self.timer_slots[i as usize].state else {
@@ -1174,7 +1115,7 @@ impl Drop for Sleep {
                 // Lazy cancel: drop the waiter now, let the heap entry
                 // reclaim the slot when it pops.
                 slot.state = TimerState::Cancelled;
-                core.timers_cancelled += 1;
+                core.stats.timers_cancelled += 1;
             }
             _ => {}
         }

@@ -25,14 +25,13 @@
 //! `on_provider!` match — statically dispatched, so the layer adds no
 //! simulated event and no allocation to a post.
 //!
-//! ## Conformance checking (`--features simcheck`)
+//! ## Conformance checking
 //!
 //! This crate registers **no oracles of its own**: every DAT call lowers
 //! directly onto a verbs call, so the invariants worth checking (QP state,
 //! completion order, MR bounds, RDMAP opcode legality) live in each
-//! provider's `QpWatch` beneath and are already observed there. Enabling
-//! the feature here forwards it to both providers; the tests assert that
-//! DAT traffic is in fact seen by those provider-level oracles.
+//! provider's `QpWatch` beneath and are already observed there. The tests
+//! assert that DAT traffic is in fact seen by those provider-level oracles.
 
 #![forbid(unsafe_code)]
 
@@ -527,7 +526,6 @@ mod tests {
 
     /// The pass-through claim, verified: DAT traffic is observed by the
     /// provider-level oracles (this crate registers none of its own).
-    #[cfg(feature = "simcheck")]
     #[test]
     fn dat_traffic_is_observed_by_provider_oracles() {
         let before = simcheck::summary();

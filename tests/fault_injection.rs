@@ -2,7 +2,7 @@
 //! loss rates up to 1e-2, every fabric's recovery protocol completes the
 //! user-level ping-pong (each message delivered exactly once — the
 //! simcheck `fault.delivery` oracle inside each engine enforces the
-//! byte-level claim under `--features simcheck`), the new `SimStats`
+//! byte-level claim), the new `SimStats`
 //! counters are populated, lossy runs are bit-deterministic, and a
 //! disabled plane leaves both timing and counters untouched.
 
@@ -80,7 +80,6 @@ fn total_loss_terminates_with_every_unit_forced_through() {
     }
     // Forced progress is still exactly-once delivery within the
     // retransmit budget.
-    #[cfg(feature = "simcheck")]
     for r in simcheck::summary().rules {
         if matches!(
             r.rule,

@@ -1,12 +1,7 @@
-//! End-to-end conformance run: generate a real figure with the `simcheck`
-//! oracles compiled in, run the wire codecs, the loss-recovery engines, and
-//! a sharded cluster exchange once, and assert that (a) every oracle
-//! actually observed traffic and (b) no invariant fired.
-//!
-//! Compiled only under `--features simcheck`; the unchecked build has
-//! nothing to assert (the oracles do not exist).
-
-#![cfg(feature = "simcheck")]
+//! End-to-end conformance run: generate a real figure, run the wire codecs,
+//! the loss-recovery engines, and a sharded cluster exchange once, and
+//! assert that (a) every `simcheck` oracle actually observed traffic and
+//! (b) no invariant fired.
 
 /// Drive the byte-level codecs (MPA framing, TCP segmentation, Ethernet
 /// accounting, DDP reassembly) once. The figure runs are timing-only and
