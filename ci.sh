@@ -47,13 +47,12 @@ RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc -q --no-deps --works
 
 echo "==> simlint (determinism & panic-path gates)"
 # One pipeline over the workspace; any finding fails. Per-file rules reject
-# hash-order iteration, wall-clock reads, OS threads, unseeded RNGs,
-# unordered float accumulation, Relaxed atomics, cross-shard state and
-# incomplete memo keys in simulation-state code (DESIGN.md §6); the
-# interprocedural passes add nondeterminism taint through calls and unwraps
-# reachable from the fabric transfer hot paths (§11). Dimensions
-# are the compiler's: the types and simnet's cast_possible_truncation
-# deny, enforced by the clippy step above (§12).
+# hash-ordered containers, wall-clock reads, OS threads, unseeded RNGs,
+# Relaxed atomics and cross-shard state in simulation-state code
+# (DESIGN.md §6); the interprocedural passes add nondeterminism taint
+# through calls and unwraps reachable from the fabric transfer hot paths
+# (§11). Dimensions are the compiler's: the types and simnet's
+# cast_possible_truncation deny, enforced by the clippy step above (§12).
 cargo run -q -p simlint
 
 mkdir -p results/ci
@@ -82,7 +81,7 @@ FASTPATH_DIFF_CASES=100000 cargo test -q --release --test fastpath_diff
 echo "==> differential sweep: transfer memo vs unmemoized replay (100k cases)"
 # Same harness shape for the whole-transfer memo: every scenario (bursts,
 # demotions, observers, fault-judged sends) must be observationally
-# identical with the fingerprint-keyed cache enabled and force-disabled.
+# identical with the cache enabled and force-disabled.
 MEMO_DIFF_CASES=100000 cargo test -q --release --test memo_diff
 
 echo "==> calendar differential in release (full 204k operations)"
@@ -97,8 +96,8 @@ cargo test -q --release --test determinism -- --include-ignored
 echo "==> smoke: figures --selftest"
 ./target/release/figures --selftest > /dev/null
 
-# The memo, the worker-pool cap (figure groups AND the sharded engine's
-# worker count) and the serial escape hatch may change wall-clock only.
+# The memo and the worker-pool cap (figure groups AND the sharded engine's
+# worker count; `--threads 1` is the serial run) may change wall-clock only.
 pin default
 
 echo "==> conformance: every oracle figures all exercises ran, none fired"
@@ -124,7 +123,6 @@ done
 
 pin no-memo --no-memo
 pin threads-1 --threads 1
-pin serial --serial
 
 echo "==> benchmark/check.sh: perfbench stable surface + digest-exact goldens"
 # The benchmark is its own package (benchmark/, outside this workspace) and

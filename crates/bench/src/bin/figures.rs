@@ -13,9 +13,9 @@
 //! is bit-identical to a serial run (`tests/determinism.rs` locks this in
 //! with an event-order digest). Flags:
 //!
-//! * `--serial`      — generate on the calling thread only (escape hatch
-//!   for debugging or single-core profiling).
-//! * `--threads N`   — cap the worker pool at `N` threads.
+//! * `--threads N`   — cap the worker pool at `N` threads; `--threads 1`
+//!   generates on the calling thread only (the serial run, for debugging
+//!   or single-core profiling).
 //! * `--json DIR`    — also write one `<figure-id>.json` per figure.
 //! * `--charts`      — append ASCII charts to the tables.
 //! * `--selftest`    — run a fixed executor micro-workload and report
@@ -43,7 +43,6 @@ fn main() {
     let mut which: Vec<String> = Vec::new();
     let mut json_dir: Option<String> = None;
     let mut charts = false;
-    let mut serial = false;
     let mut selftest = false;
     let mut threads: Option<usize> = None;
     let mut it = args.into_iter();
@@ -54,7 +53,6 @@ fn main() {
                 None => usage_error("--json requires a directory"),
             },
             "--charts" => charts = true,
-            "--serial" => serial = true,
             "--selftest" => selftest = true,
             // The memo is an optimization, never a semantic switch: forcing
             // it off must reproduce the exact bytes (ci.sh pins a --no-memo
@@ -94,8 +92,7 @@ fn main() {
             usage_error(&format!("cannot create --json directory {dir:?}: {e}"));
         }
     }
-    // --serial wins over --threads: everything on the calling thread.
-    let threads = (!serial).then(|| threads.unwrap_or_else(bench::default_threads));
+    let threads = threads.unwrap_or_else(bench::default_threads);
     for sel in &which {
         let t0 = std::time::Instant::now();
         let groups = bench::generate_groups(sel, threads);
@@ -106,10 +103,7 @@ fn main() {
                 count += 1;
                 println!("{}", fig.to_table());
                 if charts {
-                    println!(
-                        "{}",
-                        fig.to_ascii_chart(netbench::report::ChartOptions::default())
-                    );
+                    println!("{}", fig.to_ascii_chart());
                 }
                 if let Some(dir) = &json_dir {
                     let path = format!("{dir}/{}.json", fig.id);
@@ -229,6 +223,7 @@ fn run_selftest() {
     println!("  timer_events      {}", st.timer_events);
     println!("  timers_cancelled  {}", st.timers_cancelled);
     println!("  fast_path_hits    {}", st.fast_path_hits);
+    println!("  bookings          {}", st.bookings);
     println!("  memo_hits         {}", st.memo_hits);
     println!("  memo_misses       {}", st.memo_misses);
     println!("  memo_evictions    {}", st.memo_evictions);

@@ -121,16 +121,16 @@ pub struct Group {
 /// Generate the groups selected by `which` ("all", a figure id prefix, or
 /// the aliases "overlap"/"hotspot"/"registration"), in catalog order.
 ///
-/// `threads: None` runs everything on the calling thread, including any
-/// sharded runs inside the figures. `Some(n)` spreads the groups over up
-/// to `n` OS threads — simulations are per-thread and deterministic, so
+/// `threads == 1` runs everything on the calling thread, including any
+/// sharded runs inside the figures. `n > 1` spreads the groups over up to
+/// `n` OS threads — simulations are per-thread and deterministic, so
 /// parallelism changes wall time, not results — claimed from a shared
 /// counter so long groups don't serialize behind a static partition. In
 /// both cases the cap also becomes the process default for the sharded
 /// engine (`simnet::shard::set_default_threads`), so `--threads N` shards
-/// *within* a figure as well as across groups.
-pub fn generate_groups(which: &str, threads: Option<usize>) -> Vec<Group> {
-    let cap = threads.map_or(1, |n| n.max(1));
+/// *within* a figure as well as across groups. `0` counts as `1`.
+pub fn generate_groups(which: &str, threads: usize) -> Vec<Group> {
+    let cap = threads.max(1);
     simnet::shard::set_default_threads(cap);
     let which = resolve_alias(which);
     let selected: Vec<(&'static str, Generator)> = catalog()
@@ -146,7 +146,7 @@ pub fn generate_groups(which: &str, threads: Option<usize>) -> Vec<Group> {
             wall: t0.elapsed(),
         }
     };
-    if threads.is_none() {
+    if cap == 1 {
         return selected.iter().map(run).collect();
     }
     let next = std::sync::atomic::AtomicUsize::new(0);
@@ -176,17 +176,13 @@ fn figures_of(groups: Vec<Group>) -> Vec<Figure> {
 
 /// The selected figures, generated sequentially on the calling thread.
 pub fn generate(which: &str) -> Vec<Figure> {
-    figures_of(generate_groups(which, None))
+    figures_of(generate_groups(which, 1))
 }
 
-/// The selected figures, generated across [`default_threads`] OS threads.
-pub fn generate_parallel(which: &str) -> Vec<Figure> {
-    generate_parallel_with(which, default_threads())
-}
-
-/// [`generate_parallel`] with an explicit worker-thread cap.
-pub fn generate_parallel_with(which: &str, threads: usize) -> Vec<Figure> {
-    figures_of(generate_groups(which, Some(threads)))
+/// The selected figures, generated across up to `threads` OS threads
+/// ([`default_threads`] is one per core).
+pub fn generate_parallel(which: &str, threads: usize) -> Vec<Figure> {
+    figures_of(generate_groups(which, threads))
 }
 
 /// Whether `which` selects at least one catalog entry — lets callers
@@ -227,7 +223,7 @@ mod tests {
         // Each generator owns its simulation, so threading must not change
         // a single bit of any series.
         let seq = super::generate("e11");
-        let par = super::generate_parallel("e11");
+        let par = super::generate_parallel("e11", super::default_threads());
         assert_eq!(seq.len(), par.len());
         for (a, b) in seq.iter().zip(par.iter()) {
             assert_eq!(a.to_json(), b.to_json());

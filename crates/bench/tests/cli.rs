@@ -47,7 +47,13 @@ fn unusable_json_target_exits_2_before_any_figure_runs() {
 #[test]
 fn json_target_is_created_and_filled() {
     let dir = scratch("figures-cli-out");
-    let out = figures(&["e11", "--serial", "--json", dir.to_str().expect("utf-8")]);
+    let out = figures(&[
+        "e11",
+        "--threads",
+        "1",
+        "--json",
+        dir.to_str().expect("utf-8"),
+    ]);
     assert!(
         out.status.success(),
         "{}",

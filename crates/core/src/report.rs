@@ -239,34 +239,18 @@ mod tests {
     }
 }
 
-/// Options for ASCII chart rendering.
-#[derive(Clone, Copy, Debug)]
-pub struct ChartOptions {
-    /// Grid width in characters.
-    pub width: usize,
-    /// Grid height in rows.
-    pub height: usize,
-    /// Log-scale the x axis (message-size sweeps).
-    pub log_x: bool,
-    /// Log-scale the y axis.
-    pub log_y: bool,
-}
-
-impl Default for ChartOptions {
-    fn default() -> Self {
-        ChartOptions {
-            width: 64,
-            height: 16,
-            log_x: true,
-            log_y: true,
-        }
-    }
-}
+/// ASCII chart grid width in characters.
+const CHART_WIDTH: usize = 64;
+/// ASCII chart grid height in rows.
+const CHART_HEIGHT: usize = 16;
 
 impl Figure {
     /// Render the figure as an ASCII line chart — the closest a terminal
-    /// gets to the paper's plots. One plotting symbol per series.
-    pub fn to_ascii_chart(&self, opts: ChartOptions) -> String {
+    /// gets to the paper's plots. One plotting symbol per series. An axis
+    /// is log-scaled when every value on it is positive (the paper's
+    /// message-size and bandwidth sweeps) and linear otherwise, so a zero
+    /// (fig-loss's 0 ppm baseline) is drawn, never dropped.
+    pub fn to_ascii_chart(&self) -> String {
         use std::fmt::Write;
         const SYMBOLS: [char; 8] = ['*', 'o', '+', 'x', '#', '@', '%', '&'];
         let mut out = String::new();
@@ -275,14 +259,15 @@ impl Figure {
             .series
             .iter()
             .flat_map(|s| s.points.iter().copied())
-            .filter(|(x, y)| (!opts.log_x || *x > 0.0) && (!opts.log_y || *y > 0.0))
             .collect();
         if pts.is_empty() {
             let _ = writeln!(out, "(no data)");
             return out;
         }
-        let tx = |x: f64| if opts.log_x { x.log2() } else { x };
-        let ty = |y: f64| if opts.log_y { y.log2() } else { y };
+        let log_x = pts.iter().all(|&(x, _)| x > 0.0);
+        let log_y = pts.iter().all(|&(_, y)| y > 0.0);
+        let tx = |x: f64| if log_x { x.log2() } else { x };
+        let ty = |y: f64| if log_y { y.log2() } else { y };
         let (mut x0, mut x1) = (f64::MAX, f64::MIN);
         let (mut y0, mut y1) = (f64::MAX, f64::MIN);
         for &(x, y) in &pts {
@@ -297,38 +282,35 @@ impl Figure {
         if (y1 - y0).abs() < 1e-12 {
             y1 = y0 + 1.0;
         }
-        let mut grid = vec![vec![' '; opts.width]; opts.height];
+        let mut grid = vec![vec![' '; CHART_WIDTH]; CHART_HEIGHT];
         for (si, s) in self.series.iter().enumerate() {
             let sym = SYMBOLS[si % SYMBOLS.len()];
             for &(x, y) in &s.points {
-                if (opts.log_x && x <= 0.0) || (opts.log_y && y <= 0.0) {
-                    continue;
-                }
-                let cx = ((tx(x) - x0) / (x1 - x0) * (opts.width - 1) as f64).round() as usize;
-                let cy = ((ty(y) - y0) / (y1 - y0) * (opts.height - 1) as f64).round() as usize;
-                let row = opts.height - 1 - cy.min(opts.height - 1);
-                grid[row][cx.min(opts.width - 1)] = sym;
+                let cx = ((tx(x) - x0) / (x1 - x0) * (CHART_WIDTH - 1) as f64).round() as usize;
+                let cy = ((ty(y) - y0) / (y1 - y0) * (CHART_HEIGHT - 1) as f64).round() as usize;
+                let row = CHART_HEIGHT - 1 - cy.min(CHART_HEIGHT - 1);
+                grid[row][cx.min(CHART_WIDTH - 1)] = sym;
             }
         }
-        let ymax_label = format!("{:.3}", y1.exp2_if(opts.log_y));
-        let ymin_label = format!("{:.3}", y0.exp2_if(opts.log_y));
+        let ymax_label = format!("{:.3}", y1.exp2_if(log_y));
+        let ymin_label = format!("{:.3}", y0.exp2_if(log_y));
         for (i, row) in grid.iter().enumerate() {
             let label = if i == 0 {
                 format!("{ymax_label:>10} ")
-            } else if i == opts.height - 1 {
+            } else if i == CHART_HEIGHT - 1 {
                 format!("{ymin_label:>10} ")
             } else {
                 " ".repeat(11)
             };
             let _ = writeln!(out, "{label}|{}", row.iter().collect::<String>());
         }
-        let _ = writeln!(out, "{} +{}", " ".repeat(10), "-".repeat(opts.width));
+        let _ = writeln!(out, "{} +{}", " ".repeat(10), "-".repeat(CHART_WIDTH));
         let _ = writeln!(
             out,
             "{}{}  ..  {}   [{} vs {}]",
             " ".repeat(12),
-            format_x(x0.exp2_if(opts.log_x)),
-            format_x(x1.exp2_if(opts.log_x)),
+            format_x(x0.exp2_if(log_x)),
+            format_x(x1.exp2_if(log_x)),
             self.ylabel,
             self.xlabel
         );
@@ -373,7 +355,7 @@ mod chart_tests {
 
     #[test]
     fn chart_contains_both_series_symbols_and_legend() {
-        let c = demo_figure().to_ascii_chart(ChartOptions::default());
+        let c = demo_figure().to_ascii_chart();
         assert!(c.contains('*') && c.contains('o'));
         assert!(c.contains("fabric-a") && c.contains("fabric-b"));
         assert!(c.contains("demo — latency"));
@@ -382,7 +364,7 @@ mod chart_tests {
     #[test]
     fn chart_handles_empty_figure() {
         let fig = Figure::new("empty", "t", "x", "y");
-        let c = fig.to_ascii_chart(ChartOptions::default());
+        let c = fig.to_ascii_chart();
         assert!(c.contains("(no data)"));
     }
 
@@ -392,22 +374,31 @@ mod chart_tests {
         let mut s = Series::new("s");
         s.push(1024.0, 5.0);
         fig.series.push(s);
-        let c = fig.to_ascii_chart(ChartOptions::default());
+        let c = fig.to_ascii_chart();
         assert!(c.contains('*'));
     }
 
     #[test]
     fn linear_scale_renders_zero_values() {
+        // fig-loss's shape: a 0 ppm baseline on the x axis. The x axis
+        // turns linear so the point is drawn in the first column; the y
+        // axis, all positive, stays log-scaled.
         let mut fig = Figure::new("lin", "t", "x", "y");
         let mut s = Series::new("s");
-        s.push(0.0, 0.0);
-        s.push(10.0, 1.0);
+        s.push(0.0, 2.0);
+        s.push(100.0, 4.0);
+        s.push(10_240.0, 8.0);
         fig.series.push(s);
-        let c = fig.to_ascii_chart(ChartOptions {
-            log_x: false,
-            log_y: false,
-            ..ChartOptions::default()
-        });
-        assert!(c.contains('*'));
+        let c = fig.to_ascii_chart();
+        let rows: Vec<&str> = c
+            .lines()
+            .filter_map(|l| l.split_once('|').map(|(_, grid)| grid))
+            .collect();
+        assert_eq!(rows.len(), CHART_HEIGHT, "{c}");
+        assert!(rows[CHART_HEIGHT - 1].starts_with('*'), "{c}");
+        let drawn: usize = rows.iter().map(|r| r.matches('*').count()).sum();
+        assert_eq!(drawn, 3, "{c}");
+        assert!(c.contains("0  ..  10K"), "{c}");
+        assert!(c.contains("     2.000 |"), "{c}");
     }
 }

@@ -117,10 +117,6 @@ impl<N: NicModel> Fabric<N> {
     /// connected *after* this call; with the plane disabled (the default)
     /// the fabric is bit-identical to the fault-free build.
     pub fn set_fault_plane(&self, plane: FaultPlane) {
-        // Fold the plane's configuration into the transfer-memo fingerprint
-        // so outcomes cached fault-free are never replayed under faults
-        // (and vice versa) — see `simnet::memo`.
-        self.sim.set_fault_fingerprint(plane.fingerprint());
         *self.fault.borrow_mut() = plane;
     }
 

@@ -4,8 +4,8 @@
 //! The transfer is judged unit-by-unit (TCP segment, IB or MX packet)
 //! against a [`FaultPlane`]; contiguous delivered runs are streamed through
 //! the pipeline in one reservation (preserving the cut-through overlap a
-//! healthy stream enjoys), and each lost or corrupted unit pays its
-//! protocol's real recovery cost. The stacks differ in three facts, which a
+//! healthy stream enjoys), and each lost unit pays its protocol's real
+//! recovery cost. The stacks differ in three facts, which a
 //! [`LossRecovery`] states and [`transfer_reliable`] plays out:
 //!
 //! * **Early signal** — does the receiver report a hole before the sender's
@@ -158,8 +158,7 @@ pub const TCP_OFFLOAD: LossRecovery = LossRecovery {
 /// [`simnet::SimStats`]).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct RecoveryStats {
-    /// Faults this transfer absorbed (data and ACK; drops + corruptions +
-    /// delays).
+    /// Faults this transfer absorbed (data and ACK; drops + delays).
     pub faults: u64,
     /// Units retransmitted (go-back-N counts the whole tail per attempt,
     /// an ACK replay the whole message).
@@ -169,11 +168,6 @@ pub struct RecoveryStats {
     /// Whole-message replays caused by lost ACKs — already charged wire
     /// time here; the caller's matching layer must drop them by sequence.
     pub duplicates: u64,
-}
-
-/// A unit judged `verdict` never reaches the receiver intact.
-fn is_loss(verdict: FaultDecision) -> bool {
-    matches!(verdict, FaultDecision::Drop | FaultDecision::Corrupt)
 }
 
 /// Wait out the retransmission timer's `attempt`-th consecutive expiry.
@@ -231,7 +225,7 @@ pub async fn transfer_reliable(
     let mut i = 0u64;
     while i < n {
         let mut verdict = plane.judge(sim, stream);
-        let lost = is_loss(verdict);
+        let lost = verdict == FaultDecision::Drop;
         if lost {
             stats.faults += 1;
             // The loss is discovered only after the preceding run (and,
@@ -271,7 +265,7 @@ pub async fn transfer_reliable(
                 } else {
                     plane.judge(sim, stream)
                 };
-                if !is_loss(retx) {
+                if retx != FaultDecision::Drop {
                     fsm_step(&mut phase, TcpSendEvent::RetxDelivered);
                     break retx;
                 }
@@ -527,7 +521,6 @@ mod tests {
     fn delay_plane(drop_ppm: u32, delay_ppm: u32, delay_us: u64, seed: u64) -> FaultPlane {
         FaultPlane::new(FaultConfig {
             drop_ppm,
-            corrupt_ppm: 0,
             delay_ppm,
             delay: SimDuration::from_micros(delay_us),
             seed,

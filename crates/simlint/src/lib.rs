@@ -7,9 +7,10 @@
 //! byte for byte. That pin is an *after-the-fact* net. `simlint` is
 //! the static half: a `syn`-based AST walker over the simulation crates that
 //! rejects the classic determinism killers before they compile —
-//! hash-ordered iteration, wall-clock reads, thread spawns, unseeded RNGs,
-//! float accumulation over unordered iterators, and `Ordering::Relaxed`
-//! atomics.
+//! hash-ordered containers, wall-clock reads, thread spawns, unseeded RNGs,
+//! `Ordering::Relaxed` atomics and cross-shard shared state. (A float
+//! reduction over hash iteration needs a hash container, which
+//! `hash-collections` already rejects.)
 //!
 //! ## How it works
 //!
@@ -17,7 +18,7 @@
 //! items by the vendored `syn`; rules then walk a flattened token sequence
 //! ([`FlatTok`]) with pattern helpers. Rules are deliberately *syntactic*:
 //! they key on names and token shapes (`HashMap`, `std :: time`,
-//! `.values().sum::<f64>()`) rather than resolved types, so a determined
+//! `Ordering :: Relaxed`) rather than resolved types, so a determined
 //! author can evade them with renames — the point is to make the safe thing
 //! the path of least resistance and the unsafe thing loud, not to sandbox
 //! adversaries.

@@ -8,7 +8,7 @@
 
 use crate::{path_at, skip_group, Diagnostic, FileContext, FlatTok};
 
-use proc_macro2::{Delimiter, Span};
+use proc_macro2::Span;
 
 /// A single named lint with a one-line summary and a checker.
 pub trait Rule {
@@ -25,10 +25,8 @@ pub fn all_rules() -> Vec<Box<dyn Rule>> {
         Box::new(WallClock),
         Box::new(ThreadSpawn),
         Box::new(UnseededRng),
-        Box::new(FloatHashAccum),
         Box::new(RelaxedAtomics),
         Box::new(CrossShardState),
-        Box::new(MemoKeyFields),
     ]
 }
 
@@ -253,115 +251,6 @@ impl Rule for UnseededRng {
 }
 
 // ---------------------------------------------------------------------------
-// float-hash-accum
-// ---------------------------------------------------------------------------
-
-/// Float addition is not associative, so reducing an *unordered* iterator
-/// (`.values()`, `.keys()` of a hash container) into an `f32`/`f64` yields
-/// run-dependent low bits even when the element set is identical. The fix
-/// is an ordered source (BTree containers, sorted Vec) — made explicit in
-/// `stats.rs`-style reducers.
-struct FloatHashAccum;
-
-const UNORDERED_SOURCES: &[&str] = &["values", "keys", "into_values", "into_keys"];
-const REDUCERS: &[&str] = &["sum", "product"];
-
-fn float_literal(text: &str) -> bool {
-    text.contains('.') || text.ends_with("f32") || text.ends_with("f64")
-}
-
-impl Rule for FloatHashAccum {
-    fn name(&self) -> &'static str {
-        "float-hash-accum"
-    }
-
-    fn summary(&self) -> &'static str {
-        "f32/f64 reduction over .values()/.keys() iteration is order-sensitive; reduce over an ordered source"
-    }
-
-    fn check(&self, ctx: &FileContext, out: &mut Vec<Diagnostic>) {
-        let toks = &ctx.flat;
-        let mut i = 0usize;
-        while i < toks.len() {
-            // Chain start: `. values ( … )` (or keys/into_values/into_keys).
-            let started = i + 2 < toks.len()
-                && toks[i].is_punct('.')
-                && matches!(&toks[i + 1], FlatTok::Ident(n, _) if UNORDERED_SOURCES.contains(&n.as_str()))
-                && matches!(&toks[i + 2], FlatTok::Open(Delimiter::Parenthesis, _));
-            if !started {
-                i += 1;
-                continue;
-            }
-            let FlatTok::Ident(source, _) = &toks[i + 1] else {
-                unreachable!("matched ident above");
-            };
-            let mut j = skip_group(toks, i + 2);
-            // Walk the rest of the method chain looking for a float reducer.
-            while j < toks.len() && toks[j].is_punct('.') {
-                let Some(FlatTok::Ident(link, link_span)) = toks.get(j + 1) else {
-                    break;
-                };
-                let mut k = j + 2;
-                // Optional turbofish: `:: < … >` with nested angle brackets.
-                let mut turbofish = String::new();
-                if k + 2 < toks.len()
-                    && toks[k].is_punct(':')
-                    && toks[k + 1].is_punct(':')
-                    && toks[k + 2].is_punct('<')
-                {
-                    k += 2;
-                    let mut depth = 0i32;
-                    while k < toks.len() {
-                        match &toks[k] {
-                            FlatTok::Punct('<', _) => depth += 1,
-                            FlatTok::Punct('>', _) => {
-                                depth -= 1;
-                                if depth == 0 {
-                                    k += 1;
-                                    break;
-                                }
-                            }
-                            FlatTok::Ident(s, _) => turbofish.push_str(s),
-                            _ => {}
-                        }
-                        k += 1;
-                    }
-                }
-                let Some(FlatTok::Open(Delimiter::Parenthesis, _)) = toks.get(k) else {
-                    break; // field access / end of chain
-                };
-                let args_end = skip_group(toks, k);
-                let is_float_reduce = REDUCERS.contains(&link.as_str())
-                    && (turbofish.contains("f64") || turbofish.contains("f32"));
-                let is_float_fold = link == "fold" && {
-                    // Seed is the first argument; a leading `-` is fine.
-                    let mut a = k + 1;
-                    if toks.get(a).is_some_and(|t| t.is_punct('-')) {
-                        a += 1;
-                    }
-                    matches!(toks.get(a), Some(FlatTok::Lit(l, _)) if float_literal(l))
-                };
-                if is_float_reduce || is_float_fold {
-                    report(
-                        ctx,
-                        *link_span,
-                        self.name(),
-                        format!(
-                            "float `{link}` over `.{source}()` of a keyed container; keyed iteration order is a \
-                             determinism hazard for non-associative float addition — sort into a Vec first, or \
-                             prove the container is a BTree type and annotate"
-                        ),
-                        out,
-                    );
-                }
-                j = args_end;
-            }
-            i += 1;
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // relaxed-atomics
 // ---------------------------------------------------------------------------
 
@@ -452,94 +341,6 @@ impl Rule for CrossShardState {
                 );
             } else if name == "Arc" && toks.get(i + 1).is_some_and(|t| t.is_punct('<')) {
                 self.scan_arc_args(ctx, toks, i + 1, out);
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// memo-key
-// ---------------------------------------------------------------------------
-
-/// The transfer-memo key (`simnet::memo::MemoKey`) must capture every
-/// input that can change a cached traversal's outcome. Two of them are
-/// easy to drop silently in a refactor because nothing type-checks their
-/// presence: the schedule-perturbation salt (a perturbed run resolves
-/// same-instant tie-breaks differently, so a plan cached under one salt
-/// is not valid evidence under another) and the fault-plane fingerprint
-/// (an outcome cached fault-free must never replay under injected
-/// faults, nor vice versa). Any `struct MemoKey` definition in
-/// simulation scope must therefore declare both fields.
-struct MemoKeyFields;
-
-const MEMO_KEY_FIELDS: &[&str] = &["tie_salt", "fault_fp"];
-
-impl Rule for MemoKeyFields {
-    fn name(&self) -> &'static str {
-        "memo-key"
-    }
-
-    fn summary(&self) -> &'static str {
-        "a MemoKey struct must key the perturbation salt (tie_salt) and fault-plane state (fault_fp), or cached outcomes replay under the wrong regime"
-    }
-
-    fn check(&self, ctx: &FileContext, out: &mut Vec<Diagnostic>) {
-        let toks = &ctx.flat;
-        for (i, tok) in toks.iter().enumerate() {
-            let FlatTok::Ident(name, span) = tok else {
-                continue;
-            };
-            if name != "MemoKey" || i == 0 || !toks[i - 1].is_ident("struct") {
-                continue;
-            }
-            // Find the field block: the next brace group before any `;`.
-            // A unit or tuple `MemoKey` cannot name its fields at all, so
-            // it is missing both.
-            let mut j = i + 1;
-            let mut body = None;
-            while j < toks.len() {
-                match &toks[j] {
-                    FlatTok::Open(Delimiter::Brace, _) => {
-                        body = Some(j);
-                        break;
-                    }
-                    FlatTok::Punct(';', _) => break,
-                    FlatTok::Open(..) => {
-                        j = skip_group(toks, j);
-                        continue;
-                    }
-                    _ => {}
-                }
-                j += 1;
-            }
-            let missing: Vec<&str> = match body {
-                Some(open) => {
-                    let end = skip_group(toks, open);
-                    MEMO_KEY_FIELDS
-                        .iter()
-                        .copied()
-                        .filter(|f| !toks[open..end].iter().any(|t| t.is_ident(f)))
-                        .collect()
-                }
-                None => MEMO_KEY_FIELDS.to_vec(),
-            };
-            if !missing.is_empty() {
-                let fields = missing
-                    .iter()
-                    .map(|f| format!("`{f}`"))
-                    .collect::<Vec<_>>()
-                    .join(", ");
-                report(
-                    ctx,
-                    *span,
-                    self.name(),
-                    format!(
-                        "`struct MemoKey` does not key {fields}; a memo entry keyed without the \
-                         perturbation salt and fault-plane fingerprint replays cached outcomes \
-                         under the wrong simulation regime"
-                    ),
-                    out,
-                );
             }
         }
     }

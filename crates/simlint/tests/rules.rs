@@ -26,9 +26,8 @@ fn count_rule(diags: &[Diagnostic], rule: &str) -> usize {
 }
 
 /// Each (rule, trigger fixture, ok fixture) triple. Trigger fixtures may
-/// legitimately trip *other* rules too (a HashMap float-sum trips both the
-/// hash and the float rule), so trigger assertions count only their own rule
-/// while ok fixtures must be clean across the board.
+/// legitimately trip *other* rules too, so trigger assertions count only
+/// their own rule while ok fixtures must be clean across the board.
 const CASES: &[(&str, &str, &str)] = &[
     (
         "hash-collections",
@@ -47,11 +46,6 @@ const CASES: &[(&str, &str, &str)] = &[
         "unseeded_rng_ok.rs",
     ),
     (
-        "float-hash-accum",
-        "float_hash_accum_trigger.rs",
-        "float_hash_accum_ok.rs",
-    ),
-    (
         "relaxed-atomics",
         "relaxed_atomics_trigger.rs",
         "relaxed_atomics_ok.rs",
@@ -61,7 +55,6 @@ const CASES: &[(&str, &str, &str)] = &[
         "cross_shard_state_trigger.rs",
         "cross_shard_state_ok.rs",
     ),
-    ("memo-key", "memo_key_trigger.rs", "memo_key_ok.rs"),
 ];
 
 #[test]
@@ -97,7 +90,7 @@ fn rule_registry_matches_fixture_table() {
 }
 
 #[test]
-fn cli_list_rules_lists_exactly_the_ten_rules() {
+fn cli_list_rules_lists_exactly_the_eight_rules() {
     let out = std::process::Command::new(env!("CARGO_BIN_EXE_simlint"))
         .arg("--list-rules")
         .output()
@@ -115,7 +108,7 @@ fn cli_list_rules_lists_exactly_the_ten_rules() {
         .chain(DATAFLOW_RULES.iter().map(|(name, _)| *name))
         .collect();
     assert_eq!(listed, registered, "{stdout}");
-    assert_eq!(listed.len(), 10, "{stdout}");
+    assert_eq!(listed.len(), 8, "{stdout}");
 }
 
 #[test]

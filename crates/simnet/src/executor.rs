@@ -342,9 +342,6 @@ struct Core {
     fast_path_enabled: bool,
     /// Whole-transfer memoization (see `crate::memo` and `pipe`).
     transfer_memo_enabled: bool,
-    /// Fingerprint of the active fault plane (0 = disabled); folded into
-    /// transfer memo keys so entries never replay across fault regimes.
-    fault_fp: u64,
     /// `(deadline, armed)` of the most recently fired timer.
     last_fired: Option<(SimTime, SimTime)>,
     /// Schedule-perturbation salt captured from [`crate::perturb`] at
@@ -428,7 +425,6 @@ impl Sim {
                 stats: SimStats::default(),
                 fast_path_enabled: tie_salt == 0,
                 transfer_memo_enabled: crate::memo::default_enabled(),
-                fault_fp: 0,
                 last_fired: None,
                 tie_salt,
                 trace_digest: FNV_OFFSET,
@@ -516,31 +512,18 @@ impl Sim {
         self.core.borrow_mut().stats.memo_evictions += 1;
     }
 
-    /// Install the fingerprint of the active fault plane
-    /// ([`crate::FaultPlane::fingerprint`]). Folded into every transfer
-    /// memo key so entries cached under one fault regime are never
-    /// replayed under another. Public because the fabric crates own their
-    /// planes and install them from outside `simnet`.
-    pub fn set_fault_fingerprint(&self, fp: u64) {
-        self.core.borrow_mut().fault_fp = fp;
-    }
-
-    /// The currently installed fault-plane fingerprint (0 = no active
-    /// plane).
-    pub(crate) fn fault_fingerprint(&self) -> u64 {
-        self.core.borrow().fault_fp
-    }
-
-    /// Track the high-water mark of a pipe calendar's interval count.
-    pub(crate) fn note_calendar_len(&self, len: u64) {
+    /// Count one booking on a live pipe calendar, which now holds `len`
+    /// intervals, and track the high-water mark of that length.
+    pub(crate) fn note_booking(&self, len: u64) {
         let mut core = self.core.borrow_mut();
+        core.stats.bookings += 1;
         if len > core.stats.calendar_peak_len {
             core.stats.calendar_peak_len = len;
         }
     }
 
-    /// Record a fault injected by a [`crate::fault::FaultPlane`] (a drop,
-    /// corruption or delay decision).
+    /// Record a fault injected by a [`crate::fault::FaultPlane`] (a drop
+    /// or delay decision).
     pub(crate) fn note_fault_injected(&self) {
         self.core.borrow_mut().stats.faults_injected += 1;
     }

@@ -2,7 +2,7 @@
 //!
 //! A [`FaultPlane`] decides, per transfer unit (segment, packet or message —
 //! whatever granularity the fabric judges at), whether that unit is
-//! delivered, dropped, corrupted or delayed. Decisions come from a
+//! delivered, dropped or delayed. Decisions come from a
 //! **counter-based PRNG**: the n-th judgement on stream `s` hashes
 //! `(seed, s, n)` through a SplitMix64 finalizer and compares the result
 //! against fixed-point parts-per-million thresholds. No wall-clock, no
@@ -38,17 +38,14 @@ use crate::time::SimDuration;
 pub(crate) const PPM: u32 = 1_000_000;
 
 /// Fault-plane configuration. All rates are parts-per-million of judged
-/// transfer units; they are applied in drop → corrupt → delay priority from
-/// a single uniform draw, so `drop_ppm + corrupt_ppm + delay_ppm` must not
-/// exceed one million.
+/// transfer units; they are applied in drop → delay priority from a single
+/// uniform draw, so `drop_ppm + delay_ppm` must not exceed one million.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultConfig {
-    /// Probability (ppm) that a judged unit is silently dropped.
+    /// Probability (ppm) that a judged unit is lost: dropped in flight, or
+    /// discarded by the receiver's integrity check, which recovery cannot
+    /// tell apart.
     pub drop_ppm: u32,
-    /// Probability (ppm) that a judged unit arrives corrupted (the
-    /// receiver's checksum discards it — recovery-wise a drop, but fabrics
-    /// may account it differently).
-    pub corrupt_ppm: u32,
     /// Probability (ppm) that a judged unit is delayed by [`delay`].
     ///
     /// [`delay`]: FaultConfig::delay
@@ -65,7 +62,6 @@ impl FaultConfig {
     pub fn loss(drop_ppm: u32, seed: u64) -> Self {
         FaultConfig {
             drop_ppm,
-            corrupt_ppm: 0,
             delay_ppm: 0,
             delay: SimDuration::ZERO,
             seed,
@@ -84,11 +80,8 @@ impl Default for FaultConfig {
 pub enum FaultDecision {
     /// The unit goes through untouched.
     Deliver,
-    /// The unit is lost in flight; the receiver never sees it.
+    /// The unit never reaches the receiver intact.
     Drop,
-    /// The unit arrives but fails its integrity check; the receiver
-    /// discards it (recovery proceeds as for a drop).
-    Corrupt,
     /// The unit is delivered after an extra [`FaultConfig::delay`].
     Delay,
 }
@@ -138,9 +131,7 @@ impl FaultPlane {
     /// # Panics
     /// If the configured rates sum to more than one million.
     pub fn new(config: FaultConfig) -> Self {
-        let total = u64::from(config.drop_ppm)
-            + u64::from(config.corrupt_ppm)
-            + u64::from(config.delay_ppm);
+        let total = u64::from(config.drop_ppm) + u64::from(config.delay_ppm);
         assert!(
             total <= u64::from(PPM),
             "fault rates sum to {total} ppm > {PPM}"
@@ -157,30 +148,6 @@ impl FaultPlane {
     /// on this once and take the legacy code path verbatim when `false`.
     pub fn enabled(&self) -> bool {
         self.inner.is_some()
-    }
-
-    /// A stable fingerprint of this plane's configuration: 0 when
-    /// disabled, a nonzero SplitMix64 mix of (seed, rates, delay) when
-    /// enabled. Installed on the simulation by each fabric's
-    /// `set_fault_plane` ([`Sim::set_fault_fingerprint`]) and folded into
-    /// every transfer memo key (`memo::MemoKey`), so outcomes
-    /// cached under one fault regime can never replay under another.
-    ///
-    /// [`Sim::set_fault_fingerprint`]: crate::Sim::set_fault_fingerprint
-    pub fn fingerprint(&self) -> u64 {
-        match &self.inner {
-            None => 0,
-            Some(s) => {
-                let c = s.borrow().config;
-                let mut h = splitmix64(c.seed ^ 0x5EED_FA07);
-                h = splitmix64(h ^ u64::from(c.drop_ppm));
-                h = splitmix64(h ^ u64::from(c.corrupt_ppm));
-                h = splitmix64(h ^ u64::from(c.delay_ppm));
-                h = splitmix64(h ^ c.delay.as_nanos());
-                // An enabled plane must never collide with "disabled".
-                h | 1
-            }
-        }
     }
 
     /// The configured extra latency for [`FaultDecision::Delay`] outcomes
@@ -218,9 +185,7 @@ impl FaultPlane {
             let draw = u32::try_from(h % u64::from(PPM)).expect("a draw below PPM fits in u32");
             if draw < c.drop_ppm {
                 FaultDecision::Drop
-            } else if draw < c.drop_ppm + c.corrupt_ppm {
-                FaultDecision::Corrupt
-            } else if draw < c.drop_ppm + c.corrupt_ppm + c.delay_ppm {
+            } else if draw < c.drop_ppm + c.delay_ppm {
                 FaultDecision::Delay
             } else {
                 FaultDecision::Deliver
@@ -260,8 +225,7 @@ mod tests {
     fn decision_sequence_is_deterministic_and_shared_across_clones() {
         let sim = Sim::new();
         let cfg = FaultConfig {
-            drop_ppm: 200_000,
-            corrupt_ppm: 100_000,
+            drop_ppm: 300_000,
             delay_ppm: 100_000,
             delay: SimDuration::from_micros(3),
             seed: 42,
@@ -320,19 +284,38 @@ mod tests {
     }
 
     #[test]
-    fn priority_order_is_drop_corrupt_delay() {
+    fn priority_order_is_drop_delay() {
         let sim = Sim::new();
-        // All mass on corrupt: no drops or delays possible.
-        let plane = FaultPlane::new(FaultConfig {
-            drop_ppm: 0,
-            corrupt_ppm: PPM,
+        // All mass on drop: no delays possible.
+        let all_drop = FaultPlane::new(FaultConfig {
+            drop_ppm: PPM,
             delay_ppm: 0,
-            delay: SimDuration::ZERO,
+            delay: SimDuration::from_micros(1),
+            seed: 5,
+        });
+        // All mass on delay: no drops possible.
+        let all_delay = FaultPlane::new(FaultConfig {
+            drop_ppm: 0,
+            delay_ppm: PPM,
+            delay: SimDuration::from_micros(1),
             seed: 5,
         });
         for _ in 0..64 {
-            assert_eq!(plane.judge(&sim, 0), FaultDecision::Corrupt);
+            assert_eq!(all_drop.judge(&sim, 0), FaultDecision::Drop);
+            assert_eq!(all_delay.judge(&sim, 0), FaultDecision::Delay);
         }
+        // A split plane draws drops below `drop_ppm` and delays above it,
+        // from the same draw: the two rates partition the mass.
+        let split = FaultPlane::new(FaultConfig {
+            drop_ppm: PPM / 2,
+            delay_ppm: PPM / 2,
+            delay: SimDuration::from_micros(1),
+            seed: 5,
+        });
+        let seq: Vec<FaultDecision> = (0..256).map(|_| split.judge(&sim, 0)).collect();
+        assert!(seq.contains(&FaultDecision::Drop));
+        assert!(seq.contains(&FaultDecision::Delay));
+        assert!(!seq.contains(&FaultDecision::Deliver));
     }
 
     #[test]
@@ -340,8 +323,7 @@ mod tests {
     fn overcommitted_rates_panic() {
         let _ = FaultPlane::new(FaultConfig {
             drop_ppm: PPM,
-            corrupt_ppm: 1,
-            delay_ppm: 0,
+            delay_ppm: 1,
             delay: SimDuration::ZERO,
             seed: 0,
         });

@@ -22,14 +22,15 @@
 //!   encoded by *which* cache is consulted — two paths can never observe
 //!   each other's entries.
 //! * **`MemoKey`.** Within one cache, entries are keyed by the byte
-//!   count, the per-segment header overhead, the simulation's tie-break
-//!   perturbation salt ([`Sim::tie_break_salt`]) and the active fault
-//!   plane's fingerprint ([`FaultPlane::fingerprint`]). The salt and fault
-//!   fields are defensive: a nonzero salt already disables the fast path
-//!   entirely, and fault judgement happens outside [`Pipeline::transfer`],
-//!   but keying on them means no future change can silently replay an
-//!   entry across a schedule-perturbation or fault-regime boundary. The
-//!   `simlint` `memo-key` rule asserts these fields stay in the key.
+//!   count and the per-segment header overhead — the only per-call
+//!   inputs that vary. Nothing else an entry depends on can change under
+//!   one cache: the tie-break perturbation salt is captured once at
+//!   [`Sim::new`], each pipeline (and so each cache) belongs to one
+//!   `Sim`, and a nonzero salt turns the fast path (and with it the memo)
+//!   off. Fault judgement happens outside [`Pipeline::transfer`], one unit
+//!   at a time in the fabric's recovery engine, so a cached plan never
+//!   depends on the fault plane: installing one mid-run leaves every
+//!   entry valid (`tests/memo_diff.rs` pins this).
 //!
 //! The *calendar occupancy class* is not a key field because only one
 //! class is cacheable at all: the fast path (and therefore the memo) only
@@ -53,8 +54,7 @@
 //!
 //! [`Pipeline`]: crate::Pipeline
 //! [`Pipeline::transfer`]: crate::Pipeline::transfer
-//! [`Sim::tie_break_salt`]: crate::Sim::tie_break_salt
-//! [`FaultPlane::fingerprint`]: crate::FaultPlane::fingerprint
+//! [`Sim::new`]: crate::Sim::new
 
 use crate::units::Bytes;
 
@@ -64,20 +64,13 @@ use std::sync::atomic::{AtomicBool, Ordering};
 ///
 /// The cache instance itself already pins fabric, src/dst path, protocol
 /// mode, stage geometry and shard (see the module docs); the key pins the
-/// per-call inputs. `tie_salt` and `fault_fp` must remain key fields — the
-/// `simlint` `memo-key` rule fails the build if either is removed.
+/// per-call inputs.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub(crate) struct MemoKey {
     /// Message payload length.
     pub(crate) bytes: Bytes,
     /// Per-segment header overhead.
     pub(crate) overhead: Bytes,
-    /// The simulation's schedule-perturbation salt
-    /// ([`crate::Sim::tie_break_salt`]); 0 in production runs.
-    pub(crate) tie_salt: u64,
-    /// Fingerprint of the active fault plane
-    /// ([`crate::FaultPlane::fingerprint`]); 0 when faults are disabled.
-    pub(crate) fault_fp: u64,
 }
 
 /// Maximum entries per pipeline cache. Steady-state workloads use a
@@ -117,8 +110,6 @@ mod tests {
         let a = MemoKey {
             bytes: Bytes::new(1),
             overhead: Bytes::new(2),
-            tie_salt: 0,
-            fault_fp: 0,
         };
         let b = MemoKey {
             bytes: Bytes::new(2),

@@ -179,7 +179,7 @@ impl Pipe {
         let mut cal = self.state.calendar.borrow_mut();
         let dur = service.max(MIN_OCCUPANCY);
         let start = cal.book(self.sim.now(), earliest, dur);
-        self.sim.note_calendar_len(cal.len() as u64);
+        self.sim.note_booking(cal.len() as u64);
         self.state.busy.set(self.state.busy.get() + service);
         (start, start + dur)
     }
@@ -620,8 +620,6 @@ impl Pipeline {
         let key = MemoKey {
             bytes,
             overhead: per_segment_overhead_bytes,
-            tie_salt: self.sim.tie_break_salt(),
-            fault_fp: self.sim.fault_fingerprint(),
         };
         if memo_on {
             let cached = self.memo.borrow().get(&key).cloned();

@@ -40,6 +40,11 @@ pub struct SimStats {
     /// Scheduling events (timer firings + task spawns) avoided by committed
     /// fast-path traversals.
     pub events_coalesced: u64,
+    /// First-fit bookings on live pipe calendars: one per pipe reservation
+    /// (a segment batch of the per-segment walk, a plain pipe transfer, an
+    /// `occupy`). A fast-path plan, computed or replayed from the memo,
+    /// writes its reservations without booking, so it adds none.
+    pub bookings: u64,
     /// High-water mark of any pipe calendar's interval count; guards
     /// against unbounded calendar growth under multi-connection load.
     pub calendar_peak_len: u64,
@@ -54,8 +59,8 @@ pub struct SimStats {
     /// contention (the entry is no longer trusted), or the per-pipeline
     /// capacity cap pushed out the oldest key.
     pub memo_evictions: u64,
-    /// Faults injected by a [`crate::fault::FaultPlane`]: every drop,
-    /// corrupt or delay decision (delivered transfers are not counted).
+    /// Faults injected by a [`crate::fault::FaultPlane`]: every drop
+    /// or delay decision (delivered transfers are not counted).
     pub faults_injected: u64,
     /// Units retransmitted by the fabric recovery engines (TCP segments,
     /// IB packets, MX messages — whatever the fabric's resend granularity).
@@ -116,6 +121,7 @@ impl SimStats {
         self.fast_path_hits += other.fast_path_hits;
         self.slow_path_falls += other.slow_path_falls;
         self.events_coalesced += other.events_coalesced;
+        self.bookings += other.bookings;
         self.calendar_peak_len = self.calendar_peak_len.max(other.calendar_peak_len);
         self.memo_hits += other.memo_hits;
         self.memo_misses += other.memo_misses;

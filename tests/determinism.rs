@@ -72,7 +72,7 @@ fn fig1_event_order_digest_is_stable_serial_and_parallel() {
         serial_a, serial_b,
         "two serial fig1 runs must produce identical event-order digests"
     );
-    let parallel = figure_digest(&bench::generate_parallel("fig1"));
+    let parallel = figure_digest(&bench::generate_parallel("fig1", bench::default_threads()));
     assert_eq!(
         serial_a, parallel,
         "parallel fig1 generation must be bit-identical to serial"
@@ -117,7 +117,7 @@ fn fig_loss_digest_is_stable_across_double_runs() {
 fn fig1_digest_is_thread_count_invariant() {
     let serial = figure_digest(&bench::generate("fig1"));
     for threads in [1usize, 2, 4, 8] {
-        let par = figure_digest(&bench::generate_parallel_with("fig1", threads));
+        let par = figure_digest(&bench::generate_parallel("fig1", threads));
         assert_eq!(
             serial, par,
             "fig1 output diverged from serial at {threads} threads"
@@ -138,7 +138,7 @@ fn fig2_and_fig_loss_digests_are_thread_count_invariant() {
     for sel in ["fig2", "fig-loss"] {
         let serial = figure_digest(&bench::generate(sel));
         for threads in [1usize, 2, 4, 8] {
-            let par = figure_digest(&bench::generate_parallel_with(sel, threads));
+            let par = figure_digest(&bench::generate_parallel(sel, threads));
             assert_eq!(
                 serial, par,
                 "{sel} output diverged from serial at {threads} threads"
@@ -154,7 +154,7 @@ fn fig2_and_fig_loss_digests_are_thread_count_invariant() {
 fn shard_figure_digest_is_thread_count_invariant() {
     let serial = figure_digest(&generate_pinned("shard"));
     for threads in [2usize, 4, 8] {
-        let par = figure_digest(&bench::generate_parallel_with("shard", threads));
+        let par = figure_digest(&bench::generate_parallel("shard", threads));
         assert_eq!(
             serial, par,
             "sharded figure output diverged from serial at {threads} threads"
@@ -189,7 +189,7 @@ fn fig1_and_fig4_digests_are_memo_invariant() {
 fn fig1_digest_is_thread_count_invariant_with_memo() {
     let serial = figure_digest(&bench::generate("fig1"));
     for threads in [1usize, 4, 8] {
-        let par = figure_digest(&bench::generate_parallel_with("fig1", threads));
+        let par = figure_digest(&bench::generate_parallel("fig1", threads));
         assert_eq!(
             serial, par,
             "fig1 output diverged from serial at {threads} threads with the memo on"
@@ -238,7 +238,7 @@ fn fig_tail_digest_is_memo_invariant() {
 fn fig_tail_digest_is_thread_count_invariant() {
     let serial = figure_digest(&bench::generate("fig-tail"));
     for threads in [1usize, 4, 8] {
-        let par = figure_digest(&bench::generate_parallel_with("fig-tail", threads));
+        let par = figure_digest(&bench::generate_parallel("fig-tail", threads));
         assert_eq!(
             serial, par,
             "fig-tail output diverged from serial at {threads} threads"

@@ -70,7 +70,7 @@ enum Op {
     /// Mid-flight observer reading one pipe's state: (delay, pipe idx).
     Observe(u64, usize),
     /// Fault-judged send: judge `stream` on the scenario's plane, then
-    /// transfer; Drop/Corrupt send once more after a fixed backoff, Delay
+    /// transfer; Drop sends once more after a fixed backoff, Delay
     /// sleeps the plane's extra latency first:
     /// (delay, pipeline idx, shape idx, stream).
     Judged(u64, usize, usize, u64),
@@ -127,7 +127,6 @@ fn gen_scenario(rng: &mut Rng) -> Scenario {
         .collect::<Vec<_>>();
     let fault = (rng.range(0, 2) == 0).then(|| FaultConfig {
         drop_ppm: rng.range(0, 300_000) as u32,
-        corrupt_ppm: rng.range(0, 200_000) as u32,
         delay_ppm: rng.range(0, 200_000) as u32,
         delay: SimDuration::from_nanos(rng.range(100, 20_000)),
         seed: rng.next(),
@@ -177,9 +176,6 @@ fn run(sc: &Scenario, memo: bool) -> RunOut {
         Some(cfg) => FaultPlane::new(*cfg),
         None => FaultPlane::disabled(),
     };
-    // Mirror the fabrics' `set_fault_plane`: the plane's fingerprint keys
-    // every memo entry made under it.
-    sim.set_fault_fingerprint(plane.fingerprint());
     let pipes: Vec<Pipe> = sc
         .pipes
         .iter()
@@ -258,7 +254,7 @@ fn run(sc: &Scenario, memo: bool) -> RunOut {
                             pl.transfer(simnet::Bytes::new(bytes), simnet::Bytes::new(hdr))
                                 .await;
                         }
-                        FaultDecision::Drop | FaultDecision::Corrupt => {
+                        FaultDecision::Drop => {
                             // The unit is lost; resend after a fixed RTO.
                             pl.transfer(simnet::Bytes::new(bytes), simnet::Bytes::new(hdr))
                                 .await;
@@ -369,13 +365,11 @@ fn fault_counters_advance_identically_on_memo_hits() {
         sim.set_fast_path(true);
         sim.set_transfer_memo(memo);
         let plane = FaultPlane::new(FaultConfig {
-            drop_ppm: 200_000,
-            corrupt_ppm: 100_000,
+            drop_ppm: 300_000,
             delay_ppm: 100_000,
             delay: SimDuration::from_micros(3),
             seed: 0xabad_5eed,
         });
-        sim.set_fault_fingerprint(plane.fingerprint());
         let stages = vec![
             Stage::new(
                 Pipe::new(
@@ -417,4 +411,45 @@ fn fault_counters_advance_identically_on_memo_hits() {
     assert_eq!(on, off);
     assert_eq!(st_on.faults_injected, st_off.faults_injected);
     assert!(st_on.memo_hits >= 60, "stats: {st_on:?}");
+}
+
+#[test]
+fn installing_a_fault_plane_keeps_cached_plans_valid() {
+    // Loss is judged per unit by the fabric's recovery engine, outside
+    // `Pipeline::transfer`, so a plan cached before a plane is installed
+    // is still the plan after it: the repeat must replay from the memo and
+    // finish exactly when a memo-off twin's recomputed plan does.
+    let repeat_after_plane = |memo: bool| {
+        let sim = Sim::new();
+        sim.set_transfer_memo(memo);
+        let fab = iwarp::IwarpFabric::new(&sim, 2);
+        let pl = fab.data_path(0, 1);
+        let (bytes, hdr) = (simnet::Bytes::new(64 << 10), fab.per_segment_overhead());
+        sim.block_on({
+            let pl = pl.clone();
+            async move { pl.transfer(bytes, hdr).await }
+        });
+        let misses = sim.stats().memo_misses;
+        fab.set_fault_plane(FaultPlane::new(FaultConfig::loss(10_000, 7)));
+        let hits = sim.stats().memo_hits;
+        let start = sim.now();
+        sim.block_on(async move { pl.transfer(bytes, hdr).await });
+        let st = sim.stats();
+        (
+            sim.now() - start,
+            st.memo_hits - hits,
+            misses,
+            st.memo_misses,
+        )
+    };
+    let (on, on_hits, on_first_misses, on_misses) = repeat_after_plane(true);
+    let (off, off_hits, _, _) = repeat_after_plane(false);
+    assert_eq!(on_first_misses, 1, "the first transfer must miss");
+    assert_eq!(on_hits, 1, "the repeat under the new plane must hit");
+    assert_eq!(on_misses, on_first_misses, "the repeat must not miss");
+    assert_eq!(off_hits, 0);
+    assert_eq!(
+        on, off,
+        "the replayed plan must finish with the recomputed one"
+    );
 }

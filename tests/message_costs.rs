@@ -2,7 +2,7 @@
 //!
 //! Each row runs on a fresh `Sim`: one warm-up round fills the registration
 //! and context caches, then the `SimStats` deltas `[timer_events, polls,
-//! spawns]` of a fixed number of messages are compared with literals. The
+//! spawns, bookings]` of a fixed number of messages are compared with literals. The
 //! runtime conformance oracles are in every build and are pure observers,
 //! so they schedule nothing: a row moves only when the model's event
 //! structure does, and then the literal moves in the same change.
@@ -22,19 +22,20 @@ use netbench::workload::{run_workload, FlowSink, WorkloadSpec};
 use simnet::{Sim, SimDuration, SimStats};
 use udapl::{DatFabric, Ia, Provider};
 
-/// `[timer_events, polls, spawns]` spent between two snapshots.
-fn delta(before: SimStats, after: SimStats) -> [u64; 3] {
+/// `[timer_events, polls, spawns, bookings]` spent between two snapshots.
+fn delta(before: SimStats, after: SimStats) -> [u64; 4] {
     [
         after.timer_events - before.timer_events,
         after.polls - before.polls,
         after.spawns - before.spawns,
+        after.bookings - before.bookings,
     ]
 }
 
 /// MPI ping-pong of `size`-byte messages between ranks 0 and 1: the
 /// deltas of `iters` round trips (`2 * iters` messages) after one warm-up
 /// round trip, as perfbench's `mpisim` probe measures them.
-fn mpi_pingpong(kind: FabricKind, size: u64, iters: u64) -> [u64; 3] {
+fn mpi_pingpong(kind: FabricKind, size: u64, iters: u64) -> [u64; 4] {
     let sim = Sim::new();
     let world = MpiWorld::build(&sim, kind, 2);
     let (r0, r1) = (Rc::clone(world.rank(0)), Rc::clone(world.rank(1)));
@@ -67,7 +68,7 @@ fn mpi_pingpong(kind: FabricKind, size: u64, iters: u64) -> [u64; 3] {
 /// uDAPL layer onto `provider`'s verbs: the deltas of `writes` writes, each
 /// reaped from the sender's EVD and seen placed at the receiver, after one
 /// warm-up write.
-fn verbs_writes(provider: Provider, len: u64, writes: u64) -> [u64; 3] {
+fn verbs_writes(provider: Provider, len: u64, writes: u64) -> [u64; 4] {
     let sim = Sim::new();
     let s = sim.clone();
     let pair = sim.block_on(async move {
@@ -104,7 +105,7 @@ const FLOWS: u64 = 4 * 2_048;
 
 /// That mix (200 µs mean gap, seed 0x5EED) on `kind`: the whole run's
 /// counts. `run_workload` builds its own `Sim`, so there is no warm-up.
-fn open_loop(kind: FabricKind) -> [u64; 3] {
+fn open_loop(kind: FabricKind) -> [u64; 4] {
     let gap = SimDuration::from_micros(200);
     let spec = WorkloadSpec::mixed(kind, 4, FLOWS / 4, gap, 0x5EED);
     let sink: FlowSink = Rc::new(std::cell::RefCell::new(|_: usize, _: SimDuration| {}));
@@ -113,8 +114,8 @@ fn open_loop(kind: FabricKind) -> [u64; 3] {
 
 /// Scheduling events (`SimStats::events`: timer firings plus polls) over
 /// `rows`.
-fn events(rows: &[[u64; 3]]) -> u64 {
-    rows.iter().map(|[t, p, _]| t + p).sum()
+fn events(rows: &[[u64; 4]]) -> u64 {
+    rows.iter().map(|[t, p, _, _]| t + p).sum()
 }
 
 /// Rows are in `FabricKind::ALL` order: iWARP, IB, MXoM, MXoE.
@@ -125,16 +126,16 @@ fn an_mpi_message_costs_a_fixed_number_of_events() {
     let eager = FabricKind::ALL.map(|kind| mpi_pingpong(kind, 64, EAGER_ITERS));
     let rndv = FabricKind::ALL.map(|kind| mpi_pingpong(kind, 256 << 10, RNDV_ITERS));
     let expect_eager = [
-        [18_000, 22_001, 2_001],
-        [22_000, 26_001, 2_001],
-        [12_000, 24_001, 6_001],
-        [12_000, 24_001, 6_001],
+        [18_000, 22_001, 2_001, 16_000],
+        [22_000, 26_001, 2_001, 16_000],
+        [12_000, 24_001, 6_001, 14_000],
+        [12_000, 24_001, 6_001, 14_000],
     ];
     let expect_rndv = [
-        [3_400, 4_201, 601],
-        [5_000, 5_801, 601],
-        [2_000, 3_401, 801],
-        [2_000, 3_401, 801],
+        [3_400, 4_201, 601, 5_000],
+        [5_000, 5_801, 601, 5_400],
+        [2_000, 3_401, 801, 1_600],
+        [2_000, 3_401, 801, 1_600],
     ];
     assert_eq!(eager, expect_eager, "eager 64 B x {}", 2 * EAGER_ITERS);
     assert_eq!(rndv, expect_rndv, "rendezvous 256 KiB x {}", 2 * RNDV_ITERS);
@@ -149,10 +150,10 @@ fn an_mpi_message_costs_a_fixed_number_of_events() {
 fn an_open_loop_flow_costs_a_fixed_number_of_events() {
     let rows = FabricKind::ALL.map(open_loop);
     let expect = [
-        [191_927, 271_381, 46_845],
-        [198_181, 295_531, 62_151],
-        [77_832, 118_674, 19_967],
-        [157_582, 237_616, 50_164],
+        [191_927, 271_381, 46_845, 255_313],
+        [198_181, 295_531, 62_151, 194_289],
+        [77_832, 118_674, 19_967, 80_696],
+        [157_582, 237_616, 50_164, 188_589],
     ];
     assert_eq!(rows, expect, "{FLOWS} flows");
     // perfbench: netbench.workload.events_per_flow = 56.55615234375 on
@@ -161,17 +162,19 @@ fn an_open_loop_flow_costs_a_fixed_number_of_events() {
     assert_eq!(events(&rows[..1]), 463_308, "56.55615234375 x {FLOWS}");
 }
 
-/// Rows: iWARP 64 B, iWARP 8 KiB, IB 64 B, IB 8 KiB.
+/// Rows: iWARP 64 B, iWARP 8 KiB, IB 64 B, IB 8 KiB. The bookings column
+/// is the segment × stage walk: an 8 KiB write books 48 live calendar
+/// slots on iWARP and 26 on IB.
 #[test]
 fn a_verbs_write_costs_a_fixed_number_of_events() {
     const WRITES: u64 = 1_000;
     let [iw, ib] = [Provider::Iwarp, Provider::InfiniBand]
         .map(|provider| [64, 8 << 10].map(|len| verbs_writes(provider, len, WRITES)));
     let expect = [
-        [2_000, 4_001, 1_001],
-        [2_000, 4_001, 1_001],
-        [4_000, 6_001, 1_001],
-        [4_000, 6_001, 1_001],
+        [2_000, 4_001, 1_001, 8_000],
+        [2_000, 4_001, 1_001, 48_000],
+        [4_000, 6_001, 1_001, 8_000],
+        [4_000, 6_001, 1_001, 26_000],
     ];
     assert_eq!([iw, ib].concat(), expect, "{WRITES} writes each");
 }
