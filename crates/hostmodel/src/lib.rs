@@ -15,6 +15,10 @@
 //!   pipes, DMA latency, and programmed-I/O doorbell cost.
 //! * [`lru::LruCache`] — the small LRU used by the registration cache and
 //!   by the InfiniBand HCA's QP-context cache.
+//! * [`nic`] — the completion-queue vocabulary every NIC shares, and
+//!   two-sided matching stated once: [`nic::MatchLists`] (posted and
+//!   unexpected lists, under the MPI host engine, the MX NIC and the verbs
+//!   receive queue) and [`nic::QpQueues`] (a verbs QP's receive side).
 
 #![forbid(unsafe_code)]
 

@@ -16,13 +16,14 @@
 //!   re-using one buffer copies hot — the eager-range effect in Fig. 6.
 
 use std::cell::{Cell, RefCell};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::rc::{Rc, Weak};
 
 use etherstack::{Fabric, VerbsNic};
 use hostmodel::cpu::Cpu;
 use hostmodel::lru::LruCache;
 use hostmodel::mem::{HostMem, MemKey, VirtAddr};
+use hostmodel::nic::MatchLists;
 use simnet::{Bytes, Sim, SimDuration};
 
 use crate::rank::{LocalFuture, MpiRank, Source};
@@ -63,38 +64,30 @@ enum UnexKind {
     Rts { rts_id: u64 },
 }
 
-struct Unex {
+/// A message envelope: eager data, or a rendezvous request-to-send.
+pub(crate) struct Unex {
     from: usize,
     tag: u32,
+    /// Payload length (the full message length for an RTS).
     len: u64,
     kind: UnexKind,
+}
+
+/// Does a receive for `(src, tag)` accept the message `u`?
+fn accepts(src: Source, tag: u32, u: &Unex) -> bool {
+    src.admits(u.from) && (tag == crate::rank::ANY_TAG || tag == u.tag)
+}
+
+/// Does the posted receive `p` accept the message `u`?
+fn fits(p: &Posted, u: &Unex) -> bool {
+    accepts(p.src, p.tag, u)
 }
 
 /// Control messages exchanged between engines. Content travels with the
 /// simulated message; timing comes from the transport.
 pub(crate) enum CtrlMsg {
-    /// Eager data.
-    Eager {
-        /// Sender rank.
-        from: usize,
-        /// Tag.
-        tag: u32,
-        /// Payload length.
-        len: u64,
-        /// Real bytes (tests) or None.
-        payload: Option<Vec<u8>>,
-    },
-    /// Rendezvous request-to-send.
-    Rts {
-        /// Sender rank.
-        from: usize,
-        /// Tag.
-        tag: u32,
-        /// Full message length.
-        len: u64,
-        /// Correlator for CTS/FIN.
-        rts_id: u64,
-    },
+    /// Eager data or a rendezvous RTS, matched against posted receives.
+    Envelope(Unex),
     /// Clear-to-send: receive buffer is registered, go ahead.
     Cts {
         /// Correlator.
@@ -140,8 +133,7 @@ pub(crate) struct HostEngine<N: VerbsNic> {
     mem: HostMem,
     cfg: MpiConfig,
     transport: FabricTransport<N>,
-    posted: RefCell<VecDeque<Posted>>,
-    unexpected: RefCell<VecDeque<Unex>>,
+    lists: MatchLists<Posted, Unex>,
     rts_send: RefCell<BTreeMap<u64, RtsSend>>,
     fin_wait: RefCell<BTreeMap<u64, FinWait>>,
     next_rts: Cell<u64>,
@@ -161,8 +153,7 @@ impl<N: VerbsNic> HostEngine<N> {
             transport: FabricTransport::new(fab, rank, &cpu),
             cpu,
             cfg,
-            posted: RefCell::new(VecDeque::new()),
-            unexpected: RefCell::new(VecDeque::new()),
+            lists: MatchLists::default(),
             rts_send: RefCell::new(BTreeMap::new()),
             fin_wait: RefCell::new(BTreeMap::new()),
             next_rts: Cell::new(1),
@@ -184,16 +175,7 @@ impl<N: VerbsNic> HostEngine<N> {
 
     /// Untimed check: does the unexpected queue hold a matching message?
     pub fn probe_unexpected(&self, src: Source, tag: u32) -> bool {
-        self.unexpected
-            .borrow()
-            .iter()
-            .any(|u| src.admits(u.from) && (tag == crate::rank::ANY_TAG || tag == u.tag))
-    }
-
-    /// Current queue depths `(posted, unexpected)`.
-    #[cfg(test)]
-    fn queue_depths(&self) -> (usize, usize) {
-        (self.posted.borrow().len(), self.unexpected.borrow().len())
+        self.lists.parked(|u| accepts(src, tag, u))
     }
 
     /// Copy `len` bytes of `buf` through the CPU, hot or cold depending on
@@ -227,7 +209,7 @@ impl<N: VerbsNic> HostEngine<N> {
         let req = MpiRequest::new();
         self.cpu.call().await;
         self.cpu.work(self.cfg.send_sw).await;
-        if len < self.cfg.rndv_threshold {
+        let (wire, kind) = if len < self.cfg.rndv_threshold {
             // Eager: copy into the pre-registered bounce buffer; the user
             // buffer is immediately reusable, so the request completes
             // locally.
@@ -237,19 +219,8 @@ impl<N: VerbsNic> HostEngine<N> {
                 source: self.rank,
                 tag,
             });
-            let me = Rc::clone(self);
             let wire = self.cfg.eager_header + Bytes::new(len);
-            self.sim.spawn_detached(async move {
-                me.transport.send_to(dest, wire).await;
-                let peer = me.peer(dest);
-                peer.handle_arrival(CtrlMsg::Eager {
-                    from: me.rank,
-                    tag,
-                    len,
-                    payload,
-                })
-                .await;
-            });
+            (wire, UnexKind::Eager { payload })
         } else {
             // Rendezvous: pin the user buffer (cache-aware) and announce.
             self.transport.register_cached(&self.cpu, buf, len).await;
@@ -265,21 +236,20 @@ impl<N: VerbsNic> HostEngine<N> {
                     req: req.clone(),
                 },
             );
-            let me = Rc::clone(self);
-            let wire = self.cfg.ctrl_wire;
-            let rank = self.rank;
-            self.sim.spawn_detached(async move {
-                me.transport.send_to(dest, wire).await;
-                let peer = me.peer(dest);
-                peer.handle_arrival(CtrlMsg::Rts {
-                    from: rank,
-                    tag,
-                    len,
-                    rts_id,
-                })
-                .await;
-            });
-        }
+            (self.cfg.ctrl_wire, UnexKind::Rts { rts_id })
+        };
+        let env = Unex {
+            from: self.rank,
+            tag,
+            len,
+            kind,
+        };
+        let me = Rc::clone(self);
+        self.sim.spawn_detached(async move {
+            me.transport.send_to(dest, wire).await;
+            let peer = me.peer(dest);
+            peer.handle_arrival(CtrlMsg::Envelope(env)).await;
+        });
         req
     }
 
@@ -293,92 +263,68 @@ impl<N: VerbsNic> HostEngine<N> {
     ) -> MpiRequest {
         let req = MpiRequest::new();
         self.cpu.call().await;
-        // Walk the unexpected queue first (FIFO, per-entry CPU cost).
-        let (walked, hit) = {
-            let mut unex = self.unexpected.borrow_mut();
-            let pos = unex
-                .iter()
-                .position(|u| src.admits(u.from) && (tag == crate::rank::ANY_TAG || tag == u.tag));
-            match pos {
-                Some(i) => (
-                    i + 1,
-                    Some(
-                        unex.remove(i)
-                            .expect("position() returned an in-bounds index"),
-                    ),
-                ),
-                None => (unex.len(), None),
-            }
+        // Walk the unexpected queue (FIFO, per-entry CPU cost); a miss is
+        // posted before the walk is charged.
+        let posted = Posted {
+            src,
+            tag,
+            buf,
+            len,
+            req: req.clone(),
         };
+        let (walked, hit) = self.lists.post(posted, fits);
         self.cpu
             .work(self.cfg.unexpected_per_entry * walked as u64)
             .await;
-        match hit {
-            Some(u) => match u.kind {
-                UnexKind::Eager { payload } => {
-                    let n = u.len.min(len);
-                    self.copy_buffer(buf, n).await;
-                    if let Some(p) = payload {
-                        self.mem.write(buf, &p[..n as usize]);
-                    }
-                    req.complete(MpiStatus {
-                        len: n,
-                        source: u.from,
-                        tag: u.tag,
-                    });
-                }
-                UnexKind::Rts { rts_id } => {
-                    self.rndv_respond(u.from, u.tag, rts_id, buf, u.len.min(len), req.clone())
-                        .await;
-                }
-            },
-            None => {
-                self.posted.borrow_mut().push_back(Posted {
-                    src,
-                    tag,
-                    buf,
-                    len,
-                    req: req.clone(),
-                });
-            }
+        if let Some((p, u)) = hit {
+            self.matched(p, u).await;
         }
         req
     }
 
-    /// Receive side of the rendezvous: register the buffer and send CTS.
-    async fn rndv_respond(
-        self: &Rc<Self>,
-        from: usize,
-        tag: u32,
-        rts_id: u64,
-        buf: VirtAddr,
-        len: u64,
-        req: MpiRequest,
-    ) {
-        let key = self.transport.register_cached(&self.cpu, buf, len).await;
-        self.fin_wait.borrow_mut().insert(
-            rts_id,
-            FinWait {
-                from,
-                tag,
-                len,
-                req,
-                cts_at: self.sim.now(),
-            },
-        );
-        let me = Rc::clone(self);
-        let wire = self.cfg.ctrl_wire;
-        self.sim.spawn_detached(async move {
-            me.transport.send_to(from, wire).await;
-            let peer = me.peer(from);
-            peer.handle_arrival(CtrlMsg::Cts {
-                rts_id,
-                rkey: key,
-                raddr: buf,
-                rlen: len,
-            })
-            .await;
-        });
+    /// A posted receive met its message: copy eager data out, or answer
+    /// the RTS — register the receive buffer and send CTS.
+    async fn matched(self: &Rc<Self>, p: Posted, u: Unex) {
+        let n = u.len.min(p.len);
+        match u.kind {
+            UnexKind::Eager { payload } => {
+                self.copy_buffer(p.buf, n).await;
+                if let Some(data) = payload {
+                    self.mem.write(p.buf, &data[..n as usize]);
+                }
+                p.req.complete(MpiStatus {
+                    len: n,
+                    source: u.from,
+                    tag: u.tag,
+                });
+            }
+            UnexKind::Rts { rts_id } => {
+                let key = self.transport.register_cached(&self.cpu, p.buf, n).await;
+                self.fin_wait.borrow_mut().insert(
+                    rts_id,
+                    FinWait {
+                        from: u.from,
+                        tag: u.tag,
+                        len: n,
+                        req: p.req,
+                        cts_at: self.sim.now(),
+                    },
+                );
+                let me = Rc::clone(self);
+                let wire = self.cfg.ctrl_wire;
+                self.sim.spawn_detached(async move {
+                    me.transport.send_to(u.from, wire).await;
+                    let peer = me.peer(u.from);
+                    peer.handle_arrival(CtrlMsg::Cts {
+                        rts_id,
+                        rkey: key,
+                        raddr: p.buf,
+                        rlen: n,
+                    })
+                    .await;
+                });
+            }
+        }
     }
 
     /// Progress-engine entry point: a control message arrived from the
@@ -387,62 +333,15 @@ impl<N: VerbsNic> HostEngine<N> {
     pub(crate) async fn handle_arrival(self: &Rc<Self>, msg: CtrlMsg) {
         self.cpu.work(self.cfg.recv_sw).await;
         match msg {
-            CtrlMsg::Eager {
-                from,
-                tag,
-                len,
-                payload,
-            } => {
-                let (walked, hit) = self.match_posted(from, tag);
+            CtrlMsg::Envelope(u) => {
+                // Walk the posted queue; a miss is parked before the walk is
+                // charged.
+                let (walked, hit) = self.lists.arrive(u, fits);
                 self.cpu
                     .work(self.cfg.posted_per_entry * walked as u64)
                     .await;
-                match hit {
-                    Some(p) => {
-                        let n = len.min(p.len);
-                        self.copy_buffer(p.buf, n).await;
-                        if let Some(data) = payload {
-                            self.mem.write(p.buf, &data[..n as usize]);
-                        }
-                        p.req.complete(MpiStatus {
-                            len: n,
-                            source: from,
-                            tag,
-                        });
-                    }
-                    None => {
-                        self.unexpected.borrow_mut().push_back(Unex {
-                            from,
-                            tag,
-                            len,
-                            kind: UnexKind::Eager { payload },
-                        });
-                    }
-                }
-            }
-            CtrlMsg::Rts {
-                from,
-                tag,
-                len,
-                rts_id,
-            } => {
-                let (walked, hit) = self.match_posted(from, tag);
-                self.cpu
-                    .work(self.cfg.posted_per_entry * walked as u64)
-                    .await;
-                match hit {
-                    Some(p) => {
-                        self.rndv_respond(from, tag, rts_id, p.buf, len.min(p.len), p.req)
-                            .await;
-                    }
-                    None => {
-                        self.unexpected.borrow_mut().push_back(Unex {
-                            from,
-                            tag,
-                            len,
-                            kind: UnexKind::Rts { rts_id },
-                        });
-                    }
+                if let Some((p, u)) = hit {
+                    self.matched(p, u).await;
                 }
             }
             CtrlMsg::Cts {
@@ -490,17 +389,6 @@ impl<N: VerbsNic> HostEngine<N> {
                     tag: fw.tag,
                 });
             }
-        }
-    }
-
-    fn match_posted(&self, from: usize, tag: u32) -> (usize, Option<Posted>) {
-        let mut posted = self.posted.borrow_mut();
-        let pos = posted
-            .iter()
-            .position(|p| p.src.admits(from) && (p.tag == crate::rank::ANY_TAG || p.tag == tag));
-        match pos {
-            Some(i) => (i + 1, posted.remove(i)),
-            None => (posted.len(), None),
         }
     }
 }
@@ -593,7 +481,7 @@ mod tests {
                 let req = e0.isend(1, 7, b, 16, None).await;
                 req.wait().await; // eager completes locally
                 sim.sleep(SimDuration::from_micros(100)).await;
-                assert_eq!(e1.queue_depths(), (0, 1), "parked unexpected");
+                assert_eq!(e1.lists.depths(), (0, 1), "parked unexpected");
                 assert!(e1.probe_unexpected(Source::Rank(0), 7));
                 assert!(!e1.probe_unexpected(Source::Rank(0), 8));
             }
@@ -608,7 +496,7 @@ mod tests {
             async move {
                 let b = e1.mem.alloc_buffer(64);
                 let _r = e1.irecv(Source::Rank(0), 3, b, 64).await;
-                assert_eq!(e1.queue_depths(), (1, 0));
+                assert_eq!(e1.lists.depths(), (1, 0));
                 let _ = e0;
             }
         });
@@ -629,7 +517,7 @@ mod tests {
                 sim.sleep(SimDuration::from_micros(100)).await;
                 let r = e1.irecv(Source::Any, ANY_TAG, b1, 64).await;
                 r.wait().await;
-                assert_eq!(e1.queue_depths(), (0, 0), "both queues empty");
+                assert_eq!(e1.lists.depths(), (0, 0), "both queues empty");
             }
         });
     }

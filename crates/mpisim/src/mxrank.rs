@@ -19,6 +19,21 @@ use crate::request::{MpiRequest, MpiStatus};
 /// MPI context id used for all point-to-point traffic.
 const CONTEXT: u16 = 1;
 
+/// The MX match bits and mask a receive for `(src, tag)` posts.
+fn recv_bits(src: Source, tag: u32) -> (MatchInfo, u64) {
+    let (src_bits, mut mask) = match src {
+        Source::Rank(r) => (r as u16, MatchInfo::EXACT),
+        Source::Any => (0, MatchInfo::ANY_RANK_MASK),
+    };
+    let tag_bits = if tag == ANY_TAG {
+        mask &= MatchInfo::ANY_TAG_MASK;
+        0
+    } else {
+        tag
+    };
+    (MatchInfo::mpi(CONTEXT, src_bits, tag_bits), mask)
+}
+
 /// One MPI process over an MX endpoint.
 pub(crate) struct MxMpiRank {
     sim: Sim,
@@ -106,28 +121,17 @@ impl MpiRank for MxMpiRank {
     fn irecv(&self, src: Source, tag: u32, buf: VirtAddr, len: u64) -> LocalFuture<'_, MpiRequest> {
         Box::pin(async move {
             self.ep.cpu().work(self.glue).await;
-            let (src_bits, mut mask) = match src {
-                Source::Rank(r) => (r as u16, MatchInfo::EXACT),
-                Source::Any => (0, MatchInfo::ANY_RANK_MASK),
-            };
-            let tag_bits = if tag == ANY_TAG {
-                mask &= MatchInfo::ANY_TAG_MASK;
-                0
-            } else {
-                tag
-            };
-            let bits = MatchInfo::mpi(CONTEXT, src_bits, tag_bits);
+            let (bits, mask) = recv_bits(src, tag);
             let mx_req = self.ep.irecv(bits, mask, buf, len).await;
             let req = MpiRequest::new();
             let bridge = req.clone();
             self.sim.spawn_detached(async move {
                 let st = mx_req.wait().await;
-                // The sender's rank rides in the match bits.
-                let source = ((st.bits.0 >> 32) & 0xFFFF) as usize;
+                // The sender's rank and tag ride in the match bits.
                 bridge.complete(MpiStatus {
                     len: st.len,
-                    source,
-                    tag,
+                    source: ((st.bits.0 >> 32) & 0xFFFF) as usize,
+                    tag: st.bits.0 as u32,
                 });
             });
             req
@@ -135,17 +139,7 @@ impl MpiRank for MxMpiRank {
     }
 
     fn probe_unexpected(&self, src: Source, tag: u32) -> bool {
-        let (src_bits, mut mask) = match src {
-            Source::Rank(r) => (r as u16, MatchInfo::EXACT),
-            Source::Any => (0, MatchInfo::ANY_RANK_MASK),
-        };
-        let tag_bits = if tag == ANY_TAG {
-            mask &= MatchInfo::ANY_TAG_MASK;
-            0
-        } else {
-            tag
-        };
-        self.ep
-            .probe_unexpected(MatchInfo::mpi(CONTEXT, src_bits, tag_bits), mask)
+        let (bits, mask) = recv_bits(src, tag);
+        self.ep.probe_unexpected(bits, mask)
     }
 }

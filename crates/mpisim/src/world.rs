@@ -198,25 +198,29 @@ mod tests {
 
     #[test]
     fn tag_and_source_matching_respects_order_and_wildcards() {
-        let sim = Sim::new();
-        let world = MpiWorld::build(&sim, FabricKind::Iwarp, 2);
-        let r0 = Rc::clone(world.rank(0));
-        let r1 = Rc::clone(world.rank(1));
-        sim.block_on(async move {
-            let b = r0.alloc_buffer(64);
-            // Two sends with different tags.
-            send(&*r0, 1, 10, b, 4, Some(b"ten!".to_vec())).await;
-            send(&*r0, 1, 20, b, 4, Some(b"twen".to_vec())).await;
-            // Receive tag 20 first (skips the tag-10 unexpected entry).
-            let rb = r1.alloc_buffer(64);
-            let st = recv(&*r1, Source::Rank(0), 20, rb, 64).await;
-            assert_eq!(st.tag, 20);
-            assert_eq!(r1.mem().read(rb, 4), b"twen");
-            // Wildcard receive picks up the remaining tag-10 message.
-            let st = recv(&*r1, Source::Any, crate::rank::ANY_TAG, rb, 64).await;
-            assert_eq!(st.len, 4);
-            assert_eq!(r1.mem().read(rb, 4), b"ten!");
-        });
+        for kind in FabricKind::ALL {
+            let sim = Sim::new();
+            let world = MpiWorld::build(&sim, kind, 2);
+            let r0 = Rc::clone(world.rank(0));
+            let r1 = Rc::clone(world.rank(1));
+            sim.block_on(async move {
+                let b = r0.alloc_buffer(64);
+                // Two sends with different tags.
+                send(&*r0, 1, 10, b, 4, Some(b"ten!".to_vec())).await;
+                send(&*r0, 1, 20, b, 4, Some(b"twen".to_vec())).await;
+                // Receive tag 20 first (skips the tag-10 unexpected entry).
+                let rb = r1.alloc_buffer(64);
+                let st = recv(&*r1, Source::Rank(0), 20, rb, 64).await;
+                assert_eq!(st.tag, 20, "{kind:?}");
+                assert_eq!(r1.mem().read(rb, 4), b"twen", "{kind:?}");
+                // Wildcard receive picks up the remaining tag-10 message and
+                // reports its real tag and source.
+                let st = recv(&*r1, Source::Any, crate::rank::ANY_TAG, rb, 64).await;
+                assert_eq!(st.len, 4, "{kind:?}");
+                assert_eq!((st.tag, st.source), (10, 0), "{kind:?}");
+                assert_eq!(r1.mem().read(rb, 4), b"ten!", "{kind:?}");
+            });
+        }
     }
 
     #[test]

@@ -6,13 +6,13 @@
 //! progression thread that starts large transfers on the receive side.
 
 use std::cell::{Cell, RefCell};
-use std::collections::VecDeque;
 use std::future::Future;
 use std::rc::Rc;
 
 use etherstack::{transfer_reliable, NicModel, RecoveryStats};
 use hostmodel::cpu::Cpu;
 use hostmodel::mem::VirtAddr;
+use hostmodel::nic::MatchLists;
 use simnet::sync::{FifoGate, Notify};
 use simnet::{Bytes, FaultPlane, Pipeline, Sim};
 
@@ -155,10 +155,13 @@ struct Unexpected {
     kind: UnexpectedKind,
 }
 
-struct EndpointInner {
-    posted: RefCell<VecDeque<Posted>>,
-    unexpected: RefCell<VecDeque<Unexpected>>,
+/// Does the posted receive `p` accept the message `u`?
+fn fits(p: &Posted, u: &Unexpected) -> bool {
+    matches(u.bits, p.bits, p.mask)
 }
+
+/// An endpoint's NIC-side match lists.
+type Lists = MatchLists<Posted, Unexpected>;
 
 /// An open MX endpoint bound to one process.
 pub struct MxEndpoint {
@@ -169,14 +172,14 @@ pub struct MxEndpoint {
     /// hosts; rendezvous receive-side work runs here, which is why MX
     /// shows no receiver-overhead jump at the protocol switch).
     progression: Cpu,
-    inner: Rc<EndpointInner>,
+    lists: Rc<Lists>,
 }
 
 /// Address of a connected peer endpoint: its match lists plus the data
 /// path to its NIC. A clone is another handle on the same connection.
 #[derive(Clone)]
 pub struct MxAddr {
-    peer_inner: Rc<EndpointInner>,
+    peer_lists: Rc<Lists>,
     peer_nic: Rc<MxNic>,
     peer_progression: Cpu,
     /// local → peer.
@@ -264,10 +267,7 @@ impl MxEndpoint {
             progression: Cpu::new(fab.sim(), cpu.costs()),
             nic,
             cpu: cpu.clone(),
-            inner: Rc::new(EndpointInner {
-                posted: RefCell::new(VecDeque::new()),
-                unexpected: RefCell::new(VecDeque::new()),
-            }),
+            lists: Rc::default(),
         }
     }
 
@@ -275,7 +275,7 @@ impl MxEndpoint {
     pub fn connect(&self, fab: &MxFabric, peer: &MxEndpoint) -> MxAddr {
         let conn_id = ((self.nic.node as u64) << 32) | peer.nic.node as u64;
         MxAddr {
-            peer_inner: Rc::clone(&peer.inner),
+            peer_lists: Rc::clone(&peer.lists),
             peer_nic: Rc::clone(&peer.nic),
             peer_progression: peer.progression.clone(),
             path_out: fab.data_path(self.nic.node, peer.nic.node),
@@ -302,11 +302,7 @@ impl MxEndpoint {
     /// Untimed instrumentation: does the unexpected list hold a message
     /// matching `(bits, mask)`?
     pub fn probe_unexpected(&self, bits: MatchInfo, mask: u64) -> bool {
-        self.inner
-            .unexpected
-            .borrow()
-            .iter()
-            .any(|u| matches(u.bits, bits, mask))
+        self.lists.parked(|u| matches(u.bits, bits, mask))
     }
 
     /// Non-blocking matched send (`mx_isend`) of `len` bytes from the
@@ -353,8 +349,7 @@ impl MxEndpoint {
         let ticket = dest.order.ticket();
         let sim = self.sim.clone();
         self.sim.spawn_detached(async move {
-            let mut payload = payload;
-            let (peer_inner, peer_nic) = (&dest.peer_inner, &dest.peer_nic);
+            let peer_nic = &dest.peer_nic;
             let rs = dest.transfer_reliable(&sim, Bytes::new(len)).await;
             // MX matches messages from one source in send order.
             dest.order.enter(ticket).await;
@@ -363,40 +358,22 @@ impl MxEndpoint {
                 .borrow_mut()
                 .observe_match(ticket, Some(sim.now().as_nanos()));
             if dest.accept(ticket, &rs) {
-                // NIC-side matching at the receiver. List mutations happen
-                // atomically with the scan — the walk time is charged after —
-                // so a receive posted while the walk retires cannot lose the
-                // match.
-                let (walked, matched) = {
-                    let mut posted = peer_inner.posted.borrow_mut();
-                    let pos = posted.iter().position(|p| matches(bits, p.bits, p.mask));
-                    match pos {
-                        Some(i) => (
-                            i + 1,
-                            Some(
-                                posted
-                                    .remove(i)
-                                    .expect("position() returned an in-bounds index"),
-                            ),
-                        ),
-                        None => {
-                            let walked = posted.len();
-                            peer_inner.unexpected.borrow_mut().push_back(Unexpected {
-                                bits,
-                                len,
-                                kind: UnexpectedKind::Eager {
-                                    payload: payload.take(),
-                                },
-                            });
-                            (walked, None)
-                        }
-                    }
+                // NIC-side matching at the receiver; the walk time is
+                // charged after the scan-and-park step.
+                let eager = Unexpected {
+                    bits,
+                    len,
+                    kind: UnexpectedKind::Eager { payload },
                 };
+                let (walked, hit) = dest.peer_lists.arrive(eager, fits);
                 peer_nic
                     .match_walk(walked, peer_nic.calib.nic_match_posted_per_entry)
                     .await;
-                if let Some(p) = matched {
-                    if let Some(data) = payload {
+                if let Some((p, u)) = hit {
+                    if let UnexpectedKind::Eager {
+                        payload: Some(data),
+                    } = u.kind
+                    {
                         peer_nic
                             .mem
                             .write(p.addr, &data[..(p.len.min(len)) as usize]);
@@ -436,7 +413,7 @@ impl MxEndpoint {
         let sim = self.sim.clone();
         let sreq = req.clone();
         self.sim.spawn_detached(async move {
-            let (peer_inner, peer_nic) = (&dest.peer_inner, &dest.peer_nic);
+            let peer_nic = &dest.peer_nic;
             // RTS travels as a small control message.
             let rs = dest.transfer_reliable(&sim, Bytes::new(32)).await;
             // The RTS envelope matches in send order, like any message.
@@ -486,39 +463,20 @@ impl MxEndpoint {
                         sreq.complete(n, bits);
                     });
                 });
-            // Match the RTS against posted receives; the unexpected-list
-            // insertion is atomic with the scan (see the eager path), so a
-            // receive posted during the walk cannot lose the match.
-            let hit = {
-                let mut posted = peer_inner.posted.borrow_mut();
-                match posted.iter().position(|p| matches(bits, p.bits, p.mask)) {
-                    Some(i) => Ok((
-                        i + 1,
-                        posted
-                            .remove(i)
-                            .expect("position() returned an in-bounds index"),
-                    )),
-                    None => Err(posted.len()),
-                }
+            // Match the RTS against posted receives like an eager message.
+            let rts = Unexpected {
+                bits,
+                len,
+                kind: UnexpectedKind::Rts { pull },
             };
-            match hit {
-                Ok((walked, p)) => {
-                    dest.order.leave();
-                    peer_nic
-                        .match_walk(walked, peer_nic.calib.nic_match_posted_per_entry)
-                        .await;
+            let (walked, hit) = dest.peer_lists.arrive(rts, fits);
+            dest.order.leave();
+            peer_nic
+                .match_walk(walked, peer_nic.calib.nic_match_posted_per_entry)
+                .await;
+            if let Some((p, u)) = hit {
+                if let UnexpectedKind::Rts { pull } = u.kind {
                     pull(p.addr, p.len, p.req);
-                }
-                Err(walked) => {
-                    dest.order.leave();
-                    peer_inner.unexpected.borrow_mut().push_back(Unexpected {
-                        bits,
-                        len,
-                        kind: UnexpectedKind::Rts { pull },
-                    });
-                    peer_nic
-                        .match_walk(walked, peer_nic.calib.nic_match_posted_per_entry)
-                        .await;
                 }
             }
         });
@@ -528,38 +486,18 @@ impl MxEndpoint {
     pub async fn irecv(&self, bits: MatchInfo, mask: u64, addr: VirtAddr, len: u64) -> MxRequest {
         self.cpu.work(self.nic.calib.post_cost).await;
         let req = MxRequest::new();
-        // Probe the unexpected list and, on a miss, enqueue the posted
-        // receive in the same synchronous step — a message arriving while
-        // the walk cost retires must find either the unexpected entry gone
-        // or the posted receive present, never neither.
-        let (walked, hit) = {
-            let mut unex = self.inner.unexpected.borrow_mut();
-            let pos = unex.iter().position(|u| matches(u.bits, bits, mask));
-            match pos {
-                Some(i) => (
-                    i + 1,
-                    Some(
-                        unex.remove(i)
-                            .expect("position() returned an in-bounds index"),
-                    ),
-                ),
-                None => {
-                    let walked = unex.len();
-                    self.inner.posted.borrow_mut().push_back(Posted {
-                        bits,
-                        mask,
-                        addr,
-                        len,
-                        req: req.clone(),
-                    });
-                    (walked, None)
-                }
-            }
+        let posted = Posted {
+            bits,
+            mask,
+            addr,
+            len,
+            req: req.clone(),
         };
+        let (walked, hit) = self.lists.post(posted, fits);
         self.nic
             .match_walk(walked, self.nic.calib.nic_match_unexpected_per_entry)
             .await;
-        if let Some(u) = hit {
+        if let Some((_, u)) = hit {
             match u.kind {
                 UnexpectedKind::Eager { payload } => {
                     let n = u.len.min(len);
@@ -636,14 +574,14 @@ mod tests {
                 )
                 .await;
             s.wait().await;
-            assert_eq!(eb.inner.unexpected.borrow().len(), 1);
+            assert_eq!(eb.lists.depths(), (0, 1));
             // A receive with a different tag must NOT match.
             let rbuf = eb.nic().mem.alloc_buffer(64);
             let r_other = eb
                 .irecv(MatchInfo::mpi(0, 0, 1), MatchInfo::EXACT, rbuf, 64)
                 .await;
             assert!(!r_other.state.done.get());
-            assert_eq!(eb.inner.posted.borrow().len(), 1);
+            assert_eq!(eb.lists.depths(), (1, 1));
             // The right tag drains the unexpected queue.
             let rbuf2 = eb.nic().mem.alloc_buffer(64);
             let r = eb
@@ -651,7 +589,7 @@ mod tests {
                 .await;
             assert_eq!(r.wait().await.len, 4);
             assert_eq!(eb.nic().mem.read(rbuf2, 4), b"late");
-            assert_eq!(eb.inner.unexpected.borrow().len(), 0);
+            assert_eq!(eb.lists.depths(), (1, 0));
         });
     }
 
@@ -800,8 +738,7 @@ mod tests {
                         s.wait().await;
                         assert_eq!(eb.nic().mem.read(rbuf, 5), b"lanai");
                     }
-                    assert_eq!(eb.inner.unexpected.borrow().len(), 0);
-                    assert_eq!(eb.inner.posted.borrow().len(), 0);
+                    assert_eq!(eb.lists.depths(), (0, 0));
                     let drops = addr_b.replay.borrow().drops();
                     (sim2.now().as_nanos(), drops, sim2.stats())
                 }
@@ -847,7 +784,7 @@ mod tests {
                 assert_eq!(r.wait().await.len, 4);
                 s.wait().await;
             }
-            assert_eq!(eb.inner.unexpected.borrow().len(), 0);
+            assert_eq!(eb.lists.depths(), (0, 0));
             let drops = addr_b.replay.borrow().drops();
             drops
         });
