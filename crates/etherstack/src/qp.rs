@@ -142,23 +142,37 @@ impl<N: VerbsNic> Lane<N> {
     /// Carry one `bytes`-long message NIC to NIC: the sender's per-message
     /// processor, the transfer under the NIC's loss recovery (with the fault
     /// plane disabled, [`Pipeline::transfer`]), the receiver's processor.
+    ///
+    /// A plain `fn` returning an `async move` block, not an `async fn`: the
+    /// block keeps `self` and `bytes` once, where an `async fn` would keep
+    /// its arguments and a local copy of each.
+    #[allow(clippy::manual_async_fn)]
     #[inline]
-    pub async fn carry(&self, bytes: Bytes) {
-        if let Some(work) = self.src.per_message_engine(self.src_qpn, MsgDir::Tx) {
-            work.await;
-        }
-        transfer_reliable(
-            &self.sim,
-            &self.fault,
-            &self.path,
-            self.stream,
-            bytes,
-            self.src.segment_payload(),
-            self.src.per_segment_overhead(),
-            &N::LOSS_RECOVERY,
-        )
-        .await;
-        if let Some(work) = self.dst.per_message_engine(self.dst_qpn, MsgDir::Rx) {
+    pub fn carry(&self, bytes: Bytes) -> impl Future<Output = ()> + '_ {
+        async move {
+            // `let … else`, not `if let`: an `if let` keeps the `Option` it
+            // matched alive beside the future moved out of it, and the task
+            // would store the stage's state twice.
+            'tx: {
+                let Some(work) = self.src.per_message_engine(self.src_qpn, MsgDir::Tx) else {
+                    break 'tx;
+                };
+                work.await;
+            }
+            transfer_reliable(
+                &self.sim,
+                &self.fault,
+                &self.path,
+                self.stream,
+                bytes,
+                self.src.segment_payload(),
+                self.src.per_segment_overhead(),
+                &N::LOSS_RECOVERY,
+            )
+            .await;
+            let Some(work) = self.dst.per_message_engine(self.dst_qpn, MsgDir::Rx) else {
+                return;
+            };
             work.await;
         }
     }
@@ -292,6 +306,24 @@ impl<N: VerbsNic> Fabric<N> {
     }
 }
 
+/// The response flight of an RDMA Read the peer accepted: the peer NIC
+/// turns the request around in hardware and the data flows back over `rx`
+/// to `local_addr`. Returns the bytes moved.
+async fn read_response<N: VerbsNic>(
+    tx: &Lane<N>,
+    rx: &Lane<N>,
+    watch: &N::Watch,
+    len: u64,
+    local_addr: VirtAddr,
+    remote_addr: VirtAddr,
+) -> u64 {
+    let data = tx.dst.mem().read(remote_addr, len);
+    rx.carry(Bytes::new(len)).await;
+    watch.observe(&tx.sim, QpStep::ReadResponse);
+    tx.src.mem().write(local_addr, &data);
+    len
+}
+
 // The per-message methods are `#[inline]`: a caller generic over, or
 // dispatching between, fabrics must not pay a frame per poll for it
 // (measured on the uDAPL pass-through: fig2 +17% wall for one).
@@ -315,19 +347,23 @@ impl<N: VerbsNic> Qp<N> {
     /// Post a work request to the send queue. Returns once the WQE is
     /// handed to the NIC; completion arrives on the CQ.
     #[inline]
-    pub async fn post_send_wr(&self, wr: WorkRequest) {
+    pub async fn post_send_wr(&self, mut wr: WorkRequest) {
         self.charge_post().await;
-        let (wr_id, opcode) = wr.completion();
         let seq = self.tx.order.ticket();
         self.watch
-            .observe(&self.tx.sim, QpStep::PostSend(opcode, seq));
+            .observe(&self.tx.sim, QpStep::PostSend(wr.completion().1, seq));
         let tx = Rc::clone(&self.tx);
         let rx = Rc::clone(&self.rx);
         let local = Rc::clone(&self.local);
         let remote = Rc::clone(&self.remote);
         let watch = Rc::clone(&self.watch);
+        // Every in-flight message is one of these tasks. Across its first
+        // flight it holds only `wr`, `seq` and the five handles, since a
+        // value live across two awaits would take a slot of its own: the
+        // payload is taken out of `wr` rather than `wr` moved apart, so the
+        // completion's fields are read from `wr` at the end, and a read's
+        // response flight is boxed (writes and sends never take it).
         self.tx.sim.spawn_detached(async move {
-            let sim = &tx.sim;
             tx.carry(match wr {
                 WorkRequest::RdmaRead { .. } => READ_REQUEST_LEN,
                 WorkRequest::RdmaWrite { len, .. } | WorkRequest::Send { len, .. } => {
@@ -336,17 +372,17 @@ impl<N: VerbsNic> Qp<N> {
             })
             .await;
             tx.order.enter(seq).await;
-            watch.observe(sim, QpStep::Delivered(seq));
+            watch.observe(&tx.sim, QpStep::Delivered(seq));
             tx.order.leave();
             // Bytes moved, or `None` on a remote protection fault.
             let moved = match wr {
                 WorkRequest::RdmaWrite {
                     len,
-                    payload,
+                    ref mut payload,
                     rkey,
                     remote_addr,
                     ..
-                } => tx.place(rkey, remote_addr, len, payload).then(|| {
+                } => tx.place(rkey, remote_addr, len, payload.take()).then(|| {
                     remote.placement.notify_one();
                     len
                 }),
@@ -358,20 +394,29 @@ impl<N: VerbsNic> Qp<N> {
                     ..
                 } => {
                     if tx.dst.registry().check(rkey, remote_addr, len) {
-                        // The peer NIC turns the request around in hardware
-                        // and the response flows back tagged to the sink.
-                        let data = tx.dst.mem().read(remote_addr, len);
-                        rx.carry(Bytes::new(len)).await;
-                        watch.observe(sim, QpStep::ReadResponse);
-                        tx.src.mem().write(local_addr, &data);
+                        let len = Box::pin(read_response(
+                            &tx,
+                            &rx,
+                            &watch,
+                            len,
+                            local_addr,
+                            remote_addr,
+                        ))
+                        .await;
                         local.placement.notify_one();
                         Some(len)
                     } else {
                         None
                     }
                 }
-                WorkRequest::Send { len, payload, .. } => {
-                    remote.queues.deliver_send(tx.dst.mem(), len, payload);
+                WorkRequest::Send {
+                    len,
+                    ref mut payload,
+                    ..
+                } => {
+                    remote
+                        .queues
+                        .deliver_send(tx.dst.mem(), len, payload.take());
                     Some(len)
                 }
             };
@@ -379,9 +424,10 @@ impl<N: VerbsNic> Qp<N> {
                 rx.path
                     .transfer(FAULT_NOTICE_LEN, rx.src.per_segment_overhead())
                     .await;
-                watch.observe(sim, QpStep::RemoteFault);
+                watch.observe(&tx.sim, QpStep::RemoteFault);
             }
-            watch.observe(sim, QpStep::Completed(seq));
+            watch.observe(&tx.sim, QpStep::Completed(seq));
+            let (wr_id, opcode) = wr.completion();
             local.queues.complete(Cqe {
                 wr_id,
                 opcode,

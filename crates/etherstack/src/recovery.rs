@@ -26,8 +26,11 @@
 //! `mx10g::recovery::MX_RESEND` beside the explanation of why they have the
 //! values they have.
 //!
-//! With the plane disabled the engine is one branch and a tail call to
-//! [`Pipeline::transfer`] — bit-identical to the pre-fault code path.
+//! With the plane disabled the engine is a tail call to
+//! [`Pipeline::transfer`] — bit-identical to the pre-fault code path — and
+//! the recovery loop's state is never allocated.
+
+use std::future::Future;
 
 use simnet::{Bytes, FaultDecision, FaultPlane, Pipeline, Sim, SimDuration};
 
@@ -185,8 +188,49 @@ async fn timer_expiry(sim: &Sim, policy: &LossRecovery, attempt: u32, stats: &mu
 /// [`Pipeline::transfer`], which it becomes when the plane is disabled.
 /// `stream` keys the plane's per-connection decision counter and tags
 /// conformance reports.
+///
+/// A plain `fn`: whether the plane is enabled is fixed for the borrow, so
+/// it is decided here and the returned future holds only the branch it
+/// takes — the short fault-free one, or the recovery loop behind a `Box`
+/// (every in-flight message holds this future; only a lossy run needs the
+/// loop's state).
 #[allow(clippy::too_many_arguments)]
-pub async fn transfer_reliable(
+pub fn transfer_reliable<'a>(
+    sim: &'a Sim,
+    plane: &'a FaultPlane,
+    path: &'a Pipeline,
+    stream: u64,
+    bytes: Bytes,
+    unit: Bytes,
+    per_unit_overhead: Bytes,
+    policy: &'a LossRecovery,
+) -> impl Future<Output = RecoveryStats> + 'a {
+    let recovering = plane.enabled().then(|| {
+        Box::pin(transfer_recovering(
+            sim,
+            plane,
+            path,
+            stream,
+            bytes,
+            unit,
+            per_unit_overhead,
+            policy,
+        ))
+    });
+    async move {
+        match recovering {
+            Some(run) => run.await,
+            None => {
+                path.transfer(bytes, per_unit_overhead).await;
+                RecoveryStats::default()
+            }
+        }
+    }
+}
+
+/// [`transfer_reliable`] with the fault plane enabled.
+#[allow(clippy::too_many_arguments)]
+async fn transfer_recovering(
     sim: &Sim,
     plane: &FaultPlane,
     path: &Pipeline,
@@ -196,10 +240,6 @@ pub async fn transfer_reliable(
     per_unit_overhead: Bytes,
     policy: &LossRecovery,
 ) -> RecoveryStats {
-    if !plane.enabled() {
-        path.transfer(bytes, per_unit_overhead).await;
-        return RecoveryStats::default();
-    }
     let unit = unit.max(Bytes::new(1));
     let n = bytes.div_ceil(unit).max(1);
     let mut stats = RecoveryStats::default();
@@ -211,7 +251,7 @@ pub async fn transfer_reliable(
     };
     // Byte length of the unit run [lo, hi): all full units except a
     // possibly short tail. `move`: by-reference captures would be three
-    // more words in the future every in-flight message holds.
+    // more words in the boxed state of every lossy transfer.
     let run_bytes = move |lo: u64, hi: u64| -> Bytes {
         if hi == n {
             bytes - unit * lo

@@ -358,37 +358,45 @@ struct PlanOp {
 /// Walk one chunk block through `stages[from..]` in wall-clock step with
 /// the data, exactly as cut-through hardware drains it. `prev_*` describe
 /// the reservation the block already holds on stage `from - 1`.
-#[allow(clippy::too_many_arguments)]
-async fn chunk_walk(
+///
+/// A plain `fn` returning an `async move` block, not an `async fn`: the
+/// block advances its captured arguments in place (`from` is the stage
+/// cursor), where an `async fn` would keep them and a second, local copy
+/// in every walk task.
+#[allow(clippy::too_many_arguments, clippy::manual_async_fn)]
+fn chunk_walk(
     sim: Sim,
     stages: Rc<[Stage]>,
-    from: usize,
+    mut from: usize,
     mut prev_start: SimTime,
     mut prev_end: SimTime,
     mut prev_seg: SimDuration,
     mut prev_lat: SimDuration,
     meta: ChunkMeta,
-) {
-    for stage in &stages[from..] {
-        let by_start = prev_start + prev_seg + prev_lat;
-        if by_start > sim.now() {
-            sim.sleep_until(by_start).await;
+) -> impl Future<Output = ()> {
+    async move {
+        while let Some(stage) = stages.get(from) {
+            from += 1;
+            let by_start = prev_start + prev_seg + prev_lat;
+            if by_start > sim.now() {
+                sim.sleep_until(by_start).await;
+            }
+            let seg_service = stage.pipe.service_time(meta.seg_wire);
+            let block = stage.pipe.service_time(meta.cwire)
+                + stage.pipe.service_time(Bytes::ZERO) * (meta.csegs - 1);
+            // The block may not drain here before it drained upstream.
+            let floor = (prev_end + seg_service + prev_lat) - block;
+            let earliest = sim.now().max(floor);
+            let (st, en) = stage.pipe.reserve_n(earliest, meta.cwire, meta.csegs);
+            prev_start = st;
+            prev_end = en;
+            prev_seg = seg_service;
+            prev_lat = stage.latency;
         }
-        let seg_service = stage.pipe.service_time(meta.seg_wire);
-        let block = stage.pipe.service_time(meta.cwire)
-            + stage.pipe.service_time(Bytes::ZERO) * (meta.csegs - 1);
-        // The block may not drain here before it drained upstream.
-        let floor = (prev_end + seg_service + prev_lat) - block;
-        let earliest = sim.now().max(floor);
-        let (st, en) = stage.pipe.reserve_n(earliest, meta.cwire, meta.csegs);
-        prev_start = st;
-        prev_end = en;
-        prev_seg = seg_service;
-        prev_lat = stage.latency;
-    }
-    let exit = prev_end + prev_lat;
-    if exit > sim.now() {
-        sim.sleep_until(exit).await;
+        let exit = prev_end + prev_lat;
+        if exit > sim.now() {
+            sim.sleep_until(exit).await;
+        }
     }
 }
 
@@ -507,8 +515,16 @@ impl Pipeline {
         if nsegs <= self.chunk {
             let done = self.reserve_message(bytes, per_segment_overhead_bytes);
             self.sim.sleep_until(done).await;
-            return;
+        } else {
+            // Boxed: every in-flight message holds this future, and only
+            // the ones longer than a pacing chunk ever enter the block walk.
+            Box::pin(self.transfer_blocks(bytes, per_segment_overhead_bytes)).await;
         }
+    }
+
+    /// The part of [`Pipeline::transfer`] for messages longer than one
+    /// pacing chunk: the fast path, the memo, or one walk task per block.
+    async fn transfer_blocks(&self, bytes: Bytes, per_segment_overhead_bytes: Bytes) {
         // The chunk partition is computed lazily: a memo hit replays the
         // cached one, and only fast-path-ineligible transfers (or misses)
         // pay for a fresh partition.
@@ -1204,6 +1220,8 @@ impl Future for SpecWait {
 
 #[cfg(test)]
 mod tests {
+    use std::mem::size_of_val;
+
     use super::*;
     use crate::sync::join_all;
 
@@ -1217,6 +1235,24 @@ mod tests {
 
     fn gbps(n: u64) -> ByteRate {
         ByteRate::from_gbps(n)
+    }
+
+    /// Every block of a contended long message is one walk task; its size
+    /// is bounded beside the other per-message futures in the root
+    /// `tests/future_sizes.rs`.
+    #[test]
+    fn a_chunk_walk_stores_its_arguments_once() {
+        let sim = Sim::new();
+        let stage = Stage::new(Pipe::new(&sim, gbps(10), SimDuration::ZERO), us(1));
+        let meta = ChunkMeta {
+            csegs: 8,
+            cwire: b(8 * 1500),
+            seg_wire: b(1500),
+        };
+        let t = SimTime::ZERO;
+        let walk = chunk_walk(sim, vec![stage].into(), 1, t, t, us(1), us(1), meta);
+        // Was 240 B, with the arguments kept as upvars and again as locals.
+        assert!(size_of_val(&walk) <= 152, "{} B", size_of_val(&walk));
     }
 
     #[test]

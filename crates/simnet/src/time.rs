@@ -137,8 +137,11 @@ impl SimDuration {
     ///
     /// This is the fundamental bandwidth→time conversion used by every
     /// [`crate::pipe::Pipe`]; `Bytes / ByteRate` delegates here. Computed
-    /// in `u128` so that multi-gigabyte transfers at multi-GB/s rates
-    /// cannot overflow; the result saturates at `u64::MAX` ns.
+    /// in `u64` while `bytes · 10⁹` fits (below 18.4 GB), else in `u128`
+    /// so that larger transfers cannot overflow; the two agree wherever
+    /// both apply, and the result saturates at `u64::MAX` ns. The `u64`
+    /// form is a hardware divide where the `u128` one is a library call
+    /// on every reservation.
     ///
     /// # Contract
     ///
@@ -153,10 +156,18 @@ impl SimDuration {
             !rate.is_zero(),
             "SimDuration::serialize over a zero-bandwidth rate never completes"
         );
-        let ns =
-            (bytes.get() as u128 * 1_000_000_000u128).div_ceil(rate.as_bytes_per_sec() as u128);
-        SimDuration(u64::try_from(ns).unwrap_or(u64::MAX))
+        let (bytes, rate) = (bytes.get(), rate.as_bytes_per_sec());
+        match bytes.checked_mul(1_000_000_000) {
+            Some(scaled) => SimDuration(scaled.div_ceil(rate)),
+            None => SimDuration(serialize_wide(bytes, rate)),
+        }
     }
+}
+
+/// [`SimDuration::serialize`] in `u128`, saturating at `u64::MAX` ns.
+fn serialize_wide(bytes: u64, rate: u64) -> u64 {
+    let ns = (u128::from(bytes) * 1_000_000_000).div_ceil(u128::from(rate));
+    u64::try_from(ns).unwrap_or(u64::MAX)
 }
 
 impl Add<SimDuration> for SimTime {
@@ -350,6 +361,33 @@ mod tests {
         // Large transfer does not overflow: 16 GiB at 1 GB/s ≈ 17.18 s.
         let d = SimDuration::serialize(Bytes::new(16 << 30), ByteRate::from_gbps(8));
         assert!(d.as_secs_f64() > 17.0 && d.as_secs_f64() < 17.3);
+    }
+
+    #[test]
+    fn serialization_agrees_with_the_u128_form_at_the_u64_edge() {
+        // `bytes · 10⁹` fits in `u64` up to `EDGE` and overflows past it.
+        const EDGE: u64 = u64::MAX / 1_000_000_000;
+        let mut remainders = [false; 2];
+        for bytes in [EDGE - 1, EDGE, EDGE + 1] {
+            for rate in [1, 7, 1_000_000_000, 1_250_000_000, 3_000_000_000] {
+                let d =
+                    SimDuration::serialize(Bytes::new(bytes), ByteRate::from_bytes_per_sec(rate));
+                assert_eq!(
+                    d.as_nanos(),
+                    serialize_wide(bytes, rate),
+                    "{bytes} B at {rate} B/s"
+                );
+                remainders
+                    [usize::from(u128::from(bytes) * 1_000_000_000 % u128::from(rate) != 0)] = true;
+            }
+        }
+        assert_eq!(
+            remainders,
+            [true, true],
+            "cases with and without a remainder"
+        );
+        // Past the edge at 1 B/s the result saturates.
+        assert_eq!(serialize_wide(EDGE + 1, 1), u64::MAX);
     }
 
     #[test]
