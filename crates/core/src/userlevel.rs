@@ -139,7 +139,10 @@ impl MxPair {
     }
 }
 
-#[allow(clippy::large_enum_variant)] // one per sweep point, never moved once built
+#[expect(
+    clippy::large_enum_variant,
+    reason = "one per sweep point, never moved once built"
+)]
 enum PairInner {
     /// iWARP or InfiniBand verbs, through the provider-neutral endpoint.
     Rdma(RdmaPair),

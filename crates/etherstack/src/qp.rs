@@ -146,7 +146,10 @@ impl<N: VerbsNic> Lane<N> {
     /// A plain `fn` returning an `async move` block, not an `async fn`: the
     /// block keeps `self` and `bytes` once, where an `async fn` would keep
     /// its arguments and a local copy of each.
-    #[allow(clippy::manual_async_fn)]
+    #[expect(
+        clippy::manual_async_fn,
+        reason = "the async block keeps `self` and `bytes` once; an async fn would copy them"
+    )]
     #[inline]
     pub fn carry(&self, bytes: Bytes) -> impl Future<Output = ()> + '_ {
         async move {
@@ -455,7 +458,10 @@ impl<N: VerbsNic> Qp<N> {
     /// CQs are single-consumer: exactly one task may block here per QP (a
     /// second concurrent consumer would panic via `RefCell`, surfacing the
     /// caller bug immediately).
-    #[allow(clippy::await_holding_refcell_ref)]
+    #[expect(
+        clippy::await_holding_refcell_ref,
+        reason = "CQs are single-consumer: a second consumer panics on the borrow, at once"
+    )]
     #[inline]
     pub async fn next_cqe(&self) -> Cqe {
         self.cq_rx

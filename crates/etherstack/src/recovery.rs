@@ -194,7 +194,10 @@ async fn timer_expiry(sim: &Sim, policy: &LossRecovery, attempt: u32, stats: &mu
 /// takes — the short fault-free one, or the recovery loop behind a `Box`
 /// (every in-flight message holds this future; only a lossy run needs the
 /// loop's state).
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "each argument is an independent input of one transfer, borrowed or copied as is"
+)]
 pub fn transfer_reliable<'a>(
     sim: &'a Sim,
     plane: &'a FaultPlane,
@@ -229,7 +232,10 @@ pub fn transfer_reliable<'a>(
 }
 
 /// [`transfer_reliable`] with the fault plane enabled.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the arguments of `transfer_reliable`, passed through"
+)]
 async fn transfer_recovering(
     sim: &Sim,
     plane: &FaultPlane,

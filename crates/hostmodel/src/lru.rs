@@ -8,7 +8,7 @@
 //! Keyed on `BTreeMap`, not `HashMap`: the eviction scan breaks recency
 //! ties in key order and [`LruCache::clear`] drains in key order, so cache
 //! behaviour is bit-for-bit reproducible across runs (hash iteration order
-//! is randomized per process — see simlint's `hash-collections` rule).
+//! is randomized per process, which is why clippy.toml bans `HashMap`).
 
 use std::collections::BTreeMap;
 

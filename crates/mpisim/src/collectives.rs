@@ -144,7 +144,7 @@ fn encode(v: &[f64]) -> Vec<u8> {
 
 fn decode(b: &[u8]) -> Vec<f64> {
     b.chunks_exact(8)
-        .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
+        .map(|c| f64::from_le_bytes(c.try_into().expect("chunks_exact yields 8 bytes")))
         .collect()
 }
 

@@ -1,7 +1,7 @@
 //! Runtime protocol-conformance oracles for the fabric simulations.
 //!
 //! `simcheck` is the dynamic half of the workspace's correctness tooling:
-//! where `simlint` statically rejects *sources* of nondeterminism, the
+//! where clippy.toml's bans statically reject *sources* of nondeterminism, the
 //! oracles in this crate verify at runtime that the simulated fabrics obey
 //! the protocol rules the paper's comparisons rest on — MPA framing and DDP
 //! MSN ordering for iWARP, QP state legality and completion ordering for

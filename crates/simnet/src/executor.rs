@@ -43,8 +43,7 @@ use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering as MemOrder};
-// simlint: allow(cross-shard-state) -- ReadyQueue's mutex; see its doc comment
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::task::{Context, Poll, Wake, Waker};
 
 use crate::stats::SimStats;
@@ -117,9 +116,12 @@ struct TimerKey {
 /// own `Core::run_queue` and refills that by swapping the two queues, one
 /// lock per refill.
 #[derive(Default)]
+#[expect(
+    clippy::disallowed_types,
+    reason = "std::task requires Send + Sync wakers; never contended, never crosses shards"
+)]
 struct ReadyQueue {
-    // simlint: allow(cross-shard-state) -- std::task requires Send+Sync wakers; never contended, never crosses shards
-    queue: Mutex<VecDeque<TaskId>>,
+    queue: std::sync::Mutex<VecDeque<TaskId>>,
     /// Every wake observed: through a `Waker`, or by a fired timer that
     /// addresses its task by id.
     wakes: Counter,
@@ -145,12 +147,10 @@ struct Counter(AtomicU64);
 
 impl Counter {
     fn get(&self) -> u64 {
-        // simlint: allow(relaxed-atomics) -- single-thread counter, see `Counter`
         self.0.load(MemOrder::Relaxed)
     }
 
     fn bump(&self) {
-        // simlint: allow(relaxed-atomics) -- single-thread counter, see `Counter`
         self.0.store(self.get() + 1, MemOrder::Relaxed);
     }
 }
@@ -169,12 +169,10 @@ struct TaskWaker {
 
 impl TaskWaker {
     fn scheduled(&self) -> bool {
-        // simlint: allow(relaxed-atomics) -- single-thread flag, see `TaskWaker`
         self.scheduled.load(MemOrder::Relaxed)
     }
 
     fn set_scheduled(&self, on: bool) {
-        // simlint: allow(relaxed-atomics) -- single-thread flag, see `TaskWaker`
         self.scheduled.store(on, MemOrder::Relaxed);
     }
 

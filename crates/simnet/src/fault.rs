@@ -8,8 +8,8 @@
 //! against fixed-point parts-per-million thresholds. No wall-clock, no
 //! ambient RNG state, no iteration-order dependence — the decision sequence
 //! for a stream is a pure function of `(seed, stream)` and is therefore
-//! bit-identical across runs, threads and replays (`simlint`-clean by
-//! construction).
+//! bit-identical across runs, threads and replays (clean under clippy.toml's
+//! determinism bans by construction).
 //!
 //! The plane is **off by default**: [`FaultPlane::disabled`] (also
 //! `Default`) carries no state at all, and [`FaultPlane::judge`] on a

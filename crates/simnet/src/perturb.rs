@@ -6,7 +6,7 @@
 //! every model above the executor was validated against — but it also means
 //! a model could *accidentally* depend on it in ways the determinism tests
 //! can never see, because the tie-break is itself deterministic. This
-//! module is the dynamic analogue of `simlint`'s hash-order rule: it
+//! module is the dynamic analogue of clippy.toml's `HashMap` ban: it
 //! perturbs exactly the orderings the simulation is supposed to be
 //! indifferent to, and nothing else.
 //!

@@ -363,7 +363,11 @@ struct PlanOp {
 /// block advances its captured arguments in place (`from` is the stage
 /// cursor), where an `async fn` would keep them and a second, local copy
 /// in every walk task.
-#[allow(clippy::too_many_arguments, clippy::manual_async_fn)]
+#[expect(
+    clippy::too_many_arguments,
+    clippy::manual_async_fn,
+    reason = "the async block advances its arguments in place; an async fn would copy them"
+)]
 fn chunk_walk(
     sim: Sim,
     stages: Rc<[Stage]>,

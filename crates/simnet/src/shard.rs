@@ -69,8 +69,8 @@
 //! and drives its own `Sim`s (`Rc`-based, `!Send` by construction — the
 //! compiler enforces the partition). The only cross-shard channel is the
 //! typed event payload `M: Send`, timestamped at send with the declared
-//! link latency. `simlint`'s `cross-shard-state` rule guards the gap the
-//! type system cannot see: shared mutable state smuggled around the merge
+//! link latency. clippy.toml's `Mutex`/`RwLock` ban guards the gap the type
+//! system cannot see: shared mutable state smuggled around the merge
 //! through `Arc<Mutex<_>>` and friends.
 
 use std::any::Any;
@@ -110,9 +110,12 @@ pub fn set_default_threads(n: usize) {
 }
 
 /// The process-wide default worker-thread count for sharded runs.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "core count sizes the worker pool, which affects wall-clock only"
+)]
 pub fn default_threads() -> usize {
     match DEFAULT_THREADS.load(Ordering::SeqCst) {
-        // simlint: allow(thread-spawn) -- querying core count for worker sizing, not spawning sim-side threads
         0 => std::thread::available_parallelism().map_or(1, usize::from),
         n => n,
     }
@@ -521,6 +524,11 @@ impl<M: Send + 'static, R: Send + 'static> ShardedSim<M, R> {
     /// or has zero latency, on global deadlock (every calendar quiescent,
     /// nothing in flight, yet some root incomplete), or if a worker thread
     /// panics.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the worker pool: each worker owns its shards' calendars whole, so scheduling \
+                  affects wall-clock only; the determinism suite proves it (module docs)"
+    )]
     pub fn run(self) -> ShardOutcome<R> {
         let shard_count = self.setups.len();
         assert!(shard_count > 0, "sharded run declared no shards");
@@ -546,7 +554,6 @@ impl<M: Send + 'static, R: Send + 'static> ShardedSim<M, R> {
         let mut setups: Vec<Option<Setup<M, R>>> = self.setups.into_iter().map(Some).collect();
         let (up_tx, up_rx) = mpsc::channel::<Up<M, R>>();
 
-        // simlint: allow(thread-spawn) -- the sharded engine's worker pool: each worker owns its shards' calendars whole; scheduling affects wall-clock only, and the determinism suite proves it
         std::thread::scope(|scope| {
             let mut cmd_txs = Vec::with_capacity(workers);
             let mut handles = Vec::with_capacity(workers);
@@ -559,7 +566,6 @@ impl<M: Send + 'static, R: Send + 'static> ShardedSim<M, R> {
                     .collect();
                 let links = Arc::clone(&links);
                 let up = up_tx.clone();
-                // simlint: allow(thread-spawn) -- worker creation for the conservative-lookahead barrier loop; see module docs for the determinism argument
                 let handle = std::thread::Builder::new()
                     .name(format!("simnet-shard-w{w}"))
                     .spawn_scoped(scope, move || {

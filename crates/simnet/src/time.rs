@@ -95,7 +95,7 @@ impl SimDuration {
     /// silently. Debug builds assert; release builds clamp NaN to zero
     /// and ±infinity to the saturation bounds (0 / `u64::MAX` ns).
     #[inline]
-    #[allow(
+    #[expect(
         clippy::cast_possible_truncation,
         reason = "deliberate saturating float-to-int conversion"
     )]

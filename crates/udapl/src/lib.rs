@@ -188,7 +188,7 @@ impl Endpoint {
     /// `dat_ep_post_rdma_write`: one-sided write of `len` bytes from the
     /// local region into the remote one (bounds-checked locally the way
     /// DAT providers do before posting).
-    #[allow(clippy::too_many_arguments)] // mirrors the DAT call signature
+    #[expect(clippy::too_many_arguments, reason = "mirrors the DAT call signature")]
     #[inline]
     pub async fn post_rdma_write(
         &self,

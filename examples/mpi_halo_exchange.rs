@@ -46,7 +46,7 @@ fn run(kind: FabricKind) -> (f64, f64) {
         let ranks: Vec<_> = (0..RANKS).map(|r| Rc::clone(world.rank(r))).collect();
         async move {
             let mut tasks = Vec::new();
-            #[allow(clippy::needless_range_loop)] // r is the MPI rank id
+            #[expect(clippy::needless_range_loop, reason = "r is the MPI rank id")]
             for r in 0..RANKS {
                 let me = Rc::clone(&ranks[r]);
                 let barrier = barrier.clone();
@@ -80,7 +80,7 @@ fn run(kind: FabricKind) -> (f64, f64) {
                 });
             }
             let per_rank = join_all(tasks).await;
-            per_rank.iter().copied().max().unwrap()
+            per_rank.iter().copied().max().expect("RANKS > 0")
         }
     });
     let comm_us = t_total as f64 / 1000.0 / ITERS as f64;

@@ -73,7 +73,7 @@ fn four_rank_ring_passes_a_token_intact() {
         sim.block_on(async move {
             let token = patterned(10_000, 7);
             let mut tasks = Vec::new();
-            #[allow(clippy::needless_range_loop)] // r is the MPI rank id
+            #[expect(clippy::needless_range_loop, reason = "r is the MPI rank id")]
             for r in 0..4 {
                 let me = Rc::clone(&ranks[r]);
                 let token = token.clone();

@@ -113,7 +113,7 @@ fn gen_scenario(rng: &mut Rng) -> Scenario {
         .collect::<Vec<_>>();
     // A handful of shapes, mostly multi-chunk (memo-eligible), reused
     // across ops so fingerprints repeat.
-    let min_seg = pipelines.iter().map(|(_, s)| *s).min().unwrap();
+    let min_seg = pipelines.iter().map(|(_, s)| *s).min().expect("npls >= 1");
     let nshapes = rng.range(1, 4) as usize;
     let shapes = (0..nshapes)
         .map(|_| {
