@@ -121,8 +121,8 @@ cargo test -q --release --test determinism -- --include-ignored
 echo "==> smoke: figures --selftest"
 ./target/release/figures --selftest > /dev/null
 
-# The memo and the worker-pool cap (figure groups AND the sharded engine's
-# worker count; `--threads 1` is the serial run) may change wall-clock only.
+# The memo and the figure-group pool cap (`--threads 1` is the serial run)
+# may change wall-clock only.
 pin default
 
 echo "==> conformance: every oracle figures all exercises ran, none fired"

@@ -13,9 +13,9 @@
 //! is bit-identical to a serial run (`tests/determinism.rs` locks this in
 //! with an event-order digest). Flags:
 //!
-//! * `--threads N`   — cap the worker pool at `N` threads; `--threads 1`
-//!   generates on the calling thread only (the serial run, for debugging
-//!   or single-core profiling).
+//! * `--threads N`   — cap the figure-group pool at `N` threads;
+//!   `--threads 1` generates on the calling thread only (the serial run,
+//!   for debugging or single-core profiling).
 //! * `--json DIR`    — also write one `<figure-id>.json` per figure.
 //! * `--charts`      — append ASCII charts to the tables.
 //! * `--selftest`    — run a fixed executor micro-workload and report

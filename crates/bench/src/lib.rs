@@ -121,17 +121,14 @@ pub struct Group {
 /// Generate the groups selected by `which` ("all", a figure id prefix, or
 /// the aliases "overlap"/"hotspot"/"registration"), in catalog order.
 ///
-/// `threads == 1` runs everything on the calling thread, including any
-/// sharded runs inside the figures. `n > 1` spreads the groups over up to
-/// `n` OS threads — simulations are per-thread and deterministic, so
-/// parallelism changes wall time, not results — claimed from a shared
-/// counter so long groups don't serialize behind a static partition. In
-/// both cases the cap also becomes the process default for the sharded
-/// engine (`simnet::shard::set_default_threads`), so `--threads N` shards
-/// *within* a figure as well as across groups. `0` counts as `1`.
+/// `threads == 1` runs everything on the calling thread. `n > 1` spreads
+/// the groups over up to `n` OS threads — simulations are per-thread and
+/// deterministic, so parallelism changes wall time, not results — claimed
+/// from a shared counter so long groups don't serialize behind a static
+/// partition. Each group runs whole on one thread, sharded runs included.
+/// `0` counts as `1`.
 pub fn generate_groups(which: &str, threads: usize) -> Vec<Group> {
     let cap = threads.max(1);
-    simnet::shard::set_default_threads(cap);
     let which = resolve_alias(which);
     let selected: Vec<(&'static str, Generator)> = catalog()
         .into_iter()

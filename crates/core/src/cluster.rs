@@ -13,10 +13,9 @@
 //! forwarding latency (plus any declared propagation span) becomes the
 //! cross-shard link latency — and therefore the lookahead window.
 //!
-//! The scenario exists for three reasons: it is the workload the
-//! `--threads` flag shards within a figure (near-linear speedup on
-//! multi-core hosts), its [`ClusterOutcome::trace_digest`] is what the
-//! determinism tests compare across thread counts, and its merged trace
+//! The scenario exists for two reasons: it exercises the lookahead
+//! rounds on every fabric (its [`ClusterOutcome::trace_digest`] folds the
+//! merge order with every shard's local ordering), and its merged trace
 //! feeds `simcheck`'s shard oracles.
 
 use mpisim::FabricKind;
@@ -37,16 +36,16 @@ pub struct ClusterSpec {
     pub messages: u64,
     /// Payload bytes per message.
     pub message_bytes: u64,
-    /// Worker-thread override; `None` uses the process default
-    /// (`simnet::shard::default_threads`). Output is identical either way.
+    /// Ignored: the sharded engine runs every shard on the calling thread.
+    /// Kept because perfbench's `ring_spec` sets it.
     pub threads: Option<usize>,
     /// Propagation delay added on top of the switch forwarding latency —
     /// zero for hosts on one switch, microseconds for inter-rack or
     /// campus fiber spans (5 ns/m). This is also the knob that sets the
     /// lookahead window: conservative synchronization amortizes its
     /// barrier only when the window is comparable to the workload's event
-    /// cadence, so same-switch rings (200–450 ns) are synchronization-
-    /// bound while campus spans parallelize near-linearly.
+    /// cadence, so same-switch rings (200–450 ns) take a round per few
+    /// events while campus spans carry many events per round.
     pub propagation: SimDuration,
 }
 
@@ -64,10 +63,9 @@ impl ClusterSpec {
         }
     }
 
-    /// A heavier shape for wall-clock scaling benchmarks: hosts a campus
-    /// apart (20 us of fiber — 4 km at 5 ns/m), so the lookahead window
-    /// spans many event bursts and the barrier cost amortizes — the
-    /// regime where sharding pays (see the `propagation` field).
+    /// A heavier shape with hosts a campus apart (20 us of fiber — 4 km
+    /// at 5 ns/m), so the lookahead window spans many event bursts and the
+    /// barrier cost amortizes (see the `propagation` field).
     pub fn scaling(hosts: usize) -> Self {
         ClusterSpec {
             hosts,
@@ -93,7 +91,7 @@ pub struct ClusterOutcome {
     /// Simulated end time, nanoseconds.
     pub end_ns: u64,
     /// Event-order digest of the run (cross-shard merge order folded with
-    /// every shard's local ordering) — identical across thread counts.
+    /// every shard's local ordering).
     pub trace_digest: u64,
     /// Cross-shard events exchanged.
     pub cross_events: u64,
@@ -110,8 +108,8 @@ impl ClusterOutcome {
     }
 }
 
-/// Run one sharded cluster exchange. Deterministic for any thread count;
-/// panics if `spec.hosts < 2`.
+/// Run one sharded cluster exchange. Deterministic; panics if
+/// `spec.hosts < 2`.
 pub fn cluster_exchange(kind: FabricKind, spec: ClusterSpec) -> ClusterOutcome {
     assert!(spec.hosts >= 2, "a ring needs at least two hosts");
     let lat = wire_latency(kind) + spec.propagation;
@@ -162,9 +160,6 @@ pub fn cluster_exchange(kind: FabricKind, spec: ClusterSpec) -> ClusterOutcome {
     for s in 0..spec.hosts {
         ss.link(s, (s + 1) % spec.hosts, lat);
     }
-    if let Some(t) = spec.threads {
-        ss.threads(t);
-    }
     let out = ss.run();
 
     let trace: Vec<simcheck::shard::CrossEventRecord> = out
@@ -194,8 +189,7 @@ pub fn cluster_exchange(kind: FabricKind, spec: ClusterSpec) -> ClusterOutcome {
 }
 
 /// Sharded-cluster figure: aggregate exchange bandwidth vs ring size, one
-/// series per fabric. Runs on the process-default thread count — the
-/// `--threads` flag shards *within* this figure.
+/// series per fabric.
 pub fn fig_cluster_bandwidth() -> Figure {
     let mut fig = Figure::new(
         "s1-cluster",
@@ -230,20 +224,6 @@ mod tests {
         );
         assert!(out.lookahead_rounds > 0);
         assert_eq!(out.stats.shards, spec.hosts as u64);
-    }
-
-    #[test]
-    fn exchange_is_thread_count_invariant() {
-        let run = |threads| {
-            let mut spec = ClusterSpec::small(4);
-            spec.threads = Some(threads);
-            let out = cluster_exchange(FabricKind::MxoM, spec);
-            (out.trace_digest, out.end_ns, out.bytes_moved)
-        };
-        let base = run(1);
-        for threads in [2, 4, 8] {
-            assert_eq!(run(threads), base, "divergence at {threads} threads");
-        }
     }
 
     #[test]

@@ -7,9 +7,9 @@
 //! through the generic [`etherstack::Fabric`] container, so none of them
 //! names a fabric crate.
 
-use etherstack::{Fabric, RdmaNic};
+use etherstack::{Fabric, Provider, RdmaNic};
 use hostmodel::mem::{HostMem, MemoryRegistry};
-use mpisim::FabricKind;
+use mpisim::{FabricKind, Nic};
 use simnet::shard::HostPath;
 use simnet::{Sim, SimDuration};
 
@@ -36,15 +36,12 @@ fn host<N: RdmaNic>(sim: &Sim, node: usize, calib: N::Calib) -> Host {
 /// built in `sim`. Distinct `node`s get distinct NICs with private pipes,
 /// so several hosts can live on one calendar.
 pub(crate) fn host_at(kind: FabricKind, sim: &Sim, node: usize) -> Host {
-    match kind {
-        FabricKind::Iwarp => host::<iwarp::RnicDevice>(sim, node, Default::default()),
-        FabricKind::InfiniBand => host::<infiniband::HcaDevice>(sim, node, Default::default()),
-        FabricKind::MxoM => {
-            host::<mx10g::MxNic>(sim, node, (mx10g::LinkMode::MxoM, Default::default()))
+    match kind.nic() {
+        Nic::Verbs(Provider::Iwarp) => host::<iwarp::RnicDevice>(sim, node, Default::default()),
+        Nic::Verbs(Provider::InfiniBand) => {
+            host::<infiniband::HcaDevice>(sim, node, Default::default())
         }
-        FabricKind::MxoE => {
-            host::<mx10g::MxNic>(sim, node, (mx10g::LinkMode::MxoE, Default::default()))
-        }
+        Nic::Mx(mode) => host::<mx10g::MxNic>(sim, node, (mode, Default::default())),
     }
 }
 

@@ -9,10 +9,10 @@
 //! aggregate byte rate is reported.
 
 use hostmodel::cpu::{Cpu, CpuCosts};
-use mpisim::FabricKind;
+use mpisim::{FabricKind, Nic};
 use simnet::sync::{join2, TaskGroup};
 use simnet::Sim;
-use udapl::{DatFabric, Provider};
+use udapl::DatFabric;
 
 use crate::report::{Figure, Series};
 use crate::userlevel::{connect_rdma_pair, RdmaPair, A, B};
@@ -39,10 +39,9 @@ const CONN_BUF: u64 = 16384;
 
 /// Default calibration for a fabric kind (iWARP/IB only).
 fn spec_for(kind: FabricKind) -> FabricSpec {
-    match kind {
-        FabricKind::Iwarp => Provider::Iwarp.into(),
-        FabricKind::InfiniBand => Provider::InfiniBand.into(),
-        _ => panic!("multi-connection study covers iWARP and IB only"),
+    match kind.nic() {
+        Nic::Verbs(provider) => provider.into(),
+        Nic::Mx(_) => panic!("multi-connection study covers iWARP and IB only"),
     }
 }
 

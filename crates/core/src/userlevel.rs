@@ -7,7 +7,7 @@
 
 use hostmodel::cpu::{Cpu, CpuCosts};
 use hostmodel::mem::VirtAddr;
-use mpisim::FabricKind;
+use mpisim::{FabricKind, Nic};
 use simnet::sync::join2;
 use simnet::Sim;
 use udapl::{DatFabric, Endpoint, Ia, Lmr, Provider, Rmr};
@@ -173,23 +173,13 @@ impl UserPair {
     ) -> UserPair {
         let cpu_a = Cpu::new(sim, CpuCosts::default());
         let cpu_b = Cpu::new(sim, CpuCosts::default());
-        let inner = match kind {
-            FabricKind::Iwarp | FabricKind::InfiniBand => {
-                let provider = if kind == FabricKind::Iwarp {
-                    Provider::Iwarp
-                } else {
-                    Provider::InfiniBand
-                };
+        let inner = match kind.nic() {
+            Nic::Verbs(provider) => {
                 let fab = DatFabric::new(sim, provider, 2);
                 fab.set_fault_plane(plane);
                 PairInner::Rdma(connect_rdma_pair(&fab, provider, &cpu_a, &cpu_b, MAX_MSG).await)
             }
-            FabricKind::MxoE | FabricKind::MxoM => {
-                let mode = if kind == FabricKind::MxoE {
-                    mx10g::LinkMode::MxoE
-                } else {
-                    mx10g::LinkMode::MxoM
-                };
+            Nic::Mx(mode) => {
                 let fab = mx10g::MxFabric::new(sim, 2, mode);
                 fab.set_fault_plane(plane);
                 PairInner::Mx(MxPair::open(&fab, &cpu_a, &cpu_b, MAX_MSG))

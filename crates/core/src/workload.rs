@@ -254,15 +254,6 @@ pub struct WorkloadOutcome {
 /// with every service task, hence the `Rc<RefCell<…>>`.
 pub type FlowSink = Rc<RefCell<dyn FnMut(usize, SimDuration)>>;
 
-/// Stable per-fabric tag for oracle reports.
-fn fabric_tag(kind: FabricKind) -> &'static str {
-    match kind {
-        FabricKind::Iwarp => "iwarp",
-        FabricKind::InfiniBand => "ib",
-        FabricKind::MxoM | FabricKind::MxoE => "mx10g",
-    }
-}
-
 /// Per-tenant pipeline handles cloned into the service task (clones share
 /// stage calendars, so tenants contend on the same pipes).
 struct PathHandles {
@@ -288,7 +279,7 @@ pub fn run_workload(spec: &WorkloadSpec, sink: &FlowSink) -> WorkloadOutcome {
     let issued: Vec<Counter> = (0..n).map(|_| Counter::new()).collect();
     let completed: Vec<Counter> = (0..n).map(|_| Counter::new()).collect();
     let oracle = Rc::new(RefCell::new(simcheck::workload::ConservationOracle::new(
-        fabric_tag(spec.kind),
+        spec.kind.nic().tag(),
         n,
     )));
 

@@ -42,7 +42,7 @@ pub use fabric::{Fabric, NicModel, RdmaNic};
 pub use frame::{EthernetHeader, ETHERTYPE_IPV4, ETH_HEADER_LEN, ETH_MTU, ETH_WIRE_OVERHEAD};
 pub use hostnic::{HostTcpCalib, HostTcpFabric, HostTcpNic};
 pub use ipv4::Ipv4Header;
-pub use qp::{Lane, MsgDir, Qp, QpStep, QpWatch, VerbsNic, WorkRequest};
+pub use qp::{Lane, MsgDir, Provider, Qp, QpStep, QpWatch, VerbsNic, WorkRequest};
 pub use recovery::{transfer_reliable, LossRecovery, RecoveryStats};
 pub use switch::{CutThroughSwitch, SwitchConfig};
 pub use tcp::{TcpHeader, TcpReassembler, TcpSegmenter, TCP_MSS};

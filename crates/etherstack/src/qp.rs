@@ -69,6 +69,15 @@ pub trait QpWatch: 'static {
     fn observe(&self, sim: &Sim, step: QpStep);
 }
 
+/// Which verbs provider — which [`VerbsNic`] — backs a queue pair.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Provider {
+    /// NetEffect iWARP RNIC.
+    Iwarp,
+    /// Mellanox InfiniBand HCA.
+    InfiniBand,
+}
+
 /// A NIC that carries verbs queue pairs: the per-fabric half of [`Qp`].
 pub trait VerbsNic: RdmaNic + 'static {
     /// This fabric's [`QpWatch`].

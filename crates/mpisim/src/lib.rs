@@ -30,4 +30,4 @@ pub mod world;
 
 pub use rank::{MpiRank, Source};
 pub use request::{MpiRequest, MpiStatus};
-pub use world::{FabricKind, MpiWorld};
+pub use world::{FabricKind, MpiWorld, Nic};

@@ -2,7 +2,7 @@
 
 use std::rc::Rc;
 
-use etherstack::{Fabric, VerbsNic};
+use etherstack::{Fabric, Provider, VerbsNic};
 use hostmodel::cpu::{Cpu, CpuCosts};
 use simnet::{Bytes, Sim, SimDuration};
 
@@ -32,6 +32,17 @@ impl FabricKind {
         FabricKind::MxoE,
     ];
 
+    /// The NIC this configuration runs on: the one place a kind picks
+    /// its verbs provider or MX link mode.
+    pub fn nic(self) -> Nic {
+        match self {
+            FabricKind::Iwarp => Nic::Verbs(Provider::Iwarp),
+            FabricKind::InfiniBand => Nic::Verbs(Provider::InfiniBand),
+            FabricKind::MxoE => Nic::Mx(mx10g::LinkMode::MxoE),
+            FabricKind::MxoM => Nic::Mx(mx10g::LinkMode::MxoM),
+        }
+    }
+
     /// Display label matching the paper's legends.
     pub fn label(self) -> &'static str {
         match self {
@@ -39,6 +50,27 @@ impl FabricKind {
             FabricKind::InfiniBand => "IB",
             FabricKind::MxoM => "MXoM",
             FabricKind::MxoE => "MXoE",
+        }
+    }
+}
+
+/// A [`FabricKind`]'s NIC: a verbs provider, or a Myri-10G NIC in one of
+/// its link modes.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Nic {
+    /// A queue-pair NIC behind the verbs.
+    Verbs(Provider),
+    /// A Myri-10G NIC under MX.
+    Mx(mx10g::LinkMode),
+}
+
+impl Nic {
+    /// The fabric tag on this NIC's simcheck reports.
+    pub fn tag(self) -> &'static str {
+        match self {
+            Nic::Verbs(Provider::Iwarp) => "iwarp",
+            Nic::Verbs(Provider::InfiniBand) => "ib",
+            Nic::Mx(_) => "mx10g",
         }
     }
 }
@@ -85,17 +117,14 @@ impl MpiWorld {
     /// Build an `n`-rank world (one rank per node) over `kind`.
     pub fn build(sim: &Sim, kind: FabricKind, n: usize) -> MpiWorld {
         assert!(n >= 2);
-        let ranks: Vec<Rc<dyn MpiRank>> = match kind {
-            FabricKind::Iwarp => host_ranks(&iwarp::IwarpFabric::new(sim, n), iwarp_mpi_config()),
-            FabricKind::InfiniBand => {
+        let ranks: Vec<Rc<dyn MpiRank>> = match kind.nic() {
+            Nic::Verbs(Provider::Iwarp) => {
+                host_ranks(&iwarp::IwarpFabric::new(sim, n), iwarp_mpi_config())
+            }
+            Nic::Verbs(Provider::InfiniBand) => {
                 host_ranks(&infiniband::IbFabric::new(sim, n), ib_mpi_config())
             }
-            FabricKind::MxoE | FabricKind::MxoM => {
-                let mode = if kind == FabricKind::MxoE {
-                    mx10g::LinkMode::MxoE
-                } else {
-                    mx10g::LinkMode::MxoM
-                };
+            Nic::Mx(mode) => {
                 let fab = mx10g::MxFabric::new(sim, n, mode);
                 let eps: Vec<Rc<mx10g::MxEndpoint>> = (0..n)
                     .map(|r| {

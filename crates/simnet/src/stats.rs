@@ -107,7 +107,7 @@ impl SimStats {
     /// take the max. Used by the sharded engine to aggregate per-shard
     /// executor snapshots into one run-level view (which then overrides
     /// `shards`, `lookahead_rounds` and `merge_queue_peak` with
-    /// coordinator-level values).
+    /// run-level values).
     pub(crate) fn absorb(&mut self, other: &SimStats) {
         self.spawns += other.spawns;
         self.polls += other.polls;

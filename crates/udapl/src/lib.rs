@@ -41,14 +41,7 @@ use hostmodel::mem::{HostMem, MemKey, VirtAddr};
 use hostmodel::nic::{Cqe, CqeStatus};
 use simnet::FaultPlane;
 
-/// Which RDMA provider backs an interface adapter.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Provider {
-    /// NetEffect iWARP RNIC.
-    Iwarp,
-    /// Mellanox InfiniBand HCA.
-    InfiniBand,
-}
+pub use etherstack::Provider;
 
 /// A provider together with its NIC calibration (ablation studies override
 /// single fields to show which mechanism produces which curve).

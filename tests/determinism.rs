@@ -108,11 +108,9 @@ fn fig_loss_digest_is_stable_across_double_runs() {
     );
 }
 
-/// The `--threads` knob (worker pool for figure groups *and* the sharded
-/// engine's worker count, via `simnet::shard::set_default_threads`) may
-/// change wall-clock time only. Every figure digest must be byte-identical
-/// to the serial run at every thread count — this is the test the sharded
-/// engine's conservative-lookahead synchronization answers to.
+/// The `--threads` knob (the figure-group worker pool) may change
+/// wall-clock time only. Every figure digest must be byte-identical to the
+/// serial run at every thread count.
 #[test]
 fn fig1_digest_is_thread_count_invariant() {
     let serial = figure_digest(&bench::generate("fig1"));
@@ -147,9 +145,9 @@ fn fig2_and_fig_loss_digests_are_thread_count_invariant() {
     }
 }
 
-/// Same gate for the figure that actually exercises the sharded engine:
-/// the cluster-exchange figure's digest must not depend on how many OS
-/// workers the shards are spread across.
+/// Same gate for the figure that exercises the sharded engine: the
+/// cluster-exchange figure's digest must not depend on which pool worker
+/// generates it.
 #[test]
 fn shard_figure_digest_is_thread_count_invariant() {
     let serial = figure_digest(&generate_pinned("shard"));
