@@ -100,14 +100,11 @@ assert total <= budget["allows"], (
 print(f"waivers: {total} {dict(sorted(by_rule.items()))} (budget {budget['allows']})")
 EOF
 
-echo "==> differential sweep: fast path vs per-segment walk (100k cases)"
-FASTPATH_DIFF_CASES=100000 cargo test -q --release --test fastpath_diff
-
-echo "==> differential sweep: transfer memo vs unmemoized replay (100k cases)"
-# Same harness shape for the whole-transfer memo: every scenario (bursts,
-# demotions, observers, fault-judged sends) must be observationally
-# identical with the cache enabled and force-disabled.
-MEMO_DIFF_CASES=100000 cargo test -q --release --test memo_diff
+echo "==> differential sweep: walk vs fast path vs memo replay (100k cases)"
+# Every scenario (fresh and repeated shapes, bursts, demotions, observers,
+# loss-judged sends) runs on all three transfer tiers, which must agree on
+# every observable; the two fast-path runs also on the event trace.
+TRANSFER_DIFF_CASES=100000 cargo test -q --release --test transfer_diff
 
 echo "==> calendar differential in release (full 204k operations)"
 # Debug builds run a quarter of the seeded streams for wall-clock.

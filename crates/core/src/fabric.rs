@@ -88,14 +88,6 @@ mod tests {
         );
         assert_eq!(h0.egress.segment_size(), mono.segment_size(), "{kind:?}");
         assert_eq!(h1.ingress.segment_size(), mono.segment_size(), "{kind:?}");
-        // Same calibration through the fabric crate's own `host_path_at`.
-        let direct = Fabric::<N>::host_path_at(&sim, 0, calib);
-        assert_eq!(
-            shape(direct.egress.stages()),
-            shape(h0.egress.stages()),
-            "{kind:?}"
-        );
-        assert_eq!(direct.overhead_bytes, h0.overhead_bytes, "{kind:?}");
     }
 
     #[test]

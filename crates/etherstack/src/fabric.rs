@@ -201,13 +201,6 @@ impl<N: NicModel> Fabric<N> {
             overhead_bytes: nic.per_segment_overhead(),
         }
     }
-
-    /// [`Fabric::host_path`] of a freshly built node-`node` NIC: several
-    /// hosts materialized on one calendar get distinct devices with private
-    /// pipes.
-    pub fn host_path_at(sim: &Sim, node: usize, calib: N::Calib) -> HostPath {
-        Self::host_path(sim, &N::new(sim, node, calib))
-    }
 }
 
 fn pipeline<N: NicModel>(sim: &Sim, nic: &N, stages: Vec<Stage>) -> Pipeline {

@@ -32,7 +32,7 @@
 
 use std::future::Future;
 
-use simnet::{Bytes, FaultDecision, FaultPlane, Pipeline, Sim, SimDuration};
+use simnet::{Bytes, FaultPlane, Pipeline, Sim, SimDuration};
 
 /// Send-side phases of one recovering transfer, named after the TCP sender
 /// they were first written for; every protocol's transfer walks them (an
@@ -57,8 +57,6 @@ enum TcpSendPhase {
 enum TcpSendEvent {
     /// A segment was judged deliverable.
     SegmentDelivered,
-    /// A segment was delayed in flight (queueing, no retransmit).
-    SegmentDelayed,
     /// A loss detected by duplicate ACKs (trailing segments exist).
     LossFastRetx,
     /// A tail loss: nothing behind it, only the timer notices.
@@ -77,7 +75,6 @@ enum TcpSendEvent {
 fn fsm_next(from: TcpSendPhase, ev: TcpSendEvent) -> Option<TcpSendPhase> {
     match (from, ev) {
         (TcpSendPhase::Streaming, TcpSendEvent::SegmentDelivered) => Some(TcpSendPhase::Streaming),
-        (TcpSendPhase::Streaming, TcpSendEvent::SegmentDelayed) => Some(TcpSendPhase::Streaming),
         (TcpSendPhase::Streaming, TcpSendEvent::LossFastRetx) => Some(TcpSendPhase::FastRetx),
         (TcpSendPhase::Streaming, TcpSendEvent::LossTail) => Some(TcpSendPhase::RtoWait),
         (TcpSendPhase::FastRetx, TcpSendEvent::RetxDelivered) => Some(TcpSendPhase::Streaming),
@@ -161,7 +158,7 @@ pub const TCP_OFFLOAD: LossRecovery = LossRecovery {
 /// [`simnet::SimStats`]).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct RecoveryStats {
-    /// Faults this transfer absorbed (data and ACK; drops + delays).
+    /// Units this transfer lost (data and ACK).
     pub faults: u64,
     /// Units retransmitted (go-back-N counts the whole tail per attempt,
     /// an ACK replay the whole message).
@@ -270,8 +267,7 @@ async fn transfer_recovering(
     let mut run_start = 0u64;
     let mut i = 0u64;
     while i < n {
-        let mut verdict = plane.judge(sim, stream);
-        let lost = verdict == FaultDecision::Drop;
+        let lost = plane.judge(sim, stream);
         if lost {
             stats.faults += 1;
             // The loss is discovered only after the preceding run (and,
@@ -285,7 +281,7 @@ async fn transfer_recovering(
             }
             let resent = if policy.resend_tail { n - i } else { 1 };
             let mut attempt = 0u32;
-            verdict = loop {
+            loop {
                 match policy.early_signal {
                     Some((min_trailing, delay)) if attempt == 0 && n - 1 - i >= min_trailing => {
                         // Out-of-order arrivals behind the hole make the
@@ -306,35 +302,23 @@ async fn transfer_recovering(
                 sim.note_retransmits(resent);
                 stats.retransmits += resent;
                 attempt += 1;
-                let retx = if attempt > policy.max_retries {
-                    FaultDecision::Deliver
-                } else {
-                    plane.judge(sim, stream)
-                };
-                if retx != FaultDecision::Drop {
+                // Past `max_retries` the unit is forced through unjudged.
+                if attempt > policy.max_retries || !plane.judge(sim, stream) {
                     fsm_step(&mut phase, TcpSendEvent::RetxDelivered);
-                    break retx;
+                    break;
                 }
                 fsm_step(&mut phase, TcpSendEvent::RetxLost);
                 stats.faults += 1;
-            };
-        } else if verdict == FaultDecision::Delay {
-            fsm_step(&mut phase, TcpSendEvent::SegmentDelayed);
+            }
         } else {
             fsm_step(&mut phase, TcpSendEvent::SegmentDelivered);
         }
-        // A retransmitted or delayed unit ends its run like the last one
-        // does: everything up to and including it goes on the wire in one
-        // reservation (a healthy stream keeps its cut-through overlap), and
-        // a delay adds queueing latency behind it.
-        let delayed = verdict == FaultDecision::Delay;
-        if lost || delayed || i + 1 == n {
+        // A retransmitted unit ends its run like the last one does:
+        // everything up to and including it goes on the wire in one
+        // reservation (a healthy stream keeps its cut-through overlap).
+        if lost || i + 1 == n {
             path.transfer(run_bytes(run_start, i + 1), per_unit_overhead)
                 .await;
-            if delayed {
-                stats.faults += 1;
-                sim.sleep(plane.delay()).await;
-            }
             observe_run(run_start, i + 1, sim.now().as_nanos());
             run_start = i + 1;
         }
@@ -349,15 +333,10 @@ async fn transfer_recovering(
     if policy.ack_replay {
         let mut attempt = 0u32;
         loop {
-            let verdict = plane.judge(sim, stream);
-            if verdict == FaultDecision::Deliver {
+            if !plane.judge(sim, stream) {
                 break;
             }
             stats.faults += 1;
-            if verdict == FaultDecision::Delay {
-                sim.sleep(plane.delay()).await;
-                break;
-            }
             if attempt >= policy.max_retries {
                 break;
             }
@@ -495,8 +474,8 @@ mod tests {
             if policy.resend_tail {
                 assert!(stats.retransmits > stats.faults, "whole tails are resent");
             } else {
-                // Pure loss injects no delays, so every fault is one resent
-                // unit, or one replay of all n when it hit the ACK.
+                // Every fault is one resent unit, or one replay of all n
+                // when it hit the ACK.
                 assert_eq!(stats.retransmits - (n - 1) * stats.duplicates, stats.faults);
             }
             if policy.early_signal.is_none() {
@@ -561,50 +540,6 @@ mod tests {
             assert_eq!(stats.duplicates, replays);
             assert!(stats.rto_fires > 0);
             assert_counters_agree(&stats, &sstats);
-        }
-    }
-
-    fn delay_plane(drop_ppm: u32, delay_ppm: u32, delay_us: u64, seed: u64) -> FaultPlane {
-        FaultPlane::new(FaultConfig {
-            drop_ppm,
-            delay_ppm,
-            delay: SimDuration::from_micros(delay_us),
-            seed,
-        })
-    }
-
-    #[test]
-    fn delay_faults_delay_without_retransmitting() {
-        for policy in &POLICIES {
-            let (t, stats, _) = run(policy, delay_plane(0, 1_000_000, 50, 3), 2 * UNIT);
-            assert_eq!(stats.retransmits, 0);
-            assert_eq!(stats.rto_fires, 0);
-            assert_eq!(stats.duplicates, 0);
-            // Both data units, and the ACK where it is judged.
-            assert_eq!(stats.faults, 2 + u64::from(policy.ack_replay));
-            assert!(t >= stats.faults * 50_000, "one 50 µs delay per fault");
-        }
-    }
-
-    /// A retransmission judged `Delay` is a fault like any other: counted
-    /// in the transfer's own stats and slept, not folded into "delivered".
-    #[test]
-    fn delayed_retransmissions_are_counted_and_slept() {
-        for policy in &POLICIES {
-            for seed in 0..32u64 {
-                let lossy = |delay_us| delay_plane(200_000, 300_000, delay_us, seed);
-                let (t, stats, sstats) = run(policy, lossy(50), 100 * UNIT);
-                assert_counters_agree(&stats, &sstats);
-                // The verdict stream does not depend on the configured
-                // delay, so against a zero-delay twin the elapsed time
-                // differs by exactly one delay per `Delay` verdict. Under
-                // selective repeat the drops are the retransmits.
-                if !policy.resend_tail && !policy.ack_replay {
-                    let (t0, stats0, _) = run(policy, lossy(0), 100 * UNIT);
-                    assert_eq!(stats0, stats);
-                    assert_eq!(t - t0, (stats.faults - stats.retransmits) * 50_000);
-                }
-            }
         }
     }
 }

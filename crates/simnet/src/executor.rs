@@ -4,8 +4,8 @@
 //! capture a clone; every clone sees the same clock, run queue and timer
 //! heap. The executor is strictly single-threaded: tasks are `!Send`
 //! futures, and determinism follows from (a) a FIFO ready queue, (b) a timer
-//! heap totally ordered by `(deadline, registration sequence)`, and (c) the
-//! absence of any other event source.
+//! heap totally ordered by `(deadline, arm instant, registration
+//! sequence)`, and (c) the absence of any other event source.
 //!
 //! ## Allocation-free steady state
 //!
@@ -269,22 +269,26 @@ enum TimerState {
 struct TimerEntry {
     at: SimTime,
     seq: u64,
-    /// Tie-break rank among equal deadlines. Equal to `seq` in normal runs;
-    /// under a schedule-perturbation salt (see [`crate::perturb`]) it is an
-    /// injective scramble of `seq`, permuting same-instant firing order
-    /// while leaving deadline order untouched.
+    /// Tie-break rank among equal deadlines and arm instants. Equal to
+    /// `seq` in normal runs; under a schedule-perturbation salt (see
+    /// [`crate::perturb`]) it is an injective scramble of `seq`, permuting
+    /// same-instant firing order while leaving deadline order untouched.
     ord: u64,
     key: TimerKey,
-    /// Instant the timer was armed. Seqs are assigned in arm order, so at
-    /// equal deadlines an earlier-armed timer always fires first; the
-    /// pipeline fast path uses this to replay tie-breaks it never armed
-    /// real timers for (see `Sim::last_fired_timer`).
+    /// Instant the timer counts as armed: when it was, or, for a demoted
+    /// fast-path continuation, when the walk armed the sleep it stands in
+    /// for ([`SleepArmedAt`]). Equal deadlines fire in
+    /// `(armed, ord)` order, which for timers armed on the spot is plain
+    /// arm order. The fast path reads it back to replay tie-breaks it never
+    /// armed real timers for (see `Sim::last_fired_timer`). Under a
+    /// perturbation salt, which turns the fast path off, it is
+    /// `SimTime::ZERO`, so the scramble alone ranks ties.
     armed: SimTime,
 }
 
 impl PartialEq for TimerEntry {
     fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.ord == other.ord
+        self.at == other.at && self.armed == other.armed && self.ord == other.ord
     }
 }
 impl Eq for TimerEntry {}
@@ -295,10 +299,10 @@ impl PartialOrd for TimerEntry {
 }
 impl Ord for TimerEntry {
     /// Reversed so that `BinaryHeap` (a max-heap) pops the *earliest*
-    /// `(deadline, ord)` first. `ord == seq` unless a perturbation salt is
-    /// active, so the default order is arm order.
+    /// `(deadline, armed, ord)` first. `ord == seq` unless a perturbation
+    /// salt is active, so the default order is arm order.
     fn cmp(&self, other: &Self) -> Ordering {
-        (other.at, other.ord).cmp(&(self.at, self.ord))
+        (other.at, other.armed, other.ord).cmp(&(self.at, self.armed, self.ord))
     }
 }
 
@@ -482,7 +486,7 @@ impl Sim {
     /// turned off ([`crate::memo::set_default_enabled`]); captured at
     /// [`Sim::new`]. Disabling forces every fast-path transfer to
     /// recompute its closed-form plan — output is byte-identical either
-    /// way, which the `--no-memo` CI gates and `tests/memo_diff.rs`
+    /// way, which the `--no-memo` CI gates and `tests/transfer_diff.rs`
     /// assert.
     pub fn set_transfer_memo(&self, enabled: bool) {
         self.core.borrow_mut().transfer_memo_enabled = enabled;
@@ -520,8 +524,7 @@ impl Sim {
         }
     }
 
-    /// Record a fault injected by a [`crate::fault::FaultPlane`] (a drop
-    /// or delay decision).
+    /// Record a unit a [`crate::fault::FaultPlane`] judged lost.
     pub(crate) fn note_fault_injected(&self) {
         self.core.borrow_mut().stats.faults_injected += 1;
     }
@@ -688,6 +691,18 @@ impl Sim {
             core: Rc::clone(&self.core),
             at,
             key: None,
+        }
+    }
+
+    /// A sleep until `at` (done at once if that is not in the future) that
+    /// fires among equal deadlines as if it had been armed at `armed`, not
+    /// after its first poll: a demoted pipeline speculation's continuation
+    /// takes it in place of the sleep the walk armed back then, so it
+    /// fires before any timer armed since, the demoting task's included.
+    pub(crate) fn sleep_until_armed_at(&self, at: SimTime, armed: SimTime) -> SleepArmedAt {
+        SleepArmedAt {
+            sleep: self.sleep_until(at),
+            armed,
         }
     }
 
@@ -973,9 +988,10 @@ impl Core {
         }
     }
 
-    /// Arm a timer at `(at, next seq)` backed by a pooled slot holding whom
-    /// it wakes. Returns the slot key for [`Sleep`] to poll/free.
-    fn register_timer(&mut self, at: SimTime, waiter: Waiter) -> TimerKey {
+    /// Arm a timer at `(at, armed, next seq)` backed by a pooled slot
+    /// holding whom it wakes. Returns the slot key for [`Sleep`] to
+    /// poll/free.
+    fn register_timer(&mut self, at: SimTime, armed: SimTime, waiter: Waiter) -> TimerKey {
         self.stats.timers_set += 1;
         let index = match self.timer_free {
             Some(i) => {
@@ -1006,7 +1022,11 @@ impl Core {
             seq,
             ord: scramble_ord(seq, self.tie_salt),
             key,
-            armed: self.now,
+            armed: if self.tie_salt == 0 {
+                armed
+            } else {
+                SimTime::ZERO
+            },
         });
         key
     }
@@ -1044,15 +1064,25 @@ impl Future for Sleep {
     type Output = ();
 
     fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
-        let this = &mut *self;
-        let mut guard = this.core.borrow_mut();
+        self.poll_armed_at(cx, None)
+    }
+}
+
+impl Sleep {
+    /// [`Future::poll`], with the timer (if this poll arms it) ranked as
+    /// armed at `armed` rather than now.
+    #[inline]
+    fn poll_armed_at(&mut self, cx: &mut Context<'_>, armed: Option<SimTime>) -> Poll<()> {
+        let mut guard = self.core.borrow_mut();
         let core = &mut *guard;
         let own = core.own_task(cx.waker());
-        let Some(key) = this.key else {
-            if core.now >= this.at {
+        let Some(key) = self.key else {
+            if core.now >= self.at {
                 return Poll::Ready(());
             }
-            this.key = Some(core.register_timer(this.at, Waiter::new(own, cx.waker())));
+            let armed = armed.map_or(core.now, |a| a.min(core.now));
+            let waiter = Waiter::new(own, cx.waker());
+            self.key = Some(core.register_timer(self.at, armed, waiter));
             return Poll::Pending;
         };
         let slot = &mut core.timer_slots[key.index as usize];
@@ -1060,7 +1090,7 @@ impl Future for Sleep {
         match &mut slot.state {
             TimerState::Fired => {
                 core.free_timer(key.index);
-                this.key = None;
+                self.key = None;
                 Poll::Ready(())
             }
             TimerState::Pending { waiter } => {
@@ -1077,6 +1107,24 @@ impl Future for Sleep {
             }
             _ => unreachable!("armed sleep found vacant/cancelled slot"),
         }
+    }
+}
+
+/// Future returned by `Sim::sleep_until_armed_at`: a [`Sleep`] whose timer,
+/// armed at its first poll like any other (so arm sequence numbers, and
+/// with them the event-ordering trace, are those of a plain sleep), ranks
+/// among equal deadlines as armed at `armed`.
+pub(crate) struct SleepArmedAt {
+    sleep: Sleep,
+    armed: SimTime,
+}
+
+impl Future for SleepArmedAt {
+    type Output = ();
+
+    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+        let this = &mut *self;
+        this.sleep.poll_armed_at(cx, Some(this.armed))
     }
 }
 
@@ -1288,10 +1336,10 @@ mod tests {
     #[should_panic(expected = "deadlock")]
     fn deadlock_panics_with_diagnostic() {
         let sim = Sim::new();
-        let (_tx, rx) = crate::sync::oneshot::<()>();
+        let (_tx, mut rx) = crate::sync::mpsc::<()>();
         // _tx is alive, so the receive can never complete and no timer exists.
         sim.block_on(async move {
-            rx.await;
+            rx.recv().await;
         });
     }
 
@@ -1637,7 +1685,7 @@ mod tests {
     #[test]
     fn a_sleep_handed_to_another_task_wakes_that_task() {
         let sim = Sim::new();
-        let (tx, rx) = crate::sync::oneshot::<Sleep>();
+        let (tx, mut rx) = crate::sync::mpsc::<Sleep>();
         // A arms the sleep under its own waker, hands it over and parks.
         let a_polls = Rc::new(Cell::new(0u32));
         let (s, polls) = (sim.clone(), Rc::clone(&a_polls));
@@ -1647,13 +1695,13 @@ mod tests {
             if let Some(tx) = handoff.take() {
                 let mut sleep = s.sleep(SimDuration::from_nanos(50));
                 arm(&mut sleep, cx);
-                tx.send(sleep);
+                assert!(tx.send(sleep).is_ok(), "B holds the receiver");
             }
             Poll::Pending
         }));
         let s = sim.clone();
         let woke_at = sim.block_on(async move {
-            rx.await.expect("A sends the sleep").await;
+            rx.recv().await.expect("A sends the sleep").await;
             s.now()
         });
         assert_eq!(woke_at.as_nanos(), 50, "B is woken when the timer fires");

@@ -23,15 +23,15 @@
 //! use simnet::{Sim, SimDuration};
 //!
 //! let sim = Sim::new();
-//! let (tx, rx) = simnet::sync::oneshot::<u64>();
+//! let (tx, mut rx) = simnet::sync::mpsc::<u64>();
 //! sim.spawn({
 //!     let sim = sim.clone();
 //!     async move {
 //!         sim.sleep(SimDuration::from_micros(5)).await;
-//!         tx.send(sim.now().as_nanos());
+//!         tx.send(sim.now().as_nanos()).unwrap();
 //!     }
 //! });
-//! let got = sim.block_on(async move { rx.await.unwrap() });
+//! let got = sim.block_on(async move { rx.recv().await.unwrap() });
 //! assert_eq!(got, 5_000);
 //! ```
 
@@ -53,7 +53,7 @@ pub mod time;
 mod units;
 
 pub use executor::{JoinHandle, Sim};
-pub use fault::{FaultConfig, FaultDecision, FaultPlane};
+pub use fault::{FaultConfig, FaultPlane};
 pub use pipe::{Pipe, Pipeline, Stage};
 pub use shard::ShardedSim;
 pub use stats::SimStats;

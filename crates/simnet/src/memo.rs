@@ -30,7 +30,7 @@
 //!   off. Fault judgement happens outside [`Pipeline::transfer`], one unit
 //!   at a time in the fabric's recovery engine, so a cached plan never
 //!   depends on the fault plane: installing one mid-run leaves every
-//!   entry valid (`tests/memo_diff.rs` pins this).
+//!   entry valid (`tests/transfer_diff.rs` pins this).
 //!
 //! The *calendar occupancy class* is not a key field because only one
 //! class is cacheable at all: the fast path (and therefore the memo) only
@@ -49,8 +49,9 @@
 //! negative — in which case the following `max` discards it either way.
 //! So a plan computed at base `t0` is the plan at base `t1` shifted by
 //! `t1 - t0`, and caching (completion − base, per-stage totals) replays
-//! bit-identically at any later hit. `tests/memo_diff.rs` proves this over
-//! a 100k-case differential sweep.
+//! bit-identically at any later hit. `tests/transfer_diff.rs` checks this
+//! over a 100k-case differential sweep, each case replayed against the
+//! per-segment walk as well as the memo-off fast path.
 //!
 //! [`Pipeline`]: crate::Pipeline
 //! [`Pipeline::transfer`]: crate::Pipeline::transfer

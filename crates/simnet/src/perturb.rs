@@ -2,7 +2,7 @@
 //! tie-breaks among simultaneously-ready events.
 //!
 //! The executor's production contract is that timers sharing a deadline
-//! fire in arm order (`(deadline, seq)` heap order). That contract is what
+//! fire in arm order (`(deadline, armed, seq)` heap order). That contract is what
 //! every model above the executor was validated against — but it also means
 //! a model could *accidentally* depend on it in ways the determinism tests
 //! can never see, because the tie-break is itself deterministic. This

@@ -355,6 +355,35 @@ struct PlanOp {
     end: SimTime,
 }
 
+/// The pacing loop of the per-segment walk: each chunk enters stage 0 as
+/// soon as the one before it has cleared stage 0 (FIFO behind this flow's
+/// earlier chunks), and one [`chunk_walk`] task carries it through the
+/// later stages. Resolves when every chunk has left the last stage.
+async fn pace_chunks(sim: &Sim, stages: &Rc<[Stage]>, metas: &[ChunkMeta]) {
+    let stage0 = &stages[0];
+    let chunks = TaskGroup::new();
+    for (c, &meta) in metas.iter().enumerate() {
+        let (s0, e0) = stage0.pipe.reserve_n(sim.now(), meta.cwire, meta.csegs);
+        chunks.spawn(
+            sim,
+            chunk_walk(
+                sim.clone(),
+                Rc::clone(stages),
+                1,
+                s0,
+                e0,
+                stage0.pipe.service_time(meta.seg_wire),
+                stage0.latency,
+                meta,
+            ),
+        );
+        if c + 1 < metas.len() && e0 > sim.now() {
+            sim.sleep_until(e0).await;
+        }
+    }
+    chunks.wait().await;
+}
+
 /// Walk one chunk block through `stages[from..]` in wall-clock step with
 /// the data, exactly as cut-through hardware drains it. `prev_*` describe
 /// the reservation the block already holds on stage `from - 1`.
@@ -558,32 +587,7 @@ impl Pipeline {
                 .chunk_partition(bytes, per_segment_overhead_bytes)
                 .into(),
         };
-        let chunks = TaskGroup::new();
-        for (c, &meta) in metas.iter().enumerate() {
-            // Stage 0: enter now, FIFO behind this flow's earlier chunks.
-            let stage0 = &self.stages[0];
-            let (s0, e0) = stage0
-                .pipe
-                .reserve_n(self.sim.now(), meta.cwire, meta.csegs);
-            let seg0_service = stage0.pipe.service_time(meta.seg_wire);
-            chunks.spawn(
-                &self.sim,
-                chunk_walk(
-                    self.sim.clone(),
-                    Rc::clone(&self.stages),
-                    1,
-                    s0,
-                    e0,
-                    seg0_service,
-                    stage0.latency,
-                    meta,
-                ),
-            );
-            if c + 1 < metas.len() && e0 > self.sim.now() {
-                self.sim.sleep_until(e0).await;
-            }
-        }
-        chunks.wait().await;
+        pace_chunks(&self.sim, &self.stages, &metas).await;
     }
 
     /// Attempt the uncontended cut-through fast path: replay the whole
@@ -1085,7 +1089,8 @@ impl Speculation {
     /// and hand the rest of the traversal back to the per-segment walk,
     /// reconstructed exactly where the lazy run would be right now —
     /// due reservations materialized, one continuation task per in-flight
-    /// chunk (each parked where its walk task would be parked), and a
+    /// chunk (each parked where its walk task would be parked, on a sleep
+    /// ranked among equal deadlines where the walk armed it), and a
     /// resumed pacing loop for chunks that have not entered stage 0.
     fn demote(self: &Rc<Self>) {
         if self.phase.get() != SpecPhase::Active {
@@ -1122,32 +1127,31 @@ impl Speculation {
                 done += 1;
             }
             let meta = self.metas[c];
+            let prev_op = self.op(c, done - 1);
+            let prev_stage = &self.stages[done - 1];
             if done == self.nstages {
-                // Fully reserved; only the exit sleep remains.
-                let op = self.op(c, self.nstages - 1);
-                let exit = op.end + self.stages[self.nstages - 1].latency;
-                let sim = self.sim.clone();
-                rest.spawn(&self.sim, async move {
-                    if exit > sim.now() {
-                        sim.sleep_until(exit).await;
-                    }
-                });
+                // Fully reserved; only the exit sleep remains, armed at the
+                // last reservation's wall.
+                let exit = prev_op.end + prev_stage.latency;
+                rest.spawn(&self.sim, self.sim.sleep_until_armed_at(exit, prev_op.wall));
             } else {
-                let prev_op = self.op(c, done - 1);
-                let prev_stage = &self.stages[done - 1];
-                rest.spawn(
-                    &self.sim,
-                    chunk_walk(
-                        self.sim.clone(),
-                        Rc::clone(&self.stages),
-                        done,
-                        prev_op.start,
-                        prev_op.end,
-                        prev_stage.pipe.service_time(meta.seg_wire),
-                        prev_stage.latency,
-                        meta,
-                    ),
+                // Parked until the next stage's planned wall.
+                let next = self.op(c, done);
+                let wait = self.sim.sleep_until_armed_at(next.wall, next.arm);
+                let walk = chunk_walk(
+                    self.sim.clone(),
+                    Rc::clone(&self.stages),
+                    done,
+                    prev_op.start,
+                    prev_op.end,
+                    prev_stage.pipe.service_time(meta.seg_wire),
+                    prev_stage.latency,
+                    meta,
                 );
+                rest.spawn(&self.sim, async move {
+                    wait.await;
+                    walk.await;
+                });
             }
         }
         if started < self.metas.len() {
@@ -1168,38 +1172,11 @@ impl Speculation {
 
     /// Continue the pacing loop for chunks that had not yet entered
     /// stage 0. The lazy loop would be parked waiting for the last started
-    /// chunk to clear stage 0 (that instant is strictly in the future,
-    /// else the next chunk would already have started).
+    /// chunk to clear stage 0: the next chunk's planned wall.
     async fn resume_main(&self, started: usize) {
-        let e0_last = self.op(started - 1, 0).end;
-        if e0_last > self.sim.now() {
-            self.sim.sleep_until(e0_last).await;
-        }
-        let stage0 = &self.stages[0];
-        let chunks = TaskGroup::new();
-        for c in started..self.metas.len() {
-            let meta = self.metas[c];
-            let (s0, e0) = stage0
-                .pipe
-                .reserve_n(self.sim.now(), meta.cwire, meta.csegs);
-            chunks.spawn(
-                &self.sim,
-                chunk_walk(
-                    self.sim.clone(),
-                    Rc::clone(&self.stages),
-                    1,
-                    s0,
-                    e0,
-                    stage0.pipe.service_time(meta.seg_wire),
-                    stage0.latency,
-                    meta,
-                ),
-            );
-            if c + 1 < self.metas.len() && e0 > self.sim.now() {
-                self.sim.sleep_until(e0).await;
-            }
-        }
-        chunks.wait().await;
+        let next = self.op(started, 0);
+        self.sim.sleep_until_armed_at(next.wall, next.arm).await;
+        pace_chunks(&self.sim, &self.stages, &self.metas[started..]).await;
     }
 }
 

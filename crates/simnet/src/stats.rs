@@ -59,8 +59,8 @@ pub struct SimStats {
     /// contention (the entry is no longer trusted), or the per-pipeline
     /// capacity cap pushed out the oldest key.
     pub memo_evictions: u64,
-    /// Faults injected by a [`crate::fault::FaultPlane`]: every drop
-    /// or delay decision (delivered transfers are not counted).
+    /// Units a [`crate::fault::FaultPlane`] judged lost (delivered units
+    /// are not counted).
     pub faults_injected: u64,
     /// Units retransmitted by the fabric recovery engines (TCP segments,
     /// IB packets, MX messages — whatever the fabric's resend granularity).

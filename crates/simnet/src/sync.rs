@@ -1,5 +1,5 @@
-//! Intra-simulation synchronization primitives: oneshot and mpsc channels,
-//! notify cell, barrier, FIFO gate and task group.
+//! Intra-simulation synchronization primitives: mpsc channel, notify cell,
+//! barrier, FIFO gate and task group.
 //!
 //! All primitives are `!Send`; they live entirely inside the single-threaded
 //! simulation and synchronize *tasks*, not threads. Wake-ups are mediated by
@@ -14,85 +14,6 @@ use std::task::{Context, Poll, Waker};
 
 use crate::executor::Joiner;
 use crate::Sim;
-
-// ---------------------------------------------------------------------------
-// oneshot
-// ---------------------------------------------------------------------------
-
-struct OneshotState<T> {
-    value: Option<T>,
-    waker: Option<Waker>,
-    sender_dropped: bool,
-}
-
-/// Sending half of a oneshot channel.
-pub struct OneshotSender<T> {
-    state: Rc<RefCell<OneshotState<T>>>,
-}
-
-/// Receiving half of a oneshot channel; it is itself a future yielding
-/// `Some(value)` or `None` if the sender was dropped without sending.
-pub struct OneshotReceiver<T> {
-    state: Rc<RefCell<OneshotState<T>>>,
-}
-
-/// Create a single-value channel.
-pub fn oneshot<T>() -> (OneshotSender<T>, OneshotReceiver<T>) {
-    let state = Rc::new(RefCell::new(OneshotState {
-        value: None,
-        waker: None,
-        sender_dropped: false,
-    }));
-    (
-        OneshotSender {
-            state: Rc::clone(&state),
-        },
-        OneshotReceiver { state },
-    )
-}
-
-impl<T> OneshotSender<T> {
-    /// Deliver the value, waking the receiver. Consumes the sender.
-    /// Delivery to a dropped receiver is silently discarded.
-    pub fn send(self, value: T) {
-        let mut s = self.state.borrow_mut();
-        s.value = Some(value);
-        if let Some(w) = s.waker.take() {
-            w.wake();
-        }
-    }
-}
-
-impl<T> Drop for OneshotSender<T> {
-    fn drop(&mut self) {
-        let mut s = self.state.borrow_mut();
-        s.sender_dropped = true;
-        if let Some(w) = s.waker.take() {
-            w.wake();
-        }
-    }
-}
-
-impl<T> Future for OneshotReceiver<T> {
-    type Output = Option<T>;
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Option<T>> {
-        let mut s = self.state.borrow_mut();
-        if let Some(v) = s.value.take() {
-            return Poll::Ready(Some(v));
-        }
-        if s.sender_dropped {
-            return Poll::Ready(None);
-        }
-        // Re-registering the same task's waker would be a no-op; skip the
-        // clone (the executor hands out one cached waker per task, so this
-        // is the common case).
-        if !s.waker.as_ref().is_some_and(|w| w.will_wake(cx.waker())) {
-            s.waker = Some(cx.waker().clone());
-        }
-        Poll::Pending
-    }
-}
 
 // ---------------------------------------------------------------------------
 // mpsc (unbounded)
@@ -310,9 +231,8 @@ struct BarrierState {
     waiters: VecDeque<Waker>,
 }
 
-/// A reusable rendezvous barrier for `n` tasks. Used by the benchmark
-/// harness to phase-align ranks out-of-band (the paper excludes
-/// `MPI_Barrier` cost from its timed sections the same way).
+/// A reusable rendezvous barrier for `n` tasks: phase-aligns ranks
+/// out-of-band, at no simulated cost (`examples/mpi_halo_exchange.rs`).
 #[derive(Clone)]
 pub struct Barrier {
     state: Rc<RefCell<BarrierState>>,
@@ -575,28 +495,6 @@ pub async fn join_all<F: Future>(futs: Vec<F>) -> Vec<F::Output> {
 mod tests {
     use super::*;
     use crate::{Sim, SimDuration};
-
-    #[test]
-    fn oneshot_delivers_value() {
-        let sim = Sim::new();
-        let (tx, rx) = oneshot::<u32>();
-        let s = sim.clone();
-        sim.spawn(async move {
-            s.sleep(SimDuration::from_nanos(5)).await;
-            tx.send(9);
-        });
-        assert_eq!(sim.block_on(rx), Some(9));
-    }
-
-    #[test]
-    fn oneshot_sender_drop_yields_none() {
-        let sim = Sim::new();
-        let (tx, rx) = oneshot::<u32>();
-        sim.spawn(async move {
-            drop(tx);
-        });
-        assert_eq!(sim.block_on(rx), None);
-    }
 
     #[test]
     fn mpsc_preserves_fifo_order_across_senders() {
