@@ -139,10 +139,6 @@ impl MxPair {
     }
 }
 
-#[expect(
-    clippy::large_enum_variant,
-    reason = "one per sweep point, never moved once built"
-)]
 enum PairInner {
     /// iWARP or InfiniBand verbs, through the provider-neutral endpoint.
     Rdma(RdmaPair),

@@ -7,6 +7,16 @@
 //! heap totally ordered by `(deadline, arm instant, registration
 //! sequence)`, and (c) the absence of any other event source.
 //!
+//! ## Waking by slab id
+//!
+//! Every poll gets [`Waker::noop`]. A future that parks its task records
+//! the task itself: a [`Sleep`] stores the polling task's slab id in its
+//! timer slot, and the `sync` primitives, `pipe`'s speculation wait, the
+//! shard inbox and [`JoinHandle`] store a `TaskHandle` (the task's core
+//! and id). A wake is `Core::wake_task` on that id. A future that parks
+//! on `cx.waker()` instead is never woken; [`Sim::block_on`] then panics
+//! with a deadlock that names it.
+//!
 //! ## Allocation-free steady state
 //!
 //! The hot path — poll a task, arm a timer, fire it, wake the task — does
@@ -14,20 +24,16 @@
 //!
 //! * tasks live in a **generational slab** (`Vec` + intrusive free list),
 //!   so a task lookup is an index, not a hash, and completed slots are
-//!   recycled with a bumped generation that invalidates stale wakes;
-//! * each task's [`Waker`] is created **once at spawn** and lent to every
-//!   poll (moved out of the slot and back, not cloned);
+//!   recycled with a bumped generation that invalidates stale wakes; a
+//!   slot holds the boxed future and the task's flags, nothing else;
 //! * each task carries a **`scheduled` flag**, so redundant wakes coalesce:
 //!   a task already in the ready queue is never pushed (or polled) twice;
 //! * timer slots live in a second generational slab instead of per-sleep
 //!   `Rc<RefCell<_>>` allocations; a dropped [`Sleep`] cancels **lazily** —
 //!   the slot is reclaimed when its heap entry pops;
-//! * a [`Sleep`] polled by its own task records the task's **slab id**, not
-//!   a `Waker` clone, and the fired timer queues that id directly: no
-//!   refcount, lock or atomic read-modify-write between a deadline and the
-//!   poll it causes;
-//! * the executor takes woken ids from the `Waker`-facing mutex queue **a
-//!   whole queue per lock**, swapping it with a local one when that runs dry;
+//! * a wake is a slab lookup, a flag test and a push on the one FIFO
+//!   `run_queue`: no refcount, lock or atomic between a deadline or a
+//!   send and the poll it causes;
 //! * timers fire **one heap entry per drain cycle**, even when several
 //!   share an instant: each sleeper's continuation runs to exhaustion before
 //!   the next timer fires.
@@ -39,12 +45,11 @@ use std::any::Any;
 use std::cell::{Cell, RefCell};
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
+use std::fmt::Write as _;
 use std::future::Future;
 use std::pin::Pin;
-use std::rc::Rc;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering as MemOrder};
-use std::sync::Arc;
-use std::task::{Context, Poll, Wake, Waker};
+use std::rc::{Rc, Weak};
+use std::task::{Context, Poll, Waker};
 
 use crate::stats::SimStats;
 use crate::time::{SimDuration, SimTime};
@@ -61,6 +66,10 @@ trait Task {
         cx: &mut Context<'_>,
         joiner: Option<&dyn Joiner>,
     ) -> Poll<()>;
+
+    /// The future's type, for the deadlock diagnostic. A vtable entry,
+    /// so naming a task costs no bytes per task.
+    fn name(&self) -> &'static str;
 }
 
 impl<F: Future> Task for F
@@ -79,6 +88,10 @@ where
             j.store(&mut Some(out));
         }
         Poll::Ready(())
+    }
+
+    fn name(&self) -> &'static str {
+        std::any::type_name::<F>()
     }
 }
 
@@ -110,94 +123,66 @@ struct TimerKey {
     gen: u32,
 }
 
-/// FIFO of task ids woken through a [`Waker`], which the `std::task`
-/// contract requires to be `Send + Sync`; the mutex is never contended
-/// because the simulation is single-threaded. The executor polls from its
-/// own `Core::run_queue` and refills that by swapping the two queues, one
-/// lock per refill.
-#[derive(Default)]
-#[expect(
-    clippy::disallowed_types,
-    reason = "std::task requires Send + Sync wakers; never contended, never crosses shards"
-)]
-struct ReadyQueue {
-    queue: std::sync::Mutex<VecDeque<TaskId>>,
-    /// Every wake observed: through a `Waker`, or by a fired timer that
-    /// addresses its task by id.
-    wakes: Counter,
-    /// Wakes dropped because the task was already scheduled.
-    redundant_wakes: Counter,
+thread_local! {
+    /// The core this thread is driving: set by each drive loop for its
+    /// duration and restored after it, so a drive nested in a poll (of
+    /// another `Sim`, or re-entrant) sees its own.
+    static CURRENT: RefCell<Option<Rc<RefCell<Core>>>> = const { RefCell::new(None) };
 }
 
-impl ReadyQueue {
-    fn lock(&self) -> std::sync::MutexGuard<'_, VecDeque<TaskId>> {
-        self.queue.lock().expect("ready queue poisoned")
-    }
-
-    fn push(&self, id: TaskId) {
-        self.lock().push_back(id);
-    }
-}
-
-/// A counter only the simulation's own thread touches (`Sim` is `!Send`).
-/// It is atomic because wakers must be `Send + Sync`; with one thread, a
-/// relaxed load and store is an increment, with no read-modify-write.
-#[derive(Default)]
-struct Counter(AtomicU64);
-
-impl Counter {
-    fn get(&self) -> u64 {
-        self.0.load(MemOrder::Relaxed)
-    }
-
-    fn bump(&self) {
-        self.0.store(self.get() + 1, MemOrder::Relaxed);
-    }
-}
-
-/// One waker per task, allocated at spawn and lent to every poll. The
-/// `scheduled` flag is the wake-coalescing protocol: the first wake of an
-/// idle task flips it and enqueues; further wakes see it set and do
-/// nothing; the executor clears it immediately before polling, so a wake
-/// that lands *during* the poll re-enqueues the task. Like [`Counter`], the
-/// flag is read and written by the simulation's thread only.
-struct TaskWaker {
+/// A parked task, as the primitive that parks it records it: its `Sim`'s
+/// core and its slab id. [`TaskHandle::wake`] queues the task on that
+/// core, exactly where a wake at this point of the run belongs. The core
+/// is held weakly: a primitive that outlives its simulation, or a parked
+/// task that holds the primitive, does not keep the core alive.
+#[derive(Clone)]
+pub(crate) struct TaskHandle {
+    core: Weak<RefCell<Core>>,
     id: TaskId,
-    scheduled: AtomicBool,
-    ready: Arc<ReadyQueue>,
 }
 
-impl TaskWaker {
-    fn scheduled(&self) -> bool {
-        self.scheduled.load(MemOrder::Relaxed)
+impl TaskHandle {
+    /// The task this thread is polling.
+    ///
+    /// # Panics
+    ///
+    /// Outside a poll by a [`Sim`]'s executor: a simnet primitive is
+    /// awaited only by simnet tasks.
+    pub(crate) fn current() -> Self {
+        CURRENT.with_borrow(|current| {
+            let core = current
+                .as_ref()
+                .expect("a simnet primitive was polled outside a Sim's executor");
+            let id = core.borrow().polling_task();
+            TaskHandle {
+                core: Rc::downgrade(core),
+                id,
+            }
+        })
     }
 
-    fn set_scheduled(&self, on: bool) {
-        self.scheduled.store(on, MemOrder::Relaxed);
-    }
-
-    /// Count one wake and mark the task scheduled. Returns whether it was
-    /// idle, i.e. whether the caller must queue its id.
-    fn note_wake(&self) -> bool {
-        self.ready.wakes.bump();
-        if self.scheduled() {
-            self.ready.redundant_wakes.bump();
-            return false;
+    /// Wake the task (see [`Core::wake_task`]); nothing if its simulation
+    /// is gone.
+    pub(crate) fn wake(&self) {
+        if let Some(core) = self.core.upgrade() {
+            core.borrow_mut().wake_task(self.id);
         }
-        self.set_scheduled(true);
-        true
     }
 }
 
-impl Wake for TaskWaker {
-    fn wake(self: Arc<Self>) {
-        self.wake_by_ref();
-    }
+/// Makes `core` the thread's current one until dropped, then restores the
+/// previous one (also on unwind).
+struct CurrentCore(Option<Rc<RefCell<Core>>>);
 
-    fn wake_by_ref(self: &Arc<Self>) {
-        if self.note_wake() {
-            self.ready.push(self.id);
-        }
+impl CurrentCore {
+    fn enter(core: &Rc<RefCell<Core>>) -> Self {
+        CurrentCore(CURRENT.replace(Some(Rc::clone(core))))
+    }
+}
+
+impl Drop for CurrentCore {
+    fn drop(&mut self) {
+        CURRENT.set(self.0.take());
     }
 }
 
@@ -216,9 +201,10 @@ enum TaskState {
 struct TaskEntry {
     /// `None` while checked out for polling.
     body: Option<TaskBody>,
-    /// Same `Arc` that backs the body's waker; gives the executor the
-    /// scheduled flag and, by address, the waker's identity.
-    shared: Arc<TaskWaker>,
+    /// Queued on `run_queue` and not yet polled: a further wake is
+    /// redundant. Cleared immediately before each poll, so a wake that
+    /// lands during the poll queues the task again.
+    scheduled: bool,
     /// A ready-queue entry for this task was consumed while its body was
     /// checked out (re-entrant `drive`); re-enqueue after the poll returns.
     repoll: bool,
@@ -229,9 +215,6 @@ struct TaskBody {
     fut: Pin<Box<dyn Task>>,
     /// Told when the future returns (`None` for a detached task).
     joiner: Option<Rc<dyn Joiner>>,
-    /// The task's waker, built once at spawn and moved, not cloned, into
-    /// each poll's `Context`.
-    waker: Waker,
 }
 
 /// A timer slab slot, lifecycle `Pending → Fired → freed` (or
@@ -241,22 +224,13 @@ struct TimerSlot {
     state: TimerState,
 }
 
-/// Whom a fired timer wakes.
-enum Waiter {
-    /// The task whose own waker polled the [`Sleep`]: queued by id, with no
-    /// `Waker` in between.
-    Task(TaskId),
-    /// Any other waker (a hand-rolled `Context`, a combinator's own waker).
-    Waker(Waker),
-}
-
 enum TimerState {
     Vacant {
         next_free: Option<u32>,
     },
-    /// Armed.
+    /// Armed; firing wakes `task`, the last task that polled the [`Sleep`].
     Pending {
-        waiter: Waiter,
+        task: TaskId,
     },
     /// The deadline was reached; the [`Sleep`] will observe and free it.
     Fired,
@@ -313,10 +287,9 @@ enum TimerPop {
     /// Earliest heap entry is at or past the bound; nothing was popped.
     /// Carries that entry's deadline — the shard's next-event report.
     AtHorizon(SimTime),
-    /// One entry was consumed (fired, or a cancelled slot reclaimed). A
-    /// task-addressed timer has already queued its task; a waker-addressed
-    /// one hands its waker back to be woken outside the core borrow.
-    Fired(Option<Waker>),
+    /// One entry was consumed (fired, or a cancelled slot reclaimed); a
+    /// fired timer has queued its task.
+    Fired,
 }
 
 struct Core {
@@ -326,19 +299,16 @@ struct Core {
     timer_free: Option<u32>,
     tasks: Vec<TaskSlot>,
     task_free: Option<u32>,
-    /// Runnable ids, polled FIFO. Refilled by swapping with the `Waker`
-    /// queue when empty; everything here was queued before everything
-    /// there, so the swap keeps one FIFO order.
+    /// Runnable ids, polled FIFO: spawns, wakes and fired timers all push
+    /// at the back.
     run_queue: VecDeque<TaskId>,
-    /// The task being polled, and the address of its `TaskWaker`: a
-    /// [`Sleep`] polled with that waker is addressed to the task by id.
-    polling: Option<(TaskId, *const ())>,
-    live_tasks: u64,
+    /// The task being polled: whom a primitive polled now parks.
+    polling: Option<TaskId>,
     next_timer_seq: u64,
     /// The counters [`Sim::stats`] reports, bumped in place by the
     /// executor, `pipe`, `fault`, the fabric recovery engines and
-    /// `netbench::workload`. Its `wakes`, `redundant_wakes`, `tasks_live`
-    /// and `timers_pending` stay zero: `stats` reads those live.
+    /// `netbench::workload`. Its `timers_pending` stays zero: `stats`
+    /// reads the heap's length.
     stats: SimStats,
     /// Pipeline cut-through fast path (see `pipe`).
     fast_path_enabled: bool,
@@ -387,7 +357,6 @@ fn scramble_ord(seq: u64, salt: u64) -> u64 {
 #[derive(Clone)]
 pub struct Sim {
     core: Rc<RefCell<Core>>,
-    ready: Arc<ReadyQueue>,
 }
 
 impl std::fmt::Debug for Sim {
@@ -422,7 +391,6 @@ impl Sim {
                 task_free: None,
                 run_queue: VecDeque::new(),
                 polling: None,
-                live_tasks: 0,
                 next_timer_seq: 0,
                 stats: SimStats::default(),
                 fast_path_enabled: tie_salt == 0,
@@ -431,7 +399,6 @@ impl Sim {
                 tie_salt,
                 trace_digest: FNV_OFFSET,
             })),
-            ready: Arc::new(ReadyQueue::default()),
         }
     }
 
@@ -447,9 +414,6 @@ impl Sim {
         // sharded run as a whole: zero here, filled in by
         // `shard::ShardOutcome::stats`.
         SimStats {
-            wakes: self.ready.wakes.get(),
-            redundant_wakes: self.ready.redundant_wakes.get(),
-            tasks_live: core.live_tasks,
             timers_pending: core.timers.len() as u64,
             ..core.stats
         }
@@ -603,12 +567,21 @@ impl Sim {
         F: Future + 'static,
         F::Output: 'static,
     {
+        self.spawn_handle(fut).0
+    }
+
+    /// [`Sim::spawn`], also returning the task's id.
+    fn spawn_handle<F>(&self, fut: F) -> (JoinHandle<F::Output>, TaskId)
+    where
+        F: Future + 'static,
+        F::Output: 'static,
+    {
         let slot = Rc::new(JoinSlot {
             value: Cell::new(None),
-            waker: Cell::new(None),
+            waiter: Cell::new(None),
         });
-        self.spawn_joined(fut, Some(Rc::clone(&slot) as Rc<dyn Joiner>));
-        JoinHandle { slot }
+        let id = self.insert_task(Box::pin(fut), Some(Rc::clone(&slot) as Rc<dyn Joiner>));
+        (JoinHandle { slot }, id)
     }
 
     /// Spawn a task nobody joins: the future is boxed as-is, with no
@@ -632,51 +605,42 @@ impl Sim {
 
     /// The part of a spawn that does not depend on the future's type, kept
     /// out of line so each spawned type adds only its boxing to the binary.
+    /// The task is born scheduled, at the back of the run queue.
     #[inline(never)]
-    fn insert_task(&self, fut: Pin<Box<dyn Task>>, joiner: Option<Rc<dyn Joiner>>) {
-        let id = {
-            let mut core = self.core.borrow_mut();
-            core.stats.spawns += 1;
-            core.live_tasks += 1;
-            let index = match core.task_free {
-                Some(i) => {
-                    let TaskState::Vacant { next_free } = core.tasks[i as usize].state else {
-                        unreachable!("task free list points at occupied slot");
-                    };
-                    core.task_free = next_free;
-                    i
-                }
-                None => {
-                    core.tasks.push(TaskSlot {
-                        gen: 0,
-                        state: TaskState::Vacant { next_free: None },
-                    });
-                    u32::try_from(core.tasks.len() - 1).expect("task slab outgrew u32 indices")
-                }
-            };
-            let slot = &mut core.tasks[index as usize];
-            let id = TaskId {
-                index,
-                gen: slot.gen,
-            };
-            let shared = Arc::new(TaskWaker {
-                id,
-                // Born scheduled: we enqueue it right below.
-                scheduled: AtomicBool::new(true),
-                ready: Arc::clone(&self.ready),
-            });
-            slot.state = TaskState::Occupied(TaskEntry {
-                body: Some(TaskBody {
-                    fut,
-                    joiner,
-                    waker: Waker::from(Arc::clone(&shared)),
-                }),
-                shared,
-                repoll: false,
-            });
-            id
+    fn insert_task(&self, fut: Pin<Box<dyn Task>>, joiner: Option<Rc<dyn Joiner>>) -> TaskId {
+        let mut guard = self.core.borrow_mut();
+        let core = &mut *guard;
+        core.stats.spawns += 1;
+        core.stats.tasks_live += 1;
+        core.stats.tasks_peak = core.stats.tasks_peak.max(core.stats.tasks_live);
+        let index = match core.task_free {
+            Some(i) => {
+                let TaskState::Vacant { next_free } = core.tasks[i as usize].state else {
+                    unreachable!("task free list points at occupied slot");
+                };
+                core.task_free = next_free;
+                i
+            }
+            None => {
+                core.tasks.push(TaskSlot {
+                    gen: 0,
+                    state: TaskState::Vacant { next_free: None },
+                });
+                u32::try_from(core.tasks.len() - 1).expect("task slab outgrew u32 indices")
+            }
         };
-        self.ready.push(id);
+        let slot = &mut core.tasks[index as usize];
+        let id = TaskId {
+            index,
+            gen: slot.gen,
+        };
+        slot.state = TaskState::Occupied(TaskEntry {
+            body: Some(TaskBody { fut, joiner }),
+            scheduled: true,
+            repoll: false,
+        });
+        core.run_queue.push_back(id);
+        id
     }
 
     /// Sleep for `d` of virtual time.
@@ -721,14 +685,15 @@ impl Sim {
     ///
     /// Panics on deadlock: no runnable task, no pending timer, and `fut`
     /// still incomplete. In a deterministic simulation this is always a bug
-    /// in the simulated protocol, so failing fast with a diagnostic beats
-    /// hanging.
+    /// in the simulated protocol (or a future that parked on `cx.waker()`,
+    /// which nothing wakes), so failing fast with a diagnostic that names
+    /// every live task beats hanging.
     pub fn block_on<F>(&self, fut: F) -> F::Output
     where
         F: Future + 'static,
         F::Output: 'static,
     {
-        let handle = self.spawn(fut);
+        let (handle, root) = self.spawn_handle(fut);
         let mut out = None;
         self.drive(|sim| {
             if let Some(v) = handle.try_take(sim) {
@@ -741,9 +706,10 @@ impl Sim {
         match out {
             Some(v) => v,
             None => panic!(
-                "simnet deadlock at {}: root task blocked with {} task(s) live and no timers",
+                "simnet deadlock at {}: root task blocked with no runnable task and no \
+                 timer; live tasks:{}",
                 self.now(),
-                self.core.borrow().live_tasks,
+                self.core.borrow().live_tasks(root),
             ),
         }
     }
@@ -772,16 +738,13 @@ impl Sim {
     /// cross-shard traffic that has not arrived yet, so each shard may
     /// process them without synchronization.
     pub(crate) fn run_until_horizon(&self, bound: SimTime) -> Option<SimTime> {
+        let _current = CurrentCore::enter(&self.core);
         loop {
             self.run_ready();
             match self.pop_due_timer(Some(bound)) {
                 TimerPop::Quiescent => return None,
                 TimerPop::AtHorizon(at) => return Some(at),
-                TimerPop::Fired(waker) => {
-                    if let Some(w) = waker {
-                        w.wake();
-                    }
-                }
+                TimerPop::Fired => {}
             }
         }
     }
@@ -789,6 +752,7 @@ impl Sim {
     /// Core event loop. `done` is checked after each batch of polls; when it
     /// returns true the loop exits early.
     fn drive(&self, mut done: impl FnMut(&Sim) -> bool) {
+        let _current = CurrentCore::enter(&self.core);
         loop {
             self.run_ready();
             if done(self) {
@@ -797,32 +761,21 @@ impl Sim {
             match self.pop_due_timer(None) {
                 TimerPop::Quiescent => return,
                 TimerPop::AtHorizon(_) => unreachable!("unbounded pop hit a horizon"),
-                TimerPop::Fired(waker) => {
-                    if let Some(w) = waker {
-                        w.wake();
-                    }
-                }
+                TimerPop::Fired => {}
             }
         }
     }
 
     /// Poll every runnable task, FIFO, until none is left. Tasks woken
-    /// meanwhile are appended and polled in the same pass.
+    /// meanwhile are appended and polled in the same pass. The caller has
+    /// made this core the thread's current one ([`CurrentCore`]), so the
+    /// primitives its tasks poll can find the task to park.
     fn run_ready(&self) {
-        while let Some(id) = self.next_ready() {
+        loop {
+            let next = self.core.borrow_mut().run_queue.pop_front();
+            let Some(id) = next else { return };
             self.poll_task(id);
         }
-    }
-
-    /// Pop the next runnable id. When `run_queue` is empty, refill it with
-    /// everything `Waker`s queued since the last refill: one lock, a swap
-    /// of two `VecDeque`s, no copying.
-    fn next_ready(&self) -> Option<TaskId> {
-        let mut core = self.core.borrow_mut();
-        if core.run_queue.is_empty() {
-            std::mem::swap(&mut *self.ready.lock(), &mut core.run_queue);
-        }
-        core.run_queue.pop_front()
     }
 
     /// Advance virtual time to the next timer and fire it. Exactly one heap
@@ -848,30 +801,22 @@ impl Sim {
         let slot = &mut core.timer_slots[entry.key.index as usize];
         if slot.gen != entry.key.gen {
             debug_assert!(false, "timer heap entry outlived its slot");
-            return TimerPop::Fired(None);
+            return TimerPop::Fired;
         }
         match std::mem::replace(&mut slot.state, TimerState::Fired) {
-            TimerState::Pending { waiter } => {
+            TimerState::Pending { task } => {
                 core.stats.timer_events += 1;
                 // Event-ordering trace: digest `(deadline, seq)` in
                 // firing order.
                 core.trace_digest =
                     fnv1a_u64(fnv1a_u64(core.trace_digest, entry.at.as_nanos()), entry.seq);
                 core.last_fired = Some((entry.at, entry.armed));
-                match waiter {
-                    Waiter::Task(id) => {
-                        // Timers fire only once both queues have drained, so
-                        // queuing the id here puts it exactly where the
-                        // task's `Waker::wake` would have.
-                        debug_assert!(
-                            core.run_queue.is_empty() && self.ready.lock().is_empty(),
-                            "a timer fired with tasks still runnable"
-                        );
-                        core.wake_task(id, &self.ready);
-                        TimerPop::Fired(None)
-                    }
-                    Waiter::Waker(w) => TimerPop::Fired(Some(w)),
-                }
+                debug_assert!(
+                    core.run_queue.is_empty(),
+                    "a timer fired with tasks still runnable"
+                );
+                core.wake_task(task);
+                TimerPop::Fired
             }
             TimerState::Cancelled => {
                 // Lazy cancellation: reclaim the slot now that its
@@ -879,12 +824,12 @@ impl Sim {
                 // `entry.at` above, exactly as the seed executor did
                 // for orphaned timers.
                 core.free_timer(entry.key.index);
-                TimerPop::Fired(None)
+                TimerPop::Fired
             }
             other => {
                 slot.state = other;
                 debug_assert!(false, "popped timer neither pending nor cancelled");
-                TimerPop::Fired(None)
+                TimerPop::Fired
             }
         }
     }
@@ -913,19 +858,14 @@ impl Sim {
             };
             // Clear the flag *before* polling: a wake that lands mid-poll
             // must re-enqueue the task.
-            entry.shared.set_scheduled(false);
-            let shared = Arc::as_ptr(&entry.shared).cast::<()>();
+            entry.scheduled = false;
             core.stats.polls += 1;
-            (body, core.polling.replace((id, shared)))
+            (body, core.polling.replace(id))
         };
-        let TaskBody {
-            mut fut,
-            joiner,
-            waker,
-        } = body;
+        let TaskBody { mut fut, joiner } = body;
         let poll = fut
             .as_mut()
-            .poll_task(&mut Context::from_waker(&waker), joiner.as_deref());
+            .poll_task(&mut Context::from_waker(Waker::noop()), joiner.as_deref());
         match poll {
             Poll::Ready(()) => {
                 // The future goes before its joiner is told, the order a
@@ -934,7 +874,7 @@ impl Sim {
                 {
                     let mut core = self.core.borrow_mut();
                     core.polling = outer;
-                    core.live_tasks -= 1;
+                    core.stats.tasks_live -= 1;
                     let free = core.task_free;
                     let slot = &mut core.tasks[id.index as usize];
                     slot.gen = slot.gen.wrapping_add(1);
@@ -951,12 +891,11 @@ impl Sim {
                 let TaskState::Occupied(entry) = &mut core.tasks[id.index as usize].state else {
                     unreachable!("pending task's slot vanished during poll");
                 };
-                entry.body = Some(TaskBody { fut, joiner, waker });
+                entry.body = Some(TaskBody { fut, joiner });
                 if entry.repoll {
                     entry.repoll = false;
-                    entry.shared.set_scheduled(true);
-                    drop(core);
-                    self.ready.push(id);
+                    entry.scheduled = true;
+                    core.run_queue.push_back(id);
                 }
             }
         }
@@ -964,34 +903,67 @@ impl Sim {
 }
 
 impl Core {
-    /// The task being polled, if `waker` is that task's own cached waker.
-    fn own_task(&self, waker: &Waker) -> Option<TaskId> {
-        let (id, shared) = self.polling?;
-        std::ptr::eq(waker.data(), shared).then_some(id)
+    /// The task being polled.
+    ///
+    /// # Panics
+    ///
+    /// Between polls: a future of this simulation was polled by something
+    /// other than one of its tasks.
+    fn polling_task(&self) -> TaskId {
+        self.polling
+            .expect("a simnet future was polled outside a task of its own Sim")
     }
 
-    /// Wake task `id` as its `Waker` would, counting the wake and queuing
-    /// the id on `run_queue` if the task was idle. A task that has since
-    /// completed (slot vacant or recycled) counts the wake and is not
-    /// queued.
-    fn wake_task(&mut self, id: TaskId, ready: &ReadyQueue) {
-        match self.tasks.get(id.index as usize) {
-            Some(TaskSlot {
-                gen,
-                state: TaskState::Occupied(entry),
-            }) if *gen == id.gen => {
-                if entry.shared.note_wake() {
-                    self.run_queue.push_back(id);
-                }
-            }
-            _ => ready.wakes.bump(),
+    /// Count one wake of task `id` and, if it is idle, mark it scheduled
+    /// and queue it at the back of `run_queue`. A wake of a task already
+    /// queued is redundant; a task that has since completed (slot vacant
+    /// or recycled) counts the wake and is not queued.
+    fn wake_task(&mut self, id: TaskId) {
+        self.stats.wakes += 1;
+        let Some(TaskSlot {
+            gen,
+            state: TaskState::Occupied(entry),
+        }) = self.tasks.get_mut(id.index as usize)
+        else {
+            return;
+        };
+        if *gen != id.gen {
+            return;
+        }
+        if entry.scheduled {
+            self.stats.redundant_wakes += 1;
+        } else {
+            entry.scheduled = true;
+            self.run_queue.push_back(id);
         }
     }
 
+    /// `" #index name"` per live task, `(root)` marking `root`: the body
+    /// of [`Sim::block_on`]'s deadlock report.
+    fn live_tasks(&self, root: TaskId) -> String {
+        let mut out = String::new();
+        for (index, slot) in self.tasks.iter().enumerate() {
+            let TaskState::Occupied(entry) = &slot.state else {
+                continue;
+            };
+            let root = if (index, slot.gen) == (root.index as usize, root.gen) {
+                " (root)"
+            } else {
+                ""
+            };
+            let name = entry
+                .body
+                .as_ref()
+                .map_or("<being polled>", |body| body.fut.name());
+            write!(out, " #{index}{root} {name}").expect("writing to a String");
+        }
+        out
+    }
+
     /// Arm a timer at `(at, armed, next seq)` backed by a pooled slot
-    /// holding whom it wakes. Returns the slot key for [`Sleep`] to
+    /// holding the task it wakes. Returns the slot key for [`Sleep`] to
     /// poll/free.
-    fn register_timer(&mut self, at: SimTime, armed: SimTime, waiter: Waiter) -> TimerKey {
+    fn register_timer(&mut self, at: SimTime, armed: SimTime, task: TaskId) -> TimerKey {
         self.stats.timers_set += 1;
         let index = match self.timer_free {
             Some(i) => {
@@ -1010,7 +982,7 @@ impl Core {
             }
         };
         let slot = &mut self.timer_slots[index as usize];
-        slot.state = TimerState::Pending { waiter };
+        slot.state = TimerState::Pending { task };
         let key = TimerKey {
             index,
             gen: slot.gen,
@@ -1042,17 +1014,6 @@ impl Core {
     }
 }
 
-impl Waiter {
-    /// `Task(id)` when `waker` is task `id`'s own (see [`Core::own_task`]),
-    /// else a clone of `waker`.
-    fn new(own: Option<TaskId>, waker: &Waker) -> Self {
-        match own {
-            Some(id) => Waiter::Task(id),
-            None => Waiter::Waker(waker.clone()),
-        }
-    }
-}
-
 /// Future returned by [`Sim::sleep`] / [`Sim::sleep_until`].
 pub struct Sleep {
     core: Rc<RefCell<Core>>,
@@ -1063,8 +1024,8 @@ pub struct Sleep {
 impl Future for Sleep {
     type Output = ();
 
-    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
-        self.poll_armed_at(cx, None)
+    fn poll(mut self: Pin<&mut Self>, _: &mut Context<'_>) -> Poll<()> {
+        self.poll_armed_at(None)
     }
 }
 
@@ -1072,19 +1033,19 @@ impl Sleep {
     /// [`Future::poll`], with the timer (if this poll arms it) ranked as
     /// armed at `armed` rather than now.
     #[inline]
-    fn poll_armed_at(&mut self, cx: &mut Context<'_>, armed: Option<SimTime>) -> Poll<()> {
+    fn poll_armed_at(&mut self, armed: Option<SimTime>) -> Poll<()> {
         let mut guard = self.core.borrow_mut();
         let core = &mut *guard;
-        let own = core.own_task(cx.waker());
         let Some(key) = self.key else {
             if core.now >= self.at {
                 return Poll::Ready(());
             }
             let armed = armed.map_or(core.now, |a| a.min(core.now));
-            let waiter = Waiter::new(own, cx.waker());
-            self.key = Some(core.register_timer(self.at, armed, waiter));
+            let task = core.polling_task();
+            self.key = Some(core.register_timer(self.at, armed, task));
             return Poll::Pending;
         };
+        let polling = core.polling_task();
         let slot = &mut core.timer_slots[key.index as usize];
         debug_assert_eq!(slot.gen, key.gen, "sleep outlived its timer slot");
         match &mut slot.state {
@@ -1093,16 +1054,10 @@ impl Sleep {
                 self.key = None;
                 Poll::Ready(())
             }
-            TimerState::Pending { waiter } => {
-                // A re-poll by the same task, or under the same waker, keeps
-                // the waiter; any other waker re-targets the timer.
-                let same = match waiter {
-                    Waiter::Task(id) => own == Some(*id),
-                    Waiter::Waker(w) => w.will_wake(cx.waker()),
-                };
-                if !same {
-                    *waiter = Waiter::new(own, cx.waker());
-                }
+            TimerState::Pending { task } => {
+                // A poll by another task (the sleep was handed over)
+                // re-targets the timer.
+                *task = polling;
                 Poll::Pending
             }
             _ => unreachable!("armed sleep found vacant/cancelled slot"),
@@ -1122,9 +1077,9 @@ pub(crate) struct SleepArmedAt {
 impl Future for SleepArmedAt {
     type Output = ();
 
-    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+    fn poll(mut self: Pin<&mut Self>, _: &mut Context<'_>) -> Poll<()> {
         let this = &mut *self;
-        this.sleep.poll_armed_at(cx, Some(this.armed))
+        this.sleep.poll_armed_at(Some(this.armed))
     }
 }
 
@@ -1141,7 +1096,7 @@ impl Drop for Sleep {
             // Heap entry already popped: reclaim immediately.
             TimerState::Fired => core.free_timer(key.index),
             TimerState::Pending { .. } => {
-                // Lazy cancel: drop the waiter now, let the heap entry
+                // Lazy cancel: forget the task now, let the heap entry
                 // reclaim the slot when it pops.
                 slot.state = TimerState::Cancelled;
                 core.stats.timers_cancelled += 1;
@@ -1159,12 +1114,12 @@ pub struct YieldNow {
 impl Future for YieldNow {
     type Output = ();
 
-    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+    fn poll(mut self: Pin<&mut Self>, _: &mut Context<'_>) -> Poll<()> {
         if self.yielded {
             Poll::Ready(())
         } else {
             self.yielded = true;
-            cx.waker().wake_by_ref();
+            TaskHandle::current().wake();
             Poll::Pending
         }
     }
@@ -1175,7 +1130,7 @@ impl Future for YieldNow {
 struct JoinSlot<T> {
     value: Cell<Option<T>>,
     /// The task awaiting the handle, woken once when the output lands.
-    waker: Cell<Option<Waker>>,
+    waiter: Cell<Option<TaskHandle>>,
 }
 
 impl<T: 'static> Joiner for JoinSlot<T> {
@@ -1187,8 +1142,8 @@ impl<T: 'static> Joiner for JoinSlot<T> {
     }
 
     fn finish(&self) {
-        if let Some(w) = self.waker.take() {
-            w.wake();
+        if let Some(task) = self.waiter.take() {
+            task.wake();
         }
     }
 }
@@ -1210,16 +1165,11 @@ impl<T> JoinHandle<T> {
 impl<T> Future for JoinHandle<T> {
     type Output = T;
 
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<T> {
+    fn poll(self: Pin<&mut Self>, _: &mut Context<'_>) -> Poll<T> {
         if let Some(v) = self.slot.value.take() {
             return Poll::Ready(v);
         }
-        // Same-task re-poll: keep the registered waker, skip the clone.
-        let waker = match self.slot.waker.take() {
-            Some(w) if w.will_wake(cx.waker()) => w,
-            _ => cx.waker().clone(),
-        };
-        self.slot.waker.set(Some(waker));
+        self.slot.waiter.set(Some(TaskHandle::current()));
         Poll::Pending
     }
 }
@@ -1333,7 +1283,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "deadlock")]
+    #[should_panic(
+        expected = "deadlock at 0.000us: root task blocked with no runnable task and no timer; \
+                    live tasks: #0 (root) simnet::executor::tests::deadlock_panics_with_diagnostic::{{closure}}"
+    )]
     fn deadlock_panics_with_diagnostic() {
         let sim = Sim::new();
         let (_tx, mut rx) = crate::sync::mpsc::<()>();
@@ -1341,6 +1294,38 @@ mod tests {
         sim.block_on(async move {
             rx.recv().await;
         });
+    }
+
+    #[test]
+    #[should_panic(expected = "live tasks: #0 core::future::poll_fn::PollFn<\
+                simnet::executor::tests::a_task_parked_on_its_context_waker_is_named_in_the_deadlock\
+                ::{{closure}}> #1 (root) ")]
+    fn a_task_parked_on_its_context_waker_is_named_in_the_deadlock() {
+        // Every poll gets a no-op waker: a future that parks on it is
+        // never woken, and the deadlock report names it instead of the run
+        // hanging or finishing early.
+        let sim = Sim::new();
+        let parked = Rc::new(RefCell::new(None::<Waker>));
+        let p = Rc::clone(&parked);
+        let stuck = sim.spawn(std::future::poll_fn(move |cx| {
+            *p.borrow_mut() = Some(cx.waker().clone());
+            Poll::<()>::Pending
+        }));
+        let s = sim.clone();
+        sim.block_on(async move {
+            s.sleep(SimDuration::from_nanos(5)).await;
+            parked.borrow().as_ref().expect("parked").wake_by_ref();
+            stuck.await;
+        });
+    }
+
+    #[test]
+    fn a_task_slot_holds_its_future_and_flags_only() {
+        assert!(
+            std::mem::size_of::<TaskSlot>() <= 48,
+            "a task slot grew to {} bytes",
+            std::mem::size_of::<TaskSlot>()
+        );
     }
 
     #[test]
@@ -1364,22 +1349,22 @@ mod tests {
         assert_eq!(run(), run());
     }
 
-    /// A future that records every poll and parks its waker where the test
+    /// A future that records every poll and parks its task where the test
     /// can reach it.
     struct Probe {
         polls: Rc<Cell<u32>>,
-        waker: Rc<RefCell<Option<Waker>>>,
+        parked: Rc<RefCell<Option<TaskHandle>>>,
         done: Rc<Cell<bool>>,
     }
 
     impl Future for Probe {
         type Output = ();
-        fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+        fn poll(self: Pin<&mut Self>, _: &mut Context<'_>) -> Poll<()> {
             self.polls.set(self.polls.get() + 1);
             if self.done.get() {
                 Poll::Ready(())
             } else {
-                *self.waker.borrow_mut() = Some(cx.waker().clone());
+                *self.parked.borrow_mut() = Some(TaskHandle::current());
                 Poll::Pending
             }
         }
@@ -1389,11 +1374,11 @@ mod tests {
     fn redundant_wakes_coalesce_into_a_single_poll() {
         let sim = Sim::new();
         let polls = Rc::new(Cell::new(0u32));
-        let waker = Rc::new(RefCell::new(None::<Waker>));
+        let parked = Rc::new(RefCell::new(None::<TaskHandle>));
         let done = Rc::new(Cell::new(false));
         sim.spawn(Probe {
             polls: Rc::clone(&polls),
-            waker: Rc::clone(&waker),
+            parked: Rc::clone(&parked),
             done: Rc::clone(&done),
         });
         sim.run_until_quiescent();
@@ -1401,10 +1386,10 @@ mod tests {
 
         // Wake the parked task N times; only ONE further poll may result.
         done.set(true);
-        let w = waker.borrow().clone().expect("probe parked a waker");
+        let task = parked.borrow().clone().expect("probe parked its task");
         const N: u32 = 7;
         for _ in 0..N {
-            w.wake_by_ref();
+            task.wake();
         }
         sim.run_until_quiescent();
         assert_eq!(
@@ -1420,29 +1405,32 @@ mod tests {
     #[test]
     fn stale_wake_after_completion_is_ignored() {
         let sim = Sim::new();
-        let waker = Rc::new(RefCell::new(None::<Waker>));
+        let parked = Rc::new(RefCell::new(None::<TaskHandle>));
         let done = Rc::new(Cell::new(false));
         let polls = Rc::new(Cell::new(0u32));
         sim.spawn(Probe {
             polls: Rc::clone(&polls),
-            waker: Rc::clone(&waker),
+            parked: Rc::clone(&parked),
             done: Rc::clone(&done),
         });
         sim.run_until_quiescent();
         done.set(true);
-        let w = waker.borrow().clone().unwrap();
-        w.wake_by_ref();
+        let task = parked.borrow().clone().unwrap();
+        task.wake();
         sim.run_until_quiescent();
         assert_eq!(polls.get(), 2);
-        // The task completed and its slot was recycled; this wake must be
-        // dropped on generation mismatch, not poll a stranger.
-        w.wake();
+        // The task completed and its slot is recycled below; this wake
+        // must be dropped on generation mismatch, not poll a stranger.
         let s = sim.clone();
-        sim.spawn(async move {
+        let next = sim.spawn(async move {
             s.sleep(SimDuration::from_nanos(1)).await;
         });
+        task.wake();
         sim.run_until_quiescent();
         assert_eq!(polls.get(), 2, "stale wake must not reach a recycled slot");
+        assert!(next.try_take(&sim).is_some());
+        let st = sim.stats();
+        assert_eq!((st.wakes, st.redundant_wakes), (3, 0));
     }
 
     #[test]
@@ -1463,6 +1451,7 @@ mod tests {
         );
         assert_eq!(sim.stats().spawns, 100);
         assert_eq!(sim.stats().tasks_live, 0);
+        assert_eq!(sim.stats().tasks_peak, 1);
     }
 
     #[test]
@@ -1599,7 +1588,7 @@ mod tests {
     fn a_join_handle_wakes_its_waiter_once_and_drops_the_future_first() {
         // The finished future is dropped before the joiner is woken, so a
         // wake its destructor makes is queued ahead of the joiner's.
-        struct WakeOnDrop(Rc<RefCell<Option<Waker>>>);
+        struct WakeOnDrop(Rc<RefCell<Option<TaskHandle>>>);
         impl Future for WakeOnDrop {
             type Output = u8;
             fn poll(self: Pin<&mut Self>, _: &mut Context<'_>) -> Poll<u8> {
@@ -1608,20 +1597,20 @@ mod tests {
         }
         impl Drop for WakeOnDrop {
             fn drop(&mut self) {
-                if let Some(w) = self.0.borrow_mut().take() {
-                    w.wake();
+                if let Some(task) = self.0.borrow_mut().take() {
+                    task.wake();
                 }
             }
         }
         let sim = Sim::new();
         let log = Rc::new(RefCell::new(Vec::new()));
-        let parked = Rc::new(RefCell::new(None::<Waker>));
+        let parked = Rc::new(RefCell::new(None::<TaskHandle>));
         {
             let (log, parked) = (Rc::clone(&log), Rc::clone(&parked));
             let mut first = true;
-            sim.spawn_detached(std::future::poll_fn(move |cx| {
+            sim.spawn_detached(std::future::poll_fn(move |_| {
                 if std::mem::take(&mut first) {
-                    *parked.borrow_mut() = Some(cx.waker().clone());
+                    *parked.borrow_mut() = Some(TaskHandle::current());
                     return Poll::Pending;
                 }
                 log.borrow_mut().push("dropped");
@@ -1658,6 +1647,7 @@ mod tests {
         // Poll #1 arms the timer, poll #2 observes it fired.
         assert_eq!(st.polls, 2);
         assert_eq!(st.tasks_live, 0);
+        assert_eq!(st.tasks_peak, 1);
         assert_eq!(st.timers_pending, 0);
     }
 
@@ -1686,7 +1676,7 @@ mod tests {
     fn a_sleep_handed_to_another_task_wakes_that_task() {
         let sim = Sim::new();
         let (tx, mut rx) = crate::sync::mpsc::<Sleep>();
-        // A arms the sleep under its own waker, hands it over and parks.
+        // A arms the sleep for itself, hands it over and parks.
         let a_polls = Rc::new(Cell::new(0u32));
         let (s, polls) = (sim.clone(), Rc::clone(&a_polls));
         let mut handoff = Some(tx);
@@ -1706,53 +1696,6 @@ mod tests {
         });
         assert_eq!(woke_at.as_nanos(), 50, "B is woken when the timer fires");
         assert_eq!(a_polls.get(), 1, "A, which armed the timer, is not woken");
-    }
-
-    /// A waker from outside the executor that counts its wakes.
-    #[derive(Default)]
-    struct CountingWake(AtomicU64);
-
-    impl CountingWake {
-        fn count(&self) -> u64 {
-            self.0.load(MemOrder::SeqCst)
-        }
-    }
-
-    impl Wake for CountingWake {
-        fn wake(self: Arc<Self>) {
-            self.wake_by_ref();
-        }
-
-        fn wake_by_ref(self: &Arc<Self>) {
-            self.0.store(self.count() + 1, MemOrder::SeqCst);
-        }
-    }
-
-    #[test]
-    fn a_sleep_polled_under_a_foreign_waker_wakes_that_waker_once() {
-        let sim = Sim::new();
-        let counter = Arc::new(CountingWake::default());
-        let parked = Rc::new(RefCell::new(None::<Sleep>));
-        // Polled by hand inside a task, so the executor is mid-poll of
-        // that task but the waker is not the task's own.
-        let (s, c, p) = (sim.clone(), Arc::clone(&counter), Rc::clone(&parked));
-        sim.block_on(async move {
-            let waker = Waker::from(c);
-            let mut cx = Context::from_waker(&waker);
-            let mut sleep = s.sleep(SimDuration::from_nanos(20));
-            arm(&mut sleep, &mut cx);
-            arm(&mut sleep, &mut cx);
-            *p.borrow_mut() = Some(sleep);
-        });
-        let wakes = sim.stats().wakes;
-        assert_eq!(sim.run_until_quiescent().as_nanos(), 20);
-        assert_eq!(counter.count(), 1, "the foreign waker is woken once");
-        assert_eq!(sim.stats().wakes, wakes, "no task was woken");
-        let mut sleep = parked.borrow_mut().take().expect("parked");
-        let waker = Waker::from(counter);
-        assert!(Pin::new(&mut sleep)
-            .poll(&mut Context::from_waker(&waker))
-            .is_ready());
     }
 
     #[test]
@@ -1779,7 +1722,7 @@ mod tests {
         let polls = Rc::new(Cell::new(0u32));
         sim.spawn(Probe {
             polls: Rc::clone(&polls),
-            waker: Rc::new(RefCell::new(None)),
+            parked: Rc::new(RefCell::new(None)),
             done: Rc::new(Cell::new(false)),
         });
         assert_eq!(sim.core.borrow().tasks.len(), 1, "B reuses A's slot");
@@ -1835,12 +1778,13 @@ mod tests {
                 s.yield_now().await;
                 // Two wakes of a task already queued: one is redundant.
                 let mut woke = false;
-                std::future::poll_fn(|cx| {
+                std::future::poll_fn(|_| {
                     if std::mem::replace(&mut woke, true) {
                         return Poll::Ready(());
                     }
-                    cx.waker().wake_by_ref();
-                    cx.waker().wake_by_ref();
+                    let task = TaskHandle::current();
+                    task.wake();
+                    task.wake();
                     Poll::Pending
                 })
                 .await;
@@ -1871,8 +1815,8 @@ mod tests {
 
     #[test]
     fn a_mixed_run_keeps_the_counters_and_order_trace_of_waking_through_wakers() {
-        // Taken from the executor in which every fired timer woke its task
-        // through a cloned `Waker`.
+        // Taken from the executor in which every wake, a fired timer's
+        // included, went through the task's cloned `Waker`.
         let (counts, digest) = mixed_run();
         // [polls, wakes, redundant_wakes, timer_events, timers_set,
         //  timers_cancelled, spawns]

@@ -16,9 +16,11 @@
 //! virtual time never runs backwards). The executor records an
 //! event-ordering trace digest ([`Sim::order_trace_digest`]) over fired
 //! `(deadline, seq)` pairs: a salt that reordered a tie group changes the
-//! trace digest, and a correct model still produces byte-identical results
-//! — the determinism suite asserts figure digests are invariant under
-//! perturbed replay.
+//! trace digest, and a correct model still produces byte-identical results.
+//! The determinism suite holds fig1, fig3, fig5–fig8, e9–e11, fig-loss and
+//! shard to the committed pin under two salts; fig2, fig4, fig-tail and
+//! the ablations still move under a salt, because some same-instant races
+//! in their NIC models are settled by arm order.
 //!
 //! A nonzero salt also disables the pipeline cut-through fast path for
 //! those `Sim`s: the fast path replays *arm-order* tie-breaks in closed

@@ -16,10 +16,10 @@ use std::collections::BTreeMap;
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::{Rc, Weak};
-use std::task::{Context, Poll, Waker};
+use std::task::{Context, Poll};
 
 use crate::calendar::Calendar;
-use crate::executor::Sim;
+use crate::executor::{Sim, TaskHandle};
 use crate::memo::{MemoKey, MEMO_CAPACITY};
 use crate::sync::TaskGroup;
 use crate::time::{SimDuration, SimTime};
@@ -700,7 +700,7 @@ impl Pipeline {
             memo: memo_on.then(|| (Rc::clone(&self.memo), key)),
             phase: Cell::new(SpecPhase::Active),
             mat: (0..self.stages.len()).map(|_| Cell::new(0)).collect(),
-            waker: RefCell::new(None),
+            waiter: RefCell::new(None),
         });
         let (s0, e0) = self.launch(&spec, now);
         debug_assert_eq!(
@@ -729,7 +729,7 @@ impl Pipeline {
             memo: Some((Rc::clone(&self.memo), key)),
             phase: Cell::new(SpecPhase::Active),
             mat: (0..self.stages.len()).map(|_| Cell::new(0)).collect(),
-            waker: RefCell::new(None),
+            waiter: RefCell::new(None),
         });
         let (s0, e0) = self.launch(&spec, now);
         debug_assert_eq!(
@@ -937,8 +937,8 @@ struct Speculation {
     /// Per stage: number of chunks whose reservation has been written to
     /// the real calendar (reads and demotion advance this cursor).
     mat: Vec<Cell<usize>>,
-    /// Waker of the owning transfer future, parked in [`SpecWait`].
-    waker: RefCell<Option<Waker>>,
+    /// The task of the owning transfer future, parked in [`SpecWait`].
+    waiter: RefCell<Option<TaskHandle>>,
 }
 
 impl Speculation {
@@ -1164,8 +1164,8 @@ impl Speculation {
         self.sim.spawn_detached(async move {
             rest.wait().await;
             spec.phase.set(SpecPhase::Done);
-            if let Some(w) = spec.waker.borrow_mut().take() {
-                w.wake();
+            if let Some(task) = spec.waiter.borrow_mut().take() {
+                task.wake();
             }
         });
     }
@@ -1189,11 +1189,11 @@ struct SpecWait {
 impl Future for SpecWait {
     type Output = ();
 
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+    fn poll(self: Pin<&mut Self>, _: &mut Context<'_>) -> Poll<()> {
         if self.spec.phase.get() == SpecPhase::Done {
             Poll::Ready(())
         } else {
-            *self.spec.waker.borrow_mut() = Some(cx.waker().clone());
+            *self.spec.waiter.borrow_mut() = Some(TaskHandle::current());
             Poll::Pending
         }
     }

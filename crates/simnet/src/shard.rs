@@ -74,9 +74,9 @@ use std::collections::{BTreeMap, VecDeque};
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
-use std::task::{Context, Poll, Waker};
+use std::task::{Context, Poll};
 
-use crate::executor::Sim;
+use crate::executor::{Sim, TaskHandle};
 use crate::pipe::Pipeline;
 use crate::stats::SimStats;
 use crate::time::{SimDuration, SimTime};
@@ -224,7 +224,8 @@ struct Outbox<M> {
 /// Receive side of one `(src -> this shard)` channel.
 struct Inbox<M> {
     queue: VecDeque<M>,
-    waker: Option<Waker>,
+    /// The task parked in [`Recv`], woken by the next delivery.
+    waiter: Option<TaskHandle>,
 }
 
 struct CtxInner<M> {
@@ -340,7 +341,7 @@ impl<M: 'static> ShardCtx<M> {
                 .or_insert_with(|| {
                     Rc::new(RefCell::new(Inbox {
                         queue: VecDeque::new(),
-                        waker: None,
+                        waiter: None,
                     }))
                 }),
         )
@@ -362,8 +363,8 @@ impl<M: 'static> ShardCtx<M> {
             sim.sleep_until(at).await;
             let mut inbox = inbox.borrow_mut();
             inbox.queue.push_back(payload);
-            if let Some(w) = inbox.waker.take() {
-                w.wake();
+            if let Some(task) = inbox.waiter.take() {
+                task.wake();
             }
         });
     }
@@ -403,12 +404,12 @@ pub struct Recv<'a, M> {
 impl<M> Future for Recv<'_, M> {
     type Output = M;
 
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<M> {
+    fn poll(self: Pin<&mut Self>, _: &mut Context<'_>) -> Poll<M> {
         let mut inbox = self.inbox.borrow_mut();
         if let Some(m) = inbox.queue.pop_front() {
             Poll::Ready(m)
         } else {
-            inbox.waker = Some(cx.waker().clone());
+            inbox.waiter = Some(TaskHandle::current());
             Poll::Pending
         }
     }
@@ -811,15 +812,14 @@ mod tests {
     /// payload and the receiver's index. Deterministic: lowest index wins
     /// among simultaneously-ready channels.
     async fn race_any(rxs: &[CrossReceiver<(usize, u64)>]) -> ((usize, u64), usize) {
-        std::future::poll_fn(|cx| {
+        std::future::poll_fn(|_| {
             for (i, rx) in rxs.iter().enumerate() {
                 if let Some(v) = rx.try_recv() {
                     return Poll::Ready((v, i));
                 }
             }
             for rx in rxs {
-                let mut inbox = rx.inbox.borrow_mut();
-                inbox.waker = Some(cx.waker().clone());
+                rx.inbox.borrow_mut().waiter = Some(TaskHandle::current());
             }
             Poll::Pending
         })

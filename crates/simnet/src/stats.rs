@@ -14,8 +14,9 @@ pub struct SimStats {
     pub spawns: u64,
     /// Task polls executed (each is one scheduling event).
     pub polls: u64,
-    /// Wakes observed: `Waker::wake` calls, plus fired timers that wake
-    /// the task which armed them by id.
+    /// Wakes observed, each addressed to a task by slab id: by a fired
+    /// timer, or by a primitive (channel, notify, join, …) that parked the
+    /// task. A wake of a task that has finished is counted and dropped.
     pub wakes: u64,
     /// Wakes coalesced away because the task was already scheduled.
     pub redundant_wakes: u64,
@@ -27,6 +28,9 @@ pub struct SimStats {
     pub timers_cancelled: u64,
     /// Tasks currently alive (spawned, not yet completed).
     pub tasks_live: u64,
+    /// High-water mark of `tasks_live`: the most tasks alive at once, each
+    /// holding a slab slot and its boxed future.
+    pub tasks_peak: u64,
     /// Heap entries outstanding (pending + not-yet-reclaimed cancelled).
     pub timers_pending: u64,
     /// Pipeline transfers completed by the cut-through fast path: the whole
@@ -117,6 +121,7 @@ impl SimStats {
         self.timers_set += other.timers_set;
         self.timers_cancelled += other.timers_cancelled;
         self.tasks_live += other.tasks_live;
+        self.tasks_peak = self.tasks_peak.max(other.tasks_peak);
         self.timers_pending += other.timers_pending;
         self.fast_path_hits += other.fast_path_hits;
         self.slow_path_falls += other.slow_path_falls;

@@ -2,17 +2,19 @@
 //! barrier, FIFO gate and task group.
 //!
 //! All primitives are `!Send`; they live entirely inside the single-threaded
-//! simulation and synchronize *tasks*, not threads. Wake-ups are mediated by
-//! the executor's FIFO ready queue, so ordering stays deterministic.
+//! simulation and synchronize *tasks*, not threads. None is built with a
+//! [`Sim`]: a primitive that parks a task records the task the executor is
+//! polling (its core and slab id) and wakes it by id onto that executor's
+//! FIFO run queue, so ordering stays deterministic.
 
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
-use std::task::{Context, Poll, Waker};
+use std::task::{Context, Poll};
 
-use crate::executor::Joiner;
+use crate::executor::{Joiner, TaskHandle};
 use crate::Sim;
 
 // ---------------------------------------------------------------------------
@@ -21,7 +23,8 @@ use crate::Sim;
 
 struct MpscState<T> {
     queue: VecDeque<T>,
-    recv_waker: Option<Waker>,
+    /// The task parked in [`Recv`], woken by the next send or last drop.
+    receiver: Option<TaskHandle>,
     senders: usize,
     receiver_alive: bool,
 }
@@ -44,7 +47,7 @@ pub struct Receiver<T> {
 pub fn mpsc<T>() -> (Sender<T>, Receiver<T>) {
     let state = Rc::new(RefCell::new(MpscState {
         queue: VecDeque::new(),
-        recv_waker: None,
+        receiver: None,
         senders: 1,
         receiver_alive: true,
     }));
@@ -70,8 +73,8 @@ impl<T> Drop for Sender<T> {
         let mut s = self.state.borrow_mut();
         s.senders -= 1;
         if s.senders == 0 {
-            if let Some(w) = s.recv_waker.take() {
-                w.wake();
+            if let Some(task) = s.receiver.take() {
+                task.wake();
             }
         }
     }
@@ -86,8 +89,8 @@ impl<T> Sender<T> {
             return Err(msg);
         }
         s.queue.push_back(msg);
-        if let Some(w) = s.recv_waker.take() {
-            w.wake();
+        if let Some(task) = s.receiver.take() {
+            task.wake();
         }
         Ok(())
     }
@@ -130,7 +133,7 @@ pub struct Recv<'a, T> {
 impl<T> Future for Recv<'_, T> {
     type Output = Option<T>;
 
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Option<T>> {
+    fn poll(self: Pin<&mut Self>, _: &mut Context<'_>) -> Poll<Option<T>> {
         let mut s = self.rx.state.borrow_mut();
         if let Some(v) = s.queue.pop_front() {
             return Poll::Ready(Some(v));
@@ -138,14 +141,7 @@ impl<T> Future for Recv<'_, T> {
         if s.senders == 0 {
             return Poll::Ready(None);
         }
-        // Same-task re-poll: keep the cached waker, skip the clone.
-        if !s
-            .recv_waker
-            .as_ref()
-            .is_some_and(|w| w.will_wake(cx.waker()))
-        {
-            s.recv_waker = Some(cx.waker().clone());
-        }
+        s.receiver = Some(TaskHandle::current());
         Poll::Pending
     }
 }
@@ -156,7 +152,7 @@ impl<T> Future for Recv<'_, T> {
 
 struct NotifyState {
     permit: bool,
-    waiters: VecDeque<Waker>,
+    waiters: VecDeque<TaskHandle>,
 }
 
 /// Edge-triggered notification cell: `notify_one` stores at most one permit;
@@ -188,8 +184,8 @@ impl Notify {
     pub fn notify_one(&self) {
         let mut s = self.state.borrow_mut();
         s.permit = true;
-        if let Some(w) = s.waiters.pop_front() {
-            w.wake();
+        if let Some(task) = s.waiters.pop_front() {
+            task.wake();
         }
     }
 
@@ -209,13 +205,13 @@ pub struct Notified {
 impl Future for Notified {
     type Output = ();
 
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+    fn poll(self: Pin<&mut Self>, _: &mut Context<'_>) -> Poll<()> {
         let mut s = self.notify.state.borrow_mut();
         if s.permit {
             s.permit = false;
             return Poll::Ready(());
         }
-        s.waiters.push_back(cx.waker().clone());
+        s.waiters.push_back(TaskHandle::current());
         Poll::Pending
     }
 }
@@ -228,7 +224,7 @@ struct BarrierState {
     n: usize,
     arrived: usize,
     generation: u64,
-    waiters: VecDeque<Waker>,
+    waiters: VecDeque<TaskHandle>,
 }
 
 /// A reusable rendezvous barrier for `n` tasks: phase-aligns ranks
@@ -260,19 +256,19 @@ impl Barrier {
             if s.arrived == s.n {
                 s.arrived = 0;
                 s.generation += 1;
-                for w in s.waiters.drain(..) {
-                    w.wake();
+                for task in s.waiters.drain(..) {
+                    task.wake();
                 }
                 return;
             }
             s.generation
         };
-        std::future::poll_fn(move |cx| {
+        std::future::poll_fn(move |_| {
             let mut s = self.state.borrow_mut();
             if s.generation != gen {
                 Poll::Ready(())
             } else {
-                s.waiters.push_back(cx.waker().clone());
+                s.waiters.push_back(TaskHandle::current());
                 Poll::Pending
             }
         })
@@ -287,7 +283,7 @@ impl Barrier {
 struct FifoGateState {
     issued: u64,
     next: u64,
-    waiters: VecDeque<Waker>,
+    waiters: VecDeque<TaskHandle>,
 }
 
 /// An ordering gate: callers take a numbered ticket, and `enter` admits
@@ -328,12 +324,12 @@ impl FifoGate {
 
     /// Wait until every earlier ticket has left the gate.
     pub async fn enter(&self, ticket: u64) {
-        std::future::poll_fn(|cx| {
+        std::future::poll_fn(|_| {
             let mut s = self.state.borrow_mut();
             if s.next == ticket {
                 Poll::Ready(())
             } else {
-                s.waiters.push_back(cx.waker().clone());
+                s.waiters.push_back(TaskHandle::current());
                 Poll::Pending
             }
         })
@@ -344,8 +340,8 @@ impl FifoGate {
     pub fn leave(&self) {
         let mut s = self.state.borrow_mut();
         s.next += 1;
-        for w in s.waiters.drain(..) {
-            w.wake();
+        for task in s.waiters.drain(..) {
+            task.wake();
         }
     }
 }
@@ -359,14 +355,14 @@ struct GroupState {
     pending: Cell<usize>,
     /// The waiter, registered by its first pending poll of
     /// [`TaskGroup::wait`] and kept: every later finish wakes it.
-    waiter: RefCell<Option<Waker>>,
+    waiter: RefCell<Option<TaskHandle>>,
 }
 
 impl Joiner for GroupState {
     fn finish(&self) {
         self.pending.set(self.pending.get() - 1);
-        if let Some(w) = self.waiter.borrow().as_ref() {
-            w.wake_by_ref();
+        if let Some(task) = self.waiter.borrow().as_ref() {
+            task.wake();
         }
     }
 }
@@ -412,14 +408,11 @@ impl TaskGroup {
 
     /// Wait until every member spawned so far has finished.
     pub async fn wait(&self) {
-        std::future::poll_fn(|cx| {
+        std::future::poll_fn(|_| {
             if self.state.pending.get() == 0 {
                 return Poll::Ready(());
             }
-            let mut waiter = self.state.waiter.borrow_mut();
-            if !waiter.as_ref().is_some_and(|w| w.will_wake(cx.waker())) {
-                *waiter = Some(cx.waker().clone());
-            }
+            *self.state.waiter.borrow_mut() = Some(TaskHandle::current());
             Poll::Pending
         })
         .await;

@@ -43,25 +43,30 @@ fn figure_digest(figs: &[netbench::Figure]) -> u64 {
     h
 }
 
-/// Generate `sel` serially and hold it to the committed pin: every figure
-/// must equal `results/<id>.json` byte for byte, and a figure with no
-/// committed file is a failure, not a skip.
+/// Generate `sel` serially and hold it to the committed pin.
 fn generate_pinned(sel: &str) -> Vec<netbench::Figure> {
     let figs = bench::generate(sel);
+    assert_pinned(&figs, "");
+    figs
+}
+
+/// Every figure must equal `results/<id>.json` byte for byte, and a figure
+/// with no committed file is a failure, not a skip. `how` says how the
+/// figures were made, for the failure message.
+fn assert_pinned(figs: &[netbench::Figure], how: &str) {
     let results = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("results");
-    for fig in &figs {
+    for fig in figs {
         let path = results.join(format!("{}.json", fig.id));
         let pinned = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("{}: no committed pin ({e})", path.display()));
         assert!(
             fig.to_json() == pinned,
-            "{} drifted from the committed {}; if the model change is deliberate, \
+            "{}{how} drifted from the committed {}; if the model change is deliberate, \
              regenerate with `figures all --json results/ > results/figures.txt`",
             fig.id,
             path.display()
         );
     }
-    figs
 }
 
 #[test]
@@ -248,18 +253,43 @@ fn fig_tail_digest_is_thread_count_invariant() {
 /// among simultaneously-ready timers (via [`simnet::perturb`]) permutes the
 /// internal pop order of same-deadline events but must NOT change any
 /// figure output — the model's results may depend on virtual time, never on
-/// arm order among ties. Both runs stay on the calling thread: the salt is
-/// thread-local, and `bench::generate` is the serial entry point.
+/// arm order among ties. Each group is generated under each salt on the
+/// calling thread (the salt is thread-local, and `bench::generate` is the
+/// serial entry point) and held to the committed pin.
+///
+/// Not every group passes yet: fig2, fig4, fig-tail and the ablations
+/// move under a salt, because their NIC models settle some same-instant
+/// races by arm order. They join this list as those races are fixed.
+fn assert_pinned_under_salts(groups: &[&str]) {
+    for salt in [0x9E37_79B9u64, 0xDEAD_BEEF_0BAD_F00D] {
+        for sel in groups {
+            let figs = simnet::perturb::with_tie_break_salt(salt, || bench::generate(sel));
+            assert_pinned(
+                &figs,
+                &format!(
+                    " under tie-break salt {salt:#x} (a figure depends on arm order \
+                     among simultaneous events)"
+                ),
+            );
+        }
+    }
+}
+
 #[test]
 fn fig1_figure_digest_survives_perturbed_tie_breaks() {
-    let baseline = figure_digest(&bench::generate("fig1"));
-    for salt in [0x9E37_79B9u64, 0xDEAD_BEEF_0BAD_F00D] {
-        let perturbed =
-            simnet::perturb::with_tie_break_salt(salt, || figure_digest(&bench::generate("fig1")));
-        assert_eq!(
-            baseline, perturbed,
-            "fig1 output changed under tie-break salt {salt:#x}: \
-             a figure depends on arm order among simultaneous events"
-        );
-    }
+    assert_pinned_under_salts(&[
+        "fig1", "fig5", "fig8", "e9", "e10", "e11", "fig-loss", "shard",
+    ]);
+}
+
+/// The heavier groups that pass under a salt. Ignored in debug builds
+/// purely for wall-clock; ci.sh runs the determinism suite in release with
+/// `--include-ignored`.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "slow in debug builds; ci.sh runs this in release via --include-ignored"
+)]
+fn heavy_figure_digests_survive_perturbed_tie_breaks() {
+    assert_pinned_under_salts(&["fig3", "fig6", "fig7"]);
 }
