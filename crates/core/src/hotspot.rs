@@ -40,7 +40,7 @@ pub(crate) fn hotspot_latency(kind: FabricKind, senders: usize, size: u64, msgs:
                 let b = hot.alloc_buffer(size.max(64));
                 for _ in 0..(senders as u64 * msgs) {
                     let st = recv(&*hot, Source::Any, 1, b, size.max(1)).await;
-                    send(&*hot, st.source, 2, b, size, None).await;
+                    send(&*hot, st.bits.rank(), 2, b, size, None).await;
                 }
             };
             let all = async {

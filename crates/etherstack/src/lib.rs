@@ -17,6 +17,10 @@
 //!   the workspace instantiates with its own [`NicModel`].
 //! * [`qp`] — the one verbs queue pair, [`Qp`], over any [`VerbsNic`]: what
 //!   the iWARP RNIC and the InfiniBand HCA share above their transports.
+//! * [`matched`] — the one matched-message engine, [`Engine`]: eager and
+//!   rendezvous send/receive on 64-bit match bits ([`matching`]), with a
+//!   [`Matcher`] and a [`Progress`] knob per fabric, returning one
+//!   [`Request`] type. MPI over every fabric and the MX API run on it.
 //! * [`recovery`] — the one reliable transfer over a `simnet` pipeline,
 //!   [`transfer_reliable`], which every fabric sends through under fault
 //!   injection, each with its own [`LossRecovery`] description (host TCP
@@ -33,8 +37,11 @@ pub mod fabric;
 pub mod frame;
 pub mod hostnic;
 pub mod ipv4;
+pub mod matched;
+pub mod matching;
 pub mod qp;
 pub mod recovery;
+pub mod request;
 pub mod switch;
 pub mod tcp;
 
@@ -42,7 +49,10 @@ pub use fabric::{Fabric, NicModel, RdmaNic};
 pub use frame::{EthernetHeader, ETHERTYPE_IPV4, ETH_HEADER_LEN, ETH_MTU, ETH_WIRE_OVERHEAD};
 pub use hostnic::{HostTcpCalib, HostTcpFabric, HostTcpNic};
 pub use ipv4::Ipv4Header;
+pub use matched::{Engine, Link, Matcher, Peer, Progress, Protocol, Rndv};
+pub use matching::{matches, MatchInfo};
 pub use qp::{Lane, MsgDir, Provider, Qp, QpStep, QpWatch, VerbsNic, WorkRequest};
 pub use recovery::{transfer_reliable, LossRecovery, RecoveryStats};
+pub use request::{Request, Status};
 pub use switch::{CutThroughSwitch, SwitchConfig};
 pub use tcp::{TcpHeader, TcpReassembler, TcpSegmenter, TCP_MSS};

@@ -4,7 +4,8 @@
 //! same shape of entry; sharing the types keeps the MPI layer and the
 //! benchmark suite fabric-generic. Two-sided matching — a posted-receive
 //! list and an unexpected-message list — is stated once in [`MatchLists`],
-//! under the verbs [`QpQueues`], the MX NIC and the host-matched MPI engine.
+//! under the verbs [`QpQueues`] and the matched-message engine that MPI
+//! and MX share (`etherstack::matched`).
 
 use std::cell::RefCell;
 use std::collections::VecDeque;

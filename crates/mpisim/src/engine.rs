@@ -1,34 +1,34 @@
-//! The host-matched MPI engine (the MPICH-over-verbs model).
+//! The MPI library over every fabric: one [`MpiRank`] on the
+//! [`etherstack::matched`] engine, and the engine's two knobs for MPICH
+//! over verbs.
 //!
-//! Implements exactly the machinery the paper's MPI-level experiments
-//! measure:
+//! The engine is the MPI protocol stated once; the fabric picks its knobs
+//! ([`crate::world::FabricKind::nic`]):
 //!
-//! * **Eager protocol** (small messages): copy through pre-registered
-//!   bounce buffers — sender completes locally after the copy; the receive
-//!   side walks the posted-receive queue on arrival and the unexpected
-//!   queue on `MPI_Irecv`, paying a per-entry CPU cost (Figs. 7 and 8).
-//! * **Rendezvous protocol** (large messages): RTS → receive-side match +
-//!   buffer registration → CTS (carrying rkey) → RDMA Write → FIN. Buffer
-//!   registration goes through the NIC's pin-down cache, so the buffer
-//!   re-use pattern decides whether the expensive pinning is paid
-//!   (Fig. 6).
-//! * Copy costs are cache-aware: cycling through many buffers copies cold,
-//!   re-using one buffer copies hot — the eager-range effect in Fig. 6.
+//! * over iWARP and InfiniBand, [`Host`] matching and [`Caller`] progress:
+//!   the library keeps both queues in host memory and walks them with host
+//!   CPU cycles (the per-entry costs of Figs. 7 and 8); eager data is copied
+//!   through pre-registered bounce buffers, hot or cold depending on buffer
+//!   reuse (the eager range of Fig. 6); a rendezvous is RTS → receive-side
+//!   registration through the pin-down cache → CTS (carrying the rkey) →
+//!   RDMA Write → FIN, driven by the receiving process, which spin-polls its
+//!   completion queue meanwhile (the o_r jump of the LogP figure);
+//! * over MX, `mx10g`'s NIC matching and progression-thread rendezvous,
+//!   under a thin MPICH-MX glue cost.
 
-use std::cell::{Cell, RefCell};
-use std::collections::BTreeMap;
-use std::rc::{Rc, Weak};
+use std::cell::RefCell;
+use std::future::Future;
+use std::marker::PhantomData;
+use std::rc::Rc;
 
-use etherstack::{Fabric, VerbsNic};
+use etherstack::{Engine, Lane, Link, MatchInfo, Matcher, Peer, Progress, Request, Rndv, VerbsNic};
 use hostmodel::cpu::Cpu;
 use hostmodel::lru::LruCache;
 use hostmodel::mem::{HostMem, MemKey, VirtAddr};
-use hostmodel::nic::MatchLists;
-use simnet::{Bytes, Sim, SimDuration};
+use simnet::sync::FifoGate;
+use simnet::{Bytes, SimDuration, SimTime};
 
-use crate::rank::{LocalFuture, MpiRank, Source};
-use crate::request::{MpiRequest, MpiStatus};
-use crate::transport::FabricTransport;
+use crate::rank::{LocalFuture, MpiRank, Source, ANY_TAG};
 
 /// Per-fabric MPI library configuration.
 #[derive(Clone, Copy, Debug)]
@@ -51,379 +51,53 @@ pub(crate) struct MpiConfig {
     pub hot_buffers: usize,
 }
 
-struct Posted {
-    src: Source,
-    tag: u32,
-    buf: VirtAddr,
-    len: u64,
-    req: MpiRequest,
+/// MPI context id used for all point-to-point traffic.
+const CONTEXT: u16 = 1;
+
+/// The match bits and mask a receive for `(src, tag)` posts.
+fn recv_bits(src: Source, tag: u32) -> (MatchInfo, u64) {
+    let (src_bits, mut mask) = match src {
+        Source::Rank(r) => (r as u16, MatchInfo::EXACT),
+        Source::Any => (0, MatchInfo::ANY_RANK_MASK),
+    };
+    let tag_bits = if tag == ANY_TAG {
+        mask &= MatchInfo::ANY_TAG_MASK;
+        0
+    } else {
+        tag
+    };
+    (MatchInfo::mpi(CONTEXT, src_bits, tag_bits), mask)
 }
 
-enum UnexKind {
-    Eager { payload: Option<Vec<u8>> },
-    Rts { rts_id: u64 },
+/// One MPI process: its engine and its connection to every other rank.
+pub(crate) struct Rank<M: Matcher, P: Progress> {
+    pub(crate) engine: Rc<Engine<M, P>>,
+    /// Slot `i` holds the connection to rank `i`; the own slot is empty.
+    pub(crate) peers: Vec<Option<Peer<M, P>>>,
+    pub(crate) rank: usize,
+    /// MPI glue cost per call above the engine's own library entry.
+    pub(crate) glue: SimDuration,
 }
 
-/// A message envelope: eager data, or a rendezvous request-to-send.
-pub(crate) struct Unex {
-    from: usize,
-    tag: u32,
-    /// Payload length (the full message length for an RTS).
-    len: u64,
-    kind: UnexKind,
-}
-
-/// Does a receive for `(src, tag)` accept the message `u`?
-fn accepts(src: Source, tag: u32, u: &Unex) -> bool {
-    src.admits(u.from) && (tag == crate::rank::ANY_TAG || tag == u.tag)
-}
-
-/// Does the posted receive `p` accept the message `u`?
-fn fits(p: &Posted, u: &Unex) -> bool {
-    accepts(p.src, p.tag, u)
-}
-
-/// Control messages exchanged between engines. Content travels with the
-/// simulated message; timing comes from the transport.
-pub(crate) enum CtrlMsg {
-    /// Eager data or a rendezvous RTS, matched against posted receives.
-    Envelope(Unex),
-    /// Clear-to-send: receive buffer is registered, go ahead.
-    Cts {
-        /// Correlator.
-        rts_id: u64,
-        /// Remote key of the registered receive buffer.
-        rkey: MemKey,
-        /// Receive buffer address.
-        raddr: VirtAddr,
-        /// Receiver-side capacity.
-        rlen: u64,
-    },
-    /// Transfer complete.
-    Fin {
-        /// Correlator.
-        rts_id: u64,
-    },
-}
-
-struct RtsSend {
-    dest: usize,
-    tag: u32,
-    len: u64,
-    payload: Option<Vec<u8>>,
-    req: MpiRequest,
-}
-
-struct FinWait {
-    from: usize,
-    tag: u32,
-    len: u64,
-    req: MpiRequest,
-    /// When the CTS went out — the receiving process spin-polls its CQ
-    /// from here until FIN, and those cycles count as receiver overhead.
-    cts_at: simnet::SimTime,
-}
-
-/// One host-matched MPI process.
-pub(crate) struct HostEngine<N: VerbsNic> {
-    sim: Sim,
-    rank: usize,
-    size: usize,
-    cpu: Cpu,
-    mem: HostMem,
-    cfg: MpiConfig,
-    transport: FabricTransport<N>,
-    lists: MatchLists<Posted, Unex>,
-    rts_send: RefCell<BTreeMap<u64, RtsSend>>,
-    fin_wait: RefCell<BTreeMap<u64, FinWait>>,
-    next_rts: Cell<u64>,
-    hot_bufs: RefCell<LruCache<u64, ()>>,
-    peers: RefCell<Vec<Weak<HostEngine<N>>>>,
-}
-
-impl<N: VerbsNic> HostEngine<N> {
-    /// Build the engine for `rank` (one rank per node of `fab`), bound to
-    /// process `cpu`.
-    pub fn new(fab: &Fabric<N>, rank: usize, cpu: Cpu, cfg: MpiConfig) -> Rc<Self> {
-        Rc::new(HostEngine {
-            sim: fab.sim().clone(),
-            rank,
-            size: fab.nodes(),
-            mem: fab.device(rank).mem().clone(),
-            transport: FabricTransport::new(fab, rank, &cpu),
-            cpu,
-            cfg,
-            lists: MatchLists::default(),
-            rts_send: RefCell::new(BTreeMap::new()),
-            fin_wait: RefCell::new(BTreeMap::new()),
-            next_rts: Cell::new(1),
-            hot_bufs: RefCell::new(LruCache::new(cfg.hot_buffers.max(1))),
-            peers: RefCell::new(Vec::new()),
-        })
-    }
-
-    /// Wire the peer table (called once by the world builder).
-    pub(crate) fn set_peers(&self, peers: Vec<Weak<HostEngine<N>>>) {
-        *self.peers.borrow_mut() = peers;
-    }
-
-    fn peer(&self, rank: usize) -> Rc<HostEngine<N>> {
-        self.peers.borrow()[rank]
-            .upgrade()
-            .expect("peer engine dropped while world in use")
-    }
-
-    /// Untimed check: does the unexpected queue hold a matching message?
-    pub fn probe_unexpected(&self, src: Source, tag: u32) -> bool {
-        self.lists.parked(|u| accepts(src, tag, u))
-    }
-
-    /// Copy `len` bytes of `buf` through the CPU, hot or cold depending on
-    /// whether the buffer was recently used.
-    async fn copy_buffer(&self, buf: VirtAddr, len: u64) {
-        let hot = {
-            let mut hb = self.hot_bufs.borrow_mut();
-            if hb.get(&buf.0).is_some() {
-                true
-            } else {
-                hb.insert(buf.0, ());
-                false
-            }
-        };
-        if hot {
-            self.cpu.memcpy(simnet::Bytes::new(len)).await;
-        } else {
-            self.cpu.memcpy_cold(simnet::Bytes::new(len)).await;
-        }
-    }
-
-    /// `MPI_Isend`.
-    pub async fn isend(
-        self: &Rc<Self>,
-        dest: usize,
-        tag: u32,
-        buf: VirtAddr,
-        len: u64,
-        payload: Option<Vec<u8>>,
-    ) -> MpiRequest {
-        let req = MpiRequest::new();
-        self.cpu.call().await;
-        self.cpu.work(self.cfg.send_sw).await;
-        let (wire, kind) = if len < self.cfg.rndv_threshold {
-            // Eager: copy into the pre-registered bounce buffer; the user
-            // buffer is immediately reusable, so the request completes
-            // locally.
-            self.copy_buffer(buf, len).await;
-            req.complete(MpiStatus {
-                len,
-                source: self.rank,
-                tag,
-            });
-            let wire = self.cfg.eager_header + Bytes::new(len);
-            (wire, UnexKind::Eager { payload })
-        } else {
-            // Rendezvous: pin the user buffer (cache-aware) and announce.
-            self.transport.register_cached(&self.cpu, buf, len).await;
-            let rts_id = self.next_rts.get();
-            self.next_rts.set(rts_id + 1);
-            self.rts_send.borrow_mut().insert(
-                rts_id,
-                RtsSend {
-                    dest,
-                    tag,
-                    len,
-                    payload,
-                    req: req.clone(),
-                },
-            );
-            (self.cfg.ctrl_wire, UnexKind::Rts { rts_id })
-        };
-        let env = Unex {
-            from: self.rank,
-            tag,
-            len,
-            kind,
-        };
-        let me = Rc::clone(self);
-        self.sim.spawn_detached(async move {
-            me.transport.send_to(dest, wire).await;
-            let peer = me.peer(dest);
-            peer.handle_arrival(CtrlMsg::Envelope(env)).await;
-        });
-        req
-    }
-
-    /// `MPI_Irecv`.
-    pub async fn irecv(
-        self: &Rc<Self>,
-        src: Source,
-        tag: u32,
-        buf: VirtAddr,
-        len: u64,
-    ) -> MpiRequest {
-        let req = MpiRequest::new();
-        self.cpu.call().await;
-        // Walk the unexpected queue (FIFO, per-entry CPU cost); a miss is
-        // posted before the walk is charged.
-        let posted = Posted {
-            src,
-            tag,
-            buf,
-            len,
-            req: req.clone(),
-        };
-        let (walked, hit) = self.lists.post(posted, fits);
-        self.cpu
-            .work(self.cfg.unexpected_per_entry * walked as u64)
-            .await;
-        if let Some((p, u)) = hit {
-            self.matched(p, u).await;
-        }
-        req
-    }
-
-    /// A posted receive met its message: copy eager data out, or answer
-    /// the RTS — register the receive buffer and send CTS.
-    async fn matched(self: &Rc<Self>, p: Posted, u: Unex) {
-        let n = u.len.min(p.len);
-        match u.kind {
-            UnexKind::Eager { payload } => {
-                self.copy_buffer(p.buf, n).await;
-                if let Some(data) = payload {
-                    self.mem.write(p.buf, &data[..n as usize]);
-                }
-                p.req.complete(MpiStatus {
-                    len: n,
-                    source: u.from,
-                    tag: u.tag,
-                });
-            }
-            UnexKind::Rts { rts_id } => {
-                let key = self.transport.register_cached(&self.cpu, p.buf, n).await;
-                self.fin_wait.borrow_mut().insert(
-                    rts_id,
-                    FinWait {
-                        from: u.from,
-                        tag: u.tag,
-                        len: n,
-                        req: p.req,
-                        cts_at: self.sim.now(),
-                    },
-                );
-                let me = Rc::clone(self);
-                let wire = self.cfg.ctrl_wire;
-                self.sim.spawn_detached(async move {
-                    me.transport.send_to(u.from, wire).await;
-                    let peer = me.peer(u.from);
-                    peer.handle_arrival(CtrlMsg::Cts {
-                        rts_id,
-                        rkey: key,
-                        raddr: p.buf,
-                        rlen: n,
-                    })
-                    .await;
-                });
-            }
-        }
-    }
-
-    /// Progress-engine entry point: a control message arrived from the
-    /// fabric. Runs at arrival time and charges *this* (receiving) rank's
-    /// CPU, as a polling MPI progress engine does.
-    pub(crate) async fn handle_arrival(self: &Rc<Self>, msg: CtrlMsg) {
-        self.cpu.work(self.cfg.recv_sw).await;
-        match msg {
-            CtrlMsg::Envelope(u) => {
-                // Walk the posted queue; a miss is parked before the walk is
-                // charged.
-                let (walked, hit) = self.lists.arrive(u, fits);
-                self.cpu
-                    .work(self.cfg.posted_per_entry * walked as u64)
-                    .await;
-                if let Some((p, u)) = hit {
-                    self.matched(p, u).await;
-                }
-            }
-            CtrlMsg::Cts {
-                rts_id,
-                rkey,
-                raddr,
-                rlen,
-            } => {
-                let rts = self
-                    .rts_send
-                    .borrow_mut()
-                    .remove(&rts_id)
-                    .expect("CTS for unknown RTS");
-                let me = Rc::clone(self);
-                let n = rts.len.min(rlen);
-                self.sim.spawn_detached(async move {
-                    let ok = me
-                        .transport
-                        .rdma_write_to(rts.dest, n, rts.payload, rkey, raddr)
-                        .await;
-                    debug_assert!(ok, "rendezvous write faulted");
-                    me.transport.send_to(rts.dest, me.cfg.ctrl_wire).await;
-                    let peer = me.peer(rts.dest);
-                    peer.handle_arrival(CtrlMsg::Fin { rts_id }).await;
-                    rts.req.complete(MpiStatus {
-                        len: n,
-                        source: me.rank,
-                        tag: rts.tag,
-                    });
-                });
-            }
-            CtrlMsg::Fin { rts_id } => {
-                let fw = self
-                    .fin_wait
-                    .borrow_mut()
-                    .remove(&rts_id)
-                    .expect("FIN for unknown rendezvous");
-                // The receiving process drove the transfer by polling its
-                // completion queue (MPICH-over-verbs has no progression
-                // thread); those cycles are real receiver overhead.
-                self.cpu.account_busy(self.sim.now() - fw.cts_at);
-                fw.req.complete(MpiStatus {
-                    len: fw.len,
-                    source: fw.from,
-                    tag: fw.tag,
-                });
-            }
-        }
-    }
-}
-
-/// [`MpiRank`] wrapper around a host engine.
-pub(crate) struct HostMpiRank<N: VerbsNic> {
-    engine: Rc<HostEngine<N>>,
-}
-
-impl<N: VerbsNic> HostMpiRank<N> {
-    /// Wrap an engine.
-    pub fn new(engine: Rc<HostEngine<N>>) -> Self {
-        HostMpiRank { engine }
-    }
-}
-
-impl<N: VerbsNic> MpiRank for HostMpiRank<N> {
+impl<M: Matcher, P: Progress> MpiRank for Rank<M, P> {
     fn rank(&self) -> usize {
-        self.engine.rank
+        self.rank
     }
 
     fn size(&self) -> usize {
-        self.engine.size
+        self.peers.len()
     }
 
     fn cpu(&self) -> &Cpu {
-        &self.engine.cpu
+        self.engine.cpu()
     }
 
     fn mem(&self) -> &HostMem {
-        &self.engine.mem
+        self.engine.mem()
     }
 
     fn alloc_buffer(&self, len: u64) -> VirtAddr {
-        self.engine.mem.alloc_buffer(len)
+        self.engine.mem().alloc_buffer(len)
     }
 
     fn isend(
@@ -433,164 +107,436 @@ impl<N: VerbsNic> MpiRank for HostMpiRank<N> {
         buf: VirtAddr,
         len: u64,
         payload: Option<Vec<u8>>,
-    ) -> LocalFuture<'_, MpiRequest> {
-        Box::pin(async move { self.engine.isend(dest, tag, buf, len, payload).await })
+    ) -> LocalFuture<'_, Request> {
+        Box::pin(async move {
+            self.engine.cpu().work(self.glue).await;
+            let to = self.peers[dest]
+                .as_ref()
+                .expect("no connection to this rank");
+            let bits = MatchInfo::mpi(CONTEXT, self.rank as u16, tag);
+            self.engine.isend(to, bits, buf, len, payload).await
+        })
     }
 
-    fn irecv(&self, src: Source, tag: u32, buf: VirtAddr, len: u64) -> LocalFuture<'_, MpiRequest> {
-        Box::pin(async move { self.engine.irecv(src, tag, buf, len).await })
+    fn irecv(&self, src: Source, tag: u32, buf: VirtAddr, len: u64) -> LocalFuture<'_, Request> {
+        Box::pin(async move {
+            self.engine.cpu().work(self.glue).await;
+            let (bits, mask) = recv_bits(src, tag);
+            self.engine.irecv(bits, mask, buf, len).await
+        })
     }
 
     fn probe_unexpected(&self, src: Source, tag: u32) -> bool {
-        self.engine.probe_unexpected(src, tag)
+        let (bits, mask) = recv_bits(src, tag);
+        self.engine.probe_unexpected(bits, mask)
+    }
+}
+
+/// Host matching (MPICH over verbs): the library walks its queues with
+/// the process's CPU and copies eager data through bounce buffers.
+pub(crate) struct Host {
+    cfg: MpiConfig,
+    /// Buffers recently copied, so cache-hot.
+    hot_bufs: RefCell<LruCache<u64, ()>>,
+}
+
+impl Host {
+    pub(crate) fn new(cfg: MpiConfig) -> Self {
+        Host {
+            cfg,
+            hot_bufs: RefCell::new(LruCache::new(cfg.hot_buffers.max(1))),
+        }
+    }
+
+    /// Copy `len` bytes of `buf` through the CPU, hot or cold depending on
+    /// whether the buffer was recently used.
+    fn copy<'a>(&self, cpu: &'a Cpu, buf: VirtAddr, len: u64) -> impl Future<Output = ()> + 'a {
+        let mut hot_bufs = self.hot_bufs.borrow_mut();
+        let hot = hot_bufs.get(&buf.0).is_some();
+        if !hot {
+            hot_bufs.insert(buf.0, ());
+        }
+        let costs = cpu.costs();
+        let rate = if hot {
+            costs.memcpy_bytes_per_sec
+        } else {
+            costs.memcpy_cold_bytes_per_sec
+        };
+        cpu.work(Bytes::new(len) / rate)
+    }
+}
+
+impl Matcher for Host {
+    async fn enter(&self, cpu: &Cpu, send: bool) {
+        cpu.call().await;
+        if send {
+            cpu.work(self.cfg.send_sw).await;
+        }
+    }
+
+    async fn copy_out(&self, cpu: &Cpu, buf: VirtAddr, len: u64) -> bool {
+        // Into the pre-registered bounce buffer: the user buffer is
+        // reusable at once, so the send completes locally.
+        self.copy(cpu, buf, len).await;
+        true
+    }
+
+    fn copy_in(
+        &self,
+        cpu: &Cpu,
+        buf: VirtAddr,
+        n: u64,
+        _expected: bool,
+    ) -> impl Future<Output = ()> {
+        self.copy(cpu, buf, n)
+    }
+
+    #[expect(
+        clippy::manual_async_fn,
+        reason = "the async block keeps `scan` once; an async fn would copy it"
+    )]
+    fn arrive<T>(
+        &self,
+        cpu: &Cpu,
+        gate: &FifoGate,
+        scan: impl FnOnce() -> (usize, T),
+    ) -> impl Future<Output = T> {
+        async move {
+            // The connection delivered in order; the progress engine then
+            // runs on the receiving CPU at arrival, as a polling MPI
+            // library does.
+            gate.leave();
+            cpu.work(self.cfg.recv_sw).await;
+            let (walked, hit) = scan();
+            cpu.work(self.cfg.posted_per_entry * walked as u64).await;
+            hit
+        }
+    }
+
+    async fn walk_unexpected(&self, cpu: &Cpu, walked: usize) {
+        cpu.work(self.cfg.unexpected_per_entry * walked as u64)
+            .await;
+    }
+}
+
+/// Caller-driven rendezvous (MPICH over verbs has no progression thread):
+/// the receiver registers its buffer and sends CTS, the sender's progress
+/// engine answers with an RDMA Write and a FIN, and the receiving process
+/// spin-polls its CQ from CTS to FIN.
+pub(crate) struct Caller<N> {
+    pub(crate) cfg: MpiConfig,
+    pub(crate) nic: PhantomData<fn() -> N>,
+}
+
+/// One direction of a verbs connection between two ranks: the lanes both
+/// ways (the QP pair) and the sending process's CPU, which posts.
+pub(crate) struct Lanes<N: VerbsNic> {
+    pub(crate) tx: Rc<Lane<N>>,
+    pub(crate) rx: Rc<Lane<N>>,
+    pub(crate) cpu: Cpu,
+}
+
+/// Post a `bytes`-long two-sided message on `lane` from `cpu`; completes
+/// at its in-order arrival. The ticket is taken at the call.
+fn send_on<'a, N: VerbsNic>(
+    lane: &'a Lane<N>,
+    cpu: &'a Cpu,
+    bytes: Bytes,
+) -> impl Future<Output = ()> + 'a {
+    let ticket = lane.order.ticket();
+    async move {
+        cpu.work(lane.src.post_cost()).await;
+        lane.carry(bytes).await;
+        lane.order.enter(ticket).await;
+        lane.order.leave();
+    }
+}
+
+impl<N: VerbsNic> Link for Lanes<N> {
+    fn order(&self) -> &FifoGate {
+        &self.tx.order
+    }
+
+    async fn carry(&self, bytes: Bytes) {
+        self.cpu.work(self.tx.src.post_cost()).await;
+        self.tx.carry(bytes).await;
+    }
+}
+
+impl<N: VerbsNic> Progress for Caller<N> {
+    type Link = Lanes<N>;
+
+    async fn rendezvous<M: Matcher>(to: &Rc<Engine<M, Self>>, rndv: Rndv<Self>) {
+        let key = to
+            .registry()
+            .register_cached(to.cpu(), rndv.raddr, rndv.n)
+            .await
+            .key;
+        let granted = Granted {
+            to: Rc::clone(to),
+            rndv,
+            key,
+            cts_at: to.sim().now(),
+        };
+        to.sim().spawn_detached(cts(granted));
+    }
+}
+
+/// A rendezvous whose receive buffer is registered: what its CTS and the
+/// sender's write carry.
+struct Granted<M: Matcher, N: VerbsNic> {
+    to: Rc<Engine<M, Caller<N>>>,
+    rndv: Rndv<Caller<N>>,
+    key: MemKey,
+    /// When the CTS went out: the receiving process spin-polls its CQ from
+    /// here until FIN.
+    cts_at: SimTime,
+}
+
+/// The receiver's CTS, which the sender's progress engine takes and
+/// answers by starting the write.
+#[expect(
+    clippy::manual_async_fn,
+    reason = "a named future, so the footprint test can size it"
+)]
+fn cts<M: Matcher, N: VerbsNic>(g: Granted<M, N>) -> impl Future<Output = ()> {
+    async move {
+        let cfg = g.to.progress().cfg;
+        send_on(&g.rndv.link.rx, g.to.cpu(), cfg.ctrl_wire).await;
+        g.rndv.link.cpu.work(cfg.recv_sw).await;
+        g.to.sim().clone().spawn_detached(write_and_fin(g));
+    }
+}
+
+/// The sender's RDMA Write and FIN; the receiving process takes the FIN.
+#[expect(
+    clippy::manual_async_fn,
+    reason = "a named future, so the footprint test can size it"
+)]
+fn write_and_fin<M: Matcher, N: VerbsNic>(mut g: Granted<M, N>) -> impl Future<Output = ()> {
+    async move {
+        let cfg = g.to.progress().cfg;
+        let lanes = Rc::clone(&g.rndv.link);
+        lanes.cpu.work(lanes.tx.src.post_cost()).await;
+        lanes.tx.carry(Bytes::new(g.rndv.n)).await;
+        let payload = g.rndv.payload.take();
+        let ok = lanes.tx.place(g.key, g.rndv.raddr, g.rndv.n, payload);
+        debug_assert!(ok, "rendezvous write faulted");
+        send_on(&lanes.tx, &lanes.cpu, cfg.ctrl_wire).await;
+        // The receiving process polled its CQ from CTS to FIN, and those
+        // cycles are real receiver overhead.
+        g.to.cpu().work(cfg.recv_sw).await;
+        g.to.cpu().account_busy(g.to.sim().now() - g.cts_at);
+        g.rndv.finish();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rank::ANY_TAG;
-    use crate::world::iwarp_mpi_config;
-    use hostmodel::cpu::CpuCosts;
+    use crate::world::{iwarp_mpi_config, mx_ranks, verbs_ranks};
+    use simnet::Sim;
 
-    fn two_engines() -> (
-        Sim,
-        Rc<HostEngine<iwarp::RnicDevice>>,
-        Rc<HostEngine<iwarp::RnicDevice>>,
-    ) {
-        let sim = Sim::new();
-        let fab = iwarp::IwarpFabric::new(&sim, 2);
-        let cfg = iwarp_mpi_config();
-        let mk = |r: usize| HostEngine::new(&fab, r, Cpu::new(&sim, CpuCosts::default()), cfg);
-        let e0 = mk(0);
-        let e1 = mk(1);
-        e0.set_peers(vec![Rc::downgrade(&e0), Rc::downgrade(&e1)]);
-        e1.set_peers(vec![Rc::downgrade(&e0), Rc::downgrade(&e1)]);
-        (sim, e0, e1)
+    /// Ranks 0 and 1 of `ranks`.
+    fn two<R>(ranks: Vec<R>) -> [Rc<R>; 2] {
+        let mut ranks = ranks.into_iter().map(Rc::new);
+        [ranks.next().unwrap(), ranks.next().unwrap()]
+    }
+
+    /// Run `body` once per placement the fabrics pick: host matching with
+    /// caller progress (iWARP), NIC matching with a progression thread
+    /// (MXoM).
+    macro_rules! each_placement {
+        (|$sim:ident, $r0:ident, $r1:ident| $body:block) => {{
+            let sim = Sim::new();
+            let fab = iwarp::IwarpFabric::new(&sim, 2);
+            let [$r0, $r1] = two(verbs_ranks(&fab, iwarp_mpi_config()));
+            let $sim = sim.clone();
+            sim.block_on(async move $body);
+            let sim = Sim::new();
+            let [$r0, $r1] = two(mx_ranks(&mx10g::MxFabric::new(&sim, 2, mx10g::LinkMode::MxoM)));
+            let $sim = sim.clone();
+            sim.block_on(async move $body);
+        }};
     }
 
     #[test]
     fn unmatched_eager_parks_in_unexpected_queue() {
-        let (sim, e0, e1) = two_engines();
-        sim.block_on({
-            let e0 = Rc::clone(&e0);
-            let e1 = Rc::clone(&e1);
-            let sim = sim.clone();
-            async move {
-                let b = e0.mem.alloc_buffer(64);
-                let req = e0.isend(1, 7, b, 16, None).await;
-                req.wait().await; // eager completes locally
-                sim.sleep(SimDuration::from_micros(100)).await;
-                assert_eq!(e1.lists.depths(), (0, 1), "parked unexpected");
-                assert!(e1.probe_unexpected(Source::Rank(0), 7));
-                assert!(!e1.probe_unexpected(Source::Rank(0), 8));
-            }
+        each_placement!(|sim, r0, r1| {
+            let b = r0.alloc_buffer(64);
+            r0.isend(1, 7, b, 16, None).await.wait().await;
+            sim.sleep(SimDuration::from_micros(100)).await;
+            assert_eq!(r1.engine.depths(), (0, 1), "parked unexpected");
+            assert!(r1.probe_unexpected(Source::Rank(0), 7));
+            assert!(!r1.probe_unexpected(Source::Rank(0), 8));
+            // A receive for another tag does not take it; the right tag does.
+            let rb = r1.alloc_buffer(64);
+            let other = r1.irecv(Source::Rank(0), 8, rb, 64).await;
+            assert!(other.test().is_none());
+            assert_eq!(r1.engine.depths(), (1, 1));
+            let st = r1.irecv(Source::Rank(0), 7, rb, 64).await.wait().await;
+            assert_eq!(st.len, 16);
+            assert_eq!(r1.engine.depths(), (1, 0));
         });
     }
 
     #[test]
     fn posted_receive_waits_in_posted_queue() {
-        let (sim, e0, e1) = two_engines();
-        sim.block_on({
-            let e1 = Rc::clone(&e1);
-            async move {
-                let b = e1.mem.alloc_buffer(64);
-                let _r = e1.irecv(Source::Rank(0), 3, b, 64).await;
-                assert_eq!(e1.lists.depths(), (1, 0));
-                let _ = e0;
-            }
+        each_placement!(|_sim, _r0, r1| {
+            let b = r1.alloc_buffer(64);
+            let r = r1.irecv(Source::Rank(0), 3, b, 64).await;
+            assert!(r.test().is_none());
+            assert_eq!(r1.engine.depths(), (1, 0));
         });
     }
 
     #[test]
     fn matching_drains_both_queues() {
-        let (sim, e0, e1) = two_engines();
-        sim.block_on({
-            let e0 = Rc::clone(&e0);
-            let e1 = Rc::clone(&e1);
-            let sim = sim.clone();
-            async move {
-                let b0 = e0.mem.alloc_buffer(64);
-                let b1 = e1.mem.alloc_buffer(64);
-                // Unexpected first, then matched by a receive.
-                e0.isend(1, 5, b0, 8, None).await.wait().await;
-                sim.sleep(SimDuration::from_micros(100)).await;
-                let r = e1.irecv(Source::Any, ANY_TAG, b1, 64).await;
-                r.wait().await;
-                assert_eq!(e1.lists.depths(), (0, 0), "both queues empty");
-            }
+        each_placement!(|sim, r0, r1| {
+            let (b0, b1) = (r0.alloc_buffer(64), r1.alloc_buffer(64));
+            // Unexpected first, then matched by a receive.
+            r0.isend(1, 5, b0, 8, None).await.wait().await;
+            sim.sleep(SimDuration::from_micros(100)).await;
+            r1.irecv(Source::Any, ANY_TAG, b1, 64).await.wait().await;
+            // Posted first, then matched by an arrival.
+            let r = r1.irecv(Source::Rank(0), 6, b1, 64).await;
+            r0.isend(1, 6, b0, 8, None).await.wait().await;
+            r.wait().await;
+            assert_eq!(r1.engine.depths(), (0, 0), "both queues empty");
         });
     }
 
     #[test]
     fn rendezvous_state_is_cleaned_up_after_fin() {
-        let (sim, e0, e1) = two_engines();
-        sim.block_on({
-            let e0 = Rc::clone(&e0);
-            let e1 = Rc::clone(&e1);
-            async move {
-                let n = 128 * 1024u64;
-                let b0 = e0.mem.alloc_buffer(n);
-                let b1 = e1.mem.alloc_buffer(n);
-                let r = e1.irecv(Source::Rank(0), 1, b1, n).await;
-                let s = e0.isend(1, 1, b0, n, None).await;
-                s.wait().await;
-                r.wait().await;
-                assert!(e0.rts_send.borrow().is_empty(), "sender RTS table");
-                assert!(e1.fin_wait.borrow().is_empty(), "receiver FIN table");
-            }
+        each_placement!(|sim, r0, r1| {
+            let n = 128 * 1024u64;
+            let data: Vec<u8> = (0..n).map(|i| (i % 251) as u8).collect();
+            let (b0, b1) = (r0.alloc_buffer(n), r1.alloc_buffer(n));
+            let s = r0.isend(1, 1, b0, n, Some(data.clone())).await;
+            sim.sleep(SimDuration::from_micros(100)).await;
+            // The RTS waits for a receive, holding the sender's link.
+            let link = r0.peers[1].as_ref().unwrap().link();
+            assert!(s.test().is_none(), "no receive yet");
+            assert_eq!(Rc::strong_count(link), 2);
+            let r = r1.irecv(Source::Rank(0), 1, b1, n).await;
+            let (ss, rs) = (s.wait().await, r.wait().await);
+            assert_eq!((ss.len, rs.len), (n, n));
+            assert_eq!(r1.mem().read(b1, n), data);
+            assert_eq!(Rc::strong_count(link), 1, "rendezvous state dropped");
+            assert_eq!(r1.engine.depths(), (0, 0));
         });
     }
 
     #[test]
-    fn eager_copy_is_cold_for_fresh_buffers_hot_for_reused() {
-        let (sim, e0, e1) = two_engines();
-        sim.block_on({
-            let e0 = Rc::clone(&e0);
-            let e1 = Rc::clone(&e1);
-            let sim = sim.clone();
-            async move {
-                let n = 4096u64;
-                let b = e0.mem.alloc_buffer(n);
-                // First use: cold copy.
-                e0.cpu.reset_busy();
-                e0.isend(1, 1, b, n, None).await.wait().await;
-                let cold = e0.cpu.busy_time();
-                // Second use of the same buffer: hot copy.
-                e0.cpu.reset_busy();
-                e0.isend(1, 2, b, n, None).await.wait().await;
-                let hot = e0.cpu.busy_time();
+    fn a_short_receive_truncates_the_message() {
+        each_placement!(|_sim, r0, r1| {
+            for len in [64u64, 128 * 1024] {
+                let (b0, b1) = (r0.alloc_buffer(len), r1.alloc_buffer(len));
+                let half = (len / 2) as usize;
+                let r = r1.irecv(Source::Rank(0), 4, b1, len / 2).await;
+                let payload = Some(vec![0xAB; len as usize]);
+                r0.isend(1, 4, b0, len, payload).await.wait().await;
+                assert_eq!(r.wait().await.len, len / 2);
+                let got = r1.mem().read(b1, len);
+                assert!(got[..half].iter().all(|&b| b == 0xAB));
                 assert!(
-                    cold.as_nanos() > hot.as_nanos() + 1000,
-                    "cold {cold} must exceed hot {hot}"
+                    got[half..].iter().all(|&b| b == 0),
+                    "{len} B: wrote past the receive"
                 );
-                // Drain the two parked messages.
-                sim.sleep(SimDuration::from_micros(200)).await;
-                let b1 = e1.mem.alloc_buffer(n);
-                e1.irecv(Source::Any, ANY_TAG, b1, n).await.wait().await;
-                e1.irecv(Source::Any, ANY_TAG, b1, n).await.wait().await;
             }
         });
     }
 
     #[test]
     fn any_source_matches_first_arrival_in_order() {
-        let (sim, e0, e1) = two_engines();
-        sim.block_on({
-            let e0 = Rc::clone(&e0);
-            let e1 = Rc::clone(&e1);
-            let sim = sim.clone();
-            async move {
-                let b = e0.mem.alloc_buffer(64);
-                e0.isend(1, 10, b, 4, Some(vec![10; 4])).await.wait().await;
-                e0.isend(1, 20, b, 4, Some(vec![20; 4])).await.wait().await;
-                sim.sleep(SimDuration::from_micros(100)).await;
-                let b1 = e1.mem.alloc_buffer(64);
-                let st = e1.irecv(Source::Any, ANY_TAG, b1, 64).await.wait().await;
-                assert_eq!(st.tag, 10, "MPI ordering: first arrival matches first");
-                let st = e1.irecv(Source::Any, ANY_TAG, b1, 64).await.wait().await;
-                assert_eq!(st.tag, 20);
+        each_placement!(|sim, r0, r1| {
+            let b = r0.alloc_buffer(64);
+            r0.isend(1, 10, b, 4, Some(vec![10; 4])).await.wait().await;
+            r0.isend(1, 20, b, 4, Some(vec![20; 4])).await.wait().await;
+            sim.sleep(SimDuration::from_micros(100)).await;
+            let b1 = r1.alloc_buffer(64);
+            for tag in [10, 20] {
+                // MPI ordering: the first arrival matches first.
+                let st = r1.irecv(Source::Any, ANY_TAG, b1, 64).await.wait().await;
+                assert_eq!((st.bits.tag(), st.bits.rank(), st.len), (tag, 0, 4));
+                assert_eq!(r1.mem().read(b1, 4), vec![tag as u8; 4]);
             }
         });
+    }
+
+    #[test]
+    fn eager_copy_is_cold_for_fresh_buffers_hot_for_reused() {
+        let sim = Sim::new();
+        let [r0, r1] = two(verbs_ranks(
+            &iwarp::IwarpFabric::new(&sim, 2),
+            iwarp_mpi_config(),
+        ));
+        sim.block_on({
+            let sim = sim.clone();
+            async move {
+                let n = 4096u64;
+                let b = r0.alloc_buffer(n);
+                // First use: cold copy.
+                r0.cpu().reset_busy();
+                r0.isend(1, 1, b, n, None).await.wait().await;
+                let cold = r0.cpu().busy_time();
+                // Second use of the same buffer: hot copy.
+                r0.cpu().reset_busy();
+                r0.isend(1, 2, b, n, None).await.wait().await;
+                let hot = r0.cpu().busy_time();
+                assert!(
+                    cold.as_nanos() > hot.as_nanos() + 1000,
+                    "cold {cold} must exceed hot {hot}"
+                );
+                // Drain the two parked messages.
+                sim.sleep(SimDuration::from_micros(200)).await;
+                let b1 = r1.alloc_buffer(n);
+                r1.irecv(Source::Any, ANY_TAG, b1, n).await.wait().await;
+                r1.irecv(Source::Any, ANY_TAG, b1, n).await.wait().await;
+            }
+        });
+    }
+
+    /// Bytes of the future `f` returns.
+    fn returned<A, R>(_: fn(A) -> R) -> usize {
+        std::mem::size_of::<R>()
+    }
+
+    #[test]
+    fn a_message_in_flight_holds_no_more_than_before() {
+        use infiniband::HcaDevice;
+        use iwarp::RnicDevice;
+        // Thousands of these tasks are alive at once in fig4's windows, so
+        // their size is the per-message host footprint. Each bound is the
+        // size of the task it replaced; the comment gives today's size.
+        let tasks = [
+            // 552 B; the host engine's send task, which ran the arrival too.
+            (
+                "iWARP envelope",
+                Engine::<Host, Caller<RnicDevice>>::message_footprint(),
+                696,
+            ),
+            (
+                "IB envelope",
+                Engine::<Host, Caller<HcaDevice>>::message_footprint(),
+                696,
+            ),
+            // 352 B; MX's eager and RTS tasks.
+            (
+                "MX envelope",
+                Engine::<mx10g::Nic, mx10g::Thread>::message_footprint(),
+                392,
+            ),
+            // 336 B each.
+            ("CTS", returned(cts::<Host, RnicDevice>), 672),
+            (
+                "write + FIN",
+                returned(write_and_fin::<Host, RnicDevice>),
+                704,
+            ),
+        ];
+        for (task, size, bound) in tasks {
+            assert!(size <= bound, "{task} task {size} B > {bound} B");
+        }
     }
 }

@@ -6,7 +6,7 @@ use std::pin::Pin;
 use hostmodel::cpu::Cpu;
 use hostmodel::mem::{HostMem, VirtAddr};
 
-use crate::request::MpiRequest;
+use etherstack::Request;
 
 /// Wildcard tag (`MPI_ANY_TAG`).
 pub(crate) const ANY_TAG: u32 = u32::MAX;
@@ -35,8 +35,8 @@ impl Source {
 /// the single-threaded simulation executor).
 pub(crate) type LocalFuture<'a, T> = Pin<Box<dyn Future<Output = T> + 'a>>;
 
-/// One MPI process. Implemented by the host-matched engine (iWARP, IB) and
-/// the NIC-matched MX adapter.
+/// One MPI process. Implemented once, over the matched-message engine,
+/// whatever the fabric.
 pub trait MpiRank {
     /// This process's rank.
     fn rank(&self) -> usize;
@@ -58,9 +58,9 @@ pub trait MpiRank {
         buf: VirtAddr,
         len: u64,
         payload: Option<Vec<u8>>,
-    ) -> LocalFuture<'_, MpiRequest>;
+    ) -> LocalFuture<'_, Request>;
     /// Non-blocking receive into `buf`.
-    fn irecv(&self, src: Source, tag: u32, buf: VirtAddr, len: u64) -> LocalFuture<'_, MpiRequest>;
+    fn irecv(&self, src: Source, tag: u32, buf: VirtAddr, len: u64) -> LocalFuture<'_, Request>;
     /// Instrumentation (not timed): is a matching message already waiting
     /// in the unexpected queue? Benchmarks use this to force worst-case
     /// late receives, as the queue-usage methodology requires.
@@ -86,7 +86,7 @@ pub async fn recv(
     tag: u32,
     buf: VirtAddr,
     len: u64,
-) -> crate::request::MpiStatus {
+) -> etherstack::Status {
     rank.irecv(src, tag, buf, len).await.wait().await
 }
 

@@ -1,13 +1,14 @@
 //! World builders: a ready-to-benchmark set of MPI ranks over any fabric.
 
+use std::collections::BTreeMap;
+use std::marker::PhantomData;
 use std::rc::Rc;
 
-use etherstack::{Fabric, Provider, VerbsNic};
+use etherstack::{Engine, Fabric, Lane, Peer, Protocol, Provider, VerbsNic};
 use hostmodel::cpu::{Cpu, CpuCosts};
 use simnet::{Bytes, Sim, SimDuration};
 
-use crate::engine::{HostEngine, HostMpiRank, MpiConfig};
-use crate::mxrank::MxMpiRank;
+use crate::engine::{Caller, Host, Lanes, MpiConfig, Rank};
 use crate::rank::MpiRank;
 
 /// Which interconnect an MPI world runs over.
@@ -117,37 +118,22 @@ impl MpiWorld {
     /// Build an `n`-rank world (one rank per node) over `kind`.
     pub fn build(sim: &Sim, kind: FabricKind, n: usize) -> MpiWorld {
         assert!(n >= 2);
-        let ranks: Vec<Rc<dyn MpiRank>> = match kind.nic() {
-            Nic::Verbs(Provider::Iwarp) => {
-                host_ranks(&iwarp::IwarpFabric::new(sim, n), iwarp_mpi_config())
-            }
-            Nic::Verbs(Provider::InfiniBand) => {
-                host_ranks(&infiniband::IbFabric::new(sim, n), ib_mpi_config())
-            }
-            Nic::Mx(mode) => {
-                let fab = mx10g::MxFabric::new(sim, n, mode);
-                let eps: Vec<Rc<mx10g::MxEndpoint>> = (0..n)
-                    .map(|r| {
-                        let cpu = Cpu::new(sim, CpuCosts::default());
-                        Rc::new(mx10g::MxEndpoint::open(&fab, r, &cpu))
-                    })
-                    .collect();
-                (0..n)
-                    .map(|r| {
-                        let slots = (0..n)
-                            .map(|p| (p != r).then(|| Rc::new(eps[r].connect(&fab, &eps[p]))))
-                            .collect();
-                        Rc::new(MxMpiRank::new(
-                            sim,
-                            r,
-                            n,
-                            Rc::clone(&eps[r]),
-                            mx10g::MxAddrTable::new(slots),
-                            SimDuration::from_nanos(120),
-                        )) as Rc<dyn MpiRank>
-                    })
-                    .collect()
-            }
+        fn erase<R: MpiRank + 'static>(ranks: Vec<R>) -> Vec<Rc<dyn MpiRank>> {
+            ranks
+                .into_iter()
+                .map(|r| Rc::new(r) as Rc<dyn MpiRank>)
+                .collect()
+        }
+        let ranks = match kind.nic() {
+            Nic::Verbs(Provider::Iwarp) => erase(verbs_ranks(
+                &iwarp::IwarpFabric::new(sim, n),
+                iwarp_mpi_config(),
+            )),
+            Nic::Verbs(Provider::InfiniBand) => erase(verbs_ranks(
+                &infiniband::IbFabric::new(sim, n),
+                ib_mpi_config(),
+            )),
+            Nic::Mx(mode) => erase(mx_ranks(&mx10g::MxFabric::new(sim, n, mode))),
         };
         MpiWorld {
             sim: sim.clone(),
@@ -167,17 +153,84 @@ impl MpiWorld {
     }
 }
 
-/// Host-matched ranks, one per node of `fab`, wired to each other.
-fn host_ranks<N: VerbsNic>(fab: &Fabric<N>, cfg: MpiConfig) -> Vec<Rc<dyn MpiRank>> {
-    let engines: Vec<_> = (0..fab.nodes())
-        .map(|r| HostEngine::new(fab, r, Cpu::new(fab.sim(), CpuCosts::default()), cfg))
+/// Deterministic QP number for the (src → dst) half of an MPI peer pair,
+/// so both sides agree without a handshake.
+fn mpi_qpn(src: usize, dst: usize) -> u32 {
+    0x4000_0000 | ((src as u32) << 12) | dst as u32
+}
+
+/// MPICH-over-verbs ranks, one per node of `fab`, each connected to every
+/// other by a lane each way.
+pub(crate) fn verbs_ranks<N: VerbsNic>(
+    fab: &Fabric<N>,
+    cfg: MpiConfig,
+) -> Vec<Rank<Host, Caller<N>>> {
+    let proto = Protocol {
+        rndv_threshold: Bytes::new(cfg.rndv_threshold),
+        eager_header: cfg.eager_header,
+        rts_wire: cfg.ctrl_wire,
+    };
+    let nodes = fab.nodes();
+    let mut lanes = BTreeMap::new();
+    let engines: Vec<_> = (0..nodes)
+        .map(|r| {
+            let cpu = Cpu::new(fab.sim(), CpuCosts::default());
+            for p in (0..nodes).filter(|&p| p != r) {
+                let lane = Lane::new(fab, r, mpi_qpn(r, p), p, mpi_qpn(p, r));
+                lanes.insert((r, p), Rc::new(lane));
+            }
+            let caller = Caller {
+                cfg,
+                nic: PhantomData,
+            };
+            Engine::new(&cpu, &*fab.device(r), proto, Host::new(cfg), caller)
+        })
         .collect();
-    for e in &engines {
-        e.set_peers(engines.iter().map(Rc::downgrade).collect());
-    }
-    engines
-        .into_iter()
-        .map(|e| Rc::new(HostMpiRank::new(e)) as Rc<dyn MpiRank>)
+    (0..nodes)
+        .map(|r| {
+            let peers = (0..nodes)
+                .map(|p| {
+                    (p != r).then(|| {
+                        let link = Lanes {
+                            tx: Rc::clone(&lanes[&(r, p)]),
+                            rx: Rc::clone(&lanes[&(p, r)]),
+                            cpu: engines[r].cpu().clone(),
+                        };
+                        Peer::new(&engines[p], link)
+                    })
+                })
+                .collect();
+            Rank {
+                engine: Rc::clone(&engines[r]),
+                peers,
+                rank: r,
+                glue: SimDuration::ZERO,
+            }
+        })
+        .collect()
+}
+
+/// MPICH-MX ranks, one MX endpoint per node of `fab`, each connected to
+/// every other; MPICH-MX's glue costs 120 ns a call.
+pub(crate) fn mx_ranks(fab: &mx10g::MxFabric) -> Vec<Rank<mx10g::Nic, mx10g::Thread>> {
+    let eps: Vec<_> = (0..fab.nodes())
+        .map(|r| mx10g::MxEndpoint::open(fab, r, &Cpu::new(fab.sim(), CpuCosts::default())))
+        .collect();
+    eps.iter()
+        .enumerate()
+        .map(|(r, ep)| {
+            let peers = eps
+                .iter()
+                .enumerate()
+                .map(|(p, to)| (p != r).then(|| ep.connect(fab, to)))
+                .collect();
+            Rank {
+                engine: Rc::clone(ep.engine()),
+                peers,
+                rank: r,
+                glue: SimDuration::from_nanos(120),
+            }
+        })
         .collect()
 }
 
@@ -240,13 +293,13 @@ mod tests {
                 // Receive tag 20 first (skips the tag-10 unexpected entry).
                 let rb = r1.alloc_buffer(64);
                 let st = recv(&*r1, Source::Rank(0), 20, rb, 64).await;
-                assert_eq!(st.tag, 20, "{kind:?}");
+                assert_eq!(st.bits.tag(), 20, "{kind:?}");
                 assert_eq!(r1.mem().read(rb, 4), b"twen", "{kind:?}");
                 // Wildcard receive picks up the remaining tag-10 message and
                 // reports its real tag and source.
                 let st = recv(&*r1, Source::Any, crate::rank::ANY_TAG, rb, 64).await;
                 assert_eq!(st.len, 4, "{kind:?}");
-                assert_eq!((st.tag, st.source), (10, 0), "{kind:?}");
+                assert_eq!((st.bits.tag(), st.bits.rank()), (10, 0), "{kind:?}");
                 assert_eq!(r1.mem().read(rb, 4), b"ten!", "{kind:?}");
             });
         }

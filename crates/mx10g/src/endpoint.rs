@@ -1,222 +1,154 @@
-//! The MX endpoint API: `mx_isend` / `mx_irecv` / `mx_wait`.
+//! The MX endpoint API: `mx_isend` / `mx_irecv` / `mx_wait`, a thin front
+//! end on the [`etherstack::matched`] engine.
 //!
 //! Semantics follow the MX-10G library: non-blocking matched send/receive
-//! with 64-bit match bits, an internal eager→rendezvous switch at 32 KB,
-//! NIC-side matching, an internal registration cache, and a host
-//! progression thread that starts large transfers on the receive side.
+//! with 64-bit match bits and an internal eager→rendezvous switch at 32 KB.
+//! What makes it MX is the engine's two knobs: [`Nic`] matching (the
+//! Lanai walks the lists; the NIC reads send buffers and writes expected
+//! eager data in place) and [`Thread`] progress (a host progression thread
+//! registers the receive buffer and pulls the data over MX's resend path),
+//! plus the [`MxLink`] every message crosses.
 
 use std::cell::{Cell, RefCell};
 use std::future::Future;
 use std::rc::Rc;
 
-use etherstack::{transfer_reliable, NicModel, RecoveryStats};
+use etherstack::{
+    transfer_reliable, Engine, Link, MatchInfo, Matcher, NicModel, Peer, Progress, Protocol,
+    RecoveryStats, Request, Rndv,
+};
 use hostmodel::cpu::Cpu;
 use hostmodel::mem::VirtAddr;
-use hostmodel::nic::MatchLists;
-use simnet::sync::{FifoGate, Notify};
-use simnet::{Bytes, FaultPlane, Pipeline, Sim};
+use simnet::sync::FifoGate;
+use simnet::{Bytes, FaultPlane, Pipeline, Sim, SimDuration};
 
-use crate::matching::{matches, MatchInfo, ReplayFilter};
 use crate::nic::{MxFabric, MxNic};
 
-/// Completion status of a request.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct MxStatus {
-    /// Bytes transferred.
-    pub len: u64,
-    /// Match bits of the message that satisfied this request (receives
-    /// report the sender's bits — how MPI recovers `MPI_ANY_SOURCE`).
-    pub bits: MatchInfo,
-}
+/// Wire bytes of a rendezvous RTS (a small control message).
+const RTS_WIRE: Bytes = Bytes::new(32);
 
-/// Lifecycle phases of one MX send, from matching through protocol
-/// selection to completion. [`fsm_next`] is the one statement of which
-/// transitions exist.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum MxSendPhase {
-    /// Posted; the eager/rendezvous switch has not yet chosen a protocol.
-    Matching,
-    /// Eager: the payload travels with the envelope.
-    EagerData,
-    /// Rendezvous: RTS announced, waiting for the receiver's CTS.
-    RndvHandshake,
-    /// Rendezvous: CTS arrived, the sender NIC streams the bulk data.
-    RndvData,
-    /// The send request completed.
-    Complete,
-}
+/// NIC-side matching: the RX Lanai walks the lists, the NIC reads the send
+/// buffer itself and writes expected eager data in place, and only data
+/// that waited unexpected in the host ring is copied by the process.
+pub struct Nic(Rc<MxNic>);
 
-/// Events driving [`MxSendPhase`] through [`fsm_next`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum MxSendEvent {
-    /// The switch chose eager (`len < rndv_threshold`).
-    SelectEager,
-    /// The switch chose rendezvous.
-    SelectRndv,
-    /// The receiver matched the RTS and its CTS reached the sender.
-    CtsArrived,
-    /// The payload (eager or pulled) finished delivering.
-    DataDelivered,
-}
-
-/// MX send transition function: `None` means the event cannot occur in
-/// `from` (e.g. a CTS for an eager send).
-fn fsm_next(from: MxSendPhase, ev: MxSendEvent) -> Option<MxSendPhase> {
-    match (from, ev) {
-        (MxSendPhase::Matching, MxSendEvent::SelectEager) => Some(MxSendPhase::EagerData),
-        (MxSendPhase::Matching, MxSendEvent::SelectRndv) => Some(MxSendPhase::RndvHandshake),
-        (MxSendPhase::RndvHandshake, MxSendEvent::CtsArrived) => Some(MxSendPhase::RndvData),
-        (MxSendPhase::EagerData, MxSendEvent::DataDelivered) => Some(MxSendPhase::Complete),
-        (MxSendPhase::RndvData, MxSendEvent::DataDelivered) => Some(MxSendPhase::Complete),
-        _ => None,
+impl Matcher for Nic {
+    async fn enter(&self, cpu: &Cpu, _send: bool) {
+        cpu.work(self.0.calib.post_cost).await;
     }
-}
 
-struct ReqState {
-    done: Cell<bool>,
-    len: Cell<u64>,
-    bits: Cell<MatchInfo>,
-    phase: Cell<MxSendPhase>,
-    notify: Notify,
-}
+    async fn copy_out(&self, _cpu: &Cpu, _buf: VirtAddr, _len: u64) -> bool {
+        false
+    }
 
-/// Handle to a pending non-blocking operation.
-#[derive(Clone)]
-pub struct MxRequest {
-    state: Rc<ReqState>,
-}
+    fn copy_in(
+        &self,
+        cpu: &Cpu,
+        _buf: VirtAddr,
+        n: u64,
+        expected: bool,
+    ) -> impl Future<Output = ()> {
+        // Unexpected data was parked in the host ring: the process copies
+        // it out. Expected data is already in place.
+        cpu.memcpy(Bytes::new(if expected { 0 } else { n }))
+    }
 
-impl MxRequest {
-    fn new() -> Self {
-        MxRequest {
-            state: Rc::new(ReqState {
-                done: Cell::new(false),
-                len: Cell::new(0),
-                bits: Cell::new(MatchInfo(0)),
-                phase: Cell::new(MxSendPhase::Matching),
-                notify: Notify::new(),
-            }),
+    fn arrive<T>(
+        &self,
+        _cpu: &Cpu,
+        gate: &FifoGate,
+        scan: impl FnOnce() -> (usize, T),
+    ) -> impl Future<Output = T> {
+        // The match unit takes messages in order, and walks after parking.
+        let (walked, hit) = scan();
+        gate.leave();
+        async move {
+            let per_entry = self.0.calib.nic_match_posted_per_entry;
+            self.0.match_walk(walked, per_entry).await;
+            hit
         }
     }
 
-    /// Advance the send phase by `ev`, debug-asserting the move is one
-    /// [`fsm_next`] admits. Pure bookkeeping: no simulated time is touched.
-    fn advance_phase(&self, ev: MxSendEvent) {
-        match fsm_next(self.state.phase.get(), ev) {
-            Some(next) => self.state.phase.set(next),
-            None => debug_assert!(
-                false,
-                "illegal MX send transition {:?} --{ev:?}",
-                self.state.phase.get()
-            ),
-        }
-    }
-
-    fn complete(&self, len: u64, bits: MatchInfo) {
-        self.state.len.set(len);
-        self.state.bits.set(bits);
-        self.state.done.set(true);
-        self.state.notify.notify_one();
-    }
-
-    /// Block (in virtual time) until complete (`mx_wait`).
-    pub async fn wait(&self) -> MxStatus {
-        while !self.state.done.get() {
-            self.state.notify.notified().await;
-        }
-        MxStatus {
-            len: self.state.len.get(),
-            bits: self.state.bits.get(),
-        }
+    async fn walk_unexpected(&self, _cpu: &Cpu, walked: usize) {
+        let per_entry = self.0.calib.nic_match_unexpected_per_entry;
+        self.0.match_walk(walked, per_entry).await;
     }
 }
 
-struct Posted {
-    bits: MatchInfo,
-    mask: u64,
-    addr: VirtAddr,
-    len: u64,
-    req: MxRequest,
-}
-
-enum UnexpectedKind {
-    /// Eager data already buffered host-side (ring buffer).
-    Eager { payload: Option<Vec<u8>> },
-    /// A rendezvous RTS waiting for a matching receive; completing it
-    /// triggers the pull.
-    Rts {
-        pull: Box<dyn FnOnce(VirtAddr, u64, MxRequest)>,
-    },
-}
-
-struct Unexpected {
-    bits: MatchInfo,
-    len: u64,
-    kind: UnexpectedKind,
-}
-
-/// Does the posted receive `p` accept the message `u`?
-fn fits(p: &Posted, u: &Unexpected) -> bool {
-    matches(u.bits, p.bits, p.mask)
-}
-
-/// An endpoint's NIC-side match lists.
-type Lists = MatchLists<Posted, Unexpected>;
-
-/// An open MX endpoint bound to one process.
-pub struct MxEndpoint {
-    sim: Sim,
-    nic: Rc<MxNic>,
+/// Progression-thread rendezvous: the receiver's MX progression thread (a
+/// second core of the SMP hosts) wakes, pins the receive buffer through
+/// the cache, sends CTS (folded into its wakeup cost), and the sender NIC
+/// streams the data. The receiving process spends nothing, which is why MX
+/// shows no receiver-overhead jump at the protocol switch.
+pub struct Thread {
     cpu: Cpu,
-    /// The MX progression thread's CPU context (a second core of the SMP
-    /// hosts; rendezvous receive-side work runs here, which is why MX
-    /// shows no receiver-overhead jump at the protocol switch).
-    progression: Cpu,
-    lists: Rc<Lists>,
+    wakeup: SimDuration,
 }
 
-/// Address of a connected peer endpoint: its match lists plus the data
-/// path to its NIC. A clone is another handle on the same connection.
-#[derive(Clone)]
-pub struct MxAddr {
-    peer_lists: Rc<Lists>,
-    peer_nic: Rc<MxNic>,
-    peer_progression: Cpu,
+impl Progress for Thread {
+    type Link = MxLink;
+
+    fn rendezvous<M: Matcher>(
+        to: &Rc<Engine<M, Self>>,
+        rndv: Rndv<Self>,
+    ) -> impl Future<Output = ()> {
+        to.sim().spawn_detached(pull(Rc::clone(to), rndv));
+        std::future::ready(())
+    }
+}
+
+/// The progression thread's pull of one rendezvous into `to`.
+#[expect(
+    clippy::manual_async_fn,
+    reason = "a named future, so the footprint test can size it"
+)]
+fn pull<M: Matcher>(to: Rc<Engine<M, Thread>>, mut rndv: Rndv<Thread>) -> impl Future<Output = ()> {
+    async move {
+        let thread = to.progress();
+        thread.cpu.work(thread.wakeup).await;
+        let (raddr, n) = (rndv.raddr, rndv.n);
+        to.registry().register_cached(&thread.cpu, raddr, n).await;
+        // The pull resends like any MX traffic; a duplicate rewrites the
+        // same bytes, so it needs no dedup.
+        rndv.link.transfer(Bytes::new(n)).await;
+        if let Some(data) = rndv.payload.take() {
+            to.mem().write(raddr, &data);
+        }
+        rndv.finish();
+    }
+}
+
+/// One direction of an MX connection: the NIC-to-NIC data path under the
+/// firmware resend, and the in-order matching gate (the MX guarantee).
+pub struct MxLink {
+    sim: Sim,
     /// local → peer.
-    path_out: Pipeline,
+    path: Pipeline,
     pkt_overhead: Bytes,
     /// Packet payload of the active link mode (resend granularity).
     pkt: Bytes,
-    /// In-order matching per source endpoint (the MX guarantee).
     order: FifoGate,
     /// Connection id: `(src_node << 32) | dst_node`. Keys the fault plane's
     /// per-connection decision counter and tags conformance reports.
     conn_id: u64,
     /// Fault plane captured from the fabric at connect time.
     fault: FaultPlane,
-    /// Receiver-side replay filter: drops messages the sender replayed
-    /// after an ACK loss.
-    replay: Rc<RefCell<ReplayFilter>>,
+    /// ACK-loss replays the receiving NIC dropped: each arrives behind the
+    /// message it repeats, which has already matched.
+    duplicates: Cell<u64>,
     /// Conformance oracle: messages from one source match in send order
     /// (rule `mx.match-order`).
-    match_check: Rc<RefCell<simcheck::mx::MatchOrderOracle>>,
+    match_check: RefCell<simcheck::mx::MatchOrderOracle>,
 }
 
-impl MxAddr {
+impl MxLink {
     /// Move `bytes` to the peer NIC under MX's firmware resend. With the
-    /// fault plane disabled this is [`Pipeline::transfer`]. Hands back the
-    /// engine's own future: an `async fn` here would be one more frame in
-    /// every poll of every message.
-    #[inline]
-    fn transfer_reliable<'a>(
-        &'a self,
-        sim: &'a Sim,
-        bytes: Bytes,
-    ) -> impl Future<Output = RecoveryStats> + 'a {
+    /// fault plane disabled this is [`Pipeline::transfer`].
+    fn transfer(&self, bytes: Bytes) -> impl Future<Output = RecoveryStats> + '_ {
         transfer_reliable(
-            sim,
+            &self.sim,
             &self.fault,
-            &self.path_out,
+            &self.path,
             self.conn_id,
             bytes,
             self.pkt,
@@ -225,300 +157,120 @@ impl MxAddr {
         )
     }
 
-    /// Sequence-number dedup at the receiving NIC's matching layer: the
-    /// first arrival of message `ticket` claims it; its `rs.duplicates`
-    /// ACK-loss replays (already charged wire time by the resend engine)
-    /// arrive behind it and are dropped. False if `ticket` itself was one.
-    fn accept(&self, ticket: u64, rs: &RecoveryStats) -> bool {
-        let fresh = !self.fault.enabled() || self.replay.borrow_mut().accept(ticket);
-        for _ in 0..rs.duplicates {
-            let _ = self.replay.borrow_mut().accept(ticket);
-        }
-        fresh
+    /// ACK-loss replays dropped at the receiver so far.
+    pub fn duplicates(&self) -> u64 {
+        self.duplicates.get()
     }
 }
 
-/// A rank-indexed table of connected peer addresses (slot `i` holds the
-/// address of rank `i`'s endpoint; the owner's own slot is empty).
-pub struct MxAddrTable {
-    slots: Vec<Option<Rc<MxAddr>>>,
+impl Link for MxLink {
+    fn order(&self) -> &FifoGate {
+        &self.order
+    }
+
+    async fn carry(&self, bytes: Bytes) {
+        let rs = self.transfer(bytes).await;
+        self.duplicates.set(self.duplicates.get() + rs.duplicates);
+    }
+
+    fn switched(&self, len: u64, threshold: Bytes, eager: bool) {
+        let now = Some(self.sim.now().as_nanos());
+        let _ = simcheck::mx::check_rndv_switch(len, threshold.get(), eager, self.conn_id, now);
+    }
+
+    fn admitted(&self, ticket: u64) {
+        let now = Some(self.sim.now().as_nanos());
+        let _ = self.match_check.borrow_mut().observe_match(ticket, now);
+    }
 }
 
-impl MxAddrTable {
-    /// Build from per-rank optional addresses.
-    pub fn new(slots: Vec<Option<Rc<MxAddr>>>) -> Self {
-        MxAddrTable { slots }
-    }
+/// Address of a connected peer endpoint (`mx_endpoint_addr_t`).
+pub type MxAddr = Peer<Nic, Thread>;
 
-    /// The address of rank `dest`.
-    pub fn get(&self, dest: usize) -> &MxAddr {
-        self.slots[dest]
-            .as_deref()
-            .expect("no MX address for this rank")
-    }
+/// An open MX endpoint bound to one process.
+pub struct MxEndpoint {
+    engine: Rc<Engine<Nic, Thread>>,
 }
 
 impl MxEndpoint {
     /// Open an endpoint on `node`, bound to the calling process `cpu`.
     pub fn open(fab: &MxFabric, node: usize, cpu: &Cpu) -> MxEndpoint {
         let nic = fab.device(node);
-        MxEndpoint {
-            sim: fab.sim().clone(),
-            progression: Cpu::new(fab.sim(), cpu.costs()),
-            nic,
-            cpu: cpu.clone(),
-            lists: Rc::default(),
-        }
+        let thread = Thread {
+            cpu: Cpu::new(fab.sim(), cpu.costs()),
+            wakeup: nic.calib.progression_wakeup,
+        };
+        let proto = Protocol {
+            rndv_threshold: nic.calib.rndv_threshold,
+            eager_header: Bytes::ZERO,
+            rts_wire: RTS_WIRE,
+        };
+        let engine = Engine::new(cpu, &*nic, proto, Nic(Rc::clone(&nic)), thread);
+        MxEndpoint { engine }
     }
 
     /// Resolve a peer endpoint into a sendable address (`mx_connect`).
     pub fn connect(&self, fab: &MxFabric, peer: &MxEndpoint) -> MxAddr {
-        let conn_id = ((self.nic.node as u64) << 32) | peer.nic.node as u64;
-        MxAddr {
-            peer_lists: Rc::clone(&peer.lists),
-            peer_nic: Rc::clone(&peer.nic),
-            peer_progression: peer.progression.clone(),
-            path_out: fab.data_path(self.nic.node, peer.nic.node),
+        let (src, dst) = (self.nic().node, peer.nic().node);
+        let conn_id = ((src as u64) << 32) | dst as u64;
+        let link = MxLink {
+            sim: fab.sim().clone(),
+            path: fab.data_path(src, dst),
             pkt_overhead: fab.per_segment_overhead(),
             pkt: fab.segment_payload(),
             order: FifoGate::new(),
             conn_id,
             fault: fab.fault_plane(),
-            replay: Rc::new(RefCell::new(ReplayFilter::new())),
-            match_check: Rc::new(RefCell::new(simcheck::mx::MatchOrderOracle::new(conn_id))),
-        }
+            duplicates: Cell::new(0),
+            match_check: RefCell::new(simcheck::mx::MatchOrderOracle::new(conn_id)),
+        };
+        Peer::new(&peer.engine, link)
     }
 
     /// The owning process CPU.
     pub fn cpu(&self) -> &Cpu {
-        &self.cpu
+        self.engine.cpu()
     }
 
     /// The NIC under this endpoint.
     pub fn nic(&self) -> &Rc<MxNic> {
-        &self.nic
+        &self.engine.matcher().0
     }
 
-    /// Untimed instrumentation: does the unexpected list hold a message
-    /// matching `(bits, mask)`?
-    pub fn probe_unexpected(&self, bits: MatchInfo, mask: u64) -> bool {
-        self.lists.parked(|u| matches(u.bits, bits, mask))
+    /// The matched-message engine under this endpoint.
+    pub fn engine(&self) -> &Rc<Engine<Nic, Thread>> {
+        &self.engine
     }
 
     /// Non-blocking matched send (`mx_isend`) of `len` bytes from the
     /// user buffer at `buf`.
-    pub async fn isend(
-        &self,
-        dest: &MxAddr,
+    pub fn isend<'a>(
+        &'a self,
+        dest: &'a MxAddr,
         bits: MatchInfo,
         buf: VirtAddr,
         len: u64,
         payload: Option<Vec<u8>>,
-    ) -> MxRequest {
-        self.cpu.work(self.nic.calib.post_cost).await;
-        let req = MxRequest::new();
-        if Bytes::new(len) < self.nic.calib.rndv_threshold {
-            req.advance_phase(MxSendEvent::SelectEager);
-            self.eager_send(dest, bits, len, payload, req.clone());
-        } else {
-            req.advance_phase(MxSendEvent::SelectRndv);
-            self.rndv_send(dest, bits, buf, len, payload, req.clone())
-                .await;
-        }
-        req
-    }
-
-    fn eager_send(
-        &self,
-        dest: &MxAddr,
-        bits: MatchInfo,
-        len: u64,
-        payload: Option<Vec<u8>>,
-        req: MxRequest,
-    ) {
-        // Conformance oracle: this path is the eager side of the protocol
-        // switch (rule `mx.rndv-switch`).
-        let _ = simcheck::mx::check_rndv_switch(
-            len,
-            self.nic.calib.rndv_threshold.get(),
-            true,
-            dest.conn_id,
-            Some(self.sim.now().as_nanos()),
-        );
-        let dest = dest.clone();
-        let ticket = dest.order.ticket();
-        let sim = self.sim.clone();
-        self.sim.spawn_detached(async move {
-            let peer_nic = &dest.peer_nic;
-            let rs = dest.transfer_reliable(&sim, Bytes::new(len)).await;
-            // MX matches messages from one source in send order.
-            dest.order.enter(ticket).await;
-            let _ = dest
-                .match_check
-                .borrow_mut()
-                .observe_match(ticket, Some(sim.now().as_nanos()));
-            if dest.accept(ticket, &rs) {
-                // NIC-side matching at the receiver; the walk time is
-                // charged after the scan-and-park step.
-                let eager = Unexpected {
-                    bits,
-                    len,
-                    kind: UnexpectedKind::Eager { payload },
-                };
-                let (walked, hit) = dest.peer_lists.arrive(eager, fits);
-                peer_nic
-                    .match_walk(walked, peer_nic.calib.nic_match_posted_per_entry)
-                    .await;
-                if let Some((p, u)) = hit {
-                    if let UnexpectedKind::Eager {
-                        payload: Some(data),
-                    } = u.kind
-                    {
-                        peer_nic
-                            .mem
-                            .write(p.addr, &data[..(p.len.min(len)) as usize]);
-                    }
-                    p.req.complete(len.min(p.len), bits);
-                }
-                req.advance_phase(MxSendEvent::DataDelivered);
-                req.complete(len, bits);
-            }
-            dest.order.leave();
-        });
-    }
-
-    async fn rndv_send(
-        &self,
-        dest: &MxAddr,
-        bits: MatchInfo,
-        buf: VirtAddr,
-        len: u64,
-        payload: Option<Vec<u8>>,
-        req: MxRequest,
-    ) {
-        // Conformance oracle: this path is the rendezvous side of the
-        // protocol switch (rule `mx.rndv-switch`).
-        let _ = simcheck::mx::check_rndv_switch(
-            len,
-            self.nic.calib.rndv_threshold.get(),
-            false,
-            dest.conn_id,
-            Some(self.sim.now().as_nanos()),
-        );
-        // MX pins the send buffer through its registration cache before
-        // announcing the message (charged to the sending process).
-        self.nic.registry.register_cached(&self.cpu, buf, len).await;
-        let dest = dest.clone();
-        let ticket = dest.order.ticket();
-        let sim = self.sim.clone();
-        let sreq = req.clone();
-        self.sim.spawn_detached(async move {
-            let peer_nic = &dest.peer_nic;
-            // RTS travels as a small control message.
-            let rs = dest.transfer_reliable(&sim, Bytes::new(32)).await;
-            // The RTS envelope matches in send order, like any message.
-            dest.order.enter(ticket).await;
-            let _ = dest
-                .match_check
-                .borrow_mut()
-                .observe_match(ticket, Some(sim.now().as_nanos()));
-            // A replayed RTS (its ACK was lost) must not announce the
-            // message twice.
-            if !dest.accept(ticket, &rs) {
-                dest.order.leave();
-                return;
-            }
-            // Build the pull closure: runs when a matching receive exists.
-            let puller = dest.clone();
-            let sim2 = sim.clone();
-            let pull: Box<dyn FnOnce(VirtAddr, u64, MxRequest)> =
-                Box::new(move |raddr, rlen, rreq| {
-                    let n = len.min(rlen);
-                    let bits = bits;
-                    let sim3 = sim2.clone();
-                    sim2.spawn_detached(async move {
-                        let (peer_nic, peer_progression) =
-                            (&puller.peer_nic, &puller.peer_progression);
-                        // Progression thread wakes, pins the receive buffer
-                        // through the cache, sends CTS (reverse small
-                        // message folded into its wakeup cost), and the
-                        // sender NIC streams the data.
-                        peer_progression
-                            .work(peer_nic.calib.progression_wakeup)
-                            .await;
-                        peer_nic
-                            .registry
-                            .register_cached(peer_progression, raddr, n)
-                            .await;
-                        sreq.advance_phase(MxSendEvent::CtsArrived);
-                        // The pull data resends like any MX traffic; a
-                        // duplicate here rewrites the same bytes, so no
-                        // dedup is needed beyond the engine's accounting.
-                        puller.transfer_reliable(&sim3, Bytes::new(n)).await;
-                        if let Some(data) = payload {
-                            peer_nic.mem.write(raddr, &data[..n as usize]);
-                        }
-                        rreq.complete(n, bits);
-                        sreq.advance_phase(MxSendEvent::DataDelivered);
-                        sreq.complete(n, bits);
-                    });
-                });
-            // Match the RTS against posted receives like an eager message.
-            let rts = Unexpected {
-                bits,
-                len,
-                kind: UnexpectedKind::Rts { pull },
-            };
-            let (walked, hit) = dest.peer_lists.arrive(rts, fits);
-            dest.order.leave();
-            peer_nic
-                .match_walk(walked, peer_nic.calib.nic_match_posted_per_entry)
-                .await;
-            if let Some((p, u)) = hit {
-                if let UnexpectedKind::Rts { pull } = u.kind {
-                    pull(p.addr, p.len, p.req);
-                }
-            }
-        });
+    ) -> impl Future<Output = Request> + 'a {
+        self.engine.isend(dest, bits, buf, len, payload)
     }
 
     /// Non-blocking matched receive (`mx_irecv`).
-    pub async fn irecv(&self, bits: MatchInfo, mask: u64, addr: VirtAddr, len: u64) -> MxRequest {
-        self.cpu.work(self.nic.calib.post_cost).await;
-        let req = MxRequest::new();
-        let posted = Posted {
-            bits,
-            mask,
-            addr,
-            len,
-            req: req.clone(),
-        };
-        let (walked, hit) = self.lists.post(posted, fits);
-        self.nic
-            .match_walk(walked, self.nic.calib.nic_match_unexpected_per_entry)
-            .await;
-        if let Some((_, u)) = hit {
-            match u.kind {
-                UnexpectedKind::Eager { payload } => {
-                    let n = u.len.min(len);
-                    // Unexpected eager data was parked in the host ring;
-                    // the receiving process copies it out.
-                    self.cpu.memcpy(Bytes::new(n)).await;
-                    if let Some(data) = payload {
-                        self.nic.mem.write(addr, &data[..n as usize]);
-                    }
-                    req.complete(n, u.bits);
-                }
-                UnexpectedKind::Rts { pull } => pull(addr, len, req.clone()),
-            }
-        }
-        req
+    pub fn irecv(
+        &self,
+        bits: MatchInfo,
+        mask: u64,
+        addr: VirtAddr,
+        len: u64,
+    ) -> impl Future<Output = Request> + '_ {
+        self.engine.irecv(bits, mask, addr, len)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::calib::MyriCalib;
     use crate::nic::LinkMode;
     use hostmodel::cpu::CpuCosts;
     use simnet::sync::join2;
@@ -531,135 +283,6 @@ mod tests {
         let ea = MxEndpoint::open(&fab, 0, &cpu_a);
         let eb = MxEndpoint::open(&fab, 1, &cpu_b);
         (sim, fab, ea, eb)
-    }
-
-    #[test]
-    fn eager_send_recv_delivers_data() {
-        let (sim, fab, ea, eb) = setup(LinkMode::MxoM);
-        sim.block_on(async move {
-            let addr_b = ea.connect(&fab, &eb);
-            let rbuf = eb.nic().mem.alloc_buffer(256);
-            let r = eb
-                .irecv(MatchInfo::mpi(0, 0, 7), MatchInfo::EXACT, rbuf, 256)
-                .await;
-            let s = ea
-                .isend(
-                    &addr_b,
-                    MatchInfo::mpi(0, 0, 7),
-                    ea.nic().mem.alloc_buffer(64),
-                    5,
-                    Some(b"lanai".to_vec()),
-                )
-                .await;
-            let st = r.wait().await;
-            assert_eq!(st.len, 5);
-            s.wait().await;
-            assert_eq!(eb.nic().mem.read(rbuf, 5), b"lanai");
-            assert_eq!(s.state.phase.get(), MxSendPhase::Complete);
-        });
-    }
-
-    #[test]
-    fn tag_mismatch_goes_unexpected_until_matching_recv() {
-        let (sim, fab, ea, eb) = setup(LinkMode::MxoM);
-        sim.block_on(async move {
-            let addr_b = ea.connect(&fab, &eb);
-            let s = ea
-                .isend(
-                    &addr_b,
-                    MatchInfo::mpi(0, 0, 42),
-                    ea.nic().mem.alloc_buffer(64),
-                    4,
-                    Some(b"late".to_vec()),
-                )
-                .await;
-            s.wait().await;
-            assert_eq!(eb.lists.depths(), (0, 1));
-            // A receive with a different tag must NOT match.
-            let rbuf = eb.nic().mem.alloc_buffer(64);
-            let r_other = eb
-                .irecv(MatchInfo::mpi(0, 0, 1), MatchInfo::EXACT, rbuf, 64)
-                .await;
-            assert!(!r_other.state.done.get());
-            assert_eq!(eb.lists.depths(), (1, 1));
-            // The right tag drains the unexpected queue.
-            let rbuf2 = eb.nic().mem.alloc_buffer(64);
-            let r = eb
-                .irecv(MatchInfo::mpi(0, 0, 42), MatchInfo::EXACT, rbuf2, 64)
-                .await;
-            assert_eq!(r.wait().await.len, 4);
-            assert_eq!(eb.nic().mem.read(rbuf2, 4), b"late");
-            assert_eq!(eb.lists.depths(), (1, 0));
-        });
-    }
-
-    #[test]
-    fn wildcard_mask_matches_any_tag() {
-        let (sim, fab, ea, eb) = setup(LinkMode::MxoE);
-        sim.block_on(async move {
-            let addr_b = ea.connect(&fab, &eb);
-            let rbuf = eb.nic().mem.alloc_buffer(64);
-            let r = eb
-                .irecv(MatchInfo::mpi(0, 0, 0), MatchInfo::ANY_TAG_MASK, rbuf, 64)
-                .await;
-            ea.isend(
-                &addr_b,
-                MatchInfo::mpi(0, 0, 999),
-                ea.nic().mem.alloc_buffer(64),
-                2,
-                Some(b"ok".to_vec()),
-            )
-            .await;
-            assert_eq!(r.wait().await.len, 2);
-        });
-    }
-
-    #[test]
-    fn rendezvous_transfers_large_messages_zero_copy() {
-        let (sim, fab, ea, eb) = setup(LinkMode::MxoM);
-        sim.block_on(async move {
-            let addr_b = ea.connect(&fab, &eb);
-            let n = 64 * 1024u64;
-            let data: Vec<u8> = (0..n).map(|i| (i % 251) as u8).collect();
-            let rbuf = eb.nic().mem.alloc_buffer(n);
-            let r = eb
-                .irecv(MatchInfo::mpi(0, 0, 3), MatchInfo::EXACT, rbuf, n)
-                .await;
-            let s = ea
-                .isend(
-                    &addr_b,
-                    MatchInfo::mpi(0, 0, 3),
-                    ea.nic().mem.alloc_buffer(n),
-                    n,
-                    Some(data.clone()),
-                )
-                .await;
-            let (rs, ss) = join2(r.wait(), s.wait()).await;
-            assert_eq!(rs.len, n);
-            assert_eq!(ss.len, n);
-            assert_eq!(eb.nic().mem.read(rbuf, n), data);
-        });
-    }
-
-    #[test]
-    fn rendezvous_rts_waits_for_late_receive() {
-        let (sim, fab, ea, eb) = setup(LinkMode::MxoM);
-        sim.block_on(async move {
-            let addr_b = ea.connect(&fab, &eb);
-            let n = 128 * 1024u64;
-            let sb = ea.nic().mem.alloc_buffer(n);
-            let s = ea
-                .isend(&addr_b, MatchInfo::mpi(0, 1, 9), sb, n, None)
-                .await;
-            // Sender must NOT complete: no receive exists yet.
-            assert!(!s.state.done.get());
-            let rbuf = eb.nic().mem.alloc_buffer(n);
-            let r = eb
-                .irecv(MatchInfo::mpi(0, 1, 9), MatchInfo::EXACT, rbuf, n)
-                .await;
-            let (rs, _ss) = join2(r.wait(), s.wait()).await;
-            assert_eq!(rs.len, n);
-        });
     }
 
     #[test]
@@ -705,7 +328,7 @@ mod tests {
     #[test]
     fn eager_sends_complete_exactly_once_under_loss() {
         // 2% loss: every message still arrives exactly once; ACK-loss
-        // replays are dropped by the matching layer's replay filter.
+        // replays are dropped at the receiving NIC and counted.
         let run_once = || {
             let sim = Sim::new();
             let fab = MxFabric::new(&sim, 2, LinkMode::MxoM);
@@ -738,8 +361,8 @@ mod tests {
                         s.wait().await;
                         assert_eq!(eb.nic().mem.read(rbuf, 5), b"lanai");
                     }
-                    assert_eq!(eb.lists.depths(), (0, 0));
-                    let drops = addr_b.replay.borrow().drops();
+                    assert_eq!(eb.engine().depths(), (0, 0));
+                    let drops = addr_b.link().duplicates();
                     (sim2.now().as_nanos(), drops, sim2.stats())
                 }
             });
@@ -754,9 +377,9 @@ mod tests {
     #[test]
     fn ack_loss_replays_are_filtered_by_the_matching_layer() {
         // 20% loss makes ACK drops near-certain over 20 messages; each one
-        // replays a message the receiver already matched, and the replay
-        // filter must drop it (the exactly-once checks above would fail or
-        // the posted queue would underflow otherwise).
+        // replays a message the receiver already matched, and the receiver
+        // must drop it (the exactly-once checks above would fail or the
+        // posted queue would underflow otherwise).
         let sim = Sim::new();
         let fab = MxFabric::new(&sim, 2, LinkMode::MxoM);
         fab.set_fault_plane(simnet::FaultPlane::new(simnet::FaultConfig::loss(
@@ -784,11 +407,11 @@ mod tests {
                 assert_eq!(r.wait().await.len, 4);
                 s.wait().await;
             }
-            assert_eq!(eb.lists.depths(), (0, 0));
-            let drops = addr_b.replay.borrow().drops();
+            assert_eq!(eb.engine().depths(), (0, 0));
+            let drops = addr_b.link().duplicates();
             drops
         });
-        assert!(drops > 0, "no ACK loss replay reached the filter");
+        assert!(drops > 0, "no ACK loss replay reached the receiver");
     }
 
     #[test]
@@ -832,5 +455,14 @@ mod tests {
         );
     }
 
-    use crate::calib::MyriCalib;
+    #[test]
+    fn a_pull_holds_no_more_than_before() {
+        fn returned<A, B, R>(_: fn(A, B) -> R) -> usize {
+            std::mem::size_of::<R>()
+        }
+        // The progression thread's task per rendezvous: 232 B. The bound
+        // is the size of the task it replaced.
+        let size = returned(pull::<Nic>);
+        assert!(size <= 352, "pull task {size} B > 352 B");
+    }
 }

@@ -16,16 +16,20 @@
 //!   small Fig. 6 buffer-reuse effect both come from here.
 //! * The same NIC and library run over a Myrinet switch (**MXoM**) or a
 //!   10GbE switch (**MXoE**); the paper measures both.
+//!
+//! The send/receive protocol itself is `etherstack::matched`'s engine, the
+//! one MPI runs on over every fabric; MX is that engine with the [`Nic`]
+//! matcher and the [`Thread`] progress ([`endpoint`]).
 
 #![forbid(unsafe_code)]
 
 pub mod calib;
 pub mod endpoint;
-pub mod matching;
 pub mod nic;
 pub mod recovery;
 
 pub use calib::MyriCalib;
-pub use endpoint::{MxAddr, MxAddrTable, MxEndpoint, MxRequest, MxStatus};
-pub use matching::{matches, MatchInfo, ReplayFilter};
+pub use endpoint::{MxAddr, MxEndpoint, MxLink, Nic, Thread};
+pub use etherstack::matching;
+pub use etherstack::{matches, MatchInfo, Request, Status};
 pub use nic::{LinkMode, MxFabric, MxNic};

@@ -9,14 +9,15 @@
 //! (data *or* ACK) costs a resend timeout, backed off exponentially on
 //! consecutive expiries. Past the retry budget real firmware declares the
 //! peer dead. A lost ACK makes the sender replay a message the receiver
-//! already has (`ack_replay`); the receiving NIC's matching layer filters
-//! those replays by sequence number ([`crate::matching::ReplayFilter`]) so
-//! the application sees each message exactly once.
+//! already has (`ack_replay`); the receiving NIC drops each such replay
+//! behind the message it repeats (counted by
+//! [`MxLink::duplicates`](crate::MxLink::duplicates)), so the application
+//! sees each message exactly once.
 //!
 //! The transfer is judged packet-by-packet; after the data lands the ACK is
 //! judged too, and each lost ACK charges a timeout and one full-message
 //! replay on the wire (reported in [`RecoveryStats::duplicates`] for the
-//! caller's dedup filter).
+//! caller to drop).
 //!
 //! [`RecoveryStats::duplicates`]: etherstack::RecoveryStats::duplicates
 

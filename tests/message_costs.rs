@@ -128,21 +128,21 @@ fn an_mpi_message_costs_a_fixed_number_of_events() {
     let expect_eager = [
         [18_000, 22_001, 2_001, 16_000],
         [22_000, 26_001, 2_001, 16_000],
-        [12_000, 24_001, 6_001, 14_000],
-        [12_000, 24_001, 6_001, 14_000],
+        [12_000, 16_001, 2_001, 14_000],
+        [12_000, 16_001, 2_001, 14_000],
     ];
     let expect_rndv = [
         [3_400, 4_201, 601, 5_000],
         [5_000, 5_801, 601, 5_400],
-        [2_000, 3_401, 801, 1_600],
-        [2_000, 3_401, 801, 1_600],
+        [2_000, 2_601, 401, 1_600],
+        [2_000, 2_601, 401, 1_600],
     ];
     assert_eq!(eager, expect_eager, "eager 64 B x {}", 2 * EAGER_ITERS);
     assert_eq!(rndv, expect_rndv, "rendezvous 256 KiB x {}", 2 * RNDV_ITERS);
-    // perfbench: mpisim.eager_events_per_msg = 20.0005 and
-    // mpisim.rndv_events_per_msg = 36.505, the mean over the four kinds.
-    assert_eq!(events(&eager), 160_004, "20.0005 x 4 x {}", 2 * EAGER_ITERS);
-    assert_eq!(events(&rndv), 29_204, "36.505 x 4 x {}", 2 * RNDV_ITERS);
+    // perfbench: mpisim.eager_events_per_msg = 18.0005 and
+    // mpisim.rndv_events_per_msg = 34.505, the mean over the four kinds.
+    assert_eq!(events(&eager), 144_004, "18.0005 x 4 x {}", 2 * EAGER_ITERS);
+    assert_eq!(events(&rndv), 27_604, "34.505 x 4 x {}", 2 * RNDV_ITERS);
 }
 
 /// Rows are in `FabricKind::ALL` order: iWARP, IB, MXoM, MXoE.
