@@ -22,11 +22,12 @@
 //!   simulation throughput (events/second plus the `simnet::SimStats`
 //!   counters) instead of generating figures.
 //! * `--no-memo`     — force-disable the whole-transfer memo
-//!   (`simnet::memo`) in every simulation this process creates. Output
+//!   (`simnet::memo`) in every simulation this run creates. Output
 //!   must be byte-identical to a memoized run; ci.sh pins both against
 //!   the committed `results/`.
 //!
-//! Wall-clock per figure group goes to stderr; stdout carries only the
+//! Wall-clock and `simcheck` oracle counts per figure group go to stderr,
+//! then the oracles' total and per-rule counts; stdout carries only the
 //! deterministic tables.
 
 #![forbid(unsafe_code)]
@@ -93,12 +94,22 @@ fn main() {
         }
     }
     let threads = threads.unwrap_or_else(bench::default_threads);
+    // The conformance oracles' counts: this thread's (nothing runs on it
+    // outside a group), then each group's as it is reported.
+    let mut oracles = simcheck::take();
     for sel in &which {
         let t0 = std::time::Instant::now();
         let groups = bench::generate_groups(sel, threads);
         let mut count = 0;
-        for group in &groups {
-            eprintln!("[{sel}] {} {:.3}s wall", group.id, group.wall.as_secs_f64());
+        for group in groups {
+            eprintln!(
+                "[{sel}] {} {:.3}s wall, {} oracle checks, {} violations",
+                group.id,
+                group.wall.as_secs_f64(),
+                group.oracles.total_checks(),
+                group.oracles.total_violations()
+            );
+            oracles.merge(group.oracles);
             for fig in &group.figures {
                 count += 1;
                 println!("{}", fig.to_table());
@@ -118,12 +129,11 @@ fn main() {
             t0.elapsed().as_secs_f64()
         );
     }
-    // Report the conformance oracles' tallies and fail the run if any
-    // invariant fired (the oracles are pure observers: they move no byte of
-    // the tables or JSON above).
-    let summary = simcheck::summary();
-    eprintln!("{summary}");
-    if summary.total_violations() > 0 {
+    // Report the oracles' total and fail the run if any invariant fired
+    // (the oracles are pure observers: they move no byte of the tables or
+    // JSON above).
+    eprintln!("{oracles}");
+    if oracles.total_violations() > 0 {
         std::process::exit(1);
     }
 }

@@ -109,13 +109,15 @@ pub fn default_threads() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZero::get)
 }
 
-/// One generated catalog group and the host wall-clock it took. The wall
-/// is for the caller to report (the `figures` binary prints it to stderr);
-/// this library writes nothing anywhere.
+/// One generated catalog group, the host wall-clock it took and what the
+/// conformance oracles counted while it ran. The caller reports wall and
+/// counts (the `figures` binary prints them to stderr); this library
+/// writes nothing anywhere.
 pub struct Group {
     pub id: &'static str,
     pub figures: Vec<Figure>,
     pub wall: std::time::Duration,
+    pub oracles: simcheck::Summary,
 }
 
 /// Generate the groups selected by `which` ("all", a figure id prefix, or
@@ -125,8 +127,11 @@ pub struct Group {
 /// the groups over up to `n` OS threads — simulations are per-thread and
 /// deterministic, so parallelism changes wall time, not results — claimed
 /// from a shared counter so long groups don't serialize behind a static
-/// partition. Each group runs whole on one thread, sharded runs included.
-/// `0` counts as `1`.
+/// partition. Each group runs whole on one thread, sharded runs included,
+/// and takes that thread's oracle counts ([`simcheck::take`]) when it
+/// ends: on the calling thread, the first group also takes whatever the
+/// caller counted before. Workers run with the caller's transfer-memo
+/// default ([`simnet::memo::default_enabled`]). `0` counts as `1`.
 pub fn generate_groups(which: &str, threads: usize) -> Vec<Group> {
     let cap = threads.max(1);
     let which = resolve_alias(which);
@@ -141,28 +146,31 @@ pub fn generate_groups(which: &str, threads: usize) -> Vec<Group> {
             id,
             figures,
             wall: t0.elapsed(),
+            oracles: simcheck::take(),
         }
     };
     if cap == 1 {
         return selected.iter().map(run).collect();
     }
+    let memo = simnet::memo::default_enabled();
     let next = std::sync::atomic::AtomicUsize::new(0);
-    let (tx, rx) = std::sync::mpsc::channel::<(usize, Group)>();
+    let worker = || {
+        simnet::memo::set_default_enabled(memo);
+        let claim = || {
+            let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            Some((i, run(selected.get(i)?)))
+        };
+        std::iter::from_fn(claim).collect::<Vec<_>>()
+    };
+    let mut groups = Vec::new();
     std::thread::scope(|scope| {
-        for _ in 0..cap.min(selected.len()) {
-            let tx = tx.clone();
-            let (next, selected) = (&next, &selected);
-            scope.spawn(move || loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                let Some(entry) = selected.get(i) else {
-                    break;
-                };
-                tx.send((i, run(entry))).expect("collector alive");
-            });
+        let workers: Vec<_> = (0..cap.min(selected.len()))
+            .map(|_| scope.spawn(worker))
+            .collect();
+        for w in workers {
+            groups.extend(w.join().expect("worker panicked"));
         }
     });
-    drop(tx);
-    let mut groups: Vec<(usize, Group)> = rx.into_iter().collect();
     groups.sort_by_key(|&(i, _)| i);
     groups.into_iter().map(|(_, g)| g).collect()
 }
@@ -225,6 +233,21 @@ mod tests {
         for (a, b) in seq.iter().zip(par.iter()) {
             assert_eq!(a.to_json(), b.to_json());
         }
+    }
+
+    /// Each group carries the oracle counts of its own run, whichever
+    /// thread ran it, and none are left in the caller's registry.
+    #[test]
+    fn groups_carry_their_own_oracle_counts_at_any_thread_count() {
+        let counts = |threads| -> Vec<_> {
+            let groups = super::generate_groups("e1", threads).into_iter();
+            groups.map(|g| (g.id, g.oracles)).collect()
+        };
+        let serial = counts(1);
+        assert_eq!(serial.len(), 2, "e10 and e11");
+        assert!(serial.iter().all(|g| g.1.total_checks() > 0), "{serial:?}");
+        assert_eq!(serial, counts(2));
+        assert_eq!(simcheck::take().total_checks(), 0);
     }
 
     #[test]

@@ -190,12 +190,13 @@ impl<N: VerbsNic> Lane<N> {
     }
 
     /// Land a one-sided write at `dst` if `(rkey, addr, len)` is registered
-    /// there; false is a remote protection fault.
+    /// there; false is a remote protection fault. At most `len` bytes of
+    /// `payload` land: the key covers no more.
     #[inline]
     pub fn place(&self, rkey: MemKey, addr: VirtAddr, len: u64, payload: Option<Vec<u8>>) -> bool {
         let ok = self.dst.registry().check(rkey, addr, len);
         if let (true, Some(p)) = (ok, payload) {
-            self.dst.mem().write(addr, &p);
+            self.dst.mem().write(addr, &p[..p.len().min(len as usize)]);
         }
         ok
     }

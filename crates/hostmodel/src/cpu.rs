@@ -125,7 +125,7 @@ impl Cpu {
 
     /// Reset the busy-time accumulator (between benchmark phases).
     pub fn reset_busy(&self) {
-        self.state.busy.reset();
+        self.state.busy.take();
     }
 }
 

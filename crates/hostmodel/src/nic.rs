@@ -143,7 +143,7 @@ impl QpQueues {
     }
 
     /// A `len`-byte send arrived: consume the oldest posted receive, or
-    /// wait for one.
+    /// wait for one. At most `len` bytes of `payload` land.
     pub fn deliver_send(&self, mem: &HostMem, len: u64, payload: Option<Vec<u8>>) {
         if let (_, Some((pr, (len, payload)))) = self.lists.arrive((len, payload), |_, _| true) {
             self.complete_recv(mem, &pr, len, payload);
@@ -169,7 +169,7 @@ impl QpQueues {
             return;
         }
         if let Some(p) = payload {
-            mem.write(pr.addr, &p);
+            mem.write(pr.addr, &p[..p.len().min(len as usize)]);
         }
         self.complete(Cqe {
             wr_id: pr.wr_id,

@@ -157,16 +157,6 @@ mod tests {
     #[test]
     fn qp_oracle_on_fsm_next_fires_once_for_a_send_before_rts() {
         let rule = simcheck::Rule::IbQpState;
-        // The registry is process-global and the other tests here feed
-        // this rule too: compare violation deltas.
-        let violations = || {
-            let s = simcheck::summary();
-            s.rules
-                .iter()
-                .find(|r| r.rule == rule)
-                .map(|r| r.violations)
-        };
-        let before = violations();
         let mut o = simcheck::FsmOracle::new(QpPhase::Reset, fsm_next, rule, "ib", 1);
         assert_eq!(o.observe(QpEvent::BringUp, None), None);
         assert_eq!(o.observe(QpEvent::PostRecv, None), None);
@@ -182,7 +172,7 @@ mod tests {
         assert_eq!(o.observe(QpEvent::BringUp, None), None);
         assert_eq!(o.observe(QpEvent::PostSend, None), None);
         assert_eq!(o.phase(), QpPhase::Rts);
-        assert_eq!(violations(), before.map(|n| n + 1));
+        assert_eq!(simcheck::take().counts(rule), (6, 1));
     }
 
     fn setup() -> (Sim, IbFabric, Cpu, Cpu) {

@@ -20,17 +20,6 @@ pub enum Source {
     Any,
 }
 
-impl Source {
-    /// Does a message from `from` satisfy this selector?
-    #[inline]
-    pub fn admits(self, from: usize) -> bool {
-        match self {
-            Source::Rank(r) => r == from,
-            Source::Any => true,
-        }
-    }
-}
-
 /// Boxed local future (the trait must be object-safe; everything runs on
 /// the single-threaded simulation executor).
 pub(crate) type LocalFuture<'a, T> = Pin<Box<dyn Future<Output = T> + 'a>>;
@@ -88,16 +77,4 @@ pub async fn recv(
     len: u64,
 ) -> etherstack::Status {
     rank.irecv(src, tag, buf, len).await.wait().await
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn source_matching() {
-        assert!(Source::Any.admits(3));
-        assert!(Source::Rank(2).admits(2));
-        assert!(!Source::Rank(2).admits(3));
-    }
 }

@@ -11,16 +11,20 @@
 //! # Design rules
 //!
 //! - **Always on.** Every build wires the oracles into the fabric crates;
-//!   the `figures` binary prints the [`summary`] and fails on a violation.
+//!   the `figures` binary prints each figure group's counts and their
+//!   merged [`Summary`], and fails on a violation.
 //! - **Pure observers.** Oracles never advance simulated time, never await,
 //!   and never influence model state. On the uncontended fast path they do
-//!   bounded arithmetic plus one relaxed atomic increment; allocation is
+//!   bounded arithmetic plus one add to a thread-local counter; allocation is
 //!   permitted only on the violation path (building the report) and on
 //!   first-touch state insertion (steady state is allocation-free).
 //! - **Structured reports.** A violation carries the rule id, simulated time
 //!   (when the call site has a clock), fabric tag, and connection id. All
-//!   violations are counted per rule; the first 64 are retained verbatim
-//!   for the process-level [`summary`].
+//!   violations are counted per rule; the first 64 are retained verbatim.
+//! - **One registry per thread.** Counts land on the thread that runs the
+//!   oracle, which is the thread that runs its simulation; [`take`] hands
+//!   that thread's counts over and clears them, so a caller that runs one
+//!   workload per thread can attribute every count to it.
 //! - **Deliberately dependency-free** so the fabric crates can depend on it
 //!   without cycles. Simulated time crosses the boundary as plain
 //!   nanoseconds, and a protocol state machine as the fabric's own
@@ -29,9 +33,8 @@
 //! Each oracle has a mutation-style unit test in its module: seed a deliberate
 //! corruption, assert the oracle fires.
 
+use std::cell::{Cell, RefCell};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 pub mod ether;
 pub mod fault;
@@ -248,30 +251,42 @@ pub(crate) const MAX_LOGGED: usize = 64;
 
 const RULE_COUNT: usize = Rule::ALL.len();
 
-static CHECKS: [AtomicU64; RULE_COUNT] = [const { AtomicU64::new(0) }; RULE_COUNT];
-static VIOLATIONS: [AtomicU64; RULE_COUNT] = [const { AtomicU64::new(0) }; RULE_COUNT];
-static LOG: Mutex<Vec<Violation>> = Mutex::new(Vec::new());
-
-/// Count one oracle check against `rule`. Called on every observation —
-/// a single relaxed atomic increment, no allocation.
-#[inline]
-pub(crate) fn note_check(rule: Rule) {
-    CHECKS[rule.idx()].fetch_add(1, Ordering::Relaxed);
+// The registry is per thread. A simulation never leaves the thread that
+// built it (`simnet::Sim` is `!Send`), and the codec oracles run on their
+// caller's thread, so a thread's counts are exactly the runs it drove.
+thread_local! {
+    /// Checks per rule: the hot path, one add per observation.
+    static CHECKS: [Cell<u64>; RULE_COUNT] = const { [const { Cell::new(0) }; RULE_COUNT] };
+    /// Violations per rule and the first [`MAX_LOGGED`] of them verbatim,
+    /// touched only when an oracle fires.
+    static FIRED: RefCell<([u64; RULE_COUNT], Vec<Violation>)> =
+        const { RefCell::new(([0; RULE_COUNT], Vec::new())) };
 }
 
-/// Record a violation in the global registry (violation path only — this
-/// allocates). Returns the violation back so call sites and tests can
-/// inspect it.
+/// Count one oracle check against `rule` on this thread. Called on every
+/// observation: one add, no allocation.
+#[inline]
+pub(crate) fn note_check(rule: Rule) {
+    CHECKS.with(|c| {
+        let n = &c[rule.idx()];
+        n.set(n.get() + 1);
+    });
+}
+
+/// Record a violation in this thread's registry (violation path only:
+/// this allocates). Returns the violation back so call sites and tests
+/// can inspect it.
 pub(crate) fn record(v: Violation) -> Violation {
-    VIOLATIONS[v.rule.idx()].fetch_add(1, Ordering::Relaxed);
-    let mut log = LOG.lock().expect("simcheck log poisoned");
-    if log.len() < MAX_LOGGED {
-        log.push(v.clone());
-    }
+    FIRED.with_borrow_mut(|(counts, log)| {
+        counts[v.rule.idx()] += 1;
+        if log.len() < MAX_LOGGED {
+            log.push(v.clone());
+        }
+    });
     v
 }
 
-/// Per-rule counters for the process-level summary.
+/// Per-rule counters of a [`Summary`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RuleStats {
     pub rule: Rule,
@@ -279,9 +294,11 @@ pub struct RuleStats {
     pub violations: u64,
 }
 
-/// Snapshot of the global registry.
-#[derive(Debug, Clone)]
+/// What one thread's oracles counted between two [`take`]s, or several
+/// such takes [merged](Summary::merge).
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Summary {
+    /// Every rule, in the order [`Rule`] declares them.
     pub rules: Vec<RuleStats>,
     /// The first [`MAX_LOGGED`] violations, verbatim.
     pub(crate) logged: Vec<Violation>,
@@ -294,6 +311,23 @@ impl Summary {
 
     pub fn total_violations(&self) -> u64 {
         self.rules.iter().map(|r| r.violations).sum()
+    }
+
+    /// `(checks, violations)` of `rule`.
+    pub fn counts(&self, rule: Rule) -> (u64, u64) {
+        let r = self.rules[rule.idx()];
+        (r.checks, r.violations)
+    }
+
+    /// Add `other`'s counts to this one's; the log keeps this one's
+    /// violations, then `other`'s, up to the 64 a summary retains.
+    pub fn merge(&mut self, other: Summary) {
+        for (r, o) in self.rules.iter_mut().zip(other.rules) {
+            r.checks += o.checks;
+            r.violations += o.violations;
+        }
+        let room = MAX_LOGGED.saturating_sub(self.logged.len());
+        self.logged.extend(other.logged.into_iter().take(room));
     }
 }
 
@@ -329,27 +363,19 @@ impl fmt::Display for Summary {
     }
 }
 
-/// Snapshot the global counters and retained violations.
-pub fn summary() -> Summary {
+/// This thread's counts and retained violations since its last `take`,
+/// leaving its registry empty.
+pub fn take() -> Summary {
+    let (violations, logged) = FIRED.take();
     let rules = Rule::ALL
         .iter()
         .map(|&rule| RuleStats {
             rule,
-            checks: CHECKS[rule.idx()].load(Ordering::Relaxed),
-            violations: VIOLATIONS[rule.idx()].load(Ordering::Relaxed),
+            checks: CHECKS.with(|c| c[rule.idx()].take()),
+            violations: violations[rule.idx()],
         })
         .collect();
-    let logged = LOG.lock().expect("simcheck log poisoned").clone();
     Summary { rules, logged }
-}
-
-/// Reset all counters and drop retained violations (test isolation).
-pub fn reset() {
-    for i in 0..RULE_COUNT {
-        CHECKS[i].store(0, Ordering::Relaxed);
-        VIOLATIONS[i].store(0, Ordering::Relaxed);
-    }
-    LOG.lock().expect("simcheck log poisoned").clear();
 }
 
 #[cfg(test)]
@@ -386,23 +412,10 @@ mod tests {
         }
     }
 
-    fn counts(rule: Rule) -> (u64, u64) {
-        let s = summary();
-        let r = s
-            .rules
-            .iter()
-            .find(|r| r.rule == rule)
-            .expect("rule present");
-        (r.checks, r.violations)
-    }
-
     #[test]
     fn fsm_oracle_fires_once_on_a_missing_row_and_keeps_its_phase() {
-        // Seeded illegal event: `Go` while Busy. The registry is
-        // process-global, so compare deltas on a rule no other test in
-        // this crate records against.
+        // Seeded illegal event: `Go` while Busy.
         let rule = Rule::IbQpState;
-        let (checks0, violations0) = counts(rule);
         let mut o = FsmOracle::new(Phase::Idle, next, rule, "test", 5);
         assert_eq!(o.observe(Event::Go, None), None);
         assert_eq!(o.phase(), Phase::Busy);
@@ -420,39 +433,39 @@ mod tests {
         );
         assert_eq!(o.observe(Event::Stop, None), None);
         assert_eq!(o.phase(), Phase::Idle);
-        assert_eq!(counts(rule), (checks0 + 3, violations0 + 1));
+        let s = take();
+        assert_eq!((s.counts(rule), s.total_checks()), ((3, 1), 3));
+        assert_eq!(s.logged, [v]);
     }
 
     #[test]
     fn record_counts_and_caps_log() {
-        // The registry is process-global; scope this test to one rule and
-        // use relative deltas so it composes with the oracle module tests.
-        let before = summary();
-        let base = before
-            .rules
-            .iter()
-            .find(|r| r.rule == Rule::EthFrame)
-            .expect("rule present")
-            .violations;
-        let v = record(Violation {
+        let seeded = |conn| Violation {
             rule: Rule::EthFrame,
             sim_time_ns: Some(42),
             fabric: "ether",
-            conn: 7,
+            conn,
             detail: "seeded".to_owned(),
-        });
-        assert_eq!(v.conn, 7);
-        let after = summary();
-        let now = after
-            .rules
-            .iter()
-            .find(|r| r.rule == Rule::EthFrame)
-            .expect("rule present")
-            .violations;
-        assert_eq!(now, base + 1);
-        assert!(after.logged.len() <= MAX_LOGGED);
+        };
+        let v = record(seeded(7));
         let line = format!("{v}");
         assert!(line.contains("ether.frame-accounting"), "{line}");
         assert!(line.contains("t=42ns"), "{line}");
+        let one = take();
+        assert_eq!((one.total_checks(), one.total_violations()), (0, 1));
+        assert_eq!(one.logged, [v]);
+        assert_eq!(take().total_violations(), 0, "take empties the registry");
+
+        for conn in 0..MAX_LOGGED as u64 + 1 {
+            record(seeded(conn));
+        }
+        let mut all = take();
+        assert_eq!(all.counts(Rule::EthFrame), (0, MAX_LOGGED as u64 + 1));
+        assert_eq!(all.logged.len(), MAX_LOGGED);
+        // A merge adds the counts and keeps the earlier log first.
+        all.merge(one);
+        assert_eq!(all.counts(Rule::EthFrame), (0, MAX_LOGGED as u64 + 2));
+        assert_eq!((all.logged.len(), all.logged[0].conn), (MAX_LOGGED, 0));
+        assert!(format!("{all}").contains("2 further violations not retained"));
     }
 }

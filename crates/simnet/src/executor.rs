@@ -446,8 +446,8 @@ impl Sim {
     }
 
     /// Enable or disable the whole-transfer memo cache (see
-    /// [`crate::memo`]). On by default unless the process default was
-    /// turned off ([`crate::memo::set_default_enabled`]); captured at
+    /// [`crate::memo`]). On by default unless the creating thread's default
+    /// was turned off ([`crate::memo::set_default_enabled`]); captured at
     /// [`Sim::new`]. Disabling forces every fast-path transfer to
     /// recompute its closed-form plan — output is byte-identical either
     /// way, which the `--no-memo` CI gates and `tests/transfer_diff.rs`

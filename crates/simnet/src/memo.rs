@@ -59,7 +59,7 @@
 
 use crate::units::Bytes;
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::cell::Cell;
 
 /// Fingerprint of one memoizable transfer within a pipeline's cache.
 ///
@@ -80,26 +80,31 @@ pub(crate) struct MemoKey {
 /// `SimStats::memo_evictions`) keeps memory bounded.
 pub(crate) const MEMO_CAPACITY: usize = 128;
 
-/// Process-wide default for whether new [`Sim`]s enable the transfer
-/// memo. `true` unless [`set_default_enabled`] turned it off (e.g. the
-/// `figures --no-memo` byte-identity gate).
-///
-/// [`Sim`]: crate::Sim
-static DEFAULT_ENABLED: AtomicBool = AtomicBool::new(true);
+thread_local! {
+    /// Whether [`Sim`]s this thread creates enable the transfer memo:
+    /// `true` unless [`set_default_enabled`] turned it off (e.g. the
+    /// `figures --no-memo` byte-identity gate). Per thread, like the
+    /// tie-break salt ([`crate::perturb`]): a `Sim` never leaves the thread
+    /// that built it, and one thread's setting never reaches another's runs.
+    ///
+    /// [`Sim`]: crate::Sim
+    static DEFAULT_ENABLED: Cell<bool> = const { Cell::new(true) };
+}
 
-/// Set the process-wide default captured by [`Sim::new`]. Safe to flip
-/// between runs precisely because memoization never affects simulation
-/// output — only wall-clock time ([`crate::Sim::set_transfer_memo`]
-/// overrides per simulation).
+/// Set this thread's default, captured by each [`Sim::new`] on it. Safe
+/// to flip between runs precisely because memoization never affects
+/// simulation output, only wall-clock time
+/// ([`crate::Sim::set_transfer_memo`] overrides per simulation). A caller
+/// that runs simulations on worker threads hands each worker its setting.
 ///
 /// [`Sim::new`]: crate::Sim::new
 pub fn set_default_enabled(enabled: bool) {
-    DEFAULT_ENABLED.store(enabled, Ordering::SeqCst);
+    DEFAULT_ENABLED.set(enabled);
 }
 
-/// The process-wide default transfer-memo setting.
-pub(crate) fn default_enabled() -> bool {
-    DEFAULT_ENABLED.load(Ordering::SeqCst)
+/// This thread's transfer-memo default.
+pub fn default_enabled() -> bool {
+    DEFAULT_ENABLED.get()
 }
 
 #[cfg(test)]
@@ -125,6 +130,7 @@ mod tests {
         assert!(default_enabled());
         set_default_enabled(false);
         assert!(!default_enabled());
+        assert!(!crate::Sim::new().transfer_memo_enabled());
         set_default_enabled(true);
         assert!(default_enabled());
     }

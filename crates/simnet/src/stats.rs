@@ -196,10 +196,10 @@ impl TimeAccumulator {
         self.0.get()
     }
 
-    /// Reset to zero.
+    /// The total so far, leaving zero behind.
     #[inline]
-    pub fn reset(&self) {
-        self.0.set(SimDuration::ZERO);
+    pub fn take(&self) -> SimDuration {
+        self.0.take()
     }
 }
 

@@ -39,6 +39,9 @@ async fn pinned<N: VerbsNic>(qp: &Qp<N>, cpu: &Cpu, len: u64) -> (VirtAddr, MemK
     (buf, dev.registry().register_pinned(cpu, buf, len).await)
 }
 
+/// A payload longer than its request (here and in the Send case below)
+/// lands only `len` bytes: the key or the receive covers no more, and the
+/// bytes after them keep their value.
 fn write_places_data_remotely<N: VerbsNic<Calib: Default>>() {
     on_pair::<N, _, _, _>(|qa, qb, _cpu_a, cpu_b| async move {
         let (dst, rkey) = pinned(&qb, &cpu_b, 4096).await;
@@ -46,7 +49,7 @@ fn write_places_data_remotely<N: VerbsNic<Calib: Default>>() {
         qa.post_send_wr(WorkRequest::RdmaWrite {
             wr_id: 1,
             len: data.len() as u64,
-            payload: Some(data.clone()),
+            payload: Some([&data[..], b"!!"].concat()),
             rkey,
             remote_addr: dst,
         })
@@ -55,7 +58,8 @@ fn write_places_data_remotely<N: VerbsNic<Calib: Default>>() {
         assert_eq!(cqe.status, CqeStatus::Success);
         assert_eq!(cqe.opcode, CqeOpcode::RdmaWrite);
         qb.wait_placement().await;
-        assert_eq!(qb.device().mem().read(dst, data.len() as u64), data);
+        let landed = qb.device().mem().read(dst, data.len() as u64 + 2);
+        assert_eq!(landed, [&data[..], &[0, 0]].concat());
     });
 }
 
@@ -82,14 +86,14 @@ fn send_recv_roundtrip_with_preposted_receive<N: VerbsNic<Calib: Default>>() {
         qa.post_send_wr(WorkRequest::Send {
             wr_id: 3,
             len: 11,
-            payload: Some(b"hello verbs".to_vec()),
+            payload: Some(b"hello verbs!!".to_vec()),
         })
         .await;
         let scqe = qa.next_cqe().await;
         assert_eq!((scqe.wr_id, scqe.status), (3, CqeStatus::Success));
         let rcqe = qb.next_cqe().await;
         assert_eq!((rcqe.wr_id, rcqe.len), (7, 11));
-        assert_eq!(qb.device().mem().read(rbuf, 11), b"hello verbs");
+        assert_eq!(qb.device().mem().read(rbuf, 13), b"hello verbs\0\0");
     });
 }
 

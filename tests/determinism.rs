@@ -169,8 +169,8 @@ fn shard_figure_digest_is_thread_count_invariant() {
 /// outcomes on steady-state data paths; force-disabling it must not move
 /// a single byte of figure output. fig1 (latency ping-pongs) and fig4
 /// (windowed bandwidth — the memo's hottest consumer) cover both shapes.
-/// Safe under the concurrent test harness: the global default is flipped
-/// only around runs whose digests are asserted invariant to it.
+/// The default is per thread, so flipping it here reaches no other test's
+/// runs.
 #[test]
 fn fig1_and_fig4_digests_are_memo_invariant() {
     for sel in ["fig1", "fig4"] {

@@ -102,15 +102,17 @@ fn run_openloop_workload() {
 
 #[test]
 fn fig1_runs_clean_under_conformance_oracles() {
-    simcheck::reset();
-    let figs = bench::generate("fig1");
-    assert!(!figs.is_empty(), "fig1 must produce figures");
+    let mut groups = bench::generate_groups("fig1", 1);
+    let fig1 = groups.pop().expect("the fig1 group");
+    assert!(!fig1.figures.is_empty(), "fig1 must produce figures");
+    assert!(fig1.oracles.total_checks() > 0, "fig1 took no checks");
     run_codec_workload();
     run_fault_workload();
     run_shard_workload();
     run_openloop_workload();
 
-    let summary = simcheck::summary();
+    let mut summary = fig1.oracles;
+    summary.merge(simcheck::take());
     assert!(
         summary.total_checks() > 0,
         "oracles saw no traffic — wiring is dead"
