@@ -101,9 +101,9 @@ echo "==> differential sweep: walk vs fast path vs memo replay (100k cases)"
 # every observable; the two fast-path runs also on the event trace.
 TRANSFER_DIFF_CASES=100000 cargo test -q --release --test transfer_diff
 
-echo "==> calendar differential in release (full 204k operations)"
+echo "==> calendar tests in release (full 204k-operation differential, long spans, trains)"
 # Debug builds run a quarter of the seeded streams for wall-clock.
-cargo test -q --release -p simnet --lib calendar::tests::matches_the_ordered_map_reference_on_random_streams
+cargo test -q --release -p simnet --lib calendar::tests
 
 echo "==> determinism suite in release (full --threads {1,2,4,8} digest matrix)"
 # The fig2/fig-loss thread-sweep digests are ignored in debug builds for
@@ -113,8 +113,9 @@ cargo test -q --release --test determinism -- --include-ignored
 echo "==> smoke: figures --selftest"
 ./target/release/figures --selftest > /dev/null
 
-# The memo and the figure-group pool cap (`--threads 1` is the serial run)
-# may change wall-clock only.
+# The transfer tier (`--tier walk|fast|memo`, memo by default) and the
+# figure-group pool cap (`--threads 1` is the serial run) may change
+# wall-clock only.
 pin default
 
 echo "==> conformance: every oracle figures all exercises ran, none fired"
@@ -138,7 +139,11 @@ for rule in iwarp.ddp-msn iwarp.rdmap-state ib.qp-state ib.cq-order \
     }
 done
 
-pin no-memo --no-memo
+pin fast --tier fast
+# The per-segment walk everywhere: the whole-figure twin of
+# transfer_diff's walk-vs-fast-path check, and where the pipe calendars
+# take most bookings.
+pin walk --tier walk
 pin threads-1 --threads 1
 
 echo "==> benchmark/check.sh: perfbench stable surface + digest-exact goldens"

@@ -21,10 +21,11 @@
 //! * `--selftest`    — run a fixed executor micro-workload and report
 //!   simulation throughput (events/second plus the `simnet::SimStats`
 //!   counters) instead of generating figures.
-//! * `--no-memo`     — force-disable the whole-transfer memo
-//!   (`simnet::memo`) in every simulation this run creates. Output
-//!   must be byte-identical to a memoized run; ci.sh pins both against
-//!   the committed `results/`.
+//! * `--tier T`      — run every simulation this run creates on transfer
+//!   tier `T` (`simnet::tier`): `walk` (the per-segment walk only),
+//!   `fast` (the cut-through fast path, no memo) or `memo` (the
+//!   default). Output must be byte-identical on every tier; ci.sh pins
+//!   each against the committed `results/`.
 //!
 //! Wall-clock and `simcheck` oracle counts per figure group go to stderr,
 //! then the oracles' total and per-rule counts; stdout carries only the
@@ -55,10 +56,13 @@ fn main() {
             },
             "--charts" => charts = true,
             "--selftest" => selftest = true,
-            // The memo is an optimization, never a semantic switch: forcing
-            // it off must reproduce the exact bytes (ci.sh pins a --no-memo
-            // run against the committed results/).
-            "--no-memo" => simnet::memo::set_default_enabled(false),
+            // A tier is an optimization, never a semantic switch: each
+            // must reproduce the exact bytes (ci.sh pins every tier
+            // against the committed results/).
+            "--tier" => match it.next().as_deref().and_then(simnet::Tier::parse) {
+                Some(tier) => simnet::tier::set_default_tier(tier),
+                None => usage_error("--tier requires walk, fast or memo"),
+            },
             "--threads" => {
                 let n = it
                     .next()

@@ -130,8 +130,8 @@ pub struct Group {
 /// partition. Each group runs whole on one thread, sharded runs included,
 /// and takes that thread's oracle counts ([`simcheck::take`]) when it
 /// ends: on the calling thread, the first group also takes whatever the
-/// caller counted before. Workers run with the caller's transfer-memo
-/// default ([`simnet::memo::default_enabled`]). `0` counts as `1`.
+/// caller counted before. Workers run with the caller's default transfer
+/// tier ([`simnet::tier::default_tier`]). `0` counts as `1`.
 pub fn generate_groups(which: &str, threads: usize) -> Vec<Group> {
     let cap = threads.max(1);
     let which = resolve_alias(which);
@@ -152,10 +152,10 @@ pub fn generate_groups(which: &str, threads: usize) -> Vec<Group> {
     if cap == 1 {
         return selected.iter().map(run).collect();
     }
-    let memo = simnet::memo::default_enabled();
+    let tier = simnet::tier::default_tier();
     let next = std::sync::atomic::AtomicUsize::new(0);
     let worker = || {
-        simnet::memo::set_default_enabled(memo);
+        simnet::tier::set_default_tier(tier);
         let claim = || {
             let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             Some((i, run(selected.get(i)?)))

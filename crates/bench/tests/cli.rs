@@ -30,6 +30,9 @@ fn unknown_flag_and_typoed_selector_exit_2_before_any_figure_runs() {
     assert_usage_error(&["e11", "--parallel"], "unknown flag");
     assert_usage_error(&["e11", "fgi1"], "no figures match");
     assert_usage_error(&["e11", "--threads", "0"], "--threads");
+    assert_usage_error(&["e11", "--tier", "slow"], "--tier");
+    assert_usage_error(&["e11", "--tier"], "--tier");
+    assert_usage_error(&["e11", "--no-memo"], "unknown flag");
 }
 
 #[test]

@@ -377,7 +377,9 @@ impl<M: Matcher, P: Progress> Engine<M, P> {
                         sreq: sreq.clone(),
                         rreq: p.req.clone(),
                     };
-                    P::rendezvous(self, rndv).await;
+                    // Boxed: a receive's future holds this step, and only
+                    // a rendezvous match needs the progress knob's state.
+                    Box::pin(P::rendezvous(self, rndv)).await;
                 }
             }
         }

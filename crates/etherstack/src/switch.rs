@@ -78,14 +78,6 @@ impl CutThroughSwitch {
             self.config.forwarding_latency,
         )
     }
-
-    /// Egress utilization counters for a port: `(busy, bytes)`.
-    pub fn egress_stats(&self, port: usize) -> (simnet::SimDuration, u64) {
-        (
-            self.egress[port].total_busy(),
-            self.egress[port].total_bytes(),
-        )
-    }
 }
 
 #[cfg(test)]

@@ -157,17 +157,6 @@ impl RdmapMessage {
             _ => None,
         }
     }
-
-    /// Payload byte count (what DMA and the wire carry beyond headers).
-    pub fn payload_len(&self) -> u64 {
-        match self {
-            RdmapMessage::Write { payload, .. } => payload.len() as u64,
-            RdmapMessage::ReadResponse { payload, .. } => payload.len() as u64,
-            RdmapMessage::Send { payload } => payload.len() as u64,
-            RdmapMessage::ReadRequest { .. } => READ_REQUEST_LEN as u64,
-            RdmapMessage::Terminate { .. } => 2,
-        }
-    }
 }
 
 /// Tagged-placement sink: applies tagged segments into a flat byte sink for

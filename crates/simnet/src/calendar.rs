@@ -2,20 +2,21 @@
 //! of virtual time are already reserved, and where the next reservation
 //! fits.
 //!
-//! The calendar is a time-ordered list of disjoint, non-touching busy
-//! *runs* (touching reservations merge on insert). The one question asked
-//! of it on the hot path is first-fit: the earliest `t ≥ earliest` with
-//! `[t, t + dur)` free. A pipe that both directions of a NIC stage through
-//! collects thousands of runs separated by sub-segment slivers that fit
-//! nothing, and a plain ordered map has to step over every one of them.
+//! The calendar is a time-ordered list of disjoint busy *runs* (touching
+//! reservations merge on insert). The one question asked of it on the hot
+//! path is first-fit: the earliest `t ≥ earliest` with `[t, t + dur)`
+//! free. A pipe that both directions of a NIC stage through collects
+//! thousands of runs separated by sub-segment slivers that fit nothing,
+//! and a plain ordered map has to step over every one of them.
 //!
 //! So the runs live in blocks of at most [`BLOCK_CAP`], and each block
 //! caches the largest free gap that *starts* inside it — after one of its
 //! runs, up to the next run, which for the block's last run is the first
 //! run of the following block (the last block's final gap is unbounded).
 //! A block whose cached gap is shorter than `dur` is skipped with one
-//! comparison. A reservation costs a search for `earliest` (galloping
-//! back from the tail, where most reservations are asked for, then
+//! comparison. A reservation costs a search for `earliest` (one look at
+//! the first block, where a reservation asked for at `now` lands, else
+//! galloping back from the tail, where most others are asked for, then
 //! bisecting), one scan of at most a block and one summary per skipped
 //! block: `O(B + n/B)` for `n` runs in blocks of `B`, against `O(n)`.
 //! Keeping the summaries costs a rescan of one block only when its
@@ -29,6 +30,29 @@
 //! blocks behind it. Blocks disappear when pruned or bridged empty and are
 //! never re-merged: the `n/B` term counts blocks, which bridging can leave
 //! under-full until pruning reaches them.
+//!
+//! Most pipes are idle between reservations: every run has ended by the
+//! next booking. Such a booking lands where asked, so it resets the
+//! calendar to that one run in the first block's storage without a
+//! search: an idle pipe allocates nothing per booking.
+//!
+//! **Runs are 8 bytes.** A block stores each run as two `u32` nanosecond
+//! offsets from its own `base` instant, so a full block is one 512-byte
+//! allocation. Every run in a block ends within [`SPAN`] (`u32::MAX` ns,
+//! 4.29 s) of the base. Where a run would not fit — a run later than the
+//! last block's reach, one in front of a block that cannot reach back to
+//! it, or a single reservation longer than `SPAN` — a new block starts, and
+//! touching runs merge only while the merged run still fits. A busy
+//! stretch that does not fit stays as touching pieces in neighbouring
+//! blocks; first-fit needs nothing new for them, since the zero gap
+//! between two pieces fits no reservation. Offsets never leave [`Block`]:
+//! the calendar's interface is [`SimTime`] and [`SimDuration`].
+//!
+//! **Trains.** [`Calendar::book_train`] books a run of reservations in
+//! order, each exactly where [`Calendar::book`] would put it, with one
+//! prune for the lot and each search continued forward from the previous
+//! one's position (a fresh search only for an `earliest` before the
+//! previous one): how a pipeline stage takes a message's segments.
 
 #[cfg(test)]
 use std::cell::Cell;
@@ -41,16 +65,28 @@ use crate::time::{SimDuration, SimTime};
 /// of summaries to step over).
 const BLOCK_CAP: usize = 64;
 
-/// One busy stretch `[start, end)`.
+/// Furthest a run's end may lie from its block's base: what a `u32`
+/// offset holds.
+const SPAN: SimDuration = SimDuration::from_nanos(u32::MAX as u64);
+
+/// One busy stretch `[start, end)`, in nanoseconds from its block's base.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct Run {
-    start: SimTime,
-    end: SimTime,
+    start: u32,
+    end: u32,
+}
+
+/// `off` nanoseconds.
+fn nanos(off: u32) -> SimDuration {
+    SimDuration::from_nanos(u64::from(off))
 }
 
 #[derive(Debug)]
 struct Block {
-    /// Time-ordered, disjoint, non-touching; never empty.
+    /// What the runs' offsets count from: at or before the first run's
+    /// start, and at most [`SPAN`] before the last run's end.
+    base: SimTime,
+    /// Time-ordered, disjoint, never touching; never empty.
     runs: Vec<Run>,
     /// Largest free gap following one of `runs` (see the module docs);
     /// `SimDuration::MAX` in the last block. Maintained by
@@ -59,32 +95,127 @@ struct Block {
 }
 
 impl Block {
-    fn holding(runs: &[Run]) -> Self {
-        let mut v = Vec::with_capacity(BLOCK_CAP);
-        v.extend_from_slice(runs);
+    /// Move runs `at..` into a block of their own with the same base.
+    fn split_off(&mut self, at: usize) -> Block {
+        let mut runs = Vec::with_capacity(BLOCK_CAP);
+        runs.extend_from_slice(&self.runs[at..]);
+        self.runs.truncate(at);
         Block {
-            runs: v,
+            base: self.base,
+            runs,
             max_gap: SimDuration::MAX,
         }
     }
 
-    fn last(&self) -> Run {
-        self.runs[self.runs.len() - 1]
+    fn len(&self) -> usize {
+        self.runs.len()
+    }
+
+    fn start(&self, i: usize) -> SimTime {
+        self.base + nanos(self.runs[i].start)
+    }
+
+    fn end(&self, i: usize) -> SimTime {
+        self.base + nanos(self.runs[i].end)
+    }
+
+    fn last_end(&self) -> SimTime {
+        self.end(self.len() - 1)
+    }
+
+    /// Free time between runs `i` and `i + 1`.
+    fn gap_after(&self, i: usize) -> SimDuration {
+        nanos(self.runs[i + 1].start - self.runs[i].end)
+    }
+
+    /// The widest free time between two of the runs, `None` for one run.
+    fn widest_gap(&self) -> Option<SimDuration> {
+        self.runs
+            .windows(2)
+            .map(|w| w[1].start - w[0].end)
+            .max()
+            .map(nanos)
+    }
+
+    /// `t` as an offset, if this block can hold an instant there.
+    fn offset(&self, t: SimTime) -> Option<u32> {
+        if t < self.base {
+            return None;
+        }
+        u32::try_from((t - self.base).as_nanos()).ok()
+    }
+
+    /// How many runs ended at or before `t`.
+    fn ended_by(&self, t: SimTime) -> usize {
+        if t < self.base {
+            return 0;
+        }
+        match u32::try_from((t - self.base).as_nanos()) {
+            // Most often none has: a booking asked for at `now`, once
+            // the calendar is pruned to `now`.
+            Ok(off) if self.runs[0].end > off => 0,
+            Ok(off) => self.runs.partition_point(|r| r.end <= off),
+            Err(_) => self.len(),
+        }
     }
 
     /// Index of the first run at or after `from` that is followed by at
-    /// least `dur` of free time. `tail_gap` is the gap after the last run.
-    fn first_gap_from(
-        &self,
-        from: usize,
-        dur: SimDuration,
-        tail_gap: SimDuration,
-    ) -> Option<usize> {
+    /// least `dur` of free time before the next run of this block.
+    fn first_gap_from(&self, from: usize, dur: SimDuration) -> Option<usize> {
+        // A gap between two runs is narrower than `SPAN`, so a longer
+        // `dur` fits none.
+        let dur = u32::try_from(dur.as_nanos()).ok()?;
         self.runs[from..]
             .windows(2)
             .position(|w| w[1].start - w[0].end >= dur)
             .map(|k| from + k)
-            .or_else(|| (tail_gap >= dur).then(|| self.runs.len() - 1))
+    }
+
+    /// Move the base back to `t` unless it is already there or earlier.
+    /// `false`, leaving the block as it was, when the last run would then
+    /// end beyond [`SPAN`].
+    fn reach_back(&mut self, t: SimTime) -> bool {
+        if t >= self.base {
+            return true;
+        }
+        let last = self.runs[self.len() - 1].end;
+        let Some(shift) = u32::try_from((self.base - t).as_nanos())
+            .ok()
+            .filter(|&shift| last.checked_add(shift).is_some())
+        else {
+            return false;
+        };
+        for r in &mut self.runs {
+            r.start += shift;
+            r.end += shift;
+        }
+        self.base = t;
+        true
+    }
+
+    /// Move run `i`'s end to `t`; `false` if the block cannot reach it.
+    fn set_end(&mut self, i: usize, t: SimTime) -> bool {
+        self.offset(t).map(|off| self.runs[i].end = off).is_some()
+    }
+
+    /// Move run `i`'s start back to `t`; `false` if the block cannot
+    /// reach back to it.
+    fn set_start(&mut self, i: usize, t: SimTime) -> bool {
+        if !self.reach_back(t) {
+            return false;
+        }
+        self.runs[i].start = self.offset(t).expect("the base is at or before t");
+        true
+    }
+
+    /// Insert `[start, end)` as run `i`; the block must reach both ends.
+    fn insert(&mut self, i: usize, start: SimTime, end: SimTime) {
+        let run = self
+            .offset(start)
+            .zip(self.offset(end))
+            .map(|(start, end)| Run { start, end })
+            .expect("the block reaches the run");
+        self.runs.insert(i, run);
     }
 }
 
@@ -103,14 +234,15 @@ pub(crate) struct Calendar {
 }
 
 impl Calendar {
-    /// Number of (merged) busy runs currently held.
+    /// Number of busy runs currently held: merged, except where a
+    /// stretch stays in pieces (see the module docs).
     pub(crate) fn len(&self) -> usize {
         self.len
     }
 
     /// End of the latest reservation, `None` when the calendar is empty.
     pub(crate) fn last_end(&self) -> Option<SimTime> {
-        self.blocks.last().map(|blk| blk.last().end)
+        self.blocks.last().map(Block::last_end)
     }
 
     /// Reserve the first `dur` free at or after `earliest` and return its
@@ -119,41 +251,74 @@ impl Calendar {
     /// one `now` never drops a run (each ends after `now`), which is how
     /// the pipe's closed-form plan books its virtual stages.
     pub(crate) fn book(&mut self, now: SimTime, earliest: SimTime, dur: SimDuration) -> SimTime {
-        debug_assert!(!dur.is_zero(), "zero-length reservation");
+        if self.restart(now, earliest, dur) {
+            return earliest;
+        }
         self.prune(now);
-        let (mut b, mut i) = self.seek(earliest);
-        let mut start = earliest;
-        let blocked = self
-            .blocks
-            .get(b)
-            .is_some_and(|blk| start + dur > blk.runs[i].start);
-        if blocked {
-            // `earliest` falls in or too close before run `(b, i)`, so the
-            // reservation starts where some run ends: the first one, from
-            // here on, followed by a gap of `dur`. The unbounded gap after
-            // the very last run ends the search.
-            loop {
-                self.probe(1);
-                let blk = &self.blocks[b];
-                if blk.max_gap >= dur {
-                    let found = blk.first_gap_from(i, dur, self.tail_gap(b));
-                    self.probe(found.map_or(blk.runs.len(), |j| j + 1) - i);
-                    if let Some(j) = found {
-                        start = blk.runs[j].end;
-                        (b, i) = if j + 1 < blk.runs.len() {
-                            (b, j + 1)
-                        } else {
-                            (b + 1, 0)
-                        };
-                        break;
-                    }
-                }
-                b += 1;
-                i = 0;
+        let (b, i) = self.seek(earliest);
+        self.book_at(b, i, earliest, dur)
+    }
+
+    /// The booking an idle pipe makes: when every run ended by `now`, the
+    /// calendar becomes the one run `[earliest, earliest + dur)`, in the
+    /// first block's storage. `false`, changing nothing, otherwise or for
+    /// a `dur` longer than [`SPAN`].
+    fn restart(&mut self, now: SimTime, earliest: SimTime, dur: SimDuration) -> bool {
+        debug_assert!(!dur.is_zero(), "zero-length reservation");
+        let idle = self.last_end().is_some_and(|end| end <= now);
+        let Some(end) = u32::try_from(dur.as_nanos()).ok().filter(|_| idle) else {
+            return false;
+        };
+        self.blocks.truncate(1);
+        let blk = &mut self.blocks[0];
+        blk.base = earliest;
+        blk.runs.clear();
+        blk.runs.push(Run { start: 0, end });
+        blk.max_gap = SimDuration::MAX;
+        self.len = 1;
+        true
+    }
+
+    /// Book `train` in order, each `(earliest, dur)` exactly as [`Self::book`]
+    /// at `now` would, and overwrite each `earliest` with where its
+    /// reservation starts. Returns the most runs the calendar held after
+    /// any one of the bookings.
+    pub(crate) fn book_train(
+        &mut self,
+        now: SimTime,
+        train: &mut [(SimTime, SimDuration)],
+    ) -> usize {
+        let mut peak = 0;
+        // `(b, t)`: every block before `b` ended by `t`, an earlier
+        // `earliest`, so a later one is sought from `b` on.
+        let mut sought: Option<(usize, SimTime)> = None;
+        let mut booked = 0;
+        if let Some(&(earliest, dur)) = train.first() {
+            if self.restart(now, earliest, dur) {
+                (peak, sought, booked) = (1, Some((0, earliest)), 1);
             }
         }
-        self.place(b, i, start, start + dur);
-        start
+        self.prune(now);
+        for (at, dur) in &mut train[booked..] {
+            let earliest = *at;
+            let (b, i) = match sought {
+                Some((from, t)) if earliest >= t => self.seek_from(from, earliest),
+                _ => self.seek(earliest),
+            };
+            let start = self.book_at(b, i, earliest, *dur);
+            peak = peak.max(self.len);
+            // Booking changes blocks from `b - 1` on (a run of the block
+            // before the one it lands in can grow).
+            sought = Some((b.saturating_sub(1), earliest));
+            if start + *dur <= now {
+                // Only an `earliest` before `now` gets here, and `book`
+                // would drop the run on its next call.
+                self.prune(now);
+                sought = None;
+            }
+            *at = start;
+        }
+        peak
     }
 
     /// Mark `[start, end)` busy. The interval must be free; it may touch
@@ -164,25 +329,87 @@ impl Calendar {
         self.place(b, i, start, end);
     }
 
+    /// Reserve the first `dur` free at or after `earliest`, given the
+    /// position `(b, i)` of the first run ending after `earliest`, and
+    /// return its start.
+    fn book_at(&mut self, b: usize, i: usize, earliest: SimTime, dur: SimDuration) -> SimTime {
+        debug_assert!(!dur.is_zero(), "zero-length reservation");
+        let (b, i, start) = self.first_fit(b, i, earliest, dur);
+        self.place(b, i, start, start + dur);
+        start
+    }
+
+    /// Where first-fit puts `dur` at or after `earliest`, given the
+    /// position `(b, i)` of the first run ending after `earliest`: the
+    /// position of the first run ending after the start, and the start.
+    fn first_fit(
+        &self,
+        mut b: usize,
+        mut i: usize,
+        earliest: SimTime,
+        dur: SimDuration,
+    ) -> (usize, usize, SimTime) {
+        let blocked = self
+            .blocks
+            .get(b)
+            .is_some_and(|blk| earliest + dur > blk.start(i));
+        if !blocked {
+            return (b, i, earliest);
+        }
+        // `earliest` falls in or too close before run `(b, i)`, so the
+        // reservation starts where some run ends: the first one, from
+        // here on, followed by a gap of `dur`. The unbounded gap after
+        // the very last run ends the search.
+        loop {
+            self.probe(1);
+            let blk = &self.blocks[b];
+            if blk.max_gap >= dur {
+                // The gap behind the last run is read only if no gap
+                // inside the block fits: it is in the next block.
+                let found = blk
+                    .first_gap_from(i, dur)
+                    .or_else(|| (self.tail_gap(b) >= dur).then(|| blk.len() - 1));
+                self.probe(found.map_or(blk.len(), |j| j + 1) - i);
+                if let Some(j) = found {
+                    let next = if j + 1 < blk.len() {
+                        (b, j + 1)
+                    } else {
+                        (b + 1, 0)
+                    };
+                    return (next.0, next.1, blk.end(j));
+                }
+            }
+            b += 1;
+            i = 0;
+        }
+    }
+
     /// Drop every run that ended at or before `now`. Ends are sorted, so
     /// those form a prefix: whole blocks first, then the head of one.
+    #[inline]
     fn prune(&mut self, now: SimTime) {
-        if self.blocks.first().is_none_or(|blk| blk.runs[0].end > now) {
-            return;
+        if self.blocks.first().is_some_and(|blk| blk.end(0) <= now) {
+            self.prune_past(now);
         }
-        let whole = self.blocks.partition_point(|blk| blk.last().end <= now);
-        self.len -= self.blocks[..whole]
+    }
+
+    /// [`Self::prune`] once the first run has ended by `now`.
+    fn prune_past(&mut self, now: SimTime) {
+        // Counted from the front: a prune usually takes no whole block or
+        // one, and a bisection would touch a dozen blocks to find that.
+        let whole = self
+            .blocks
             .iter()
-            .map(|blk| blk.runs.len())
-            .sum::<usize>();
+            .take_while(|blk| blk.last_end() <= now)
+            .count();
+        self.len -= self.blocks[..whole].iter().map(Block::len).sum::<usize>();
         self.blocks.drain(..whole);
         if let Some(head) = self.blocks.first_mut() {
-            let past = head.runs.partition_point(|r| r.end <= now);
+            let past = head.ended_by(now);
             if past > 0 {
                 // The gaps after the dropped runs go with them.
-                let dropped = head.runs[..=past]
-                    .windows(2)
-                    .map(|w| w[1].start - w[0].end)
+                let dropped = (0..past)
+                    .map(|k| head.gap_after(k))
                     .max()
                     .unwrap_or(SimDuration::ZERO);
                 head.runs.drain(..past);
@@ -192,36 +419,65 @@ impl Calendar {
         }
     }
 
+    /// Whether block `blk`'s last run ended by `t`.
+    fn ended(&self, blk: &Block, t: SimTime) -> bool {
+        self.probe(1);
+        blk.last_end() <= t
+    }
+
     /// Position `(block, index)` of the first run ending after `t`;
     /// `(self.blocks.len(), 0)` when there is none.
     fn seek(&self, t: SimTime) -> (usize, usize) {
-        let ended = |blk: &Block| {
-            self.probe(1);
-            blk.last().end <= t
-        };
-        // Most reservations are asked for at or near the tail of the
-        // queue, so start there: every block from `hi` on ends after `t`;
-        // gallop `hi` back until the block stepped to has ended by `t`,
-        // then bisect the stretch stepped over.
+        // A reservation asked for at `now` falls in the first block once
+        // the calendar is pruned to `now`, so check that block first.
+        if self.blocks.first().is_some_and(|head| !self.ended(head, t)) {
+            return self.seek_between(0, 0, t);
+        }
+        // Most others are asked for at or near the tail of the queue, so
+        // start there: every block from `hi` on ends after `t`; gallop
+        // `hi` back until the block stepped to has ended by `t` (block 0
+        // has), then bisect the stretch stepped over.
         let mut hi = self.blocks.len();
         let mut step = 1;
         let lo = loop {
-            if hi == 0 {
-                break 0;
+            if hi <= 1 {
+                break hi;
             }
-            let k = hi.saturating_sub(step);
-            if ended(&self.blocks[k]) {
+            let k = hi.saturating_sub(step).max(1);
+            if self.ended(&self.blocks[k], t) {
                 break k + 1;
             }
             hi = k;
             step *= 2;
         };
-        let b = lo + self.blocks[lo..hi].partition_point(ended);
+        self.seek_between(lo, hi, t)
+    }
+
+    /// [`Self::seek`] given that every block before `lo` ended by `t`:
+    /// gallop forward from `lo`, then bisect.
+    fn seek_from(&self, mut lo: usize, t: SimTime) -> (usize, usize) {
+        let mut step = 1;
+        let hi = loop {
+            let k = lo + step - 1;
+            match self.blocks.get(k) {
+                None => break self.blocks.len(),
+                Some(blk) if !self.ended(blk, t) => break k,
+                Some(_) => {}
+            }
+            lo = k + 1;
+            step *= 2;
+        };
+        self.seek_between(lo, hi, t)
+    }
+
+    /// [`Self::seek`] given that every block before `lo` ended by `t` and
+    /// none from `hi` on did.
+    fn seek_between(&self, lo: usize, hi: usize, t: SimTime) -> (usize, usize) {
+        let b = lo + self.blocks[lo..hi].partition_point(|blk| self.ended(blk, t));
         let i = self.blocks.get(b).map_or(0, |blk| {
-            blk.runs.partition_point(|r| {
-                self.probe(1);
-                r.end <= t
-            })
+            // A bisection of the block's runs.
+            self.probe((usize::BITS - blk.len().leading_zeros()) as usize);
+            blk.ended_by(t)
         });
         (b, i)
     }
@@ -229,7 +485,7 @@ impl Calendar {
     /// Free time between the last run of block `b` and the next block.
     fn tail_gap(&self, b: usize) -> SimDuration {
         self.blocks.get(b + 1).map_or(SimDuration::MAX, |next| {
-            next.runs[0].start - self.blocks[b].last().end
+            next.start(0) - self.blocks[b].last_end()
         })
     }
 
@@ -241,8 +497,7 @@ impl Calendar {
         self.refreshes.set(self.refreshes.get() + 1);
         let tail = self.tail_gap(b);
         let blk = &mut self.blocks[b];
-        let inner = blk.runs.windows(2).map(|w| w[1].start - w[0].end).max();
-        blk.max_gap = inner.map_or(tail, |g| g.max(tail));
+        blk.max_gap = blk.widest_gap().map_or(tail, |g| g.max(tail));
     }
 
     /// Block `b`'s gap of width `old` shrank or vanished. The summary
@@ -254,6 +509,22 @@ impl Calendar {
         }
     }
 
+    /// Insert a block at index `b` holding the one run `[start, end)`,
+    /// which spans at most [`SPAN`].
+    fn new_block(&mut self, b: usize, start: SimTime, end: SimTime) {
+        self.blocks.insert(
+            b,
+            Block {
+                base: start,
+                runs: Vec::with_capacity(BLOCK_CAP),
+                max_gap: SimDuration::MAX,
+            },
+        );
+        // Filled in place: a block filled first and then moved costs a
+        // load of the length just stored, which the store cannot forward.
+        self.blocks[b].insert(0, start, end);
+    }
+
     /// Block `b` gained a gap of width `gap`.
     fn gained_gap(&mut self, b: usize, gap: SimDuration) {
         let blk = &mut self.blocks[b];
@@ -262,30 +533,46 @@ impl Calendar {
 
     /// Make the free interval `[start, end)` busy, given the position
     /// `(b, i)` of the first run ending after `start` (which therefore
-    /// starts at or after `end`). Touching neighbours are merged.
-    fn place(&mut self, b: usize, i: usize, start: SimTime, end: SimTime) {
-        let next = self.blocks.get(b).map(|blk| blk.runs[i]);
+    /// starts at or after `end`). Touching neighbours are merged. An
+    /// interval longer than [`SPAN`] is placed as touching pieces.
+    fn place(&mut self, mut b: usize, mut i: usize, mut start: SimTime, end: SimTime) {
+        loop {
+            let cut = end.min(start + SPAN);
+            self.place_piece(b, i, start, cut);
+            if cut == end {
+                return;
+            }
+            start = cut;
+            (b, i) = self.seek(start);
+        }
+    }
+
+    /// [`Self::place`] for an interval no longer than [`SPAN`]. A merge
+    /// that the block holding the merged run cannot reach is skipped, and
+    /// the run stays a piece touching its neighbour.
+    fn place_piece(&mut self, b: usize, i: usize, start: SimTime, end: SimTime) {
+        let next = self.blocks.get(b).map(|blk| (blk.start(i), blk.end(i)));
         debug_assert!(
-            next.is_none_or(|n| end <= n.start),
+            next.is_none_or(|(n_start, _)| end <= n_start),
             "calendar interval [{start:?}, {end:?}) overlaps busy run {next:?}"
         );
         let prev = if i > 0 {
             Some((b, i - 1))
         } else {
-            b.checked_sub(1).map(|p| (p, self.blocks[p].runs.len() - 1))
+            b.checked_sub(1).map(|p| (p, self.blocks[p].len() - 1))
         };
-        let joins_prev = prev.filter(|&(pb, pi)| self.blocks[pb].runs[pi].end == start);
-        let joins_next = next.filter(|n| n.start == end);
-        match (joins_prev, joins_next) {
-            (Some((pb, pi)), Some(n)) => {
-                // Bridges the two: the earlier run swallows the later, the
-                // gap between them vanishes and the one after `n` is now
-                // the merged run's.
-                let after_n = match self.blocks[b].runs.get(i + 1) {
-                    Some(r) => r.start - n.end,
-                    None => self.tail_gap(b),
-                };
-                self.blocks[pb].runs[pi].end = n.end;
+        let joins_prev = prev.filter(|&(pb, pi)| self.blocks[pb].end(pi) == start);
+        let joins_next = next.filter(|&(n_start, _)| n_start == end);
+        if let (Some((pb, pi)), Some((_, n_end))) = (joins_prev, joins_next) {
+            // Bridges the two: the earlier run swallows the later, the
+            // gap between them vanishes and the one after the later run
+            // is now the merged run's.
+            let after_n = if i + 1 < self.blocks[b].len() {
+                self.blocks[b].gap_after(i)
+            } else {
+                self.tail_gap(b)
+            };
+            if self.blocks[pb].set_end(pi, n_end) {
                 self.blocks[b].runs.remove(i);
                 self.len -= 1;
                 if pb != b {
@@ -298,37 +585,46 @@ impl Calendar {
                     self.gained_gap(pb, after_n);
                 }
                 self.lost_gap(pb, end - start);
+                return;
             }
-            (Some((pb, pi)), None) => {
-                let run = &mut self.blocks[pb].runs[pi];
-                let old_gap = next.map_or(SimDuration::MAX, |n| n.start - run.end);
-                run.end = end;
+        }
+        if let Some((pb, pi)) = joins_prev {
+            let old_gap = next.map_or(SimDuration::MAX, |(n_start, _)| n_start - start);
+            if self.blocks[pb].set_end(pi, end) {
                 self.lost_gap(pb, old_gap);
+                return;
             }
-            (None, Some(n)) => {
-                self.blocks[b].runs[i].start = start;
+        }
+        if let Some((n_start, _)) = joins_next {
+            if self.blocks[b].set_start(i, start) {
                 // The gap that shrank is owned by the run before it.
                 if let Some((pb, pi)) = prev {
-                    let old_gap = n.start - self.blocks[pb].runs[pi].end;
+                    let old_gap = n_start - self.blocks[pb].end(pi);
                     self.lost_gap(pb, old_gap);
                 }
+                return;
             }
-            (None, None) => self.insert_run(b, i, Run { start, end }),
         }
+        self.insert_run(b, i, start, end);
     }
 
-    /// Insert a run that touches neither neighbour at position `(b, i)`.
-    fn insert_run(&mut self, b: usize, i: usize, run: Run) {
+    /// Insert `[start, end)`, which no neighbour it touches could take,
+    /// as a run of its own at position `(b, i)`.
+    fn insert_run(&mut self, b: usize, i: usize, start: SimTime, end: SimTime) {
         self.len += 1;
         if b == self.blocks.len() {
-            // Later than every run. A full last block is left as it is and
-            // a new one started: FIFO growth leaves full blocks, not halves.
-            // Within the last block the summary stays unbounded; a block
-            // that stops being the last gets its real one.
+            // Later than every run. A full last block, or one that cannot
+            // reach `end`, is left as it is and a new one started: FIFO
+            // growth leaves full blocks, not halves. Within the last block
+            // the summary stays unbounded; a block that stops being the
+            // last gets its real one.
             match self.blocks.last_mut() {
-                Some(last) if last.runs.len() < BLOCK_CAP => last.runs.push(run),
+                Some(last) if last.len() < BLOCK_CAP && last.offset(end).is_some() => {
+                    let at = last.len();
+                    last.insert(at, start, end);
+                }
                 _ => {
-                    self.blocks.push(Block::holding(&[run]));
+                    self.new_block(b, start, end);
                     if let Some(p) = b.checked_sub(1) {
                         self.refresh(p);
                     }
@@ -336,24 +632,34 @@ impl Calendar {
             }
             return;
         }
-        // `run` lands in the gap before run `(b, i)`: the part in front of
-        // it stays with that gap's owner, the part behind it is `run`'s.
-        let next_start = self.blocks[b].runs[i].start;
+        // The run lands in the gap before run `(b, i)`: the part in front
+        // of it stays with that gap's owner, the part behind it is the
+        // run's.
+        let next_start = self.blocks[b].start(i);
         let lost = if i > 0 {
-            Some((b, next_start - self.blocks[b].runs[i - 1].end))
+            Some((b, next_start - self.blocks[b].end(i - 1)))
         } else {
             b.checked_sub(1)
-                .map(|p| (p, next_start - self.blocks[p].last().end))
+                .map(|p| (p, next_start - self.blocks[p].last_end()))
         };
+        if i == 0 && !self.blocks[b].reach_back(start) {
+            // Block `b` cannot reach back this far: the run starts a block
+            // of its own in front of it.
+            self.new_block(b, start, end);
+            self.refresh(b);
+            if let Some((p, old)) = lost {
+                self.lost_gap(p, old);
+            }
+            return;
+        }
         let half = BLOCK_CAP / 2;
-        if self.blocks[b].runs.len() == BLOCK_CAP {
-            let upper = Block::holding(&self.blocks[b].runs[half..]);
-            self.blocks[b].runs.truncate(half);
+        if self.blocks[b].len() == BLOCK_CAP {
+            let upper = self.blocks[b].split_off(half);
             self.blocks.insert(b + 1, upper);
             if i > half {
-                self.blocks[b + 1].runs.insert(i - half, run);
+                self.blocks[b + 1].insert(i - half, start, end);
             } else {
-                self.blocks[b].runs.insert(i, run);
+                self.blocks[b].insert(i, start, end);
             }
             // Each half holds a share of the old block's gaps; an upper
             // half that is the last block keeps the unbounded summary.
@@ -366,14 +672,14 @@ impl Calendar {
             }
             return;
         }
-        self.blocks[b].runs.insert(i, run);
+        self.blocks[b].insert(i, start, end);
         if let Some((p, old)) = lost {
             self.lost_gap(p, old);
         }
         // Both parts are narrower than the gap they came from, so only a
         // new first run can raise its block's summary.
         if i == 0 {
-            self.gained_gap(b, next_start - run.end);
+            self.gained_gap(b, next_start - end);
         }
     }
 
@@ -484,45 +790,79 @@ mod tests {
             self.last_end().map(SimTime::as_nanos)
         }
 
+        /// Every stored run, pieces and all, in raw nanoseconds.
         fn flat(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
             self.blocks.iter().flat_map(|blk| {
-                blk.runs
-                    .iter()
-                    .map(|r| (r.start.as_nanos(), r.end.as_nanos()))
+                (0..blk.len()).map(|i| (blk.start(i).as_nanos(), blk.end(i).as_nanos()))
             })
         }
 
         /// Every structural invariant, each cached gap recomputed from
-        /// scratch, and run-for-run equality with `model`.
-        fn assert_matches(&self, model: &BTreeMap<u64, u64>) {
-            assert_eq!(self.len(), model.len());
+        /// scratch, and the busy time run for run equal to `model`'s once
+        /// touching pieces are joined. Pieces may touch only across a
+        /// block boundary.
+        fn assert_covers(&self, model: &BTreeMap<u64, u64>) {
+            assert_eq!(self.len(), self.flat().count());
             assert_eq!(
                 self.last_end_ns(),
                 model.last_key_value().map(|(_, &en)| en)
             );
-            let mut expected = model.iter();
+            let mut joined: Vec<(u64, u64)> = Vec::new();
             let mut prev_end = None;
             for (b, blk) in self.blocks.iter().enumerate() {
                 assert!(!blk.runs.is_empty(), "block {b} is empty");
                 assert!(blk.runs.len() <= BLOCK_CAP, "block {b} is overfull");
                 assert_eq!(blk.runs.capacity(), BLOCK_CAP, "block {b} regrew");
-                let next_first = self.blocks.get(b + 1).map(|n| n.runs[0]);
+                assert_eq!(
+                    blk.runs.capacity() * std::mem::size_of::<Run>(),
+                    512,
+                    "block {b} allocates other than 512 B"
+                );
+                let next_first = self.blocks.get(b + 1).map(|n| n.start(0));
                 let mut max_gap = SimDuration::ZERO;
-                for (j, &r) in blk.runs.iter().enumerate() {
-                    let (start, end) = (r.start.as_nanos(), r.end.as_nanos());
-                    assert_eq!(expected.next(), Some((&start, &end)));
-                    assert!(r.start < r.end, "empty run {r:?}");
+                for j in 0..blk.len() {
+                    let (start, end) = (blk.start(j), blk.end(j));
+                    assert!(start < end, "empty run [{start:?}, {end:?})");
                     assert!(
-                        prev_end.is_none_or(|e| e < r.start),
-                        "{r:?} overlaps or touches the run ending at {prev_end:?}"
+                        prev_end.is_none_or(|e| e < start || (j == 0 && e == start)),
+                        "[{start:?}, {end:?}) overlaps, or touches within block {b}, \
+                         the run ending at {prev_end:?}"
                     );
-                    prev_end = Some(r.end);
-                    let next = blk.runs.get(j + 1).copied().or(next_first);
-                    max_gap = max_gap.max(next.map_or(SimDuration::MAX, |n| n.start - r.end));
+                    prev_end = Some(end);
+                    match joined.last_mut() {
+                        Some(last) if last.1 == start.as_nanos() => last.1 = end.as_nanos(),
+                        _ => joined.push((start.as_nanos(), end.as_nanos())),
+                    }
+                    let next = if j + 1 < blk.len() {
+                        Some(blk.start(j + 1))
+                    } else {
+                        next_first
+                    };
+                    max_gap = max_gap.max(next.map_or(SimDuration::MAX, |n| n - end));
                 }
                 assert_eq!(blk.max_gap, max_gap, "stale gap summary on block {b}");
             }
-            assert_eq!(expected.next(), None);
+            // A stretch held in pieces may have lost its first pieces to a
+            // prune that the reference, which prunes whole stretches, has
+            // not made: the first run may start later than the model's.
+            let mut model = model.iter().map(|(&s, &e)| (s, e));
+            if let (Some(first), Some((s, e))) = (joined.first_mut(), model.next()) {
+                assert!(
+                    first.0 >= s && first.1 == e,
+                    "first run {first:?} is not ({s}, {e})"
+                );
+                first.0 = s;
+            }
+            assert!(
+                joined.into_iter().skip(1).eq(model),
+                "the busy time differs"
+            );
+        }
+
+        /// [`Self::assert_covers`], and no stretch left in pieces.
+        fn assert_matches(&self, model: &BTreeMap<u64, u64>) {
+            self.assert_covers(model);
+            assert_eq!(self.len(), model.len(), "a busy stretch stayed in pieces");
         }
 
         /// [`Self::assert_matches`] without a model: structure only.
@@ -531,6 +871,7 @@ mod tests {
         }
     }
 
+    #[derive(Clone, Copy)]
     enum Op {
         Reserve { now: u64, earliest: u64, dur: u64 },
         Insert { start: u64, end: u64 },
@@ -539,10 +880,16 @@ mod tests {
     /// One segment's service time in the generated streams, ns.
     const SEG: u64 = 1_200;
 
-    /// Seeded operation stream shaped like a shared NIC stage: reservations
-    /// of 1 ns to many segments, asked for anywhere from `now` to far past
-    /// the tail, plus `insert`s of intervals that are free in `model` —
-    /// loose, touching the run before, or filling a gap exactly. `now`
+    /// The unit of the long-span streams, ns: a quarter second, so runs,
+    /// gaps and busy stretches last seconds, a reservation can outlast
+    /// [`SPAN`], and a stream passes 2^32 ns in a few dozen operations.
+    const LONG: u64 = 250_000_000;
+
+    /// Seeded operation stream shaped like a shared NIC stage, in units of
+    /// one segment time `seg`: reservations of 1 ns to many segments,
+    /// asked for anywhere from `now` to far past the tail, plus `insert`s
+    /// of intervals that are free in `model` — loose, touching the run
+    /// before, or filling a gap exactly. `now`
     /// creeps forward while the calendar is shorter than `target` runs and
     /// jumps up to half-way to the tail once it is longer, so the length
     /// hovers around `target` and prunes take whole blocks plus part of
@@ -553,6 +900,7 @@ mod tests {
         now: &mut u64,
         target: Option<usize>,
         model: &BTreeMap<u64, u64>,
+        seg: u64,
     ) -> Op {
         let tail = model.last_key_value().map_or(*now, |(_, &en)| en.max(*now));
         if let Some(target) = target {
@@ -560,23 +908,25 @@ mod tests {
                 *now += if model.len() > target {
                     rng.below((tail - *now) / 2 + 1)
                 } else {
-                    rng.below(SEG)
+                    rng.below(seg)
                 };
             }
         }
+        // A creep can pass a tail that was close.
+        let tail = tail.max(*now);
         let earliest = match rng.below(8) {
             0 | 1 => *now,
-            2 => *now + rng.below(SEG),
+            2 => *now + rng.below(seg),
             3..=5 => *now + rng.below(tail - *now + 1),
             6 => tail + rng.below(4),
-            _ => tail + rng.below(4 * SEG),
+            _ => tail + rng.below(4 * seg),
         };
         let dur = match rng.below(8) {
             0 => 1,
-            1 | 2 => 1 + rng.below(SEG),
-            3..=5 => SEG,
-            6 => 8 * SEG,
-            _ => 1 + rng.below(24 * SEG),
+            1 | 2 => 1 + rng.below(seg),
+            3..=5 => seg,
+            6 => 8 * seg,
+            _ => 1 + rng.below(24 * seg),
         };
         if target.is_none() || rng.below(8) != 0 {
             return Op::Reserve {
@@ -609,6 +959,27 @@ mod tests {
     /// run prunes far fewer.
     const MIN_BLOCKS_PRUNED: usize = if cfg!(debug_assertions) { 60 } else { 300 };
 
+    /// Apply `op` to `cal` and to the reference `model`, check that a
+    /// booking lands where the reference puts it, and return how many
+    /// whole blocks it pruned.
+    fn apply(cal: &mut Calendar, model: &mut BTreeMap<u64, u64>, op: Op, seed: u64) -> usize {
+        let blocks_before = cal.blocks.len();
+        match op {
+            Op::Reserve { now, earliest, dur } => {
+                let got = cal.book_ns(now, earliest, dur);
+                reference::prune_past(model, now);
+                let (want, _) = reference::first_fit(model, earliest, dur);
+                reference::insert_merged(model, want, want + dur);
+                assert_eq!(got, want, "seed {seed}: book({now}, {earliest}, {dur})");
+            }
+            Op::Insert { start, end } => {
+                cal.insert_ns(start, end);
+                reference::insert_merged(model, start, end);
+            }
+        }
+        blocks_before.saturating_sub(cal.blocks.len())
+    }
+
     #[test]
     fn matches_the_ordered_map_reference_on_random_streams() {
         let mut ops = 0u64;
@@ -627,21 +998,8 @@ mod tests {
             let mut model = BTreeMap::new();
             let mut now = 0;
             for _ in 0..OPS_PER_STREAM {
-                match next_op(&mut rng, &mut now, Some(target), &model) {
-                    Op::Reserve { now, earliest, dur } => {
-                        let blocks_before = cal.blocks.len();
-                        let got = cal.book_ns(now, earliest, dur);
-                        blocks_pruned += blocks_before.saturating_sub(cal.blocks.len());
-                        reference::prune_past(&mut model, now);
-                        let (want, _) = reference::first_fit(&model, earliest, dur);
-                        reference::insert_merged(&mut model, want, want + dur);
-                        assert_eq!(got, want, "seed {seed}: book({now}, {earliest}, {dur})");
-                    }
-                    Op::Insert { start, end } => {
-                        cal.insert_ns(start, end);
-                        reference::insert_merged(&mut model, start, end);
-                    }
-                }
+                let op = next_op(&mut rng, &mut now, Some(target), &model, SEG);
+                blocks_pruned += apply(&mut cal, &mut model, op, seed);
                 cal.assert_matches(&model);
                 peak = peak.max(cal.len());
                 ops += 1;
@@ -665,7 +1023,8 @@ mod tests {
             let mut model = BTreeMap::new();
             let mut now = 0;
             for step in 0..20_000 {
-                let Op::Reserve { now, earliest, dur } = next_op(&mut rng, &mut now, None, &model)
+                let Op::Reserve { now, earliest, dur } =
+                    next_op(&mut rng, &mut now, None, &model, SEG)
                 else {
                     unreachable!("the prune-free stream has no inserts");
                 };
@@ -678,6 +1037,127 @@ mod tests {
                 }
             }
             cal.assert_matches(&model);
+        }
+    }
+
+    /// Streams counted in quarter seconds: busy runs, gaps and stretches
+    /// of seconds, reservations longer than a block can span, times far
+    /// past 2^32 ns, and prunes. Every booking lands where the reference
+    /// puts it; a stretch may be held as touching pieces.
+    #[test]
+    fn matches_the_reference_on_streams_of_seconds_past_u32_offsets() {
+        let mut latest = 0;
+        let mut most_pieces = 0;
+        let mut blocks_pruned = 0;
+        for (seed, target) in [(21, 40), (22, 300), (23, 1_000)] {
+            let mut rng = Rng(seed);
+            let mut cal = Calendar::default();
+            let mut model = BTreeMap::new();
+            let mut now = 0;
+            for _ in 0..OPS_PER_STREAM / 4 {
+                let op = next_op(&mut rng, &mut now, Some(target), &model, LONG);
+                blocks_pruned += apply(&mut cal, &mut model, op, seed);
+                cal.assert_covers(&model);
+                most_pieces = most_pieces.max(cal.len() - model.len());
+                latest = latest.max(cal.last_end_ns().unwrap_or(0));
+            }
+        }
+        assert!(
+            latest > 100 * u64::from(u32::MAX),
+            "the streams end at only {latest} ns"
+        );
+        assert!(most_pieces > 0, "no stretch was ever held in pieces");
+        assert!(blocks_pruned > 10, "only {blocks_pruned} blocks pruned");
+    }
+
+    /// A pipe that goes idle between bookings: `now` often passes the end
+    /// of the last run, and such a booking restarts the calendar in its
+    /// first block.
+    #[test]
+    fn bookings_on_an_idle_calendar_match_the_reference() {
+        let mut idle = 0;
+        for seed in [41, 42] {
+            let mut rng = Rng(seed);
+            let mut cal = Calendar::default();
+            let mut model = BTreeMap::new();
+            let mut now = 0;
+            for _ in 0..4_000 {
+                now += rng.below(3 * SEG);
+                let earliest = now + rng.below(SEG);
+                let dur = 1 + rng.below(2 * SEG);
+                idle += u32::from(cal.last_end_ns().is_some_and(|end| end <= now));
+                apply(
+                    &mut cal,
+                    &mut model,
+                    Op::Reserve { now, earliest, dur },
+                    seed,
+                );
+                cal.assert_matches(&model);
+            }
+        }
+        assert!(idle > 1_000, "only {idle} bookings found the calendar idle");
+    }
+
+    /// Trains per seed in [`a_train_books_what_the_same_bookings_in_a_row_do`].
+    const TRAINS: u64 = if cfg!(debug_assertions) { 1_000 } else { 4_000 };
+
+    /// [`Calendar::book_train`] against the same bookings made one
+    /// [`Calendar::book`] at a time on a twin calendar and in the
+    /// reference: the same starts, the same runs after every train, and
+    /// the longest the twin got. Between trains both calendars take the
+    /// same random stream.
+    #[test]
+    fn a_train_books_what_the_same_bookings_in_a_row_do() {
+        for (seed, seg) in [(31, SEG), (32, SEG), (33, LONG)] {
+            let mut rng = Rng(seed);
+            let (mut train_cal, mut twin) = (Calendar::default(), Calendar::default());
+            let mut model = BTreeMap::new();
+            let mut now = 0;
+            for _ in 0..TRAINS {
+                for _ in 0..1 + rng.below(4) {
+                    let op = next_op(&mut rng, &mut now, Some(300), &model, seg);
+                    apply(&mut twin, &mut model.clone(), op, seed);
+                    apply(&mut train_cal, &mut model, op, seed);
+                }
+                if rng.below(8) == 0 {
+                    // The pipe goes idle before the message.
+                    now = model.last_key_value().map_or(now, |(_, &en)| en.max(now));
+                }
+                // A stage's view of one message: equal segments but the
+                // last, each asked for at `now` (a first stage) or at its
+                // upstream end, which runs ahead of the segment before or,
+                // where upstream slotted it into an earlier gap, behind.
+                let n = 1 + rng.below(10);
+                let dur = 1 + rng.below(seg);
+                let mut at = now + rng.below(2) * rng.below(4 * seg);
+                let mut train = Vec::new();
+                for k in 0..n {
+                    let d = if k + 1 == n { 1 + rng.below(dur) } else { dur };
+                    train.push((SimTime::from_nanos(at), SimDuration::from_nanos(d)));
+                    at = match rng.below(6) {
+                        0 => at,
+                        1 => at.saturating_sub(rng.below(2 * seg)).max(now),
+                        _ => at + rng.below(2 * seg),
+                    };
+                }
+                let (mut want, mut peak) = (Vec::new(), 0);
+                for &(earliest, dur) in &train {
+                    let (earliest, dur) = (earliest.as_nanos(), dur.as_nanos());
+                    let got = twin.book_ns(now, earliest, dur);
+                    peak = peak.max(twin.len());
+                    reference::prune_past(&mut model, now);
+                    let (fit, _) = reference::first_fit(&model, earliest, dur);
+                    reference::insert_merged(&mut model, fit, fit + dur);
+                    assert_eq!(got, fit, "seed {seed}: book({now}, {earliest}, {dur})");
+                    want.push(got);
+                }
+                let got_peak = train_cal.book_train(SimTime::from_nanos(now), &mut train);
+                let got: Vec<u64> = train.iter().map(|&(start, _)| start.as_nanos()).collect();
+                assert_eq!(got, want, "seed {seed}: train at {now}");
+                assert_eq!(got_peak, peak, "seed {seed}: peak length of a train");
+                assert!(train_cal.flat().eq(twin.flat()), "seed {seed}: runs differ");
+                train_cal.assert_covers(&model);
+            }
         }
     }
 
@@ -792,9 +1272,9 @@ mod tests {
         assert_eq!(cal.len(), BLOCK_CAP + 3);
         cal.check();
         // In front of a block's first run: the block before owns that gap.
-        let first = cal.blocks[1].runs[0].start.as_nanos();
+        let first = cal.blocks[1].start(0).as_nanos();
         cal.insert_ns(first - 3, first - 2);
-        assert_eq!(cal.blocks[1].runs[0].start.as_nanos(), first - 3);
+        assert_eq!(cal.blocks[1].start(0).as_nanos(), first - 3);
         cal.check();
     }
 
@@ -806,8 +1286,8 @@ mod tests {
         // block 1, over and over: block 0's last run swallows block 1 one
         // run at a time until the block is gone.
         while cal.blocks.len() == 2 {
-            let sliver = cal.blocks[0].last().end.as_nanos();
-            assert_eq!(cal.blocks[1].runs[0].start.as_nanos(), sliver + 1);
+            let sliver = cal.blocks[0].last_end().as_nanos();
+            assert_eq!(cal.blocks[1].start(0).as_nanos(), sliver + 1);
             cal.insert_ns(sliver, sliver + 1);
             reference::insert_merged(&mut model, sliver, sliver + 1);
             cal.check();
@@ -837,7 +1317,7 @@ mod tests {
         assert_eq!(cal.blocks[2].max_gap, SimDuration::from_nanos(500));
         // `now` lands past the wide gap: two blocks and the head of the
         // third go, and the third's summary must fall back to a sliver.
-        let now = cal.blocks[2].runs[10].start.as_nanos();
+        let now = cal.blocks[2].start(10).as_nanos();
         reference::prune_past(&mut model, now);
         let (want, _) = reference::first_fit(&model, now, 300);
         reference::insert_merged(&mut model, want, want + 300);

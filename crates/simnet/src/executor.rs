@@ -52,6 +52,7 @@ use std::rc::{Rc, Weak};
 use std::task::{Context, Poll, Waker};
 
 use crate::stats::SimStats;
+use crate::tier::Tier;
 use crate::time::{SimDuration, SimTime};
 
 /// A spawned future as the task slab holds it: boxed as-is, its output
@@ -374,13 +375,15 @@ impl Default for Sim {
 impl Sim {
     /// Create a fresh simulation with the clock at [`SimTime::ZERO`].
     ///
-    /// Captures the thread's schedule-perturbation salt (see
+    /// Captures the thread's transfer tier ([`crate::tier::default_tier`])
+    /// and schedule-perturbation salt (see
     /// [`crate::perturb::with_tie_break_salt`]); a nonzero salt permutes
     /// same-instant timer tie-breaks and disables the pipeline cut-through
-    /// fast path (which replays arm-order tie-breaks and so must not run
-    /// under a perturbed schedule).
+    /// fast path whatever the tier (the fast path replays arm-order
+    /// tie-breaks and so must not run under a perturbed schedule).
     pub fn new() -> Self {
         let tie_salt = crate::perturb::current_salt();
+        let tier = crate::tier::default_tier();
         Sim {
             core: Rc::new(RefCell::new(Core {
                 now: SimTime::ZERO,
@@ -393,8 +396,8 @@ impl Sim {
                 polling: None,
                 next_timer_seq: 0,
                 stats: SimStats::default(),
-                fast_path_enabled: tie_salt == 0,
-                transfer_memo_enabled: crate::memo::default_enabled(),
+                fast_path_enabled: tie_salt == 0 && tier != Tier::Walk,
+                transfer_memo_enabled: tier == Tier::Memo,
                 last_fired: None,
                 tie_salt,
                 trace_digest: FNV_OFFSET,
@@ -419,8 +422,9 @@ impl Sim {
         }
     }
 
-    /// Enable or disable the pipeline cut-through fast path (on by
-    /// default). Disabling forces every [`crate::Pipeline`] transfer down
+    /// Enable or disable the pipeline cut-through fast path (on unless the
+    /// creating thread's default tier is [`Tier::Walk`] or a tie-break salt
+    /// is set). Disabling forces every [`crate::Pipeline`] transfer down
     /// the per-segment walk; the differential tests run the same workload
     /// both ways and assert identical timing.
     pub fn set_fast_path(&self, enabled: bool) {
@@ -446,12 +450,12 @@ impl Sim {
     }
 
     /// Enable or disable the whole-transfer memo cache (see
-    /// [`crate::memo`]). On by default unless the creating thread's default
-    /// was turned off ([`crate::memo::set_default_enabled`]); captured at
-    /// [`Sim::new`]. Disabling forces every fast-path transfer to
-    /// recompute its closed-form plan — output is byte-identical either
-    /// way, which the `--no-memo` CI gates and `tests/transfer_diff.rs`
-    /// assert.
+    /// [`crate::memo`]). On when the creating thread's default tier
+    /// ([`crate::tier::set_default_tier`]) is [`Tier::Memo`], as it is
+    /// unless changed; captured at [`Sim::new`]. Disabling forces every
+    /// fast-path transfer to recompute its closed-form plan — output is
+    /// byte-identical either way, which ci.sh's `--tier fast` pin and
+    /// `tests/transfer_diff.rs` assert.
     pub fn set_transfer_memo(&self, enabled: bool) {
         self.core.borrow_mut().transfer_memo_enabled = enabled;
     }

@@ -49,6 +49,7 @@ pub mod pipe;
 pub mod shard;
 pub mod stats;
 pub mod sync;
+pub mod tier;
 pub mod time;
 mod units;
 
@@ -57,5 +58,6 @@ pub use fault::{FaultConfig, FaultPlane};
 pub use pipe::{Pipe, Pipeline, Stage};
 pub use shard::ShardedSim;
 pub use stats::SimStats;
+pub use tier::Tier;
 pub use time::{SimDuration, SimTime};
 pub use units::{ByteRate, Bytes};

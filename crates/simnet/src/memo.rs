@@ -59,8 +59,6 @@
 
 use crate::units::Bytes;
 
-use std::cell::Cell;
-
 /// Fingerprint of one memoizable transfer within a pipeline's cache.
 ///
 /// The cache instance itself already pins fabric, src/dst path, protocol
@@ -80,33 +78,6 @@ pub(crate) struct MemoKey {
 /// `SimStats::memo_evictions`) keeps memory bounded.
 pub(crate) const MEMO_CAPACITY: usize = 128;
 
-thread_local! {
-    /// Whether [`Sim`]s this thread creates enable the transfer memo:
-    /// `true` unless [`set_default_enabled`] turned it off (e.g. the
-    /// `figures --no-memo` byte-identity gate). Per thread, like the
-    /// tie-break salt ([`crate::perturb`]): a `Sim` never leaves the thread
-    /// that built it, and one thread's setting never reaches another's runs.
-    ///
-    /// [`Sim`]: crate::Sim
-    static DEFAULT_ENABLED: Cell<bool> = const { Cell::new(true) };
-}
-
-/// Set this thread's default, captured by each [`Sim::new`] on it. Safe
-/// to flip between runs precisely because memoization never affects
-/// simulation output, only wall-clock time
-/// ([`crate::Sim::set_transfer_memo`] overrides per simulation). A caller
-/// that runs simulations on worker threads hands each worker its setting.
-///
-/// [`Sim::new`]: crate::Sim::new
-pub fn set_default_enabled(enabled: bool) {
-    DEFAULT_ENABLED.set(enabled);
-}
-
-/// This thread's transfer-memo default.
-pub fn default_enabled() -> bool {
-    DEFAULT_ENABLED.get()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -123,15 +94,5 @@ mod tests {
         };
         assert!(a < b);
         assert_eq!(a, a);
-    }
-
-    #[test]
-    fn default_enabled_round_trips() {
-        assert!(default_enabled());
-        set_default_enabled(false);
-        assert!(!default_enabled());
-        assert!(!crate::Sim::new().transfer_memo_enabled());
-        set_default_enabled(true);
-        assert!(default_enabled());
     }
 }

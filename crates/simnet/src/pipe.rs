@@ -167,6 +167,34 @@ impl Pipe {
         (start, end)
     }
 
+    /// Reserve a train of transfers in order, each exactly as
+    /// [`Pipe::reserve`] would, with one calendar booking: entry `k` holds
+    /// transfer `k`'s earliest start and service time, and on return its
+    /// `.0` is where the transfer's occupancy ends. `bytes` is the train's
+    /// total.
+    fn reserve_train(&self, train: &mut [(SimTime, SimDuration)], bytes: Bytes) {
+        self.demote_speculation();
+        let mut busy = self.state.busy.get();
+        for (_, service) in train.iter_mut() {
+            busy += *service;
+            *service = (*service).max(MIN_OCCUPANCY);
+        }
+        let peak = self
+            .state
+            .calendar
+            .borrow_mut()
+            .book_train(self.sim.now(), train);
+        self.sim.note_booking(peak as u64);
+        for (at, dur) in train.iter_mut() {
+            *at += *dur;
+        }
+        self.state.busy.set(busy);
+        self.state
+            .transfers
+            .set(self.state.transfers.get() + train.len() as u64);
+        self.state.bytes.set(self.state.bytes.get() + bytes);
+    }
+
     /// Calendar-insert a reservation of `service` length at or after
     /// `earliest` (first fit). Updates busy accounting only.
     fn reserve_service(&self, earliest: SimTime, service: SimDuration) -> (SimTime, SimTime) {
@@ -248,6 +276,11 @@ impl Stage {
 /// competitor on a shared stage (8 segments ≈ 12 KB at Ethernet MSS).
 pub const PACE_CHUNK_SEGMENTS: u64 = 8;
 
+/// Segments a stage books per train in [`Pipeline::reserve_message`]:
+/// [`PACE_CHUNK_SEGMENTS`], so a message of at most one default pacing
+/// chunk is one train.
+const TRAIN_SEGMENTS: usize = 8;
+
 /// A chain of stages that a message crosses at segment granularity.
 ///
 /// Each stage's pipe is a *shared* resource: two connections pushing
@@ -257,6 +290,10 @@ pub const PACE_CHUNK_SEGMENTS: u64 = 8;
 #[derive(Clone, Debug)]
 pub struct Pipeline {
     stages: Rc<[Stage]>,
+    /// No two stages share a pipe, so each stage's calendar can take a
+    /// message's segments on its own (see [`Pipeline::reserve_message`])
+    /// and the closed-form plan can book them on virtual calendars.
+    distinct: bool,
     segment: Bytes,
     chunk: u64,
     sim: Sim,
@@ -449,8 +486,14 @@ impl Pipeline {
         assert!(!segment.is_zero(), "pipeline requires nonzero segment size");
         assert!(!stages.is_empty(), "pipeline requires at least one stage");
         assert!(chunk > 0, "pipeline requires nonzero pacing chunk");
+        let distinct = stages.iter().enumerate().all(|(i, st)| {
+            stages[..i]
+                .iter()
+                .all(|other| !st.pipe.same_resource(&other.pipe))
+        });
         Pipeline {
             stages: stages.into(),
+            distinct,
             segment,
             chunk,
             sim: sim.clone(),
@@ -504,24 +547,54 @@ impl Pipeline {
     ) -> SimTime {
         let now = self.sim.now();
         let nsegs = bytes.div_ceil(self.segment).max(1);
-        let mut exit = now;
-        // Walk segment by segment, carrying each segment through every
-        // stage. Each pipe's calendar places a segment behind whatever
-        // already holds the stage — this message's earlier segments
-        // (self-pipelining) or another connection's (contention).
-        for j in 0..nsegs {
-            let seg_payload = if j == nsegs - 1 {
+        let wire = |j: u64| {
+            let payload = if j == nsegs - 1 {
                 bytes - self.segment * (nsegs - 1)
             } else {
                 self.segment
             };
-            let wire_bytes = seg_payload + per_segment_overhead_bytes;
-            let mut t = now;
-            for stage in self.stages.iter() {
-                let (_s, end) = stage.pipe.reserve(t, wire_bytes);
-                t = end + stage.latency;
+            payload + per_segment_overhead_bytes
+        };
+        let mut exit = now;
+        if nsegs == 1 || !self.distinct {
+            // Segment by segment, each carried through every stage. Each
+            // pipe's calendar places a segment behind whatever already
+            // holds the stage — this message's earlier segments
+            // (self-pipelining) or another connection's (contention). One
+            // segment books each stage once either way.
+            for j in 0..nsegs {
+                let mut t = now;
+                for stage in self.stages.iter() {
+                    let (_s, end) = stage.pipe.reserve(t, wire(j));
+                    t = end + stage.latency;
+                }
+                exit = exit.max(t);
             }
-            exit = exit.max(t);
+            return exit;
+        }
+        // Stage by stage, each stage's calendar taking the segments as one
+        // train. A calendar answers the same requests in the same order as
+        // segment by segment — segment `j` asks for where it left the
+        // stage before — so every reservation lands where it would there.
+        let mut first = 0;
+        while first < nsegs {
+            let mut buf = [(now, SimDuration::ZERO); TRAIN_SEGMENTS];
+            let n =
+                usize::try_from(nsegs - first).map_or(TRAIN_SEGMENTS, |n| n.min(TRAIN_SEGMENTS));
+            let train = &mut buf[..n];
+            for stage in self.stages.iter() {
+                let mut bytes = Bytes::ZERO;
+                for (j, (_, service)) in (first..).zip(train.iter_mut()) {
+                    bytes += wire(j);
+                    *service = stage.pipe.service_time(wire(j));
+                }
+                stage.pipe.reserve_train(train, bytes);
+                for (t, _) in train.iter_mut() {
+                    *t += stage.latency;
+                }
+            }
+            exit = train.iter().fold(exit, |exit, &(t, _)| exit.max(t));
+            first += n as u64;
         }
         exit
     }
@@ -616,15 +689,12 @@ impl Pipeline {
         part: &mut Option<Rc<[ChunkMeta]>>,
     ) -> Option<Rc<Speculation>> {
         let now = self.sim.now();
-        for (i, st) in self.stages.iter().enumerate() {
-            // The replay inserts each stage's reservations independently,
-            // which is only order-exact when no two stages share a
-            // calendar.
-            for other in &self.stages[..i] {
-                if st.pipe.same_resource(&other.pipe) {
-                    return None;
-                }
-            }
+        // The replay inserts each stage's reservations independently,
+        // which is only order-exact when no two stages share a calendar.
+        if !self.distinct {
+            return None;
+        }
+        for st in self.stages.iter() {
             if let Some((w, _)) = st.pipe.state.spec.borrow().as_ref() {
                 if let Some(sp) = w.upgrade() {
                     if sp.phase.get() == SpecPhase::Active {

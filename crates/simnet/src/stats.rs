@@ -44,10 +44,12 @@ pub struct SimStats {
     /// Scheduling events (timer firings + task spawns) avoided by committed
     /// fast-path traversals.
     pub events_coalesced: u64,
-    /// First-fit bookings on live pipe calendars: one per pipe reservation
-    /// (a segment batch of the per-segment walk, a plain pipe transfer, an
-    /// `occupy`). A fast-path plan, computed or replayed from the memo,
-    /// writes its reservations without booking, so it adds none.
+    /// First-fit calendar searches on live pipe calendars: one per pipe
+    /// reservation (a segment batch of the per-segment walk, a plain pipe
+    /// transfer, an `occupy`), and one per stage for a short message
+    /// whose stages are distinct pipes, each stage taking the message's
+    /// segments as one train. A fast-path plan, computed or replayed from
+    /// the memo, writes its reservations without booking, so it adds none.
     pub bookings: u64,
     /// High-water mark of any pipe calendar's interval count; guards
     /// against unbounded calendar growth under multi-connection load.

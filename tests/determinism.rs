@@ -166,18 +166,18 @@ fn shard_figure_digest_is_thread_count_invariant() {
 }
 
 /// The whole-transfer memo (`simnet::memo`) replays cached traversal
-/// outcomes on steady-state data paths; force-disabling it must not move
-/// a single byte of figure output. fig1 (latency ping-pongs) and fig4
-/// (windowed bandwidth — the memo's hottest consumer) cover both shapes.
-/// The default is per thread, so flipping it here reaches no other test's
-/// runs.
+/// outcomes on steady-state data paths; running on the memo-less fast
+/// tier must not move a single byte of figure output. fig1 (latency
+/// ping-pongs) and fig4 (windowed bandwidth — the memo's hottest
+/// consumer) cover both shapes. The default tier is per thread, so
+/// changing it here reaches no other test's runs.
 #[test]
 fn fig1_and_fig4_digests_are_memo_invariant() {
     for sel in ["fig1", "fig4"] {
         let memo_on = figure_digest(&generate_pinned(sel));
-        simnet::memo::set_default_enabled(false);
+        simnet::tier::set_default_tier(simnet::Tier::Fast);
         let memo_off = figure_digest(&bench::generate(sel));
-        simnet::memo::set_default_enabled(true);
+        simnet::tier::set_default_tier(simnet::Tier::Memo);
         assert_eq!(
             memo_on, memo_off,
             "{sel} output changed when the transfer memo was force-disabled"
@@ -220,9 +220,9 @@ fn fig_tail_digest_is_stable_across_double_runs() {
 #[test]
 fn fig_tail_digest_is_memo_invariant() {
     let memo_on = figure_digest(&bench::generate("fig-tail"));
-    simnet::memo::set_default_enabled(false);
+    simnet::tier::set_default_tier(simnet::Tier::Fast);
     let memo_off = figure_digest(&bench::generate("fig-tail"));
-    simnet::memo::set_default_enabled(true);
+    simnet::tier::set_default_tier(simnet::Tier::Memo);
     assert_eq!(
         memo_on, memo_off,
         "fig-tail output changed when the transfer memo was force-disabled"

@@ -31,7 +31,7 @@ use simnet::fault::{FaultConfig, FaultPlane};
 use simnet::pipe::{Pipe, Pipeline, Stage};
 use simnet::sync::join_all;
 use simnet::time::SimDuration;
-use simnet::{Bytes, Sim};
+use simnet::{Bytes, Sim, Tier};
 
 /// Deterministic splitmix64 — the sequence, and therefore every scenario,
 /// is identical on every run and platform.
@@ -164,14 +164,6 @@ fn gen_scenario(rng: &mut Rng) -> Scenario {
     }
 }
 
-/// How a run carries its pipeline transfers.
-#[derive(Clone, Copy, Debug, PartialEq)]
-enum Tier {
-    Walk,
-    FastPath,
-    Memo,
-}
-
 /// What one run shows, split by which tiers must agree on it.
 struct RunOut {
     /// Equal across all three tiers.
@@ -293,7 +285,7 @@ fn run(sc: &Scenario, tier: Tier) -> RunOut {
 /// fast-path run (memo off) and the memo run.
 fn check(sc: &Scenario, label: &str) -> (RunOut, RunOut) {
     let walk = run(sc, Tier::Walk);
-    let fast = run(sc, Tier::FastPath);
+    let fast = run(sc, Tier::Fast);
     let memo = run(sc, Tier::Memo);
     assert_eq!(
         fast.obs, walk.obs,
