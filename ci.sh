@@ -101,9 +101,10 @@ echo "==> differential sweep: walk vs fast path vs memo replay (100k cases)"
 # every observable; the two fast-path runs also on the event trace.
 TRANSFER_DIFF_CASES=100000 cargo test -q --release --test transfer_diff
 
-echo "==> calendar tests in release (full 204k-operation differential, long spans, trains)"
-# Debug builds run a quarter of the seeded streams for wall-clock.
-cargo test -q --release -p simnet --lib calendar::tests
+echo "==> calendar and timer-queue tests in release (full differentials, long spans, trains)"
+# Debug builds run a quarter of the calendar's seeded streams and a tenth
+# of the timer queue's for wall-clock.
+cargo test -q --release -p simnet --lib -- calendar::tests timers::tests
 
 echo "==> determinism suite in release (full --threads {1,2,4,8} digest matrix)"
 # The fig2/fig-loss thread-sweep digests are ignored in debug builds for

@@ -34,7 +34,9 @@
 //! Most pipes are idle between reservations: every run has ended by the
 //! next booking. Such a booking lands where asked, so it resets the
 //! calendar to that one run in the first block's storage without a
-//! search: an idle pipe allocates nothing per booking.
+//! search: an idle pipe allocates nothing per booking. The pipe's
+//! closed-form plan starts each of its virtual calendars over the same way
+//! ([`Calendar::book_afresh`]), so a plan allocates none either.
 //!
 //! **Runs are 8 bytes.** A block stores each run as two `u32` nanosecond
 //! offsets from its own `base` instant, so a full block is one 512-byte
@@ -265,8 +267,31 @@ impl Calendar {
     /// a `dur` longer than [`SPAN`].
     fn restart(&mut self, now: SimTime, earliest: SimTime, dur: SimDuration) -> bool {
         debug_assert!(!dur.is_zero(), "zero-length reservation");
-        let idle = self.last_end().is_some_and(|end| end <= now);
-        let Some(end) = u32::try_from(dur.as_nanos()).ok().filter(|_| idle) else {
+        self.last_end().is_some_and(|end| end <= now) && self.start_over(earliest, dur)
+    }
+
+    /// Empty the calendar and reserve `[earliest, earliest + dur)`, as
+    /// [`Self::book`] on a fresh calendar would, in the first block's
+    /// storage: a calendar used over and over for bookings that start
+    /// from nothing allocates only the first time.
+    pub(crate) fn book_afresh(&mut self, earliest: SimTime, dur: SimDuration) -> SimTime {
+        debug_assert!(!dur.is_zero(), "zero-length reservation");
+        if !self.start_over(earliest, dur) {
+            self.blocks.clear();
+            self.len = 0;
+            self.book_at(0, 0, earliest, dur);
+        }
+        earliest
+    }
+
+    /// Make the calendar the one run `[earliest, earliest + dur)` in the
+    /// first block's storage. `false`, changing nothing, for an empty
+    /// calendar or a `dur` longer than [`SPAN`].
+    fn start_over(&mut self, earliest: SimTime, dur: SimDuration) -> bool {
+        let Some(end) = u32::try_from(dur.as_nanos())
+            .ok()
+            .filter(|_| !self.blocks.is_empty())
+        else {
             return false;
         };
         self.blocks.truncate(1);
@@ -1096,6 +1121,49 @@ mod tests {
             }
         }
         assert!(idle > 1_000, "only {idle} bookings found the calendar idle");
+    }
+
+    /// [`Calendar::book_afresh`] on whatever the last stream left books
+    /// what [`Calendar::book`] does on a fresh calendar, in the old first
+    /// block's storage when the reservation fits one block, and the
+    /// prune-free stream that follows (a plan's) matches the reference.
+    #[test]
+    fn a_calendar_booked_afresh_matches_a_fresh_one() {
+        for (seed, seg) in [(51, SEG), (52, LONG)] {
+            let mut rng = Rng(seed);
+            let mut cal = Calendar::default();
+            let mut kept = 0;
+            for _ in 0..200 {
+                let (mut model, mut now) = (BTreeMap::new(), 0);
+                let Op::Reserve { earliest, dur, .. } =
+                    next_op(&mut rng, &mut now, None, &model, seg)
+                else {
+                    unreachable!("a prune-free stream only reserves");
+                };
+                let storage = cal.blocks.first().map(|blk| blk.runs.as_ptr());
+                let start =
+                    cal.book_afresh(SimTime::from_nanos(earliest), SimDuration::from_nanos(dur));
+                assert_eq!(start.as_nanos(), earliest, "seed {seed}");
+                reference::insert_merged(&mut model, earliest, earliest + dur);
+                if storage.is_some() && dur <= SPAN.as_nanos() {
+                    assert_eq!(
+                        storage,
+                        Some(cal.blocks[0].runs.as_ptr()),
+                        "seed {seed}: reallocated"
+                    );
+                    kept += 1;
+                }
+                for _ in 0..rng.below(300) {
+                    let op = next_op(&mut rng, &mut now, None, &model, seg);
+                    apply(&mut cal, &mut model, op, seed);
+                }
+                cal.assert_covers(&model);
+            }
+            assert!(
+                kept > 100,
+                "seed {seed}: the first block was kept {kept} times"
+            );
+        }
     }
 
     /// Trains per seed in [`a_train_books_what_the_same_bookings_in_a_row_do`].

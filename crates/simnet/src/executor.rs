@@ -2,10 +2,11 @@
 //!
 //! [`Sim`] is a cheaply-clonable handle to the simulation core. Components
 //! capture a clone; every clone sees the same clock, run queue and timer
-//! heap. The executor is strictly single-threaded: tasks are `!Send`
+//! queue. The executor is strictly single-threaded: tasks are `!Send`
 //! futures, and determinism follows from (a) a FIFO ready queue, (b) a timer
-//! heap totally ordered by `(deadline, arm instant, registration
-//! sequence)`, and (c) the absence of any other event source.
+//! queue totally ordered by `(deadline, arm instant, registration
+//! sequence)` (see [`crate::timers`]), and (c) the absence of any other
+//! event source.
 //!
 //! ## Waking by slab id
 //!
@@ -29,12 +30,13 @@
 //! * each task carries a **`scheduled` flag**, so redundant wakes coalesce:
 //!   a task already in the ready queue is never pushed (or polled) twice;
 //! * timer slots live in a second generational slab instead of per-sleep
-//!   `Rc<RefCell<_>>` allocations; a dropped [`Sleep`] cancels **lazily** —
-//!   the slot is reclaimed when its heap entry pops;
+//!   `Rc<RefCell<_>>` allocations, and the timer queue is threaded through
+//!   them; a dropped [`Sleep`] cancels **lazily** — the slot is reclaimed
+//!   when the queue pops it;
 //! * a wake is a slab lookup, a flag test and a push on the one FIFO
 //!   `run_queue`: no refcount, lock or atomic between a deadline or a
 //!   send and the poll it causes;
-//! * timers fire **one heap entry per drain cycle**, even when several
+//! * timers fire **one queue entry per drain cycle**, even when several
 //!   share an instant: each sleeper's continuation runs to exhaustion before
 //!   the next timer fires.
 //!
@@ -43,8 +45,7 @@
 
 use std::any::Any;
 use std::cell::{Cell, RefCell};
-use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::future::Future;
 use std::pin::Pin;
@@ -54,6 +55,7 @@ use std::task::{Context, Poll, Waker};
 use crate::stats::SimStats;
 use crate::tier::Tier;
 use crate::time::{SimDuration, SimTime};
+use crate::timers::{Popped, TimerKey, TimerQueue};
 
 /// A spawned future as the task slab holds it: boxed as-is, its output
 /// type erased. A wrapper future (`async move { tx.send(fut.await) }`)
@@ -113,13 +115,6 @@ pub(crate) trait Joiner {
 /// dropped.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 struct TaskId {
-    index: u32,
-    gen: u32,
-}
-
-/// Slab address of a timer slot, generation-guarded like [`TaskId`].
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-struct TimerKey {
     index: u32,
     gen: u32,
 }
@@ -218,74 +213,11 @@ struct TaskBody {
     joiner: Option<Rc<dyn Joiner>>,
 }
 
-/// A timer slab slot, lifecycle `Pending → Fired → freed` (or
-/// `Pending → Cancelled → freed-at-pop` when the [`Sleep`] is dropped).
-struct TimerSlot {
-    gen: u32,
-    state: TimerState,
-}
-
-enum TimerState {
-    Vacant {
-        next_free: Option<u32>,
-    },
-    /// Armed; firing wakes `task`, the last task that polled the [`Sleep`].
-    Pending {
-        task: TaskId,
-    },
-    /// The deadline was reached; the [`Sleep`] will observe and free it.
-    Fired,
-    /// The [`Sleep`] was dropped first; the heap entry frees it at pop.
-    Cancelled,
-}
-
-/// Heap entry: plain `Copy` data, no allocation, no shared ownership.
-#[derive(Clone, Copy)]
-struct TimerEntry {
-    at: SimTime,
-    seq: u64,
-    /// Tie-break rank among equal deadlines and arm instants. Equal to
-    /// `seq` in normal runs; under a schedule-perturbation salt (see
-    /// [`crate::perturb`]) it is an injective scramble of `seq`, permuting
-    /// same-instant firing order while leaving deadline order untouched.
-    ord: u64,
-    key: TimerKey,
-    /// Instant the timer counts as armed: when it was, or, for a demoted
-    /// fast-path continuation, when the walk armed the sleep it stands in
-    /// for ([`SleepArmedAt`]). Equal deadlines fire in
-    /// `(armed, ord)` order, which for timers armed on the spot is plain
-    /// arm order. The fast path reads it back to replay tie-breaks it never
-    /// armed real timers for (see `Sim::last_fired_timer`). Under a
-    /// perturbation salt, which turns the fast path off, it is
-    /// `SimTime::ZERO`, so the scramble alone ranks ties.
-    armed: SimTime,
-}
-
-impl PartialEq for TimerEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.armed == other.armed && self.ord == other.ord
-    }
-}
-impl Eq for TimerEntry {}
-impl PartialOrd for TimerEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for TimerEntry {
-    /// Reversed so that `BinaryHeap` (a max-heap) pops the *earliest*
-    /// `(deadline, armed, ord)` first. `ord == seq` unless a perturbation
-    /// salt is active, so the default order is arm order.
-    fn cmp(&self, other: &Self) -> Ordering {
-        (other.at, other.armed, other.ord).cmp(&(self.at, self.armed, self.ord))
-    }
-}
-
-/// Outcome of one bounded timer-heap pop (see `Sim::pop_due_timer`).
+/// Outcome of one bounded timer-queue pop (see `Sim::pop_due_timer`).
 enum TimerPop {
-    /// Heap empty: no pending timers at all.
+    /// Queue empty: no pending timers at all.
     Quiescent,
-    /// Earliest heap entry is at or past the bound; nothing was popped.
+    /// Earliest queued timer is at or past the bound; nothing was popped.
     /// Carries that entry's deadline — the shard's next-event report.
     AtHorizon(SimTime),
     /// One entry was consumed (fired, or a cancelled slot reclaimed); a
@@ -295,9 +227,8 @@ enum TimerPop {
 
 struct Core {
     now: SimTime,
-    timers: BinaryHeap<TimerEntry>,
-    timer_slots: Vec<TimerSlot>,
-    timer_free: Option<u32>,
+    /// Pending timers, each waking the task that last polled its sleep.
+    timers: TimerQueue<TaskId>,
     tasks: Vec<TaskSlot>,
     task_free: Option<u32>,
     /// Runnable ids, polled FIFO: spawns, wakes and fired timers all push
@@ -305,11 +236,10 @@ struct Core {
     run_queue: VecDeque<TaskId>,
     /// The task being polled: whom a primitive polled now parks.
     polling: Option<TaskId>,
-    next_timer_seq: u64,
     /// The counters [`Sim::stats`] reports, bumped in place by the
     /// executor, `pipe`, `fault`, the fabric recovery engines and
     /// `netbench::workload`. Its `timers_pending` stays zero: `stats`
-    /// reads the heap's length.
+    /// counts the queued timers.
     stats: SimStats,
     /// Pipeline cut-through fast path (see `pipe`).
     fast_path_enabled: bool,
@@ -317,9 +247,6 @@ struct Core {
     transfer_memo_enabled: bool,
     /// `(deadline, armed)` of the most recently fired timer.
     last_fired: Option<(SimTime, SimTime)>,
-    /// Schedule-perturbation salt captured from [`crate::perturb`] at
-    /// construction; 0 = arm-order tie-breaks (the production contract).
-    tie_salt: u64,
     /// FNV-1a digest over `(deadline, seq)` of every fired timer, in firing
     /// order — the executor's event-ordering trace. Two runs of the same
     /// workload fire the same timer *set*; the digest differs iff the
@@ -338,18 +265,6 @@ pub(crate) fn fnv1a_u64(mut digest: u64, value: u64) -> u64 {
         digest = digest.wrapping_mul(FNV_PRIME);
     }
     digest
-}
-
-/// Injective tie-break scramble: XOR with the salt then multiply by an odd
-/// constant (a bijection on `u64`). With `salt == 0` the identity is
-/// deliberately preserved (`ord == seq`) so production runs keep the
-/// arm-order contract bit-for-bit.
-fn scramble_ord(seq: u64, salt: u64) -> u64 {
-    if salt == 0 {
-        seq
-    } else {
-        (seq ^ salt).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-    }
 }
 
 /// Handle to the simulation: clock, spawner and executor in one.
@@ -387,19 +302,15 @@ impl Sim {
         Sim {
             core: Rc::new(RefCell::new(Core {
                 now: SimTime::ZERO,
-                timers: BinaryHeap::new(),
-                timer_slots: Vec::new(),
-                timer_free: None,
+                timers: TimerQueue::new(tie_salt),
                 tasks: Vec::new(),
                 task_free: None,
                 run_queue: VecDeque::new(),
                 polling: None,
-                next_timer_seq: 0,
                 stats: SimStats::default(),
                 fast_path_enabled: tie_salt == 0 && tier != Tier::Walk,
                 transfer_memo_enabled: tier == Tier::Memo,
                 last_fired: None,
-                tie_salt,
                 trace_digest: FNV_OFFSET,
             })),
         }
@@ -550,7 +461,7 @@ impl Sim {
     /// The schedule-perturbation salt this simulation was created under
     /// (0 = unperturbed arm-order tie-breaks).
     pub fn tie_break_salt(&self) -> u64 {
-        self.core.borrow().tie_salt
+        self.core.borrow().timers.salt()
     }
 
     /// FNV-1a digest of the executor's event-ordering trace: every fired
@@ -730,11 +641,11 @@ impl Sim {
     /// drain the ready queue, then fire timers strictly below `bound`,
     /// exactly as an unbounded run would have fired them.
     ///
-    /// Returns the deadline of the earliest still-pending heap entry
-    /// (`>= bound`), or `None` if the shard is quiescent. The returned
+    /// Returns the deadline of the earliest still-queued timer (`>=
+    /// bound`), or `None` if the shard is quiescent. The returned
     /// deadline may belong to a lazily-cancelled sleep — that is
     /// deliberate: a serial run advances the clock through cancelled
-    /// entries too, so reporting them keeps the sharded round schedule a
+    /// timers too, so reporting them keeps the sharded round schedule a
     /// pure function of simulation state, independent of thread count.
     ///
     /// This is the per-round workhorse of [`crate::shard`]'s conservative
@@ -782,60 +693,42 @@ impl Sim {
         }
     }
 
-    /// Advance virtual time to the next timer and fire it. Exactly one heap
-    /// entry is consumed per call so that, when several timers share an
-    /// instant, each sleeper's continuation runs to exhaustion before the
-    /// next timer fires — the `(time, seq)` interleaving every model above
-    /// us was validated against. With `bound` set, entries at or past the
-    /// bound are left in place and reported instead of fired.
+    /// Advance virtual time to the next timer and fire it. Exactly one
+    /// queued timer is consumed per call so that, when several timers share
+    /// an instant, each sleeper's continuation runs to exhaustion before the
+    /// next timer fires — the `(deadline, armed, ord)` interleaving every
+    /// model above us was validated against. With `bound` set, timers at or
+    /// past the bound are left in place and reported instead of fired.
     fn pop_due_timer(&self, bound: Option<SimTime>) -> TimerPop {
         let mut guard = self.core.borrow_mut();
         let core = &mut *guard;
-        let Some(&head) = core.timers.peek() else {
-            return TimerPop::Quiescent;
+        let (at, armed, seq, waiter) = match core.timers.pop(bound) {
+            Popped::Quiescent => return TimerPop::Quiescent,
+            Popped::AtHorizon(at) => return TimerPop::AtHorizon(at),
+            Popped::Due {
+                at,
+                armed,
+                seq,
+                waiter,
+            } => (at, armed, seq, waiter),
         };
-        if let Some(b) = bound {
-            if head.at >= b {
-                return TimerPop::AtHorizon(head.at);
-            }
+        debug_assert!(at >= core.now, "timer queue went backwards");
+        // A cancelled timer advances the clock too, exactly as the seed
+        // executor did for orphaned timers.
+        core.now = core.now.max(at);
+        if let Some(task) = waiter {
+            core.stats.timer_events += 1;
+            // Event-ordering trace: digest `(deadline, seq)` in firing
+            // order.
+            core.trace_digest = fnv1a_u64(fnv1a_u64(core.trace_digest, at.as_nanos()), seq);
+            core.last_fired = Some((at, armed));
+            debug_assert!(
+                core.run_queue.is_empty(),
+                "a timer fired with tasks still runnable"
+            );
+            core.wake_task(task);
         }
-        let entry = core.timers.pop().expect("peeked timer vanished");
-        debug_assert!(entry.at >= core.now, "timer heap went backwards");
-        core.now = core.now.max(entry.at);
-        let slot = &mut core.timer_slots[entry.key.index as usize];
-        if slot.gen != entry.key.gen {
-            debug_assert!(false, "timer heap entry outlived its slot");
-            return TimerPop::Fired;
-        }
-        match std::mem::replace(&mut slot.state, TimerState::Fired) {
-            TimerState::Pending { task } => {
-                core.stats.timer_events += 1;
-                // Event-ordering trace: digest `(deadline, seq)` in
-                // firing order.
-                core.trace_digest =
-                    fnv1a_u64(fnv1a_u64(core.trace_digest, entry.at.as_nanos()), entry.seq);
-                core.last_fired = Some((entry.at, entry.armed));
-                debug_assert!(
-                    core.run_queue.is_empty(),
-                    "a timer fired with tasks still runnable"
-                );
-                core.wake_task(task);
-                TimerPop::Fired
-            }
-            TimerState::Cancelled => {
-                // Lazy cancellation: reclaim the slot now that its
-                // heap entry is gone. Time still advanced to
-                // `entry.at` above, exactly as the seed executor did
-                // for orphaned timers.
-                core.free_timer(entry.key.index);
-                TimerPop::Fired
-            }
-            other => {
-                slot.state = other;
-                debug_assert!(false, "popped timer neither pending nor cancelled");
-                TimerPop::Fired
-            }
-        }
+        TimerPop::Fired
     }
 
     fn poll_task(&self, id: TaskId) {
@@ -963,59 +856,6 @@ impl Core {
         }
         out
     }
-
-    /// Arm a timer at `(at, armed, next seq)` backed by a pooled slot
-    /// holding the task it wakes. Returns the slot key for [`Sleep`] to
-    /// poll/free.
-    fn register_timer(&mut self, at: SimTime, armed: SimTime, task: TaskId) -> TimerKey {
-        self.stats.timers_set += 1;
-        let index = match self.timer_free {
-            Some(i) => {
-                let TimerState::Vacant { next_free } = self.timer_slots[i as usize].state else {
-                    unreachable!("timer free list points at occupied slot");
-                };
-                self.timer_free = next_free;
-                i
-            }
-            None => {
-                self.timer_slots.push(TimerSlot {
-                    gen: 0,
-                    state: TimerState::Vacant { next_free: None },
-                });
-                u32::try_from(self.timer_slots.len() - 1).expect("timer slab outgrew u32 indices")
-            }
-        };
-        let slot = &mut self.timer_slots[index as usize];
-        slot.state = TimerState::Pending { task };
-        let key = TimerKey {
-            index,
-            gen: slot.gen,
-        };
-        let seq = self.next_timer_seq;
-        self.next_timer_seq += 1;
-        self.timers.push(TimerEntry {
-            at,
-            seq,
-            ord: scramble_ord(seq, self.tie_salt),
-            key,
-            armed: if self.tie_salt == 0 {
-                armed
-            } else {
-                SimTime::ZERO
-            },
-        });
-        key
-    }
-
-    /// Return timer slot `index` to the free list under a new generation.
-    fn free_timer(&mut self, index: u32) {
-        let slot = &mut self.timer_slots[index as usize];
-        slot.gen = slot.gen.wrapping_add(1);
-        slot.state = TimerState::Vacant {
-            next_free: self.timer_free,
-        };
-        self.timer_free = Some(index);
-    }
 }
 
 /// Future returned by [`Sim::sleep`] / [`Sim::sleep_until`].
@@ -1046,25 +886,18 @@ impl Sleep {
             }
             let armed = armed.map_or(core.now, |a| a.min(core.now));
             let task = core.polling_task();
-            self.key = Some(core.register_timer(self.at, armed, task));
+            core.stats.timers_set += 1;
+            self.key = Some(core.timers.arm(self.at, armed, task));
             return Poll::Pending;
         };
+        // A poll by another task (the sleep was handed over) re-targets
+        // the timer.
         let polling = core.polling_task();
-        let slot = &mut core.timer_slots[key.index as usize];
-        debug_assert_eq!(slot.gen, key.gen, "sleep outlived its timer slot");
-        match &mut slot.state {
-            TimerState::Fired => {
-                core.free_timer(key.index);
-                self.key = None;
-                Poll::Ready(())
-            }
-            TimerState::Pending { task } => {
-                // A poll by another task (the sleep was handed over)
-                // re-targets the timer.
-                *task = polling;
-                Poll::Pending
-            }
-            _ => unreachable!("armed sleep found vacant/cancelled slot"),
+        if core.timers.poll(key, polling) {
+            self.key = None;
+            Poll::Ready(())
+        } else {
+            Poll::Pending
         }
     }
 }
@@ -1090,22 +923,11 @@ impl Future for SleepArmedAt {
 impl Drop for Sleep {
     fn drop(&mut self) {
         let Some(key) = self.key.take() else { return };
-        let mut guard = self.core.borrow_mut();
-        let core = &mut *guard;
-        let slot = &mut core.timer_slots[key.index as usize];
-        if slot.gen != key.gen {
-            return;
-        }
-        match slot.state {
-            // Heap entry already popped: reclaim immediately.
-            TimerState::Fired => core.free_timer(key.index),
-            TimerState::Pending { .. } => {
-                // Lazy cancel: forget the task now, let the heap entry
-                // reclaim the slot when it pops.
-                slot.state = TimerState::Cancelled;
-                core.stats.timers_cancelled += 1;
-            }
-            _ => {}
+        let mut core = self.core.borrow_mut();
+        // Lazy cancel: a pending timer stays queued, and the pop that
+        // reaches it reclaims the slot.
+        if core.timers.cancel(key) {
+            core.stats.timers_cancelled += 1;
         }
     }
 }
@@ -1181,6 +1003,7 @@ impl<T> Future for JoinHandle<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::timers::{Bucket, TimerSlot};
     use std::cell::Cell;
 
     #[test]
@@ -1469,13 +1292,32 @@ mod tests {
         });
         let core = sim.core.borrow();
         assert!(
-            core.timer_slots.len() <= 2,
+            core.timers.slab_len() <= 2,
             "sequential sleeps must recycle timer slots, got {}",
-            core.timer_slots.len()
+            core.timers.slab_len()
         );
         drop(core);
         assert_eq!(sim.stats().timers_set, 1000);
         assert_eq!(sim.stats().timer_events, 1000);
+        // A queued timer costs its slot and nothing else: deadline, arm
+        // instant, sequence number, link, generation and waiter.
+        assert!(
+            std::mem::size_of::<TimerSlot<TaskId>>() <= 48,
+            "a timer slot grew to {} bytes",
+            std::mem::size_of::<TimerSlot<TaskId>>()
+        );
+        // A bucket is its minimum and the two ends of a list threaded
+        // through the slots: no allocation of its own.
+        assert_eq!(
+            std::mem::size_of::<Bucket>(),
+            std::mem::size_of::<SimTime>() + 2 * std::mem::size_of::<u32>()
+        );
+        // The 64 buckets sit behind one pointer, out of `Core`'s way.
+        assert!(
+            std::mem::size_of::<TimerQueue<TaskId>>() <= 72,
+            "the timer queue holds {} bytes inline",
+            std::mem::size_of::<TimerQueue<TaskId>>()
+        );
     }
 
     #[test]
@@ -1488,17 +1330,13 @@ mod tests {
             let long = s.sleep(SimDuration::from_micros(50));
             assert!(race(short, long).await, "the short sleep wins");
         });
-        // The long timer is cancelled but still in the heap; draining to
+        // The long timer is cancelled but still queued; draining to
         // quiescence pops it and reclaims the slot.
         assert_eq!(sim.stats().timers_cancelled, 1);
         let end = sim.run_until_quiescent();
         // Seed semantics: orphaned timers still advance the clock at pop.
         assert_eq!(end.as_nanos(), 50_000);
-        let core = sim.core.borrow();
-        assert!(core
-            .timer_slots
-            .iter()
-            .all(|s| matches!(s.state, TimerState::Vacant { .. })));
+        assert!(sim.core.borrow().timers.all_vacant());
     }
 
     #[test]

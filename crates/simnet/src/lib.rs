@@ -8,9 +8,10 @@
 //! Design goals, in order:
 //!
 //! 1. **Determinism** — two runs of the same program produce bit-identical
-//!    event orderings. The run queue is FIFO, the timer heap is keyed by
-//!    `(deadline, sequence-number)`, and nothing consults wall-clock time or
-//!    ambient randomness.
+//!    event orderings. The run queue is FIFO, timers fire in
+//!    `(deadline, armed, ord)` order (arm instant, then arm sequence number,
+//!    for equal deadlines), and nothing consults wall-clock time or ambient
+//!    randomness.
 //! 2. **Nanosecond-resolution virtual time** — the quantities measured by the
 //!    reproduced paper are microseconds; 1 ns resolution keeps quantization
 //!    error three orders of magnitude below the signal.
@@ -51,6 +52,7 @@ pub mod stats;
 pub mod sync;
 pub mod tier;
 pub mod time;
+mod timers;
 mod units;
 
 pub use executor::{JoinHandle, Sim};

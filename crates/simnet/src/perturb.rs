@@ -2,7 +2,7 @@
 //! tie-breaks among simultaneously-ready events.
 //!
 //! The executor's production contract is that timers sharing a deadline
-//! fire in arm order (`(deadline, armed, seq)` heap order). That contract is what
+//! fire in arm order (`(deadline, armed, seq)` order). That contract is what
 //! every model above the executor was validated against — but it also means
 //! a model could *accidentally* depend on it in ways the determinism tests
 //! can never see, because the tie-break is itself deterministic. This
@@ -24,7 +24,7 @@
 //!
 //! A nonzero salt also disables the pipeline cut-through fast path for
 //! those `Sim`s: the fast path replays *arm-order* tie-breaks in closed
-//! form and would otherwise disagree with the perturbed heap.
+//! form and would otherwise disagree with the perturbed timer order.
 //!
 //! # Example
 //!
@@ -141,7 +141,7 @@ mod tests {
                     let sim2 = sim.clone();
                     let order = Rc::clone(&order);
                     sim.spawn(async move {
-                        // Arm in reverse deadline order to make the heap work.
+                        // Arm in reverse deadline order to make the queue work.
                         sim2.sleep(SimDuration::from_micros(60 - 10 * i)).await;
                         order.borrow_mut().push(i);
                     });

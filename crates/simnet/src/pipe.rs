@@ -839,6 +839,19 @@ impl Pipeline {
     }
 }
 
+/// The virtual calendars and walls [`compute_plan`] books on, one per
+/// stage. Every plan starts each calendar over and writes each wall before
+/// it reads it, so one scratch serves every plan and a plan allocates only
+/// its op vector.
+#[derive(Debug, Default)]
+struct PlanScratch {
+    cals: Vec<Calendar>,
+    /// Last reservation wall per stage: insertion order into a calendar
+    /// must match the walk's wall-clock order, so walls must strictly
+    /// increase chunk-over-chunk on every stage.
+    last_wall: Vec<SimTime>,
+}
+
 /// The computed closed-form plan for one traversal: the per-(chunk, stage)
 /// op vector plus its summary quantities.
 struct PlanOut {
@@ -864,12 +877,33 @@ struct PlanOut {
 /// offsets. This is what makes whole-transfer memoization exact: a plan
 /// summary cached at one instant replays bit-identically at any other.
 fn compute_plan(stages: &[Stage], metas: &[ChunkMeta], now: SimTime) -> Option<PlanOut> {
+    thread_local! {
+        /// One per thread: a plan is computed start to finish without
+        /// yielding, so every pipeline of the thread can share it.
+        static SCRATCH: RefCell<PlanScratch> = RefCell::default();
+    }
+    SCRATCH.with_borrow_mut(|scratch| plan_on(stages, metas, now, scratch))
+}
+
+/// [`compute_plan`] on `scratch`'s calendars.
+fn plan_on(
+    stages: &[Stage],
+    metas: &[ChunkMeta],
+    now: SimTime,
+    scratch: &mut PlanScratch,
+) -> Option<PlanOut> {
     let nstages = stages.len();
-    let mut vcal: Vec<Calendar> = (0..nstages).map(|_| Calendar::default()).collect();
-    // Last reservation wall per stage: insertion order into a calendar
-    // must match the walk's wall-clock order, so walls must strictly
-    // increase chunk-over-chunk on every stage.
-    let mut last_wall = vec![SimTime::ZERO; nstages];
+    let PlanScratch { cals, last_wall } = scratch;
+    cals.resize_with(nstages, Calendar::default);
+    last_wall.resize(nstages, SimTime::ZERO);
+    // Chunk 0 starts each stage's calendar over, empty of the last plan.
+    let book = |cal: &mut Calendar, c: usize, earliest: SimTime, dur: SimDuration| {
+        if c == 0 {
+            cal.book_afresh(earliest, dur)
+        } else {
+            cal.book(now, earliest, dur)
+        }
+    };
     let mut ops: Vec<PlanOp> = Vec::with_capacity(metas.len() * nstages);
     let mut completion = now;
     let mut coalesced: u64 = 0;
@@ -886,7 +920,7 @@ fn compute_plan(stages: &[Stage], metas: &[ChunkMeta], now: SimTime) -> Option<P
             .pipe
             .bulk_service(meta.cwire, meta.csegs)
             .max(MIN_OCCUPANCY);
-        let s0 = vcal[0].book(now, w_main, dur0);
+        let s0 = book(&mut cals[0], c, w_main, dur0);
         let e0 = s0 + dur0;
         last_wall[0] = w_main;
         ops.push(PlanOp {
@@ -924,7 +958,7 @@ fn compute_plan(stages: &[Stage], metas: &[ChunkMeta], now: SimTime) -> Option<P
                 .pipe
                 .bulk_service(meta.cwire, meta.csegs)
                 .max(MIN_OCCUPANCY);
-            let st = vcal[s].book(now, earliest, durs);
+            let st = book(&mut cals[s], c, earliest, durs);
             let en = st + durs;
             last_wall[s] = tw;
             ops.push(PlanOp {

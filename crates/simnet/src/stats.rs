@@ -22,16 +22,16 @@ pub struct SimStats {
     pub redundant_wakes: u64,
     /// Timers that reached their deadline and fired.
     pub timer_events: u64,
-    /// Timers armed (`sleep` registrations that actually hit the heap).
+    /// Timers armed (`sleep` registrations that actually hit the queue).
     pub timers_set: u64,
-    /// Sleeps dropped before firing (reclaimed lazily at heap pop).
+    /// Sleeps dropped before firing (reclaimed lazily when popped).
     pub timers_cancelled: u64,
     /// Tasks currently alive (spawned, not yet completed).
     pub tasks_live: u64,
     /// High-water mark of `tasks_live`: the most tasks alive at once, each
     /// holding a slab slot and its boxed future.
     pub tasks_peak: u64,
-    /// Heap entries outstanding (pending + not-yet-reclaimed cancelled).
+    /// Timers queued (pending + not-yet-reclaimed cancelled).
     pub timers_pending: u64,
     /// Pipeline transfers completed by the cut-through fast path: the whole
     /// traversal was computed in closed form and finished on a single
