@@ -96,9 +96,10 @@ fi
 echo "waivers: 0"
 
 echo "==> differential sweep: walk vs fast path vs memo replay (100k cases)"
-# Every scenario (fresh and repeated shapes, bursts, demotions, observers,
-# loss-judged sends) runs on all three transfer tiers, which must agree on
-# every observable; the two fast-path runs also on the event trace.
+# Every scenario (fresh and repeated shapes, bursts, demotions, loss-judged
+# sends) runs on all three transfer tiers, which must agree on every
+# completion time and the fault count; the two fast-path runs also on the
+# event trace.
 TRANSFER_DIFF_CASES=100000 cargo test -q --release --test transfer_diff
 
 echo "==> calendar and timer-queue tests in release (full differentials, long spans, trains)"

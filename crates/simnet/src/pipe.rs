@@ -32,14 +32,10 @@ struct PipeState {
     /// Reserved busy time. Kept sparse: runs entirely in the past are
     /// pruned on every reserve, and exactly-abutting reservations merge.
     calendar: RefCell<Calendar>,
-    busy: Cell<SimDuration>,
-    transfers: Cell<u64>,
-    bytes: Cell<Bytes>,
-    /// Live cut-through speculation registered on this pipe, if any, with
-    /// the stage index this pipe occupies in the speculating pipeline.
+    /// Live cut-through speculation registered on this pipe, if any.
     /// Weak: the transfer future owns the speculation; a dropped future
     /// must not leak a registration.
-    spec: RefCell<Option<(Weak<Speculation>, usize)>>,
+    spec: RefCell<Option<Weak<Speculation>>>,
 }
 
 /// Shortest occupancy a reservation takes: a zero-length service still
@@ -64,9 +60,6 @@ impl Pipe {
                 rate,
                 per_transfer_overhead,
                 calendar: RefCell::new(Calendar::default()),
-                busy: Cell::new(SimDuration::ZERO),
-                transfers: Cell::new(0),
-                bytes: Cell::new(Bytes::ZERO),
                 spec: RefCell::new(None),
             }),
         }
@@ -88,24 +81,8 @@ impl Pipe {
     /// closed-form prediction is no longer safe.
     fn demote_speculation(&self) {
         let slot = self.state.spec.borrow_mut().take();
-        if let Some((weak, _)) = slot {
-            if let Some(spec) = weak.upgrade() {
-                spec.demote();
-            }
-        }
-    }
-
-    /// If a live speculation is registered here, materialize the
-    /// reservations (and counters) it would have made by now, so observers
-    /// see exactly the state the per-segment walk would have produced.
-    /// Leaves the speculation active: reads do not perturb timing.
-    fn sync_speculation_reads(&self) {
-        let slot = self.state.spec.borrow().clone();
-        if let Some((weak, stage_idx)) = slot {
-            match weak.upgrade() {
-                Some(spec) => spec.materialize_due(stage_idx, self.sim.now()),
-                None => *self.state.spec.borrow_mut() = None,
-            }
+        if let Some(spec) = slot.and_then(|weak| weak.upgrade()) {
+            spec.demote();
         }
     }
 
@@ -132,29 +109,7 @@ impl Pipe {
     /// queueing behind those future reservations — which is how real
     /// store-and-forward hardware interleaves independent flows.
     pub fn reserve(&self, earliest: SimTime, bytes: Bytes) -> (SimTime, SimTime) {
-        let (start, end) = self.reserve_service(earliest, self.service_time(bytes));
-        self.state.transfers.set(self.state.transfers.get() + 1);
-        self.state.bytes.set(self.state.bytes.get() + bytes);
-        (start, end)
-    }
-
-    /// Reserve capacity for `n_transfers` back-to-back transfers totalling
-    /// `bytes` (one per-transfer overhead each, one contiguous occupancy).
-    /// Used by [`Pipeline`] to move segment batches without paying one
-    /// scheduling event per segment.
-    pub(crate) fn reserve_n(
-        &self,
-        earliest: SimTime,
-        bytes: Bytes,
-        n_transfers: u64,
-    ) -> (SimTime, SimTime) {
-        let service = self.bulk_service(bytes, n_transfers);
-        let (start, end) = self.reserve_service(earliest, service);
-        self.state
-            .transfers
-            .set(self.state.transfers.get() + n_transfers);
-        self.state.bytes.set(self.state.bytes.get() + bytes);
-        (start, end)
+        self.reserve_service(earliest, self.service_time(bytes))
     }
 
     /// Calendar-insert an occupancy of exactly `service` length at or after
@@ -162,21 +117,16 @@ impl Pipe {
     /// processing time on a serial engine (e.g. an HCA's embedded
     /// processor working on a WQE or a connection context).
     pub fn occupy(&self, service: SimDuration) -> (SimTime, SimTime) {
-        let (start, end) = self.reserve_service(self.sim.now(), service);
-        self.state.transfers.set(self.state.transfers.get() + 1);
-        (start, end)
+        self.reserve_service(self.sim.now(), service)
     }
 
     /// Reserve a train of transfers in order, each exactly as
     /// [`Pipe::reserve`] would, with one calendar booking: entry `k` holds
     /// transfer `k`'s earliest start and service time, and on return its
-    /// `.0` is where the transfer's occupancy ends. `bytes` is the train's
-    /// total.
-    fn reserve_train(&self, train: &mut [(SimTime, SimDuration)], bytes: Bytes) {
+    /// `.0` is where the transfer's occupancy ends.
+    fn reserve_train(&self, train: &mut [(SimTime, SimDuration)]) {
         self.demote_speculation();
-        let mut busy = self.state.busy.get();
         for (_, service) in train.iter_mut() {
-            busy += *service;
             *service = (*service).max(MIN_OCCUPANCY);
         }
         let peak = self
@@ -188,15 +138,10 @@ impl Pipe {
         for (at, dur) in train.iter_mut() {
             *at += *dur;
         }
-        self.state.busy.set(busy);
-        self.state
-            .transfers
-            .set(self.state.transfers.get() + train.len() as u64);
-        self.state.bytes.set(self.state.bytes.get() + bytes);
     }
 
     /// Calendar-insert a reservation of `service` length at or after
-    /// `earliest` (first fit). Updates busy accounting only.
+    /// `earliest` (first fit).
     fn reserve_service(&self, earliest: SimTime, service: SimDuration) -> (SimTime, SimTime) {
         // A competing reservation invalidates any closed-form traversal in
         // flight on this pipe; it must fall back before we touch the
@@ -208,7 +153,6 @@ impl Pipe {
         let dur = service.max(MIN_OCCUPANCY);
         let start = cal.book(self.sim.now(), earliest, dur);
         self.sim.note_booking(cal.len() as u64);
-        self.state.busy.set(self.state.busy.get() + service);
         (start, start + dur)
     }
 
@@ -221,35 +165,6 @@ impl Pipe {
     pub async fn transfer(&self, bytes: Bytes) {
         let (_start, end) = self.reserve(self.sim.now(), bytes);
         self.sim.sleep_until(end).await;
-    }
-
-    /// Instant at which the pipe's schedule has no further reservations.
-    pub fn busy_until(&self) -> SimTime {
-        self.sync_speculation_reads();
-        self.state
-            .calendar
-            .borrow()
-            .last_end()
-            .unwrap_or(SimTime::ZERO)
-            .max(self.sim.now())
-    }
-
-    /// Total busy time accumulated (for utilization reporting).
-    pub fn total_busy(&self) -> SimDuration {
-        self.sync_speculation_reads();
-        self.state.busy.get()
-    }
-
-    /// Total bytes carried.
-    pub fn total_bytes(&self) -> u64 {
-        self.sync_speculation_reads();
-        self.state.bytes.get().get()
-    }
-
-    /// Total transfer count.
-    pub fn total_transfers(&self) -> u64 {
-        self.sync_speculation_reads();
-        self.state.transfers.get()
     }
 }
 
@@ -323,7 +238,7 @@ enum MemoEntry {
 /// The translation-invariant digest of a computed plan: everything a
 /// replay needs, stored as offsets from the plan's base instant. The full
 /// per-(chunk, stage) op vector is deliberately *not* kept — a hit only
-/// needs it if the window is observed or demoted, and then it is rebuilt
+/// needs it if the window is demoted, and then it is rebuilt
 /// bit-identically by [`compute_plan`] (see [`Speculation::ensure_ops`]).
 #[derive(Debug)]
 struct PlanSummary {
@@ -338,31 +253,6 @@ struct PlanSummary {
     /// Length of the chunk-0/stage-0 occupancy — the one reservation a
     /// hit makes eagerly (the calendar is idle, so it lands at `now`).
     first_dur: SimDuration,
-    /// Per-stage totals over every chunk, for the O(stages) counter fold
-    /// at commit.
-    totals: Rc<Vec<StageTotals>>,
-}
-
-/// One stage's `(busy, bytes, transfers)` counter delta.
-type StageTotals = (SimDuration, Bytes, u64);
-
-/// Per-stage totals of a full traversal — the counter delta
-/// [`Speculation::commit`] applies on an untouched window.
-fn stage_totals(stages: &[Stage], metas: &[ChunkMeta]) -> Vec<StageTotals> {
-    stages
-        .iter()
-        .map(|stage| {
-            let mut busy = SimDuration::ZERO;
-            let mut bytes = Bytes::ZERO;
-            let mut transfers = 0u64;
-            for meta in metas {
-                busy += stage.pipe.bulk_service(meta.cwire, meta.csegs);
-                bytes += meta.cwire;
-                transfers += meta.csegs;
-            }
-            (busy, bytes, transfers)
-        })
-        .collect()
 }
 
 /// Per-chunk wire geometry, fixed by the message partition alone (never by
@@ -400,7 +290,8 @@ async fn pace_chunks(sim: &Sim, stages: &Rc<[Stage]>, metas: &[ChunkMeta]) {
     let stage0 = &stages[0];
     let chunks = TaskGroup::new();
     for (c, &meta) in metas.iter().enumerate() {
-        let (s0, e0) = stage0.pipe.reserve_n(sim.now(), meta.cwire, meta.csegs);
+        let block = stage0.pipe.bulk_service(meta.cwire, meta.csegs);
+        let (s0, e0) = stage0.pipe.reserve_service(sim.now(), block);
         chunks.spawn(
             sim,
             chunk_walk(
@@ -452,12 +343,11 @@ fn chunk_walk(
                 sim.sleep_until(by_start).await;
             }
             let seg_service = stage.pipe.service_time(meta.seg_wire);
-            let block = stage.pipe.service_time(meta.cwire)
-                + stage.pipe.service_time(Bytes::ZERO) * (meta.csegs - 1);
+            let block = stage.pipe.bulk_service(meta.cwire, meta.csegs);
             // The block may not drain here before it drained upstream.
             let floor = (prev_end + seg_service + prev_lat) - block;
             let earliest = sim.now().max(floor);
-            let (st, en) = stage.pipe.reserve_n(earliest, meta.cwire, meta.csegs);
+            let (st, en) = stage.pipe.reserve_service(earliest, block);
             prev_start = st;
             prev_end = en;
             prev_seg = seg_service;
@@ -531,7 +421,7 @@ impl Pipeline {
         self.segment
     }
 
-    /// Stage list (for utilization inspection).
+    /// Stage list.
     pub fn stages(&self) -> &[Stage] {
         &self.stages
     }
@@ -583,12 +473,10 @@ impl Pipeline {
                 usize::try_from(nsegs - first).map_or(TRAIN_SEGMENTS, |n| n.min(TRAIN_SEGMENTS));
             let train = &mut buf[..n];
             for stage in self.stages.iter() {
-                let mut bytes = Bytes::ZERO;
                 for (j, (_, service)) in (first..).zip(train.iter_mut()) {
-                    bytes += wire(j);
                     *service = stage.pipe.service_time(wire(j));
                 }
-                stage.pipe.reserve_train(train, bytes);
+                stage.pipe.reserve_train(train);
                 for (t, _) in train.iter_mut() {
                     *t += stage.latency;
                 }
@@ -695,7 +583,7 @@ impl Pipeline {
             return None;
         }
         for st in self.stages.iter() {
-            if let Some((w, _)) = st.pipe.state.spec.borrow().as_ref() {
+            if let Some(w) = st.pipe.state.spec.borrow().as_ref() {
                 if let Some(sp) = w.upgrade() {
                     if sp.phase.get() == SpecPhase::Active {
                         return None;
@@ -740,8 +628,7 @@ impl Pipeline {
             *part = Some(metas);
             return None;
         };
-        let totals = if memo_on {
-            let totals = Rc::new(stage_totals(&self.stages, &metas));
+        if memo_on {
             let first = plan.ops[0];
             self.memo_insert(
                 key,
@@ -750,13 +637,9 @@ impl Pipeline {
                     completion_off: plan.completion - now,
                     coalesced: plan.coalesced,
                     first_dur: first.end - first.start,
-                    totals: Rc::clone(&totals),
                 })),
             );
-            Some(totals)
-        } else {
-            None
-        };
+        }
         let spec = Rc::new(Speculation {
             sim: self.sim.clone(),
             stages: Rc::clone(&self.stages),
@@ -766,10 +649,8 @@ impl Pipeline {
             base: now,
             completion: plan.completion,
             coalesced: plan.coalesced.saturating_sub(1),
-            totals,
             memo: memo_on.then(|| (Rc::clone(&self.memo), key)),
             phase: Cell::new(SpecPhase::Active),
-            mat: (0..self.stages.len()).map(|_| Cell::new(0)).collect(),
             waiter: RefCell::new(None),
         });
         let (s0, e0) = self.launch(&spec, now);
@@ -783,8 +664,8 @@ impl Pipeline {
 
     /// Replay a cached plan at the current instant. O(stages): no chunk
     /// partition, no virtual-calendar walk — the speculation starts with
-    /// an empty op vector and rebuilds it only if the window is observed
-    /// or demoted ([`Speculation::ensure_ops`]).
+    /// an empty op vector and rebuilds it only if the window is demoted
+    /// ([`Speculation::ensure_ops`]).
     fn adopt_plan(&self, key: MemoKey, sum: &Rc<PlanSummary>, now: SimTime) -> Rc<Speculation> {
         let spec = Rc::new(Speculation {
             sim: self.sim.clone(),
@@ -795,10 +676,8 @@ impl Pipeline {
             base: now,
             completion: now + sum.completion_off,
             coalesced: sum.coalesced.saturating_sub(1),
-            totals: Some(Rc::clone(&sum.totals)),
             memo: Some((Rc::clone(&self.memo), key)),
             phase: Cell::new(SpecPhase::Active),
-            mat: (0..self.stages.len()).map(|_| Cell::new(0)).collect(),
             waiter: RefCell::new(None),
         });
         let (s0, e0) = self.launch(&spec, now);
@@ -820,10 +699,10 @@ impl Pipeline {
     /// reservations are ever subject to the due rule.
     fn launch(&self, spec: &Rc<Speculation>, now: SimTime) -> (SimTime, SimTime) {
         let meta = spec.metas[0];
-        let (s0, e0) = self.stages[0].pipe.reserve_n(now, meta.cwire, meta.csegs);
-        spec.mat[0].set(1);
-        for (i, st) in self.stages.iter().enumerate() {
-            *st.pipe.state.spec.borrow_mut() = Some((Rc::downgrade(spec), i));
+        let stage0 = &self.stages[0].pipe;
+        let (s0, e0) = stage0.reserve_service(now, stage0.bulk_service(meta.cwire, meta.csegs));
+        for st in self.stages.iter() {
+            *st.pipe.state.spec.borrow_mut() = Some(Rc::downgrade(spec));
         }
         (s0, e0)
     }
@@ -863,8 +742,8 @@ struct PlanOut {
 /// Replay the whole per-segment walk in closed form against one virtual
 /// [`Calendar`] per stage, starting at `now`. Every booking is at or after
 /// `now`, so no virtual calendar ever prunes and each places exactly where
-/// the stage's real, idle calendar would. Pure: touches no real calendar or
-/// counter, so it can run speculatively (fast path) or retroactively
+/// the stage's real, idle calendar would. Pure: touches no real calendar,
+/// so it can run speculatively (fast path) or retroactively
 /// (rebuilding a memoized plan's ops at its original base).
 ///
 /// **Translation invariance.** Every quantity in the plan is an offset
@@ -947,17 +826,13 @@ fn plan_on(
                 coalesced += 1; // the by_start sleep
             }
             let seg_service = stage.pipe.service_time(meta.seg_wire);
-            let block = stage.pipe.service_time(meta.cwire)
-                + stage.pipe.service_time(Bytes::ZERO) * (meta.csegs - 1);
+            let block = stage.pipe.bulk_service(meta.cwire, meta.csegs);
             let floor = (prev_end + seg_service + prev_lat) - block;
             let earliest = tw.max(floor);
             if c > 0 && tw <= last_wall[s] {
                 return None;
             }
-            let durs = stage
-                .pipe
-                .bulk_service(meta.cwire, meta.csegs)
-                .max(MIN_OCCUPANCY);
+            let durs = block.max(MIN_OCCUPANCY);
             let st = book(&mut cals[s], c, earliest, durs);
             let en = st + durs;
             last_wall[s] = tw;
@@ -1006,10 +881,10 @@ enum SpecPhase {
 /// per-segment walk *would* execute, computed up front, plus enough state
 /// to lazily materialize or abandon it.
 ///
-/// While active, real calendars and counters deliberately lag the plan;
-/// every observer goes through [`Pipe::sync_speculation_reads`] or
-/// [`Pipe::demote_speculation`], which replay the plan's prefix up to the
-/// present before the observer looks.
+/// While active, real calendars deliberately lag the plan: only chunk 0's
+/// stage-0 reservation is booked. The first competing reservation on a
+/// stage pipe goes through [`Pipe::demote_speculation`], which replays the
+/// plan's prefix up to the present before it books.
 struct Speculation {
     sim: Sim,
     stages: Rc<[Stage]>,
@@ -1017,7 +892,7 @@ struct Speculation {
     /// Chunk-major plan: `ops[c * nstages + s]`. Empty on a memo hit —
     /// the cached summary carries everything an undisturbed traversal
     /// needs, and [`Speculation::ensure_ops`] rebuilds the full plan only
-    /// if the window is observed or demoted.
+    /// if the window is demoted.
     ops: RefCell<Vec<PlanOp>>,
     nstages: usize,
     /// The traversal's entry instant — the base every plan offset is
@@ -1029,18 +904,11 @@ struct Speculation {
     /// Scheduling events (sleeps + spawns) the plan avoids, minus the one
     /// completion sleep the fast path still takes.
     coalesced: u64,
-    /// Per-stage totals over the whole plan, shared with the memo entry;
-    /// lets [`Speculation::commit`] fold the counters in O(stages) instead
-    /// of O(chunks × stages).
-    totals: Option<Rc<Vec<StageTotals>>>,
     /// The cache this traversal was served from (or inserted into): a
     /// demotion means the cached outcome is no longer trustworthy for the
     /// occupancy class it was keyed under, so the entry is evicted.
     memo: Option<(MemoCache, MemoKey)>,
     phase: Cell<SpecPhase>,
-    /// Per stage: number of chunks whose reservation has been written to
-    /// the real calendar (reads and demotion advance this cursor).
-    mat: Vec<Cell<usize>>,
     /// The task of the owning transfer future, parked in [`SpecWait`].
     waiter: RefCell<Option<TaskHandle>>,
 }
@@ -1085,40 +953,21 @@ impl Speculation {
         )
     }
 
-    /// Write every planned reservation on stage `s` that is due into the
-    /// real calendar and counters, in plan order (which the strict-wall
-    /// guard made equal to wall order).
-    fn materialize_due(&self, s: usize, now: SimTime) {
-        let done = self.mat[s].get();
-        if done >= self.metas.len() {
-            return;
-        }
-        self.ensure_ops();
+    /// Write the planned reservations on stage `s` from chunk `done` on
+    /// that are due into the real calendar, in plan order (which the
+    /// strict-wall guard made equal to wall order). Returns how many of the
+    /// stage's chunks the real calendar now holds.
+    fn materialize_due(&self, s: usize, done: usize, now: SimTime) -> usize {
         let mut c = done;
         while c < self.metas.len() && self.op_due(&self.op(c, s), now) {
             c += 1;
         }
-        if c == done {
-            return;
+        let mut cal = self.stages[s].pipe.state.calendar.borrow_mut();
+        for k in done..c {
+            let op = self.op(k, s);
+            cal.insert(op.start, op.end);
         }
-        let pipe = &self.stages[s].pipe;
-        {
-            let mut cal = pipe.state.calendar.borrow_mut();
-            for k in done..c {
-                let op = self.op(k, s);
-                cal.insert(op.start, op.end);
-            }
-        }
-        for meta in &self.metas[done..c] {
-            pipe.state
-                .busy
-                .set(pipe.state.busy.get() + pipe.bulk_service(meta.cwire, meta.csegs));
-            pipe.state
-                .transfers
-                .set(pipe.state.transfers.get() + meta.csegs);
-            pipe.state.bytes.set(pipe.state.bytes.get() + meta.cwire);
-        }
-        self.mat[s].set(c);
+        c
     }
 
     /// Clear this speculation's registration from one pipe (leaving any
@@ -1126,7 +975,7 @@ impl Speculation {
     fn unregister(self: &Rc<Self>, pipe: &Pipe) {
         let mut slot = pipe.state.spec.borrow_mut();
         let ours = match slot.as_ref() {
-            Some((w, _)) => match w.upgrade() {
+            Some(w) => match w.upgrade() {
                 Some(sp) => Rc::ptr_eq(&sp, self),
                 None => true,
             },
@@ -1137,55 +986,14 @@ impl Speculation {
         }
     }
 
-    /// The prediction held to the end: fold the remaining plan into the
-    /// counters. No calendar writes — every planned interval now lies in
-    /// the past, where it can never influence a first-fit placement or
-    /// `busy_until` again (the walk's own intervals would be pruned at the
-    /// next reserve anyway).
+    /// The prediction held to the end: unregister. No calendar writes —
+    /// every planned interval now lies in the past, where it can never
+    /// influence a first-fit placement again (the walk's own intervals
+    /// would be pruned at the next reserve anyway).
     fn commit(self: &Rc<Self>) {
         self.phase.set(SpecPhase::Done);
-        for (s, stage) in self.stages.iter().enumerate() {
-            let pipe = &stage.pipe;
-            self.unregister(pipe);
-            let done = self.mat[s].get();
-            if let Some((busy, bytes, transfers)) = self.fold_totals(s, done) {
-                pipe.state.busy.set(pipe.state.busy.get() + busy);
-                pipe.state
-                    .transfers
-                    .set(pipe.state.transfers.get() + transfers);
-                pipe.state.bytes.set(pipe.state.bytes.get() + bytes);
-            } else {
-                for meta in &self.metas[done..] {
-                    pipe.state
-                        .busy
-                        .set(pipe.state.busy.get() + pipe.bulk_service(meta.cwire, meta.csegs));
-                    pipe.state
-                        .transfers
-                        .set(pipe.state.transfers.get() + meta.csegs);
-                    pipe.state.bytes.set(pipe.state.bytes.get() + meta.cwire);
-                }
-            }
-            self.mat[s].set(self.metas.len());
-        }
-    }
-
-    /// Remaining-counter delta for stage `s` at commit, folded from the
-    /// cached per-stage totals. Only the cursor positions an undisturbed
-    /// traversal can be in are folded — nothing materialized, or exactly
-    /// the eager chunk-0 reservation on stage 0; an observed window (any
-    /// other cursor) falls back to the per-chunk loop. Either way the
-    /// counter sums are identical: saturating adds commute.
-    fn fold_totals(&self, s: usize, done: usize) -> Option<StageTotals> {
-        let totals = self.totals.as_ref()?;
-        let (busy, bytes, transfers) = totals[s];
-        match done {
-            0 => Some((busy, bytes, transfers)),
-            1 if s == 0 => {
-                let m = self.metas[0];
-                let b0 = self.stages[0].pipe.bulk_service(m.cwire, m.csegs);
-                Some((busy - b0, bytes - m.cwire, transfers - m.csegs))
-            }
-            _ => None,
+        for stage in self.stages.iter() {
+            self.unregister(&stage.pipe);
         }
     }
 
@@ -1216,10 +1024,12 @@ impl Speculation {
             self.unregister(&stage.pipe);
         }
         let now = self.sim.now();
-        for s in 0..self.nstages {
-            self.materialize_due(s, now);
-        }
-        let started = self.mat[0].get();
+        // Per stage, the chunks the real calendar holds. Until now the only
+        // real booking was `launch`'s: chunk 0 on stage 0.
+        let mat: Vec<usize> = (0..self.nstages)
+            .map(|s| self.materialize_due(s, usize::from(s == 0), now))
+            .collect();
+        let started = mat[0];
         let rest = TaskGroup::new();
         for c in 0..started {
             // Stages already holding this chunk's reservation are exactly
@@ -1227,7 +1037,7 @@ impl Speculation {
             // the stage chain (walls are non-decreasing, and equal walls
             // share a driving timer), so the done set is a prefix.
             let mut done = 1;
-            while done < self.nstages && c < self.mat[done].get() {
+            while done < self.nstages && c < mat[done] {
                 done += 1;
             }
             let meta = self.metas[c];
@@ -1309,6 +1119,7 @@ mod tests {
 
     use super::*;
     use crate::sync::join_all;
+    use crate::Tier;
 
     fn us(n: u64) -> SimDuration {
         SimDuration::from_micros(n)
@@ -1338,6 +1149,16 @@ mod tests {
         let walk = chunk_walk(sim, vec![stage].into(), 1, t, t, us(1), us(1), meta);
         // Was 240 B, with the arguments kept as upvars and again as locals.
         assert!(size_of_val(&walk) <= 152, "{} B", size_of_val(&walk));
+    }
+
+    /// A pipe is its calendar, its rates and one speculation slot.
+    #[test]
+    fn a_pipe_holds_its_calendar_and_speculation_slot_only() {
+        assert!(
+            std::mem::size_of::<PipeState>() <= 88,
+            "a pipe grew to {} bytes",
+            std::mem::size_of::<PipeState>()
+        );
     }
 
     #[test]
@@ -1376,15 +1197,12 @@ mod tests {
     #[test]
     fn pipe_overhead_charged_per_transfer() {
         let sim = Sim::new();
-        let pipe = Pipe::new(&sim, gbps(8), SimDuration::from_nanos(200));
-        let p = pipe.clone();
+        let p = Pipe::new(&sim, gbps(8), SimDuration::from_nanos(200));
         let s = sim.clone();
         sim.block_on(async move {
             p.transfer(b(100)).await; // 200 + 100 ns
             assert_eq!(s.now().as_nanos(), 300);
         });
-        assert_eq!(pipe.total_transfers(), 1);
-        assert_eq!(pipe.total_bytes(), 100);
     }
 
     #[test]
@@ -1539,16 +1357,11 @@ mod tests {
         )
     }
 
-    /// Completion time plus every observable per-pipe quantity.
-    fn observe(pl: &Pipeline, end: SimTime) -> Vec<u64> {
-        let mut v = vec![end.as_nanos()];
-        for st in pl.stages() {
-            v.push(st.pipe.total_busy().as_nanos());
-            v.push(st.pipe.total_bytes());
-            v.push(st.pipe.total_transfers());
-            v.push(st.pipe.busy_until().as_nanos());
-        }
-        v
+    /// What the tiers must agree on: each transfer's completion time, then
+    /// the end time.
+    fn observe(mut completions: Vec<u64>, end: SimTime) -> Vec<u64> {
+        completions.push(end.as_nanos());
+        completions
     }
 
     #[test]
@@ -1582,11 +1395,10 @@ mod tests {
             let sim = Sim::new();
             sim.set_fast_path(enable);
             let pl = crooked_pipeline(&sim);
-            let pl2 = pl;
             let s = sim.clone();
             sim.block_on(async move {
-                pl2.transfer(b(123_456), b(40)).await;
-                observe(&pl2, s.now())
+                pl.transfer(b(123_456), b(40)).await;
+                observe(Vec::new(), s.now())
             })
         };
         assert_eq!(run(true), run(false));
@@ -1602,7 +1414,7 @@ mod tests {
             sim.set_fast_path(enable);
             let pl = crooked_pipeline(&sim);
             let pa = pl.clone();
-            let pb = pl.clone();
+            let pb = pl;
             let sa = sim.clone();
             let sb = sim.clone();
             let h1 = sim.spawn(async move {
@@ -1615,9 +1427,7 @@ mod tests {
                 sb.now().as_nanos()
             });
             let ends = sim.block_on(async move { join_all(vec![h1, h2]).await });
-            let mut v = observe(&pl, sim.now());
-            v.extend(ends);
-            (v, sim.stats().slow_path_falls)
+            (observe(ends, sim.now()), sim.stats().slow_path_falls)
         };
         let (on, falls_on) = run(true);
         let (off, _) = run(false);
@@ -1626,29 +1436,42 @@ mod tests {
     }
 
     #[test]
-    fn reads_materialize_speculated_prefix() {
-        // Observing a stage mid-speculation must show exactly the state
-        // the walk would have produced by that instant.
-        let probe_at = SimDuration::from_micros(40);
-        let run = |enable: bool| {
-            let sim = Sim::new();
-            sim.set_fast_path(enable);
-            let pl = crooked_pipeline(&sim);
-            let pt = pl.clone();
-            let h = sim.spawn(async move { pt.transfer(b(300_000), b(20)).await });
-            let po = pl;
-            let so = sim.clone();
-            let obs = sim.spawn(async move {
-                so.sleep(probe_at).await;
-                observe(&po, so.now())
-            });
-            sim.block_on(async move {
-                let o = obs.await;
-                h.await;
-                o
-            })
-        };
-        assert_eq!(run(true), run(false));
+    fn a_reservation_on_any_stage_demotes_where_the_walk_would_be() {
+        // 40 µs into a 300 KB transfer, a 1-byte reservation lands on one
+        // stage's pipe: the first, a middle or the last. The fast path
+        // must demote and book it exactly where the walk does; the memo
+        // run replays a primed plan and must rebuild the same ops.
+        for stage in 0..3 {
+            let run = |tier: Tier| {
+                let sim = Sim::new();
+                sim.set_fast_path(tier != Tier::Walk);
+                sim.set_transfer_memo(tier == Tier::Memo);
+                let pl = crooked_pipeline(&sim);
+                let pipe = pl.stages()[stage].pipe.clone();
+                let s = sim.clone();
+                let v = sim.block_on(async move {
+                    pl.transfer(b(300_000), b(20)).await; // primes the memo
+                    let (pt, st) = (pl.clone(), s.clone());
+                    let h = s.spawn(async move {
+                        pt.transfer(b(300_000), b(20)).await;
+                        st.now()
+                    });
+                    s.sleep(us(40)).await;
+                    let (start, end) = pipe.reserve(s.now(), b(1));
+                    let done = h.await;
+                    vec![start.as_nanos(), end.as_nanos(), done.as_nanos()]
+                });
+                (v, sim.stats())
+            };
+            let (walk, _) = run(Tier::Walk);
+            let (fast, st_fast) = run(Tier::Fast);
+            let (memo, st_memo) = run(Tier::Memo);
+            assert_eq!(fast, walk, "stage {stage}: fast path");
+            assert_eq!(memo, walk, "stage {stage}: memo");
+            assert_eq!(st_fast.slow_path_falls, 1, "stage {stage}: {st_fast:?}");
+            assert_eq!(st_memo.memo_hits, 1, "stage {stage}: {st_memo:?}");
+            assert_eq!(st_memo.slow_path_falls, 1, "stage {stage}: {st_memo:?}");
+        }
     }
 
     #[test]
@@ -1660,13 +1483,12 @@ mod tests {
             let sim = Sim::new();
             sim.set_transfer_memo(memo);
             let pl = crooked_pipeline(&sim);
-            let pl2 = pl;
             let s = sim.clone();
             let obs = sim.block_on(async move {
                 for _ in 0..4 {
-                    pl2.transfer(b(123_456), b(40)).await;
+                    pl.transfer(b(123_456), b(40)).await;
                 }
-                observe(&pl2, s.now())
+                observe(Vec::new(), s.now())
             });
             (obs, sim.stats())
         };
@@ -1696,7 +1518,7 @@ mod tests {
             sim.set_transfer_memo(memo);
             let pl = crooked_pipeline(&sim);
             let pa = pl.clone();
-            let pb = pl.clone();
+            let pb = pl;
             let sa = sim.clone();
             let sb = sim.clone();
             let h1 = sim.spawn(async move {
@@ -1713,9 +1535,7 @@ mod tests {
                 sb.now().as_nanos()
             });
             let ends = sim.block_on(async move { join_all(vec![h1, h2]).await });
-            let mut v = observe(&pl, sim.now());
-            v.extend(ends);
-            (v, sim.stats())
+            (observe(ends, sim.now()), sim.stats())
         };
         let (on, st_on) = run(true);
         let (off, st_off) = run(false);

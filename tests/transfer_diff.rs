@@ -4,8 +4,7 @@
 //! per-segment walk (fast path off), on the closed-form fast path with the
 //! whole-transfer memo off, and on the fast path with the memo on — and
 //! all three must agree on every observable: per-task completion times,
-//! final simulated time, each pipe's busy time, byte/transfer counters and
-//! `busy_until` horizon, and the fault plane's injected-fault count. The
+//! final simulated time and the fault plane's injected-fault count. The
 //! two fast-path runs must also agree on the executor's event-ordering
 //! trace digest and its fast-path and timer counters (the walk schedules
 //! other events by design). Scenarios deliberately mix:
@@ -17,8 +16,7 @@
 //! * raw pipe transfers landing mid-traversal (demotions, which must evict
 //!   a replayed entry and fall back to the walk),
 //! * stages that repeat a pipe and pipelines that share pipes (legality
-//!   refusals and cross-pipeline demotions),
-//! * mid-flight observers (which force lazy state to materialize), and
+//!   refusals and cross-pipeline demotions), and
 //! * loss-judged sends on an optional fault plane: the per-stream
 //!   judgement counters must advance identically whichever tier carried
 //!   the transfers.
@@ -85,8 +83,6 @@ enum Op {
     /// Raw transfer on one pipe — foreign contention that demotes (and
     /// evicts) any speculation registered there: (delay, pipe idx, bytes).
     Raw(u64, usize, u64),
-    /// Mid-flight observer reading one pipe's state: (delay, pipe idx).
-    Observe(u64, usize),
     /// Loss-judged send: judge `stream` on the scenario's plane, then
     /// transfer; a lost send goes once more after a fixed backoff:
     /// (delay, pipeline idx, shape idx, stream).
@@ -145,12 +141,11 @@ fn gen_scenario(rng: &mut Rng) -> Scenario {
                     Op::Fresh(delay, pl, bytes, rng.range(0, 48))
                 }
                 3..=8 => Op::Burst(delay, pl, shape, rng.range(1, 6)),
-                9..=10 => Op::Raw(
+                9..=11 => Op::Raw(
                     delay,
                     rng.range(0, npipes as u64) as usize,
                     rng.range(1, 4_000),
                 ),
-                11 => Op::Observe(delay, rng.range(0, npipes as u64) as usize),
                 _ => Op::Judged(delay, pl, shape, rng.range(0, 3)),
             }
         })
@@ -233,13 +228,6 @@ fn run(sc: &Scenario, tier: Tier) -> RunOut {
                     s.now().as_nanos()
                 })
             }
-            Op::Observe(at, pipe) => {
-                let p = pipes[pipe].clone();
-                sim.spawn(async move {
-                    s.sleep(SimDuration::from_nanos(at)).await;
-                    p.busy_until().as_nanos() ^ p.total_transfers() ^ p.total_bytes()
-                })
-            }
             Op::Judged(at, pl, shape, stream) => {
                 let pl = pls[pl].clone();
                 let (bytes, hdr) = sc.shapes[shape];
@@ -260,12 +248,6 @@ fn run(sc: &Scenario, tier: Tier) -> RunOut {
     }
     let mut obs = sim.block_on(async move { join_all(handles).await });
     obs.push(sim.now().as_nanos());
-    for p in &pipes {
-        obs.push(p.total_busy().as_nanos());
-        obs.push(p.total_bytes());
-        obs.push(p.total_transfers());
-        obs.push(p.busy_until().as_nanos());
-    }
     let st = sim.stats();
     obs.push(st.faults_injected);
     RunOut {
