@@ -12,9 +12,9 @@
 //!
 //! Every poll gets [`Waker::noop`]. A future that parks its task records
 //! the task itself: a [`Sleep`] stores the polling task's slab id in its
-//! timer slot, and the `sync` primitives, `pipe`'s speculation wait, the
-//! shard inbox and [`JoinHandle`] store a `TaskHandle` (the task's core
-//! and id). A wake is `Core::wake_task` on that id. A future that parks
+//! timer slot, and the `sync` primitives, the shard inbox and
+//! [`JoinHandle`] store a `TaskHandle` (the task's core and id). A wake
+//! is `Core::wake_task` on that id. A future that parks
 //! on `cx.waker()` instead is never woken; [`Sim::block_on`] then panics
 //! with a deadlock that names it.
 //!

@@ -11,15 +11,13 @@
 //! way wormhole/cut-through hardware does — this is what produces
 //! realistic `1/(a + b/m)` bandwidth curves without closed-form shortcuts.
 
-use std::cell::{Cell, RefCell};
+use std::cell::{OnceCell, RefCell};
 use std::collections::BTreeMap;
 use std::future::Future;
-use std::pin::Pin;
 use std::rc::{Rc, Weak};
-use std::task::{Context, Poll};
 
 use crate::calendar::Calendar;
-use crate::executor::{Sim, TaskHandle};
+use crate::executor::Sim;
 use crate::memo::{MemoKey, MEMO_CAPACITY};
 use crate::sync::TaskGroup;
 use crate::time::{SimDuration, SimTime};
@@ -282,6 +280,78 @@ struct PlanOp {
     end: SimTime,
 }
 
+/// The reservation a chunk block holds on the stage it last crossed: its
+/// `(start, end)` there, one segment's service there, and the latency on
+/// to the next stage.
+#[derive(Clone, Copy, Debug)]
+struct Hop {
+    start: SimTime,
+    end: SimTime,
+    seg: SimDuration,
+    lat: SimDuration,
+}
+
+impl Hop {
+    /// The hop a block of `meta` holds once booked at `(start, end)` on
+    /// `stage`.
+    fn held(stage: &Stage, meta: ChunkMeta, (start, end): (SimTime, SimTime)) -> Hop {
+        Hop {
+            start,
+            end,
+            seg: stage.pipe.service_time(meta.seg_wire),
+            lat: stage.latency,
+        }
+    }
+
+    /// Enter the first stage: `book` places the block of `meta` at or
+    /// after `earliest` and returns its `(start, end)`.
+    fn enter(
+        stage: &Stage,
+        meta: ChunkMeta,
+        earliest: SimTime,
+        book: impl FnOnce(SimTime, SimDuration) -> (SimTime, SimTime),
+    ) -> Hop {
+        let block = stage.pipe.bulk_service(meta.cwire, meta.csegs);
+        Hop::held(stage, meta, book(earliest, block))
+    }
+
+    /// When the block's first segment, cleared from this stage, reaches
+    /// the next: the walk books the next stage no earlier.
+    fn by_start(&self) -> SimTime {
+        self.start + self.seg + self.lat
+    }
+
+    /// When the block's last segment leaves the stage chain, if this is
+    /// the last stage.
+    fn exit(&self) -> SimTime {
+        self.end + self.lat
+    }
+
+    /// Cross on to `stage` at wall `now` (at or after [`Hop::by_start`]):
+    /// `book` places the block of `meta` at or after the earliest start
+    /// there and returns its `(start, end)`.
+    fn step(
+        &self,
+        stage: &Stage,
+        meta: ChunkMeta,
+        now: SimTime,
+        book: impl FnOnce(SimTime, SimDuration) -> (SimTime, SimTime),
+    ) -> Hop {
+        debug_assert!(now >= self.by_start(), "a block crosses before it arrives");
+        let seg = stage.pipe.service_time(meta.seg_wire);
+        let block = stage.pipe.bulk_service(meta.cwire, meta.csegs);
+        // The block may not drain here before it drained upstream.
+        let floor = (self.end + seg + self.lat) - block;
+        let (start, end) = book(now.max(floor), block);
+        Hop {
+            start,
+            end,
+            seg,
+            lat: stage.latency,
+        }
+    }
+}
+
 /// The pacing loop of the per-segment walk: each chunk enters stage 0 as
 /// soon as the one before it has cleared stage 0 (FIFO behind this flow's
 /// earlier chunks), and one [`chunk_walk`] task carries it through the
@@ -290,38 +360,29 @@ async fn pace_chunks(sim: &Sim, stages: &Rc<[Stage]>, metas: &[ChunkMeta]) {
     let stage0 = &stages[0];
     let chunks = TaskGroup::new();
     for (c, &meta) in metas.iter().enumerate() {
-        let block = stage0.pipe.bulk_service(meta.cwire, meta.csegs);
-        let (s0, e0) = stage0.pipe.reserve_service(sim.now(), block);
+        let hop = Hop::enter(stage0, meta, sim.now(), |earliest, block| {
+            stage0.pipe.reserve_service(earliest, block)
+        });
         chunks.spawn(
             sim,
-            chunk_walk(
-                sim.clone(),
-                Rc::clone(stages),
-                1,
-                s0,
-                e0,
-                stage0.pipe.service_time(meta.seg_wire),
-                stage0.latency,
-                meta,
-            ),
+            chunk_walk(sim.clone(), Rc::clone(stages), 1, hop, meta),
         );
-        if c + 1 < metas.len() && e0 > sim.now() {
-            sim.sleep_until(e0).await;
+        if c + 1 < metas.len() && hop.end > sim.now() {
+            sim.sleep_until(hop.end).await;
         }
     }
     chunks.wait().await;
 }
 
 /// Walk one chunk block through `stages[from..]` in wall-clock step with
-/// the data, exactly as cut-through hardware drains it. `prev_*` describe
-/// the reservation the block already holds on stage `from - 1`.
+/// the data, exactly as cut-through hardware drains it. `hop` is the
+/// reservation the block already holds on stage `from - 1`.
 ///
 /// A plain `fn` returning an `async move` block, not an `async fn`: the
 /// block advances its captured arguments in place (`from` is the stage
 /// cursor), where an `async fn` would keep them and a second, local copy
 /// in every walk task.
 #[expect(
-    clippy::too_many_arguments,
     clippy::manual_async_fn,
     reason = "the async block advances its arguments in place; an async fn would copy them"
 )]
@@ -329,31 +390,21 @@ fn chunk_walk(
     sim: Sim,
     stages: Rc<[Stage]>,
     mut from: usize,
-    mut prev_start: SimTime,
-    mut prev_end: SimTime,
-    mut prev_seg: SimDuration,
-    mut prev_lat: SimDuration,
+    mut hop: Hop,
     meta: ChunkMeta,
 ) -> impl Future<Output = ()> {
     async move {
         while let Some(stage) = stages.get(from) {
             from += 1;
-            let by_start = prev_start + prev_seg + prev_lat;
+            let by_start = hop.by_start();
             if by_start > sim.now() {
                 sim.sleep_until(by_start).await;
             }
-            let seg_service = stage.pipe.service_time(meta.seg_wire);
-            let block = stage.pipe.bulk_service(meta.cwire, meta.csegs);
-            // The block may not drain here before it drained upstream.
-            let floor = (prev_end + seg_service + prev_lat) - block;
-            let earliest = sim.now().max(floor);
-            let (st, en) = stage.pipe.reserve_service(earliest, block);
-            prev_start = st;
-            prev_end = en;
-            prev_seg = seg_service;
-            prev_lat = stage.latency;
+            hop = hop.step(stage, meta, sim.now(), |earliest, block| {
+                stage.pipe.reserve_service(earliest, block)
+            });
         }
-        let exit = prev_end + prev_lat;
+        let exit = hop.exit();
         if exit > sim.now() {
             sim.sleep_until(exit).await;
         }
@@ -445,32 +496,18 @@ impl Pipeline {
             };
             payload + per_segment_overhead_bytes
         };
-        let mut exit = now;
-        if nsegs == 1 || !self.distinct {
-            // Segment by segment, each carried through every stage. Each
-            // pipe's calendar places a segment behind whatever already
-            // holds the stage — this message's earlier segments
-            // (self-pipelining) or another connection's (contention). One
-            // segment books each stage once either way.
-            for j in 0..nsegs {
-                let mut t = now;
-                for stage in self.stages.iter() {
-                    let (_s, end) = stage.pipe.reserve(t, wire(j));
-                    t = end + stage.latency;
-                }
-                exit = exit.max(t);
-            }
-            return exit;
-        }
         // Stage by stage, each stage's calendar taking the segments as one
         // train. A calendar answers the same requests in the same order as
         // segment by segment — segment `j` asks for where it left the
         // stage before — so every reservation lands where it would there.
+        // A pipe that serves two stages must see the segments in the
+        // order they cross it, one at a time: a train of one.
+        let per_train = if self.distinct { TRAIN_SEGMENTS } else { 1 };
+        let mut exit = now;
         let mut first = 0;
         while first < nsegs {
             let mut buf = [(now, SimDuration::ZERO); TRAIN_SEGMENTS];
-            let n =
-                usize::try_from(nsegs - first).map_or(TRAIN_SEGMENTS, |n| n.min(TRAIN_SEGMENTS));
+            let n = usize::try_from(nsegs - first).map_or(per_train, |n| n.min(per_train));
             let train = &mut buf[..n];
             for stage in self.stages.iter() {
                 for (j, (_, service)) in (first..).zip(train.iter_mut()) {
@@ -529,14 +566,15 @@ impl Pipeline {
                 // competing reservation demotes the speculation while we
                 // sleep, the continuation tasks it spawned finish the walk
                 // live; the real completion is never earlier than the
-                // prediction, so we wait out the prediction and then park
-                // on the speculation itself.
+                // prediction, so we wait out the prediction and then wait
+                // for them, as the walk waits for its chunks.
                 self.sim.sleep_until(spec.completion).await;
-                if spec.phase.get() == SpecPhase::Active {
-                    spec.commit();
-                    self.sim.note_fast_path_hit(spec.coalesced);
-                } else {
-                    SpecWait { spec }.await;
+                match spec.rest.get() {
+                    None => {
+                        spec.commit();
+                        self.sim.note_fast_path_hit(spec.coalesced);
+                    }
+                    Some(rest) => rest.wait().await,
                 }
                 return;
             }
@@ -583,17 +621,13 @@ impl Pipeline {
             return None;
         }
         for st in self.stages.iter() {
-            if let Some(w) = st.pipe.state.spec.borrow().as_ref() {
-                if let Some(sp) = w.upgrade() {
-                    if sp.phase.get() == SpecPhase::Active {
-                        return None;
-                    }
-                }
-            }
+            // A live registration is a speculation in flight: `commit` and
+            // `demote` clear theirs before anything else runs.
+            let live = matches!(&*st.pipe.state.spec.borrow(), Some(w) if w.strong_count() > 0);
             // Idle over the whole horizon: any live reservation could
             // overlap ours, so require the calendar to be entirely past.
             let last_end = st.pipe.state.calendar.borrow().last_end();
-            if last_end.is_some_and(|en| en > now) {
+            if live || last_end.is_some_and(|en| en > now) {
                 return None;
             }
         }
@@ -608,7 +642,13 @@ impl Pipeline {
             if let Some(entry) = cached {
                 self.sim.note_memo_hit();
                 match entry {
-                    MemoEntry::Plan(sum) => return Some(self.adopt_plan(key, &sum, now)),
+                    // O(stages): no chunk partition, no virtual-calendar
+                    // walk. The speculation starts with an empty op vector
+                    // and rebuilds it only if the window is demoted
+                    // ([`Speculation::ensure_ops`]).
+                    MemoEntry::Plan(sum) => {
+                        return Some(self.speculate(now, &sum, Vec::new(), Some(key)))
+                    }
                     MemoEntry::Refused(metas) => {
                         *part = Some(metas);
                         return None;
@@ -628,83 +668,61 @@ impl Pipeline {
             *part = Some(metas);
             return None;
         };
-        if memo_on {
-            let first = plan.ops[0];
-            self.memo_insert(
-                key,
-                MemoEntry::Plan(Rc::new(PlanSummary {
-                    metas: Rc::clone(&metas),
-                    completion_off: plan.completion - now,
-                    coalesced: plan.coalesced,
-                    first_dur: first.end - first.start,
-                })),
-            );
-        }
-        let spec = Rc::new(Speculation {
-            sim: self.sim.clone(),
-            stages: Rc::clone(&self.stages),
+        let first = plan.ops[0];
+        let sum = PlanSummary {
             metas,
-            ops: RefCell::new(plan.ops),
-            nstages: self.stages.len(),
-            base: now,
-            completion: plan.completion,
-            coalesced: plan.coalesced.saturating_sub(1),
-            memo: memo_on.then(|| (Rc::clone(&self.memo), key)),
-            phase: Cell::new(SpecPhase::Active),
-            waiter: RefCell::new(None),
-        });
-        let (s0, e0) = self.launch(&spec, now);
-        debug_assert_eq!(
-            (s0, e0),
-            (spec.op(0, 0).start, spec.op(0, 0).end),
-            "eager stage-0 reservation must match the plan"
-        );
+            completion_off: plan.completion - now,
+            coalesced: plan.coalesced,
+            first_dur: first.end - first.start,
+        };
+        let spec = self.speculate(now, &sum, plan.ops, memo_on.then_some(key));
+        if memo_on {
+            self.memo_insert(key, MemoEntry::Plan(Rc::new(sum)));
+        }
         Some(spec)
     }
 
-    /// Replay a cached plan at the current instant. O(stages): no chunk
-    /// partition, no virtual-calendar walk — the speculation starts with
-    /// an empty op vector and rebuilds it only if the window is demoted
-    /// ([`Speculation::ensure_ops`]).
-    fn adopt_plan(&self, key: MemoKey, sum: &Rc<PlanSummary>, now: SimTime) -> Rc<Speculation> {
-        let spec = Rc::new(Speculation {
-            sim: self.sim.clone(),
-            stages: Rc::clone(&self.stages),
-            metas: Rc::clone(&sum.metas),
-            ops: RefCell::new(Vec::new()),
-            nstages: self.stages.len(),
-            base: now,
-            completion: now + sum.completion_off,
-            coalesced: sum.coalesced.saturating_sub(1),
-            memo: Some((Rc::clone(&self.memo), key)),
-            phase: Cell::new(SpecPhase::Active),
-            waiter: RefCell::new(None),
-        });
-        let (s0, e0) = self.launch(&spec, now);
-        debug_assert_eq!(
-            e0 - s0,
-            sum.first_dur,
-            "cached stage-0 occupancy must match the replayed reservation"
-        );
-        spec
-    }
-
-    /// Make the speculation live: eagerly reserve chunk 0 on stage 0 and
-    /// register on every stage pipe.
+    /// Start a speculated traversal along the plan `sum` digests, entering
+    /// at `now`. `ops` is the plan's op vector, or empty for
+    /// [`Speculation::ensure_ops`] to rebuild; `key` is the memo entry the
+    /// plan is kept under, if any.
     ///
     /// The walk reserves chunk 0 on stage 0 synchronously, before its
     /// first await — in program order ahead of anything else this instant.
     /// Mirror that for real (placement equals the plan's: the calendar was
     /// idle and first-fit is deterministic), so only timer-driven
-    /// reservations are ever subject to the due rule.
-    fn launch(&self, spec: &Rc<Speculation>, now: SimTime) -> (SimTime, SimTime) {
-        let meta = spec.metas[0];
+    /// reservations are ever subject to the due rule; then register on
+    /// every stage pipe.
+    fn speculate(
+        &self,
+        now: SimTime,
+        sum: &PlanSummary,
+        ops: Vec<PlanOp>,
+        key: Option<MemoKey>,
+    ) -> Rc<Speculation> {
+        let meta = sum.metas[0];
         let stage0 = &self.stages[0].pipe;
-        let (s0, e0) = stage0.reserve_service(now, stage0.bulk_service(meta.cwire, meta.csegs));
+        let booked = stage0.reserve_service(now, stage0.bulk_service(meta.cwire, meta.csegs));
+        debug_assert_eq!(
+            booked,
+            (now, now + sum.first_dur),
+            "the eager stage-0 reservation must land where the plan put it"
+        );
+        let spec = Rc::new(Speculation {
+            sim: self.sim.clone(),
+            stages: Rc::clone(&self.stages),
+            metas: Rc::clone(&sum.metas),
+            ops: RefCell::new(ops),
+            base: now,
+            completion: now + sum.completion_off,
+            coalesced: sum.coalesced.saturating_sub(1),
+            memo: key.map(|key| (Rc::clone(&self.memo), key)),
+            rest: OnceCell::new(),
+        });
         for st in self.stages.iter() {
-            *st.pipe.state.spec.borrow_mut() = Some(Rc::downgrade(spec));
+            *st.pipe.state.spec.borrow_mut() = Some(Rc::downgrade(&spec));
         }
-        (s0, e0)
+        spec
     }
 
     /// Insert a memo entry, evicting the oldest key at the capacity cap.
@@ -775,13 +793,16 @@ fn plan_on(
     let PlanScratch { cals, last_wall } = scratch;
     cals.resize_with(nstages, Calendar::default);
     last_wall.resize(nstages, SimTime::ZERO);
-    // Chunk 0 starts each stage's calendar over, empty of the last plan.
-    let book = |cal: &mut Calendar, c: usize, earliest: SimTime, dur: SimDuration| {
-        if c == 0 {
-            cal.book_afresh(earliest, dur)
+    // Stage `s`'s booking of chunk `c`'s block, as a real pipe's. Chunk 0
+    // starts each stage's calendar over, empty of the last plan.
+    let mut book = |s: usize, c: usize, earliest: SimTime, block: SimDuration| {
+        let dur = block.max(MIN_OCCUPANCY);
+        let start = if c == 0 {
+            cals[s].book_afresh(earliest, dur)
         } else {
-            cal.book(now, earliest, dur)
-        }
+            cals[s].book(now, earliest, dur)
+        };
+        (start, start + dur)
     };
     let mut ops: Vec<PlanOp> = Vec::with_capacity(metas.len() * nstages);
     let mut completion = now;
@@ -790,23 +811,17 @@ fn plan_on(
     // Arm instant of the sleep currently driving the pacing loop; the
     // creation instant stands in before the first pacing sleep.
     let mut arm_main = now;
-    for (c, meta) in metas.iter().enumerate() {
-        let stage0 = &stages[0];
+    for (c, &meta) in metas.iter().enumerate() {
         if c > 0 && w_main <= last_wall[0] {
             return None;
         }
-        let dur0 = stage0
-            .pipe
-            .bulk_service(meta.cwire, meta.csegs)
-            .max(MIN_OCCUPANCY);
-        let s0 = book(&mut cals[0], c, w_main, dur0);
-        let e0 = s0 + dur0;
+        let hop0 = Hop::enter(&stages[0], meta, w_main, |at, block| book(0, c, at, block));
         last_wall[0] = w_main;
         ops.push(PlanOp {
             wall: w_main,
             arm: arm_main,
-            start: s0,
-            end: e0,
+            start: hop0.start,
+            end: hop0.end,
         });
         coalesced += 1; // the chunk task spawn
         let mut tw = w_main;
@@ -814,48 +829,35 @@ fn plan_on(
         // segment, so until its first own sleep it is ordered by the
         // pacing loop's driving timer.
         let mut arm_task = arm_main;
-        let mut prev_start = s0;
-        let mut prev_end = e0;
-        let mut prev_seg = stage0.pipe.service_time(meta.seg_wire);
-        let mut prev_lat = stage0.latency;
+        let mut hop = hop0;
         for (s, stage) in stages.iter().enumerate().skip(1) {
-            let by_start = prev_start + prev_seg + prev_lat;
+            let by_start = hop.by_start();
             if by_start > tw {
                 arm_task = tw;
                 tw = by_start;
                 coalesced += 1; // the by_start sleep
             }
-            let seg_service = stage.pipe.service_time(meta.seg_wire);
-            let block = stage.pipe.bulk_service(meta.cwire, meta.csegs);
-            let floor = (prev_end + seg_service + prev_lat) - block;
-            let earliest = tw.max(floor);
             if c > 0 && tw <= last_wall[s] {
                 return None;
             }
-            let durs = block.max(MIN_OCCUPANCY);
-            let st = book(&mut cals[s], c, earliest, durs);
-            let en = st + durs;
+            hop = hop.step(stage, meta, tw, |at, block| book(s, c, at, block));
             last_wall[s] = tw;
             ops.push(PlanOp {
                 wall: tw,
                 arm: arm_task,
-                start: st,
-                end: en,
+                start: hop.start,
+                end: hop.end,
             });
-            prev_start = st;
-            prev_end = en;
-            prev_seg = seg_service;
-            prev_lat = stage.latency;
         }
-        let exit = prev_end + prev_lat;
+        let exit = hop.exit();
         if exit > tw {
             tw = exit;
             coalesced += 1; // the exit sleep
         }
         completion = completion.max(tw);
-        if c + 1 < metas.len() && e0 > w_main {
+        if c + 1 < metas.len() && hop0.end > w_main {
             arm_main = w_main;
-            w_main = e0;
+            w_main = hop0.end;
             coalesced += 1; // the pacing sleep in the main loop
         }
     }
@@ -864,17 +866,6 @@ fn plan_on(
         completion,
         coalesced,
     })
-}
-
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum SpecPhase {
-    /// Prediction holds; nothing has been written to real calendars.
-    Active,
-    /// A competing reservation arrived: due reservations were materialized
-    /// and continuation tasks are finishing the walk live.
-    Demoted,
-    /// Traversal complete (committed or continuations drained).
-    Done,
 }
 
 /// A speculated cut-through traversal: the full reservation plan the
@@ -889,12 +880,11 @@ struct Speculation {
     sim: Sim,
     stages: Rc<[Stage]>,
     metas: Rc<[ChunkMeta]>,
-    /// Chunk-major plan: `ops[c * nstages + s]`. Empty on a memo hit —
+    /// Chunk-major plan: `ops[c * stages.len() + s]`. Empty on a memo hit —
     /// the cached summary carries everything an undisturbed traversal
     /// needs, and [`Speculation::ensure_ops`] rebuilds the full plan only
     /// if the window is demoted.
     ops: RefCell<Vec<PlanOp>>,
-    nstages: usize,
     /// The traversal's entry instant — the base every plan offset is
     /// relative to, and the `now` a deferred [`compute_plan`] rebuild
     /// must run at.
@@ -908,14 +898,15 @@ struct Speculation {
     /// demotion means the cached outcome is no longer trustworthy for the
     /// occupancy class it was keyed under, so the entry is evicted.
     memo: Option<(MemoCache, MemoKey)>,
-    phase: Cell<SpecPhase>,
-    /// The task of the owning transfer future, parked in [`SpecWait`].
-    waiter: RefCell<Option<TaskHandle>>,
+    /// The continuation tasks of a demoted speculation, which finish the
+    /// walk live; the owning transfer future waits for them. Empty while
+    /// the prediction holds.
+    rest: OnceCell<TaskGroup>,
 }
 
 impl Speculation {
     fn op(&self, c: usize, s: usize) -> PlanOp {
-        self.ops.borrow()[c * self.nstages + s]
+        self.ops.borrow()[c * self.stages.len() + s]
     }
 
     /// Rebuild the op vector of a memo-hit speculation on first demand.
@@ -991,7 +982,6 @@ impl Speculation {
     /// influence a first-fit placement again (the walk's own intervals
     /// would be pruned at the next reserve anyway).
     fn commit(self: &Rc<Self>) {
-        self.phase.set(SpecPhase::Done);
         for stage in self.stages.iter() {
             self.unregister(&stage.pipe);
         }
@@ -1005,10 +995,6 @@ impl Speculation {
     /// ranked among equal deadlines where the walk armed it), and a
     /// resumed pacing loop for chunks that have not entered stage 0.
     fn demote(self: &Rc<Self>) {
-        if self.phase.get() != SpecPhase::Active {
-            return;
-        }
-        self.phase.set(SpecPhase::Demoted);
         self.sim.note_slow_path_fall();
         // The cached outcome assumed an undisturbed window; mid-window
         // contention invalidates it for this fingerprint.
@@ -1024,44 +1010,37 @@ impl Speculation {
             self.unregister(&stage.pipe);
         }
         let now = self.sim.now();
+        let nstages = self.stages.len();
         // Per stage, the chunks the real calendar holds. Until now the only
-        // real booking was `launch`'s: chunk 0 on stage 0.
-        let mat: Vec<usize> = (0..self.nstages)
+        // real booking was `speculate`'s: chunk 0 on stage 0.
+        let mat: Vec<usize> = (0..nstages)
             .map(|s| self.materialize_due(s, usize::from(s == 0), now))
             .collect();
         let started = mat[0];
         let rest = TaskGroup::new();
-        for c in 0..started {
+        for (c, &meta) in self.metas[..started].iter().enumerate() {
             // Stages already holding this chunk's reservation are exactly
             // the ones `materialize_due` wrote — due-ness is monotone down
             // the stage chain (walls are non-decreasing, and equal walls
             // share a driving timer), so the done set is a prefix.
             let mut done = 1;
-            while done < self.nstages && c < mat[done] {
+            while done < nstages && c < mat[done] {
                 done += 1;
             }
-            let meta = self.metas[c];
             let prev_op = self.op(c, done - 1);
-            let prev_stage = &self.stages[done - 1];
-            if done == self.nstages {
+            let hop = Hop::held(&self.stages[done - 1], meta, (prev_op.start, prev_op.end));
+            if done == nstages {
                 // Fully reserved; only the exit sleep remains, armed at the
                 // last reservation's wall.
-                let exit = prev_op.end + prev_stage.latency;
-                rest.spawn(&self.sim, self.sim.sleep_until_armed_at(exit, prev_op.wall));
+                rest.spawn(
+                    &self.sim,
+                    self.sim.sleep_until_armed_at(hop.exit(), prev_op.wall),
+                );
             } else {
                 // Parked until the next stage's planned wall.
                 let next = self.op(c, done);
                 let wait = self.sim.sleep_until_armed_at(next.wall, next.arm);
-                let walk = chunk_walk(
-                    self.sim.clone(),
-                    Rc::clone(&self.stages),
-                    done,
-                    prev_op.start,
-                    prev_op.end,
-                    prev_stage.pipe.service_time(meta.seg_wire),
-                    prev_stage.latency,
-                    meta,
-                );
+                let walk = chunk_walk(self.sim.clone(), Rc::clone(&self.stages), done, hop, meta);
                 rest.spawn(&self.sim, async move {
                     wait.await;
                     walk.await;
@@ -1074,14 +1053,7 @@ impl Speculation {
                 spec.resume_main(started).await;
             });
         }
-        let spec = Rc::clone(self);
-        self.sim.spawn_detached(async move {
-            rest.wait().await;
-            spec.phase.set(SpecPhase::Done);
-            if let Some(task) = spec.waiter.borrow_mut().take() {
-                task.wake();
-            }
-        });
+        assert!(self.rest.set(rest).is_ok(), "a speculation demotes once");
     }
 
     /// Continue the pacing loop for chunks that had not yet entered
@@ -1091,25 +1063,6 @@ impl Speculation {
         let next = self.op(started, 0);
         self.sim.sleep_until_armed_at(next.wall, next.arm).await;
         pace_chunks(&self.sim, &self.stages, &self.metas[started..]).await;
-    }
-}
-
-/// Parks the owning transfer future until a demoted speculation's
-/// continuation tasks drain.
-struct SpecWait {
-    spec: Rc<Speculation>,
-}
-
-impl Future for SpecWait {
-    type Output = ();
-
-    fn poll(self: Pin<&mut Self>, _: &mut Context<'_>) -> Poll<()> {
-        if self.spec.phase.get() == SpecPhase::Done {
-            Poll::Ready(())
-        } else {
-            *self.spec.waiter.borrow_mut() = Some(TaskHandle::current());
-            Poll::Pending
-        }
     }
 }
 
@@ -1146,7 +1099,13 @@ mod tests {
             seg_wire: b(1500),
         };
         let t = SimTime::ZERO;
-        let walk = chunk_walk(sim, vec![stage].into(), 1, t, t, us(1), us(1), meta);
+        let hop = Hop {
+            start: t,
+            end: t,
+            seg: us(1),
+            lat: us(1),
+        };
+        let walk = chunk_walk(sim, vec![stage].into(), 1, hop, meta);
         // Was 240 B, with the arguments kept as upvars and again as locals.
         assert!(size_of_val(&walk) <= 152, "{} B", size_of_val(&walk));
     }
@@ -1158,6 +1117,17 @@ mod tests {
             std::mem::size_of::<PipeState>() <= 88,
             "a pipe grew to {} bytes",
             std::mem::size_of::<PipeState>()
+        );
+    }
+
+    /// A speculation is its plan and, once demoted, the group of tasks
+    /// finishing it. Was 160 B, with a phase flag and a parked waiter.
+    #[test]
+    fn a_speculation_holds_its_plan_and_continuations_only() {
+        assert!(
+            std::mem::size_of::<Speculation>() <= 128,
+            "a speculation grew to {} bytes",
+            std::mem::size_of::<Speculation>()
         );
     }
 
@@ -1472,6 +1442,52 @@ mod tests {
             assert_eq!(st_memo.memo_hits, 1, "stage {stage}: {st_memo:?}");
             assert_eq!(st_memo.slow_path_falls, 1, "stage {stage}: {st_memo:?}");
         }
+    }
+
+    #[test]
+    fn a_demotion_that_delays_nothing_spawns_only_the_walks_tasks() {
+        // 80 segments of 1000 B: ten chunks, entering the 2 GB/s stage 0
+        // every 4 µs and draining at 1 GB/s on stage 1. At 10 µs chunks
+        // 0-2 have entered stage 0; a 1-byte booking on stage 1 far past
+        // the transfer's end demotes the speculation without moving it.
+        let run = |tier: Tier| {
+            let sim = Sim::new();
+            sim.set_fast_path(tier != Tier::Walk);
+            let fast = Pipe::new(&sim, gbps(16), SimDuration::ZERO);
+            let slow = Pipe::new(&sim, gbps(8), SimDuration::ZERO);
+            let pl = Pipeline::new(
+                &sim,
+                vec![
+                    Stage::new(fast, SimDuration::ZERO),
+                    Stage::new(slow.clone(), SimDuration::ZERO),
+                ],
+                b(1000),
+            );
+            let s = sim.clone();
+            let (done, spawned) = sim.block_on(async move {
+                let st = s.clone();
+                let h = s.spawn(async move {
+                    pl.transfer(b(80_000), Bytes::ZERO).await;
+                    st.now()
+                });
+                s.sleep(us(10)).await;
+                let before = s.stats().spawns;
+                slow.reserve(s.now() + us(1_000), b(1));
+                let spawned = s.stats().spawns - before;
+                (h.await, spawned)
+            });
+            (done.as_nanos(), spawned, sim.stats())
+        };
+        let (walk, _, _) = run(Tier::Walk);
+        let (fast, spawned, st) = run(Tier::Fast);
+        assert_eq!(walk, 500 + 80 * 1_000);
+        assert_eq!(fast, walk);
+        assert_eq!(st.slow_path_falls, 1, "{st:?}");
+        assert_eq!(st.fast_path_hits, 0, "{st:?}");
+        // One continuation per chunk that has entered stage 0, and one
+        // resumed pacing loop for the seven that have not: the owner
+        // waits for them itself.
+        assert_eq!(spawned, 3 + 1);
     }
 
     #[test]
